@@ -1,0 +1,10 @@
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
+
+import pins  # noqa: E402
+
+pins.pin_threads(os.environ)
