@@ -59,11 +59,7 @@ class HeadPartition:
     ratio: float
 
     def is_retrieval(self, head: int) -> bool:
-        return head in self._retrieval_lookup
-
-    @property
-    def _retrieval_lookup(self) -> frozenset:
-        return frozenset(self.retrieval_set)
+        return head in self.retrieval_set
 
     @property
     def n_heads(self) -> int:
@@ -214,10 +210,11 @@ def load_partitions(path: str | Path, ratio: float) -> list[HeadPartition]:
             if reader.fieldnames != PARTITION_HEADER:
                 raise ArgumentError(f"unexpected partition header in {path}")
             for rec in reader:
-                rows.setdefault(int(rec["layer"]), {})[int(rec["head"])] = (
-                    float(rec["score"]),
-                    rec["role"],
-                )
+                try:
+                    rows.setdefault(int(rec["layer"]), {})[int(rec["head"])] = (
+                        float(rec["score"]), rec["role"])
+                except (TypeError, ValueError) as e:
+                    raise ArgumentError(f"bad row {reader.line_num} in {path}: {e}") from e
     except OSError as e:
         raise ArgumentError(f"cannot read partition file {path}: {e}") from e
     if not rows:
@@ -225,6 +222,9 @@ def load_partitions(path: str | Path, ratio: float) -> list[HeadPartition]:
     partitions = []
     for layer in sorted(rows):
         by_head = rows[layer]
+        if sorted(by_head) != list(range(len(by_head))):
+            raise ArgumentError(
+                f"{path}: layer {layer} heads are not 0..{len(by_head) - 1}")
         scores = [by_head[h][0] for h in range(len(by_head))]
         part = partition_heads(scores, ratio)
         stored_ret = {h for h, (_, role) in by_head.items() if role == "retrieval"}

@@ -245,19 +245,14 @@ def toy_logits_sparse(model: ToyModel, tokens: np.ndarray, p: float,
     )["logits"]
 
 
-def _row_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _restricted_kl_batch(t_idx: np.ndarray, t_val: np.ndarray,
                          logits: np.ndarray) -> tuple[float, np.ndarray]:
     """distill_loss and distill_grad for all positions at once, averaged;
     same arithmetic as the scalar ops, gathered instead of looped."""
     L = logits.shape[0]
     rows = np.arange(L)[:, None]
-    p = _row_softmax(np.asarray(t_val, np.float64))
-    q = _row_softmax(logits[rows, t_idx])
+    p = softmax(t_val)
+    q = softmax(logits[rows, t_idx])
     per_row = np.sum(p * (np.log(p) - np.log(np.maximum(q, 1e-9))), axis=1)
     g_logits = np.zeros_like(logits)
     g_logits[rows, t_idx] = (q - p) / L

@@ -1,10 +1,11 @@
-"""Sparse attention engine: dense prefill for retrieval heads, sink+window
-for local heads, and per-step top-p decode over projected scores.
+"""Sparse attention engine: prefill that builds the KV caches, sink+window
+attention for local heads, and per-step top-p decode over projected scores.
 
 The decode path never renormalizes approximately: whatever active set the
-selector produces, the output is an exact softmax over the true scaled
-post-rotation scores of that set, times the cached values. Sparsity shows
-up only in which tokens participate, not in how they are weighed.
+selector produces, the output is workload.attend over that set, the same
+exact softmax over true scaled post-rotation scores that the dense oracle
+runs. Sparsity shows up only in which tokens participate, not in how they
+are weighed.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import numpy as np
 
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
-from .indexer import ProjectedKeyCache, Projector, projected_scores
-from .numerics import softmax
-from .rope import rope_rotate, rope_rotate_many
+from .indexer import ProjectedKeyCache, Projector
 from .selection import (
     SelectionResult,
     histogram_threshold_scores,
@@ -30,9 +29,11 @@ from .workload import (
     KVCacheHead,
     ModelGeometry,
     Workload,
+    attend,
     build_cache_prefix,
     dense_attention,
     qhead_to_kvhead,
+    visible_rows,
 )
 
 ROLE_RETRIEVAL = "retrieval"
@@ -85,12 +86,6 @@ class SparsityReport:
 
 
 @dataclass
-class PrefillResult:
-    caches: dict[tuple[int, int], KVCacheHead]
-    outputs: np.ndarray | None  # (n_layers, n_q_heads, n_tokens, head_dim)
-
-
-@dataclass
 class RunResult:
     traces: list[DecodeTrace]
     report: SparsityReport
@@ -113,27 +108,18 @@ def local_active_indices(n_visible: int, window: int, n_sinks: int) -> np.ndarra
 def restricted_attention(query_pre: np.ndarray, query_position: int,
                          cache: KVCacheHead, active: np.ndarray,
                          scale: float | None = None) -> np.ndarray:
-    """Softmax over the exact scaled post-rotation scores of `active`, times
-    values; by construction identical to dense attention on the sub-cache."""
+    """Attention output over the cache rows in `active`; by construction
+    identical to dense attention on the sub-cache."""
     if active.size == 0:
         raise InternalError("restricted attention over an empty set")
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = rope_rotate(np.asarray(query_pre, np.float64), query_position, cache.rope)
-    scores = (cache.keys_post64[active] @ q_rot) * scale
-    weights = softmax(scores)
-    return weights @ cache.values64[active]
+    return attend(query_pre, query_position, cache, active, scale)[1]
 
 
 def local_head_decode(query_pre: np.ndarray, query_position: int,
                       cache: KVCacheHead, window: int, n_sinks: int,
                       scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sink+window attention for one decode step; returns (output, indices)."""
-    if len(cache) == 0:
-        raise ArgumentError("cache is empty")
-    n = cache.visible_count(query_position)
-    if n == 0:
-        raise ArgumentError(f"no token visible at position {query_position}")
+    n = visible_rows(cache, query_position).stop
     active = local_active_indices(n, window, n_sinks)
     return restricted_attention(query_pre, query_position, cache, active, scale), active
 
@@ -154,10 +140,9 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
         raise ArgumentError("cache is empty")
     if mode not in ("exact", "histogram", "top_k"):
         raise ArgumentError(f"unknown selection mode {mode!r}")
-    if pkc is not None:
-        proj = pkc.scores(cache, query_pre, query_position)
-    else:
-        proj = projected_scores(query_pre, cache, projector, query_position)
+    if pkc is None:
+        pkc = ProjectedKeyCache(projector, capacity=len(cache))
+    proj = pkc.scores(cache, query_pre, query_position)
     if mode == "exact":
         sel: SelectionResult = top_p_exact(proj, p)
     elif mode == "top_k":
@@ -181,93 +166,41 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
 
 
 def prefill(workload: Workload, geometry: ModelGeometry,
-            partitions: Sequence[HeadPartition], n_tokens: int | None = None,
-            compute_outputs: bool = True) -> PrefillResult:
-    """Build KV caches over the prompt region and, optionally, the per-head
-    prefill outputs: dense causal rows for retrieval heads, sink+window rows
-    for local heads."""
-    if len(partitions) != geometry.n_layers:
-        raise ArgumentError("one HeadPartition per layer required")
+            n_tokens: int | None = None) -> dict[tuple[int, int], KVCacheHead]:
+    """Build the (layer, kv_head) KV caches over the first n_tokens of the
+    workload, the whole prompt region by default."""
     if n_tokens is None:
         n_tokens = workload.prefill_len
-    if not (0 < n_tokens <= workload.seq_len):
-        raise ArgumentError(f"n_tokens {n_tokens} out of range")
-    caches = {
+    return {
         (layer, g): build_cache_prefix(workload, layer, g, n_tokens)
         for layer in range(geometry.n_layers)
         for g in range(geometry.n_kv_heads)
     }
-    if not compute_outputs:
-        return PrefillResult(caches, None)
-
-    L = n_tokens
-    pos = np.arange(L)
-    causal = pos[None, :] <= pos[:, None]
-    local_cols = (pos[None, :] < geometry.n_sinks) | (
-        pos[None, :] > pos[:, None] - geometry.window
-    )
-    outputs = np.empty((geometry.n_layers, geometry.n_q_heads, L, geometry.head_dim))
-    for layer in range(geometry.n_layers):
-        part = partitions[layer]
-        for h in range(geometry.n_q_heads):
-            cache = caches[(layer, qhead_to_kvhead(geometry, h))]
-            q_rot = rope_rotate_many(
-                workload.queries[layer, h, :L].astype(np.float64), pos, geometry.rope
-            )
-            scores = (q_rot @ cache.keys_post64[:L].T) * geometry.scale
-            mask = causal if part.is_retrieval(h) else (causal & local_cols)
-            scores = np.where(mask, scores, -np.inf)
-            shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-            weights = shifted / shifted.sum(axis=1, keepdims=True)
-            outputs[layer, h] = weights @ cache.values64[:L]
-    return PrefillResult(caches, outputs)
 
 
-def _as_kv_map(gqa_map) -> Callable[[int], int]:
-    if callable(gqa_map):
-        return gqa_map
-    if isinstance(gqa_map, Mapping):
-        return lambda h: gqa_map[h]
-    raise ArgumentError("gqa_map must be a callable or a mapping")
-
-
-def _visible(visible_counts, trace: DecodeTrace) -> int:
-    if visible_counts is None:
-        return trace.position + 1
-    n = int(visible_counts[trace.position])
-    if n < trace.tokens_selected:
-        raise ArgumentError(
-            f"visible count {n} at position {trace.position} below active-set size"
-        )
-    return n
-
-
-def compute_sparsity(traces: Sequence[DecodeTrace],
-                     visible_counts: Mapping[int, int] | None = None) -> float:
-    """1 minus the mean attended/visible fraction over query-head steps."""
+def compute_sparsity(traces: Sequence[DecodeTrace]) -> float:
+    """1 minus the mean attended/visible fraction over query-head steps; a
+    step at position t sees the t + 1 tokens at positions 0..t."""
     if len(traces) == 0:
         raise ArgumentError("no traces")
-    fracs = [t.tokens_selected / _visible(visible_counts, t) for t in traces]
+    fracs = [t.tokens_selected / (t.position + 1) for t in traces]
     return 1.0 - float(np.mean(fracs))
 
 
-def memory_sparsity(traces: Sequence[DecodeTrace], gqa_map,
-                    visible_counts: Mapping[int, int] | None = None) -> float:
+def memory_sparsity(traces: Sequence[DecodeTrace],
+                    gqa_map: Callable[[int], int]) -> float:
     """1 minus the mean retained/visible fraction over KV-head steps, where
-    retained is the union of active sets across the query heads sharing the
-    KV head."""
+    retained is the union of active sets across the query heads that
+    gqa_map sends to the same KV head."""
     if len(traces) == 0:
         raise ArgumentError("no traces")
-    to_kv = _as_kv_map(gqa_map)
     groups: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    vis: dict[tuple[int, int, int], int] = {}
     for t in traces:
-        key = (t.layer, to_kv(t.q_head), t.position)
-        groups.setdefault(key, []).append(t.active_set)
-        vis[key] = _visible(visible_counts, t)
+        groups.setdefault((t.layer, gqa_map(t.q_head), t.position), []).append(
+            t.active_set)
     fracs = [
-        np.unique(np.concatenate(sets)).size / vis[key]
-        for key, sets in groups.items()
+        np.unique(np.concatenate(sets)).size / (position + 1)
+        for (_, _, position), sets in groups.items()
     ]
     return 1.0 - float(np.mean(fracs))
 
@@ -284,8 +217,8 @@ def attention_mass_report(trace: DecodeTrace, dense_row: AttentionRow) -> float:
     return float(dense_row.weights[trace.active_set].sum())
 
 
-def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry,
-                    visible_counts: Mapping[int, int] | None = None) -> SparsityReport:
+def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry
+                    ) -> SparsityReport:
     per_head: dict[tuple[int, int], list[int]] = {}
     for t in traces:
         per_head.setdefault((t.layer, t.q_head), []).append(t.tokens_selected)
@@ -293,10 +226,8 @@ def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry,
     for (layer, h), sizes in per_head.items():
         means[layer, h] = float(np.mean(sizes))
     return SparsityReport(
-        compute_sparsity=compute_sparsity(traces, visible_counts),
-        memory_sparsity=memory_sparsity(
-            traces, lambda h: qhead_to_kvhead(geometry, h), visible_counts
-        ),
+        compute_sparsity=compute_sparsity(traces),
+        memory_sparsity=memory_sparsity(traces, lambda h: qhead_to_kvhead(geometry, h)),
         per_head_active=means,
     )
 
@@ -315,6 +246,9 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
         p = geometry.top_p
     if trace_sample < 1:
         raise ArgumentError("trace_sample must be >= 1")
+    if len(partitions) != geometry.n_layers:
+        raise ArgumentError(f"{len(partitions)} head partitions for "
+                            f"{geometry.n_layers} layers; one per layer required")
     if workload.prefill_len >= workload.seq_len:
         raise ArgumentError("workload has no decode region")
     for layer in range(geometry.n_layers):
@@ -322,8 +256,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
             if (layer, h) not in projectors:
                 raise ArgumentError(f"no projector for retrieval head ({layer}, {h})")
 
-    pre = prefill(workload, geometry, partitions, compute_outputs=False)
-    caches = pre.caches
+    caches = prefill(workload, geometry)
     pkcs = {
         (layer, h): ProjectedKeyCache(projectors[(layer, h)], capacity=workload.seq_len)
         for layer in range(geometry.n_layers)

@@ -86,8 +86,9 @@ def init_projector(r: int, head_dim: int, seed: int, label: str = "projector-ini
 
 
 def projected_scores(query_pre: np.ndarray, cache: KVCacheHead, projector: Projector,
-                     query_position: int, temperature: float = 1.0) -> np.ndarray:
-    """Projected relevance scores for every token visible at query_position."""
+                     query_position: int) -> np.ndarray:
+    """Projected relevance scores for every token visible at query_position,
+    recomputed from the whole cache; the reference for ProjectedKeyCache."""
     q = np.asarray(query_pre, np.float64)
     if q.shape != (projector.head_dim,):
         raise ArgumentError(
@@ -98,11 +99,9 @@ def projected_scores(query_pre: np.ndarray, cache: KVCacheHead, projector: Proje
     n = cache.visible_count(query_position)
     if n == 0:
         raise ArgumentError(f"no token visible at position {query_position}")
-    if temperature <= 0:
-        raise ArgumentError("temperature must be positive")
     u = projector.w_q @ q
     proj_keys = cache.keys_pre[:n].astype(np.float64) @ projector.w_k.T
-    return (proj_keys @ u) / temperature
+    return proj_keys @ u
 
 
 class ProjectedKeyCache:

@@ -17,6 +17,7 @@ import numpy as np
 from .engine import DecodeTrace, SparsityReport, retrieval_head_decode
 from .errors import ArgumentError
 from .indexer import ProjectedKeyCache, init_projector
+from .numerics import softmax
 from .rope import RopeParams
 from .seeding import derive_rng
 from .selection import top_k_static, top_p_exact
@@ -135,8 +136,7 @@ def mass_budget_sweep(workload: Workload, geometry: ModelGeometry, layer: int,
     for t in positions:
         scores = dense_row_scores(workload.queries[layer, q_head, t], t, cache,
                                   geometry.scale)
-        weights = np.exp(scores - scores.max())
-        weights /= weights.sum()
+        weights = softmax(scores)
         for k in budgets:
             sel = top_k_static(scores, k)
             masses.setdefault(("top_k", k), []).append(

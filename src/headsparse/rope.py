@@ -45,27 +45,19 @@ def _check_vec(v: np.ndarray, params: RopeParams, name: str) -> np.ndarray:
     return arr
 
 
-def _check_position(position: int) -> int:
-    if position != int(position) or position < 0:
-        raise ArgumentError(f"position must be a non-negative integer, got {position!r}")
-    return int(position)
-
-
-def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
-    """Rotate each frequency pair of v by its angle at `position`."""
-    arr = _check_vec(v, params, "v")
-    m = _check_position(position)
-    ang = params.thetas * m
+def _turn(arr: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Rotate each pair (arr[..., 2j], arr[..., 2j+1]) by ang[..., j]."""
     c, s = np.cos(ang), np.sin(ang)
-    x, y = arr[0::2], arr[1::2]
+    x, y = arr[..., 0::2], arr[..., 1::2]
     out = np.empty_like(arr)
-    out[0::2] = x * c - y * s
-    out[1::2] = x * s + y * c
+    out[..., 0::2] = x * c - y * s
+    out[..., 1::2] = x * s + y * c
     return out
 
 
-def rope_rotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
-    """Row-wise rope_rotate: mat is (n, head_dim), positions is (n,)."""
+def _row_angles(mat: np.ndarray, positions: np.ndarray, params: RopeParams
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (n, head_dim) float64 rows and their (n, n_pairs) angles."""
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.head_dim:
         raise ArgumentError(f"matrix must be (n, {params.head_dim}), got {arr.shape}")
@@ -74,13 +66,20 @@ def rope_rotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams)
         raise ArgumentError("positions must match row count")
     if np.any(pos < 0) or np.any(pos != np.floor(pos)):
         raise ArgumentError("positions must be non-negative integers")
-    ang = pos[:, None] * params.thetas[None, :]
-    c, s = np.cos(ang), np.sin(ang)
-    x, y = arr[:, 0::2], arr[:, 1::2]
-    out = np.empty_like(arr)
-    out[:, 0::2] = x * c - y * s
-    out[:, 1::2] = x * s + y * c
-    return out
+    return arr, pos[:, None] * params.thetas[None, :]
+
+
+def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
+    """Rotate each frequency pair of v by its angle at `position`."""
+    arr = _check_vec(v, params, "v")
+    if position != int(position) or position < 0:
+        raise ArgumentError(f"position must be a non-negative integer, got {position!r}")
+    return _turn(arr, params.thetas * int(position))
+
+
+def rope_rotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
+    """Row-wise rope_rotate: mat is (n, head_dim), positions is (n,)."""
+    return _turn(*_row_angles(mat, positions, params))
 
 
 def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
@@ -89,21 +88,8 @@ def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParam
     The per-pair rotation is orthogonal, so this is also the transpose map
     that backpropagation through a rotation needs.
     """
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != params.head_dim:
-        raise ArgumentError(f"matrix must be (n, {params.head_dim}), got {arr.shape}")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (arr.shape[0],):
-        raise ArgumentError("positions must match row count")
-    if np.any(pos < 0) or np.any(pos != np.floor(pos)):
-        raise ArgumentError("positions must be non-negative integers")
-    ang = pos[:, None] * params.thetas[None, :]
-    c, s = np.cos(ang), np.sin(ang)
-    x, y = arr[:, 0::2], arr[:, 1::2]
-    out = np.empty_like(arr)
-    out[:, 0::2] = x * c + y * s
-    out[:, 1::2] = -x * s + y * c
-    return out
+    arr, ang = _row_angles(mat, positions, params)
+    return _turn(arr, -ang)
 
 
 def rope_score(q: np.ndarray, k: np.ndarray, m: int, n: int, params: RopeParams) -> float:

@@ -47,17 +47,6 @@ class BlockStats:
 
 
 @dataclass(frozen=True)
-class HistogramSketch:
-    bins: np.ndarray  # (N_BINS,) non-negative masses
-    lo: float
-    hi: float
-
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / N_BINS
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Active token set plus bookkeeping from the route that produced it."""
 
@@ -154,81 +143,6 @@ def top_k_static(scores: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(active, float(probs[active].sum()))
 
 
-def block_partition_stats(scores: np.ndarray, block_size: int,
-                          start: int = 0) -> list[BlockStats]:
-    """Consecutive blocks of block_size tokens; `start` is the global index
-    of the first token (used when scoring one split of a KV range)."""
-    if block_size < 1:
-        raise ArgumentError(f"block_size must be >= 1, got {block_size}")
-    s = require_finite(scores, "scores")
-    if s.size == 0:
-        raise ArgumentError("scores must be non-empty")
-    blocks = []
-    for b, off in enumerate(range(0, s.size, block_size)):
-        chunk = s[off : off + block_size]
-        blocks.append(BlockStats(b, start + off, int(chunk.size), lse_reduce(chunk)))
-    return blocks
-
-
-def _block_masses(blocks: Sequence[BlockStats]) -> tuple[np.ndarray, np.ndarray, float]:
-    """(m_b vector, mass vector referenced to the global max, global max)."""
-    m = np.array([b.lse.m for b in blocks], np.float64)
-    l = np.array([b.lse.l for b in blocks], np.float64)
-    m_star = float(m.max())
-    return m, l * np.exp(m - m_star), m_star
-
-
-def build_histogram(blocks: Sequence[BlockStats]) -> HistogramSketch:
-    """Two passes: find the global max, then deposit each block's mass into
-    the bin of its own maximum."""
-    if len(blocks) == 0:
-        raise ArgumentError("no blocks to histogram")
-    m, masses, m_star = _block_masses(blocks)
-    bins = np.zeros(N_BINS)
-    np.add.at(bins, _bin_indices(m, m_star), masses)
-    return HistogramSketch(bins, m_star - HIST_RANGE, m_star)
-
-
-def _bin_indices(m: np.ndarray, m_star: float) -> np.ndarray:
-    lo = m_star - HIST_RANGE
-    raw = np.floor((m - lo) / BIN_WIDTH).astype(np.int64)
-    return np.clip(raw, 0, N_BINS - 1)
-
-
-def histogram_threshold(blocks: Sequence[BlockStats], p: float) -> SelectionResult:
-    """Scan the histogram top-down, cut at the first bin where cumulative
-    mass reaches p of the total, and select every block at or above it."""
-    if not (0 < p <= 1):
-        raise ArgumentError(f"p must lie in (0, 1], got {p}")
-    if len(blocks) == 0:
-        raise ArgumentError("no blocks to select from")
-    m, masses, m_star = _block_masses(blocks)
-    idx = _bin_indices(m, m_star)
-    bins = np.zeros(N_BINS)
-    np.add.at(bins, idx, masses)
-    total = float(masses.sum())
-    target = p * total
-    cum = 0.0
-    threshold = 0
-    for b in range(N_BINS - 1, -1, -1):
-        cum += float(bins[b])
-        if cum >= target:
-            threshold = b
-            break
-    else:
-        # Float dust can leave cum a hair under target after the last bin.
-        threshold = 0
-    mask = idx >= threshold
-    if not mask.any():
-        raise InternalError("histogram scan selected no block")
-    covered = float(math.fsum(masses[mask]) / math.fsum(masses))
-    active = np.concatenate(
-        [np.arange(b.start, b.start + b.length) for b, keep in zip(blocks, mask) if keep]
-    )
-    return SelectionResult(np.sort(active), covered, block_mask=mask,
-                           threshold_bin=int(threshold))
-
-
 def _block_lse(s: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-block (max, shifted mass) arrays, bit-equal to lse_reduce per chunk.
 
@@ -249,22 +163,48 @@ def _block_lse(s: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(parts_m), np.concatenate(parts_l)
 
 
-def histogram_threshold_scores(scores: np.ndarray, block_size: int,
-                               p: float) -> SelectionResult:
-    """Sort-free selection straight from a raw score vector.
-
-    Same route as block_partition_stats followed by histogram_threshold,
-    fused so a decode step never materialises per-block objects; the test
-    suite holds the two spellings equal bit for bit.
-    """
-    if not (0 < p <= 1):
-        raise ArgumentError(f"p must lie in (0, 1], got {p}")
+def block_partition_stats(scores: np.ndarray, block_size: int,
+                          start: int = 0) -> list[BlockStats]:
+    """Consecutive blocks of block_size tokens; `start` is the global index
+    of the first token (used when scoring one split of a KV range)."""
     if block_size < 1:
         raise ArgumentError(f"block_size must be >= 1, got {block_size}")
     s = require_finite(scores, "scores")
     if s.size == 0:
         raise ArgumentError("scores must be non-empty")
     m, l = _block_lse(s, block_size)
+    return [
+        BlockStats(b, start + off, min(block_size, s.size - off),
+                   LsePair(float(m[b]), float(l[b])))
+        for b, off in enumerate(range(0, s.size, block_size))
+    ]
+
+
+def _block_arrays(blocks: Sequence[BlockStats]) -> tuple[np.ndarray, np.ndarray]:
+    """(block maxima, shifted block masses) as float64 vectors."""
+    m = np.array([b.lse.m for b in blocks], np.float64)
+    l = np.array([b.lse.l for b in blocks], np.float64)
+    return m, l
+
+
+def _bin_indices(m: np.ndarray, m_star: float) -> np.ndarray:
+    lo = m_star - HIST_RANGE
+    raw = np.floor((m - lo) / BIN_WIDTH).astype(np.int64)
+    return np.clip(raw, 0, N_BINS - 1)
+
+
+def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+          p: float) -> SelectionResult:
+    """The histogram route over per-block (max, shifted mass) vectors; block
+    b covers tokens [starts[b], stops[b]).
+
+    Two passes: reference every block mass to the global max and deposit it
+    into the bin of its own maximum, then scan the bins top-down, cut at the
+    first bin where cumulative mass reaches p of the total, and keep every
+    block at or above it.
+    """
+    if not (0 < p <= 1):
+        raise ArgumentError(f"p must lie in (0, 1], got {p}")
     m_star = float(m.max())
     masses = l * np.exp(m - m_star)
     idx = _bin_indices(m, m_star)
@@ -272,6 +212,8 @@ def histogram_threshold_scores(scores: np.ndarray, block_size: int,
     np.add.at(bins, idx, masses)
     target = p * float(masses.sum())
     cum = 0.0
+    # float dust can leave cum a hair under target after the last bin;
+    # the threshold then stays at bin 0 and every block is kept
     threshold = 0
     for b in range(N_BINS - 1, -1, -1):
         cum += float(bins[b])
@@ -282,12 +224,37 @@ def histogram_threshold_scores(scores: np.ndarray, block_size: int,
     if not mask.any():
         raise InternalError("histogram scan selected no block")
     covered = float(math.fsum(masses[mask]) / math.fsum(masses))
-    keep = np.flatnonzero(mask)
-    starts = keep * block_size
-    stops = np.minimum(starts + block_size, s.size)
-    active = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+    active = np.concatenate([np.arange(a, b) for a, b in zip(starts[mask], stops[mask])])
     return SelectionResult(active, covered, block_mask=mask,
                            threshold_bin=int(threshold))
+
+
+def histogram_threshold(blocks: Sequence[BlockStats], p: float) -> SelectionResult:
+    """Histogram selection over block stats listed in token order (as
+    block_partition_stats and split_merge produce them)."""
+    if len(blocks) == 0:
+        raise ArgumentError("no blocks to select from")
+    m, l = _block_arrays(blocks)
+    starts = np.array([b.start for b in blocks], np.int64)
+    stops = starts + np.array([b.length for b in blocks], np.int64)
+    return _scan(m, l, starts, stops, p)
+
+
+def histogram_threshold_scores(scores: np.ndarray, block_size: int,
+                               p: float) -> SelectionResult:
+    """Sort-free selection straight from a raw score vector.
+
+    Same result as block_partition_stats followed by histogram_threshold,
+    without materialising per-block objects on every decode step.
+    """
+    if block_size < 1:
+        raise ArgumentError(f"block_size must be >= 1, got {block_size}")
+    s = require_finite(scores, "scores")
+    if s.size == 0:
+        raise ArgumentError("scores must be non-empty")
+    m, l = _block_lse(s, block_size)
+    starts = np.arange(m.size, dtype=np.int64) * block_size
+    return _scan(m, l, starts, np.minimum(starts + block_size, s.size), p)
 
 
 def block_top_p_exact(blocks: Sequence[BlockStats], p: float) -> int:
@@ -298,7 +265,8 @@ def block_top_p_exact(blocks: Sequence[BlockStats], p: float) -> int:
         raise ArgumentError(f"p must lie in (0, 1], got {p}")
     if len(blocks) == 0:
         raise ArgumentError("no blocks")
-    m, masses, _ = _block_masses(blocks)
+    m, l = _block_arrays(blocks)
+    masses = l * np.exp(m - float(m.max()))
     order = np.lexsort((np.arange(m.size), -m))
     target = p * float(masses.sum())
     cum = 0.0

@@ -101,10 +101,11 @@ def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
 class KVCacheHead:
     """Append-only per-KV-head store.
 
-    Canonical storage is float32 (what would be persisted); float64 mirrors
-    of the rotated keys and the values are maintained incrementally so score
-    and output reductions can accumulate in double precision without a full
-    recast on every decode step.
+    Keeps the pre-rotation keys as float32 (what the indexer projects), the
+    positions, and float64 copies of the rotated keys and the values.  Both
+    float64 buffers are rounded through float32 first, so they hold exactly
+    what float32 storage would while score and output reductions accumulate
+    in double precision without a recast on every decode step.
     """
 
     def __init__(self, rope: RopeParams, capacity: int = 256):
@@ -112,8 +113,6 @@ class KVCacheHead:
         d = rope.head_dim
         self._n = 0
         self._keys_pre = np.empty((capacity, d), np.float32)
-        self._keys_post = np.empty((capacity, d), np.float32)
-        self._values = np.empty((capacity, d), np.float32)
         self._positions = np.empty(capacity, np.int64)
         self._keys_post64 = np.empty((capacity, d), np.float64)
         self._values64 = np.empty((capacity, d), np.float64)
@@ -126,8 +125,7 @@ class KVCacheHead:
         if need <= cap:
             return
         new = max(need, cap * 2)
-        for name in ("_keys_pre", "_keys_post", "_values", "_positions",
-                     "_keys_post64", "_values64"):
+        for name in ("_keys_pre", "_positions", "_keys_post64", "_values64"):
             old = getattr(self, name)
             buf = np.empty((new, *old.shape[1:]), old.dtype)
             buf[: self._n] = old[: self._n]
@@ -154,30 +152,17 @@ class KVCacheHead:
             raise ArgumentError("positions must be strictly increasing and non-negative")
         n0, n1 = self._n, self._n + kp.shape[0]
         self._grow(n1)
-        # Round-trip through f32 first so the f64 mirrors reflect exactly
-        # what the canonical storage holds.
         kp32 = kp.astype(np.float32)
-        post32 = rope_rotate_many(kp32.astype(np.float64), pos, self.rope).astype(np.float32)
-        va32 = va.astype(np.float32)
         self._keys_pre[n0:n1] = kp32
-        self._keys_post[n0:n1] = post32
-        self._values[n0:n1] = va32
         self._positions[n0:n1] = pos
-        self._keys_post64[n0:n1] = post32
-        self._values64[n0:n1] = va32
+        self._keys_post64[n0:n1] = rope_rotate_many(
+            kp32.astype(np.float64), pos, self.rope).astype(np.float32)
+        self._values64[n0:n1] = va.astype(np.float32)
         self._n = n1
 
     @property
     def keys_pre(self) -> np.ndarray:
         return self._keys_pre[: self._n]
-
-    @property
-    def keys_post(self) -> np.ndarray:
-        return self._keys_post[: self._n]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values[: self._n]
 
     @property
     def positions(self) -> np.ndarray:
@@ -203,34 +188,48 @@ class AttentionRow:
     output: np.ndarray
 
 
-def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
-                    scale: float | None = None) -> AttentionRow:
-    """Exact causal attention row against every visible cached token."""
+def _scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
+            rows: slice | np.ndarray, scale: float | None) -> np.ndarray:
+    """Scaled post-rotation scores of the cache rows: attend's scoring half."""
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+    q_rot = rope_rotate(np.asarray(query_pre, np.float64), query_position, cache.rope)
+    return (cache.keys_post64[rows] @ q_rot) * scale
+
+
+def attend(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
+           rows: slice | np.ndarray, scale: float | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The one attention kernel: exact softmax over the scaled post-rotation
+    scores of the cache `rows` (a slice or an index array), then the
+    weighted sum of their values.  Returns (weights, output)."""
+    weights = softmax(_scores(query_pre, query_position, cache, rows, scale))
+    return weights, weights @ cache.values64[rows]
+
+
+def visible_rows(cache: KVCacheHead, query_position: int) -> slice:
+    """The cache rows a query at query_position may attend to."""
     if len(cache) == 0:
         raise ArgumentError("cache is empty")
     n = cache.visible_count(query_position)
     if n == 0:
         raise ArgumentError(f"no token visible at position {query_position}")
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = rope_rotate(np.asarray(query_pre, np.float64), query_position, cache.rope)
-    scores = (cache.keys_post64[:n] @ q_rot) * scale
-    weights = softmax(scores)
-    return AttentionRow(int(query_position), weights, weights @ cache.values64[:n])
+    return slice(0, n)
+
+
+def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
+                    scale: float | None = None) -> AttentionRow:
+    """Exact causal attention row against every visible cached token."""
+    rows = visible_rows(cache, query_position)
+    weights, output = attend(query_pre, query_position, cache, rows, scale)
+    return AttentionRow(int(query_position), weights, output)
 
 
 def dense_row_scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                      scale: float | None = None) -> np.ndarray:
     """The scaled post-rotation scores behind dense_attention's softmax."""
-    if len(cache) == 0:
-        raise ArgumentError("cache is empty")
-    n = cache.visible_count(query_position)
-    if n == 0:
-        raise ArgumentError(f"no token visible at position {query_position}")
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = rope_rotate(np.asarray(query_pre, np.float64), query_position, cache.rope)
-    return (cache.keys_post64[:n] @ q_rot) * scale
+    return _scores(query_pre, query_position, cache,
+                   visible_rows(cache, query_position), scale)
 
 
 # ---------------------------------------------------------------------------

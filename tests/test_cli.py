@@ -225,6 +225,25 @@ class TestRun:
         assert all(r["tokens_selected"] == 64 for r in rows
                    if r["head"] in (1, 6))
 
+    def test_layer_count_mismatch_exits_2(self, artifacts, tmp_path):
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out, geometry={"n_layers": 2})
+        assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("edit", ["non_numeric_score", "missing_head_row"])
+    def test_bad_partition_rows_exit_2(self, artifacts, tmp_path, edit):
+        out = clone_artifacts(artifacts, tmp_path)
+        path = out / "partition.csv"
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("0,3,")
+        if edit == "non_numeric_score":
+            lines[4] = "0,3,high,local"
+        else:
+            del lines[4]
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, out)
+        assert main(["run", "--config", str(cfg)]) == 2
+
     def test_top_k_mode_without_budget_exits_2(self, artifacts, tmp_path):
         out = clone_artifacts(artifacts, tmp_path)
         cfg = write_config(tmp_path, out)

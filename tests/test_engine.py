@@ -14,7 +14,6 @@ from headsparse.engine import (
     local_head_decode,
     memory_sparsity,
     prefill,
-    restricted_attention,
     retrieval_head_decode,
     run_workload,
     sparsity_report,
@@ -39,7 +38,7 @@ def random_cache(rng, n, d=32):
 def sub_cache(cache, active):
     """Rebuild a cache containing only the active tokens, original positions."""
     sub = KVCacheHead(cache.rope, capacity=max(active.size, 1))
-    sub.extend(cache.keys_pre[active], cache.values[active], cache.positions[active])
+    sub.extend(cache.keys_pre[active], cache.values64[active], cache.positions[active])
     return sub
 
 
@@ -151,19 +150,6 @@ class TestRetrievalDecode:
         oracle = dense_attention(q, 4095, sub_cache(cache, trace.active_set))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
-    def test_projected_cache_path_agrees(self):
-        from headsparse.indexer import ProjectedKeyCache
-
-        rng = np.random.default_rng(7)
-        cache = random_cache(rng, 500)
-        proj = init_projector(8, 32, seed=2)
-        q = rng.normal(size=32)
-        out_a, tr_a = retrieval_head_decode(q, 499, cache, proj, p=0.9)
-        pkc = ProjectedKeyCache(proj)
-        out_b, tr_b = retrieval_head_decode(q, 499, cache, proj, p=0.9, pkc=pkc)
-        np.testing.assert_array_equal(tr_a.active_set, tr_b.active_set)
-        np.testing.assert_allclose(out_a, out_b, atol=1e-12)
-
     def test_unknown_mode(self):
         rng = np.random.default_rng(8)
         cache = random_cache(rng, 10)
@@ -174,50 +160,18 @@ class TestRetrievalDecode:
 
 
 class TestPrefill:
-    def test_retrieval_rows_match_dense(self):
-        part = small_partition()
-        res = prefill(SMALL_WORKLOAD, SMALL_GEO, [part], n_tokens=160)
-        h = part.retrieval_set[0]
-        cache = res.caches[(0, qhead_to_kvhead(SMALL_GEO, h))]
-        for t in (0, 3, 57, 159):
-            oracle = dense_attention(
-                SMALL_WORKLOAD.queries[0, h, t], t, cache, SMALL_GEO.scale
-            )
-            np.testing.assert_allclose(res.outputs[0, h, t], oracle.output, atol=1e-5)
-
-    def test_local_rows_match_masked_oracle(self):
-        part = small_partition()
-        res = prefill(SMALL_WORKLOAD, SMALL_GEO, [part], n_tokens=300)
-        h = part.local_set[0]
-        cache = res.caches[(0, qhead_to_kvhead(SMALL_GEO, h))]
-        for t in (0, 150, 299):
-            active = local_active_indices(t + 1, SMALL_GEO.window, SMALL_GEO.n_sinks)
-            expect = restricted_attention(
-                SMALL_WORKLOAD.queries[0, h, t], t, cache, active, SMALL_GEO.scale
-            )
-            np.testing.assert_allclose(res.outputs[0, h, t], expect, atol=1e-5)
-
-    def test_short_sequence_local_equals_dense(self):
-        # window 192 + 4 sinks covers a 100-token prefix entirely
-        part = small_partition()
-        res = prefill(SMALL_WORKLOAD, SMALL_GEO, [part], n_tokens=100)
-        h = part.local_set[0]
-        cache = res.caches[(0, qhead_to_kvhead(SMALL_GEO, h))]
-        for t in (10, 99):
-            oracle = dense_attention(
-                SMALL_WORKLOAD.queries[0, h, t], t, cache, SMALL_GEO.scale
-            )
-            np.testing.assert_allclose(res.outputs[0, h, t], oracle.output, atol=1e-5)
-
     def test_cache_only_mode(self):
-        res = prefill(SMALL_WORKLOAD, SMALL_GEO, [small_partition()],
-                      n_tokens=64, compute_outputs=False)
-        assert res.outputs is None
-        assert len(res.caches[(0, 0)]) == 64
+        caches = prefill(SMALL_WORKLOAD, SMALL_GEO, n_tokens=64)
+        assert sorted(caches) == [(0, g) for g in range(SMALL_GEO.n_kv_heads)]
+        assert all(len(c) == 64 for c in caches.values())
 
     def test_partition_count_checked(self):
+        part = small_partition()
+        projs = small_projectors(part, SMALL_GEO)
         with pytest.raises(ArgumentError):
-            prefill(SMALL_WORKLOAD, SMALL_GEO, [], n_tokens=32)
+            run_workload(SMALL_WORKLOAD, SMALL_GEO, [], projs)
+        with pytest.raises(ArgumentError):
+            run_workload(SMALL_WORKLOAD, SMALL_GEO, [part, part], projs)
 
 
 def make_trace(layer, head, position, active, role="retrieval"):
@@ -236,34 +190,32 @@ class TestSparsityMetrics:
 
     def test_hundred_of_thousand(self):
         traces = [make_trace(0, h, 999, np.arange(100)) for h in range(4)]
-        assert compute_sparsity(traces, {999: 1000}) == pytest.approx(0.9)
+        assert compute_sparsity(traces) == pytest.approx(0.9)
 
     def test_weighted_mean(self):
         full = [make_trace(0, 0, 999, np.arange(1000))]
         solo = [make_trace(0, 1, 999, np.arange(1))]
-        got = compute_sparsity(full + solo, {999: 1000})
+        got = compute_sparsity(full + solo)
         assert got == pytest.approx(1 - (0.5 * 1.0 + 0.5 * 0.001))
         assert got == pytest.approx(0.4995, abs=1e-4)
 
     def test_memory_one_to_one_equals_compute(self):
         traces = [make_trace(0, h, 999, np.arange(h, h + 100)) for h in range(3)]
-        vis = {999: 1000}
-        assert memory_sparsity(traces, lambda h: h, vis) == pytest.approx(
-            compute_sparsity(traces, vis)
+        assert memory_sparsity(traces, lambda h: h) == pytest.approx(
+            compute_sparsity(traces)
         )
 
     def test_disjoint_union(self):
         a = make_trace(0, 0, 999, np.arange(100))
         b = make_trace(0, 1, 999, np.arange(500, 600))
-        got = memory_sparsity([a, b], lambda h: 0, {999: 1000})
+        got = memory_sparsity([a, b], lambda h: 0)
         assert got == pytest.approx(0.8)
 
     def test_identical_selection_idempotent(self):
         a = make_trace(0, 0, 999, np.arange(100))
         b = make_trace(0, 1, 999, np.arange(100))
-        vis = {999: 1000}
-        assert memory_sparsity([a, b], lambda h: 0, vis) == pytest.approx(
-            compute_sparsity([a, b], vis)
+        assert memory_sparsity([a, b], lambda h: 0) == pytest.approx(
+            compute_sparsity([a, b])
         )
 
     def test_empty_traces_rejected(self):
@@ -415,6 +367,6 @@ class TestSparsityReportAssembly:
             make_trace(0, 0, 10, np.arange(6)),
             make_trace(0, 1, 9, np.arange(10)),
         ]
-        rep = sparsity_report(traces, small_geometry(), {9: 10, 10: 11})
+        rep = sparsity_report(traces, small_geometry())
         assert rep.per_head_active[0, 0] == pytest.approx(5.0)
         assert rep.per_head_active[0, 1] == pytest.approx(10.0)

@@ -90,15 +90,6 @@ class TestProjectedScores:
         with pytest.raises(ArgumentError):
             projected_scores(rng.normal(size=16), cache, proj, query_position=3)
 
-    def test_temperature_scales(self):
-        rng = np.random.default_rng(5)
-        cache = fill_cache(rng)
-        proj = init_projector(4, 16, seed=1)
-        q = rng.normal(size=16)
-        a = projected_scores(q, cache, proj, 10, temperature=1.0)
-        b = projected_scores(q, cache, proj, 10, temperature=2.0)
-        np.testing.assert_allclose(a, 2 * b)
-
     def test_projected_key_cache_matches(self):
         rng = np.random.default_rng(6)
         cache = fill_cache(rng, n=20)

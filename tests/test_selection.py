@@ -17,8 +17,8 @@ from headsparse.selection import (
     BlockStats,
     SelectionResult,
     block_partition_stats,
+    _bin_indices,
     block_top_p_exact,
-    build_histogram,
     histogram_threshold,
     merged_lse,
     split_merge,
@@ -205,13 +205,9 @@ class TestHistogramThreshold:
             assert int(res.block_mask.sum()) <= exact_count + in_threshold_bin
 
     def test_far_below_blocks_clamp_to_bin_zero(self):
-        blocks = [
-            BlockStats(0, 0, 4, LsePair(0.0, 2.0)),
-            BlockStats(1, 4, 4, LsePair(-500.0, 3.0)),
-        ]
-        sketch = build_histogram(blocks)
-        assert sketch.bins[0] == pytest.approx(3.0 * math.exp(-500.0))
-        assert sketch.bins[N_BINS - 1] == pytest.approx(2.0)
+        # the global max sits on the top edge, far-below maxima clamp to bin 0
+        idx = _bin_indices(np.array([0.0, -500.0, -HIST_RANGE]), 0.0)
+        assert idx.tolist() == [N_BINS - 1, 0, 0]
 
     def test_p_one_reaches_every_representable_block(self):
         # p = 1 needs every scrap of f64-visible mass, even 20 logs down.

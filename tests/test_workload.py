@@ -40,7 +40,7 @@ def naive_attention(query_pre, qpos, cache, scale):
         qr = rope_rotate(np.asarray(query_pre, float), qpos, params)
         kr = rope_rotate(cache.keys_pre[t].astype(float), pos, params)
         scores.append(float(qr @ kr) * scale)
-        vals.append(cache.values[t].astype(float))
+        vals.append(cache.values64[t])
     ex = [math.exp(s - max(scores)) for s in scores]
     w = [e / sum(ex) for e in ex]
     out = np.zeros(params.head_dim)
@@ -105,14 +105,15 @@ class TestKVCacheHead:
             expect = rope_rotate(
                 cache.keys_pre[t].astype(float), int(cache.positions[t]), rope
             )
-            np.testing.assert_allclose(cache.keys_post[t], expect, atol=1e-6)
+            np.testing.assert_allclose(cache.keys_post64[t], expect, atol=1e-6)
 
     def test_mirrors_match_canonical_storage(self):
         rng = np.random.default_rng(1)
         cache = KVCacheHead(RopeParams(8))
         cache.extend(rng.normal(size=(7, 8)), rng.normal(size=(7, 8)), np.arange(7))
-        np.testing.assert_array_equal(cache.keys_post64, cache.keys_post.astype(np.float64))
-        np.testing.assert_array_equal(cache.values64, cache.values.astype(np.float64))
+        # the float64 buffers hold float32-rounded values exactly
+        for buf in (cache.keys_post64, cache.values64):
+            np.testing.assert_array_equal(buf, buf.astype(np.float32).astype(np.float64))
 
     def test_positions_must_increase(self):
         cache = KVCacheHead(RopeParams(4))
@@ -199,6 +200,17 @@ def small_geometry(**kw):
 
 
 SMALL_SPEC = small_spec(planted_retrieval_heads=(1, 6), probe_head=1)
+
+
+class TestCacheFootprint:
+    def test_build_cache_owns_no_extra_copies(self):
+        # per token: float32 pre-rotation key (4d), int64 position (8),
+        # float64 rotated key and value (8d each)
+        w = gen_synthetic_workload(SMALL_SPEC, 0, small_geometry())
+        cache = build_cache(w, 0, 1)
+        n, d = w.seq_len, w.geometry.head_dim
+        owned = sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray))
+        assert owned == n * (20 * d + 8)
 
 
 class TestGenerator:
