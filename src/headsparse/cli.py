@@ -348,6 +348,8 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     if trace_file.exists():
         found += 1
         rows = read_decode_trace(trace_file)
+        if not rows:
+            raise ArgumentError(f"{trace_file} holds no trace rows")
         sizes = [r["tokens_selected"] for r in rows]
         floor = min(r["projected_mass"] for r in rows)
         print(f"decode trace: {len(rows)} rows, mean selected {np.mean(sizes):.1f}, "

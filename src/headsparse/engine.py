@@ -1,11 +1,15 @@
 """Sparse attention engine: prefill that builds the KV caches, sink+window
 attention for local heads, and per-step top-p decode over projected scores.
 
+A decode step visits each (layer, kv_head) once.  The local query heads of
+that group decode together over two contiguous slices of the cache (sinks
+and window), with no gathered copy; each retrieval head selects its own set
+and attends over it.
+
 The decode path never renormalizes approximately: whatever active set the
-selector produces, the output is workload.attend over that set, the same
-exact softmax over true scaled post-rotation scores that the dense oracle
-runs. Sparsity shows up only in which tokens participate, not in how they
-are weighed.
+selector produces, the output is the same exact softmax over true scaled
+post-rotation scores that the dense oracle runs. Sparsity shows up only in
+which tokens participate, not in how they are weighed.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import numpy as np
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
+from .numerics import softmax
+from .rope import rope_rotate_many
 from .selection import (
     SelectionResult,
     histogram_threshold_scores,
@@ -115,13 +121,36 @@ def restricted_attention(query_pre: np.ndarray, query_position: int,
     return attend(query_pre, query_position, cache, active, scale)[1]
 
 
-def local_head_decode(query_pre: np.ndarray, query_position: int,
+def local_head_decode(queries_pre: np.ndarray, query_position: int,
                       cache: KVCacheHead, window: int, n_sinks: int,
                       scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sink+window attention for one decode step; returns (output, indices)."""
+    """Sink+window attention for one decode step of the query heads that
+    share `cache`: queries_pre is (d,) or (G, d), and the outputs keep its
+    leading shape.  Returns (outputs, indices); the indices are the same
+    read-only local_active_indices array for every head of the block.
+
+    The sinks [0, n_sinks) and the window [n - window, n) are scored as
+    contiguous slices of the cache (one slice when they meet), so no row is
+    gathered; one row-wise softmax spans both, as attend's would over the
+    union."""
+    q = np.atleast_2d(np.asarray(queries_pre, np.float64))
     n = visible_rows(cache, query_position).stop
     active = local_active_indices(n, window, n_sinks)
-    return restricted_attention(query_pre, query_position, cache, active, scale), active
+    active.flags.writeable = False
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+    q_rot = rope_rotate_many(q, np.full(q.shape[0], query_position), cache.rope)
+    tail = max(n - window, 0)
+    spans = [slice(0, n)] if tail <= n_sinks else [slice(0, n_sinks), slice(tail, n)]
+    keys, values = cache.keys_post64, cache.values64
+    weights = softmax(np.concatenate([q_rot @ keys[s].T for s in spans], axis=1)
+                      * scale)
+    out, off = 0.0, 0
+    for s in spans:
+        width = s.stop - s.start
+        out = out + weights[:, off : off + width] @ values[s]
+        off += width
+    return out.reshape(np.shape(queries_pre)), active
 
 
 def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
@@ -191,17 +220,20 @@ def memory_sparsity(traces: Sequence[DecodeTrace],
                     gqa_map: Callable[[int], int]) -> float:
     """1 minus the mean retained/visible fraction over KV-head steps, where
     retained is the union of active sets across the query heads that
-    gqa_map sends to the same KV head."""
+    gqa_map sends to the same KV head.  The union is counted on a mask of
+    the position + 1 visible tokens that every active set marks."""
     if len(traces) == 0:
         raise ArgumentError("no traces")
     groups: dict[tuple[int, int, int], list[np.ndarray]] = {}
     for t in traces:
         groups.setdefault((t.layer, gqa_map(t.q_head), t.position), []).append(
             t.active_set)
-    fracs = [
-        np.unique(np.concatenate(sets)).size / (position + 1)
-        for (_, _, position), sets in groups.items()
-    ]
+    fracs = []
+    for (_, _, position), sets in groups.items():
+        retained = np.zeros(position + 1, bool)
+        for active in sets:
+            retained[active] = True
+        fracs.append(np.count_nonzero(retained) / (position + 1))
     return 1.0 - float(np.mean(fracs))
 
 
@@ -238,10 +270,12 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                  *, p: float | None = None, mode: str = "exact",
                  top_k: int | None = None,
                  oracle: bool = False, trace_sample: int = 1) -> RunResult:
-    """Prefill the prompt region, then decode the remaining positions head by
-    head, appending each new token's KV after every head has consumed the
-    position. With oracle=True, each trace also gets the dense-attention mass
-    of its active set (one full dense row per step, so markedly slower)."""
+    """Prefill the prompt region, then decode the remaining positions one KV
+    group at a time: the new token's KV is appended first, then the group's
+    local heads decode together and its retrieval heads one by one; traces
+    come out in (position, layer, q_head) order. With oracle=True, each
+    trace also gets the dense-attention mass of its active set (one full
+    dense row per step, so markedly slower)."""
     if p is None:
         p = geometry.top_p
     if trace_sample < 1:
@@ -262,6 +296,13 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
         for layer in range(geometry.n_layers)
         for h in partitions[layer].retrieval_set
     }
+    # (layer, kv_head, its query heads, the local ones among them)
+    groups = []
+    for layer in range(geometry.n_layers):
+        for g in range(geometry.n_kv_heads):
+            heads = range(g * geometry.group_size, (g + 1) * geometry.group_size)
+            local = [h for h in heads if not partitions[layer].is_retrieval(h)]
+            groups.append((layer, g, heads, local))
     traces: list[DecodeTrace] = []
     for t in range(workload.prefill_len, workload.seq_len):
         # the new token's KV lands before any head consumes the position,
@@ -271,31 +312,34 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                 workload.keys_pre[layer, g, t], workload.values[layer, g, t], t
             )
         record = (t - workload.prefill_len) % trace_sample == 0
-        for layer in range(geometry.n_layers):
-            part = partitions[layer]
-            for h in range(geometry.n_q_heads):
-                cache = caches[(layer, qhead_to_kvhead(geometry, h))]
-                query = workload.queries[layer, h, t]
-                if part.is_retrieval(h):
-                    _, entry = retrieval_head_decode(
-                        query, t, cache, projectors[(layer, h)], p, mode,
-                        block_size=geometry.block_size, top_k=top_k,
-                        scale=geometry.scale,
-                        pkc=pkcs[(layer, h)], layer=layer, q_head=h,
-                    )
-                else:
-                    out, active = local_head_decode(
-                        query, t, cache, geometry.window, geometry.n_sinks,
-                        scale=geometry.scale,
-                    )
-                    entry = DecodeTrace(
+        for layer, g, heads, local in groups:
+            cache = caches[(layer, g)]
+            queries = workload.queries[layer, :, t]
+            entries: dict[int, DecodeTrace] = {}
+            if local:
+                outs, active = local_head_decode(
+                    queries[local], t, cache, geometry.window, geometry.n_sinks,
+                    scale=geometry.scale,
+                )
+                for h, out in zip(local, outs):
+                    entries[h] = DecodeTrace(
                         layer=layer, q_head=h, position=t, role=ROLE_LOCAL,
                         tokens_selected=active.size,
                         covered_projected_mass=1.0, output=out, active_set=active,
                     )
-                if record:
+            for h in heads:
+                if h not in entries:
+                    _, entries[h] = retrieval_head_decode(
+                        queries[h], t, cache, projectors[(layer, h)], p, mode,
+                        block_size=geometry.block_size, top_k=top_k,
+                        scale=geometry.scale,
+                        pkc=pkcs[(layer, h)], layer=layer, q_head=h,
+                    )
+            if record:
+                for h in heads:
+                    entry = entries[h]
                     if oracle:
-                        row = dense_attention(query, t, cache, geometry.scale)
+                        row = dense_attention(queries[h], t, cache, geometry.scale)
                         entry.covered_true_mass = attention_mass_report(entry, row)
                     traces.append(entry)
     return RunResult(traces, sparsity_report(traces, geometry), caches)

@@ -72,12 +72,15 @@ def write_decode_trace(path: str | Path, traces: Sequence[DecodeTrace]) -> None:
 
 def read_decode_trace(path: str | Path) -> list[dict]:
     out = []
-    for r in read_csv(path, TRACE_HEADER):
-        out.append({
-            "layer": int(r[0]), "head": int(r[1]), "position": int(r[2]),
-            "tokens_selected": int(r[3]), "projected_mass": float(r[4]),
-            "true_mass": None if r[5] == "" else float(r[5]),
-        })
+    for i, r in enumerate(read_csv(path, TRACE_HEADER), start=2):
+        try:
+            out.append({
+                "layer": int(r[0]), "head": int(r[1]), "position": int(r[2]),
+                "tokens_selected": int(r[3]), "projected_mass": float(r[4]),
+                "true_mass": None if r[5] == "" else float(r[5]),
+            })
+        except (ValueError, IndexError) as e:
+            raise ArgumentError(f"{path} line {i}: malformed row {r}: {e}") from e
     return out
 
 
@@ -95,11 +98,16 @@ def read_sparsity_report(path: str | Path) -> SparsityReport:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ArgumentError(f"cannot read sparsity report {path}: {e}") from e
-    return SparsityReport(
-        compute_sparsity=payload["compute_sparsity"],
-        memory_sparsity=payload["memory_sparsity"],
-        per_head_active=np.asarray(payload["per_head_active"]),
-    )
+    try:
+        values = {name: float(payload[name])
+                  for name in ("compute_sparsity", "memory_sparsity")}
+        per_head = np.asarray(payload["per_head_active"], np.float64)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArgumentError(f"sparsity report {path} is malformed: {e!r}") from e
+    for name, v in values.items():
+        if not 0.0 <= v <= 1.0:
+            raise ArgumentError(f"sparsity report {path}: {name}={v} outside [0, 1]")
+    return SparsityReport(per_head_active=per_head, **values)
 
 
 def head_token_count_rows(traces: Sequence[DecodeTrace]) -> list[list]:

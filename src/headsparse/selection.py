@@ -65,8 +65,8 @@ def _descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-# Above this size the exact walk switches from a full sort to an
-# argpartition candidate pool; the selected set is the same, just cheaper.
+# Above this size the exact walk switches from a full sort to a candidate
+# pool sized by mass; the selected set is the same, just cheaper.
 _SORT_CUTOFF = 4096
 
 
@@ -98,36 +98,31 @@ def _top_p_sorted(s: np.ndarray, probs: np.ndarray, p: float) -> SelectionResult
     return SelectionResult(active, float(probs[active].sum()))
 
 
-def _top_p_partitioned(s: np.ndarray, probs: np.ndarray, p: float,
-                       pool: int = 1024) -> SelectionResult:
-    """Exact walk over an argpartition candidate pool instead of a full sort.
+def _top_p_partitioned(s: np.ndarray, probs: np.ndarray, p: float) -> SelectionResult:
+    """Exact walk over a candidate pool sized by mass instead of a full sort.
 
-    argpartition puts the `pool` largest scores in the pool, so every token
-    strictly above the pool's boundary score is present and their stable
-    order is exactly the prefix a full sort would walk.  Tokens tied with
-    the boundary score join in index order (how the sorted walk visits
-    them) before the pool is grown.  Long caches at moderate p stop well
-    inside the first pool.
+    Token masses are binned by their distance below the maximum score, at
+    the histogram route's BIN_WIDTH; the pool is every token up to one bin
+    past the first bin where the cumulative mass reaches the target.  Bin
+    index never decreases as the score falls, so the pool is a complete
+    upper set (ties included) and its stable descending order is exactly
+    the prefix the full sort walks.  Should float dust leave that prefix
+    short of the target, the full sort decides.
     """
-    n = s.size
     target = p * float(probs.sum())
-    while pool < n:
-        cand = np.argpartition(-s, pool - 1)[:pool]
-        bound = s[cand].min()
-        inner = cand[s[cand] > bound]
-        order = inner[np.lexsort((inner, -s[inner]))]
-        csum = np.cumsum(probs[order])
-        if csum.size == 0 or csum[-1] < target:
-            # the partition cut can split a tied cohort; append the whole
-            # cohort so the walk never skips a lower-index tied token
-            order = np.concatenate([order, np.flatnonzero(s == bound)])
-            csum = np.cumsum(probs[order])
-        if csum.size and csum[-1] >= target:
-            cut = int(np.searchsorted(csum, target, side="left"))
-            active = np.sort(order[: cut + 1])
-            return SelectionResult(active, float(probs[active].sum()))
-        pool *= 4
-    return _top_p_sorted(s, probs, p)
+    idx = np.minimum((s.max() - s) / BIN_WIDTH, N_BINS - 1).astype(np.intp)
+    cum = np.cumsum(np.bincount(idx, weights=probs, minlength=N_BINS))
+    edge = int(np.searchsorted(cum, target, side="left")) + 1
+    if edge >= N_BINS - 1:
+        return _top_p_sorted(s, probs, p)
+    pool = np.flatnonzero(idx <= edge)
+    order = pool[_descending_order(s[pool])]
+    csum = np.cumsum(probs[order])
+    if csum[-1] < target:
+        return _top_p_sorted(s, probs, p)
+    cut = int(np.searchsorted(csum, target, side="left"))
+    active = np.sort(order[: cut + 1])
+    return SelectionResult(active, float(probs[active].sum()))
 
 
 def top_k_static(scores: np.ndarray, k: int) -> SelectionResult:

@@ -310,6 +310,27 @@ class TestReportAndDispatch:
         printed = capsys.readouterr().out
         assert "partition layer 0" in printed
 
+    @pytest.mark.parametrize("name, text", [
+        ("decode_trace.csv",
+         "layer,head,position,tokens_selected,projected_mass,true_mass\n"),
+        ("decode_trace.csv",
+         "layer,head,position,tokens_selected,projected_mass,true_mass\n"
+         "0,x,100,5,0.95,\n"),
+        ("sparsity_report.json",
+         '{"compute_sparsity": 0.5, "per_head_active": [[1.0]]}\n'),
+        ("sparsity_report.json", '{"compute_sparsity": 0.5, '
+         '"memory_sparsity": "high", "per_head_active": [[1.0]]}\n'),
+        ("sparsity_report.json", '{"compute_sparsity": 0.5, '
+         '"memory_sparsity": 1.5, "per_head_active": [[1.0]]}\n'),
+    ], ids=["header-only-trace", "non-numeric-trace", "report-missing-key",
+            "report-non-numeric", "report-out-of-range"])
+    def test_bad_artifact_exits_2(self, tmp_path, name, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text(text)
+        cfg = write_config(tmp_path, out)
+        assert main(["report", "--config", str(cfg)]) == 2
+
     def test_internal_error_exits_3(self, monkeypatch, tmp_path):
         def boom(cfg, args):
             raise InternalError("synthetic failure")

@@ -14,6 +14,7 @@ from headsparse.engine import (
     local_head_decode,
     memory_sparsity,
     prefill,
+    restricted_attention,
     retrieval_head_decode,
     run_workload,
     sparsity_report,
@@ -119,6 +120,47 @@ class TestLocalDecode:
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
 
+class TestGroupedLocalDecode:
+    """A (G, d) block of local queries decodes as G per-head restricted
+    attentions over local_active_indices."""
+
+    # (cache length, query position, window, n_sinks)
+    CASES = [
+        (5, 4, 8, 4),      # prefix shorter than sinks + window
+        (12, 11, 8, 4),    # tail start == n_sinks: the two slices meet
+        (13, 12, 8, 4),    # one token past the boundary: two slices
+        (60, 59, 8, 0),    # no sinks
+        (60, 59, 1, 3),    # window of one
+        (100, 40, 8, 2),   # cache longer than the query position
+        (100, 2, 8, 4),    # partial visibility inside the sinks
+    ]
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    @pytest.mark.parametrize("n, pos, window, n_sinks", CASES)
+    def test_matches_per_head_restricted_attention(self, group, n, pos, window,
+                                                   n_sinks):
+        rng = np.random.default_rng(group * 1000 + n + pos)
+        cache = random_cache(rng, n)
+        queries = rng.normal(size=(group, 32)).astype(np.float32)
+        outs, active = local_head_decode(queries, pos, cache, window, n_sinks)
+        want = local_active_indices(pos + 1, window, n_sinks)
+        np.testing.assert_array_equal(active, want)
+        assert not active.flags.writeable
+        assert outs.shape == (group, 32)
+        for q, out in zip(queries, outs):
+            ref = restricted_attention(q, pos, cache, want)
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    def test_vector_query_keeps_its_shape(self):
+        rng = np.random.default_rng(12)
+        cache = random_cache(rng, 30)
+        q = rng.normal(size=32)
+        out, active = local_head_decode(q, 29, cache, 8, 4)
+        block, _ = local_head_decode(q[None, :], 29, cache, 8, 4)
+        assert out.shape == (32,)
+        np.testing.assert_array_equal(out, block[0])
+
+
 class TestRetrievalDecode:
     def test_p_one_equals_dense(self):
         rng = np.random.default_rng(4)
@@ -221,6 +263,44 @@ class TestSparsityMetrics:
     def test_empty_traces_rejected(self):
         with pytest.raises(ArgumentError):
             compute_sparsity([])
+
+
+def unique_memory_sparsity(traces, gqa_map):
+    """Reference union: sort-and-dedupe each KV-head step's active sets."""
+    groups = {}
+    for t in traces:
+        groups.setdefault((t.layer, gqa_map(t.q_head), t.position), []).append(
+            t.active_set)
+    fracs = [np.unique(np.concatenate(sets)).size / (position + 1)
+             for (_, _, position), sets in groups.items()]
+    return 1.0 - float(np.mean(fracs))
+
+
+class TestMemorySparsityReference:
+    @pytest.mark.parametrize("group", [1, 2, 3, 4])
+    def test_matches_unique_union(self, group):
+        rng = np.random.default_rng(40 + group)
+        traces = []
+        for layer in range(2):
+            for position in rng.integers(0, 3000, size=6):
+                n = int(position) + 1
+                for g in range(2):
+                    shared = np.sort(rng.choice(n, size=rng.integers(1, n + 1),
+                                                replace=False))
+                    for k in range(group):
+                        kind = rng.integers(3)
+                        if kind == 0:      # identical across the group
+                            active = shared
+                        elif kind == 1:    # contiguous, may overlap the rest
+                            a = int(rng.integers(n))
+                            active = np.arange(a, int(rng.integers(a, n)) + 1)
+                        else:              # disjoint from the shared set
+                            rest = np.setdiff1d(np.arange(n), shared)
+                            active = rest if rest.size else shared
+                        traces.append(make_trace(layer, g * group + k,
+                                                 int(position), active))
+        gqa = lambda h: h // group  # noqa: E731
+        assert memory_sparsity(traces, gqa) == unique_memory_sparsity(traces, gqa)
 
 
 class TestAttentionMassReport:

@@ -328,19 +328,42 @@ class TestFastPathEquivalence:
                 assert np.array_equal(fast.active_set, ref.active_set)
                 assert fast.covered_mass == ref.covered_mass
 
-    def test_partitioned_walk_survives_heavy_ties(self):
-        # Discrete score levels force the partition cut to split tied
-        # cohorts; a tiny pool forces the growth loop to run.
-        from headsparse.selection import _top_p_partitioned, _top_p_sorted
+    def test_partitioned_walk_survives_heavy_tie_fuzz(self):
+        # Discrete score levels put whole tied cohorts on the pool edge and
+        # in single bins; every p must still walk the sorted prefix.
+        from headsparse.selection import (
+            _SORT_CUTOFF,
+            _top_p_partitioned,
+            _top_p_sorted,
+        )
 
         rng = np.random.default_rng(72)
-        for trial in range(20):
-            s = rng.integers(0, 4, size=2000).astype(np.float64)
+        for trial in range(48):
+            n = int(rng.integers(_SORT_CUTOFF + 1, 40_001))
+            if trial % 2:
+                s = np.round(rng.normal(size=n) * rng.uniform(0.5, 6), 1)
+            else:
+                s = rng.integers(0, rng.integers(2, 40), size=n).astype(np.float64)
             probs = softmax(s)
-            for pool in (16, 64, 1024):
-                fast = _top_p_partitioned(s, probs, 0.9, pool=pool)
-                ref = _top_p_sorted(s, probs, 0.9)
+            for p in (0.3, 0.9, 0.99, 1 - 1e-6):
+                fast = _top_p_partitioned(s, probs, p)
+                ref = _top_p_sorted(s, probs, p)
                 assert np.array_equal(fast.active_set, ref.active_set)
+                assert fast.covered_mass == ref.covered_mass
+
+    def test_partitioned_walk_near_full_mass(self):
+        # Scores spread past HIST_RANGE with p within rounding of 1: the
+        # pool reaches the lumped last bin and the full sort decides.
+        from headsparse.selection import _top_p_partitioned, _top_p_sorted
+
+        rng = np.random.default_rng(76)
+        for p in (1 - 1e-13, 1 - 1e-15):
+            s = rng.normal(size=10_000) * 8
+            probs = softmax(s)
+            fast = _top_p_partitioned(s, probs, p)
+            ref = _top_p_sorted(s, probs, p)
+            assert np.array_equal(fast.active_set, ref.active_set)
+            assert fast.covered_mass == ref.covered_mass
 
     def test_public_entry_uses_fast_path_above_cutoff(self):
         from headsparse.selection import _SORT_CUTOFF, _top_p_sorted
