@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,13 +91,9 @@ def build_calibration_sequence(document: np.ndarray, needle: np.ndarray
     return stream, layout
 
 
-def retrieval_score(attn: Sequence[AttentionRow] | Mapping[int, AttentionRow],
-                    layout: NeedleLayout) -> float:
+def retrieval_score(attn: Sequence[AttentionRow], layout: NeedleLayout) -> float:
     """Mean late-row attention mass landing on the early span."""
-    if isinstance(attn, Mapping):
-        by_pos = dict(attn)
-    else:
-        by_pos = {row.query_position: row for row in attn}
+    by_pos = {row.query_position: row for row in attn}
     pre = np.asarray(layout.n_pre)
     total = 0.0
     for t in layout.n_post:

@@ -17,9 +17,10 @@ Subcommands
                    directory holds
 
 Configuration is one JSON file (--config) whose sections mirror the
-dataclasses: geometry, workload, stage1, stage2, plus scalar keys mode,
+records: geometry, workload, stage1, stage2, plus scalar keys mode,
 top_k, seed, output_dir, bench_lengths, bench_steps.  Unknown keys are
-rejected at every level.  Precedence, highest first: command-line flag,
+rejected at every level and every value is type-checked against its
+field (headsparse.record).  Precedence, highest first: command-line flag,
 config file, the HEADSPARSE_OUT environment variable (output directory
 only), built-in default.  Every command writes the fully resolved config
 it ran under to config_used.json.
@@ -53,6 +54,7 @@ from .distill import (
 from .engine import run_workload
 from .errors import ArgumentError, ConfigError, InternalError, NumericError
 from .indexer import Projector, Stage1Config, build_stage1_dataset, train_projector
+from .record import Record
 from .reports import (
     HEAD_COUNT_HEADER,
     LOSS_HEADER,
@@ -82,17 +84,9 @@ ENV_OUT = "HEADSPARSE_OUT"
 DEFAULT_OUT = "headsparse-out"
 MODES = ("exact", "histogram", "top_k")
 
-_SECTIONS = {
-    "geometry": ModelGeometry.from_dict,
-    "workload": WorkloadSpec.from_dict,
-    "stage1": Stage1Config.from_dict,
-    "stage2": Stage2Config.from_dict,
-}
-_SCALARS = ("mode", "top_k", "seed", "output_dir", "bench_lengths", "bench_steps")
-
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything a subcommand needs, validated up front."""
 
     geometry: ModelGeometry = field(default_factory=default_workload_geometry)
@@ -113,72 +107,35 @@ class RunConfig:
             raise ConfigError("top_k mode needs a top_k budget")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError(f"top_k budget must be >= 1, got {self.top_k}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not self.bench_lengths or min(self.bench_lengths) < 1:
             raise ConfigError("bench_lengths must be a non-empty list of positive ints")
         if self.bench_steps < 1:
             raise ConfigError("bench_steps must be >= 1")
 
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        unknown = sorted(set(d) - set(_SECTIONS) - set(_SCALARS))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        kwargs: dict = {}
-        for key, parse in _SECTIONS.items():
-            if key in d:
-                if not isinstance(d[key], dict):
-                    raise ConfigError(f"config section {key!r} must be an object")
-                try:
-                    kwargs[key] = parse(d[key])
-                except TypeError as e:
-                    # unknown nested keys surface as unexpected keyword args
-                    raise ConfigError(f"config section {key!r}: {e}") from e
-        for key in _SCALARS:
-            if key in d:
-                kwargs[key] = d[key]
-        if "bench_lengths" in kwargs:
-            try:
-                kwargs["bench_lengths"] = tuple(int(v) for v in kwargs["bench_lengths"])
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bench_lengths: {e}") from e
-        try:
-            return RunConfig(**kwargs)
-        except TypeError as e:
-            raise ConfigError(str(e)) from e
 
-    def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry.to_dict(),
-            "workload": self.workload.to_dict(),
-            "mode": self.mode,
-            "top_k": self.top_k,
-            "stage1": self.stage1.to_dict(),
-            "stage2": self.stage2.to_dict(),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "bench_lengths": list(self.bench_lengths),
-            "bench_steps": self.bench_steps,
-        }
+@dataclass(frozen=True)
+class DistillSummary(Record):
+    """distill_summary.json: the toy run's smoothed-loss endpoints."""
+
+    steps: int
+    top_p: float
+    initial_smoothed: float
+    final_smoothed: float
+    ratio: float
 
 
-def _load_json_dict(path: Path) -> dict:
+def _read_record(cls: type[Record], path: Path):
+    """Decode one JSON file into a record; failures name the file."""
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return data
+        return cls.from_dict(json.loads(path.read_text()))
+    except (OSError, json.JSONDecodeError, ConfigError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file, flags, and environment into one RunConfig."""
-    raw: dict = {}
-    if getattr(args, "config", None):
-        raw = _load_json_dict(Path(args.config))
-    cfg = RunConfig.from_dict(raw)
+    config = getattr(args, "config", None)
+    cfg = _read_record(RunConfig, Path(config)) if config else RunConfig()
     updates: dict = {}
     for name in ("seed", "mode", "top_k", "bench_steps"):
         value = getattr(args, name, None)
@@ -303,16 +260,17 @@ def cmd_distill_toy(cfg: RunConfig, args: argparse.Namespace) -> None:
     write_csv(out / "distill_loss.csv", LOSS_HEADER,
               [[step, repr(v)] for step, v in enumerate(trace)])
     sm = _smoothed(trace)
-    summary = {
-        "steps": len(trace),
-        "top_p": cfg.stage2.top_p,
-        "initial_smoothed": float(sm[0]),
-        "final_smoothed": float(sm[-1]),
-        "ratio": float(sm[-1] / sm[0]) if sm[0] > 0 else 0.0,
-    }
-    (out / "distill_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    summary = DistillSummary(
+        steps=len(trace),
+        top_p=cfg.stage2.top_p,
+        initial_smoothed=float(sm[0]),
+        final_smoothed=float(sm[-1]),
+        ratio=float(sm[-1] / sm[0]) if sm[0] > 0 else 0.0,
+    )
+    payload = json.dumps(summary.to_dict(), indent=2)
+    (out / "distill_summary.json").write_text(payload + "\n")
     print(f"distilled {len(trace)} steps: smoothed loss "
-          f"{summary['initial_smoothed']:.5f} -> {summary['final_smoothed']:.5f}")
+          f"{summary.initial_smoothed:.5f} -> {summary.final_smoothed:.5f}")
 
 
 def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -374,9 +332,9 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     summary = out / "distill_summary.json"
     if summary.exists():
         found += 1
-        data = json.loads(summary.read_text())
-        print(f"distill: smoothed {data['initial_smoothed']:.5f} -> "
-              f"{data['final_smoothed']:.5f} over {data['steps']} steps")
+        data = _read_record(DistillSummary, summary)
+        print(f"distill: smoothed {data.initial_smoothed:.5f} -> "
+              f"{data.final_smoothed:.5f} over {data.steps} steps")
     if found == 0:
         raise ConfigError(f"no artifacts found in {out}")
 

@@ -20,6 +20,7 @@ from .errors import ArgumentError
 from .indexer import Projector
 from .numerics import kl_divergence, softmax
 from .optim import AdamW, make_schedule
+from .record import Record
 from .rope import RopeParams, rope_rotate_many, rope_unrotate_many
 from .seeding import derive_rng
 from .selection import top_p_exact
@@ -299,7 +300,7 @@ def _toy_backward(params: dict, tokens: np.ndarray, fwd: dict,
 
 
 @dataclass(frozen=True)
-class Stage2Config:
+class Stage2Config(Record):
     """Self-distillation settings; the shape of the full-scale recipe with
     the learning rate scaled up three orders for the toy problem."""
 
@@ -318,18 +319,6 @@ class Stage2Config:
             raise ArgumentError("max_lr/weight_decay/clip_norm out of range")
         if not (0 < self.top_p <= 1):
             raise ArgumentError("top_p must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps, "max_lr": self.max_lr,
-            "warmup_steps": self.warmup_steps, "schedule": self.schedule,
-            "weight_decay": self.weight_decay, "clip_norm": self.clip_norm,
-            "top_p": self.top_p,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Stage2Config":
-        return Stage2Config(**d)
 
 
 def build_teacher_cache(model: ToyModel, corpus: np.ndarray) -> TeacherCache:

@@ -9,7 +9,6 @@ the backbone activations treated as frozen constants.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,8 +19,9 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import kl_divergence, softmax
 from .optim import AdamW, make_schedule
+from .record import Record
 from .seeding import derive_rng
-from .workload import KVCacheHead
+from .workload import KVCacheHead, build_cache, dense_attention, qhead_to_kvhead
 
 
 @dataclass
@@ -46,10 +46,6 @@ class Projector:
     @property
     def head_dim(self) -> int:
         return self.w_q.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        return 2 * self.r * self.head_dim
 
     def copy(self) -> "Projector":
         return Projector(self.w_q.copy(), self.w_k.copy())
@@ -174,8 +170,6 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     trivially near-perfect and the rows carry no long-range signal. Key
     matrices are views into one shared cache, so memory stays O(seq).
     """
-    from .workload import build_cache, dense_attention, qhead_to_kvhead
-
     floor = 4 * geometry.block_size
     if workload.seq_len <= floor:
         raise ArgumentError(
@@ -230,7 +224,7 @@ def projector_grad(batch: Sequence[TrainingRow], projector: Projector
 
 
 @dataclass(frozen=True)
-class Stage1Config:
+class Stage1Config(Record):
     """Projector training configuration (offline stage)."""
 
     max_lr: float = 1e-3
@@ -244,19 +238,12 @@ class Stage1Config:
     def __post_init__(self):
         if self.max_lr < 0 or self.weight_decay < 0:
             raise ArgumentError("learning rate and weight decay must be >= 0")
-        if min(self.warmup_steps, self.steps, self.rows_per_step) < 0 or self.steps < 1:
+        if self.warmup_steps < 0 or self.steps < 1 or self.rows_per_step < 1:
             raise ArgumentError("steps and row counts must be positive")
         if self.schedule not in ("cosine", "constant"):
             raise ArgumentError(f"unknown schedule {self.schedule!r}")
         if self.max_grad_norm <= 0:
             raise ArgumentError("max_grad_norm must be positive")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "Stage1Config":
-        return Stage1Config(**d)
 
 
 def train_projector(dataset: Sequence[TrainingRow], config: Stage1Config, seed: int,

@@ -27,6 +27,8 @@ from .workload import (
     Workload,
     build_cache,
     dense_attention,
+    dense_row_scores,
+    qhead_to_kvhead,
 )
 
 TRACE_HEADER = ["layer", "head", "position", "tokens_selected",
@@ -137,8 +139,6 @@ def mass_budget_sweep(workload: Workload, geometry: ModelGeometry, layer: int,
     scores, so this measures the budget tradeoff itself, not indexer error."""
     if not positions:
         raise ArgumentError("no positions to sweep")
-    from .workload import dense_row_scores, qhead_to_kvhead
-
     cache = build_cache(workload, layer, qhead_to_kvhead(geometry, q_head))
     masses: dict[tuple[str, int | float], list[tuple[float, int]]] = {}
     for t in positions:
@@ -246,5 +246,10 @@ def write_bench(path: str | Path, rows: Sequence[BenchRow]) -> None:
 
 
 def read_bench(path: str | Path) -> list[BenchRow]:
-    return [BenchRow(int(r[0]), r[1], float(r[2]), float(r[3]))
-            for r in read_csv(path, BENCH_HEADER)]
+    out = []
+    for i, r in enumerate(read_csv(path, BENCH_HEADER), start=2):
+        try:
+            out.append(BenchRow(int(r[0]), r[1], float(r[2]), float(r[3])))
+        except (ValueError, IndexError) as e:
+            raise ArgumentError(f"{path} line {i}: malformed row {r}: {e}") from e
+    return out

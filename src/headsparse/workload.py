@@ -21,7 +21,6 @@ heads a causal long-range target that local heads cannot see.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,12 +29,13 @@ import numpy as np
 from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import softmax
+from .record import Record
 from .rope import RopeParams, rope_rotate, rope_rotate_many
 from .seeding import derive_rng
 
 
 @dataclass(frozen=True)
-class ModelGeometry:
+class ModelGeometry(Record):
     """Shared shape/configuration record; field defaults follow the
     reference operating point of the method."""
 
@@ -78,17 +78,6 @@ class ModelGeometry:
     @property
     def scale(self) -> float:
         return 1.0 / float(np.sqrt(self.head_dim))
-
-    def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.init
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelGeometry":
-        return ModelGeometry(**d)
 
 
 def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
@@ -247,53 +236,43 @@ def content_band(head_dim: int) -> slice:
     return slice(3 * head_dim // 4, head_dim)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Knobs of the planted-structure generator.
+# Generator gains, fixed once by measuring planted-structure margins over 20
+# seeds (see the generator tests).  They are expressed pre-scaling: dense
+# attention later divides scores by sqrt(head_dim).
+NEEDLE_LEN = 16
+CONCENTRATED_SUPPORT = 2
+N_CONTENT = 64
+BG_SEEK_PROB = 0.5
+BG_KEY_SCALE = 1.0
+NEEDLE_KEY_SCALE = 8.0
+PROBE_KEY_SCALE = 8.0
+RETRIEVAL_QUERY_GAIN = 24.0
+LOCAL_QUERY_GAIN = 12.0
+LOCAL_KEY_GAIN = 12.0
+SINK_KEY_GAIN = 8.0
+SINK_QUERY_GAIN = 2.0
+NOISE_SCALE = 0.1
+VALUE_SCALE = 0.125
 
-    Gains were fixed once by measuring planted-structure margins over 20
-    seeds (see the generator tests) and are expressed pre-scaling: dense
-    attention later divides scores by sqrt(head_dim).
-    """
+
+@dataclass(frozen=True)
+class WorkloadSpec(Record):
+    """The settable knobs of the planted-structure generator: stream
+    lengths, needle placement, which heads are planted retrieval heads,
+    and the probes.  Its gains are the module constants above."""
 
     seq_len: int = 2048
     decode_len: int = 128
-    needle_len: int = 16
     pre_start: int = 8
     post_start: int = -1          # -1: auto, trailing with room for probes
     planted_retrieval_heads: tuple[int, ...] = (2, 9)
     include_probes: bool = True
     probe_head: int = 2
-    concentrated_support: int = 2
     diffuse_support: int = 1000
-    n_content: int = 64
-    bg_seek_prob: float = 0.5
-    bg_key_scale: float = 1.0
-    needle_key_scale: float = 8.0
-    probe_key_scale: float = 8.0
-    retrieval_query_gain: float = 24.0
-    local_query_gain: float = 12.0
-    local_key_gain: float = 12.0
-    sink_key_gain: float = 8.0
-    sink_query_gain: float = 2.0
-    noise_scale: float = 0.1
-    value_scale: float = 0.125
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["planted_retrieval_heads"] = list(self.planted_retrieval_heads)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "WorkloadSpec":
-        d = dict(d)
-        if "planted_retrieval_heads" in d:
-            d["planted_retrieval_heads"] = tuple(d["planted_retrieval_heads"])
-        return WorkloadSpec(**d)
 
 
 @dataclass(frozen=True)
-class ProbeAnnotation:
+class ProbeAnnotation(Record):
     kind: str                     # "concentrated" | "diffuse"
     head: int
     position: int
@@ -301,38 +280,12 @@ class ProbeAnnotation:
 
 
 @dataclass(frozen=True)
-class WorkloadAnnotations:
+class WorkloadAnnotations(Record):
     planted_retrieval_heads: tuple[int, ...]
     planted_local_heads: tuple[int, ...]
     n_pre: tuple[int, ...]
     n_post: tuple[int, ...]
     probes: tuple[ProbeAnnotation, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "planted_retrieval_heads": list(self.planted_retrieval_heads),
-            "planted_local_heads": list(self.planted_local_heads),
-            "n_pre": list(self.n_pre),
-            "n_post": list(self.n_post),
-            "probes": [
-                {"kind": p.kind, "head": p.head, "position": p.position,
-                 "support": list(p.support)}
-                for p in self.probes
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "WorkloadAnnotations":
-        return WorkloadAnnotations(
-            planted_retrieval_heads=tuple(d["planted_retrieval_heads"]),
-            planted_local_heads=tuple(d["planted_local_heads"]),
-            n_pre=tuple(d["n_pre"]),
-            n_post=tuple(d["n_post"]),
-            probes=tuple(
-                ProbeAnnotation(p["kind"], p["head"], p["position"], tuple(p["support"]))
-                for p in d["probes"]
-            ),
-        )
 
 
 @dataclass
@@ -398,13 +351,11 @@ def default_workload_geometry(**overrides) -> ModelGeometry:
 def _resolve_layout(spec: WorkloadSpec, geometry: ModelGeometry) -> tuple[int, int, list[int]]:
     """Validate needle/probe placement; returns (pre_start, post_start,
     probe positions)."""
-    L, nl = spec.seq_len, spec.needle_len
+    L, nl = spec.seq_len, NEEDLE_LEN
     n_probes = 2 if spec.include_probes else 0
     post = spec.post_start
     if post < 0:
         post = L - nl - n_probes
-    if nl < 1:
-        raise ArgumentError("needle_len must be >= 1")
     if spec.pre_start < 0 or spec.pre_start + nl > post:
         raise ArgumentError("needle spans overlap or are out of order")
     if post + nl + n_probes > L:
@@ -412,7 +363,7 @@ def _resolve_layout(spec: WorkloadSpec, geometry: ModelGeometry) -> tuple[int, i
     content_dim = geometry.head_dim - content_band(geometry.head_dim).start
     if nl > content_dim:
         raise ArgumentError(
-            f"needle_len {nl} exceeds the {content_dim}-dim content band"
+            f"needle length {nl} exceeds the {content_dim}-dim content band"
         )
     probe_positions = list(range(L - n_probes, L))
     for h in spec.planted_retrieval_heads:
@@ -450,7 +401,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     if geo.head_dim < 16:
         raise ArgumentError("generator needs head_dim >= 16 for its sub-bands")
     pre, post, probe_positions = _resolve_layout(spec, geo)
-    L, d, nl = spec.seq_len, geo.head_dim, spec.needle_len
+    L, d, nl = spec.seq_len, geo.head_dim, NEEDLE_LEN
     loc, con = local_band(d), content_band(d)
     loc_dim, con_dim = loc.stop - loc.start, con.stop - con.start
 
@@ -459,7 +410,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     rng_emb = derive_rng(seed, "workload-embeddings")
     needle_embs = np.linalg.qr(rng_emb.normal(size=(con_dim, con_dim)))[0].T[:nl]
     probe_embs = _unit_rows(rng_emb, 2, con_dim)
-    bg_embs = _unit_rows(rng_emb, spec.n_content, con_dim)
+    bg_embs = _unit_rows(rng_emb, N_CONTENT, con_dim)
 
     rng_support = derive_rng(seed, "workload-probe-support")
     probes: list[ProbeAnnotation] = []
@@ -472,12 +423,12 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
         for start in (pre, post):
             needle_ish.update(range(start, start + nl + 1))
         pool = np.array([j for j in range(lo_pool, hi_pool) if j not in needle_ish])
-        need = spec.concentrated_support + spec.diffuse_support
+        need = CONCENTRATED_SUPPORT + spec.diffuse_support
         if need > pool.size:
             raise ArgumentError("probe supports exceed available early positions")
         picks = rng_support.choice(pool, size=need, replace=False)
-        conc = np.sort(picks[: spec.concentrated_support])
-        diff = np.sort(picks[spec.concentrated_support :])
+        conc = np.sort(picks[: CONCENTRATED_SUPPORT])
+        diff = np.sort(picks[CONCENTRATED_SUPPORT :])
         probes = [
             ProbeAnnotation("concentrated", spec.probe_head,
                             probe_positions[0], tuple(int(x) for x in conc)),
@@ -505,56 +456,56 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             walks.append(walk)
 
             # Content id stream; -1 marks "needle slot i" via needle_rows.
-            ids = rng_kv.integers(0, spec.n_content, size=L)
+            ids = rng_kv.integers(0, N_CONTENT, size=L)
             contents.append(ids)
 
-            k = rng_kv.normal(size=(L, d)) * spec.noise_scale
-            k[:, loc] += spec.local_key_gain * walk
-            k[: geo.n_sinks, loc] += spec.sink_key_gain * sink_dir
+            k = rng_kv.normal(size=(L, d)) * NOISE_SCALE
+            k[:, loc] += LOCAL_KEY_GAIN * walk
+            k[: geo.n_sinks, loc] += SINK_KEY_GAIN * sink_dir
             # Induction keys: position j carries token j-1's content.
             prev_emb = np.zeros((L, con_dim))
             prev_amp = np.zeros((L, 1))
             prev_emb[1:] = bg_embs[ids[: L - 1]]
-            prev_amp[1:] = spec.bg_key_scale
+            prev_amp[1:] = BG_KEY_SCALE
             for row, slot in needle_rows.items():
                 if row + 1 < L:
                     prev_emb[row + 1] = needle_embs[slot]
-                    prev_amp[row + 1] = spec.needle_key_scale
+                    prev_amp[row + 1] = NEEDLE_KEY_SCALE
             k[:, con] += prev_amp * prev_emb
             for p in probes:
                 idx = np.asarray(p.support)
                 which = 0 if p.kind == "concentrated" else 1
-                k[idx, con] += spec.probe_key_scale * probe_embs[which]
+                k[idx, con] += PROBE_KEY_SCALE * probe_embs[which]
             keys[layer, g] = k
 
-            values[layer, g] = rng_kv.normal(size=(L, d)) * spec.value_scale
+            values[layer, g] = rng_kv.normal(size=(L, d)) * VALUE_SCALE
 
         for h in range(geo.n_q_heads):
             rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
             g = qhead_to_kvhead(geo, h)
-            q = rng_h.normal(size=(L, d)) * spec.noise_scale
+            q = rng_h.normal(size=(L, d)) * NOISE_SCALE
             if h in spec.planted_retrieval_heads:
                 ids = contents[g]
                 # Background positions go looking for the successor of a
                 # random earlier token with probability bg_seek_prob.
-                seek = rng_h.random(L) < spec.bg_seek_prob
+                seek = rng_h.random(L) < BG_SEEK_PROB
                 targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
                 seek[:2] = False
                 tgt_emb = bg_embs[ids[np.maximum(targets - 1, 0)]]
                 for row, slot in needle_rows.items():
                     hit = targets - 1 == row
                     tgt_emb[hit] = needle_embs[slot]
-                q[seek, con.start : con.stop] += spec.retrieval_query_gain * tgt_emb[seek]
+                q[seek, con.start : con.stop] += RETRIEVAL_QUERY_GAIN * tgt_emb[seek]
                 # Needle rows always seek their own slot's content.
                 for row, slot in needle_rows.items():
-                    q[row, con] = spec.retrieval_query_gain * needle_embs[slot]
+                    q[row, con] = RETRIEVAL_QUERY_GAIN * needle_embs[slot]
                 for p in probes:
                     if p.head == h:
                         which = 0 if p.kind == "concentrated" else 1
-                        q[p.position, con] = spec.retrieval_query_gain * probe_embs[which]
+                        q[p.position, con] = RETRIEVAL_QUERY_GAIN * probe_embs[which]
             else:
-                q[:, loc] += spec.local_query_gain * walks[g]
-                q[:, loc] += spec.sink_query_gain * sink_dir
+                q[:, loc] += LOCAL_QUERY_GAIN * walks[g]
+                q[:, loc] += SINK_QUERY_GAIN * sink_dir
             queries[layer, h] = q
 
     planted_local = tuple(

@@ -99,12 +99,6 @@ class TestRetrievalScore:
         moved = retrieval_score([AttentionRow(6, w2, np.zeros(2))], layout)
         assert moved > base
 
-    def test_accepts_mapping(self):
-        layout = NeedleLayout((0,), (4,), 6)
-        w = np.full(5, 0.2)
-        rows = {4: AttentionRow(4, w, np.zeros(2))}
-        assert retrieval_score(rows, layout) == pytest.approx(0.2)
-
 
 class TestPartitionHeads:
     def test_top1_of_4(self):

@@ -113,6 +113,12 @@ class TestConfigParsing:
                            geometry={"n_q_heads": 7, "n_kv_heads": 4})
         assert main(["calibrate", "--config", str(cfg)]) == 2
 
+    def test_mistyped_value_exits_2_before_any_work(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, out, geometry={"window": 100.5})
+        assert main(["calibrate", "--config", str(cfg)]) == 2
+        assert not (out / "partition.csv").exists()
+
 
 class TestOutputDirPrecedence:
     def parse(self, argv):
@@ -322,8 +328,13 @@ class TestReportAndDispatch:
          '"memory_sparsity": "high", "per_head_active": [[1.0]]}\n'),
         ("sparsity_report.json", '{"compute_sparsity": 0.5, '
          '"memory_sparsity": 1.5, "per_head_active": [[1.0]]}\n'),
+        ("distill_summary.json", "{nope"),
+        ("distill_summary.json", '{"steps": 5}\n'),
+        ("bench.csv", "length,mode,median_ms,p95_ms\n4096,dense,abc,1\n"),
+        ("bench.csv", "length,mode,median_ms,p95_ms\n4096,dense\n"),
     ], ids=["header-only-trace", "non-numeric-trace", "report-missing-key",
-            "report-non-numeric", "report-out-of-range"])
+            "report-non-numeric", "report-out-of-range", "summary-not-json",
+            "summary-missing-keys", "bench-non-numeric", "bench-short-row"])
     def test_bad_artifact_exits_2(self, tmp_path, name, text):
         out = tmp_path / "out"
         out.mkdir()

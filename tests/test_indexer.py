@@ -220,6 +220,12 @@ class TestRankingInvariance:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("bad", [{"rows_per_step": 0}, {"steps": 0},
+                                     {"warmup_steps": -1}])
+    def test_config_rejects_empty_batches_and_steps(self, bad):
+        with pytest.raises(ArgumentError, match="must be positive"):
+            Stage1Config(**bad)
+
     def test_deterministic(self):
         teacher = gen_rank_teacher(0, n_keys=96, n_queries=16)
         ds = teacher_dataset(teacher, teacher.queries)
