@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError
+from .numerics import descending_order
 from .workload import (
     AttentionRow,
     KVCacheHead,
@@ -122,7 +123,7 @@ def partition_heads(scores: Sequence[float], ratio: float) -> HeadPartition:
     if not (0 < ratio <= 1):
         raise ArgumentError(f"ratio must lie in (0, 1], got {ratio}")
     n_ret = retrieval_set_size(s.size, ratio)
-    order = np.lexsort((np.arange(s.size), -s))
+    order = descending_order(s)
     retrieval = tuple(sorted(int(h) for h in order[:n_ret]))
     local = tuple(sorted(int(h) for h in order[n_ret:]))
     return HeadPartition(

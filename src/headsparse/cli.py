@@ -54,6 +54,7 @@ from .distill import (
 from .engine import run_workload
 from .errors import ArgumentError, ConfigError, InternalError, NumericError
 from .indexer import Projector, Stage1Config, build_stage1_dataset, train_projector
+from .numerics import descending_order
 from .record import Record
 from .reports import (
     HEAD_COUNT_HEADER,
@@ -175,8 +176,8 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> None:
     save_partitions(out / "partition.csv", partitions)
     rows = []
     for layer, part in enumerate(partitions):
-        order = sorted(range(part.n_heads), key=lambda h: (-part.scores[h], h))
-        rows.extend([layer, h, repr(float(part.scores[h]))] for h in order)
+        rows.extend([layer, int(h), repr(float(part.scores[h]))]
+                    for h in descending_order(part.scores))
     write_csv(out / "head_scores.csv", SCORE_HEADER, rows)
     for layer, part in enumerate(partitions):
         print(f"layer {layer}: retrieval heads {sorted(part.retrieval_set)} "

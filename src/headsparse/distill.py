@@ -18,7 +18,7 @@ import numpy as np
 from .container import load_container, save_container
 from .errors import ArgumentError
 from .indexer import Projector
-from .numerics import kl_divergence, softmax
+from .numerics import descending_order, kl_divergence, softmax
 from .optim import AdamW, make_schedule
 from .record import Record
 from .rope import RopeParams, rope_rotate_many, rope_unrotate_many
@@ -53,7 +53,7 @@ def extract_top10(logits: np.ndarray) -> TopKLogits:
     z = np.asarray(logits, np.float64)
     if z.ndim != 1 or z.size < TOP_K:
         raise ArgumentError(f"vocabulary must be a vector of size >= {TOP_K}")
-    order = np.lexsort((np.arange(z.size), -z))[:TOP_K]
+    order = descending_order(z)[:TOP_K]
     return TopKLogits(order, z[order])
 
 

@@ -2,9 +2,10 @@
 attention for local heads, and per-step top-p decode over projected scores.
 
 A decode step visits each (layer, kv_head) once.  The local query heads of
-that group decode together over two contiguous slices of the cache (sinks
-and window), with no gathered copy; each retrieval head selects its own set
-and attends over it.
+that group decode together over the local_spans of the cache (sinks and
+window, as contiguous slices with no gathered copy); each retrieval head
+selects its own set and attends over it.  Both go through workload.attend,
+the one attention kernel.
 
 The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
@@ -22,8 +23,6 @@ import numpy as np
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
-from .numerics import softmax
-from .rope import rope_rotate_many
 from .selection import (
     SelectionResult,
     histogram_threshold_scores,
@@ -98,17 +97,23 @@ class RunResult:
     caches: dict[tuple[int, int], KVCacheHead] = field(repr=False, default_factory=dict)
 
 
-def local_active_indices(n_visible: int, window: int, n_sinks: int) -> np.ndarray:
-    """Indices a local head attends to: the first n_sinks tokens plus the
-    trailing `window` tokens, as a union (they overlap on short prefixes)."""
+def local_spans(n_visible: int, window: int, n_sinks: int) -> tuple[slice, ...]:
+    """The sink+window rule: a local head attends to the first n_sinks tokens
+    and the trailing `window` tokens of the visible prefix, as one slice when
+    the two meet (short prefixes) and as two disjoint slices otherwise."""
     if n_visible <= 0:
         raise ArgumentError("no visible tokens")
     if window < 1 or n_sinks < 0:
         raise ArgumentError("window must be >= 1 and n_sinks >= 0")
     tail_start = max(n_visible - window, 0)
     if tail_start <= n_sinks:
-        return np.arange(n_visible)
-    return np.concatenate([np.arange(n_sinks), np.arange(tail_start, n_visible)])
+        return (slice(0, n_visible),)
+    return slice(0, n_sinks), slice(tail_start, n_visible)
+
+
+def local_active_indices(n_visible: int, window: int, n_sinks: int) -> np.ndarray:
+    """Indices a local head attends to: local_spans as one index array."""
+    return np.r_[local_spans(n_visible, window, n_sinks)]
 
 
 def restricted_attention(query_pre: np.ndarray, query_position: int,
@@ -129,48 +134,28 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
     leading shape.  Returns (outputs, indices); the indices are the same
     read-only local_active_indices array for every head of the block.
 
-    The sinks [0, n_sinks) and the window [n - window, n) are scored as
-    contiguous slices of the cache (one slice when they meet), so no row is
-    gathered; one row-wise softmax spans both, as attend's would over the
-    union."""
-    q = np.atleast_2d(np.asarray(queries_pre, np.float64))
-    n = visible_rows(cache, query_position).stop
-    active = local_active_indices(n, window, n_sinks)
+    attend scores the local_spans as contiguous slices of the cache, so no
+    row is gathered."""
+    spans = local_spans(visible_rows(cache, query_position).stop, window, n_sinks)
+    active = np.r_[spans]
     active.flags.writeable = False
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = rope_rotate_many(q, np.full(q.shape[0], query_position), cache.rope)
-    tail = max(n - window, 0)
-    spans = [slice(0, n)] if tail <= n_sinks else [slice(0, n_sinks), slice(tail, n)]
-    keys, values = cache.keys_post64, cache.values64
-    weights = softmax(np.concatenate([q_rot @ keys[s].T for s in spans], axis=1)
-                      * scale)
-    out, off = 0.0, 0
-    for s in spans:
-        width = s.stop - s.start
-        out = out + weights[:, off : off + width] @ values[s]
-        off += width
-    return out.reshape(np.shape(queries_pre)), active
+    return attend(queries_pre, query_position, cache, spans, scale)[1], active
 
 
 def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
-                          cache: KVCacheHead, projector: Projector, p: float,
+                          cache: KVCacheHead, pkc: ProjectedKeyCache, p: float,
                           mode: str = "exact", *, block_size: int = 64,
                           top_k: int | None = None,
                           scale: float | None = None,
-                          pkc: ProjectedKeyCache | None = None,
                           layer: int = 0, q_head: int = 0
                           ) -> tuple[np.ndarray, DecodeTrace]:
-    """One retrieval-head decode step: rank the visible prefix by projected
-    pre-rotation scores, select by the requested mode, then attend exactly
-    over the selected set. The static top_k baseline ignores p and offers no
+    """One retrieval-head decode step: rank the visible prefix by the
+    projected pre-rotation scores of `pkc` (the head's projector over this
+    cache), select by the requested mode, then attend exactly over the
+    selected set. The static top_k baseline ignores p and offers no
     coverage floor; that gap is what it exists to demonstrate."""
-    if len(cache) == 0:
-        raise ArgumentError("cache is empty")
     if mode not in ("exact", "histogram", "top_k"):
         raise ArgumentError(f"unknown selection mode {mode!r}")
-    if pkc is None:
-        pkc = ProjectedKeyCache(projector, capacity=len(cache))
     proj = pkc.scores(cache, query_pre, query_position)
     if mode == "exact":
         sel: SelectionResult = top_p_exact(proj, p)
@@ -269,7 +254,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                  projectors: Mapping[tuple[int, int], Projector],
                  *, p: float | None = None, mode: str = "exact",
                  top_k: int | None = None,
-                 oracle: bool = False, trace_sample: int = 1) -> RunResult:
+                 oracle: bool = False) -> RunResult:
     """Prefill the prompt region, then decode the remaining positions one KV
     group at a time: the new token's KV is appended first, then the group's
     local heads decode together and its retrieval heads one by one; traces
@@ -278,17 +263,21 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
     dense row per step, so markedly slower)."""
     if p is None:
         p = geometry.top_p
-    if trace_sample < 1:
-        raise ArgumentError("trace_sample must be >= 1")
     if len(partitions) != geometry.n_layers:
         raise ArgumentError(f"{len(partitions)} head partitions for "
                             f"{geometry.n_layers} layers; one per layer required")
     if workload.prefill_len >= workload.seq_len:
         raise ArgumentError("workload has no decode region")
-    for layer in range(geometry.n_layers):
-        for h in partitions[layer].retrieval_set:
+    for layer, part in enumerate(partitions):
+        if part.n_heads != geometry.n_q_heads:
+            raise ArgumentError(f"layer {layer} partition covers {part.n_heads} heads; "
+                                f"the geometry has {geometry.n_q_heads}")
+        for h in part.retrieval_set:
             if (layer, h) not in projectors:
                 raise ArgumentError(f"no projector for retrieval head ({layer}, {h})")
+            if projectors[(layer, h)].head_dim != geometry.head_dim:
+                raise ArgumentError(f"projector ({layer}, {h}) is not for head_dim "
+                                    f"{geometry.head_dim}")
 
     caches = prefill(workload, geometry)
     pkcs = {
@@ -311,7 +300,6 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
             cache.append(
                 workload.keys_pre[layer, g, t], workload.values[layer, g, t], t
             )
-        record = (t - workload.prefill_len) % trace_sample == 0
         for layer, g, heads, local in groups:
             cache = caches[(layer, g)]
             queries = workload.queries[layer, :, t]
@@ -330,16 +318,14 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
             for h in heads:
                 if h not in entries:
                     _, entries[h] = retrieval_head_decode(
-                        queries[h], t, cache, projectors[(layer, h)], p, mode,
+                        queries[h], t, cache, pkcs[(layer, h)], p, mode,
                         block_size=geometry.block_size, top_k=top_k,
-                        scale=geometry.scale,
-                        pkc=pkcs[(layer, h)], layer=layer, q_head=h,
+                        scale=geometry.scale, layer=layer, q_head=h,
                     )
-            if record:
-                for h in heads:
-                    entry = entries[h]
-                    if oracle:
-                        row = dense_attention(queries[h], t, cache, geometry.scale)
-                        entry.covered_true_mass = attention_mass_report(entry, row)
-                    traces.append(entry)
+            for h in heads:
+                entry = entries[h]
+                if oracle:
+                    row = dense_attention(queries[h], t, cache, geometry.scale)
+                    entry.covered_true_mass = attention_mass_report(entry, row)
+                traces.append(entry)
     return RunResult(traces, sparsity_report(traces, geometry), caches)

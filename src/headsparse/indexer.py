@@ -21,7 +21,7 @@ from .numerics import kl_divergence, softmax
 from .optim import AdamW, make_schedule
 from .record import Record
 from .seeding import derive_rng
-from .workload import KVCacheHead, build_cache, dense_attention, qhead_to_kvhead
+from .workload import KVCacheHead, build_cache, dense_attention, qhead_to_kvhead, visible_rows
 
 
 @dataclass
@@ -92,11 +92,9 @@ def projected_scores(query_pre: np.ndarray, cache: KVCacheHead, projector: Proje
         )
     if cache.rope.head_dim != projector.head_dim:
         raise ArgumentError("cache head_dim does not match projector")
-    n = cache.visible_count(query_position)
-    if n == 0:
-        raise ArgumentError(f"no token visible at position {query_position}")
+    rows = visible_rows(cache, query_position)
     u = projector.w_q @ q
-    proj_keys = cache.keys_pre[:n].astype(np.float64) @ projector.w_k.T
+    proj_keys = cache.keys_pre[rows].astype(np.float64) @ projector.w_k.T
     return proj_keys @ u
 
 
@@ -127,11 +125,9 @@ class ProjectedKeyCache:
     def scores(self, cache: KVCacheHead, query_pre: np.ndarray, query_position: int
                ) -> np.ndarray:
         self.sync(cache)
-        n = cache.visible_count(query_position)
-        if n == 0:
-            raise ArgumentError(f"no token visible at position {query_position}")
+        rows = visible_rows(cache, query_position)
         u = self.projector.w_q @ np.asarray(query_pre, np.float64)
-        return self._u[:n] @ u
+        return self._u[rows] @ u
 
 
 def index_recall(selected: set[int] | Sequence[int], reference_top: set[int] | Sequence[int]

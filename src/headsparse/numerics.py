@@ -33,6 +33,11 @@ def require_finite(x: np.ndarray, name: str = "input") -> np.ndarray:
     return arr
 
 
+def descending_order(scores: np.ndarray) -> np.ndarray:
+    """Indices by descending score, ties resolved toward the lower index."""
+    return np.argsort(-np.asarray(scores, np.float64), kind="stable")
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Shift-stable softmax along the last axis, computed in float64."""
     arr = require_finite(scores, "scores")

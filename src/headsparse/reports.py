@@ -201,8 +201,7 @@ def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
             rng.normal(size=(L, head_dim)).astype(np.float32),
             np.arange(L),
         )
-        projector = init_projector(r, head_dim, seed)
-        pkc = ProjectedKeyCache(projector, capacity=L)
+        pkc = ProjectedKeyCache(init_projector(r, head_dim, seed), capacity=L)
         pkc.sync(cache)
         queries = rng.normal(size=(warmup + n_steps, head_dim))
         pos = L - 1
@@ -211,11 +210,11 @@ def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
             dense_attention(q, pos, cache)
 
         def exact_step(q):
-            retrieval_head_decode(q, pos, cache, projector, p, "exact", pkc=pkc)
+            retrieval_head_decode(q, pos, cache, pkc, p, "exact")
 
         def hist_step(q):
-            retrieval_head_decode(q, pos, cache, projector, p, "histogram",
-                                  block_size=block_size, pkc=pkc)
+            retrieval_head_decode(q, pos, cache, pkc, p, "histogram",
+                                  block_size=block_size)
 
         for mode, fn in zip(BENCH_MODES, (dense_step, exact_step, hist_step)):
             times = []

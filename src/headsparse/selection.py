@@ -3,11 +3,14 @@
 Two routes produce an active set:
 
 * exact: sort the token scores, walk the softmax mass until it reaches p
-  (or take a fixed top-k budget);
+  (or take a fixed top-k budget); above a size cutoff only a candidate
+  pool is sorted, cut from the token masses by the histogram scan below;
 * sort-free: partition tokens into fixed-size blocks, keep only each
   block's log-sum-exp pair, deposit block masses into a 256-bin histogram
   keyed by block maximum, scan bins from the top until the accumulated
   mass reaches p, and emit a block-level mask.
+
+Both routes bin with one rule and cut with one scan (_bin_indices, _cut).
 
 The histogram route touches per-block summaries only, never per-token
 values, and always includes the threshold bin whole, so its recomputed
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, InternalError
-from .numerics import LsePair, lse_merge, lse_reduce, require_finite, softmax
+from .numerics import LsePair, descending_order, lse_merge, lse_reduce, require_finite, softmax
 
 N_BINS = 256
 HIST_RANGE = 32.0  # natural-log units below the global max covered by bins
@@ -60,11 +63,6 @@ class SelectionResult:
         return int(self.active_set.size)
 
 
-def _descending_order(scores: np.ndarray) -> np.ndarray:
-    """Stable descending sort: ties resolve toward the lower index."""
-    return np.argsort(-scores, kind="stable")
-
-
 # Above this size the exact walk switches from a full sort to a candidate
 # pool sized by mass; the selected set is the same, just cheaper.
 _SORT_CUTOFF = 4096
@@ -89,7 +87,7 @@ def top_p_exact(scores: np.ndarray, p: float) -> SelectionResult:
 
 def _top_p_sorted(s: np.ndarray, probs: np.ndarray, p: float) -> SelectionResult:
     """Reference walk: full stable sort, cumulative mass, one threshold."""
-    order = _descending_order(s)
+    order = descending_order(s)
     csum = np.cumsum(probs[order])
     # target scales with the realized total, which can sit an ulp off 1.0
     cut = int(np.searchsorted(csum, p * csum[-1], side="left"))
@@ -101,22 +99,21 @@ def _top_p_sorted(s: np.ndarray, probs: np.ndarray, p: float) -> SelectionResult
 def _top_p_partitioned(s: np.ndarray, probs: np.ndarray, p: float) -> SelectionResult:
     """Exact walk over a candidate pool sized by mass instead of a full sort.
 
-    Token masses are binned by their distance below the maximum score, at
-    the histogram route's BIN_WIDTH; the pool is every token up to one bin
-    past the first bin where the cumulative mass reaches the target.  Bin
-    index never decreases as the score falls, so the pool is a complete
-    upper set (ties included) and its stable descending order is exactly
-    the prefix the full sort walks.  Should float dust leave that prefix
-    short of the target, the full sort decides.
+    Token masses go through the histogram route's binning and scan, keyed
+    by each token's own score; the pool is every token at or above one bin
+    below the cut.  Bin index never falls as the score rises, so the pool
+    is a complete upper set (ties included) and its stable descending order
+    is exactly the prefix the full sort walks.  Should the cut sit in the
+    bottom two bins, or float dust leave the pool short of the target, the
+    full sort decides.
     """
     target = p * float(probs.sum())
-    idx = np.minimum((s.max() - s) / BIN_WIDTH, N_BINS - 1).astype(np.intp)
-    cum = np.cumsum(np.bincount(idx, weights=probs, minlength=N_BINS))
-    edge = int(np.searchsorted(cum, target, side="left")) + 1
-    if edge >= N_BINS - 1:
+    idx = _bin_indices(s, float(s.max()))
+    cut = _cut(idx, probs, target)
+    if cut <= 1:
         return _top_p_sorted(s, probs, p)
-    pool = np.flatnonzero(idx <= edge)
-    order = pool[_descending_order(s[pool])]
+    pool = np.flatnonzero(idx >= cut - 1)
+    order = pool[descending_order(s[pool])]
     csum = np.cumsum(probs[order])
     if csum[-1] < target:
         return _top_p_sorted(s, probs, p)
@@ -133,7 +130,7 @@ def top_k_static(scores: np.ndarray, k: int) -> SelectionResult:
     if s.size == 0:
         raise ArgumentError("scores must be non-empty")
     probs = softmax(s)
-    order = _descending_order(s)
+    order = descending_order(s)
     active = np.sort(order[: min(k, s.size)])
     return SelectionResult(active, float(probs[active].sum()))
 
@@ -183,9 +180,18 @@ def _block_arrays(blocks: Sequence[BlockStats]) -> tuple[np.ndarray, np.ndarray]
 
 
 def _bin_indices(m: np.ndarray, m_star: float) -> np.ndarray:
+    """Bin of each score: BIN_WIDTH-wide bins up from m_star - HIST_RANGE."""
     lo = m_star - HIST_RANGE
     raw = np.floor((m - lo) / BIN_WIDTH).astype(np.int64)
     return np.clip(raw, 0, N_BINS - 1)
+
+
+def _cut(idx: np.ndarray, masses: np.ndarray, target: float) -> int:
+    """The top-down scan: the highest bin whose mass plus every bin above it
+    reaches target, or bin 0 when float dust leaves the total a hair short."""
+    bins = np.bincount(idx, weights=masses, minlength=N_BINS)
+    reached = int(np.searchsorted(np.cumsum(bins[::-1]), target, side="left"))
+    return max(N_BINS - 1 - reached, 0)
 
 
 def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
@@ -193,35 +199,22 @@ def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     """The histogram route over per-block (max, shifted mass) vectors; block
     b covers tokens [starts[b], stops[b]).
 
-    Two passes: reference every block mass to the global max and deposit it
-    into the bin of its own maximum, then scan the bins top-down, cut at the
-    first bin where cumulative mass reaches p of the total, and keep every
-    block at or above it.
+    Reference every block mass to the global max, bin it by its own
+    maximum, cut where the top-down scan reaches p of the total, and keep
+    every block at or above the cut.
     """
     if not (0 < p <= 1):
         raise ArgumentError(f"p must lie in (0, 1], got {p}")
     m_star = float(m.max())
     masses = l * np.exp(m - m_star)
     idx = _bin_indices(m, m_star)
-    bins = np.zeros(N_BINS)
-    np.add.at(bins, idx, masses)
-    target = p * float(masses.sum())
-    cum = 0.0
-    # float dust can leave cum a hair under target after the last bin;
-    # the threshold then stays at bin 0 and every block is kept
-    threshold = 0
-    for b in range(N_BINS - 1, -1, -1):
-        cum += float(bins[b])
-        if cum >= target:
-            threshold = b
-            break
+    threshold = _cut(idx, masses, p * float(masses.sum()))
     mask = idx >= threshold
     if not mask.any():
         raise InternalError("histogram scan selected no block")
     covered = float(math.fsum(masses[mask]) / math.fsum(masses))
     active = np.concatenate([np.arange(a, b) for a, b in zip(starts[mask], stops[mask])])
-    return SelectionResult(active, covered, block_mask=mask,
-                           threshold_bin=int(threshold))
+    return SelectionResult(active, covered, block_mask=mask, threshold_bin=threshold)
 
 
 def histogram_threshold(blocks: Sequence[BlockStats], p: float) -> SelectionResult:
@@ -262,7 +255,7 @@ def block_top_p_exact(blocks: Sequence[BlockStats], p: float) -> int:
         raise ArgumentError("no blocks")
     m, l = _block_arrays(blocks)
     masses = l * np.exp(m - float(m.max()))
-    order = np.lexsort((np.arange(m.size), -m))
+    order = descending_order(m)
     target = p * float(masses.sum())
     cum = 0.0
     for count, b in enumerate(order, start=1):

@@ -22,15 +22,17 @@ heads a causal long-range target that local heads cannot see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .container import load_container, save_container
 from .errors import ArgumentError
-from .numerics import softmax
+from .numerics import descending_order, softmax
 from .record import Record
-from .rope import RopeParams, rope_rotate, rope_rotate_many
+from .rope import RopeParams, rope_rotate_many
 from .seeding import derive_rng
 
 
@@ -177,23 +179,35 @@ class AttentionRow:
     output: np.ndarray
 
 
-def _scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
-            rows: slice | np.ndarray, scale: float | None) -> np.ndarray:
-    """Scaled post-rotation scores of the cache rows: attend's scoring half."""
+def _scores(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
+            rows: tuple, scale: float | None) -> list[np.ndarray]:
+    """attend's scoring half: the scaled post-rotation scores of the (d,) or
+    (G, d) queries against each selector in `rows`, one (G, n_i) block apiece."""
     if scale is None:
         scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = rope_rotate(np.asarray(query_pre, np.float64), query_position, cache.rope)
-    return (cache.keys_post64[rows] @ q_rot) * scale
+    q = np.atleast_2d(np.asarray(queries_pre, np.float64))
+    q_rot = rope_rotate_many(q, np.full(len(q), query_position), cache.rope)
+    return [(q_rot @ cache.keys_post64[r].T) * scale for r in rows]
 
 
-def attend(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
-           rows: slice | np.ndarray, scale: float | None = None
+def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
+           rows: slice | np.ndarray | tuple, scale: float | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
     """The one attention kernel: exact softmax over the scaled post-rotation
-    scores of the cache `rows` (a slice or an index array), then the
-    weighted sum of their values.  Returns (weights, output)."""
-    weights = softmax(_scores(query_pre, query_position, cache, rows, scale))
-    return weights, weights @ cache.values64[rows]
+    scores of the cache `rows`, then the weighted sum of their values.
+
+    queries_pre is (d,) or (G, d), and the results keep its leading shape.
+    `rows` is a slice, an index array, or a tuple of disjoint ones scored as
+    one set, so a union of spans needs no gathered copy.  Returns (weights,
+    output), the weights in the order of `rows`."""
+    rows = rows if isinstance(rows, tuple) else (rows,)
+    blocks = _scores(queries_pre, query_position, cache, rows, scale)
+    weights = softmax(np.concatenate(blocks, axis=1))
+    edges = [0, *accumulate(b.shape[1] for b in blocks)]
+    out = reduce(np.add, (weights[:, a:b] @ cache.values64[r]
+                          for r, a, b in zip(rows, edges, edges[1:])))
+    lead = np.shape(queries_pre)[:-1]
+    return weights.reshape(*lead, -1), out.reshape(*lead, -1)
 
 
 def visible_rows(cache: KVCacheHead, query_position: int) -> slice:
@@ -217,8 +231,8 @@ def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHe
 def dense_row_scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                      scale: float | None = None) -> np.ndarray:
     """The scaled post-rotation scores behind dense_attention's softmax."""
-    return _scores(query_pre, query_position, cache,
-                   visible_rows(cache, query_position), scale)
+    rows = (visible_rows(cache, query_position),)
+    return _scores(query_pre, query_position, cache, rows, scale)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +580,7 @@ class RankTeacher:
 
     def top_tokens(self, query: np.ndarray, budget: int) -> set[int]:
         s = self.scores(query)
-        order = np.lexsort((np.arange(s.size), -s))
-        return set(int(i) for i in order[:budget])
+        return set(int(i) for i in descending_order(s)[:budget])
 
 
 def gen_rank_teacher(seed: int, n_keys: int = 512, head_dim: int = 64,

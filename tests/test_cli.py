@@ -236,6 +236,18 @@ class TestRun:
         cfg = write_config(tmp_path, out, geometry={"n_layers": 2})
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_head_count_mismatch_exits_2(self, artifacts, tmp_path):
+        # the partition was calibrated for 8 query heads
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out, geometry={"n_q_heads": 16})
+        assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_head_dim_mismatch_exits_2(self, artifacts, tmp_path):
+        # the projectors were trained at head_dim 64
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out, geometry={"head_dim": 128})
+        assert main(["run", "--config", str(cfg)]) == 2
+
     @pytest.mark.parametrize("edit", ["non_numeric_score", "missing_head_row"])
     def test_bad_partition_rows_exit_2(self, artifacts, tmp_path, edit):
         out = clone_artifacts(artifacts, tmp_path)

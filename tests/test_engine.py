@@ -20,7 +20,7 @@ from headsparse.engine import (
     sparsity_report,
 )
 from headsparse.errors import ArgumentError
-from headsparse.indexer import init_projector
+from headsparse.indexer import ProjectedKeyCache, init_projector
 from headsparse.rope import RopeParams
 from headsparse.workload import (
     KVCacheHead,
@@ -167,7 +167,7 @@ class TestRetrievalDecode:
         cache = random_cache(rng, 300)
         proj = init_projector(8, 32, seed=0)
         q = rng.normal(size=32)
-        out, trace = retrieval_head_decode(q, 299, cache, proj, p=1.0)
+        out, trace = retrieval_head_decode(q, 299, cache, ProjectedKeyCache(proj), p=1.0)
         assert trace.tokens_selected == 300
         np.testing.assert_allclose(out, dense_attention(q, 299, cache).output, atol=1e-5)
 
@@ -175,7 +175,7 @@ class TestRetrievalDecode:
         rng = np.random.default_rng(5)
         cache = random_cache(rng, 1)
         out, trace = retrieval_head_decode(
-            rng.normal(size=32), 0, cache, init_projector(8, 32, 0), p=0.9
+            rng.normal(size=32), 0, cache, ProjectedKeyCache(init_projector(8, 32, 0)), p=0.9
         )
         np.testing.assert_allclose(out, cache.values64[0], atol=1e-12)
         assert trace.tokens_selected == 1
@@ -186,7 +186,9 @@ class TestRetrievalDecode:
         cache = random_cache(rng, 4096)
         proj = init_projector(8, 32, seed=1)
         q = rng.normal(size=32)
-        out, trace = retrieval_head_decode(q, 4095, cache, proj, p=0.9, mode=mode)
+        out, trace = retrieval_head_decode(
+            q, 4095, cache, ProjectedKeyCache(proj), p=0.9, mode=mode
+        )
         assert 0 < trace.tokens_selected < 4096
         assert trace.covered_projected_mass >= 0.9
         oracle = dense_attention(q, 4095, sub_cache(cache, trace.active_set))
@@ -197,7 +199,8 @@ class TestRetrievalDecode:
         cache = random_cache(rng, 10)
         with pytest.raises(ArgumentError):
             retrieval_head_decode(
-                rng.normal(size=32), 9, cache, init_projector(4, 32, 0), 0.9, "sorted"
+                rng.normal(size=32), 9, cache, ProjectedKeyCache(init_projector(4, 32, 0)),
+                0.9, "sorted",
             )
 
 
@@ -395,8 +398,7 @@ class TestRunWorkload:
         part = small_partition()
         projs = small_projectors(part, SMALL_GEO)
         res = run_workload(
-            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9,
-            oracle=True, trace_sample=8,
+            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, oracle=True
         )
         assert all(t.covered_true_mass is not None for t in res.traces)
         for t in res.traces:
@@ -404,16 +406,6 @@ class TestRunWorkload:
             if t.role == "local":
                 # sink+window rule was tuned to hold nearly all true mass
                 assert t.covered_true_mass > 0.5
-
-    def test_trace_sampling(self):
-        part = small_partition()
-        projs = small_projectors(part, SMALL_GEO)
-        res = run_workload(
-            SMALL_WORKLOAD, SMALL_GEO, [part], projs, trace_sample=4
-        )
-        decode_len = SMALL_WORKLOAD.seq_len - SMALL_WORKLOAD.prefill_len
-        expect = ((decode_len + 3) // 4) * SMALL_GEO.n_q_heads
-        assert len(res.traces) == expect
 
     def test_missing_projector(self):
         part = small_partition()
@@ -427,7 +419,7 @@ class TestDenseDegeneration:
         assert len(part.local_set) == 0
         projs = small_projectors(part, SMALL_GEO)
         res = run_workload(
-            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=1.0, trace_sample=4
+            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=1.0
         )
         for t in res.traces:
             cache = res.caches[(t.layer, qhead_to_kvhead(SMALL_GEO, t.q_head))]

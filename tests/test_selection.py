@@ -312,6 +312,71 @@ class TestSelectionProperties:
         assert exact.size <= hist.size
 
 
+def reference_cut(bins, target):
+    """Top-down scan one bin at a time; bin 0 when the total falls short."""
+    cum = 0.0
+    for b in range(N_BINS - 1, -1, -1):
+        cum += float(bins[b])
+        if cum >= target:
+            return b
+    return 0
+
+
+def reference_scan(m, l, p):
+    """The histogram scan deposited with np.add.at and walked bin by bin:
+    (threshold bin, block mask, covered mass)."""
+    m_star = float(m.max())
+    masses = l * np.exp(m - m_star)
+    idx = _bin_indices(m, m_star)
+    bins = np.zeros(N_BINS)
+    np.add.at(bins, idx, masses)
+    threshold = reference_cut(bins, p * float(masses.sum()))
+    mask = idx >= threshold
+    return threshold, mask, float(math.fsum(masses[mask]) / math.fsum(masses))
+
+
+class TestScanReference:
+    """The vectorized histogram scan must reproduce the bin-by-bin walk."""
+
+    @pytest.mark.parametrize("maxima", ["random", "tied", "all_equal"])
+    def test_scan_matches_reference(self, maxima):
+        from headsparse.selection import _scan
+
+        rng = np.random.default_rng(76)
+        for _ in range(300):
+            n = int(rng.integers(1, 700))
+            if maxima == "random":
+                m = rng.normal(size=n) * rng.uniform(0.5, 12)
+            elif maxima == "tied":
+                m = rng.integers(-40, 1, size=n) * BIN_WIDTH * rng.integers(1, 9)
+            else:
+                m = np.full(n, float(rng.normal()))
+            l = rng.uniform(1.0, 64.0, size=n)
+            starts = np.arange(n, dtype=np.int64) * 4
+            for p in (0.1, 0.5, 0.9, 0.99, 1.0):
+                res = _scan(m, l, starts, starts + 4, p)
+                threshold, mask, covered = reference_scan(m, l, p)
+                assert res.threshold_bin == threshold
+                assert np.array_equal(res.block_mask, mask)
+                assert res.covered_mass == covered
+
+    def test_total_a_hair_under_target_clamps_to_bin_zero(self):
+        from headsparse.selection import _cut
+
+        rng = np.random.default_rng(77)
+        for _ in range(50):
+            idx = rng.integers(0, N_BINS, size=int(rng.integers(1, 2000)))
+            masses = rng.exponential(size=idx.size)
+            bins = np.zeros(N_BINS)
+            np.add.at(bins, idx, masses)
+            total = float(np.cumsum(bins[::-1])[-1])
+            short = float(np.nextafter(total, np.inf))
+            assert _cut(idx, masses, short) == reference_cut(bins, short) == 0
+            assert _cut(idx, masses, total) == reference_cut(bins, total)
+            for target in rng.uniform(0, total, size=8):
+                assert _cut(idx, masses, target) == reference_cut(bins, target)
+
+
 class TestFastPathEquivalence:
     """The large-input routes must reproduce the reference routes exactly."""
 
