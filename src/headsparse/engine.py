@@ -3,9 +3,12 @@ attention for local heads, and per-step top-p decode over projected scores.
 
 A decode step visits each (layer, kv_head) once.  The local query heads of
 that group decode together over the local_spans of the cache (sinks and
-window, as contiguous slices with no gathered copy); each retrieval head
-selects its own set and attends over it.  Both go through workload.attend,
-the one attention kernel.
+window); each retrieval head selects its own set and attends over it.  The
+histogram route hands attention its merged block runs, so both local and
+histogram heads read contiguous slices of the cache with no gathered copy;
+exact and top-k sets are scattered and stay gathered.  Every head goes
+through restricted_attention and so through workload.attend, the one
+attention kernel.
 
 The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
@@ -117,13 +120,18 @@ def local_active_indices(n_visible: int, window: int, n_sinks: int) -> np.ndarra
 
 
 def restricted_attention(query_pre: np.ndarray, query_position: int,
-                         cache: KVCacheHead, active: np.ndarray,
+                         cache: KVCacheHead, active: np.ndarray | SelectionResult,
                          scale: float | None = None) -> np.ndarray:
-    """Attention output over the cache rows in `active`; by construction
-    identical to dense attention on the sub-cache."""
-    if active.size == 0:
+    """Attention output over the cache rows in `active`, an index array or a
+    selection (read through its spans when it has them); by construction
+    identical to dense attention on the sub-cache.  len(active) is the
+    number of tokens attended."""
+    if len(active) == 0:
         raise InternalError("restricted attention over an empty set")
-    return attend(query_pre, query_position, cache, active, scale)[1]
+    rows = active
+    if isinstance(active, SelectionResult):
+        rows = active.spans or active.active_set
+    return attend(query_pre, query_position, cache, rows, scale)[1]
 
 
 def local_head_decode(queries_pre: np.ndarray, query_position: int,
@@ -134,12 +142,13 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
     leading shape.  Returns (outputs, indices); the indices are the same
     read-only local_active_indices array for every head of the block.
 
-    attend scores the local_spans as contiguous slices of the cache, so no
+    The local_spans are attended as contiguous slices of the cache, so no
     row is gathered."""
     spans = local_spans(visible_rows(cache, query_position).stop, window, n_sinks)
     active = np.r_[spans]
     active.flags.writeable = False
-    return attend(queries_pre, query_position, cache, spans, scale)[1], active
+    sel = SelectionResult(active, 1.0, spans=spans)
+    return restricted_attention(queries_pre, query_position, cache, sel, scale), active
 
 
 def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
@@ -152,8 +161,9 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
     """One retrieval-head decode step: rank the visible prefix by the
     projected pre-rotation scores of `pkc` (the head's projector over this
     cache), select by the requested mode, then attend exactly over the
-    selected set. The static top_k baseline ignores p and offers no
-    coverage floor; that gap is what it exists to demonstrate."""
+    selected set (over its merged runs in histogram mode). The static
+    top_k baseline ignores p and offers no coverage floor; that gap is what
+    it exists to demonstrate."""
     if mode not in ("exact", "histogram", "top_k"):
         raise ArgumentError(f"unknown selection mode {mode!r}")
     proj = pkc.scores(cache, query_pre, query_position)
@@ -165,7 +175,7 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
         sel = top_k_static(proj, top_k)
     else:
         sel = histogram_threshold_scores(proj, block_size, p)
-    output = restricted_attention(query_pre, query_position, cache, sel.active_set, scale)
+    output = restricted_attention(query_pre, query_position, cache, sel, scale)
     trace = DecodeTrace(
         layer=layer,
         q_head=q_head,

@@ -70,8 +70,12 @@ def _row_angles(mat: np.ndarray, positions: np.ndarray, params: RopeParams
 
 
 def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
-    """Rotate each frequency pair of v by its angle at `position`."""
-    arr = _check_vec(v, params, "v")
+    """Rotate each frequency pair of v by its angle at `position`; v is one
+    (head_dim,) vector or an (n, head_dim) stack turned at that one position,
+    by one shared angle vector."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != params.head_dim:
+        raise ArgumentError(f"v must have length {params.head_dim}, got shape {arr.shape}")
     if position != int(position) or position < 0:
         raise ArgumentError(f"position must be a non-negative integer, got {position!r}")
     return _turn(arr, params.thetas * int(position))

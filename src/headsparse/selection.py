@@ -8,7 +8,9 @@ Two routes produce an active set:
 * sort-free: partition tokens into fixed-size blocks, keep only each
   block's log-sum-exp pair, deposit block masses into a 256-bin histogram
   keyed by block maximum, scan bins from the top until the accumulated
-  mass reaches p, and emit a block-level mask.
+  mass reaches p, and emit a block-level mask plus the kept blocks merged
+  into runs of adjacent tokens (`spans`), which attention reads as
+  contiguous slices instead of gathering rows.
 
 Both routes bin with one rule and cut with one scan (_bin_indices, _cut).
 
@@ -51,16 +53,24 @@ class BlockStats:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Active token set plus bookkeeping from the route that produced it."""
+    """Active token set plus bookkeeping from the route that produced it.
+
+    `spans`, when set, is active_set as sorted disjoint runs of adjacent
+    tokens; attention then reads slices of the cache rather than a gathered
+    copy.  Its length is the token count, not the run count."""
 
     active_set: np.ndarray            # sorted token indices
     covered_mass: float               # softmax mass of active_set, exact
     block_mask: np.ndarray | None = None
     threshold_bin: int | None = None
+    spans: tuple[slice, ...] | None = None
 
     @property
     def size(self) -> int:
         return int(self.active_set.size)
+
+    def __len__(self) -> int:
+        return self.size
 
 
 # Above this size the exact walk switches from a full sort to a candidate
@@ -194,14 +204,32 @@ def _cut(idx: np.ndarray, masses: np.ndarray, target: float) -> int:
     return max(N_BINS - 1 - reached, 0)
 
 
+def _merged_runs(starts: np.ndarray, stops: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Token-ordered disjoint blocks [starts[b], stops[b]) merged into runs:
+    a block opens a new run unless it starts where the one before it stops."""
+    opens = np.ones(starts.size, bool)
+    opens[1:] = starts[1:] != stops[:-1]
+    closes = np.append(opens[1:], True)
+    return starts[opens], stops[closes]
+
+
+def _expand_runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Every token of the runs [starts[r], stops[r]), in order: one arange
+    shifted run by run, the concatenation of the per-run aranges."""
+    lengths = stops - starts
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(lengths.sum()) + np.repeat(shift, lengths)
+
+
 def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
           p: float) -> SelectionResult:
     """The histogram route over per-block (max, shifted mass) vectors; block
-    b covers tokens [starts[b], stops[b]).
+    b covers tokens [starts[b], stops[b]), blocks in token order.
 
     Reference every block mass to the global max, bin it by its own
     maximum, cut where the top-down scan reaches p of the total, and keep
-    every block at or above the cut.
+    every block at or above the cut, merged into runs of adjacent blocks.
     """
     if not (0 < p <= 1):
         raise ArgumentError(f"p must lie in (0, 1], got {p}")
@@ -213,8 +241,10 @@ def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     if not mask.any():
         raise InternalError("histogram scan selected no block")
     covered = float(math.fsum(masses[mask]) / math.fsum(masses))
-    active = np.concatenate([np.arange(a, b) for a, b in zip(starts[mask], stops[mask])])
-    return SelectionResult(active, covered, block_mask=mask, threshold_bin=threshold)
+    run_starts, run_stops = _merged_runs(starts[mask], stops[mask])
+    spans = tuple(map(slice, run_starts.tolist(), run_stops.tolist()))
+    return SelectionResult(_expand_runs(run_starts, run_stops), covered,
+                           block_mask=mask, threshold_bin=threshold, spans=spans)
 
 
 def histogram_threshold(blocks: Sequence[BlockStats], p: float) -> SelectionResult:

@@ -32,7 +32,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
 from .record import Record
-from .rope import RopeParams, rope_rotate_many
+from .rope import RopeParams, rope_rotate, rope_rotate_many
 from .seeding import derive_rng
 
 
@@ -123,32 +123,46 @@ class KVCacheHead:
             setattr(self, name, buf)
 
     def append(self, key_pre: np.ndarray, value: np.ndarray, position: int) -> None:
-        self.extend(
-            np.asarray(key_pre)[None, :], np.asarray(value)[None, :], np.array([position])
-        )
+        """One token: extend's checks and rounding, written straight into
+        row n without going through the batch form."""
+        kp = np.asarray(key_pre, np.float64).astype(np.float32)
+        va = np.asarray(value, np.float64).astype(np.float32)
+        if kp.shape != (self.rope.head_dim,) or va.shape != kp.shape:
+            raise ArgumentError("keys/values must be (n, head_dim) and match")
+        position = int(position)
+        if position < 0 or (self._n and position <= self._positions[self._n - 1]):
+            raise ArgumentError("positions must be strictly increasing and non-negative")
+        n = self._n
+        self._grow(n + 1)
+        self._keys_pre[n] = kp
+        self._positions[n] = position
+        self._keys_post64[n] = rope_rotate(kp, position, self.rope).astype(np.float32)
+        self._values64[n] = va
+        self._n = n + 1
 
     def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray) -> None:
-        kp = np.asarray(keys_pre, np.float64)
-        va = np.asarray(values, np.float64)
+        """Batch append.  Keys and values are rounded to float32 once; the
+        rotation runs on the float32 keys widened to float64, and its result
+        is rounded to float32 before it lands in the float64 buffer."""
+        kp32 = np.asarray(keys_pre, np.float32)
+        va32 = np.asarray(values, np.float32)
         pos = np.asarray(positions, np.int64)
-        if kp.ndim != 2 or kp.shape[1] != self.rope.head_dim or kp.shape != va.shape:
+        if kp32.ndim != 2 or kp32.shape[1] != self.rope.head_dim or kp32.shape != va32.shape:
             raise ArgumentError("keys/values must be (n, head_dim) and match")
-        if pos.shape != (kp.shape[0],):
+        if pos.shape != (kp32.shape[0],):
             raise ArgumentError("positions length must match key count")
-        if kp.shape[0] == 0:
+        if kp32.shape[0] == 0:
             return
         prev = self._positions[self._n - 1] if self._n else -1
         seq = np.concatenate(([prev], pos))
         if np.any(np.diff(seq) <= 0) or pos[0] < 0:
             raise ArgumentError("positions must be strictly increasing and non-negative")
-        n0, n1 = self._n, self._n + kp.shape[0]
+        n0, n1 = self._n, self._n + kp32.shape[0]
         self._grow(n1)
-        kp32 = kp.astype(np.float32)
         self._keys_pre[n0:n1] = kp32
         self._positions[n0:n1] = pos
-        self._keys_post64[n0:n1] = rope_rotate_many(
-            kp32.astype(np.float64), pos, self.rope).astype(np.float32)
-        self._values64[n0:n1] = va.astype(np.float32)
+        self._keys_post64[n0:n1] = rope_rotate_many(kp32, pos, self.rope).astype(np.float32)
+        self._values64[n0:n1] = va32
         self._n = n1
 
     @property
@@ -185,8 +199,7 @@ def _scores(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     (G, d) queries against each selector in `rows`, one (G, n_i) block apiece."""
     if scale is None:
         scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q = np.atleast_2d(np.asarray(queries_pre, np.float64))
-    q_rot = rope_rotate_many(q, np.full(len(q), query_position), cache.rope)
+    q_rot = np.atleast_2d(rope_rotate(queries_pre, query_position, cache.rope))
     return [(q_rot @ cache.keys_post64[r].T) * scale for r in rows]
 
 

@@ -22,6 +22,7 @@ from headsparse.engine import (
 from headsparse.errors import ArgumentError
 from headsparse.indexer import ProjectedKeyCache, init_projector
 from headsparse.rope import RopeParams
+from headsparse.selection import histogram_threshold_scores
 from headsparse.workload import (
     KVCacheHead,
     dense_attention,
@@ -193,6 +194,49 @@ class TestRetrievalDecode:
         assert trace.covered_projected_mass >= 0.9
         oracle = dense_attention(q, 4095, sub_cache(cache, trace.active_set))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
+
+    def test_histogram_runs_match_gather(self):
+        """Histogram mode attends over the merged runs: the same active set as
+        the selection, and the gathered-rows output within 1e-15."""
+        rng = np.random.default_rng(9)
+        cache = random_cache(rng, 4096)
+        pkc = ProjectedKeyCache(init_projector(8, 32, seed=2))
+        n_runs = []
+        for pos in (4095, 3000, 1500):
+            for p in (0.5, 0.9):
+                q = rng.normal(size=32) * 3
+                out, trace = retrieval_head_decode(q, pos, cache, pkc, p, "histogram")
+                sel = histogram_threshold_scores(pkc.scores(cache, q, pos), 64, p)
+                assert np.array_equal(trace.active_set, sel.active_set)
+                gathered = restricted_attention(q, pos, cache, sel.active_set)
+                assert np.abs(out - gathered).max() <= 1e-15
+                n_runs.append(len(sel.spans))
+        assert max(n_runs) > 1
+
+    def test_attention_argument_counts_tokens(self, monkeypatch):
+        """Local and retrieval steps both attend through restricted_attention,
+        and len() of its fourth argument is the number of tokens attended
+        (perfbench's per-layer token means read it)."""
+        import headsparse.engine as eng
+
+        seen = []
+        original = eng.restricted_attention
+
+        def spy(query_pre, query_position, cache, active, scale=None):
+            seen.append(len(active))
+            return original(query_pre, query_position, cache, active, scale)
+
+        monkeypatch.setattr(eng, "restricted_attention", spy)
+        rng = np.random.default_rng(10)
+        cache = random_cache(rng, 2000)
+        _, active = local_head_decode(rng.normal(size=(3, 32)), 1999, cache, 64, 4)
+        assert seen == [active.size] and active.size == 68
+        pkc = ProjectedKeyCache(init_projector(8, 32, seed=3))
+        for mode in ("exact", "histogram", "top_k"):
+            _, trace = retrieval_head_decode(rng.normal(size=32), 1999, cache, pkc,
+                                             0.9, mode, top_k=50)
+            assert seen[-1] == trace.tokens_selected
+        assert len(seen) == 4
 
     def test_unknown_mode(self):
         rng = np.random.default_rng(8)

@@ -77,6 +77,17 @@ class TestRotate:
         for i in range(10):
             np.testing.assert_allclose(batch[i], rope_rotate(mat[i], int(pos[i]), params64))
 
+    def test_stack_at_one_position_matches_batch(self, params64):
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=(6, 64))
+        for pos in (0, 3, 70_000):
+            stack = rope_rotate(mat, pos, params64)
+            assert np.array_equal(stack, rope_rotate_many(mat, np.full(6, pos), params64))
+        with pytest.raises(ArgumentError):
+            rope_rotate(np.zeros((2, 2, 64)), 0, params64)
+        with pytest.raises(ArgumentError):
+            rope_rotate(np.zeros((2, 63)), 0, params64)
+
     def test_unrotate_inverts(self, params64):
         from headsparse.rope import rope_unrotate_many
 

@@ -20,6 +20,7 @@ from headsparse.selection import (
     _bin_indices,
     block_top_p_exact,
     histogram_threshold,
+    histogram_threshold_scores,
     merged_lse,
     split_merge,
     top_k_static,
@@ -453,8 +454,6 @@ class TestFastPathEquivalence:
                 assert l[b] == pair.l
 
     def test_fused_histogram_matches_object_route(self):
-        from headsparse.selection import histogram_threshold_scores
-
         rng = np.random.default_rng(75)
         for n, bs in ((640, 64), (613, 64), (50, 64), (4096, 32)):
             for p in (0.5, 0.9, 0.99):
@@ -467,11 +466,109 @@ class TestFastPathEquivalence:
                 assert fused.threshold_bin == ref.threshold_bin
 
     def test_fused_histogram_validation(self):
-        from headsparse.selection import histogram_threshold_scores
-
         with pytest.raises(ArgumentError):
             histogram_threshold_scores(np.ones(10), 0, 0.9)
         with pytest.raises(ArgumentError):
             histogram_threshold_scores(np.ones(10), 4, 0.0)
         with pytest.raises(ArgumentError):
             histogram_threshold_scores(np.array([]), 4, 0.9)
+
+
+def reference_expansion(starts, stops, mask):
+    """The kept blocks as tokens, one np.arange per block concatenated."""
+    return np.concatenate([np.arange(a, b) for a, b in zip(starts[mask], stops[mask])])
+
+
+class TestMergedRuns:
+    """The histogram route hands out its kept blocks merged into runs; the
+    runs expand to exactly the per-block token list."""
+
+    @staticmethod
+    def check(res, starts, stops):
+        ref = reference_expansion(starts, stops, res.block_mask)
+        assert res.active_set.dtype == ref.dtype
+        assert np.array_equal(res.active_set, ref)
+        assert len(res) == res.size == ref.size
+        bounds = [(sp.start, sp.stop) for sp in res.spans]
+        assert all(a < b for a, b in bounds)
+        # sorted, disjoint, and merged: a gap separates consecutive runs
+        assert all(b < a for (_, b), (a, _) in zip(bounds, bounds[1:]))
+        assert np.array_equal(np.r_[res.spans], res.active_set)
+
+    @staticmethod
+    def block_bounds(n, block_size):
+        starts = np.arange(0, n, block_size, dtype=np.int64)
+        return starts, np.minimum(starts + block_size, n)
+
+    def select(self, s, block_size, p):
+        res = histogram_threshold_scores(s, block_size, p)
+        self.check(res, *self.block_bounds(s.size, block_size))
+        return res
+
+    def test_single_block(self):
+        res = self.select(np.zeros(10), 64, 0.9)
+        assert res.spans == (slice(0, 10),)
+
+    def test_kept_ragged_tail(self):
+        s = np.full(200, -30.0)
+        s[195] = 10.0
+        res = self.select(s, 64, 0.9)
+        assert res.spans == (slice(192, 200),)
+
+    def test_all_blocks_kept(self):
+        res = self.select(np.zeros(300), 64, 0.9)
+        assert res.block_mask.all()
+        assert res.spans == (slice(0, 300),)
+
+    def test_non_adjacent_blocks(self):
+        s = np.full(640, -30.0)
+        s[[5, 70, 200, 330, 600]] = 10.0   # blocks 0, 1, 3, 5, 9
+        res = self.select(s, 64, 0.99)
+        assert res.spans == (slice(0, 128), slice(192, 256), slice(320, 384),
+                             slice(576, 640))
+
+    def test_p_one(self):
+        rng = np.random.default_rng(80)
+        s = rng.normal(size=1000) * 3
+        res = self.select(s, 64, 1.0)
+        assert res.spans == (slice(0, 1000),)
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(81)
+        for _ in range(300):
+            n = int(rng.integers(1, 3000))
+            bs = int(rng.integers(1, 100))
+            s = rng.normal(size=n) * rng.uniform(0.5, 12)
+            for p in (0.3, 0.9, 0.99):
+                self.select(s, bs, p)
+
+    def test_block_stats_route(self):
+        # histogram_threshold merges the same runs from BlockStats objects
+        rng = np.random.default_rng(82)
+        for n, bs in ((613, 64), (100, 8), (5, 4)):
+            s = rng.normal(size=n) * 6
+            blocks = block_partition_stats(s, bs)
+            res = histogram_threshold(blocks, 0.9)
+            self.check(res, *self.block_bounds(n, bs))
+            assert res.spans == histogram_threshold_scores(s, bs, 0.9).spans
+
+    def test_expansion_of_arbitrary_runs(self):
+        from headsparse.selection import _expand_runs, _merged_runs
+
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            lengths = rng.integers(1, 50, size=int(rng.integers(1, 40)))
+            gaps = rng.integers(0, 3, size=lengths.size)   # 0: adjacent blocks
+            stops = np.cumsum(lengths + gaps) + 1000
+            starts = stops - lengths
+            mask = rng.random(lengths.size) < rng.uniform(0.1, 1.0)
+            if not mask.any():
+                mask[int(rng.integers(0, mask.size))] = True
+            run_starts, run_stops = _merged_runs(starts[mask], stops[mask])
+            assert np.array_equal(_expand_runs(run_starts, run_stops),
+                                  reference_expansion(starts, stops, mask))
+
+    def test_exact_routes_have_no_spans(self):
+        s = np.random.default_rng(84).normal(size=500)
+        assert top_p_exact(s, 0.9).spans is None
+        assert top_k_static(s, 10).spans is None

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from headsparse.errors import ArgumentError
-from headsparse.rope import RopeParams, rope_rotate
+from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many
 from headsparse.workload import (
     AttentionRow,
     KVCacheHead,
     ModelGeometry,
     Workload,
     WorkloadSpec,
+    _scores,
     build_cache,
     content_band,
     default_workload_geometry,
@@ -127,6 +128,88 @@ class TestKVCacheHead:
         assert cache.visible_count(0) == 1
         assert cache.visible_count(8) == 2
         assert cache.visible_count(100) == 3
+
+
+def reference_buffers(rope, keys_pre, values, positions):
+    """The cache buffers as the batch-only store wrote them, casting through
+    float64: (keys_pre, positions, keys_post64, values64)."""
+    kp = np.asarray(keys_pre, np.float64)
+    kp32 = kp.astype(np.float32)
+    post = rope_rotate_many(kp32.astype(np.float64), positions, rope).astype(np.float32)
+    values64 = np.asarray(values, np.float64).astype(np.float32).astype(np.float64)
+    return kp32, np.asarray(positions, np.int64), post.astype(np.float64), values64
+
+
+class TestCacheWritesBitIdentical:
+    """append's one-row write and extend's single float32 cast store exactly
+    what the float64 round trips of the batch-only store did."""
+
+    @staticmethod
+    def buffers(cache):
+        return cache.keys_pre, cache.positions, cache.keys_post64, cache.values64
+
+    @staticmethod
+    def assert_identical(got, want):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_extend(self, dtype):
+        rng = np.random.default_rng(20)
+        rope = RopeParams(64, 1.0e6)
+        keys = (rng.normal(size=(300, 64)) * 12).astype(dtype)
+        vals = (rng.normal(size=(300, 64)) * 0.125).astype(dtype)
+        pos = np.arange(300) * 7 + 3
+        cache = KVCacheHead(rope, capacity=16)
+        cache.extend(keys[:100], vals[:100], pos[:100])
+        cache.extend(keys[100:], vals[100:], pos[100:])
+        self.assert_identical(self.buffers(cache), reference_buffers(rope, keys, vals, pos))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_append(self, dtype):
+        rng = np.random.default_rng(21)
+        rope = RopeParams(64, 1.0e6)
+        keys = (rng.normal(size=(80, 64)) * 12).astype(dtype)
+        vals = (rng.normal(size=(80, 64)) * 0.125).astype(dtype)
+        pos = np.arange(80) * 1000 + 5
+        cache = KVCacheHead(rope, capacity=2)
+        cache.extend(keys[:10], vals[:10], pos[:10])
+        for k, v, t in zip(keys[10:], vals[10:], pos[10:]):
+            cache.append(k, v, t)
+        self.assert_identical(self.buffers(cache), reference_buffers(rope, keys, vals, pos))
+
+    def test_append_validation(self):
+        cache = KVCacheHead(RopeParams(4))
+        with pytest.raises(ArgumentError):
+            cache.append(np.zeros(4), np.zeros(4), -1)
+        with pytest.raises(ArgumentError):
+            cache.append(np.zeros(3), np.zeros(3), 0)
+        with pytest.raises(ArgumentError):
+            cache.append(np.zeros(4), np.zeros((1, 4)), 0)
+        cache.append(np.zeros(4), np.zeros(4), 3)
+        with pytest.raises(ArgumentError):
+            cache.append(np.zeros(4), np.zeros(4), 2)
+        assert len(cache) == 1
+
+
+class TestScoresRotation:
+    @pytest.mark.parametrize("group", [None, 1, 4])
+    def test_shared_angles_match_row_rotation(self, group):
+        """_scores turns every query by one shared angle vector; the result is
+        == the per-row rotation with the position repeated for each row."""
+        rng = np.random.default_rng(22)
+        cache = KVCacheHead(RopeParams(64, 1.0e6), capacity=50)
+        cache.extend(rng.normal(size=(50, 64)), rng.normal(size=(50, 64)), np.arange(50))
+        shape = (64,) if group is None else (group, 64)
+        q = rng.normal(size=shape).astype(np.float32)
+        q2 = np.atleast_2d(q.astype(np.float64))
+        for pos in (0, 1, 49, 123_457):
+            rows = (slice(0, 20), np.array([3, 30, 41]))
+            got = _scores(q, pos, cache, rows, 0.125)
+            q_rot = rope_rotate_many(q2, np.full(len(q2), pos), cache.rope)
+            for g, r in zip(got, rows):
+                assert np.array_equal(g, (q_rot @ cache.keys_post64[r].T) * 0.125)
 
 
 class TestDenseAttention:
