@@ -216,6 +216,8 @@ def load_partitions(path: str | Path, ratio: float) -> list[HeadPartition]:
         raise ArgumentError(f"cannot read partition file {path}: {e}") from e
     if not rows:
         raise ArgumentError(f"partition file {path} is empty")
+    if sorted(rows) != list(range(len(rows))):
+        raise ArgumentError(f"{path}: layers are not 0..{len(rows) - 1}")
     partitions = []
     for layer in sorted(rows):
         by_head = rows[layer]

@@ -11,6 +11,7 @@ round-trips bit-exact by construction.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -22,6 +23,7 @@ FORMAT_NAME = "headsparse-tensors"
 FORMAT_VERSION = 1
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<i4": np.dtype("<i4")}
+_ENTRY_KEYS = {"name", "dtype", "shape", "offset", "nbytes"}
 
 
 def _canon(arr: np.ndarray) -> np.ndarray:
@@ -77,20 +79,30 @@ def load_container(stem: str | Path) -> tuple[dict[str, np.ndarray], dict[str, A
             manifest = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ArgumentError(f"cannot read manifest {stem}.json: {e}") from e
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ArgumentError(f"{stem}.json is not a {FORMAT_NAME} manifest")
+    meta = manifest.get("meta", {})
+    if not isinstance(manifest.get("tensors"), list) or not isinstance(meta, dict):
+        raise ArgumentError(f"{stem}.json lacks a tensor list or a meta object")
     try:
         blob = stem.with_suffix(".bin").read_bytes()
     except OSError as e:
         raise ArgumentError(f"cannot read payload {stem}.bin: {e}") from e
     tensors: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        dt = _DTYPES.get(entry["dtype"])
+        if (not isinstance(entry, dict) or not _ENTRY_KEYS <= entry.keys()
+                or not isinstance(entry["name"], str)):
+            raise ArgumentError(
+                f"{stem}.json: malformed tensor entry {entry!r}")
+        dt = _DTYPES.get(str(entry["dtype"]))
         if dt is None:
             raise ArgumentError(f"unsupported dtype {entry['dtype']} in manifest")
-        start, n = entry["offset"], entry["nbytes"]
-        if start + n > len(blob):
-            raise ArgumentError(f"tensor {entry['name']} overruns payload")
-        arr = np.frombuffer(blob[start : start + n], dtype=dt).reshape(entry["shape"])
-        tensors[entry["name"]] = arr.copy()
-    return tensors, manifest.get("meta", {})
+        name, shape, start, n = (entry[k] for k in ("name", "shape", "offset", "nbytes"))
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ArgumentError(f"tensor {name}: bad shape {shape!r}")
+        if type(n) is not int or n != math.prod(shape) * dt.itemsize:
+            raise ArgumentError(f"tensor {name}: nbytes {n} disagrees with shape {shape}")
+        if type(start) is not int or start < 0 or start + n > len(blob):
+            raise ArgumentError(f"tensor {name} overruns payload")
+        tensors[name] = np.frombuffer(blob[start : start + n], dtype=dt).reshape(shape).copy()
+    return tensors, meta

@@ -62,6 +62,8 @@ class Projector:
         tensors, meta = load_container(stem)
         if meta.get("kind") != "projector":
             raise ArgumentError(f"{stem} does not hold a projector")
+        if not {"w_q", "w_k"} <= tensors.keys():
+            raise ArgumentError(f"{stem} lacks tensor w_q or w_k")
         proj = Projector(tensors["w_q"], tensors["w_k"])
         if proj.r != meta.get("r"):
             raise ArgumentError(f"{stem}: manifest r disagrees with tensor shape")

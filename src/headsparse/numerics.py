@@ -1,14 +1,14 @@
-"""Softmax, log-sum-exp bookkeeping, and KL divergence.
+"""Softmax, log-sum-exp pairs, and KL divergence.
 
 Scores are stored in float32 elsewhere, but every reduction here promotes to
 float64 before accumulating and only converts back (if at all) at the edges.
-Streaming softmax state is carried as (running max, sum of shifted exps)
-pairs so partial results over different key ranges can be merged exactly.
+A score vector folds into one (max, sum of shifted exps) pair; selection's
+block table keeps one such pair per block.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,28 +55,6 @@ def lse_reduce(scores: np.ndarray) -> LsePair:
         raise ArgumentError("lse_reduce needs at least one score")
     m = float(arr.max())
     return LsePair(m, float(np.exp(arr - m).sum()))
-
-
-def lse_merge2(a: LsePair, b: LsePair) -> LsePair:
-    """Combine two streaming states as if their scores were concatenated."""
-    m = max(a.m, b.m)
-    return LsePair(m, a.l * np.exp(a.m - m) + b.l * np.exp(b.m - m))
-
-
-def lse_merge(pairs: Sequence[LsePair]) -> LsePair:
-    """Merge a non-empty sequence of streaming states into one."""
-    if len(pairs) == 0:
-        raise ArgumentError("lse_merge needs at least one pair")
-    acc = LsePair(*pairs[0])
-    for p in pairs[1:]:
-        acc = lse_merge2(acc, LsePair(*p))
-    return acc
-
-
-def log_sum_exp(scores: np.ndarray) -> float:
-    """Numerically stable log(sum(exp(scores)))."""
-    pair = lse_reduce(scores)
-    return pair.m + float(np.log(pair.l))
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:

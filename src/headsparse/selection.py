@@ -5,50 +5,36 @@ Two routes produce an active set:
 * exact: sort the token scores, walk the softmax mass until it reaches p
   (or take a fixed top-k budget); above a size cutoff only a candidate
   pool is sorted, cut from the token masses by the histogram scan below;
-* sort-free: partition tokens into fixed-size blocks, keep only each
-  block's log-sum-exp pair, deposit block masses into a 256-bin histogram
-  keyed by block maximum, scan bins from the top until the accumulated
-  mass reaches p, and emit a block-level mask plus the kept blocks merged
-  into runs of adjacent tokens (`spans`), which attention reads as
-  contiguous slices instead of gathering rows.
+* sort-free: partition tokens into fixed-size blocks and keep only each
+  block's log-sum-exp pair, one row of a `BlockTable`; deposit block
+  masses into a 256-bin histogram keyed by block maximum, scan bins from
+  the top until the accumulated mass reaches p, and emit a block-level
+  mask plus the kept blocks merged into runs of adjacent tokens (`spans`),
+  which attention reads as contiguous slices instead of gathering rows.
 
 Both routes bin with one rule and cut with one scan (_bin_indices, _cut).
 
-The histogram route touches per-block summaries only, never per-token
-values, and always includes the threshold bin whole, so its recomputed
-coverage can overshoot p but never undershoot it.
+The histogram route touches the block table only, never per-token values,
+and always includes the threshold bin whole, so its recomputed coverage
+can overshoot p but never undershoot it.  Block tables of block-aligned
+splits of a KV range concatenate (split_merge) into exactly the table of
+the unsplit range, so selection over the merged table is bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, InternalError
-from .numerics import LsePair, descending_order, lse_merge, lse_reduce, require_finite, softmax
+from .numerics import descending_order, lse_reduce, require_finite, softmax
 
 N_BINS = 256
 HIST_RANGE = 32.0  # natural-log units below the global max covered by bins
 BIN_WIDTH = HIST_RANGE / N_BINS
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """One block's summary: covered token range plus its LSE pair."""
-
-    block_index: int
-    start: int
-    length: int
-    lse: LsePair
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ArgumentError("block must contain at least one token")
-        if self.lse.l < 1.0 - 1e-12:
-            raise ArgumentError("block LSE mass below 1 (max token missing?)")
 
 
 @dataclass(frozen=True)
@@ -145,48 +131,40 @@ def top_k_static(scores: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(active, float(probs[active].sum()))
 
 
-def _block_lse(s: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block (max, shifted mass) arrays, bit-equal to lse_reduce per chunk.
+class BlockTable(NamedTuple):
+    """The block route's one summary: block b covers tokens
+    [starts[b], stops[b]) and holds the LSE pair (m[b], l[b]) of their
+    scores.  Blocks are in token order; each column is one array."""
+
+    m: np.ndarray        # block maxima
+    l: np.ndarray        # shifted block masses, sum exp(s - m[b])
+    starts: np.ndarray
+    stops: np.ndarray
+
+
+def block_table(scores: np.ndarray, block_size: int, start: int = 0) -> BlockTable:
+    """Consecutive blocks of block_size tokens; `start` is the global index
+    of the first token (used when scoring one split of a KV range).
 
     Full blocks reduce as rows of one reshaped matrix; the ragged tail is
-    folded on its own so its summation tree matches the chunked form.
+    folded by lse_reduce, so every pair is bit-equal to lse_reduce of its
+    block.
     """
-    n_full = s.size // block_size
-    parts_m, parts_l = [], []
-    if n_full:
-        mat = s[: n_full * block_size].reshape(n_full, block_size)
-        m = mat.max(axis=1)
-        parts_m.append(m)
-        parts_l.append(np.exp(mat - m[:, None]).sum(axis=1))
-    if s.size % block_size:
-        tail = lse_reduce(s[n_full * block_size :])
-        parts_m.append(np.array([tail.m]))
-        parts_l.append(np.array([tail.l]))
-    return np.concatenate(parts_m), np.concatenate(parts_l)
-
-
-def block_partition_stats(scores: np.ndarray, block_size: int,
-                          start: int = 0) -> list[BlockStats]:
-    """Consecutive blocks of block_size tokens; `start` is the global index
-    of the first token (used when scoring one split of a KV range)."""
     if block_size < 1:
         raise ArgumentError(f"block_size must be >= 1, got {block_size}")
     s = require_finite(scores, "scores")
     if s.size == 0:
         raise ArgumentError("scores must be non-empty")
-    m, l = _block_lse(s, block_size)
-    return [
-        BlockStats(b, start + off, min(block_size, s.size - off),
-                   LsePair(float(m[b]), float(l[b])))
-        for b, off in enumerate(range(0, s.size, block_size))
-    ]
-
-
-def _block_arrays(blocks: Sequence[BlockStats]) -> tuple[np.ndarray, np.ndarray]:
-    """(block maxima, shifted block masses) as float64 vectors."""
-    m = np.array([b.lse.m for b in blocks], np.float64)
-    l = np.array([b.lse.l for b in blocks], np.float64)
-    return m, l
+    n_full = s.size // block_size
+    mat = s[: n_full * block_size].reshape(n_full, block_size)
+    m = mat.max(axis=1)
+    l = np.exp(mat - m[:, None]).sum(axis=1)
+    if s.size % block_size:
+        tail = lse_reduce(s[n_full * block_size :])
+        m, l = np.append(m, tail.m), np.append(l, tail.l)
+    starts = np.arange(m.size, dtype=np.int64) * block_size
+    return BlockTable(m, l, start + starts,
+                      start + np.minimum(starts + block_size, s.size))
 
 
 def _bin_indices(m: np.ndarray, m_star: float) -> np.ndarray:
@@ -222,10 +200,8 @@ def _expand_runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(shift, lengths)
 
 
-def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-          p: float) -> SelectionResult:
-    """The histogram route over per-block (max, shifted mass) vectors; block
-    b covers tokens [starts[b], stops[b]), blocks in token order.
+def histogram_threshold(table: BlockTable, p: float) -> SelectionResult:
+    """The histogram route over a block table.
 
     Reference every block mass to the global max, bin it by its own
     maximum, cut where the top-down scan reaches p of the total, and keep
@@ -233,6 +209,9 @@ def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     """
     if not (0 < p <= 1):
         raise ArgumentError(f"p must lie in (0, 1], got {p}")
+    m, l, starts, stops = table
+    if m.size == 0:
+        raise ArgumentError("no blocks to select from")
     m_star = float(m.max())
     masses = l * np.exp(m - m_star)
     idx = _bin_indices(m, m_star)
@@ -247,86 +226,51 @@ def _scan(m: np.ndarray, l: np.ndarray, starts: np.ndarray, stops: np.ndarray,
                            block_mask=mask, threshold_bin=threshold, spans=spans)
 
 
-def histogram_threshold(blocks: Sequence[BlockStats], p: float) -> SelectionResult:
-    """Histogram selection over block stats listed in token order (as
-    block_partition_stats and split_merge produce them)."""
-    if len(blocks) == 0:
-        raise ArgumentError("no blocks to select from")
-    m, l = _block_arrays(blocks)
-    starts = np.array([b.start for b in blocks], np.int64)
-    stops = starts + np.array([b.length for b in blocks], np.int64)
-    return _scan(m, l, starts, stops, p)
-
-
 def histogram_threshold_scores(scores: np.ndarray, block_size: int,
                                p: float) -> SelectionResult:
-    """Sort-free selection straight from a raw score vector.
-
-    Same result as block_partition_stats followed by histogram_threshold,
-    without materialising per-block objects on every decode step.
-    """
-    if block_size < 1:
-        raise ArgumentError(f"block_size must be >= 1, got {block_size}")
-    s = require_finite(scores, "scores")
-    if s.size == 0:
-        raise ArgumentError("scores must be non-empty")
-    m, l = _block_lse(s, block_size)
-    starts = np.arange(m.size, dtype=np.int64) * block_size
-    return _scan(m, l, starts, np.minimum(starts + block_size, s.size), p)
+    """Sort-free selection straight from a raw score vector."""
+    return histogram_threshold(block_table(scores, block_size), p)
 
 
-def block_top_p_exact(blocks: Sequence[BlockStats], p: float) -> int:
+def block_top_p_exact(table: BlockTable, p: float) -> int:
     """Reference for the overshoot bound: number of blocks an exact
     block-level walk (descending block max, ties to lower index) needs
     before cumulative mass reaches p."""
     if not (0 < p <= 1):
         raise ArgumentError(f"p must lie in (0, 1], got {p}")
-    if len(blocks) == 0:
+    if table.m.size == 0:
         raise ArgumentError("no blocks")
-    m, l = _block_arrays(blocks)
-    masses = l * np.exp(m - float(m.max()))
-    order = descending_order(m)
+    masses = table.l * np.exp(table.m - float(table.m.max()))
+    order = descending_order(table.m)
     target = p * float(masses.sum())
     cum = 0.0
     for count, b in enumerate(order, start=1):
         cum += float(masses[b])
         if cum >= target:
             return count
-    return len(blocks)
+    return int(table.m.size)
 
 
-def split_merge(partials: Sequence[Sequence[BlockStats]]) -> list[BlockStats]:
-    """Fuse per-split block stats into the single-list equivalent.
+def split_merge(tables: Sequence[BlockTable]) -> BlockTable:
+    """Fuse per-split block tables into the whole-range table.
 
     Splits must cover contiguous, ordered, non-overlapping ranges and be
-    block-aligned, so the result is identical to block stats computed on
-    the unsplit vector.
+    block-aligned, so the result is identical to the block table computed
+    on the unsplit vector.
     """
-    if len(partials) == 0:
+    if len(tables) == 0:
         raise ArgumentError("no splits to merge")
-    flat: list[BlockStats] = []
-    for split in partials:
-        if len(split) == 0:
-            raise ArgumentError("empty split")
-        flat.extend(split)
-    expect = flat[0].start
-    for b in flat:
-        if b.start != expect:
-            raise ArgumentError(
-                f"splits overlap or leave a gap at token {expect} (got start {b.start})"
-            )
-        expect = b.start + b.length
-    block_size = flat[0].length
-    for b in flat[:-1]:
-        if b.length != block_size:
-            raise ArgumentError("split boundaries are not block-aligned")
-    if flat[-1].length > block_size:
+    if any(t.m.size == 0 for t in tables):
+        raise ArgumentError("empty split")
+    merged = BlockTable._make(map(np.concatenate, zip(*tables)))
+    gaps = np.flatnonzero(merged.starts[1:] != merged.stops[:-1])
+    if gaps.size:
+        b = int(gaps[0])
+        raise ArgumentError(
+            f"splits overlap or leave a gap at token {merged.stops[b]} "
+            f"(got start {merged.starts[b + 1]})"
+        )
+    lengths = merged.stops - merged.starts
+    if np.any(lengths[:-1] != lengths[0]) or lengths[-1] > lengths[0]:
         raise ArgumentError("split boundaries are not block-aligned")
-    return [
-        BlockStats(i, b.start, b.length, b.lse) for i, b in enumerate(flat)
-    ]
-
-
-def merged_lse(blocks: Sequence[BlockStats]) -> LsePair:
-    """Whole-vector LSE pair implied by the block stats."""
-    return lse_merge([b.lse for b in blocks])
+    return merged

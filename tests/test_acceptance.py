@@ -43,7 +43,7 @@ from headsparse.selection import (
     BIN_WIDTH,
     HIST_RANGE,
     N_BINS,
-    block_partition_stats,
+    block_table,
     block_top_p_exact,
     histogram_threshold,
     split_merge,
@@ -191,8 +191,8 @@ def test_criterion_03_histogram_coverage_and_overshoot(capsys):
             n = int(rng.integers(8, 1200))
             s = rng.normal(size=n) * rng.uniform(0.5, 8)
             bs = int(rng.choice([16, 32, 64]))
-            blocks = block_partition_stats(s, bs)
-            m = np.array([b.lse.m for b in blocks])
+            blocks = block_table(s, bs)
+            m = blocks.m
             bins = np.clip(
                 ((m - (m.max() - HIST_RANGE)) / BIN_WIDTH).astype(int),
                 0, N_BINS - 1,
@@ -222,11 +222,11 @@ def test_criterion_04_split_merge_equivalence(capsys):
             )
             bounds = [0] + [int(c) * bs for c in cuts] + [n]
             merged = split_merge([
-                block_partition_stats(s[a:b], bs, start=a)
+                block_table(s[a:b], bs, start=a)
                 for a, b in zip(bounds, bounds[1:])
             ])
-            direct = block_partition_stats(s, bs)
-            assert merged == direct
+            direct = block_table(s, bs)
+            assert all(np.array_equal(x, y) for x, y in zip(merged, direct))
             p = float(rng.uniform(0.3, 0.995))
             got = histogram_threshold(merged, p)
             ref = histogram_threshold(direct, p)

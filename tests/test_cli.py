@@ -262,6 +262,30 @@ class TestRun:
         cfg = write_config(tmp_path, out)
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("edit", ["shape", "no_tensors", "renamed_tensor"])
+    def test_malformed_projector_manifest_exits_2(self, artifacts, tmp_path, edit):
+        out = clone_artifacts(artifacts, tmp_path)
+        path = out / "projector-L0H1.json"
+        manifest = json.loads(path.read_text())
+        if edit == "shape":
+            manifest["tensors"][0]["shape"][0] += 1   # disagrees with nbytes
+        elif edit == "no_tensors":
+            del manifest["tensors"]
+        else:
+            manifest["tensors"][0]["name"] = "w_query"
+        path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path, out)
+        assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_partition_layers_not_from_zero_exit_2(self, artifacts, tmp_path):
+        out = clone_artifacts(artifacts, tmp_path)
+        path = out / "partition.csv"
+        lines = path.read_text().splitlines()
+        assert all(line.startswith("0,") for line in lines[1:])
+        path.write_text("\n".join([lines[0]] + ["3," + line[2:] for line in lines[1:]]) + "\n")
+        cfg = write_config(tmp_path, out)
+        assert main(["run", "--config", str(cfg)]) == 2
+
     def test_top_k_mode_without_budget_exits_2(self, artifacts, tmp_path):
         out = clone_artifacts(artifacts, tmp_path)
         cfg = write_config(tmp_path, out)

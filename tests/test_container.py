@@ -71,3 +71,25 @@ def test_truncated_payload_detected(tmp_path):
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(ArgumentError):
         save_container(tmp_path / "t", {"x": np.zeros(2, dtype=np.complex64)})
+
+
+MANIFEST_EDITS = {
+    "shape_vs_nbytes": lambda m: m["tensors"][0].update(shape=[3, 2]),
+    "no_directory": lambda m: m.pop("tensors"),
+    "entry_key_missing": lambda m: m["tensors"][0].pop("offset"),
+    "shape_not_list": lambda m: m["tensors"][0].update(shape="2x2"),
+    "float_nbytes": lambda m: m["tensors"][0].update(nbytes=16.0),
+    "name_not_string": lambda m: m["tensors"][0].update(name=["x"]),
+    "meta_not_object": lambda m: m.update(meta=[1]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MANIFEST_EDITS))
+def test_malformed_manifest_is_argument_error(tmp_path, edit):
+    save_container(tmp_path / "t", {"x": np.zeros((2, 2), np.float32)}, meta={"k": 1})
+    path = tmp_path / "t.json"
+    manifest = json.loads(path.read_text())
+    MANIFEST_EDITS[edit](manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ArgumentError):
+        load_container(tmp_path / "t")

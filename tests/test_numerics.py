@@ -8,15 +8,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from headsparse.errors import ArgumentError, NumericError
 from headsparse.numerics import (
     LsePair,
     kl_divergence,
-    log_sum_exp,
-    lse_merge,
     lse_reduce,
     softmax,
 )
@@ -64,29 +62,9 @@ class TestLse:
         assert pair.m == pytest.approx(LN4)
         assert pair.l == pytest.approx(2.0)
 
-    def test_merge_equal_maxima(self):
-        assert lse_merge([LsePair(0.0, 1.0), LsePair(0.0, 1.0)]) == LsePair(0.0, 2.0)
-
-    def test_merge_hand_value(self):
-        # masses 4 and 3 under max ln4: total 7 = 4 * 1.75.
-        merged = lse_merge([LsePair(LN4, 1.0), LsePair(0.0, 3.0)])
-        assert merged.m == pytest.approx(LN4)
-        assert merged.l == pytest.approx(1.75)
-
-    def test_merge_single_is_identity(self):
-        p = LsePair(1.5, 2.5)
-        assert lse_merge([p]) == p
-
     def test_empty_inputs_rejected(self):
         with pytest.raises(ArgumentError):
             lse_reduce(np.array([]))
-        with pytest.raises(ArgumentError):
-            lse_merge([])
-
-    def test_log_sum_exp_matches_naive(self):
-        rng = np.random.default_rng(7)
-        s = rng.normal(size=40) * 10
-        assert log_sum_exp(s) == pytest.approx(np.log(np.exp(s).sum()), rel=1e-12)
 
 
 class TestKl:
@@ -131,17 +109,6 @@ class TestProperties:
         s = np.array(scores)
         pair = lse_reduce(s)
         assert np.exp(pair.m) * pair.l == pytest.approx(np.exp(s).sum(), rel=1e-6)
-
-    @settings(max_examples=200)
-    @given(finite_scores, st.integers(min_value=0, max_value=63))
-    def test_merge_over_partition_matches_whole(self, scores, cut_raw):
-        s = np.array(scores)
-        cut = min(cut_raw, len(s) - 1) + 1 if len(s) > 1 else 1
-        parts = [s[:cut], s[cut:]] if cut < len(s) else [s]
-        merged = lse_merge([lse_reduce(p) for p in parts if p.size])
-        whole = lse_reduce(s)
-        assert merged.m == whole.m
-        assert merged.l == pytest.approx(whole.l, rel=1e-10)
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=32))
     def test_kl_nonnegative_and_zero_on_self(self, raw):

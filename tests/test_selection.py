@@ -1,4 +1,4 @@
-"""Selection tests: exact top-p / top-k, block stats, the histogram
+"""Selection tests: exact top-p / top-k, the block table, the histogram
 threshold path, and split merging."""
 
 import math
@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headsparse.errors import ArgumentError
-from headsparse.numerics import LsePair, lse_reduce, softmax
+from headsparse.numerics import lse_reduce, softmax
 from headsparse.selection import (
     BIN_WIDTH,
     HIST_RANGE,
     N_BINS,
-    BlockStats,
+    BlockTable,
     SelectionResult,
-    block_partition_stats,
     _bin_indices,
+    block_table,
     block_top_p_exact,
     histogram_threshold,
     histogram_threshold_scores,
-    merged_lse,
     split_merge,
     top_k_static,
     top_p_exact,
@@ -104,56 +103,59 @@ class TestTopKStatic:
             assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
+def table(*rows):
+    """A BlockTable from (start, length, m, l) rows."""
+    starts, lengths, m, l = (np.array(col) for col in zip(*rows))
+    return BlockTable(m.astype(np.float64), l.astype(np.float64),
+                      starts, starts + lengths)
+
+
+def tables_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestBlockPartition:
     def test_single_block(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=64)
-        blocks = block_partition_stats(s, 64)
-        assert len(blocks) == 1
-        assert blocks[0].length == 64
-        assert blocks[0].lse == lse_reduce(s)
+        t = block_table(s, 64)
+        assert t.m.size == 1
+        assert (t.stops - t.starts).tolist() == [64]
+        assert (t.m[0], t.l[0]) == lse_reduce(s)
 
     def test_130_tokens_block_64(self):
-        blocks = block_partition_stats(np.zeros(130), 64)
-        assert [b.length for b in blocks] == [64, 64, 2]
-        assert [b.start for b in blocks] == [0, 64, 128]
-        assert [b.block_index for b in blocks] == [0, 1, 2]
+        t = block_table(np.zeros(130), 64)
+        assert (t.stops - t.starts).tolist() == [64, 64, 2]
+        assert t.starts.tolist() == [0, 64, 128]
 
     def test_merge_matches_whole(self):
         rng = np.random.default_rng(5)
         s = rng.normal(size=300) * 5
-        blocks = block_partition_stats(s, 64)
+        t = block_table(s, 64)
         whole = lse_reduce(s)
-        merged = merged_lse(blocks)
-        assert merged.m == whole.m
-        assert merged.l == pytest.approx(whole.l, rel=1e-10)
+        m = float(t.m.max())
+        assert m == whole.m
+        assert float(np.sum(t.l * np.exp(t.m - m))) == pytest.approx(whole.l, rel=1e-10)
 
     def test_start_offsets(self):
-        blocks = block_partition_stats(np.zeros(10), 4, start=100)
-        assert [b.start for b in blocks] == [100, 104, 108]
+        t = block_table(np.zeros(10), 4, start=100)
+        assert t.starts.tolist() == [100, 104, 108]
+        assert t.stops.tolist() == [104, 108, 110]
 
     def test_empty_rejected(self):
         with pytest.raises(ArgumentError):
-            block_partition_stats(np.array([]), 64)
-
-    def test_invalid_block_stats(self):
-        with pytest.raises(ArgumentError):
-            BlockStats(0, 0, 0, LsePair(0.0, 1.0))
-        with pytest.raises(ArgumentError):
-            BlockStats(0, 0, 4, LsePair(0.0, 0.5))
+            block_table(np.array([]), 64)
 
 
-def hist_mass(blocks, mask):
-    m_star = max(b.lse.m for b in blocks)
-    masses = [b.lse.l * math.exp(b.lse.m - m_star) for b in blocks]
+def hist_mass(t, mask):
+    masses = [l * math.exp(m - float(t.m.max())) for m, l in zip(t.m, t.l)]
     total = math.fsum(masses)
     return math.fsum(m for m, keep in zip(masses, mask) if keep) / total
 
 
 class TestHistogramThreshold:
     def test_single_block(self):
-        blocks = block_partition_stats(np.zeros(10), 64)
-        res = histogram_threshold(blocks, 0.9)
+        res = histogram_threshold(block_table(np.zeros(10), 64), 0.9)
         assert res.block_mask.tolist() == [True]
         assert res.covered_mass == pytest.approx(1.0)
         assert res.active_set.tolist() == list(range(10))
@@ -161,10 +163,7 @@ class TestHistogramThreshold:
     def test_two_block_hand_case(self):
         # Masses 19 and e * e^{-1} = 1: fractions 0.95 / 0.05, with block
         # maxima 1.0 apart = 8 bins.  p = 0.9 keeps only the heavy block.
-        blocks = [
-            BlockStats(0, 0, 64, LsePair(0.0, 19.0)),
-            BlockStats(1, 64, 64, LsePair(-1.0, math.e)),
-        ]
+        blocks = table((0, 64, 0.0, 19.0), (64, 64, -1.0, math.e))
         res = histogram_threshold(blocks, 0.9)
         assert res.block_mask.tolist() == [True, False]
         assert res.covered_mass == pytest.approx(0.95, abs=1e-12)
@@ -172,11 +171,11 @@ class TestHistogramThreshold:
 
     def test_shared_bin_selects_all(self):
         # Maxima within one bin width land in the same bin.
-        blocks = [
-            BlockStats(0, 0, 8, LsePair(0.0, 3.0)),
-            BlockStats(1, 8, 8, LsePair(-BIN_WIDTH / 3, 2.0)),
-            BlockStats(2, 16, 8, LsePair(-BIN_WIDTH / 2.5, 1.0)),
-        ]
+        blocks = table(
+            (0, 8, 0.0, 3.0),
+            (8, 8, -BIN_WIDTH / 3, 2.0),
+            (16, 8, -BIN_WIDTH / 2.5, 1.0),
+        )
         for p in (0.1, 0.5, 0.99):
             res = histogram_threshold(blocks, p)
             assert res.block_mask.all()
@@ -185,7 +184,7 @@ class TestHistogramThreshold:
         rng = np.random.default_rng(6)
         for _ in range(200):
             s = rng.normal(size=int(rng.integers(5, 400))) * rng.uniform(0.5, 8)
-            blocks = block_partition_stats(s, 16)
+            blocks = block_table(s, 16)
             for p in (0.5, 0.9, 0.99):
                 res = histogram_threshold(blocks, p)
                 assert res.covered_mass >= p
@@ -195,11 +194,11 @@ class TestHistogramThreshold:
         rng = np.random.default_rng(7)
         for _ in range(200):
             s = rng.normal(size=int(rng.integers(30, 500))) * rng.uniform(0.5, 6)
-            blocks = block_partition_stats(s, 16)
+            blocks = block_table(s, 16)
             p = float(rng.uniform(0.3, 0.99))
             res = histogram_threshold(blocks, p)
             exact_count = block_top_p_exact(blocks, p)
-            m = np.array([b.lse.m for b in blocks])
+            m = blocks.m
             m_star = m.max()
             idx = np.clip(((m - (m_star - HIST_RANGE)) / BIN_WIDTH).astype(int), 0, N_BINS - 1)
             in_threshold_bin = int((idx == res.threshold_bin).sum())
@@ -212,77 +211,98 @@ class TestHistogramThreshold:
 
     def test_p_one_reaches_every_representable_block(self):
         # p = 1 needs every scrap of f64-visible mass, even 20 logs down.
-        blocks = [
-            BlockStats(0, 0, 4, LsePair(0.0, 2.0)),
-            BlockStats(1, 4, 4, LsePair(-20.0, 3.0)),
-        ]
-        res = histogram_threshold(blocks, 1.0)
+        res = histogram_threshold(table((0, 4, 0.0, 2.0), (4, 4, -20.0, 3.0)), 1.0)
         assert res.block_mask.all()
         assert res.covered_mass == pytest.approx(1.0)
 
     def test_mask_consistent_with_active_set(self):
         rng = np.random.default_rng(8)
         s = rng.normal(size=200)
-        blocks = block_partition_stats(s, 32)
+        blocks = block_table(s, 32)
         res = histogram_threshold(blocks, 0.8)
         expect = []
-        for b, keep in zip(blocks, res.block_mask):
+        for a, b, keep in zip(blocks.starts, blocks.stops, res.block_mask):
             if keep:
-                expect.extend(range(b.start, b.start + b.length))
+                expect.extend(range(a, b))
         assert res.active_set.tolist() == expect
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(ArgumentError):
-            histogram_threshold([], 0.9)
+            histogram_threshold(BlockTable(*[np.empty(0)] * 4), 0.9)
 
 
 class TestSplitMerge:
     def test_single_split_identity(self):
         s = np.random.default_rng(9).normal(size=100)
-        blocks = block_partition_stats(s, 32)
-        assert split_merge([blocks]) == blocks
+        blocks = block_table(s, 32)
+        assert tables_equal(split_merge([blocks]), blocks)
 
     def test_two_splits_match_unsplit(self):
         s = np.random.default_rng(10).normal(size=256)
-        left = block_partition_stats(s[:128], 64, start=0)
-        right = block_partition_stats(s[128:], 64, start=128)
+        left = block_table(s[:128], 64, start=0)
+        right = block_table(s[128:], 64, start=128)
         merged = split_merge([left, right])
-        assert merged == block_partition_stats(s, 64)
+        assert tables_equal(merged, block_table(s, 64))
 
     def test_selection_identical_after_merge(self):
         rng = np.random.default_rng(11)
         s = rng.normal(size=500) * 4
         cut = 192
         merged = split_merge([
-            block_partition_stats(s[:cut], 64, start=0),
-            block_partition_stats(s[cut:], 64, start=cut),
+            block_table(s[:cut], 64, start=0),
+            block_table(s[cut:], 64, start=cut),
         ])
-        direct = block_partition_stats(s, 64)
+        direct = block_table(s, 64)
         a = histogram_threshold(merged, 0.9)
         b = histogram_threshold(direct, 0.9)
         np.testing.assert_array_equal(a.active_set, b.active_set)
         np.testing.assert_array_equal(a.block_mask, b.block_mask)
         assert a.covered_mass == b.covered_mass
 
+    def test_merged_spans_match_whole(self):
+        # Splits of a KV range that starts at token `base` and ends in a
+        # ragged block: the merged selection's runs are the whole vector's
+        # runs shifted by base.
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            bs = int(rng.choice([1, 7, 16, 64]))
+            n_blocks = int(rng.integers(2, 40))
+            n = n_blocks * bs - int(rng.integers(1, bs)) if bs > 1 else n_blocks
+            s = rng.normal(size=n) * rng.uniform(0.5, 8)
+            base = bs * int(rng.integers(1, 50))
+            cuts = np.sort(rng.choice(np.arange(1, n_blocks),
+                                      size=min(3, n_blocks - 1), replace=False))
+            bounds = [0] + [int(c) * bs for c in cuts] + [n]
+            merged = split_merge([
+                block_table(s[a:b], bs, start=base + a)
+                for a, b in zip(bounds, bounds[1:])
+            ])
+            for p in (0.3, 0.9, 0.99, 1.0):
+                got = histogram_threshold(merged, p)
+                whole = histogram_threshold_scores(s, bs, p)
+                assert got.spans == tuple(slice(sp.start + base, sp.stop + base)
+                                          for sp in whole.spans)
+                assert np.array_equal(got.active_set, whole.active_set + base)
+
     def test_gap_rejected(self):
         s = np.zeros(256)
-        left = block_partition_stats(s[:64], 64, start=0)
-        right = block_partition_stats(s[128:], 64, start=128)
-        with pytest.raises(ArgumentError):
+        left = block_table(s[:64], 64, start=0)
+        right = block_table(s[128:], 64, start=128)
+        with pytest.raises(ArgumentError, match="gap at token 64"):
             split_merge([left, right])
 
     def test_overlap_rejected(self):
         s = np.zeros(256)
-        left = block_partition_stats(s[:128], 64, start=0)
-        right = block_partition_stats(s[64:], 64, start=64)
-        with pytest.raises(ArgumentError):
+        left = block_table(s[:128], 64, start=0)
+        right = block_table(s[64:], 64, start=64)
+        with pytest.raises(ArgumentError, match="overlap"):
             split_merge([left, right])
 
     def test_unaligned_rejected(self):
         s = np.zeros(200)
-        left = block_partition_stats(s[:100], 64, start=0)   # 64 + 36: not aligned
-        right = block_partition_stats(s[100:], 64, start=100)
-        with pytest.raises(ArgumentError):
+        left = block_table(s[:100], 64, start=0)   # 64 + 36: not aligned
+        right = block_table(s[100:], 64, start=100)
+        with pytest.raises(ArgumentError, match="block-aligned"):
             split_merge([left, right])
 
     def test_empty_list_rejected(self):
@@ -297,8 +317,7 @@ class TestSelectionProperties:
         st.sampled_from([0.5, 0.9, 0.99]),
     )
     def test_histogram_coverage_property(self, raw, p):
-        blocks = block_partition_stats(np.array(raw), 16)
-        res = histogram_threshold(blocks, p)
+        res = histogram_threshold(block_table(np.array(raw), 16), p)
         assert res.covered_mass >= p
 
     @settings(max_examples=100)
@@ -308,8 +327,7 @@ class TestSelectionProperties:
         # route selects for the same p.
         s = np.array(raw)
         exact = top_p_exact(s, 0.9)
-        blocks = block_partition_stats(s, 8)
-        hist = histogram_threshold(blocks, 0.9)
+        hist = histogram_threshold(block_table(s, 8), 0.9)
         assert exact.size <= hist.size
 
 
@@ -341,8 +359,6 @@ class TestScanReference:
 
     @pytest.mark.parametrize("maxima", ["random", "tied", "all_equal"])
     def test_scan_matches_reference(self, maxima):
-        from headsparse.selection import _scan
-
         rng = np.random.default_rng(76)
         for _ in range(300):
             n = int(rng.integers(1, 700))
@@ -355,7 +371,7 @@ class TestScanReference:
             l = rng.uniform(1.0, 64.0, size=n)
             starts = np.arange(n, dtype=np.int64) * 4
             for p in (0.1, 0.5, 0.9, 0.99, 1.0):
-                res = _scan(m, l, starts, starts + 4, p)
+                res = histogram_threshold(BlockTable(m, l, starts, starts + 4), p)
                 threshold, mask, covered = reference_scan(m, l, p)
                 assert res.threshold_bin == threshold
                 assert np.array_equal(res.block_mask, mask)
@@ -442,28 +458,14 @@ class TestFastPathEquivalence:
         assert res.covered_mass == ref.covered_mass
 
     def test_block_lse_bitwise(self):
-        from headsparse.selection import _block_lse
-
         rng = np.random.default_rng(74)
         for n, bs in ((640, 64), (613, 64), (40, 64), (129, 16)):
             s = rng.normal(size=n) * 4
-            m, l = _block_lse(s, bs)
-            for b in range(m.size):
+            t = block_table(s, bs)
+            for b in range(t.m.size):
                 pair = lse_reduce(s[b * bs : min((b + 1) * bs, n)])
-                assert m[b] == pair.m
-                assert l[b] == pair.l
-
-    def test_fused_histogram_matches_object_route(self):
-        rng = np.random.default_rng(75)
-        for n, bs in ((640, 64), (613, 64), (50, 64), (4096, 32)):
-            for p in (0.5, 0.9, 0.99):
-                s = rng.normal(size=n) * rng.uniform(1, 6)
-                ref = histogram_threshold(block_partition_stats(s, bs), p)
-                fused = histogram_threshold_scores(s, bs, p)
-                assert np.array_equal(fused.active_set, ref.active_set)
-                assert fused.covered_mass == ref.covered_mass
-                assert np.array_equal(fused.block_mask, ref.block_mask)
-                assert fused.threshold_bin == ref.threshold_bin
+                assert t.m[b] == pair.m
+                assert t.l[b] == pair.l
 
     def test_fused_histogram_validation(self):
         with pytest.raises(ArgumentError):
@@ -543,14 +545,16 @@ class TestMergedRuns:
                 self.select(s, bs, p)
 
     def test_block_stats_route(self):
-        # histogram_threshold merges the same runs from BlockStats objects
+        # a table that starts at token 1000 merges the same runs, shifted
         rng = np.random.default_rng(82)
         for n, bs in ((613, 64), (100, 8), (5, 4)):
             s = rng.normal(size=n) * 6
-            blocks = block_partition_stats(s, bs)
+            blocks = block_table(s, bs, start=1000)
             res = histogram_threshold(blocks, 0.9)
-            self.check(res, *self.block_bounds(n, bs))
-            assert res.spans == histogram_threshold_scores(s, bs, 0.9).spans
+            self.check(res, blocks.starts, blocks.stops)
+            assert res.spans == tuple(
+                slice(sp.start + 1000, sp.stop + 1000)
+                for sp in histogram_threshold_scores(s, bs, 0.9).spans)
 
     def test_expansion_of_arbitrary_runs(self):
         from headsparse.selection import _expand_runs, _merged_runs
