@@ -7,7 +7,9 @@ score is the mean attention mass the late-span rows place on the early
 span; the top `ratio` share of heads by that score forms the retrieval set.
 
 Calibration here always runs on caches whose positions are 0..L-1, so a
-token's cache slot equals its position.
+token's cache slot equals its position.  Each KV head's cache is built
+from the workload's one cos/sin table, and the late-span rows of all its
+query heads are scored in one causally masked product, weights only.
 """
 
 from __future__ import annotations
@@ -15,20 +17,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ArgumentError
-from .numerics import descending_order
-from .workload import (
-    AttentionRow,
-    KVCacheHead,
-    Workload,
-    build_cache,
-    dense_attention,
-    qhead_to_kvhead,
-)
+from .numerics import descending_order, softmax
+from .rope import rope_rotate_many, rope_table
+from .workload import KVCacheHead, Workload, build_cache_prefix
 
 
 @dataclass(frozen=True)
@@ -92,18 +88,18 @@ def build_calibration_sequence(document: np.ndarray, needle: np.ndarray
     return stream, layout
 
 
-def retrieval_score(attn: Sequence[AttentionRow], layout: NeedleLayout) -> float:
-    """Mean late-row attention mass landing on the early span."""
-    by_pos = {row.query_position: row for row in attn}
+def retrieval_score(weights: Mapping[int, np.ndarray], layout: NeedleLayout) -> float:
+    """Mean late-row attention mass on the early span; `weights` maps a
+    late position to its attention row over positions 0, 1, ..."""
     pre = np.asarray(layout.n_pre)
     total = 0.0
     for t in layout.n_post:
-        row = by_pos.get(t)
+        row = weights.get(t)
         if row is None:
             raise ArgumentError(f"attention row for position {t} missing")
-        if len(row.weights) <= max(layout.n_pre):
+        if len(row) <= max(layout.n_pre):
             raise ArgumentError(f"row at {t} does not cover the early span")
-        total += float(np.sum(np.asarray(row.weights, np.float64)[pre]))
+        total += float(np.sum(np.asarray(row, np.float64)[pre]))
     score = total / len(layout.n_post)
     # Rows are probability vectors, so the mean mass cannot leave [0, 1];
     # clip only float dust.
@@ -134,22 +130,42 @@ def partition_heads(scores: Sequence[float], ratio: float) -> HeadPartition:
     )
 
 
-def layout_from_workload(workload: Workload) -> NeedleLayout:
-    ann = workload.annotations
-    return NeedleLayout(ann.n_pre, ann.n_post, workload.seq_len)
+def group_retrieval_scores(workload: Workload, layer: int, kv_head: int,
+                           cache: KVCacheHead) -> list[float]:
+    """R of each query head that shares `kv_head`, whose cache holds
+    positions 0..L-1.  The group's late-span rows are scored in one product
+    against the keys up to the last late position; entries after a row's
+    own position are masked to -inf, so its softmax gives them weight 0."""
+    geo, ann = workload.geometry, workload.annotations
+    layout = NeedleLayout(ann.n_pre, ann.n_post, workload.seq_len)
+    post = np.asarray(layout.n_post)
+    n = int(post.max()) + 1
+    if len(cache) < n:
+        raise ArgumentError(f"cache holds {len(cache)} tokens; calibration needs {n}")
+    heads = slice(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
+    queries = workload.queries[layer, heads][:, post].reshape(-1, geo.head_dim)
+    positions = np.tile(post, geo.group_size)
+    q_rot = rope_rotate_many(queries, positions, geo.rope)
+    scores = (q_rot @ cache.keys_post64[:n].T) * geo.scale
+    scores[np.arange(n)[None, :] > positions[:, None]] = -np.inf
+    rows = softmax(scores).reshape(geo.group_size, len(post), n)
+    return [retrieval_score(dict(zip(layout.n_post, w)), layout) for w in rows]
 
 
-def head_retrieval_score(workload: Workload, layer: int, q_head: int,
-                         cache: KVCacheHead | None = None) -> float:
-    """Dense rows at the late-span positions for one head, reduced to R."""
-    layout = layout_from_workload(workload)
-    if cache is None:
-        cache = build_cache(workload, layer, qhead_to_kvhead(workload.geometry, q_head))
-    rows = [
-        dense_attention(workload.queries[layer, q_head, t], t, cache)
-        for t in layout.n_post
-    ]
-    return retrieval_score(rows, layout)
+def _head_scores(workload: Workload) -> np.ndarray:
+    """(n_layers, n_q_heads) retrieval scores of one workload.  Its caches
+    are built from one cos/sin table, one at a time: each is an argument
+    only, so none outlives the scoring of its group."""
+    geo, n = workload.geometry, workload.seq_len
+    table = rope_table(np.arange(n), geo.rope)
+    return np.array([
+        np.concatenate([
+            group_retrieval_scores(
+                workload, layer, g, build_cache_prefix(workload, layer, g, n, table))
+            for g in range(geo.n_kv_heads)
+        ])
+        for layer in range(geo.n_layers)
+    ])
 
 
 def calibrate(workloads: Workload | Iterable[Workload],
@@ -165,21 +181,10 @@ def calibrate(workloads: Workload | Iterable[Workload],
     geo = wls[0].geometry
     if ratio is None:
         ratio = geo.retrieval_ratio
-    partitions = []
-    for layer in range(geo.n_layers):
-        scores = np.zeros(geo.n_q_heads)
-        for w in wls:
-            if w.geometry != geo:
-                raise ArgumentError("all calibration workloads must share a geometry")
-            caches = {
-                g: build_cache(w, layer, g) for g in range(geo.n_kv_heads)
-            }
-            for h in range(geo.n_q_heads):
-                scores[h] += head_retrieval_score(
-                    w, layer, h, caches[qhead_to_kvhead(geo, h)]
-                )
-        partitions.append(partition_heads(scores / len(wls), ratio))
-    return partitions
+    if any(w.geometry != geo for w in wls):
+        raise ArgumentError("all calibration workloads must share a geometry")
+    scores = sum(_head_scores(w) for w in wls)
+    return [partition_heads(s / len(wls), ratio) for s in scores]
 
 
 PARTITION_HEADER = ["layer", "head", "score", "role"]

@@ -79,6 +79,7 @@ from .workload import (
     WorkloadSpec,
     default_workload_geometry,
     gen_synthetic_workload,
+    qhead_to_kvhead,
 )
 
 ENV_OUT = "HEADSPARSE_OUT"
@@ -238,8 +239,9 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
     sweep_head = ret_heads[0] if ret_heads else 0
     positions = np.linspace(workload.prefill_len, workload.seq_len - 1, 6,
                             dtype=int).tolist()
-    sweep = mass_budget_sweep(workload, geo, 0, sweep_head, positions,
-                              budgets=[8, 64, 512], p=geo.top_p)
+    sweep = mass_budget_sweep(workload, geo, 0, sweep_head,
+                              result.caches[(0, qhead_to_kvhead(geo, sweep_head))],
+                              positions, budgets=[8, 64, 512], p=geo.top_p)
     write_csv(out / "mass_sweep.csv", SWEEP_HEADER, sweep)
     print(f"decoded {len(result.traces)} head-steps in mode {cfg.mode!r}")
     print(f"compute sparsity {result.report.compute_sparsity:.4f}, "

@@ -26,6 +26,7 @@ import numpy as np
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
+from .rope import rope_table
 from .selection import (
     SelectionResult,
     histogram_threshold_scores,
@@ -192,11 +193,13 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
 def prefill(workload: Workload, geometry: ModelGeometry,
             n_tokens: int | None = None) -> dict[tuple[int, int], KVCacheHead]:
     """Build the (layer, kv_head) KV caches over the first n_tokens of the
-    workload, the whole prompt region by default."""
+    workload, the whole prompt region by default.  Every cache turns its
+    keys by one cos/sin table over positions 0..n_tokens-1, freed on return."""
     if n_tokens is None:
         n_tokens = workload.prefill_len
+    table = rope_table(np.arange(n_tokens), workload.geometry.rope)
     return {
-        (layer, g): build_cache_prefix(workload, layer, g, n_tokens)
+        (layer, g): build_cache_prefix(workload, layer, g, n_tokens, table)
         for layer in range(geometry.n_layers)
         for g in range(geometry.n_kv_heads)
     }

@@ -21,7 +21,7 @@ from .numerics import kl_divergence, softmax
 from .optim import AdamW, make_schedule
 from .record import Record
 from .seeding import derive_rng
-from .workload import KVCacheHead, build_cache, dense_attention, qhead_to_kvhead, visible_rows
+from .workload import KVCacheHead, build_cache, dense_row_scores, qhead_to_kvhead, visible_rows
 
 
 @dataclass
@@ -182,10 +182,9 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     picks = rng.choice(span, size=min(n_rows, span.size), replace=False)
     rows = []
     for t in sorted(int(t) for t in picks):
-        row = dense_attention(workload.queries[layer, q_head, t], t, cache,
-                              geometry.scale)
-        rows.append(TrainingRow(row.weights, workload.queries[layer, q_head, t],
-                                keys[: t + 1]))
+        query = workload.queries[layer, q_head, t]
+        weights = softmax(dense_row_scores(query, t, cache, geometry.scale))
+        rows.append(TrainingRow(weights, query, keys[: t + 1]))
     return rows
 
 

@@ -39,13 +39,19 @@ def descending_order(scores: np.ndarray) -> np.ndarray:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Shift-stable softmax along the last axis, computed in float64."""
-    arr = require_finite(scores, "scores")
+    """Shift-stable softmax along the last axis, computed in float64.  A -inf
+    score is masked to weight exactly 0; NaN, +inf or a row with no finite
+    score make the row maximum non-finite and raise NumericError."""
+    arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ArgumentError("softmax of an empty score vector is undefined")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    top = arr.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise NumericError("scores contains non-finite values")
+    ex = arr - top
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def lse_reduce(scores: np.ndarray) -> LsePair:

@@ -25,10 +25,8 @@ from .workload import (
     KVCacheHead,
     ModelGeometry,
     Workload,
-    build_cache,
     dense_attention,
     dense_row_scores,
-    qhead_to_kvhead,
 )
 
 TRACE_HEADER = ["layer", "head", "position", "tokens_selected",
@@ -132,14 +130,16 @@ def head_token_count_rows(traces: Sequence[DecodeTrace]) -> list[list]:
 
 
 def mass_budget_sweep(workload: Workload, geometry: ModelGeometry, layer: int,
-                      q_head: int, positions: Sequence[int],
+                      q_head: int, cache: KVCacheHead, positions: Sequence[int],
                       budgets: Sequence[int], p: float) -> list[list]:
     """Dense-row oracle sweep: attention mass captured by static top-k
     budgets versus top-p at the same positions. Selection runs on the true
-    scores, so this measures the budget tradeoff itself, not indexer error."""
+    scores, so this measures the budget tradeoff itself, not indexer error.
+    `cache` is the head's KV cache over positions 0..max(positions) at least."""
     if not positions:
         raise ArgumentError("no positions to sweep")
-    cache = build_cache(workload, layer, qhead_to_kvhead(geometry, q_head))
+    if cache.visible_count(max(positions)) <= max(positions):
+        raise ArgumentError(f"cache does not reach position {max(positions)}")
     masses: dict[tuple[str, int | float], list[tuple[float, int]]] = {}
     for t in positions:
         scores = dense_row_scores(workload.queries[layer, q_head, t], t, cache,

@@ -6,11 +6,16 @@ Layout is interleaved: frequency pair j (0-based) lives at vector indices
 theta_j = base ** (-2j / head_dim).  Rotating q by m and k by n makes their
 dot product a function of the offset m - n alone, which the decomposition
 makes explicit frequency by frequency.
+
+Every rotation goes through `_turn`.  A bulk build computes one
+`RopeTable` over positions 0..n-1, turns each KV head's keys by it with
+`rope_apply`, and drops it when the build ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,28 +50,41 @@ def _check_vec(v: np.ndarray, params: RopeParams, name: str) -> np.ndarray:
     return arr
 
 
-def _turn(arr: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """Rotate each pair (arr[..., 2j], arr[..., 2j+1]) by ang[..., j]."""
-    c, s = np.cos(ang), np.sin(ang)
+class RopeTable(NamedTuple):
+    """cos and sin of every pair's angle at n positions, (n, n_pairs) each."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def _turn(arr: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate each pair (arr[..., 2j], arr[..., 2j+1]) by the angle whose
+    cosine and sine are cos[..., j] and sin[..., j].  The pairs turn in
+    float64 and the result keeps arr's dtype."""
     x, y = arr[..., 0::2], arr[..., 1::2]
     out = np.empty_like(arr)
-    out[..., 0::2] = x * c - y * s
-    out[..., 1::2] = x * s + y * c
+    out[..., 0::2] = x * cos - y * sin
+    out[..., 1::2] = x * sin + y * cos
     return out
 
 
-def _row_angles(mat: np.ndarray, positions: np.ndarray, params: RopeParams
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (n, head_dim) float64 rows and their (n, n_pairs) angles."""
-    arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != params.head_dim:
-        raise ArgumentError(f"matrix must be (n, {params.head_dim}), got {arr.shape}")
+def rope_table(positions: np.ndarray, params: RopeParams) -> RopeTable:
+    """cos and sin of every pair's angle at each of a vector of positions."""
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (arr.shape[0],):
-        raise ArgumentError("positions must match row count")
-    if np.any(pos < 0) or np.any(pos != np.floor(pos)):
-        raise ArgumentError("positions must be non-negative integers")
-    return arr, pos[:, None] * params.thetas[None, :]
+    if pos.ndim != 1 or np.any(pos < 0) or np.any(pos != np.floor(pos)):
+        raise ArgumentError("positions must be a vector of non-negative integers")
+    ang = pos[:, None] * params.thetas[None, :]
+    return RopeTable(np.cos(ang), np.sin(ang))
+
+
+def rope_apply(mat: np.ndarray, table: RopeTable) -> np.ndarray:
+    """Rotate row i of mat, (n, 2 * n_pairs), by row i of table; the result
+    keeps mat's dtype, so float32 rows come back rounded to float32."""
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or table.cos.shape != (mat.shape[0], mat.shape[1] / 2):
+        raise ArgumentError(f"rope table of shape {table.cos.shape} does not "
+                            f"match the {mat.shape} rows it turns")
+    return _turn(mat, *table)
 
 
 def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
@@ -78,12 +96,13 @@ def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
         raise ArgumentError(f"v must have length {params.head_dim}, got shape {arr.shape}")
     if position != int(position) or position < 0:
         raise ArgumentError(f"position must be a non-negative integer, got {position!r}")
-    return _turn(arr, params.thetas * int(position))
+    ang = params.thetas * int(position)
+    return _turn(arr, np.cos(ang), np.sin(ang))
 
 
 def rope_rotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
     """Row-wise rope_rotate: mat is (n, head_dim), positions is (n,)."""
-    return _turn(*_row_angles(mat, positions, params))
+    return rope_apply(np.asarray(mat, np.float64), rope_table(positions, params))
 
 
 def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
@@ -92,8 +111,8 @@ def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParam
     The per-pair rotation is orthogonal, so this is also the transpose map
     that backpropagation through a rotation needs.
     """
-    arr, ang = _row_angles(mat, positions, params)
-    return _turn(arr, -ang)
+    cos, sin = rope_table(positions, params)
+    return rope_apply(np.asarray(mat, np.float64), RopeTable(cos, -sin))
 
 
 def rope_score(q: np.ndarray, k: np.ndarray, m: int, n: int, params: RopeParams) -> float:

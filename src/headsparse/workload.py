@@ -32,7 +32,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
 from .record import Record
-from .rope import RopeParams, rope_rotate, rope_rotate_many
+from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_table
 from .seeding import derive_rng
 
 
@@ -140,10 +140,11 @@ class KVCacheHead:
         self._values64[n] = va
         self._n = n + 1
 
-    def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray) -> None:
-        """Batch append.  Keys and values are rounded to float32 once; the
-        rotation runs on the float32 keys widened to float64, and its result
-        is rounded to float32 before it lands in the float64 buffer."""
+    def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray,
+               table: RopeTable | None = None) -> None:
+        """Batch append.  Keys and values are rounded to float32 once; the keys
+        turn in float64 and land in the float64 buffer rounded to float32.
+        `table` is rope_table(positions), when the caller already holds it."""
         kp32 = np.asarray(keys_pre, np.float32)
         va32 = np.asarray(values, np.float32)
         pos = np.asarray(positions, np.int64)
@@ -161,7 +162,7 @@ class KVCacheHead:
         self._grow(n1)
         self._keys_pre[n0:n1] = kp32
         self._positions[n0:n1] = pos
-        self._keys_post64[n0:n1] = rope_rotate_many(kp32, pos, self.rope).astype(np.float32)
+        self._keys_post64[n0:n1] = rope_apply(kp32, table or rope_table(pos, self.rope))
         self._values64[n0:n1] = va32
         self._n = n1
 
@@ -553,8 +554,10 @@ def build_cache(workload: Workload, layer: int, kv_head: int) -> KVCacheHead:
     return build_cache_prefix(workload, layer, kv_head, workload.seq_len)
 
 
-def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: int) -> KVCacheHead:
-    """Bulk-load the first n_tokens of one KV head's stream."""
+def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: int,
+                       table: RopeTable | None = None) -> KVCacheHead:
+    """Bulk-load the first n_tokens of one KV head's stream; `table`, if given,
+    is rope_table(0..n_tokens-1) shared by a caller that builds several heads."""
     if not (0 <= layer < workload.geometry.n_layers):
         raise ArgumentError(f"layer {layer} out of range")
     if not (0 <= kv_head < workload.geometry.n_kv_heads):
@@ -566,6 +569,7 @@ def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: i
         workload.keys_pre[layer, kv_head, :n_tokens],
         workload.values[layer, kv_head, :n_tokens],
         np.arange(n_tokens),
+        table,
     )
     return cache
 

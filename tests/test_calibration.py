@@ -1,6 +1,8 @@
 """Calibration tests: sequence construction, the retrieval score, and the
 head partition, plus an end-to-end planted-workload check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,24 +11,29 @@ from headsparse.calibration import (
     NeedleLayout,
     build_calibration_sequence,
     calibrate,
-    head_retrieval_score,
+    group_retrieval_scores,
     load_partitions,
     partition_heads,
     retrieval_score,
     save_partitions,
 )
 from headsparse.errors import ArgumentError
-from headsparse.workload import AttentionRow, gen_synthetic_workload
+from headsparse.workload import (
+    WorkloadSpec,
+    build_cache,
+    build_cache_prefix,
+    default_workload_geometry,
+    dense_attention,
+    gen_synthetic_workload,
+    qhead_to_kvhead,
+)
 
 from test_workload import SMALL_SPEC, small_geometry
 
 
 def uniform_rows(layout):
     """Causal uniform attention at the late-span positions."""
-    return [
-        AttentionRow(t, np.full(t + 1, 1.0 / (t + 1)), np.zeros(2))
-        for t in layout.n_post
-    ]
+    return {t: np.full(t + 1, 1.0 / (t + 1)) for t in layout.n_post}
 
 
 class TestBuildSequence:
@@ -64,11 +71,11 @@ class TestBuildSequence:
 class TestRetrievalScore:
     def test_full_mass_gives_one(self):
         layout = NeedleLayout((0, 1), (6, 7), 8)
-        rows = []
+        rows = {}
         for t in layout.n_post:
             w = np.zeros(t + 1)
             w[[0, 1]] = 0.5
-            rows.append(AttentionRow(t, w, np.zeros(2)))
+            rows[t] = w
         assert retrieval_score(rows, layout) == 1.0
 
     def test_uniform_causal_hand_value(self):
@@ -81,22 +88,22 @@ class TestRetrievalScore:
         layout = NeedleLayout((0,), (5,), 8)
         w = np.zeros(6)
         w[4] = 1.0
-        assert retrieval_score([AttentionRow(5, w, np.zeros(2))], layout) == 0.0
+        assert retrieval_score({5: w}, layout) == 0.0
 
     def test_missing_row_rejected(self):
         layout = NeedleLayout((0,), (5, 6), 8)
         w = np.full(6, 1 / 6)
         with pytest.raises(ArgumentError):
-            retrieval_score([AttentionRow(5, w, np.zeros(2))], layout)
+            retrieval_score({5: w}, layout)
 
     def test_monotone_under_mass_transfer(self):
         layout = NeedleLayout((0, 1), (6,), 8)
         w = np.full(7, 1 / 7)
-        base = retrieval_score([AttentionRow(6, w, np.zeros(2))], layout)
+        base = retrieval_score({6: w}, layout)
         w2 = w.copy()
         w2[1] += w2[5]
         w2[5] = 0.0
-        moved = retrieval_score([AttentionRow(6, w2, np.zeros(2))], layout)
+        moved = retrieval_score({6: w2}, layout)
         assert moved > base
 
 
@@ -177,7 +184,98 @@ class TestWorkloadCalibration:
     def test_head_score_uses_annotations(self):
         w = gen_synthetic_workload(SMALL_SPEC, 8, small_geometry())
         h = w.annotations.planted_retrieval_heads[0]
-        assert head_retrieval_score(w, 0, h) > 0.8
+        g = qhead_to_kvhead(w.geometry, h)
+        scores = group_retrieval_scores(w, 0, g, build_cache(w, 0, g))
+        assert scores[h - g * w.geometry.group_size] > 0.8
+
+
+def reference_scores(workload):
+    """The per-row form: one dense_attention row per late position and
+    query head, reduced by retrieval_score; (n_layers, n_q_heads)."""
+    geo = workload.geometry
+    ann = workload.annotations
+    layout = NeedleLayout(ann.n_pre, ann.n_post, workload.seq_len)
+    out = np.zeros((geo.n_layers, geo.n_q_heads))
+    for layer in range(geo.n_layers):
+        caches = [build_cache(workload, layer, g) for g in range(geo.n_kv_heads)]
+        for h in range(geo.n_q_heads):
+            cache = caches[qhead_to_kvhead(geo, h)]
+            rows = {t: dense_attention(workload.queries[layer, h, t], t, cache).weights
+                    for t in layout.n_post}
+            out[layer, h] = retrieval_score(rows, layout)
+    return out
+
+
+def reference_calibrate(workloads, ratio):
+    scores = sum(reference_scores(w) for w in workloads) / len(workloads)
+    return [partition_heads(s, ratio) for s in scores]
+
+
+def assert_matches_reference(got, want):
+    """Scores within 1e-12 relative of the per-row form; identical splits."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g.scores, w.scores, rtol=1e-12, atol=0)
+        assert g.retrieval_set == w.retrieval_set
+        assert g.local_set == w.local_set
+        assert g.ratio == w.ratio
+
+
+class TestBatchedScores:
+    """calibrate's one masked product per KV head against the per-row
+    dense_attention form it replaced."""
+
+    @pytest.mark.parametrize("n_layers, n_kv_heads", [(1, 4), (2, 8), (2, 2)])
+    def test_matches_per_row_form(self, n_layers, n_kv_heads):
+        # group sizes 2, 1 and 4 over 8 query heads
+        geo = small_geometry(n_layers=n_layers, n_kv_heads=n_kv_heads)
+        for seed in (0, 1):
+            w = gen_synthetic_workload(SMALL_SPEC, seed, geo)
+            ratio = geo.retrieval_ratio
+            assert_matches_reference(calibrate(w), reference_calibrate([w], ratio))
+
+    def test_list_of_workloads(self):
+        geo = small_geometry(n_layers=2, n_kv_heads=2)
+        ws = [gen_synthetic_workload(SMALL_SPEC, s, geo) for s in (3, 4, 5)]
+        assert_matches_reference(calibrate(ws, ratio=0.25),
+                                 reference_calibrate(ws, 0.25))
+
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
+    def test_ratio_override(self, ratio):
+        w = gen_synthetic_workload(SMALL_SPEC, 6, small_geometry(n_kv_heads=8))
+        assert_matches_reference(calibrate(w, ratio=ratio),
+                                 reference_calibrate([w], ratio))
+
+    def test_group_scores_per_head(self):
+        geo = small_geometry(n_kv_heads=2)
+        w = gen_synthetic_workload(SMALL_SPEC, 7, geo)
+        want = reference_scores(w)[0]
+        for g in range(geo.n_kv_heads):
+            got = group_retrieval_scores(w, 0, g, build_cache(w, 0, g))
+            heads = slice(g * geo.group_size, (g + 1) * geo.group_size)
+            np.testing.assert_allclose(got, want[heads], rtol=1e-12, atol=0)
+
+    def test_cache_must_reach_late_span(self):
+        w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
+        short = build_cache_prefix(w, 0, 0, max(w.annotations.n_post))
+        with pytest.raises(ArgumentError):
+            group_retrieval_scores(w, 0, 0, short)
+
+
+def test_calibrate_holds_one_cache_at_a_time():
+    """Traced peak of calibrate on a 16K workload stays below 3.5 caches of
+    n * (20 d + 8) bytes: one cache at a time, plus its cos/sin table and
+    the group's score rows."""
+    w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0,
+                               default_workload_geometry())
+    cache_bytes = w.seq_len * (20 * w.geometry.head_dim + 8)
+    tracemalloc.start()
+    try:
+        calibrate(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * cache_bytes, f"peak {peak / cache_bytes:.2f} caches"
 
 
 class TestPersistence:

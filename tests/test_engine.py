@@ -21,10 +21,15 @@ from headsparse.engine import (
 )
 from headsparse.errors import ArgumentError
 from headsparse.indexer import ProjectedKeyCache, init_projector
-from headsparse.rope import RopeParams
+from headsparse.rope import RopeParams, rope_table
 from headsparse.selection import histogram_threshold_scores
 from headsparse.workload import (
     KVCacheHead,
+    ModelGeometry,
+    Workload,
+    WorkloadAnnotations,
+    WorkloadSpec,
+    build_cache_prefix,
     dense_attention,
     gen_synthetic_workload,
     qhead_to_kvhead,
@@ -246,6 +251,70 @@ class TestRetrievalDecode:
                 rng.normal(size=32), 9, cache, ProjectedKeyCache(init_projector(4, 32, 0)),
                 0.9, "sorted",
             )
+
+
+def per_call_rotation(keys_pre, positions, rope):
+    """Rotated keys as a cache stored them when every build computed the
+    angles of its own positions: cos/sin of position * theta, one float64
+    turn of the float32 keys, rounded to float32, widened to float64."""
+    kp = np.asarray(keys_pre, np.float32).astype(np.float64)
+    ang = np.asarray(positions, np.float64)[:, None] * rope.thetas[None, :]
+    c, s = np.cos(ang), np.sin(ang)
+    out = np.empty_like(kp)
+    out[:, 0::2] = kp[:, 0::2] * c - kp[:, 1::2] * s
+    out[:, 1::2] = kp[:, 0::2] * s + kp[:, 1::2] * c
+    return out.astype(np.float32).astype(np.float64)
+
+
+def random_workload(geometry, seq_len, seed):
+    """Random streams in a Workload shell; prefill reads only the keys,
+    values and geometry."""
+    rng = np.random.default_rng(seed)
+    shape = (geometry.n_layers, geometry.n_kv_heads, seq_len, geometry.head_dim)
+    keys = (rng.normal(size=shape) * 12).astype(np.float32)
+    values = (rng.normal(size=shape) * 0.125).astype(np.float32)
+    queries = np.zeros((geometry.n_layers, geometry.n_q_heads, seq_len,
+                        geometry.head_dim), np.float32)
+    ann = WorkloadAnnotations((), (), (0,), (1,), ())
+    return Workload(geometry, WorkloadSpec(seq_len=seq_len, decode_len=1),
+                    seed, queries, keys, values, ann)
+
+
+class TestSharedRopeTable:
+    """prefill and calibrate turn every KV head's keys by one cos/sin table;
+    the caches stay == to per-call rotation, also after appends."""
+
+    @pytest.mark.parametrize("head_dim", [16, 64, 128])
+    @pytest.mark.parametrize("base", [1.0e4, 1.0e6])
+    def test_prefill_then_append(self, head_dim, base):
+        geo = ModelGeometry(n_layers=2, n_q_heads=4, n_kv_heads=2,
+                            head_dim=head_dim, rope_base=base)
+        L, n = 700, 517
+        wl = random_workload(geo, L, seed=head_dim)
+        caches = prefill(wl, geo, n_tokens=n)
+        for (layer, g), cache in caches.items():
+            for t in range(n, L):
+                cache.append(wl.keys_pre[layer, g, t], wl.values[layer, g, t], t)
+            keys, vals = wl.keys_pre[layer, g], wl.values[layer, g]
+            assert np.array_equal(cache.positions, np.arange(L))
+            assert np.array_equal(cache.keys_post64,
+                                  per_call_rotation(keys, np.arange(L), geo.rope))
+            assert np.array_equal(cache.values64, vals.astype(np.float64))
+
+    def test_calibration_build_matches(self):
+        wl, L = SMALL_WORKLOAD, SMALL_WORKLOAD.seq_len
+        table = rope_table(np.arange(L), SMALL_GEO.rope)
+        for g in range(SMALL_GEO.n_kv_heads):
+            cache = build_cache_prefix(wl, 0, g, L, table)
+            assert np.array_equal(cache.positions, np.arange(L))
+            assert np.array_equal(cache.keys_post64, per_call_rotation(
+                wl.keys_pre[0, g], np.arange(L), SMALL_GEO.rope))
+            assert np.array_equal(cache.values64, wl.values[0, g].astype(np.float64))
+
+    def test_table_must_match_positions(self):
+        table = rope_table(np.arange(65), SMALL_GEO.rope)
+        with pytest.raises(ArgumentError):
+            build_cache_prefix(SMALL_WORKLOAD, 0, 0, 64, table)
 
 
 class TestPrefill:

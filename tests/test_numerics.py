@@ -48,6 +48,24 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             softmax(np.array([0.0, np.inf]))
 
+    def test_masked_entries_get_zero_weight(self):
+        # a -inf entry is masked: weight exactly 0, the rest as if it were absent
+        scores = np.array([[LN5, -np.inf, LN3, LN2], [0.0, 0.0, -np.inf, -np.inf]])
+        out = softmax(scores)
+        assert out[0, 1] == 0.0 and out[1, 2] == 0.0 and out[1, 3] == 0.0
+        np.testing.assert_allclose(out[0], [0.5, 0.0, 0.3, 0.2], atol=1e-12)
+        np.testing.assert_array_equal(out[1], [0.5, 0.5, 0.0, 0.0])
+        assert np.array_equal(out[0, [0, 2, 3]], softmax(scores[0, [0, 2, 3]]))
+
+    def test_masked_row_still_rejects_nan_and_inf(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                softmax(np.array([[0.0, -np.inf], [bad, -np.inf]]))
+
+    def test_fully_masked_row_rejected(self):
+        with pytest.raises(NumericError):
+            softmax(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+
 
 class TestLse:
     def test_singleton(self):

@@ -9,10 +9,13 @@ import pytest
 from headsparse.errors import ArgumentError
 from headsparse.rope import (
     RopeParams,
+    RopeTable,
     pair_coefficients,
+    rope_apply,
     rope_rotate,
     rope_rotate_many,
     rope_score,
+    rope_table,
     score_decomposition,
 )
 
@@ -107,6 +110,46 @@ class TestRotate:
         lhs = np.sum(rope_rotate_many(a, pos, params64) * b, axis=1)
         rhs = np.sum(a * rope_unrotate_many(b, pos, params64), axis=1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+class TestTable:
+    def test_rows_are_the_angles_of_each_position(self, params64):
+        pos = np.array([0, 1, 7, 4096, 131071])
+        table = rope_table(pos, params64)
+        for row, t in enumerate(pos):
+            ang = params64.thetas * int(t)
+            assert np.array_equal(table.cos[row], np.cos(ang))
+            assert np.array_equal(table.sin[row], np.sin(ang))
+
+    def test_apply_matches_rotate_many(self, params64):
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=(40, 64))
+        pos = np.arange(40) * 37
+        assert np.array_equal(rope_apply(mat, rope_table(pos, params64)),
+                              rope_rotate_many(mat, pos, params64))
+
+    def test_apply_keeps_float32_as_rounded_float64_turn(self, params64):
+        rng = np.random.default_rng(6)
+        mat = (rng.normal(size=(40, 64)) * 12).astype(np.float32)
+        table = rope_table(np.arange(40), params64)
+        got = rope_apply(mat, table)
+        assert got.dtype == np.float32
+        want = rope_apply(mat.astype(np.float64), table).astype(np.float32)
+        assert np.array_equal(got, want)
+
+    def test_apply_rejects_mismatched_table(self, params64):
+        table = rope_table(np.arange(5), params64)
+        with pytest.raises(ArgumentError):
+            rope_apply(np.zeros((4, 64)), table)
+        with pytest.raises(ArgumentError):
+            rope_apply(np.zeros((5, 32)), table)
+        with pytest.raises(ArgumentError):
+            rope_apply(np.zeros(64), RopeTable(table.cos[0], table.sin[0]))
+
+    def test_bad_positions_rejected(self, params64):
+        for bad in ([-1, 2], [0.5], [[1, 2]]):
+            with pytest.raises(ArgumentError):
+                rope_table(np.array(bad), params64)
 
 
 class TestScore:
