@@ -9,7 +9,7 @@ span; the top `ratio` share of heads by that score forms the retrieval set.
 Calibration here always runs on caches whose positions are 0..L-1, so a
 token's cache slot equals its position.  Each KV head's cache is built
 from the workload's one cos/sin table, and the late-span rows of all its
-query heads are scored in one causally masked product, weights only.
+query heads are scored in one `workload.causal_scores` call, weights only.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
-from .rope import rope_rotate_many, rope_table
-from .workload import KVCacheHead, Workload, build_cache_prefix
+from .rope import rope_table
+from .workload import KVCacheHead, Workload, build_cache_prefix, causal_scores
 
 
 @dataclass(frozen=True)
@@ -133,22 +133,16 @@ def partition_heads(scores: Sequence[float], ratio: float) -> HeadPartition:
 def group_retrieval_scores(workload: Workload, layer: int, kv_head: int,
                            cache: KVCacheHead) -> list[float]:
     """R of each query head that shares `kv_head`, whose cache holds
-    positions 0..L-1.  The group's late-span rows are scored in one product
-    against the keys up to the last late position; entries after a row's
-    own position are masked to -inf, so its softmax gives them weight 0."""
+    positions 0..L-1.  The group's late-span rows go through causal_scores
+    as one batch, so each row's softmax gives the entries after its own
+    position weight 0."""
     geo, ann = workload.geometry, workload.annotations
     layout = NeedleLayout(ann.n_pre, ann.n_post, workload.seq_len)
     post = np.asarray(layout.n_post)
-    n = int(post.max()) + 1
-    if len(cache) < n:
-        raise ArgumentError(f"cache holds {len(cache)} tokens; calibration needs {n}")
     heads = slice(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
     queries = workload.queries[layer, heads][:, post].reshape(-1, geo.head_dim)
-    positions = np.tile(post, geo.group_size)
-    q_rot = rope_rotate_many(queries, positions, geo.rope)
-    scores = (q_rot @ cache.keys_post64[:n].T) * geo.scale
-    scores[np.arange(n)[None, :] > positions[:, None]] = -np.inf
-    rows = softmax(scores).reshape(geo.group_size, len(post), n)
+    scores = causal_scores(queries, np.tile(post, geo.group_size), cache, geo.scale)
+    rows = softmax(scores).reshape(geo.group_size, len(post), -1)
     return [retrieval_score(dict(zip(layout.n_post, w)), layout) for w in rows]
 
 

@@ -55,6 +55,7 @@ from .engine import run_workload
 from .errors import ArgumentError, ConfigError, InternalError, NumericError
 from .indexer import Projector, Stage1Config, build_stage1_dataset, train_projector
 from .numerics import descending_order
+from .optim import smooth_trace
 from .record import Record
 from .reports import (
     HEAD_COUNT_HEADER,
@@ -200,7 +201,8 @@ def cmd_train_indexer(cfg: RunConfig, args: argparse.Namespace) -> None:
             projector.save(out / f"projector-L{layer}H{h}", layer, h)
             write_csv(out / f"stage1-loss-L{layer}H{h}.csv", LOSS_HEADER,
                       [[step, repr(v)] for step, v in enumerate(trace)])
-            print(f"layer {layer} head {h}: loss {trace[0]:.5f} -> {trace[-1]:.5f}")
+            first, last = _smoothed_ends(trace)
+            print(f"layer {layer} head {h}: smoothed loss {first:.5f} -> {last:.5f}")
 
 
 def _load_projectors(cfg: RunConfig, out: Path, partitions) -> dict:
@@ -248,9 +250,11 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
           f"memory sparsity {result.report.memory_sparsity:.4f}")
 
 
-def _smoothed(trace: list[float], window: int = 20) -> np.ndarray:
+def _smoothed_ends(trace: list[float], window: int = 20) -> tuple[float, float]:
+    """Mean loss over the trace's first and last full windows."""
     w = min(window, len(trace))
-    return np.convolve(trace, np.ones(w) / w, mode="valid")
+    sm = smooth_trace(np.array(trace), w)
+    return float(sm[w - 1]), float(sm[-1])
 
 
 def cmd_distill_toy(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -262,13 +266,13 @@ def cmd_distill_toy(cfg: RunConfig, args: argparse.Namespace) -> None:
     _, trace = toy_self_distill(model, corpus, teacher, cfg.stage2, cfg.seed)
     write_csv(out / "distill_loss.csv", LOSS_HEADER,
               [[step, repr(v)] for step, v in enumerate(trace)])
-    sm = _smoothed(trace)
+    first, last = _smoothed_ends(trace)
     summary = DistillSummary(
         steps=len(trace),
         top_p=cfg.stage2.top_p,
-        initial_smoothed=float(sm[0]),
-        final_smoothed=float(sm[-1]),
-        ratio=float(sm[-1] / sm[0]) if sm[0] > 0 else 0.0,
+        initial_smoothed=first,
+        final_smoothed=last,
+        ratio=last / first if first > 0 else 0.0,
     )
     payload = json.dumps(summary.to_dict(), indent=2)
     (out / "distill_summary.json").write_text(payload + "\n")

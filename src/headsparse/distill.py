@@ -18,7 +18,7 @@ import numpy as np
 from .container import load_container, save_container
 from .errors import ArgumentError
 from .indexer import Projector
-from .numerics import descending_order, kl_divergence, softmax
+from .numerics import descending_order, softmax, softmax_kl
 from .optim import AdamW, make_schedule
 from .record import Record
 from .rope import RopeParams, rope_rotate_many, rope_unrotate_many
@@ -64,7 +64,7 @@ def distill_loss(teacher: TopKLogits, student_logits: np.ndarray) -> float:
         raise ArgumentError("student logits must be a vector")
     if teacher.indices.max() >= z.size:
         raise ArgumentError("student vocabulary smaller than a teacher index")
-    return kl_divergence(softmax(teacher.values), softmax(z[teacher.indices]))
+    return float(softmax_kl(softmax(teacher.values), z[teacher.indices])[0])
 
 
 def distill_grad(teacher: TopKLogits, student_logits: np.ndarray) -> np.ndarray:
@@ -253,11 +253,10 @@ def _restricted_kl_batch(t_idx: np.ndarray, t_val: np.ndarray,
     L = logits.shape[0]
     rows = np.arange(L)[:, None]
     p = softmax(t_val)
-    q = softmax(logits[rows, t_idx])
-    per_row = np.sum(p * (np.log(p) - np.log(np.maximum(q, 1e-9))), axis=1)
+    per_row, q = softmax_kl(p, logits[rows, t_idx])
     g_logits = np.zeros_like(logits)
     g_logits[rows, t_idx] = (q - p) / L
-    return float(np.maximum(per_row, 0.0).mean()), g_logits
+    return float(per_row.mean()), g_logits
 
 
 def _toy_backward(params: dict, tokens: np.ndarray, fwd: dict,

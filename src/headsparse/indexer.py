@@ -4,7 +4,9 @@ A retrieval head's token selection does not need full post-rotation scores:
 a pair of r x d projections of the un-rotated query/key features suffices
 to rank tokens.  The projections are trained to pull the softmax of the
 projected scores toward the head's true attention row (forward KL), with
-the backbone activations treated as frozen constants.
+the backbone activations treated as frozen constants.  Stage-1 data is one
+key matrix plus per-row queries, positions and attention rows, and a
+training step scores its rows in one masked product.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import numpy as np
 
 from .container import load_container, save_container
 from .errors import ArgumentError
-from .numerics import kl_divergence, softmax
+from .numerics import softmax, softmax_kl
 from .optim import AdamW, make_schedule
 from .record import Record
 from .seeding import derive_rng
-from .workload import KVCacheHead, build_cache, dense_row_scores, qhead_to_kvhead, visible_rows
+from .workload import (KVCacheHead, build_cache_prefix, causal_scores, qhead_to_kvhead,
+                       visible_rows)
 
 
 @dataclass
@@ -141,83 +144,63 @@ def index_recall(selected: set[int] | Sequence[int], reference_top: set[int] | S
     return len(set(selected) & ref) / len(ref)
 
 
-def projector_loss(full_attn: np.ndarray, proj_scores: np.ndarray) -> float:
-    """Forward KL from the true attention row to the projected softmax."""
-    p = np.asarray(full_attn, np.float64)
-    s = np.asarray(proj_scores, np.float64)
-    if p.shape != s.shape:
-        raise ArgumentError(f"shape mismatch: {p.shape} vs {s.shape}")
-    return kl_divergence(p, softmax(s))
-
-
 @dataclass(frozen=True)
-class TrainingRow:
-    """One supervision row: the head's exact attention over the visible
-    keys, with the pre-rotation query and key features that produced it."""
+class Stage1Dataset:
+    """One head's supervision rows as matrices: row i is the pre-rotation
+    query queries[i] at key index positions[i], and attn[i] is the head's
+    exact attention over keys_pre[: positions[i] + 1], exactly 0 past it."""
 
-    full_attn: np.ndarray   # (n,)
-    query_pre: np.ndarray   # (head_dim,)
-    keys_pre: np.ndarray    # (n, head_dim)
+    keys_pre: np.ndarray   # (n, head_dim), float64
+    queries: np.ndarray    # (B, head_dim)
+    positions: np.ndarray  # (B,)
+    attn: np.ndarray       # (B, n)
 
 
 def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
-                         n_rows: int = 128) -> list[TrainingRow]:
-    """Supervision rows for one head from a workload's dense attention.
+                         n_rows: int = 128) -> Stage1Dataset:
+    """Supervision rows for one head from a workload's dense attention,
+    scored by causal_scores in one batch against one cache.
 
     Positions start at 4 * block_size: on shorter prefixes any selector is
-    trivially near-perfect and the rows carry no long-range signal. Key
-    matrices are views into one shared cache, so memory stays O(seq).
+    trivially near-perfect and the rows carry no long-range signal.
     """
     floor = 4 * geometry.block_size
     if workload.seq_len <= floor:
-        raise ArgumentError(
-            f"workload length {workload.seq_len} leaves no positions >= {floor}"
-        )
+        raise ArgumentError(f"workload length {workload.seq_len} leaves no positions >= {floor}")
     if n_rows < 1:
         raise ArgumentError("n_rows must be positive")
-    cache = build_cache(workload, layer, qhead_to_kvhead(geometry, q_head))
-    keys = cache.keys_pre
     span = np.arange(floor, workload.seq_len)
     rng = derive_rng(seed, f"stage1-data-L{layer}H{q_head}")
-    picks = rng.choice(span, size=min(n_rows, span.size), replace=False)
-    rows = []
-    for t in sorted(int(t) for t in picks):
-        query = workload.queries[layer, q_head, t]
-        weights = softmax(dense_row_scores(query, t, cache, geometry.scale))
-        rows.append(TrainingRow(weights, query, keys[: t + 1]))
-    return rows
+    positions = np.sort(rng.choice(span, size=min(n_rows, span.size), replace=False))
+    n = int(positions[-1]) + 1
+    cache = build_cache_prefix(workload, layer, qhead_to_kvhead(geometry, q_head), n)
+    queries = workload.queries[layer, q_head, positions]
+    attn = softmax(causal_scores(queries, positions, cache, geometry.scale))
+    return Stage1Dataset(cache.keys_pre.astype(np.float64), queries, positions, attn)
 
 
-def projector_grad(batch: Sequence[TrainingRow], projector: Projector
+def projector_grad(batch: Stage1Dataset, projector: Projector
                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Analytic gradients of the mean row loss; returns (g_wq, g_wk, loss).
+    """Analytic gradients of the mean row KL; returns (g_wq, g_wk, loss).
 
-    With a = W_q u, row scores s_n = a . (W_k k_n) and residual
-    rho = softmax(s) - p:  dL/dW_q = outer(W_k K^T rho, u) and
-    dL/dW_k = outer(a, K^T rho).
+    With A = U W_q^T, scores S = (A W_k) K^T masked to -inf past each
+    row's position, and residuals R = softmax(S) - P over the B rows:
+    dL/dW_q = W_k (R K)^T U / B and dL/dW_k = A^T (R K) / B.  The loss is
+    softmax_kl of the same scores, so it is the function descended.
     """
-    if len(batch) == 0:
-        raise ArgumentError("empty batch")
-    g_wq = np.zeros_like(projector.w_q)
-    g_wk = np.zeros_like(projector.w_k)
-    total_loss = 0.0
-    for row in batch:
-        p = np.asarray(row.full_attn, np.float64)
-        u = np.asarray(row.query_pre, np.float64)
-        keys = np.asarray(row.keys_pre, np.float64)
-        if keys.shape != (p.size, projector.head_dim) or u.shape != (projector.head_dim,):
-            raise ArgumentError("row shapes do not match projector")
-        a = projector.w_q @ u
-        proj_keys = keys @ projector.w_k.T      # (n, r)
-        s = proj_keys @ a
-        q_hat = softmax(s)
-        total_loss += kl_divergence(p, q_hat)
-        rho = q_hat - p
-        kt_rho = keys.T @ rho                   # (head_dim,)
-        g_wq += np.outer(projector.w_k @ kt_rho, u)
-        g_wk += np.outer(a, kt_rho)
-    scale = 1.0 / len(batch)
-    return g_wq * scale, g_wk * scale, total_loss * scale
+    (n_keys, d), pos = batch.keys_pre.shape, batch.positions
+    if len(pos) == 0 or batch.queries.shape != (len(pos), d) or d != projector.head_dim \
+            or batch.attn.shape != (len(pos), n_keys) or pos.max() >= n_keys:
+        raise ArgumentError("batch needs (B, d) queries, (B, n) rows, (n, d) keys, positions < n")
+    n = int(pos.max()) + 1
+    keys = batch.keys_pre[:n]
+    a = batch.queries @ projector.w_q.T                      # (B, r)
+    scores = (a @ projector.w_k) @ keys.T                    # (B, n)
+    scores[np.arange(n)[None, :] > pos[:, None]] = -np.inf
+    p = batch.attn[:, :n]
+    kl, q = softmax_kl(p, scores)
+    rk = (q - p) @ keys / len(pos)                           # (B, head_dim)
+    return projector.w_k @ rk.T @ batch.queries, a.T @ rk, float(kl.mean())
 
 
 @dataclass(frozen=True)
@@ -243,7 +226,7 @@ class Stage1Config(Record):
             raise ArgumentError("max_grad_norm must be positive")
 
 
-def train_projector(dataset: Sequence[TrainingRow], config: Stage1Config, seed: int,
+def train_projector(dataset: Stage1Dataset, config: Stage1Config, seed: int,
                     r: int = 16, head_dim: int | None = None,
                     label: str = "stage1") -> tuple[Projector, list[float]]:
     """KL-train a fresh projector on sampled dataset rows.
@@ -251,10 +234,8 @@ def train_projector(dataset: Sequence[TrainingRow], config: Stage1Config, seed: 
     Rows are drawn uniformly at random each step; the trace records each
     step's minibatch loss.  Deterministic given (config, seed, label).
     """
-    if len(dataset) == 0:
-        raise ArgumentError("empty dataset")
     if head_dim is None:
-        head_dim = int(np.asarray(dataset[0].query_pre).size)
+        head_dim = dataset.queries.shape[1]
     proj = init_projector(r, head_dim, seed, label=f"{label}-init")
     rng = derive_rng(seed, f"{label}-rows")
     opt = AdamW(
@@ -264,11 +245,13 @@ def train_projector(dataset: Sequence[TrainingRow], config: Stage1Config, seed: 
         max_grad_norm=config.max_grad_norm,
     )
     trace: list[float] = []
-    n = len(dataset)
+    n = len(dataset.positions)
     for _ in range(config.steps):
         take = min(config.rows_per_step, n)
         idx = rng.choice(n, size=take, replace=False)
-        g_wq, g_wk, loss = projector_grad([dataset[i] for i in idx], proj)
+        batch = Stage1Dataset(dataset.keys_pre, dataset.queries[idx],
+                              dataset.positions[idx], dataset.attn[idx])
+        g_wq, g_wk, loss = projector_grad(batch, proj)
         opt.step({"w_q": g_wq, "w_k": g_wk})
         trace.append(loss)
     return proj, trace

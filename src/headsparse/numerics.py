@@ -1,4 +1,4 @@
-"""Softmax, log-sum-exp pairs, and KL divergence.
+"""Softmax, log-sum-exp pairs, and the one KL divergence, `softmax_kl`.
 
 Scores are stored in float32 elsewhere, but every reduction here promotes to
 float64 before accumulating and only converts back (if at all) at the edges.
@@ -13,9 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, NumericError
-
-# Probabilities below this are treated as this value inside log ratios.
-KL_EPS = 1e-9
 
 
 class LsePair(NamedTuple):
@@ -38,17 +35,23 @@ def descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, np.float64), kind="stable")
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Shift-stable softmax along the last axis, computed in float64.  A -inf
-    score is masked to weight exactly 0; NaN, +inf or a row with no finite
-    score make the row maximum non-finite and raise NumericError."""
+def _shifted(scores: np.ndarray) -> np.ndarray:
+    """Scores minus their row maximum, in float64.  A -inf score is a masked
+    entry; NaN, +inf or a row with no finite score make the row maximum
+    non-finite and raise NumericError."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ArgumentError("softmax of an empty score vector is undefined")
     top = arr.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise NumericError("scores contains non-finite values")
-    ex = arr - top
+    return arr - top
+
+
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Shift-stable softmax along the last axis, computed in float64; a -inf
+    score gets weight exactly 0."""
+    ex = _shifted(scores)
     np.exp(ex, out=ex)
     ex /= ex.sum(axis=-1, keepdims=True)
     return ex
@@ -63,20 +66,24 @@ def lse_reduce(scores: np.ndarray) -> LsePair:
     return LsePair(m, float(np.exp(arr - m).sum()))
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) over matching supports, in nats.
-
-    q is clamped from below at KL_EPS inside the log so an over-confident
-    reference cannot produce inf; the result is clamped at zero so float
-    round-off on (near-)identical inputs cannot go negative.
-    """
+def softmax_kl(p: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KL(p || softmax(scores)) in nats along the last axis, and softmax(scores).
+    log q is the scores' log-softmax, with no floor, so a softmax that underflows
+    still gives its exact, finite KL.  Mass of p on a masked (-inf) score raises
+    NumericError; float dust is clipped at zero."""
     parr = require_finite(p, "p")
-    qarr = require_finite(q, "q")
-    if parr.shape != qarr.shape:
-        raise ArgumentError(f"shape mismatch: {parr.shape} vs {qarr.shape}")
-    if np.any(parr < 0) or np.any(qarr < 0):
+    log_q = _shifted(scores)
+    if parr.shape != log_q.shape:
+        raise ArgumentError(f"shape mismatch: {parr.shape} vs {log_q.shape}")
+    if np.any(parr < 0):
         raise ArgumentError("probabilities must be non-negative")
-    qc = np.maximum(qarr, KL_EPS)
-    mask = parr > 0
-    val = float(np.sum(parr[mask] * np.log(parr[mask] / qc[mask])))
-    return max(val, 0.0)
+    q = np.exp(log_q)
+    total = q.sum(axis=-1, keepdims=True)
+    q /= total
+    log_q -= np.log(total)
+    mass = parr > 0
+    ratio = np.log(parr, out=np.zeros_like(parr), where=mass)
+    np.subtract(ratio, log_q, out=ratio, where=mass)
+    if np.isinf(ratio).any():
+        raise NumericError("p puts mass on a masked (-inf) score")
+    return np.maximum(np.einsum("...i,...i->...", parr, ratio), 0.0), q

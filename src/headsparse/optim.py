@@ -106,9 +106,7 @@ def smooth_trace(trace: np.ndarray, window: int = 20) -> np.ndarray:
     t = np.asarray(trace, np.float64)
     if t.size == 0:
         raise ArgumentError("empty trace")
-    out = np.empty_like(t)
     csum = np.cumsum(np.concatenate([[0.0], t]))
-    for i in range(t.size):
-        j = max(0, i - window + 1)
-        out[i] = (csum[i + 1] - csum[j]) / (i + 1 - j)
-    return out
+    end = np.arange(1, t.size + 1)
+    start = np.maximum(end - window, 0)
+    return (csum[end] - csum[start]) / (end - start)

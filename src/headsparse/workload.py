@@ -32,7 +32,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
 from .record import Record
-from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_table
+from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many, rope_table
 from .seeding import derive_rng
 
 
@@ -194,16 +194,6 @@ class AttentionRow:
     output: np.ndarray
 
 
-def _scores(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
-            rows: tuple, scale: float | None) -> list[np.ndarray]:
-    """attend's scoring half: the scaled post-rotation scores of the (d,) or
-    (G, d) queries against each selector in `rows`, one (G, n_i) block apiece."""
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = np.atleast_2d(rope_rotate(queries_pre, query_position, cache.rope))
-    return [(q_rot @ cache.keys_post64[r].T) * scale for r in rows]
-
-
 def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
            rows: slice | np.ndarray | tuple, scale: float | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +205,10 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     one set, so a union of spans needs no gathered copy.  Returns (weights,
     output), the weights in the order of `rows`."""
     rows = rows if isinstance(rows, tuple) else (rows,)
-    blocks = _scores(queries_pre, query_position, cache, rows, scale)
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+    q_rot = np.atleast_2d(rope_rotate(queries_pre, query_position, cache.rope))
+    blocks = [(q_rot @ cache.keys_post64[r].T) * scale for r in rows]
     weights = softmax(np.concatenate(blocks, axis=1))
     edges = [0, *accumulate(b.shape[1] for b in blocks)]
     out = reduce(np.add, (weights[:, a:b] @ cache.values64[r]
@@ -242,11 +235,31 @@ def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHe
     return AttentionRow(int(query_position), weights, output)
 
 
+def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCacheHead,
+                  scale: float | None = None) -> np.ndarray:
+    """The one causal-score kernel: scaled post-rotation scores of (B, d)
+    queries at `positions` against the cache rows up to the largest of them,
+    one product for all rows.  An entry whose cache position lies after its
+    row's own position is -inf, so softmax gives it weight exactly 0."""
+    pos = np.asarray(positions, np.int64)
+    if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, cache.rope.head_dim):
+        raise ArgumentError("queries must be (B, head_dim), one position per row")
+    if len(cache) == 0 or not cache.positions[0] <= pos.min() <= pos.max() <= cache.positions[-1]:
+        raise ArgumentError("cache must reach each row's position and hold a token before it")
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+    n = cache.visible_count(int(pos.max()))
+    q_rot = rope_rotate_many(queries_pre, pos, cache.rope)
+    scores = (q_rot @ cache.keys_post64[:n].T) * scale
+    scores[cache.positions[:n][None, :] > pos[:, None]] = -np.inf
+    return scores
+
+
 def dense_row_scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                      scale: float | None = None) -> np.ndarray:
-    """The scaled post-rotation scores behind dense_attention's softmax."""
-    rows = (visible_rows(cache, query_position),)
-    return _scores(query_pre, query_position, cache, rows, scale)[0][0]
+    """The scaled post-rotation scores behind dense_attention's softmax:
+    causal_scores for one row."""
+    return causal_scores(np.asarray(query_pre)[None], [query_position], cache, scale)[0]
 
 
 # ---------------------------------------------------------------------------

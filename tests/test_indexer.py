@@ -1,29 +1,37 @@
 """Indexer tests: projected scoring, the KL loss and its analytic
-gradients against finite differences, and training on the planted
-low-rank teacher."""
+gradients against finite differences and the per-row reference, the
+batched stage-1 dataset, and training on the planted low-rank teacher."""
 
 import math
 
 import numpy as np
 import pytest
 
-from headsparse.errors import ArgumentError
+from headsparse.errors import ArgumentError, NumericError
 from headsparse.indexer import (
     ProjectedKeyCache,
     Projector,
     Stage1Config,
-    TrainingRow,
+    Stage1Dataset,
+    build_stage1_dataset,
     index_recall,
     init_projector,
     projected_scores,
     projector_grad,
-    projector_loss,
     train_projector,
 )
-from headsparse.numerics import softmax
+from headsparse.numerics import softmax, softmax_kl
 from headsparse.rope import RopeParams
 from headsparse.selection import top_k_static, top_p_exact
-from headsparse.workload import KVCacheHead, gen_rank_teacher
+from headsparse.workload import (
+    KVCacheHead,
+    WorkloadSpec,
+    build_cache,
+    default_workload_geometry,
+    dense_row_scores,
+    gen_rank_teacher,
+    gen_synthetic_workload,
+)
 
 
 def fill_cache(rng, d=16, n=32):
@@ -33,7 +41,10 @@ def fill_cache(rng, d=16, n=32):
 
 
 def teacher_dataset(teacher, queries):
-    return [TrainingRow(teacher.attention_row(q), q, teacher.keys_pre) for q in queries]
+    """Shared-key form: every row sees all of the teacher's keys."""
+    rows = np.stack([teacher.attention_row(q) for q in queries])
+    last = np.full(len(queries), len(teacher.keys_pre) - 1)
+    return Stage1Dataset(teacher.keys_pre, np.asarray(queries), last, rows)
 
 
 def heldout_recall(proj, teacher, queries, budget=64):
@@ -121,6 +132,10 @@ class TestRecallMetric:
             index_recall({1}, set())
 
 
+def projector_loss(full_attn, proj_scores):
+    return float(softmax_kl(full_attn, proj_scores)[0])
+
+
 class TestProjectorLoss:
     def test_exact_match_up_to_shift(self):
         p = np.array([0.7, 0.2, 0.1])
@@ -141,44 +156,67 @@ class TestProjectorLoss:
             projector_loss(np.array([1.0]), np.zeros(2))
 
 
-def random_instance(rng, n=24, d=12, r=5):
-    # scale 0.25 keeps softmax(scores) well above the KL floor of 1e-9,
-    # so central differences see the same smooth loss the gradient assumes
-    proj = Projector(rng.normal(size=(r, d)) * 0.25, rng.normal(size=(r, d)) * 0.25)
-    rows = []
-    for _ in range(3):
-        raw = rng.normal(size=n)
-        rows.append(TrainingRow(softmax(raw * 2), rng.normal(size=d), rng.normal(size=(n, d))))
-    return proj, rows
+def random_instance(rng, n=24, d=12, r=5, n_rows=3, gain=0.25):
+    """Rows at varied positions over one key matrix.  gain 0.25 keeps the
+    projected scores within a few units, so central differences at h = 1e-4
+    stay far inside the 1e-4 relative bound."""
+    proj = Projector(rng.normal(size=(r, d)) * gain, rng.normal(size=(r, d)) * gain)
+    positions = rng.integers(n // 2, n, size=n_rows)
+    raw = rng.normal(size=(n_rows, n)) * 2
+    raw[np.arange(n)[None, :] > positions[:, None]] = -np.inf
+    keys = rng.normal(size=(n, d))
+    return proj, Stage1Dataset(keys, rng.normal(size=(n_rows, d)), positions, softmax(raw))
 
 
-def batch_loss(proj, rows):
+def take(ds, idx):
+    return Stage1Dataset(ds.keys_pre, ds.queries[idx], ds.positions[idx], ds.attn[idx])
+
+
+def batch_loss(proj, ds):
+    """Mean row KL, scored one row at a time over each row's own prefix."""
     total = 0.0
-    for row in rows:
-        s = (proj.w_q @ row.query_pre) @ (proj.w_k @ row.keys_pre.T)
-        total += projector_loss(row.full_attn, s)
-    return total / len(rows)
+    for u, t, p in zip(ds.queries, ds.positions, ds.attn):
+        s = (proj.w_q @ u) @ (proj.w_k @ ds.keys_pre[: t + 1].T)
+        total += projector_loss(p[: t + 1], s)
+    return total / len(ds.positions)
+
+
+def per_row_grad(ds, proj):
+    """The per-row loop that the batched projector_grad replaced; the
+    reference the batch gradient is held to."""
+    g_wq, g_wk = np.zeros_like(proj.w_q), np.zeros_like(proj.w_k)
+    for u, t, p in zip(ds.queries, ds.positions, ds.attn):
+        keys = np.asarray(ds.keys_pre[: t + 1], np.float64)
+        a = proj.w_q @ u
+        kt_rho = keys.T @ (softmax((keys @ proj.w_k.T) @ a) - p[: t + 1])
+        g_wq += np.outer(proj.w_k @ kt_rho, u)
+        g_wk += np.outer(a, kt_rho)
+    return g_wq / len(ds.positions), g_wk / len(ds.positions)
+
+
+def assert_grads_close(got, want, rtol=1e-12):
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
 
 
 class TestProjectorGrad:
     def test_zero_at_optimum(self):
         rng = np.random.default_rng(7)
-        proj, _ = random_instance(rng)
-        row_q = rng.normal(size=12)
-        keys = rng.normal(size=(24, 12))
-        s = (proj.w_q @ row_q) @ (proj.w_k @ keys.T)
-        rows = [TrainingRow(softmax(s), row_q, keys)]
-        g_wq, g_wk, loss = projector_grad(rows, proj)
+        proj, ds = random_instance(rng)
+        s = (ds.queries @ proj.w_q.T) @ (proj.w_k @ ds.keys_pre.T)
+        s[np.arange(24)[None, :] > ds.positions[:, None]] = -np.inf
+        at_optimum = Stage1Dataset(ds.keys_pre, ds.queries, ds.positions, softmax(s))
+        g_wq, g_wk, loss = projector_grad(at_optimum, proj)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.abs(g_wq).max() <= 1e-6
         assert np.abs(g_wk).max() <= 1e-6
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        h = 1e-3
+        h = 1e-4
         for _ in range(8):
-            proj, rows = random_instance(rng)
-            g_wq, g_wk, _ = projector_grad(rows, proj)
+            proj, ds = random_instance(rng)
+            g_wq, g_wk, _ = projector_grad(ds, proj)
             for mat_name, grad in (("w_q", g_wq), ("w_k", g_wk)):
                 for _ in range(6):
                     i = int(rng.integers(grad.shape[0]))
@@ -187,23 +225,98 @@ class TestProjectorGrad:
                     getattr(bumped, mat_name)[i, j] += h
                     dipped = proj.copy()
                     getattr(dipped, mat_name)[i, j] -= h
-                    fd = (batch_loss(bumped, rows) - batch_loss(dipped, rows)) / (2 * h)
+                    fd = (batch_loss(bumped, ds) - batch_loss(dipped, ds)) / (2 * h)
                     if abs(grad[i, j]) > 1e-6:
                         assert abs(fd - grad[i, j]) / abs(grad[i, j]) < 1e-4
 
+    def test_reported_loss_is_the_descended_function(self):
+        # projected scores span ~60 units, so softmax entries fall below
+        # 1e-9 where the attention row still has mass: the loss must be the
+        # exact KL, with no floor, for its central differences to match
+        rng = np.random.default_rng(12)
+        proj, ds = random_instance(rng, gain=1.0)
+        s = (ds.queries @ proj.w_q.T) @ (proj.w_k @ ds.keys_pre.T)
+        visible = np.arange(24)[None, :] <= ds.positions[:, None]
+        assert softmax(np.where(visible, s, -np.inf))[visible].min() < 1e-9
+
+        def reported(p):
+            return projector_grad(ds, p)[2]
+
+        assert reported(proj) == pytest.approx(batch_loss(proj, ds), rel=1e-12)
+        g_wq, g_wk, _ = projector_grad(ds, proj)
+        h = 1e-4
+        for mat_name, grad in (("w_q", g_wq), ("w_k", g_wk)):
+            for i, j in np.ndindex(grad.shape):
+                bumped = proj.copy()
+                getattr(bumped, mat_name)[i, j] += h
+                dipped = proj.copy()
+                getattr(dipped, mat_name)[i, j] -= h
+                fd = (reported(bumped) - reported(dipped)) / (2 * h)
+                if abs(grad[i, j]) > 1e-6:
+                    assert abs(fd - grad[i, j]) / abs(grad[i, j]) < 1e-4, (mat_name, i, j)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_matches_per_row_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        proj, ds = random_instance(rng, n=200, d=16, r=8, n_rows=32, gain=0.5)
+        assert len(set(ds.positions.tolist())) > 10
+        assert_grads_close(projector_grad(ds, proj)[:2], per_row_grad(ds, proj))
+
+    def test_shared_key_teacher_form_matches_per_row_reference(self):
+        teacher = gen_rank_teacher(3, n_keys=512, n_queries=48)
+        ds = teacher_dataset(teacher, teacher.queries)
+        for seed in range(3):
+            proj = init_projector(16, 64, seed)
+            assert_grads_close(projector_grad(ds, proj)[:2], per_row_grad(ds, proj))
+
+    def test_mass_past_position_rejected(self):
+        rng = np.random.default_rng(13)
+        proj, ds = random_instance(rng)
+        leaky = ds.attn.copy()
+        row = int(np.argmin(ds.positions))
+        leaky[row] = softmax(np.zeros(24))
+        with pytest.raises(NumericError):
+            projector_grad(Stage1Dataset(ds.keys_pre, ds.queries, ds.positions, leaky), proj)
+
     def test_duplication_invariance(self):
         rng = np.random.default_rng(9)
-        proj, rows = random_instance(rng)
-        g1 = projector_grad(rows, proj)
-        g2 = projector_grad(rows + rows, proj)
+        proj, ds = random_instance(rng)
+        g1 = projector_grad(ds, proj)
+        g2 = projector_grad(take(ds, np.tile(np.arange(3), 2)), proj)
         np.testing.assert_allclose(g1[0], g2[0], atol=1e-12)
         np.testing.assert_allclose(g1[1], g2[1], atol=1e-12)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(10)
-        proj, _ = random_instance(rng)
+        proj, ds = random_instance(rng)
         with pytest.raises(ArgumentError):
-            projector_grad([], proj)
+            projector_grad(take(ds, np.array([], int)), proj)
+
+
+class TestStage1Dataset:
+    @pytest.mark.parametrize("q_head", [2, 5])
+    def test_rows_match_per_row_reference(self, q_head):
+        geo = default_workload_geometry()
+        w = gen_synthetic_workload(WorkloadSpec(seq_len=1024, decode_len=64,
+                                                diffuse_support=200), 3, geo)
+        ds = build_stage1_dataset(w, geo, 0, q_head, seed=3, n_rows=48)
+        cache = build_cache(w, 0, q_head // geo.group_size)
+        n = int(ds.positions.max()) + 1
+        assert ds.attn.shape == (48, n) and ds.keys_pre.shape == (n, geo.head_dim)
+        np.testing.assert_array_equal(ds.keys_pre, cache.keys_pre[:n])
+        for u, t, row in zip(ds.queries, ds.positions, ds.attn):
+            want = softmax(dense_row_scores(u, t, cache, geo.scale))
+            assert np.abs(row[: t + 1] - want).max() <= 1e-12
+            assert np.all(row[t + 1 :] == 0)
+
+    def test_positions_sorted_distinct_and_past_floor(self):
+        geo = default_workload_geometry()
+        w = gen_synthetic_workload(WorkloadSpec(seq_len=768, decode_len=64,
+                                                diffuse_support=200), 1, geo)
+        ds = build_stage1_dataset(w, geo, 0, 9, seed=1, n_rows=600)
+        assert np.all(np.diff(ds.positions) > 0)
+        assert ds.positions.min() >= 4 * geo.block_size
+        assert len(ds.positions) == 768 - 4 * geo.block_size
 
 
 class TestRankingInvariance:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from headsparse.errors import ArgumentError
+from headsparse.numerics import softmax
 from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many
 from headsparse.workload import (
     AttentionRow,
@@ -17,8 +18,9 @@ from headsparse.workload import (
     ModelGeometry,
     Workload,
     WorkloadSpec,
-    _scores,
+    attend,
     build_cache,
+    causal_scores,
     content_band,
     default_workload_geometry,
     dense_attention,
@@ -196,8 +198,8 @@ class TestCacheWritesBitIdentical:
 class TestScoresRotation:
     @pytest.mark.parametrize("group", [None, 1, 4])
     def test_shared_angles_match_row_rotation(self, group):
-        """_scores turns every query by one shared angle vector; the result is
-        == the per-row rotation with the position repeated for each row."""
+        """attend turns every query by one shared angle vector; its weights
+        are == those of the per-row rotation with the position repeated."""
         rng = np.random.default_rng(22)
         cache = KVCacheHead(RopeParams(64, 1.0e6), capacity=50)
         cache.extend(rng.normal(size=(50, 64)), rng.normal(size=(50, 64)), np.arange(50))
@@ -206,10 +208,70 @@ class TestScoresRotation:
         q2 = np.atleast_2d(q.astype(np.float64))
         for pos in (0, 1, 49, 123_457):
             rows = (slice(0, 20), np.array([3, 30, 41]))
-            got = _scores(q, pos, cache, rows, 0.125)
+            got, _ = attend(q, pos, cache, rows, 0.125)
             q_rot = rope_rotate_many(q2, np.full(len(q2), pos), cache.rope)
-            for g, r in zip(got, rows):
-                assert np.array_equal(g, (q_rot @ cache.keys_post64[r].T) * 0.125)
+            want = np.concatenate([(q_rot @ cache.keys_post64[r].T) * 0.125 for r in rows], 1)
+            assert np.array_equal(np.atleast_2d(got), softmax(want))
+
+
+def gapped_cache(rng, d, n, base=1.0e4, step=1):
+    cache = KVCacheHead(RopeParams(d, base), capacity=n)
+    cache.extend(rng.normal(size=(n, d)).astype(np.float32),
+                 rng.normal(size=(n, d)).astype(np.float32), np.arange(n) * step)
+    return cache
+
+
+def parent_row_scores(q, t, cache, scale):
+    """The one-row scoring that dense_row_scores did before causal_scores:
+    one rotation angle vector, one (1, d) @ (d, n) product."""
+    n = cache.visible_count(t)
+    return ((np.atleast_2d(rope_rotate(q, t, cache.rope)) @ cache.keys_post64[:n].T)
+            * scale)[0]
+
+
+class TestCausalScores:
+    @pytest.mark.parametrize("d,base", [(16, 1.0e4), (64, 1.0e4), (64, 1.0e6), (128, 1.0e6)])
+    def test_one_row_is_bit_identical_to_row_scoring(self, d, base):
+        rng = np.random.default_rng(d)
+        cache = gapped_cache(rng, d, 300, base)
+        for t in rng.integers(0, 300, size=50):
+            q = rng.normal(size=d).astype(np.float32)
+            want = parent_row_scores(q, int(t), cache, 0.125)
+            assert np.array_equal(causal_scores(q[None], [t], cache, 0.125)[0], want)
+            assert np.array_equal(dense_row_scores(q, int(t), cache, 0.125), want)
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_rows_match_row_scoring_and_mask_the_future(self, step):
+        rng = np.random.default_rng(40 + step)
+        cache = gapped_cache(rng, 32, 400, step=step)
+        positions = rng.integers(0, 400 * step - step + 1, size=64)
+        queries = rng.normal(size=(64, 32))
+        got = causal_scores(queries, positions, cache)
+        assert got.shape == (64, cache.visible_count(int(positions.max())))
+        for q, t, row in zip(queries, positions, got):
+            want = parent_row_scores(q, int(t), cache, 1 / math.sqrt(32))
+            n = want.size
+            assert np.abs(row[:n] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.all(np.isneginf(row[n:])) and np.all(cache.positions[n : row.size] > t)
+
+    def test_positions_the_cache_does_not_reach_rejected(self):
+        rng = np.random.default_rng(9)
+        cache = gapped_cache(rng, 8, 20)
+        q = rng.normal(size=(2, 8))
+        causal_scores(q, [0, 19], cache)
+        for bad in ([3, 20], [25, 1]):
+            with pytest.raises(ArgumentError):
+                causal_scores(q, bad, cache)
+        with pytest.raises(ArgumentError):
+            causal_scores(q, [3], cache)
+        with pytest.raises(ArgumentError):
+            causal_scores(q[:, :4], [3, 4], cache)
+        late = KVCacheHead(RopeParams(8))
+        late.append(np.zeros(8), np.zeros(8), 10)
+        with pytest.raises(ArgumentError):
+            causal_scores(q, [5, 12], late)
+        with pytest.raises(ArgumentError):
+            causal_scores(q, [5, 12], KVCacheHead(RopeParams(8)))
 
 
 class TestDenseAttention:
