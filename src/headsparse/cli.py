@@ -1,8 +1,9 @@
 """Command-line front end: deterministic experiment orchestration.
 
 Subcommands
-    calibrate      score heads on a planted workload and split them into
-                   retrieval and local sets (partition.csv, head_scores.csv)
+    calibrate      generate the planted workload, score heads on it and
+                   split them into retrieval and local sets (workload.json/
+                   .bin, partition.csv, head_scores.csv)
     train-indexer  fit one low-rank projector per retrieval head
                    (projector-L{l}H{h}.json/.bin, stage1-loss-L{l}H{h}.csv)
     distill-toy    teacher-cache a small dense model and train its sparse
@@ -24,6 +25,11 @@ field (headsparse.record).  Precedence, highest first: command-line flag,
 config file, the HEADSPARSE_OUT environment variable (output directory
 only), built-in default.  Every command writes the fully resolved config
 it ran under to config_used.json.
+
+The workload is generated once per pipeline: calibrate saves it, and
+train-indexer and run map the saved file when its seed, geometry and
+workload spec equal the resolved config's.  Otherwise (a --seed override,
+say) they generate it again; both routes give the same arrays bit for bit.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
@@ -77,6 +83,7 @@ from .reports import (
 )
 from .workload import (
     ModelGeometry,
+    Workload,
     WorkloadSpec,
     default_workload_geometry,
     gen_synthetic_workload,
@@ -86,6 +93,7 @@ from .workload import (
 ENV_OUT = "HEADSPARSE_OUT"
 DEFAULT_OUT = "headsparse-out"
 MODES = ("exact", "histogram", "top_k")
+WORKLOAD_STEM = "workload"
 
 
 @dataclass(frozen=True)
@@ -171,9 +179,21 @@ def _load_partition_file(cfg: RunConfig, out: Path):
     return load_partitions(path, cfg.geometry.retrieval_ratio)
 
 
+def _pipeline_workload(cfg: RunConfig, out: Path) -> Workload:
+    """The workload calibrate saved in `out` when it was generated from this
+    config's seed, geometry and spec; otherwise a freshly generated one."""
+    stem = out / WORKLOAD_STEM
+    if stem.with_suffix(".json").exists():
+        saved = Workload.load(stem)
+        if (saved.seed, saved.geometry, saved.spec) == (cfg.seed, cfg.geometry, cfg.workload):
+            return saved
+    return gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
+
+
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = _ensure_out(cfg)
     workload = gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
+    workload.save(out / WORKLOAD_STEM)
     partitions = calibrate(workload)
     save_partitions(out / "partition.csv", partitions)
     rows = []
@@ -190,7 +210,7 @@ def cmd_train_indexer(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = _ensure_out(cfg)
     partitions = _load_partition_file(cfg, out)
     geo = cfg.geometry
-    workload = gen_synthetic_workload(cfg.workload, cfg.seed, geo)
+    workload = _pipeline_workload(cfg, out)
     for layer, part in enumerate(partitions):
         for h in sorted(part.retrieval_set):
             dataset = build_stage1_dataset(workload, geo, layer, h, cfg.seed)
@@ -227,7 +247,7 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
     partitions = _load_partition_file(cfg, out)
     projectors = _load_projectors(cfg, out, partitions)
     geo = cfg.geometry
-    workload = gen_synthetic_workload(cfg.workload, cfg.seed, geo)
+    workload = _pipeline_workload(cfg, out)
     result = run_workload(
         workload, geo, partitions, projectors,
         p=geo.top_p, mode=cfg.mode, top_k=cfg.top_k,
@@ -297,6 +317,12 @@ def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = Path(cfg.output_dir)
     found = 0
+    stem = out / WORKLOAD_STEM
+    if stem.with_suffix(".json").exists():
+        found += 1
+        wl = Workload.load(stem)
+        mib = sum(a.nbytes for a in (wl.queries, wl.keys_pre, wl.values)) / 2**20
+        print(f"workload: seq_len {wl.seq_len}, seed {wl.seed}, payload {mib:.1f} MiB")
     partition = out / "partition.csv"
     if partition.exists():
         found += 1

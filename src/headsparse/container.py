@@ -6,12 +6,18 @@ byte offset); the .bin file is the little-endian concatenation of the
 tensors in directory order.  Only <f4 and <i4 payloads are allowed, which
 keeps every artifact readable from any language with a hex dump and makes
 round-trips bit-exact by construction.
+
+Saving streams each tensor to the payload and renames both files into
+place, manifest last.  Loading maps the payload copy-on-write, so a reader
+pays only for the pages it touches and never holds a second copy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -39,40 +45,56 @@ def _canon(arr: np.ndarray) -> np.ndarray:
 
 def save_container(stem: str | Path, tensors: Mapping[str, np.ndarray],
                    meta: Mapping[str, Any] | None = None) -> None:
-    """Write stem.json + stem.bin.  Tensor order follows the mapping order."""
+    """Write stem.json + stem.bin.  Tensor order follows the mapping order.
+
+    Each tensor streams to the payload in turn, so no copy of the whole
+    payload is held.  Both files are written under temporary names and
+    renamed into place, payload first and manifest last: arrays mapped
+    from an earlier container of the same stem keep reading its bytes."""
     stem = Path(stem)
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    bin_path, json_path = stem.with_suffix(".bin"), stem.with_suffix(".json")
+    bin_tmp, json_tmp = (p.with_name(p.name + ".tmp") for p in (bin_path, json_path))
     entries = []
     offset = 0
-    blobs = []
-    for name, arr in tensors.items():
-        a = _canon(np.asarray(arr))
-        raw = a.tobytes()
-        entries.append({
-            "name": name,
-            "dtype": str(a.dtype.str),
-            "shape": list(a.shape),
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        blobs.append(raw)
-        offset += len(raw)
+    with open(bin_tmp, "wb") as f:
+        for name, arr in tensors.items():
+            a = _canon(np.asarray(arr))
+            a.tofile(f)
+            entries.append({
+                "name": name,
+                "dtype": str(a.dtype.str),
+                "shape": list(a.shape),
+                "offset": offset,
+                "nbytes": a.nbytes,
+            })
+            offset += a.nbytes
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "meta": dict(meta) if meta else {},
         "tensors": entries,
     }
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    with open(stem.with_suffix(".json"), "w") as f:
+    with open(json_tmp, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=False)
         f.write("\n")
-    with open(stem.with_suffix(".bin"), "wb") as f:
-        for raw in blobs:
-            f.write(raw)
+    os.replace(bin_tmp, bin_path)
+    os.replace(json_tmp, json_path)
+
+
+def _map_payload(path: Path) -> mmap.mmap | bytearray:
+    """The payload mapped copy-on-write: pages are read as they are touched,
+    and writes to an array over it stay private to the process."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == 0:
+            return bytearray()
+        return mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY)
 
 
 def load_container(stem: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Read stem.json + stem.bin back; returns (tensors, meta)."""
+    """Read stem.json + stem.bin back; returns (tensors, meta).  The tensors
+    are views of the payload mapped copy-on-write (see _map_payload)."""
     stem = Path(stem)
     try:
         with open(stem.with_suffix(".json")) as f:
@@ -85,7 +107,7 @@ def load_container(stem: str | Path) -> tuple[dict[str, np.ndarray], dict[str, A
     if not isinstance(manifest.get("tensors"), list) or not isinstance(meta, dict):
         raise ArgumentError(f"{stem}.json lacks a tensor list or a meta object")
     try:
-        blob = stem.with_suffix(".bin").read_bytes()
+        payload = _map_payload(stem.with_suffix(".bin"))
     except OSError as e:
         raise ArgumentError(f"cannot read payload {stem}.bin: {e}") from e
     tensors: dict[str, np.ndarray] = {}
@@ -102,7 +124,8 @@ def load_container(stem: str | Path) -> tuple[dict[str, np.ndarray], dict[str, A
             raise ArgumentError(f"tensor {name}: bad shape {shape!r}")
         if type(n) is not int or n != math.prod(shape) * dt.itemsize:
             raise ArgumentError(f"tensor {name}: nbytes {n} disagrees with shape {shape}")
-        if type(start) is not int or start < 0 or start + n > len(blob):
+        if type(start) is not int or start < 0 or start + n > len(payload):
             raise ArgumentError(f"tensor {name} overruns payload")
-        tensors[name] = np.frombuffer(blob[start : start + n], dtype=dt).reshape(shape).copy()
+        tensors[name] = np.frombuffer(payload, dtype=dt, count=n // dt.itemsize,
+                                      offset=start).reshape(shape)
     return tensors, meta

@@ -21,6 +21,7 @@ heads a causal long-range target that local heads cannot see.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
@@ -365,18 +366,32 @@ class Workload:
 
     @staticmethod
     def load(stem: str | Path) -> "Workload":
+        """Read a saved workload back, its tensors mapped from the payload.
+        Missing meta keys or tensors, or a tensor whose shape disagrees with
+        the recorded geometry and spec, raise ArgumentError."""
         tensors, meta = load_container(stem)
         if meta.get("kind") != "workload":
             raise ArgumentError(f"{stem} does not hold a workload")
-        return Workload(
-            geometry=ModelGeometry.from_dict(meta["geometry"]),
-            spec=WorkloadSpec.from_dict(meta["spec"]),
-            seed=int(meta["seed"]),
-            queries=tensors["queries"],
-            keys_pre=tensors["keys_pre"],
-            values=tensors["values"],
-            annotations=WorkloadAnnotations.from_dict(meta["annotations"]),
-        )
+        missing = [k for k in ("seed", "geometry", "spec", "annotations") if k not in meta]
+        if missing:
+            raise ArgumentError(f"{stem}.json: workload meta lacks {missing}")
+        if type(meta["seed"]) is not int:
+            raise ArgumentError(f"{stem}.json: seed must be an int, got {meta['seed']!r}")
+        geo = ModelGeometry.from_dict(meta["geometry"])
+        spec = WorkloadSpec.from_dict(meta["spec"])
+        annotations = WorkloadAnnotations.from_dict(meta["annotations"])
+        kv_shape = (geo.n_layers, geo.n_kv_heads, spec.seq_len, geo.head_dim)
+        shapes = {"queries": (geo.n_layers, geo.n_q_heads, spec.seq_len, geo.head_dim),
+                  "keys_pre": kv_shape, "values": kv_shape}
+        for name, want in shapes.items():
+            got = tensors.get(name)
+            if got is None:
+                raise ArgumentError(f"{stem}: workload lacks tensor {name!r}")
+            if got.shape != want or got.dtype != np.float32:
+                raise ArgumentError(f"{stem}: tensor {name!r} is {got.dtype}{got.shape}, "
+                                    f"expected float32{want}")
+        return Workload(geo, spec, meta["seed"], tensors["queries"],
+                        tensors["keys_pre"], tensors["values"], annotations)
 
 
 def default_workload_geometry(**overrides) -> ModelGeometry:
@@ -418,16 +433,22 @@ def _resolve_layout(spec: WorkloadSpec, geometry: ModelGeometry) -> tuple[int, i
 
 
 def _unit_walk(rng: np.random.Generator, n_steps: int, dim: int, rho: float) -> np.ndarray:
-    """Unit-norm correlated walk: corr(w_t, w_s) ~ rho^|t-s|."""
-    out = np.empty((n_steps, dim))
-    w = rng.normal(size=dim)
-    w /= np.linalg.norm(w)
-    drift = np.sqrt(max(1.0 - rho * rho, 0.0))
-    for t in range(n_steps):
-        out[t] = w
-        w = rho * w + drift * rng.normal(size=dim)
-        w /= np.linalg.norm(w)
-    return out
+    """Unit-norm correlated walk: corr(w_t, w_s) ~ rho^|t-s|.
+
+    The n_steps + 1 noise rows come from one draw, which leaves `rng` where
+    one draw per step would and yields the same rows; each row then turns
+    into its walk step in place.  A step is drift * noise + rho * w divided
+    by sqrt(w . w): the roundings of the per-step form with np.linalg.norm,
+    so the walk is bit-identical to it."""
+    walk = rng.normal(size=(n_steps + 1, dim))
+    walk[1:] *= np.sqrt(max(1.0 - rho * rho, 0.0))
+    w = walk[0]
+    w /= math.sqrt(w.dot(w))
+    for row in walk[1:n_steps]:
+        row += rho * w
+        row /= math.sqrt(row.dot(row))
+        w = row
+    return walk[:n_steps]
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from headsparse.cli import (
 from headsparse.errors import ConfigError, InternalError
 from headsparse.indexer import init_projector
 from headsparse.reports import read_bench, read_decode_trace, read_sparsity_report
-from headsparse.workload import default_workload_geometry
+from headsparse.workload import Workload, default_workload_geometry, gen_synthetic_workload
 
 BASE = {
     "geometry": {"n_q_heads": 8, "n_kv_heads": 4, "window": 192,
@@ -307,6 +307,91 @@ class TestRun:
         assert np.isclose(rep.compute_sparsity, 1.0 - np.mean(ratios), atol=1e-9)
 
 
+RUN_ARTIFACTS = ("decode_trace.csv", "sparsity_report.json",
+                 "head_token_counts.csv", "mass_sweep.csv")
+
+
+def read_artifacts(out, names):
+    return {name: (out / name).read_bytes() for name in names}
+
+
+def drop_workload(out):
+    for suffix in (".json", ".bin"):
+        (out / f"workload{suffix}").unlink()
+
+
+class TestSavedWorkload:
+    """calibrate saves the workload; train-indexer and run map it when the
+    seed, geometry and spec match and regenerate it otherwise, with the same
+    artifacts either way."""
+
+    def test_calibrate_saves_the_generated_workload(self, artifacts):
+        saved = Workload.load(artifacts / "workload")
+        cfg = RunConfig.from_dict(BASE)
+        fresh = gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
+        assert (saved.seed, saved.geometry, saved.spec) == (11, cfg.geometry, cfg.workload)
+        for name in ("queries", "keys_pre", "values"):
+            assert getattr(saved, name).tobytes() == getattr(fresh, name).tobytes()
+        assert saved.annotations == fresh.annotations
+
+    def test_saved_and_regenerated_routes_agree(self, tmp_path):
+        saved, regenerated = tmp_path / "saved", tmp_path / "regenerated"
+        cfg = write_config(tmp_path, saved)
+        assert main(["calibrate", "--config", str(cfg)]) == 0
+        shutil.copytree(saved, regenerated)
+        drop_workload(regenerated)
+        for out in (saved, regenerated):
+            for command in ("train-indexer", "run"):
+                assert main([command, "--config", str(cfg), "--out", str(out),
+                             "--mode", "histogram"]) == 0
+        names = RUN_ARTIFACTS + tuple(
+            f"{stem}-L0H{h}.{ext}" for h in (1, 6)
+            for stem, ext in (("projector", "json"), ("projector", "bin"),
+                              ("stage1-loss", "csv")))
+        assert read_artifacts(saved, names) == read_artifacts(regenerated, names)
+
+    def test_seed_override_regenerates(self, artifacts, tmp_path):
+        with_file = clone_artifacts(artifacts, tmp_path)
+        without = tmp_path / "without"
+        shutil.copytree(artifacts, without)
+        drop_workload(without)
+        cfg = write_config(tmp_path, with_file)
+        for out in (with_file, without):
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--seed", "12"]) == 0
+        assert read_artifacts(with_file, RUN_ARTIFACTS) == read_artifacts(without, RUN_ARTIFACTS)
+        # the saved seed-11 workload is left as calibrate wrote it
+        assert Workload.load(with_file / "workload").seed == 11
+
+    def test_resave_leaves_mapped_arrays_intact(self, artifacts, tmp_path):
+        out = clone_artifacts(artifacts, tmp_path)
+        before = Workload.load(out / "workload")
+        keys = before.keys_pre.copy()
+        cfg = write_config(tmp_path, out)
+        assert main(["calibrate", "--config", str(cfg), "--seed", "12"]) == 0
+        assert Workload.load(out / "workload").seed == 12
+        assert np.array_equal(before.keys_pre, keys)
+
+    @pytest.mark.parametrize("edit", ["truncated", "reshaped", "renamed"])
+    def test_malformed_workload_exits_2(self, artifacts, tmp_path, edit):
+        out = clone_artifacts(artifacts, tmp_path)
+        if edit == "truncated":
+            payload = out / "workload.bin"
+            payload.write_bytes(payload.read_bytes()[:-4])
+        else:
+            path = out / "workload.json"
+            manifest = json.loads(path.read_text())
+            entry = manifest["tensors"][0]
+            if edit == "reshaped":
+                shape = entry["shape"]
+                shape[2], shape[3] = shape[3], shape[2]
+            else:
+                entry["name"] = "query"
+            path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path, out)
+        assert main(["run", "--config", str(cfg)]) == 2
+
+
 class TestDistillToy:
     def test_artifacts_and_determinism(self, tmp_path):
         traces = []
@@ -351,6 +436,8 @@ class TestReportAndDispatch:
         assert main(["report", "--config", str(cfg)]) == 0
         printed = capsys.readouterr().out
         assert "partition layer 0" in printed
+        mib = (8 + 4 + 4) * 768 * 64 * 4 / 2**20
+        assert f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB" in printed
 
     @pytest.mark.parametrize("name, text", [
         ("decode_trace.csv",

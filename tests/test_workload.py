@@ -4,11 +4,14 @@ The dense oracle is cross-checked against a literal two-loop reimplementation
 kept inside this file, so the production path never validates itself.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import headsparse.workload as workload_module
+from headsparse.container import save_container
 from headsparse.errors import ArgumentError
 from headsparse.numerics import softmax
 from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many
@@ -472,10 +475,78 @@ class TestGenerator:
         assert back.spec == w.spec
         assert back.seed == 7
 
+    @pytest.mark.parametrize("meta_key", ["seed", "geometry", "spec", "annotations"])
+    def test_load_rejects_meta_without_key(self, tmp_path, meta_key):
+        gen_synthetic_workload(SMALL_SPEC, 7, small_geometry()).save(tmp_path / "wl")
+        path = tmp_path / "wl.json"
+        manifest = json.loads(path.read_text())
+        del manifest["meta"][meta_key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ArgumentError, match=meta_key):
+            Workload.load(tmp_path / "wl")
+
+    @pytest.mark.parametrize("tensor", ["queries", "keys_pre", "values"])
+    def test_load_rejects_missing_or_misshapen_tensor(self, tmp_path, tensor):
+        w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
+        arrays = {"queries": w.queries, "keys_pre": w.keys_pre, "values": w.values}
+        meta = {"kind": "workload", "seed": 7, "geometry": w.geometry.to_dict(),
+                "spec": w.spec.to_dict(), "annotations": w.annotations.to_dict()}
+        absent = {k: v for k, v in arrays.items() if k != tensor}
+        save_container(tmp_path / "absent", absent, meta)
+        with pytest.raises(ArgumentError, match=tensor):
+            Workload.load(tmp_path / "absent")
+        # same element count, wrong layout: passes the container's checks
+        arrays[tensor] = arrays[tensor].swapaxes(2, 3)
+        save_container(tmp_path / "swapped", arrays, meta)
+        with pytest.raises(ArgumentError, match=tensor):
+            Workload.load(tmp_path / "swapped")
+
     def test_bands_are_disjoint(self):
         lb, cb = local_band(64), content_band(64)
         assert lb.stop <= cb.start
         assert cb.stop == 64
+
+
+def per_step_unit_walk(rng, n_steps, dim, rho):
+    """Reference: one rng draw and one np.linalg.norm per step."""
+    out = np.empty((n_steps, dim))
+    w = rng.normal(size=dim)
+    w /= np.linalg.norm(w)
+    drift = np.sqrt(max(1.0 - rho * rho, 0.0))
+    for t in range(n_steps):
+        out[t] = w
+        w = rho * w + drift * rng.normal(size=dim)
+        w /= np.linalg.norm(w)
+    return out
+
+
+class TestUnitWalkBitIdentity:
+    """The block-drawn walk must equal the per-step reference exactly and
+    leave the stream where it would.  Compared in-process rather than
+    against a stored digest: the dot products follow the BLAS kernel, so
+    the bits can differ between machines but not between the two forms."""
+
+    @pytest.mark.parametrize("seed, n_steps, dim, rho", [
+        (0, 1, 2, 0.5), (1, 300, 32, 0.9923), (5, 257, 7, 0.0),
+        (9, 64, 16, 1.0), (13, 2000, 32, 0.99),
+    ])
+    def test_matches_per_step_reference(self, seed, n_steps, dim, rho):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = per_step_unit_walk(ref_rng, n_steps, dim, rho)
+        got = workload_module._unit_walk(rng, n_steps, dim, rho)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(rng.normal(size=3), ref_rng.normal(size=3))
+
+    @pytest.mark.parametrize("seq_len", [768, 2048])
+    def test_workload_matches_per_step_form(self, monkeypatch, seq_len):
+        spec = small_spec(seq_len=seq_len, planted_retrieval_heads=(1, 6), probe_head=1)
+        got = gen_synthetic_workload(spec, 3, small_geometry())
+        monkeypatch.setattr(workload_module, "_unit_walk", per_step_unit_walk)
+        want = gen_synthetic_workload(spec, 3, small_geometry())
+        for name in ("queries", "keys_pre", "values"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.annotations == want.annotations
 
 
 class TestRankTeacher:
