@@ -3,11 +3,11 @@ attention for local heads, and per-step top-p decode over projected scores.
 
 A decode step visits each (layer, kv_head) once.  The local query heads of
 that group decode together over the local_spans of the cache (sinks and
-window); each retrieval head selects its own set and attends over it.  The
-histogram route hands attention its merged block runs, so both local and
-histogram heads read contiguous slices of the cache with no gathered copy;
-exact and top-k sets are scattered and stay gathered.  Every head goes
-through restricted_attention and so through workload.attend, the one
+window); each retrieval head selects its own set and attends over it.  Local
+heads and the histogram route's merged block runs read contiguous slices of
+the cache.  Exact and top-k sets are index arrays: a dense one attends as
+one dense row over its span, and a sparse one is gathered.  Every head
+goes through restricted_attention and so through workload.attend, the one
 attention kernel.
 
 The decode path never renormalizes approximately: whatever active set the
@@ -115,24 +115,18 @@ def local_spans(n_visible: int, window: int, n_sinks: int) -> tuple[slice, ...]:
     return slice(0, n_sinks), slice(tail_start, n_visible)
 
 
-def local_active_indices(n_visible: int, window: int, n_sinks: int) -> np.ndarray:
-    """Indices a local head attends to: local_spans as one index array."""
-    return np.r_[local_spans(n_visible, window, n_sinks)]
-
-
 def restricted_attention(query_pre: np.ndarray, query_position: int,
                          cache: KVCacheHead, active: np.ndarray | SelectionResult,
                          scale: float | None = None) -> np.ndarray:
     """Attention output over the cache rows in `active`, an index array or a
-    selection (read through its spans when it has them); by construction
-    identical to dense attention on the sub-cache.  len(active) is the
-    number of tokens attended."""
+    selection (read through its spans when it has them); the same exact
+    softmax as dense attention on the sub-cache, up to rounding.  len(active)
+    is the number of tokens attended."""
     if len(active) == 0:
         raise InternalError("restricted attention over an empty set")
-    rows = active
     if isinstance(active, SelectionResult):
-        rows = active.spans or active.active_set
-    return attend(query_pre, query_position, cache, rows, scale)[1]
+        active = active.spans or active.active_set
+    return attend(query_pre, query_position, cache, active, scale)[1]
 
 
 def local_head_decode(queries_pre: np.ndarray, query_position: int,
@@ -141,7 +135,7 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
     """Sink+window attention for one decode step of the query heads that
     share `cache`: queries_pre is (d,) or (G, d), and the outputs keep its
     leading shape.  Returns (outputs, indices); the indices are the same
-    read-only local_active_indices array for every head of the block.
+    read-only array of the local_spans' rows for every head of the block.
 
     The local_spans are attended as contiguous slices of the cache, so no
     row is gathered."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -86,23 +85,6 @@ def init_projector(r: int, head_dim: int, seed: int, label: str = "projector-ini
     )
 
 
-def projected_scores(query_pre: np.ndarray, cache: KVCacheHead, projector: Projector,
-                     query_position: int) -> np.ndarray:
-    """Projected relevance scores for every token visible at query_position,
-    recomputed from the whole cache; the reference for ProjectedKeyCache."""
-    q = np.asarray(query_pre, np.float64)
-    if q.shape != (projector.head_dim,):
-        raise ArgumentError(
-            f"query length {q.shape} does not match projector head_dim {projector.head_dim}"
-        )
-    if cache.rope.head_dim != projector.head_dim:
-        raise ArgumentError("cache head_dim does not match projector")
-    rows = visible_rows(cache, query_position)
-    u = projector.w_q @ q
-    proj_keys = cache.keys_pre[rows].astype(np.float64) @ projector.w_k.T
-    return proj_keys @ u
-
-
 class ProjectedKeyCache:
     """Incrementally maintained projected keys for one (cache, projector)
     pair, so each decode step pays O(new keys) projection work instead of
@@ -133,15 +115,6 @@ class ProjectedKeyCache:
         rows = visible_rows(cache, query_position)
         u = self.projector.w_q @ np.asarray(query_pre, np.float64)
         return self._u[rows] @ u
-
-
-def index_recall(selected: set[int] | Sequence[int], reference_top: set[int] | Sequence[int]
-                 ) -> float:
-    """Fraction of the reference top set that the selection recovered."""
-    ref = set(reference_top)
-    if not ref:
-        raise ArgumentError("reference set must be non-empty")
-    return len(set(selected) & ref) / len(ref)
 
 
 @dataclass(frozen=True)

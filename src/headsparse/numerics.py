@@ -31,8 +31,16 @@ def require_finite(x: np.ndarray, name: str = "input") -> np.ndarray:
 
 
 def descending_order(scores: np.ndarray) -> np.ndarray:
-    """Indices by descending score, ties resolved toward the lower index."""
-    return np.argsort(-np.asarray(scores, np.float64), kind="stable")
+    """Indices by descending score, ties resolved toward the lower index.
+    The default (SIMD quicksort) argsort runs first; ranked keys with no two
+    equal neighbours and no NaN (which ranks last) are strictly ordered, so
+    it is then the stable order, and otherwise the stable sort decides."""
+    neg = -np.asarray(scores, np.float64)
+    order = np.argsort(neg)
+    ranked = neg[order]
+    if ranked.size and not np.isnan(ranked[-1]) and np.all(ranked[1:] != ranked[:-1]):
+        return order
+    return np.argsort(neg, kind="stable")
 
 
 def _shifted(scores: np.ndarray) -> np.ndarray:

@@ -242,13 +242,8 @@ def block_top_p_exact(table: BlockTable, p: float) -> int:
         raise ArgumentError("no blocks")
     masses = table.l * np.exp(table.m - float(table.m.max()))
     order = descending_order(table.m)
-    target = p * float(masses.sum())
-    cum = 0.0
-    for count, b in enumerate(order, start=1):
-        cum += float(masses[b])
-        if cum >= target:
-            return count
-    return int(table.m.size)
+    csum = np.cumsum(masses[order])  # sequential, as a running float sum
+    return min(int(np.searchsorted(csum, p * float(masses.sum()))) + 1, int(table.m.size))
 
 
 def split_merge(tables: Sequence[BlockTable]) -> BlockTable:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from test_workload import SMALL_SPEC, small_geometry
 
+import headsparse.workload as workload_module
 from headsparse.calibration import partition_heads
 from headsparse.engine import (
     DecodeTrace,
     attention_mass_report,
     compute_sparsity,
-    local_active_indices,
     local_head_decode,
+    local_spans,
     memory_sparsity,
     prefill,
     restricted_attention,
@@ -56,6 +57,11 @@ def small_partition(n_q=8, ratio=0.25, planted=(1, 6)):
 
 SMALL_GEO = small_geometry()
 SMALL_WORKLOAD = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
+
+
+def local_active_indices(n_visible, window, n_sinks):
+    """Indices a local head attends to: local_spans as one index array."""
+    return np.r_[local_spans(n_visible, window, n_sinks)]
 
 
 def small_projectors(partition, geometry, seed=0):
@@ -200,9 +206,10 @@ class TestRetrievalDecode:
         oracle = dense_attention(q, 4095, sub_cache(cache, trace.active_set))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
-    def test_histogram_runs_match_gather(self):
+    def test_histogram_runs_match_gather(self, monkeypatch):
         """Histogram mode attends over the merged runs: the same active set as
         the selection, and the gathered-rows output within 1e-15."""
+        monkeypatch.setattr(workload_module, "DENSE_SHARE", 1.0)  # always gather
         rng = np.random.default_rng(9)
         cache = random_cache(rng, 4096)
         pkc = ProjectedKeyCache(init_projector(8, 32, seed=2))

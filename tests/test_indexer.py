@@ -14,9 +14,7 @@ from headsparse.indexer import (
     Stage1Config,
     Stage1Dataset,
     build_stage1_dataset,
-    index_recall,
     init_projector,
-    projected_scores,
     projector_grad,
     train_projector,
 )
@@ -31,7 +29,32 @@ from headsparse.workload import (
     dense_row_scores,
     gen_rank_teacher,
     gen_synthetic_workload,
+    visible_rows,
 )
+
+
+def projected_scores(query_pre, cache, projector, query_position):
+    """Projected relevance scores for every token visible at query_position,
+    recomputed from the whole cache; the reference for ProjectedKeyCache."""
+    q = np.asarray(query_pre, np.float64)
+    if q.shape != (projector.head_dim,):
+        raise ArgumentError(
+            f"query length {q.shape} does not match projector head_dim {projector.head_dim}"
+        )
+    if cache.rope.head_dim != projector.head_dim:
+        raise ArgumentError("cache head_dim does not match projector")
+    rows = visible_rows(cache, query_position)
+    u = projector.w_q @ q
+    proj_keys = cache.keys_pre[rows].astype(np.float64) @ projector.w_k.T
+    return proj_keys @ u
+
+
+def index_recall(selected, reference_top):
+    """Fraction of the reference top set that the selection recovered."""
+    ref = set(reference_top)
+    if not ref:
+        raise ArgumentError("reference set must be non-empty")
+    return len(set(selected) & ref) / len(ref)
 
 
 def fill_cache(rng, d=16, n=32):

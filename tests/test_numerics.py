@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from headsparse.errors import ArgumentError, NumericError
 from headsparse.numerics import (
     LsePair,
+    descending_order,
     lse_reduce,
     softmax,
     softmax_kl,
@@ -151,3 +152,39 @@ class TestProperties:
         # through log p, p's own KL is zero up to float dust (worst of
         # 20,000 random draws: 4.8e-16)
         assert kl(p, p) == pytest.approx(0.0, abs=1e-14)
+
+
+def stable_descending(x):
+    """Reference: the stable sort of the negated float64 keys."""
+    return np.argsort(-np.asarray(x, np.float64), kind="stable")
+
+
+_rng = np.random.default_rng(11)
+ORDER_CASES = {
+    "integer levels": _rng.integers(0, 5, size=5000),
+    "0.1-rounded levels": np.round(_rng.normal(size=5000), 1),
+    "signed zeros": _rng.choice([0.0, -0.0, 1.0], size=3000),
+    "infinities": _rng.choice([np.inf, -np.inf, 0.5, -2.0], size=3000),
+    "lone infinities": np.array([np.inf, 1.0, -np.inf, 0.0]),
+    "NaN": np.where(_rng.random(4097) < 0.01, np.nan, _rng.normal(size=4097)),
+    "lone NaN": np.array([0.5, np.nan, 1.5]),
+    "int64 past 2**53": 2**60 + _rng.permutation(2000),  # distinct ints, equal floats
+    "float32": _rng.normal(size=4097).astype(np.float32),
+    "float32 ties": np.round(_rng.normal(size=4097), 2).astype(np.float32),
+    "two equal": np.array([3.0, 3.0]),
+    **{f"distinct n={n}": _rng.normal(size=n) for n in (0, 1, 2, 4097, 40_000)},
+}
+
+
+class TestDescendingOrder:
+    """The fast path must return exactly the stable order, ties and NaN
+    included."""
+
+    @pytest.mark.parametrize("name", list(ORDER_CASES))
+    def test_equals_stable_argsort(self, name):
+        x = ORDER_CASES[name]
+        assert np.array_equal(descending_order(x), stable_descending(x))
+
+    def test_int64_collisions_tie_after_the_cast(self):
+        x = np.array([2**53, 2**53 + 1, 7], np.int64)  # 2**53 + 1 rounds to 2**53
+        np.testing.assert_array_equal(descending_order(x), [0, 1, 2])

@@ -354,8 +354,33 @@ def reference_scan(m, l, p):
     return threshold, mask, float(math.fsum(masses[mask]) / math.fsum(masses))
 
 
+def reference_block_count(table, p):
+    """The block walk one block at a time, a running float sum in descending
+    block-max order (ties to the lower index)."""
+    masses = table.l * np.exp(table.m - float(table.m.max()))
+    target = p * float(masses.sum())
+    cum = 0.0
+    for count, b in enumerate(np.argsort(-table.m, kind="stable"), start=1):
+        cum += float(masses[b])
+        if cum >= target:
+            return count
+    return int(table.m.size)
+
+
 class TestScanReference:
     """The vectorized histogram scan must reproduce the bin-by-bin walk."""
+
+    @pytest.mark.parametrize("maxima", ["random", "tied"])
+    def test_block_count_matches_running_sum(self, maxima):
+        rng = np.random.default_rng(78)
+        for _ in range(200):
+            n = int(rng.integers(1, 700))
+            m = rng.normal(size=n) * 8 if maxima == "random" else rng.integers(-9, 1, n) * 1.0
+            l = rng.uniform(1.0, 64.0, size=n)
+            starts = np.arange(n, dtype=np.int64) * 4
+            t = BlockTable(m, l, starts, starts + 4)
+            for p in (0.1, 0.5, 0.9, 0.99, 1.0):
+                assert block_top_p_exact(t, p) == reference_block_count(t, p)
 
     @pytest.mark.parametrize("maxima", ["random", "tied", "all_equal"])
     def test_scan_matches_reference(self, maxima):

@@ -277,6 +277,79 @@ class TestCausalScores:
             causal_scores(q, [5, 12], KVCacheHead(RopeParams(8)))
 
 
+class TestAttendRowForms:
+    """An index array attends either gathered or as one dense row over
+    [0, rows[-1] + 1), zero off the set; DENSE_SHARE picks the form, and
+    both weigh the set."""
+
+    @staticmethod
+    def forced(monkeypatch, share, *args):
+        monkeypatch.setattr(workload_module, "DENSE_SHARE", share)
+        return attend(*args)
+
+    @staticmethod
+    def cache(rng, n):
+        """Unit-scale keys and values at the generator's VALUE_SCALE.  The
+        forms differ only in rounding (accumulation order of the products
+        and sums), which scales with |score| x |value|, so the absolute
+        1e-15 bound holds at these scales and unit-scale queries."""
+        cache = KVCacheHead(RopeParams(64), capacity=n)
+        cache.extend(rng.normal(size=(n, 64)),
+                     rng.normal(size=(n, 64)) * workload_module.VALUE_SCALE, np.arange(n))
+        return cache
+
+    @pytest.mark.parametrize("group", [1, 4])
+    @pytest.mark.parametrize("share", [0.001, 0.01, 0.1, 0.25, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("end", [4000, 2500])  # 2500: a top-k set short of the prefix
+    def test_forms_agree(self, monkeypatch, group, share, end):
+        rng = np.random.default_rng(int(share * 1000) + group + end)
+        cache = self.cache(rng, 4000)
+        rows = np.sort(rng.choice(end - 1, size=max(int(share * end), 1) - 1, replace=False))
+        rows = np.append(rows, end - 1)
+        q = rng.normal(size=(group, 64))
+        w_g, out_g = self.forced(monkeypatch, 1.0, q, 3999, cache, rows, 0.125)
+        w_d, out_d = self.forced(monkeypatch, 0.0, q, 3999, cache, rows, 0.125)
+        assert w_d.shape == w_g.shape == (group, rows.size)
+        assert np.abs(out_d - out_g).max() <= 1e-15
+        assert np.abs(w_d - w_g).max() <= 1e-15
+        np.testing.assert_allclose(w_d.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_full_prefix_equals_dense_attention(self):
+        rng = np.random.default_rng(7)
+        cache = gapped_cache(rng, 64, 300)
+        q = rng.normal(size=64).astype(np.float32)
+        for pos in (0, 1, 150, 299):
+            w, out = attend(q, pos, cache, np.arange(pos + 1), 0.125)
+            row = dense_attention(q, pos, cache, 0.125)
+            assert np.array_equal(w, row.weights) and np.array_equal(out, row.output)
+
+    def test_cutoff_is_exclusive(self, monkeypatch):
+        """A set of exactly DENSE_SHARE of its span gathers; one row more
+        takes the dense row."""
+        rng = np.random.default_rng(8)
+        cache = gapped_cache(rng, 64, 400)
+        q = rng.normal(size=64)
+        span = 400
+        at = int(workload_module.DENSE_SHARE * span)
+        assert at == workload_module.DENSE_SHARE * span
+        for size, share in ((at, 1.0), (at + 1, 0.0)):
+            rows = np.append(np.sort(rng.choice(span - 1, size - 1, replace=False)), span - 1)
+            got = attend(q, 399, cache, rows, 0.125)
+            want = self.forced(monkeypatch, share, q, 399, cache, rows, 0.125)
+            monkeypatch.undo()
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_unsorted_rows_gather_in_their_order(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cache = self.cache(rng, 100)
+        q = rng.normal(size=64)
+        rows = rng.permutation(100)
+        w, out = self.forced(monkeypatch, 0.0, q, 99, cache, rows, 0.125)
+        w_ref, out_ref = attend(q, 99, cache, np.arange(100), 0.125)
+        np.testing.assert_allclose(w, w_ref[rows], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out, out_ref, rtol=0, atol=1e-15)
+
+
 class TestDenseAttention:
     def test_single_token(self):
         cache = KVCacheHead(RopeParams(4))
