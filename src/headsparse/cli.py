@@ -192,9 +192,9 @@ def _pipeline_workload(cfg: RunConfig, out: Path) -> Workload:
 
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = _ensure_out(cfg)
-    workload = gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
-    workload.save(out / WORKLOAD_STEM)
-    partitions = calibrate(workload)
+    gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry).save(out / WORKLOAD_STEM)
+    # scored on the mapped copy, so the generated arrays are already freed
+    partitions = calibrate(Workload.load(out / WORKLOAD_STEM))
     save_partitions(out / "partition.csv", partitions)
     rows = []
     for layer, part in enumerate(partitions):

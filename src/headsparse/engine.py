@@ -1,14 +1,14 @@
 """Sparse attention engine: prefill that builds the KV caches, sink+window
 attention for local heads, and per-step top-p decode over projected scores.
 
-A decode step visits each (layer, kv_head) once.  The local query heads of
-that group decode together over the local_spans of the cache (sinks and
-window); each retrieval head selects its own set and attends over it.  Local
-heads and the histogram route's merged block runs read contiguous slices of
-the cache.  Exact and top-k sets are index arrays: a dense one attends as
-one dense row over its span, and a sparse one is gathered.  Every head
-goes through restricted_attention and so through workload.attend, the one
-attention kernel.
+A decode step visits each (layer, kv_head) once.  The local query heads of that
+group decode together over the local_spans of the cache (sinks and window);
+each retrieval head selects its own set and attends over it.  Local heads and
+the histogram route's merged block runs read contiguous slices of the cache,
+and a group with no retrieval head keeps only its local rows (a bounded cache).
+Exact and top-k sets are index arrays: a dense one attends as one dense row
+over its span, and a sparse one is gathered.  Every head goes through
+restricted_attention and so through workload.attend, the one attention kernel.
 
 The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
@@ -18,7 +18,7 @@ which tokens participate, not in how they are weighed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +28,10 @@ from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
 from .rope import rope_table
 from .selection import (
+    ActiveSet,
     SelectionResult,
     histogram_threshold_scores,
+    set_size,
     top_k_static,
     top_p_exact,
 )
@@ -39,6 +41,7 @@ from .workload import (
     ModelGeometry,
     Workload,
     attend,
+    build_cache,
     build_cache_prefix,
     dense_attention,
     qhead_to_kvhead,
@@ -57,7 +60,7 @@ class DecodeTrace:
     the scores it ranked by); local heads select by rule rather than by score,
     so their coverage of that rule is complete and recorded as 1.0.
     covered_true_mass is the dense-attention mass of the same set and stays
-    None unless an oracle pass fills it in.
+    None unless an oracle pass fills it in.  active_set: see ActiveSet.
     """
 
     layer: int
@@ -67,7 +70,7 @@ class DecodeTrace:
     tokens_selected: int
     covered_projected_mass: float
     output: np.ndarray
-    active_set: np.ndarray
+    active_set: np.ndarray = ActiveSet()
     covered_true_mass: float | None = None
 
     def __post_init__(self):
@@ -75,7 +78,7 @@ class DecodeTrace:
             raise InternalError(
                 f"projected mass {self.covered_projected_mass} outside [0, 1]"
             )
-        if self.tokens_selected != self.active_set.size:
+        if self.tokens_selected != set_size(self._active_set):
             raise InternalError("tokens_selected disagrees with the active set")
         if self.tokens_selected > self.position + 1:
             raise InternalError("active set larger than the visible prefix")
@@ -92,6 +95,18 @@ class SparsityReport:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise InternalError(f"{name}={v} outside [0, 1]")
+
+
+class FullCaches(dict):
+    """(layer, kv_head) -> full-stream cache, built once on first read for a bounded group."""
+
+    def __init__(self, workload: Workload, caches: Mapping):
+        super().__init__(caches)
+        self.workload = workload
+
+    def __missing__(self, key: tuple[int, int]) -> KVCacheHead:
+        self[key] = cache = build_cache(self.workload, *key)
+        return cache
 
 
 @dataclass
@@ -142,7 +157,7 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
     spans = local_spans(visible_rows(cache, query_position).stop, window, n_sinks)
     active = np.r_[spans]
     active.flags.writeable = False
-    sel = SelectionResult(active, 1.0, spans=spans)
+    sel = SelectionResult(spans, 1.0)
     return restricted_attention(queries_pre, query_position, cache, sel, scale), active
 
 
@@ -179,24 +194,30 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
         tokens_selected=sel.size,
         covered_projected_mass=sel.covered_mass,
         output=output,
-        active_set=sel.active_set,
+        active_set=sel.spans or sel.active_set,
     )
     return output, trace
 
 
-def prefill(workload: Workload, geometry: ModelGeometry,
-            n_tokens: int | None = None) -> dict[tuple[int, int], KVCacheHead]:
+def prefill(workload: Workload, geometry: ModelGeometry, n_tokens: int | None = None,
+            bounded: Collection[tuple[int, int]] = ()) -> dict[tuple[int, int], KVCacheHead]:
     """Build the (layer, kv_head) KV caches over the first n_tokens of the
-    workload, the whole prompt region by default.  Every cache turns its
-    keys by one cos/sin table over positions 0..n_tokens-1, freed on return."""
+    workload, the whole prompt region by default; a group in `bounded` keeps
+    only the local_spans of those.  One cos/sin table turns all, freed on return."""
     if n_tokens is None:
         n_tokens = workload.prefill_len
     table = rope_table(np.arange(n_tokens), workload.geometry.rope)
-    return {
+    caches = {
         (layer, g): build_cache_prefix(workload, layer, g, n_tokens, table)
         for layer in range(geometry.n_layers)
-        for g in range(geometry.n_kv_heads)
+        for g in range(geometry.n_kv_heads) if (layer, g) not in bounded
     }
+    keep = np.r_[local_spans(n_tokens, geometry.window, geometry.n_sinks)]
+    for layer, g in sorted(bounded):
+        cache = caches[layer, g] = KVCacheHead(workload.geometry.rope)  # grows on append
+        cache.extend(workload.keys_pre[layer, g, keep], workload.values[layer, g, keep],
+                     keep, type(table)(*(a[keep] for a in table)))
+    return caches
 
 
 def compute_sparsity(traces: Sequence[DecodeTrace]) -> float:
@@ -216,15 +237,16 @@ def memory_sparsity(traces: Sequence[DecodeTrace],
     the position + 1 visible tokens that every active set marks."""
     if len(traces) == 0:
         raise ArgumentError("no traces")
-    groups: dict[tuple[int, int, int], list[np.ndarray]] = {}
+    groups: dict[tuple[int, int, int], list] = {}
     for t in traces:
         groups.setdefault((t.layer, gqa_map(t.q_head), t.position), []).append(
-            t.active_set)
+            t._active_set)
     fracs = []
     for (_, _, position), sets in groups.items():
         retained = np.zeros(position + 1, bool)
         for active in sets:
-            retained[active] = True
+            for rows in active if isinstance(active, tuple) else (active,):
+                retained[rows] = True
         fracs.append(np.count_nonzero(retained) / (position + 1))
     return 1.0 - float(np.mean(fracs))
 
@@ -265,9 +287,9 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
     """Prefill the prompt region, then decode the remaining positions one KV
     group at a time: the new token's KV is appended first, then the group's
     local heads decode together and its retrieval heads one by one; traces
-    come out in (position, layer, q_head) order. With oracle=True, each
-    trace also gets the dense-attention mass of its active set (one full
-    dense row per step, so markedly slower)."""
+    come out in (position, layer, q_head) order.  With oracle=True, each
+    trace also gets the dense-attention mass of its active set (one dense
+    row per step over RunResult.caches, so markedly slower)."""
     if p is None:
         p = geometry.top_p
     if len(partitions) != geometry.n_layers:
@@ -286,7 +308,6 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                 raise ArgumentError(f"projector ({layer}, {h}) is not for head_dim "
                                     f"{geometry.head_dim}")
 
-    caches = prefill(workload, geometry)
     pkcs = {
         (layer, h): ProjectedKeyCache(projectors[(layer, h)], capacity=workload.seq_len)
         for layer in range(geometry.n_layers)
@@ -299,16 +320,17 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
             heads = range(g * geometry.group_size, (g + 1) * geometry.group_size)
             local = [h for h in heads if not partitions[layer].is_retrieval(h)]
             groups.append((layer, g, heads, local))
+    bounded = {(layer, g) for layer, g, heads, local in groups if len(local) == len(heads)}
+    live = prefill(workload, geometry, bounded=bounded)
+    caches = FullCaches(workload, {k: c for k, c in live.items() if k not in bounded})
     traces: list[DecodeTrace] = []
     for t in range(workload.prefill_len, workload.seq_len):
         # the new token's KV lands before any head consumes the position,
         # so every query sees its own entry (self-attention at decode)
-        for (layer, g), cache in caches.items():
-            cache.append(
-                workload.keys_pre[layer, g, t], workload.values[layer, g, t], t
-            )
+        for (layer, g), cache in live.items():
+            cache.append(workload.keys_pre[layer, g, t], workload.values[layer, g, t], t)
         for layer, g, heads, local in groups:
-            cache = caches[(layer, g)]
+            cache = live[(layer, g)]
             queries = workload.queries[layer, :, t]
             entries: dict[int, DecodeTrace] = {}
             if local:
@@ -316,11 +338,12 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                     queries[local], t, cache, geometry.window, geometry.n_sinks,
                     scale=geometry.scale,
                 )
+                spans = local_spans(t + 1, geometry.window, geometry.n_sinks)
                 for h, out in zip(local, outs):
                     entries[h] = DecodeTrace(
                         layer=layer, q_head=h, position=t, role=ROLE_LOCAL,
                         tokens_selected=active.size,
-                        covered_projected_mass=1.0, output=out, active_set=active,
+                        covered_projected_mass=1.0, output=out, active_set=spans,
                     )
             for h in heads:
                 if h not in entries:
@@ -332,7 +355,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
             for h in heads:
                 entry = entries[h]
                 if oracle:
-                    row = dense_attention(queries[h], t, cache, geometry.scale)
+                    row = dense_attention(queries[h], t, caches[layer, g], geometry.scale)
                     entry.covered_true_mass = attention_mass_report(entry, row)
                 traces.append(entry)
     return RunResult(traces, sparsity_report(traces, geometry), caches)

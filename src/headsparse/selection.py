@@ -37,6 +37,27 @@ HIST_RANGE = 32.0  # natural-log units below the global max covered by bins
 BIN_WIDTH = HIST_RANGE / N_BINS
 
 
+class ActiveSet:
+    """A dataclass field kept as given in the holder's `_active_set`: token
+    indices, or spans (sorted disjoint slices) that each read expands."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("active_set")  # the field has no default
+        held = obj._active_set
+        if isinstance(held, tuple):
+            return _expand_runs(*np.array([(s.start, s.stop) for s in held], np.int64).T)
+        return held
+
+    def __set__(self, obj, value):
+        obj.__dict__["_active_set"] = value
+
+
+def set_size(held: np.ndarray | tuple[slice, ...]) -> int:
+    """Token count of an index array or of spans."""
+    return sum(s.stop - s.start for s in held) if isinstance(held, tuple) else int(held.size)
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Active token set plus bookkeeping from the route that produced it.
@@ -45,15 +66,18 @@ class SelectionResult:
     tokens; attention then reads slices of the cache rather than a gathered
     copy.  Its length is the token count, not the run count."""
 
-    active_set: np.ndarray            # sorted token indices
-    covered_mass: float               # softmax mass of active_set, exact
+    active_set: np.ndarray = ActiveSet()  # sorted token indices, or spans
+    covered_mass: float                   # softmax mass of active_set, exact
     block_mask: np.ndarray | None = None
     threshold_bin: int | None = None
-    spans: tuple[slice, ...] | None = None
+
+    @property
+    def spans(self) -> tuple[slice, ...] | None:
+        return self._active_set if isinstance(self._active_set, tuple) else None
 
     @property
     def size(self) -> int:
-        return int(self.active_set.size)
+        return set_size(self._active_set)
 
     def __len__(self) -> int:
         return self.size
@@ -222,8 +246,7 @@ def histogram_threshold(table: BlockTable, p: float) -> SelectionResult:
     covered = float(math.fsum(masses[mask]) / math.fsum(masses))
     run_starts, run_stops = _merged_runs(starts[mask], stops[mask])
     spans = tuple(map(slice, run_starts.tolist(), run_stops.tolist()))
-    return SelectionResult(_expand_runs(run_starts, run_stops), covered,
-                           block_mask=mask, threshold_bin=threshold, spans=spans)
+    return SelectionResult(spans, covered, block_mask=mask, threshold_bin=threshold)
 
 
 def histogram_threshold_scores(scores: np.ndarray, block_size: int,

@@ -91,7 +91,7 @@ def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
 
 
 class KVCacheHead:
-    """Append-only per-KV-head store.
+    """Append-only per-KV-head store; rows are token positions in full caches only.
 
     Keeps the pre-rotation keys as float32 (what the indexer projects), the
     positions, and float64 copies of the rotated keys and the values.  Both
@@ -500,7 +500,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     # probe contents and the background pool are random units.
     rng_emb = derive_rng(seed, "workload-embeddings")
     needle_embs = np.linalg.qr(rng_emb.normal(size=(con_dim, con_dim)))[0].T[:nl]
-    probe_embs = _unit_rows(rng_emb, 2, con_dim)
+    probe_emb = dict(zip(("concentrated", "diffuse"), _unit_rows(rng_emb, 2, con_dim)))
     bg_embs = _unit_rows(rng_emb, N_CONTENT, con_dim)
 
     rng_support = derive_rng(seed, "workload-probe-support")
@@ -538,19 +538,17 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     needle_rows = {pre + i: i for i in range(nl)}
     needle_rows.update({post + i: i for i in range(nl)})
 
+    # Noise lands in `buf` (the bits and rng state of normal() * s); each del frees a temporary.
+    buf = np.empty((L, d))
     for layer in range(geo.n_layers):
-        walks = []
-        contents = []
         for g in range(geo.n_kv_heads):
             rng_kv = derive_rng(seed, f"workload-L{layer}-kv{g}")
             walk = _unit_walk(rng_kv, L, loc_dim, rho)
-            walks.append(walk)
 
             # Content id stream; -1 marks "needle slot i" via needle_rows.
             ids = rng_kv.integers(0, N_CONTENT, size=L)
-            contents.append(ids)
 
-            k = rng_kv.normal(size=(L, d)) * NOISE_SCALE
+            k = np.multiply(rng_kv.standard_normal(out=buf), NOISE_SCALE, out=buf)
             k[:, loc] += LOCAL_KEY_GAIN * walk
             k[: geo.n_sinks, loc] += SINK_KEY_GAIN * sink_dir
             # Induction keys: position j carries token j-1's content.
@@ -563,41 +561,37 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                     prev_emb[row + 1] = needle_embs[slot]
                     prev_amp[row + 1] = NEEDLE_KEY_SCALE
             k[:, con] += prev_amp * prev_emb
+            del prev_emb
             for p in probes:
-                idx = np.asarray(p.support)
-                which = 0 if p.kind == "concentrated" else 1
-                k[idx, con] += PROBE_KEY_SCALE * probe_embs[which]
+                k[np.asarray(p.support), con] += PROBE_KEY_SCALE * probe_emb[p.kind]
             keys[layer, g] = k
 
-            values[layer, g] = rng_kv.normal(size=(L, d)) * VALUE_SCALE
+            values[layer, g] = np.multiply(rng_kv.standard_normal(out=buf), VALUE_SCALE, out=buf)
 
-        for h in range(geo.n_q_heads):
-            rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
-            g = qhead_to_kvhead(geo, h)
-            q = rng_h.normal(size=(L, d)) * NOISE_SCALE
-            if h in spec.planted_retrieval_heads:
-                ids = contents[g]
-                # Background positions go looking for the successor of a
-                # random earlier token with probability bg_seek_prob.
-                seek = rng_h.random(L) < BG_SEEK_PROB
-                targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
-                seek[:2] = False
-                tgt_emb = bg_embs[ids[np.maximum(targets - 1, 0)]]
-                for row, slot in needle_rows.items():
-                    hit = targets - 1 == row
-                    tgt_emb[hit] = needle_embs[slot]
-                q[seek, con.start : con.stop] += RETRIEVAL_QUERY_GAIN * tgt_emb[seek]
-                # Needle rows always seek their own slot's content.
-                for row, slot in needle_rows.items():
-                    q[row, con] = RETRIEVAL_QUERY_GAIN * needle_embs[slot]
-                for p in probes:
-                    if p.head == h:
-                        which = 0 if p.kind == "concentrated" else 1
-                        q[p.position, con] = RETRIEVAL_QUERY_GAIN * probe_embs[which]
-            else:
-                q[:, loc] += LOCAL_QUERY_GAIN * walks[g]
-                q[:, loc] += SINK_QUERY_GAIN * sink_dir
-            queries[layer, h] = q
+            for h in range(g * geo.group_size, (g + 1) * geo.group_size):
+                rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
+                q = np.multiply(rng_h.standard_normal(out=buf), NOISE_SCALE, out=buf)
+                if h in spec.planted_retrieval_heads:
+                    # Background positions go looking for the successor of a
+                    # random earlier token with probability bg_seek_prob.
+                    seek = rng_h.random(L) < BG_SEEK_PROB
+                    targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
+                    seek[:2] = False
+                    tgt_emb = bg_embs[ids[np.maximum(targets - 1, 0)]]
+                    for row, slot in needle_rows.items():
+                        tgt_emb[targets - 1 == row] = needle_embs[slot]
+                    q[seek, con.start : con.stop] += RETRIEVAL_QUERY_GAIN * tgt_emb[seek]
+                    # Needle rows always seek their own slot's content.
+                    for row, slot in needle_rows.items():
+                        q[row, con] = RETRIEVAL_QUERY_GAIN * needle_embs[slot]
+                    for p in probes:
+                        if p.head == h:
+                            q[p.position, con] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
+                    del tgt_emb, targets, seek
+                else:
+                    q[:, loc] += LOCAL_QUERY_GAIN * walk
+                    q[:, loc] += SINK_QUERY_GAIN * sink_dir
+                queries[layer, h] = q
 
     planted_local = tuple(
         h for h in range(geo.n_q_heads) if h not in spec.planted_retrieval_heads

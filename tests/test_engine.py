@@ -1,6 +1,8 @@
 """Engine tests: restricted-softmax consistency against sub-cache oracles,
 sink+window masks, sparsity accounting, and the full decode loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from test_workload import SMALL_SPEC, small_geometry
@@ -20,7 +22,7 @@ from headsparse.engine import (
     run_workload,
     sparsity_report,
 )
-from headsparse.errors import ArgumentError
+from headsparse.errors import ArgumentError, InternalError
 from headsparse.indexer import ProjectedKeyCache, init_projector
 from headsparse.rope import RopeParams, rope_table
 from headsparse.selection import histogram_threshold_scores
@@ -30,7 +32,9 @@ from headsparse.workload import (
     Workload,
     WorkloadAnnotations,
     WorkloadSpec,
+    build_cache,
     build_cache_prefix,
+    default_workload_geometry,
     dense_attention,
     gen_synthetic_workload,
     qhead_to_kvhead,
@@ -562,3 +566,195 @@ class TestSparsityReportAssembly:
         rep = sparsity_report(traces, small_geometry())
         assert rep.per_head_active[0, 0] == pytest.approx(5.0)
         assert rep.per_head_active[0, 1] == pytest.approx(10.0)
+
+
+def full_cache_reference(wl, geo, partition):
+    """Decode as every group did before bounded caches: prefill each group's
+    whole prompt, append each decode token, and run local_head_decode over
+    the full cache.  Returns the full caches, {(q_head, t): (output,
+    indices)} for the local heads and {(q_head, t): dense weights} for all."""
+    caches = prefill(wl, geo)
+    local, dense = {}, {}
+    for t in range(wl.prefill_len, wl.seq_len):
+        for (layer, g), cache in caches.items():
+            cache.append(wl.keys_pre[layer, g, t], wl.values[layer, g, t], t)
+        for (layer, g), cache in caches.items():
+            heads = range(g * geo.group_size, (g + 1) * geo.group_size)
+            for h in heads:
+                dense[h, t] = dense_attention(wl.queries[layer, h, t], t, cache,
+                                              geo.scale).weights
+            loc = [h for h in heads if not partition.is_retrieval(h)]
+            if loc:
+                outs, active = local_head_decode(wl.queries[layer, loc, t], t, cache,
+                                                 geo.window, geo.n_sinks, geo.scale)
+                local.update({(h, t): (out, active) for h, out in zip(loc, outs)})
+    return caches, local, dense
+
+
+def cache_arrays(cache):
+    return cache.positions, cache.keys_pre, cache.keys_post64, cache.values64
+
+
+class TestBoundedCaches:
+    """A group with no retrieval head decodes from a cache of its sinks, its
+    last `window` prompt tokens and its appends; outputs, sets and the
+    caches handed out stay == to decoding from full caches."""
+
+    # (window, retrieval heads): the default partition; prompts whose
+    # P - window sits just past, at, and below n_sinks; every group with a
+    # retrieval head
+    CASES = [(192, (1, 6)), (699, (1, 6)), (700, (1, 6)), (702, (1, 6)),
+             (192, (0, 3, 5, 6))]
+
+    @pytest.mark.parametrize("window, planted", CASES)
+    def test_equal_to_full_cache_reference(self, window, planted):
+        geo = small_geometry(window=window)
+        part = small_partition(ratio=len(planted) / 8, planted=planted)
+        res = run_workload(SMALL_WORKLOAD, geo, [part], small_projectors(part, geo), p=0.9)
+        full, local, _ = full_cache_reference(SMALL_WORKLOAD, geo, part)
+        n_local = 0
+        for t in res.traces:
+            if t.role == "local":
+                out, active = local[t.q_head, t.position]
+                assert np.array_equal(t.output, out)
+                assert np.array_equal(t.active_set, active)
+                n_local += 1
+        assert n_local == len(local)
+        gs = geo.group_size
+        lacking = {(0, g) for g in range(geo.n_kv_heads)
+                   if not any(map(part.is_retrieval, range(g * gs, (g + 1) * gs)))}
+        assert set(dict(res.caches)) == set(full) - lacking
+        for key in sorted(full):
+            cache = res.caches[key]
+            assert res.caches[key] is cache
+            for got, ref, built in zip(cache_arrays(cache), cache_arrays(full[key]),
+                                       cache_arrays(build_cache(SMALL_WORKLOAD, *key))):
+                assert np.array_equal(got, ref) and np.array_equal(got, built)
+
+    def test_bounded_cache_rows(self):
+        geo, wl = SMALL_GEO, SMALL_WORKLOAD
+        caches = prefill(wl, geo, bounded={(0, 2)})
+        P, w, s = wl.prefill_len, geo.window, geo.n_sinks
+        keep = np.r_[0:s, P - w:P]
+        assert np.array_equal(caches[0, 2].positions, keep)
+        full = prefill(wl, geo)
+        for name in ("keys_pre", "keys_post64", "values64"):
+            assert np.array_equal(getattr(caches[0, 2], name), getattr(full[0, 2], name)[keep])
+        assert len(caches[0, 1]) == P
+
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_oracle_masses_equal_full_cache_reference(self, mode):
+        part = small_partition()
+        res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part],
+                           small_projectors(part, SMALL_GEO), p=0.9, mode=mode, oracle=True)
+        _, _, dense = full_cache_reference(SMALL_WORKLOAD, SMALL_GEO, part)
+        for t in res.traces:
+            want = float(dense[t.q_head, t.position][t.active_set].sum())
+            assert t.covered_true_mass == want
+
+
+def marked_memory_sparsity(traces, gqa_map):
+    """Reference: each KV-head step marks its heads' expanded active sets on
+    a mask of the visible tokens."""
+    groups = {}
+    for t in traces:
+        groups.setdefault((t.layer, gqa_map(t.q_head), t.position), []).append(
+            t.active_set)
+    fracs = []
+    for (_, _, position), sets in groups.items():
+        mask = np.zeros(position + 1, bool)
+        for active in sets:
+            mask[active] = True
+        fracs.append(np.count_nonzero(mask) / (position + 1))
+    return 1.0 - float(np.mean(fracs))
+
+
+def random_spans(rng, n):
+    """Sorted disjoint non-empty slices inside [0, n)."""
+    cuts = np.sort(rng.choice(np.arange(n + 1), size=2 * int(rng.integers(1, 6)),
+                              replace=False))
+    return tuple(slice(int(a), int(b)) for a, b in zip(cuts[::2], cuts[1::2]))
+
+
+class TestSpanTraces:
+    """Traces keep local and histogram sets as position spans; active_set
+    expands them on each read."""
+
+    def test_active_set_expands_spans(self):
+        spans = (slice(0, 4), slice(10, 20))
+        t = DecodeTrace(0, 1, 25, "local", 14, 1.0, np.zeros(1), spans)
+        want = np.r_[0:4, 10:20]
+        assert t.active_set.dtype == want.dtype
+        assert np.array_equal(t.active_set, want)
+        assert np.array_equal(make_trace(0, 1, 25, want).active_set, t.active_set)
+        with pytest.raises(InternalError):
+            DecodeTrace(0, 1, 25, "local", 13, 1.0, np.zeros(1), spans)
+        with pytest.raises(InternalError):
+            DecodeTrace(0, 1, 8, "local", 14, 1.0, np.zeros(1), spans)
+
+    def test_index_array_by_keyword_and_by_position(self):
+        a = np.array([0, 5, 9])
+        by_kw = DecodeTrace(layer=0, q_head=1, position=9, role="retrieval",
+                            tokens_selected=3, covered_projected_mass=0.5,
+                            output=np.zeros(2), active_set=a)
+        by_pos = DecodeTrace(0, 1, 9, "retrieval", 3, 0.5, np.zeros(2), a, 0.25)
+        assert by_kw.active_set is a and by_pos.active_set is a
+        assert by_kw.covered_true_mass is None and by_pos.covered_true_mass == 0.25
+        by_kw.covered_true_mass = 0.75
+        assert by_kw.covered_true_mass == 0.75
+        with pytest.raises(InternalError):
+            DecodeTrace(0, 1, 9, "retrieval", 2, 0.5, np.zeros(2), a)
+        with pytest.raises(TypeError):
+            DecodeTrace(0, 1, 9, "retrieval", 3, 0.5, np.zeros(2))
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_memory_sparsity_over_spans(self, group):
+        rng = np.random.default_rng(70 + group)
+        spans, arrays = [], []
+        for layer in range(2):
+            for position in rng.integers(0, 3000, size=6):
+                for h in range(2 * group):
+                    sp = random_spans(rng, int(position) + 1)
+                    as_array = np.r_[sp]
+                    kept = sp if rng.integers(3) else as_array  # mix both forms
+                    spans.append(DecodeTrace(layer, h, int(position), "local", as_array.size,
+                                            1.0, np.zeros(1), kept))
+                    arrays.append(make_trace(layer, h, int(position), as_array))
+        gqa = lambda h: h // group  # noqa: E731
+        want = marked_memory_sparsity(arrays, gqa)
+        assert memory_sparsity(spans, gqa) == want
+        assert memory_sparsity(arrays, gqa) == want
+
+    def test_run_traces_hold_no_index_arrays(self):
+        """Local and histogram traces keep spans, so the only array a trace
+        owns is its output; exact retrieval traces keep their index arrays."""
+        part = small_partition()
+        projs = small_projectors(part, SMALL_GEO)
+        for mode in ("histogram", "exact"):
+            res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, mode=mode)
+            for t in res.traces:
+                arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+                spans_only = mode == "histogram" or t.role == "local"
+                assert len(arrays) == (1 if spans_only else 2)
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize("mode", ["histogram", "exact"])
+    def test_peak_below_three_and_a_half_caches(self, mode):
+        """At 16K, run_workload's traced peak stays below 3.5 full caches of
+        n * (20 d + 8) bytes: the retrieval groups' full caches, bounded ones
+        for the rest, the prefill's cos/sin table and one rotation's
+        temporaries (every group's full cache came to 5.0)."""
+        geo = default_workload_geometry()
+        w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0, geo)
+        part = partition_heads([float(h in (2, 9)) for h in range(geo.n_q_heads)],
+                               2 / geo.n_q_heads)
+        projs = small_projectors(part, geo)
+        cache_bytes = w.seq_len * (20 * geo.head_dim + 8)
+        tracemalloc.start()
+        try:
+            run_workload(w, geo, [part], projs, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * cache_bytes, f"peak {peak / cache_bytes:.2f} caches"

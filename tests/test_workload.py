@@ -6,6 +6,7 @@ kept inside this file, so the production path never validates itself.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,6 +621,124 @@ class TestUnitWalkBitIdentity:
         for name in ("queries", "keys_pre", "values"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.annotations == want.annotations
+
+
+def per_layer_generation(spec, seed, geo):
+    """Reference: the generator's stream loop in its per-layer form, every
+    KV head of a layer first (walks and content ids kept in lists), then
+    every query head, each noise block a fresh normal(size=...) * scale.
+    Returns (queries, keys_pre, values)."""
+    wm = workload_module
+    pre, post, probe_positions = wm._resolve_layout(spec, geo)
+    L, d, nl = spec.seq_len, geo.head_dim, wm.NEEDLE_LEN
+    loc, con = local_band(d), content_band(d)
+    loc_dim, con_dim = loc.stop - loc.start, con.stop - con.start
+    rng_emb = wm.derive_rng(seed, "workload-embeddings")
+    needle_embs = np.linalg.qr(rng_emb.normal(size=(con_dim, con_dim)))[0].T[:nl]
+    probe_embs = wm._unit_rows(rng_emb, 2, con_dim)
+    bg_embs = wm._unit_rows(rng_emb, wm.N_CONTENT, con_dim)
+    probes = []
+    if spec.include_probes:
+        rng_support = wm.derive_rng(seed, "workload-probe-support")
+        hi_pool = pre + nl + (post - pre - nl) // 2
+        needle_ish = {j for start in (pre, post) for j in range(start, start + nl + 1)}
+        pool = np.array([j for j in range(1, hi_pool) if j not in needle_ish])
+        picks = rng_support.choice(pool, size=wm.CONCENTRATED_SUPPORT
+                                   + spec.diffuse_support, replace=False)
+        probes = [("concentrated", probe_positions[0],
+                   np.sort(picks[: wm.CONCENTRATED_SUPPORT])),
+                  ("diffuse", probe_positions[1], np.sort(picks[wm.CONCENTRATED_SUPPORT:]))]
+    rho = float(np.exp(np.log(0.02) / geo.window))
+    sink_dir = np.zeros(loc_dim)
+    sink_dir[0] = 1.0
+    queries = np.zeros((geo.n_layers, geo.n_q_heads, L, d), np.float32)
+    keys = np.zeros((geo.n_layers, geo.n_kv_heads, L, d), np.float32)
+    values = np.zeros((geo.n_layers, geo.n_kv_heads, L, d), np.float32)
+    needle_rows = {pre + i: i for i in range(nl)}
+    needle_rows.update({post + i: i for i in range(nl)})
+    for layer in range(geo.n_layers):
+        walks, contents = [], []
+        for g in range(geo.n_kv_heads):
+            rng_kv = wm.derive_rng(seed, f"workload-L{layer}-kv{g}")
+            walks.append(wm._unit_walk(rng_kv, L, loc_dim, rho))
+            ids = rng_kv.integers(0, wm.N_CONTENT, size=L)
+            contents.append(ids)
+            k = rng_kv.normal(size=(L, d)) * wm.NOISE_SCALE
+            k[:, loc] += wm.LOCAL_KEY_GAIN * walks[g]
+            k[: geo.n_sinks, loc] += wm.SINK_KEY_GAIN * sink_dir
+            prev_emb = np.zeros((L, con_dim))
+            prev_amp = np.zeros((L, 1))
+            prev_emb[1:] = bg_embs[ids[: L - 1]]
+            prev_amp[1:] = wm.BG_KEY_SCALE
+            for row, slot in needle_rows.items():
+                if row + 1 < L:
+                    prev_emb[row + 1] = needle_embs[slot]
+                    prev_amp[row + 1] = wm.NEEDLE_KEY_SCALE
+            k[:, con] += prev_amp * prev_emb
+            for kind, _, support in probes:
+                which = 0 if kind == "concentrated" else 1
+                k[support, con] += wm.PROBE_KEY_SCALE * probe_embs[which]
+            keys[layer, g] = k
+            values[layer, g] = rng_kv.normal(size=(L, d)) * wm.VALUE_SCALE
+        for h in range(geo.n_q_heads):
+            rng_h = wm.derive_rng(seed, f"workload-L{layer}-q{h}")
+            g = qhead_to_kvhead(geo, h)
+            q = rng_h.normal(size=(L, d)) * wm.NOISE_SCALE
+            if h in spec.planted_retrieval_heads:
+                ids = contents[g]
+                seek = rng_h.random(L) < wm.BG_SEEK_PROB
+                targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
+                seek[:2] = False
+                tgt_emb = bg_embs[ids[np.maximum(targets - 1, 0)]]
+                for row, slot in needle_rows.items():
+                    hit = targets - 1 == row
+                    tgt_emb[hit] = needle_embs[slot]
+                q[seek, con.start : con.stop] += wm.RETRIEVAL_QUERY_GAIN * tgt_emb[seek]
+                for row, slot in needle_rows.items():
+                    q[row, con] = wm.RETRIEVAL_QUERY_GAIN * needle_embs[slot]
+                for kind, position, _ in probes:
+                    if h == spec.probe_head:
+                        which = 0 if kind == "concentrated" else 1
+                        q[position, con] = wm.RETRIEVAL_QUERY_GAIN * probe_embs[which]
+            else:
+                q[:, loc] += wm.LOCAL_QUERY_GAIN * walks[g]
+                q[:, loc] += wm.SINK_QUERY_GAIN * sink_dir
+            queries[layer, h] = q
+    return queries, keys, values
+
+
+class TestGenerationOneGroupAtATime:
+    """Generation runs one KV group at a time and draws its noise into one
+    reused buffer; the streams stay byte-equal to the per-layer form."""
+
+    @pytest.mark.parametrize("seq_len", [768, 2048])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("probes", [True, False])
+    def test_matches_per_layer_form(self, seq_len, seed, probes):
+        geo = small_geometry(n_layers=2)
+        spec = small_spec(seq_len=seq_len, planted_retrieval_heads=(1, 6), probe_head=1,
+                          include_probes=probes)
+        got = gen_synthetic_workload(spec, seed, geo)
+        for name, want in zip(("queries", "keys_pre", "values"),
+                              per_layer_generation(spec, seed, geo)):
+            arr = getattr(got, name)
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+
+    def test_peak_is_workload_plus_three_head_arrays(self):
+        """At 16K the traced peak stays below the workload plus three
+        float64 (L, d) arrays: one noise buffer, one group's walk and ids,
+        and the temporaries of one head (the per-layer form held 5.7)."""
+        spec = WorkloadSpec(seq_len=16384, decode_len=64)
+        geo = default_workload_geometry()
+        tracemalloc.start()
+        try:
+            w = gen_synthetic_workload(spec, 0, geo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = sum(a.nbytes for a in (w.queries, w.keys_pre, w.values))
+        head = w.seq_len * geo.head_dim * 8
+        assert peak < payload + 3 * head, f"{(peak - payload) / head:.2f} head arrays"
 
 
 class TestRankTeacher:
