@@ -63,31 +63,6 @@ class HeadPartition:
         return len(self.scores)
 
 
-def build_calibration_sequence(document: np.ndarray, needle: np.ndarray
-                               ) -> tuple[np.ndarray, NeedleLayout]:
-    """Overwrite the document head with the needle and append a second copy.
-
-    Token count is len(document) + len(needle): the early copy replaces the
-    first needle-length tokens, the late copy is appended.
-    """
-    doc = np.asarray(document)
-    ndl = np.asarray(needle)
-    if ndl.ndim != doc.ndim or doc.shape[1:] != ndl.shape[1:]:
-        raise ArgumentError("document and needle embedding widths differ")
-    nl, dl = len(ndl), len(doc)
-    if nl < 1:
-        raise ArgumentError("needle must contain at least one token")
-    if dl < 2 * nl:
-        raise ArgumentError(f"needle ({nl}) longer than half the document ({dl})")
-    stream = np.concatenate([ndl, doc[nl:], ndl], axis=0)
-    layout = NeedleLayout(
-        n_pre=tuple(range(nl)),
-        n_post=tuple(range(dl, dl + nl)),
-        total_len=dl + nl,
-    )
-    return stream, layout
-
-
 def retrieval_score(weights: Mapping[int, np.ndarray], layout: NeedleLayout) -> float:
     """Mean late-row attention mass on the early span; `weights` maps a
     late position to its attention row over positions 0, 1, ..."""

@@ -204,35 +204,37 @@ def _embed_project(params: dict, tokens: np.ndarray, rope: RopeParams):
     return x, pos, rope_rotate_many(q, pos, rope), rope_rotate_many(k, pos, rope), v
 
 
+def _attention_forward(params: dict, tokens: np.ndarray, rope: RopeParams,
+                       scale: float, mask: np.ndarray):
+    """Each position attends over the tokens its row of the (L, L) boolean
+    `mask` admits, then the readout; returns the intermediates the backward
+    pass reuses, `weights` being the (L, L) attention matrix."""
+    x, pos, qh, kh, v = _embed_project(params, tokens, rope)
+    weights = softmax(np.where(mask, (qh @ kh.T) * scale, -np.inf))
+    attn = weights @ v
+    y = attn @ params["w_o"].T
+    logits = y @ params["w_head"].T
+    return {"x": x, "pos": pos, "qh": qh, "kh": kh, "v": v, "weights": weights,
+            "attn": attn, "y": y, "logits": logits}
+
+
 def toy_logits_dense(model: ToyModel, tokens: np.ndarray) -> np.ndarray:
     """Full causal attention; the teacher-side forward pass."""
-    params = model.params
-    x, pos, qh, kh, v = _embed_project(params, tokens, model.rope)
-    scores = (qh @ kh.T) * model.scale
-    scores = np.where(pos[None, :] <= pos[:, None], scores, -np.inf)
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = shifted / shifted.sum(axis=1, keepdims=True)
-    y = (weights @ v) @ params["w_o"].T
-    return y @ params["w_head"].T
+    causal = np.tri(tokens.size, dtype=bool)
+    return _attention_forward(model.params, tokens, model.rope, model.scale,
+                              causal)["logits"]
 
 
 def _sparse_forward(params: dict, tokens: np.ndarray, rope: RopeParams,
                     scale: float, p: float, projector: Projector):
-    """Student forward pass; returns intermediates the backward pass reuses."""
-    x, pos, qh, kh, v = _embed_project(params, tokens, rope)
+    """Student forward pass: row i attends over the top-p set of the
+    projector's scores over positions 0..i."""
+    x = params["emb"][tokens]
     sel = (x @ projector.w_q.T) @ (projector.w_k @ x.T)
-    L = tokens.size
-    active, weights, attn = [], [], np.empty_like(x)
-    for i in range(L):
-        s_i = top_p_exact(sel[i, : i + 1], p).active_set
-        w_i = softmax((kh[s_i] @ qh[i]) * scale)
-        active.append(s_i)
-        weights.append(w_i)
-        attn[i] = w_i @ v[s_i]
-    y = attn @ params["w_o"].T
-    logits = y @ params["w_head"].T
-    return {"x": x, "pos": pos, "qh": qh, "kh": kh, "v": v, "active": active,
-            "weights": weights, "attn": attn, "y": y, "logits": logits}
+    mask = np.zeros(sel.shape, bool)
+    for i, row in enumerate(mask):
+        row[top_p_exact(sel[i, : i + 1], p).active_set] = True
+    return _attention_forward(params, tokens, rope, scale, mask)
 
 
 def toy_logits_sparse(model: ToyModel, tokens: np.ndarray, p: float,
@@ -264,7 +266,6 @@ def _toy_backward(params: dict, tokens: np.ndarray, fwd: dict,
                   scale: float) -> tuple[dict, float]:
     """Loss and gradients for one sequence, mean over positions. The active
     sets are held fixed (selection is a non-differentiable routing choice)."""
-    L = tokens.size
     loss, g_logits = _restricted_kl_batch(t_idx, t_val, fwd["logits"])
 
     x, qh, kh, v = fwd["x"], fwd["qh"], fwd["kh"], fwd["v"]
@@ -272,16 +273,12 @@ def _toy_backward(params: dict, tokens: np.ndarray, fwd: dict,
     g_y = g_logits @ params["w_head"]
     g_o = g_y.T @ fwd["attn"]
     g_attn = g_y @ params["w_o"]
-    g_qh = np.zeros_like(qh)
-    g_kh = np.zeros_like(kh)
-    g_v = np.zeros_like(v)
-    for i in range(L):
-        s_i, w_i = fwd["active"][i], fwd["weights"][i]
-        g_w = v[s_i] @ g_attn[i]
-        g_u = w_i * (g_w - float(w_i @ g_w))
-        g_qh[i] += scale * (g_u @ kh[s_i])
-        g_kh[s_i] += scale * g_u[:, None] * qh[i]
-        g_v[s_i] += w_i[:, None] * g_attn[i]
+    w = fwd["weights"]
+    g_w = g_attn @ v.T
+    g_u = w * (g_w - (w * g_w).sum(axis=1, keepdims=True))
+    g_qh = scale * (g_u @ kh)
+    g_kh = scale * (g_u.T @ qh)
+    g_v = w.T @ g_attn
     g_q = rope_unrotate_many(g_qh, fwd["pos"], rope)
     g_k = rope_unrotate_many(g_kh, fwd["pos"], rope)
     g_x = g_q @ params["w_q"] + g_k @ params["w_k"] + g_v @ params["w_v"]

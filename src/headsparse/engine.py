@@ -146,19 +146,16 @@ def restricted_attention(query_pre: np.ndarray, query_position: int,
 
 def local_head_decode(queries_pre: np.ndarray, query_position: int,
                       cache: KVCacheHead, window: int, n_sinks: int,
-                      scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      scale: float | None = None) -> np.ndarray:
     """Sink+window attention for one decode step of the query heads that
     share `cache`: queries_pre is (d,) or (G, d), and the outputs keep its
-    leading shape.  Returns (outputs, indices); the indices are the same
-    read-only array of the local_spans' rows for every head of the block.
+    leading shape.
 
     The local_spans are attended as contiguous slices of the cache, so no
     row is gathered."""
     spans = local_spans(visible_rows(cache, query_position).stop, window, n_sinks)
-    active = np.r_[spans]
-    active.flags.writeable = False
     sel = SelectionResult(spans, 1.0)
-    return restricted_attention(queries_pre, query_position, cache, sel, scale), active
+    return restricted_attention(queries_pre, query_position, cache, sel, scale)
 
 
 def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
@@ -334,7 +331,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
             queries = workload.queries[layer, :, t]
             entries: dict[int, DecodeTrace] = {}
             if local:
-                outs, active = local_head_decode(
+                outs = local_head_decode(
                     queries[local], t, cache, geometry.window, geometry.n_sinks,
                     scale=geometry.scale,
                 )
@@ -342,7 +339,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                 for h, out in zip(local, outs):
                     entries[h] = DecodeTrace(
                         layer=layer, q_head=h, position=t, role=ROLE_LOCAL,
-                        tokens_selected=active.size,
+                        tokens_selected=set_size(spans),
                         covered_projected_mass=1.0, output=out, active_set=spans,
                     )
             for h in heads:

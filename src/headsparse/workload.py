@@ -535,8 +535,11 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     keys = np.zeros((geo.n_layers, geo.n_kv_heads, L, d), np.float32)
     values = np.zeros((geo.n_layers, geo.n_kv_heads, L, d), np.float32)
 
-    needle_rows = {pre + i: i for i in range(nl)}
-    needle_rows.update({post + i: i for i in range(nl)})
+    # One content table: ids below N_CONTENT name background contents, id
+    # N_CONTENT + i needle slot i; key_amp is each id's induction-key gain.
+    embs = np.concatenate([bg_embs, needle_embs])
+    key_amp = np.repeat([BG_KEY_SCALE, NEEDLE_KEY_SCALE], [N_CONTENT, nl])[:, None]
+    needle = np.r_[pre : pre + nl, post : post + nl]
 
     # Noise lands in `buf` (the bits and rng state of normal() * s); each del frees a temporary.
     buf = np.empty((L, d))
@@ -545,23 +548,15 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             rng_kv = derive_rng(seed, f"workload-L{layer}-kv{g}")
             walk = _unit_walk(rng_kv, L, loc_dim, rho)
 
-            # Content id stream; -1 marks "needle slot i" via needle_rows.
+            # Content id of each position: a background draw, or a needle slot.
             ids = rng_kv.integers(0, N_CONTENT, size=L)
+            ids[needle] = N_CONTENT + np.tile(np.arange(nl), 2)
 
             k = np.multiply(rng_kv.standard_normal(out=buf), NOISE_SCALE, out=buf)
             k[:, loc] += LOCAL_KEY_GAIN * walk
             k[: geo.n_sinks, loc] += SINK_KEY_GAIN * sink_dir
             # Induction keys: position j carries token j-1's content.
-            prev_emb = np.zeros((L, con_dim))
-            prev_amp = np.zeros((L, 1))
-            prev_emb[1:] = bg_embs[ids[: L - 1]]
-            prev_amp[1:] = BG_KEY_SCALE
-            for row, slot in needle_rows.items():
-                if row + 1 < L:
-                    prev_emb[row + 1] = needle_embs[slot]
-                    prev_amp[row + 1] = NEEDLE_KEY_SCALE
-            k[:, con] += prev_amp * prev_emb
-            del prev_emb
+            k[1:, con] += key_amp[ids[:-1]] * embs[ids[:-1]]
             for p in probes:
                 k[np.asarray(p.support), con] += PROBE_KEY_SCALE * probe_emb[p.kind]
             keys[layer, g] = k
@@ -577,13 +572,10 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                     seek = rng_h.random(L) < BG_SEEK_PROB
                     targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
                     seek[:2] = False
-                    tgt_emb = bg_embs[ids[np.maximum(targets - 1, 0)]]
-                    for row, slot in needle_rows.items():
-                        tgt_emb[targets - 1 == row] = needle_embs[slot]
+                    tgt_emb = embs[ids[targets - 1]]
                     q[seek, con.start : con.stop] += RETRIEVAL_QUERY_GAIN * tgt_emb[seek]
                     # Needle rows always seek their own slot's content.
-                    for row, slot in needle_rows.items():
-                        q[row, con] = RETRIEVAL_QUERY_GAIN * needle_embs[slot]
+                    q[needle, con] = RETRIEVAL_QUERY_GAIN * embs[ids[needle]]
                     for p in probes:
                         if p.head == h:
                             q[p.position, con] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]

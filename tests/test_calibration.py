@@ -1,4 +1,4 @@
-"""Calibration tests: sequence construction, the retrieval score, and the
+"""Calibration tests: the needle layout, the retrieval score, and the
 head partition, plus an end-to-end planted-workload check."""
 
 import tracemalloc
@@ -9,7 +9,6 @@ import pytest
 from headsparse.calibration import (
     HeadPartition,
     NeedleLayout,
-    build_calibration_sequence,
     calibrate,
     group_retrieval_scores,
     load_partitions,
@@ -37,27 +36,7 @@ def uniform_rows(layout):
 
 
 class TestBuildSequence:
-    def test_placement_arithmetic(self):
-        doc = np.arange(100 * 3, dtype=float).reshape(100, 3)
-        needle = -np.ones((5, 3))
-        stream, layout = build_calibration_sequence(doc, needle)
-        assert layout.n_pre == tuple(range(5))
-        assert layout.n_post == tuple(range(100, 105))
-        assert layout.total_len == 105
-        assert len(stream) == 105
-        np.testing.assert_array_equal(stream[:5], needle)
-        np.testing.assert_array_equal(stream[100:], needle)
-        np.testing.assert_array_equal(stream[5:100], doc[5:])
-
-    def test_singleton_needle(self):
-        doc = np.zeros((10, 2))
-        _, layout = build_calibration_sequence(doc, np.ones((1, 2)))
-        assert layout.n_pre == (0,)
-        assert layout.n_post == (10,)
-
-    def test_needle_too_long(self):
-        with pytest.raises(ArgumentError):
-            build_calibration_sequence(np.zeros((9, 2)), np.ones((5, 2)))
+    """The layout of a calibration sequence's two needle copies."""
 
     def test_layout_invariants_enforced(self):
         with pytest.raises(ArgumentError):

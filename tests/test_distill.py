@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from headsparse import distill as distill_module
 from headsparse.distill import (
     Stage2Config,
     TeacherCache,
@@ -21,7 +22,10 @@ from headsparse.distill import (
     toy_self_distill,
 )
 from headsparse.errors import ArgumentError
+from headsparse.numerics import softmax
 from headsparse.optim import smooth_trace
+from headsparse.rope import rope_unrotate_many
+from headsparse.selection import top_p_exact
 
 
 class TestTopKLogits:
@@ -238,6 +242,89 @@ class TestToyBackward:
                     vals.append(batch_mean_loss(bumped, corpus, teacher, 1.0))
                 fd = (vals[0] - vals[1]) / (2 * h)
                 assert fd == pytest.approx(g[i, j], rel=2e-3, abs=1e-7), name
+
+
+def inline_dense_logits(model, tokens):
+    """Reference: the teacher forward with its softmax written inline."""
+    params = model.params
+    _, pos, qh, kh, v = distill_module._embed_project(params, tokens, model.rope)
+    scores = (qh @ kh.T) * model.scale
+    scores = np.where(pos[None, :] <= pos[:, None], scores, -np.inf)
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = shifted / shifted.sum(axis=1, keepdims=True)
+    return ((weights @ v) @ params["w_o"].T) @ params["w_head"].T
+
+
+def per_row_forward_backward(model, tokens, p, t_idx, t_val):
+    """Reference: the student forward and backward one row at a time over
+    each row's gathered top-p set. Returns (logits, loss, grads)."""
+    params, scale = model.params, model.scale
+    x, pos, qh, kh, v = distill_module._embed_project(params, tokens, model.rope)
+    proj = model.frozen_projector()
+    sel = (x @ proj.w_q.T) @ (proj.w_k @ x.T)
+    active, weights, attn = [], [], np.empty_like(x)
+    for i in range(tokens.size):
+        s_i = top_p_exact(sel[i, : i + 1], p).active_set
+        w_i = softmax((kh[s_i] @ qh[i]) * scale)
+        active.append(s_i)
+        weights.append(w_i)
+        attn[i] = w_i @ v[s_i]
+    y = attn @ params["w_o"].T
+    logits = y @ params["w_head"].T
+    loss, g_logits = distill_module._restricted_kl_batch(t_idx, t_val, logits)
+    g_y = g_logits @ params["w_head"]
+    g_attn = g_y @ params["w_o"]
+    g_qh, g_kh, g_v = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(v)
+    for i, (s_i, w_i) in enumerate(zip(active, weights)):
+        g_w = v[s_i] @ g_attn[i]
+        g_u = w_i * (g_w - float(w_i @ g_w))
+        g_qh[i] += scale * (g_u @ kh[s_i])
+        g_kh[s_i] += scale * g_u[:, None] * qh[i]
+        g_v[s_i] += w_i[:, None] * g_attn[i]
+    g_q = rope_unrotate_many(g_qh, pos, model.rope)
+    g_k = rope_unrotate_many(g_kh, pos, model.rope)
+    g_x = g_q @ params["w_q"] + g_k @ params["w_k"] + g_v @ params["w_v"]
+    g_emb = np.zeros_like(params["emb"])
+    np.add.at(g_emb, tokens, g_x)
+    grads = {"emb": g_emb, "w_q": g_q.T @ x, "w_k": g_k.T @ x, "w_v": g_v.T @ x,
+             "w_o": g_y.T @ attn, "w_head": g_logits.T @ y}
+    return logits, loss, grads
+
+
+class TestMaskedAttention:
+    """The teacher, the student and its backward share one masked attention;
+    the per-row forms above are their references."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_dense_equals_inline_softmax_form(self, seed):
+        model = make_toy_model(seed)
+        tokens = gen_toy_corpus(seed, n_seq=1, seq_len=96)[0]
+        assert np.array_equal(toy_logits_dense(model, tokens),
+                              inline_dense_logits(model, tokens))
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.9, 1.0])
+    def test_matches_per_row_forms(self, seed, p):
+        # a teacher of other weights keeps the gradient macroscopic at p = 1,
+        # where the model's own teacher leaves only float32 rounding dust
+        model = make_toy_model(seed, vocab=64, d=16)
+        corpus = gen_toy_corpus(seed, n_seq=1, seq_len=72, vocab=64)
+        teacher = build_teacher_cache(make_toy_model(seed + 100, vocab=64, d=16), corpus)
+        tokens, t_idx, t_val = corpus[0], teacher.indices[0], teacher.values[0]
+        fwd = distill_module._sparse_forward(model.params, tokens, model.rope,
+                                             model.scale, p, model.frozen_projector())
+        grads, loss = distill_module._toy_backward(model.params, tokens, fwd, t_idx,
+                                                   t_val, model.rope, model.scale)
+        want_logits, want_loss, want_grads = per_row_forward_backward(
+            model, tokens, p, t_idx, t_val)
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        assert close(fwd["logits"], want_logits)
+        assert close(np.array(loss), np.array(want_loss))
+        for name, want in want_grads.items():
+            assert close(grads[name], want), name
 
 
 class TestSelfDistill:

@@ -106,22 +106,21 @@ class TestLocalDecode:
         rng = np.random.default_rng(0)
         cache = random_cache(rng, 7)
         q = rng.normal(size=32)
-        out, active = local_head_decode(q, 6, cache, window=4, n_sinks=4)
-        assert active.size == 7
+        out = local_head_decode(q, 6, cache, window=4, n_sinks=4)
         np.testing.assert_allclose(out, dense_attention(q, 6, cache).output, atol=1e-5)
 
     def test_self_only_returns_own_value(self):
         rng = np.random.default_rng(1)
         cache = random_cache(rng, 12)
-        out, active = local_head_decode(rng.normal(size=32), 11, cache, 1, 0)
-        np.testing.assert_array_equal(active, [11])
+        out = local_head_decode(rng.normal(size=32), 11, cache, 1, 0)
         np.testing.assert_allclose(out, cache.values64[11], atol=1e-12)
 
     def test_matches_sub_cache_oracle(self):
         rng = np.random.default_rng(2)
         cache = random_cache(rng, 100)
         q = rng.normal(size=32)
-        out, active = local_head_decode(q, 99, cache, window=4, n_sinks=4)
+        out = local_head_decode(q, 99, cache, window=4, n_sinks=4)
+        active = local_active_indices(100, 4, 4)
         assert active.size == 8
         oracle = dense_attention(q, 99, sub_cache(cache, active))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
@@ -130,7 +129,8 @@ class TestLocalDecode:
         rng = np.random.default_rng(3)
         cache = random_cache(rng, 100)
         q = rng.normal(size=32)
-        out, active = local_head_decode(q, 40, cache, window=8, n_sinks=2)
+        out = local_head_decode(q, 40, cache, window=8, n_sinks=2)
+        active = local_active_indices(41, 8, 2)
         assert active.max() == 40
         oracle = dense_attention(q, 40, sub_cache(cache, active))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
@@ -158,10 +158,8 @@ class TestGroupedLocalDecode:
         rng = np.random.default_rng(group * 1000 + n + pos)
         cache = random_cache(rng, n)
         queries = rng.normal(size=(group, 32)).astype(np.float32)
-        outs, active = local_head_decode(queries, pos, cache, window, n_sinks)
+        outs = local_head_decode(queries, pos, cache, window, n_sinks)
         want = local_active_indices(pos + 1, window, n_sinks)
-        np.testing.assert_array_equal(active, want)
-        assert not active.flags.writeable
         assert outs.shape == (group, 32)
         for q, out in zip(queries, outs):
             ref = restricted_attention(q, pos, cache, want)
@@ -171,8 +169,8 @@ class TestGroupedLocalDecode:
         rng = np.random.default_rng(12)
         cache = random_cache(rng, 30)
         q = rng.normal(size=32)
-        out, active = local_head_decode(q, 29, cache, 8, 4)
-        block, _ = local_head_decode(q[None, :], 29, cache, 8, 4)
+        out = local_head_decode(q, 29, cache, 8, 4)
+        block = local_head_decode(q[None, :], 29, cache, 8, 4)
         assert out.shape == (32,)
         np.testing.assert_array_equal(out, block[0])
 
@@ -245,8 +243,8 @@ class TestRetrievalDecode:
         monkeypatch.setattr(eng, "restricted_attention", spy)
         rng = np.random.default_rng(10)
         cache = random_cache(rng, 2000)
-        _, active = local_head_decode(rng.normal(size=(3, 32)), 1999, cache, 64, 4)
-        assert seen == [active.size] and active.size == 68
+        local_head_decode(rng.normal(size=(3, 32)), 1999, cache, 64, 4)
+        assert seen == [68]
         pkc = ProjectedKeyCache(init_projector(8, 32, seed=3))
         for mode in ("exact", "histogram", "top_k"):
             _, trace = retrieval_head_decode(rng.normal(size=32), 1999, cache, pkc,
@@ -585,8 +583,9 @@ def full_cache_reference(wl, geo, partition):
                                               geo.scale).weights
             loc = [h for h in heads if not partition.is_retrieval(h)]
             if loc:
-                outs, active = local_head_decode(wl.queries[layer, loc, t], t, cache,
-                                                 geo.window, geo.n_sinks, geo.scale)
+                outs = local_head_decode(wl.queries[layer, loc, t], t, cache,
+                                         geo.window, geo.n_sinks, geo.scale)
+                active = local_active_indices(t + 1, geo.window, geo.n_sinks)
                 local.update({(h, t): (out, active) for h, out in zip(loc, outs)})
     return caches, local, dense
 

@@ -707,6 +707,16 @@ def per_layer_generation(spec, seed, geo):
     return queries, keys, values
 
 
+def assert_matches_per_layer_form(seed, **spec_kw):
+    geo = small_geometry(n_layers=2)
+    spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **spec_kw)
+    got = gen_synthetic_workload(spec, seed, geo)
+    for name, want in zip(("queries", "keys_pre", "values"),
+                          per_layer_generation(spec, seed, geo)):
+        arr = getattr(got, name)
+        assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+
+
 class TestGenerationOneGroupAtATime:
     """Generation runs one KV group at a time and draws its noise into one
     reused buffer; the streams stay byte-equal to the per-layer form."""
@@ -715,14 +725,16 @@ class TestGenerationOneGroupAtATime:
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize("probes", [True, False])
     def test_matches_per_layer_form(self, seq_len, seed, probes):
-        geo = small_geometry(n_layers=2)
-        spec = small_spec(seq_len=seq_len, planted_retrieval_heads=(1, 6), probe_head=1,
-                          include_probes=probes)
-        got = gen_synthetic_workload(spec, seed, geo)
-        for name, want in zip(("queries", "keys_pre", "values"),
-                              per_layer_generation(spec, seed, geo)):
-            arr = getattr(got, name)
-            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+        assert_matches_per_layer_form(seed, seq_len=seq_len, include_probes=probes)
+
+    @pytest.mark.parametrize("layout", [
+        # the late needle ends at row L - 1, so no induction key follows it
+        dict(include_probes=False, post_start=768 - 16),
+        dict(pre_start=0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_edge_layouts_match_per_layer_form(self, layout, seed):
+        assert_matches_per_layer_form(seed, **layout)
 
     def test_peak_is_workload_plus_three_head_arrays(self):
         """At 16K the traced peak stays below the workload plus three
