@@ -45,6 +45,9 @@ def warmup_constant(max_lr: float, warmup_steps: int) -> LrSchedule:
 
 
 def make_schedule(name: str, max_lr: float, warmup_steps: int, total_steps: int) -> LrSchedule:
+    """A run's schedule; a warmup longer than the run ends at its last step,
+    so every run reaches max_lr."""
+    warmup_steps = min(warmup_steps, total_steps)
     if name == "cosine":
         return warmup_cosine(max_lr, warmup_steps, total_steps)
     if name == "constant":

@@ -40,6 +40,15 @@ class TestSchedules:
         with pytest.raises(ArgumentError):
             make_schedule("linear", 1.0, 0, 10)
 
+    @pytest.mark.parametrize("name", ["cosine", "constant"])
+    @pytest.mark.parametrize("warmup", [5, 100, 200])
+    def test_warmup_longer_than_the_run_reaches_max_lr(self, name, warmup):
+        # the stage defaults (100 and 200 warmup steps) against a 5-step run
+        lr = make_schedule(name, 0.3, warmup, 5)
+        rates = [lr(step) for step in range(5)]
+        assert rates == sorted(rates)
+        assert rates[-1] == pytest.approx(0.3)
+
 
 class TestClip:
     def test_below_threshold_untouched(self):

@@ -594,29 +594,53 @@ def per_step_unit_walk(rng, n_steps, dim, rho):
     return out
 
 
+def per_step_unit_walks(rngs, n_steps, dim, rho):
+    """The per-step reference for each rng, stacked as (n_steps, G, dim)."""
+    return np.stack([per_step_unit_walk(rng, n_steps, dim, rho) for rng in rngs], axis=1)
+
+
 class TestUnitWalkBitIdentity:
-    """The block-drawn walk must equal the per-step reference exactly and
-    leave the stream where it would.  Compared in-process rather than
-    against a stored digest: the dot products follow the BLAS kernel, so
-    the bits can differ between machines but not between the two forms."""
+    """The block-drawn walks, stepped together, must each equal the per-step
+    reference exactly and leave every stream where it would.  Compared
+    in-process rather than against a stored digest: the dot products follow
+    the BLAS kernel, so the bits can differ between machines but not between
+    the two forms."""
 
     @pytest.mark.parametrize("seed, n_steps, dim, rho", [
         (0, 1, 2, 0.5), (1, 300, 32, 0.9923), (5, 257, 7, 0.0),
         (9, 64, 16, 1.0), (13, 2000, 32, 0.99),
     ])
     def test_matches_per_step_reference(self, seed, n_steps, dim, rho):
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = per_step_unit_walk(ref_rng, n_steps, dim, rho)
-        got = workload_module._unit_walk(rng, n_steps, dim, rho)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert np.array_equal(rng.normal(size=3), ref_rng.normal(size=3))
+        for n_rngs in (1, 2, 4):
+            ref_rngs = [np.random.default_rng(seed + g) for g in range(n_rngs)]
+            rngs = [np.random.default_rng(seed + g) for g in range(n_rngs)]
+            want = per_step_unit_walks(ref_rngs, n_steps, dim, rho)
+            got = workload_module._unit_walks(rngs, n_steps, dim, rho)
+            assert got.shape == want.shape == (n_steps, n_rngs, dim)
+            assert np.array_equal(got, want), n_rngs
+            for rng, ref_rng in zip(rngs, ref_rngs):
+                assert np.array_equal(rng.normal(size=3), ref_rng.normal(size=3))
+
+    @pytest.mark.parametrize("n_walks", [1, 2, 4])
+    def test_stacked_dot_rounds_as_the_norm(self, n_walks):
+        """The stepped walks' (G, 1, 1) dots, read from (G, dim) rows that
+        sit apart in a wider array, equal np.linalg.norm squared before the
+        root, as the per-step form takes it, for every dim up to 64."""
+        rng = np.random.default_rng(n_walks)
+        for dim in range(1, 65):
+            base = rng.normal(size=(8, n_walks, dim + 5))
+            walk = base[:, :, 2 : 2 + dim]
+            rows, cols = walk[:, :, None, :], walk[:, :, :, None]
+            for t in range(walk.shape[0]):
+                got = np.sqrt(rows[t] @ cols[t]).ravel()
+                want = [np.linalg.norm(v) for v in walk[t]]
+                assert np.array_equal(got, want), (dim, t)
 
     @pytest.mark.parametrize("seq_len", [768, 2048])
     def test_workload_matches_per_step_form(self, monkeypatch, seq_len):
         spec = small_spec(seq_len=seq_len, planted_retrieval_heads=(1, 6), probe_head=1)
         got = gen_synthetic_workload(spec, 3, small_geometry())
-        monkeypatch.setattr(workload_module, "_unit_walk", per_step_unit_walk)
+        monkeypatch.setattr(workload_module, "_unit_walks", per_step_unit_walks)
         want = gen_synthetic_workload(spec, 3, small_geometry())
         for name in ("queries", "keys_pre", "values"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -625,9 +649,9 @@ class TestUnitWalkBitIdentity:
 
 def per_layer_generation(spec, seed, geo):
     """Reference: the generator's stream loop in its per-layer form, every
-    KV head of a layer first (walks and content ids kept in lists), then
-    every query head, each noise block a fresh normal(size=...) * scale.
-    Returns (queries, keys_pre, values)."""
+    KV head of a layer first (per-step walks and content ids kept in
+    lists), then every query head, each stream's noise one whole
+    normal(size=(L, d)) * scale.  Returns (queries, keys_pre, values)."""
     wm = workload_module
     pre, post, probe_positions = wm._resolve_layout(spec, geo)
     L, d, nl = spec.seq_len, geo.head_dim, wm.NEEDLE_LEN
@@ -660,7 +684,7 @@ def per_layer_generation(spec, seed, geo):
         walks, contents = [], []
         for g in range(geo.n_kv_heads):
             rng_kv = wm.derive_rng(seed, f"workload-L{layer}-kv{g}")
-            walks.append(wm._unit_walk(rng_kv, L, loc_dim, rho))
+            walks.append(per_step_unit_walk(rng_kv, L, loc_dim, rho))
             ids = rng_kv.integers(0, wm.N_CONTENT, size=L)
             contents.append(ids)
             k = rng_kv.normal(size=(L, d)) * wm.NOISE_SCALE
@@ -718,8 +742,10 @@ def assert_matches_per_layer_form(seed, **spec_kw):
 
 
 class TestGenerationOneGroupAtATime:
-    """Generation runs one KV group at a time and draws its noise into one
-    reused buffer; the streams stay byte-equal to the per-layer form."""
+    """Generation steps a layer's walks together, writes each KV group's
+    keys and values, then the local and last the retrieval query heads,
+    drawing and finishing all noise one row block at a time; the streams
+    stay byte-equal to the per-layer form."""
 
     @pytest.mark.parametrize("seq_len", [768, 2048])
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -736,10 +762,26 @@ class TestGenerationOneGroupAtATime:
     def test_edge_layouts_match_per_layer_form(self, layout, seed):
         assert_matches_per_layer_form(seed, **layout)
 
+    @pytest.mark.parametrize("row_block", [1, 7, 64])
+    @pytest.mark.parametrize("layout", [
+        dict(seq_len=770),
+        dict(seq_len=768, include_probes=False, post_start=768 - 16),
+        dict(seq_len=771, pre_start=0),
+    ])
+    def test_block_boundaries_match_per_layer_form(self, monkeypatch, row_block, layout):
+        """Blocks far smaller than the streams put boundaries inside the
+        sinks, the needles, a needle and the key after it, the probe
+        supports, and leave a partial last block."""
+        monkeypatch.setattr(workload_module, "ROW_BLOCK", row_block)
+        assert_matches_per_layer_form(3, **layout)
+
     def test_peak_is_workload_plus_three_head_arrays(self):
         """At 16K the traced peak stays below the workload plus three
-        float64 (L, d) arrays: one noise buffer, one group's walk and ids,
-        and the temporaries of one head (the per-layer form held 5.7)."""
+        float64 (L, d) arrays: a layer's four walks are two of them; the
+        row-block buffer with its temporaries and the layer's content ids,
+        then, once the walks are freed, a retrieval head's (L, 16) content
+        band and seek draws fit in the third (the per-layer form held 5.7,
+        one KV group at a time 2.15, this form 2.56)."""
         spec = WorkloadSpec(seq_len=16384, decode_len=64)
         geo = default_workload_geometry()
         tracemalloc.start()
