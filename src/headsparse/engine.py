@@ -9,6 +9,10 @@ and a group with no retrieval head keeps only its local rows (a bounded cache).
 Exact and top-k sets are index arrays: a dense one attends as one dense row
 over its span, and a sparse one is gathered.  Every head goes through
 restricted_attention and so through workload.attend, the one attention kernel.
+A retrieval head ranks tokens by its ProjectedKeyCache, which the decode
+loop extends with the pre-rotation keys of the rows its KV cache holds (the
+prompt and the first token at the first step, then one token a step), so
+the caches keep only rotated keys, values and positions.
 
 The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
@@ -166,9 +170,10 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
                           layer: int = 0, q_head: int = 0
                           ) -> tuple[np.ndarray, DecodeTrace]:
     """One retrieval-head decode step: rank the visible prefix by the
-    projected pre-rotation scores of `pkc` (the head's projector over this
-    cache), select by the requested mode, then attend exactly over the
-    selected set (over its merged runs in histogram mode). The static
+    projected pre-rotation scores of `pkc` (the head's projected keys,
+    extended with the rows of this cache), select by the requested mode,
+    then attend exactly over the selected set (over its merged runs in
+    histogram mode). The static
     top_k baseline ignores p and offers no coverage floor; that gap is what
     it exists to demonstrate."""
     if mode not in ("exact", "histogram", "top_k"):
@@ -326,6 +331,10 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
         # so every query sees its own entry (self-attention at decode)
         for (layer, g), cache in live.items():
             cache.append(workload.keys_pre[layer, g, t], workload.values[layer, g, t], t)
+        # each head's projected keys catch up with its cache: the prompt and
+        # this token at the first step, one token after that
+        for (layer, h), pkc in pkcs.items():
+            pkc.extend(workload.keys_pre[layer, qhead_to_kvhead(geometry, h), len(pkc):t + 1])
         for layer, g, heads, local in groups:
             cache = live[(layer, g)]
             queries = workload.queries[layer, :, t]

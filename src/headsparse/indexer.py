@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .container import load_container, save_container
-from .errors import ArgumentError
+from .errors import ArgumentError, InternalError
 from .numerics import softmax, softmax_kl
 from .optim import AdamW, make_schedule
 from .record import Record
+from .rope import row_blocks
 from .seeding import derive_rng
 from .workload import (KVCacheHead, build_cache_prefix, causal_scores, qhead_to_kvhead,
                        visible_rows)
@@ -86,32 +87,41 @@ def init_projector(r: int, head_dim: int, seed: int, label: str = "projector-ini
 
 
 class ProjectedKeyCache:
-    """Incrementally maintained projected keys for one (cache, projector)
-    pair, so each decode step pays O(new keys) projection work instead of
-    reprojecting the whole cache."""
+    """The projected pre-rotation keys of one retrieval head's KV cache.
+    Whoever appends rows to the cache extends this with the same rows, so
+    each decode step projects only its new key and the cache need not keep
+    the pre-rotation keys."""
 
     def __init__(self, projector: Projector, capacity: int = 256):
         self.projector = projector
         self._u = np.empty((capacity, projector.r), np.float64)
         self._n = 0
 
-    def sync(self, cache: KVCacheHead) -> None:
-        n = len(cache)
-        if n < self._n:
-            raise ArgumentError("cache shrank; projected keys are stale")
-        if n == self._n:
-            return
-        if n > self._u.shape[0]:
-            new = np.empty((max(n, 2 * self._u.shape[0]), self.projector.r), np.float64)
-            new[: self._n] = self._u[: self._n]
+    def __len__(self) -> int:
+        return self._n
+
+    def extend(self, keys_pre: np.ndarray) -> None:
+        """Project (m, head_dim) new key rows, rounded to float32 as the
+        cache stores them, one ROPE_BLOCK of rows at a time."""
+        keys = np.asarray(keys_pre)
+        if keys.ndim != 2 or keys.shape[1] != self.projector.head_dim:
+            raise ArgumentError(f"keys must be (m, {self.projector.head_dim}), got {keys.shape}")
+        n0, n1 = self._n, self._n + len(keys)
+        if n1 > self._u.shape[0]:
+            new = np.empty((max(n1, 2 * self._u.shape[0]), self.projector.r), np.float64)
+            new[:n0] = self._u[:n0]
             self._u = new
-        fresh = cache.keys_pre[self._n : n].astype(np.float64)
-        self._u[self._n : n] = fresh @ self.projector.w_k.T
-        self._n = n
+        for rows in row_blocks(len(keys)):
+            fresh = keys[rows].astype(np.float32).astype(np.float64)
+            self._u[n0 + rows.start : n0 + rows.stop] = fresh @ self.projector.w_k.T
+        self._n = n1
 
     def scores(self, cache: KVCacheHead, query_pre: np.ndarray, query_position: int
                ) -> np.ndarray:
-        self.sync(cache)
+        """Projected scores of the cache rows visible at query_position; the
+        projected rows must be exactly the cache's."""
+        if self._n != len(cache):
+            raise InternalError(f"{self._n} projected keys for a cache of {len(cache)} rows")
         rows = visible_rows(cache, query_position)
         u = self.projector.w_q @ np.asarray(query_pre, np.float64)
         return self._u[rows] @ u
@@ -146,10 +156,12 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     rng = derive_rng(seed, f"stage1-data-L{layer}H{q_head}")
     positions = np.sort(rng.choice(span, size=min(n_rows, span.size), replace=False))
     n = int(positions[-1]) + 1
-    cache = build_cache_prefix(workload, layer, qhead_to_kvhead(geometry, q_head), n)
+    g = qhead_to_kvhead(geometry, q_head)
+    cache = build_cache_prefix(workload, layer, g, n)
     queries = workload.queries[layer, q_head, positions]
     attn = softmax(causal_scores(queries, positions, cache, geometry.scale))
-    return Stage1Dataset(cache.keys_pre.astype(np.float64), queries, positions, attn)
+    return Stage1Dataset(workload.keys_pre[layer, g, :n].astype(np.float64),
+                         queries, positions, attn)
 
 
 def projector_grad(batch: Stage1Dataset, projector: Projector

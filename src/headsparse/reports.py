@@ -182,7 +182,7 @@ def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
     oracle row versus sparse decode in both selector modes. A few high-gain
     key spans give the score vectors the block-level concentration selective
     decode exploits; the dense row's cost is structure-blind either way.
-    Warmup calls are discarded; the projected-key cache is synced before
+    Warmup calls are discarded; the projected-key cache is filled before
     timing starts, since at steady state projection work is incremental."""
     if n_steps < 1:
         raise ArgumentError("need at least one measured iteration")
@@ -195,14 +195,11 @@ def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
         gain = np.full(L, 0.25)
         for s0 in rng.integers(0, max(1, L - block_size), size=8):
             gain[s0 : s0 + block_size] = 1.5
+        keys = (keys * gain[:, None]).astype(np.float32)
         cache = KVCacheHead(RopeParams(head_dim), capacity=L)
-        cache.extend(
-            (keys * gain[:, None]).astype(np.float32),
-            rng.normal(size=(L, head_dim)).astype(np.float32),
-            np.arange(L),
-        )
+        cache.extend(keys, rng.normal(size=(L, head_dim)).astype(np.float32), np.arange(L))
         pkc = ProjectedKeyCache(init_projector(r, head_dim, seed), capacity=L)
-        pkc.sync(cache)
+        pkc.extend(keys)
         queries = rng.normal(size=(warmup + n_steps, head_dim))
         pos = L - 1
 

@@ -7,9 +7,11 @@ theta_j = base ** (-2j / head_dim).  Rotating q by m and k by n makes their
 dot product a function of the offset m - n alone, which the decomposition
 makes explicit frequency by frequency.
 
-Every rotation goes through `_turn`.  A bulk build computes one
-`RopeTable` over positions 0..n-1, turns each KV head's keys by it with
-`rope_apply`, and drops it when the build ends.
+Every rotation goes through `_turn`.  `rope_apply` turns a matrix
+ROPE_BLOCK rows at a time straight into the caller's buffer, so a bulk
+build holds no full-length temporary.  Each block takes its cos/sin rows
+from a `RopeTable` that a caller turning several KV heads at the same
+positions computes once and shares, or else computes them for itself.
 """
 
 from __future__ import annotations
@@ -57,6 +59,26 @@ class RopeTable(NamedTuple):
     sin: np.ndarray
 
 
+# Rows per block of rope_apply and of ProjectedKeyCache.extend: a block's
+# cos/sin and turn temporaries take a few MiB at head_dim 64, against
+# 64 MiB for one table over a 128K stream.  A 128K build_cache took
+# 0.25-0.38 s at 1,024 rows, 0.26-0.28 s at 4,096 and 0.29 s at 16,384
+# (2 runs each, seed 0, one BLAS thread, 2-core x86 host, numpy 2.4).
+ROPE_BLOCK = 4096
+
+
+def row_blocks(n: int) -> list[slice]:
+    """ceil(n / ROPE_BLOCK) consecutive slices over rows 0..n-1, of lengths
+    that differ by at most one row.  No block is left short, because a
+    product over a few rows can round differently from the same rows in a
+    taller one (OpenBLAS takes a small-matrix kernel below about 100 rows of
+    a 64 x 16 projection), so blocked projections of n > ROPE_BLOCK rows
+    keep the bits of one product over all of them."""
+    k = -(-n // ROPE_BLOCK)
+    edges = [i * n // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _turn(arr: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate each pair (arr[..., 2j], arr[..., 2j+1]) by the angle whose
     cosine and sine are cos[..., j] and sin[..., j].  The pairs turn in
@@ -77,14 +99,31 @@ def rope_table(positions: np.ndarray, params: RopeParams) -> RopeTable:
     return RopeTable(np.cos(ang), np.sin(ang))
 
 
-def rope_apply(mat: np.ndarray, table: RopeTable) -> np.ndarray:
-    """Rotate row i of mat, (n, 2 * n_pairs), by row i of table; the result
-    keeps mat's dtype, so float32 rows come back rounded to float32."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or table.cos.shape != (mat.shape[0], mat.shape[1] / 2):
+def rope_apply(mat: np.ndarray, positions: np.ndarray, params: RopeParams,
+               table: RopeTable | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Rotate row i of mat, (n, head_dim), by its angle at positions[i], one
+    ROPE_BLOCK of rows at a time.  A block's cos/sin are the same rows of
+    `table`, rope_table(positions) held by a caller that turns several
+    matrices at these positions, or else rope_table of the block's own
+    positions.  Each block turns in float64, is rounded to mat's dtype and
+    lands in `out` (a new array of mat's dtype by default), so float32 rows
+    reach a float64 `out` rounded to float32."""
+    mat, pos = np.asarray(mat), np.asarray(positions)
+    if mat.ndim != 2 or mat.shape[1] != params.head_dim or pos.shape != mat.shape[:1]:
+        raise ArgumentError(f"rows {mat.shape} at positions {pos.shape} do not match "
+                            f"head_dim {params.head_dim}")
+    if table is not None and table.cos.shape != (len(mat), params.n_pairs):
         raise ArgumentError(f"rope table of shape {table.cos.shape} does not "
                             f"match the {mat.shape} rows it turns")
-    return _turn(mat, *table)
+    if out is None:
+        out = np.empty_like(mat)
+    elif out.shape != mat.shape:
+        raise ArgumentError(f"output of shape {out.shape} for {mat.shape} rows")
+    for rows in row_blocks(len(mat)):
+        cos, sin = rope_table(pos[rows], params) if table is None else \
+            (table.cos[rows], table.sin[rows])
+        out[rows] = _turn(mat[rows], cos, sin)
+    return out
 
 
 def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
@@ -102,7 +141,7 @@ def rope_rotate(v: np.ndarray, position: int, params: RopeParams) -> np.ndarray:
 
 def rope_rotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
     """Row-wise rope_rotate: mat is (n, head_dim), positions is (n,)."""
-    return rope_apply(np.asarray(mat, np.float64), rope_table(positions, params))
+    return rope_apply(np.asarray(mat, np.float64), positions, params)
 
 
 def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParams) -> np.ndarray:
@@ -112,7 +151,7 @@ def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParam
     that backpropagation through a rotation needs.
     """
     cos, sin = rope_table(positions, params)
-    return rope_apply(np.asarray(mat, np.float64), RopeTable(cos, -sin))
+    return rope_apply(np.asarray(mat, np.float64), positions, params, RopeTable(cos, -sin))
 
 
 def rope_score(q: np.ndarray, k: np.ndarray, m: int, n: int, params: RopeParams) -> float:

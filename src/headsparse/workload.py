@@ -32,7 +32,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
 from .record import Record
-from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many, rope_table
+from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many
 from .seeding import derive_rng
 
 
@@ -92,18 +92,19 @@ def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
 class KVCacheHead:
     """Append-only per-KV-head store; rows are token positions in full caches only.
 
-    Keeps the pre-rotation keys as float32 (what the indexer projects), the
-    positions, and float64 copies of the rotated keys and the values.  Both
-    float64 buffers are rounded through float32 first, so they hold exactly
-    what float32 storage would while score and output reductions accumulate
-    in double precision without a recast on every decode step.
+    Keeps the positions and float64 copies of the rotated keys and the
+    values, all that attention reads.  Both float64 buffers are rounded
+    through float32 first, so they hold exactly what float32 storage would
+    while score and output reductions accumulate in double precision without
+    a recast on every decode step.  The pre-rotation keys are not kept: the
+    indexer's ProjectedKeyCache is extended with the same rows by whoever
+    appends them here.
     """
 
     def __init__(self, rope: RopeParams, capacity: int = 256):
         self.rope = rope
         d = rope.head_dim
         self._n = 0
-        self._keys_pre = np.empty((capacity, d), np.float32)
         self._positions = np.empty(capacity, np.int64)
         self._keys_post64 = np.empty((capacity, d), np.float64)
         self._values64 = np.empty((capacity, d), np.float64)
@@ -112,11 +113,11 @@ class KVCacheHead:
         return self._n
 
     def _grow(self, need: int) -> None:
-        cap = self._keys_pre.shape[0]
+        cap = self._positions.shape[0]
         if need <= cap:
             return
         new = max(need, cap * 2)
-        for name in ("_keys_pre", "_positions", "_keys_post64", "_values64"):
+        for name in ("_positions", "_keys_post64", "_values64"):
             old = getattr(self, name)
             buf = np.empty((new, *old.shape[1:]), old.dtype)
             buf[: self._n] = old[: self._n]
@@ -134,7 +135,6 @@ class KVCacheHead:
             raise ArgumentError("positions must be strictly increasing and non-negative")
         n = self._n
         self._grow(n + 1)
-        self._keys_pre[n] = kp
         self._positions[n] = position
         self._keys_post64[n] = rope_rotate(kp, position, self.rope).astype(np.float32)
         self._values64[n] = va
@@ -143,8 +143,9 @@ class KVCacheHead:
     def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray,
                table: RopeTable | None = None) -> None:
         """Batch append.  Keys and values are rounded to float32 once; the keys
-        turn in float64 and land in the float64 buffer rounded to float32.
-        `table` is rope_table(positions), when the caller already holds it."""
+        turn in float64 block by block (rope_apply) and land in the float64
+        buffer rounded to float32.  `table` is rope_table(positions), when the
+        caller already holds it."""
         kp32 = np.asarray(keys_pre, np.float32)
         va32 = np.asarray(values, np.float32)
         pos = np.asarray(positions, np.int64)
@@ -155,20 +156,14 @@ class KVCacheHead:
         if kp32.shape[0] == 0:
             return
         prev = self._positions[self._n - 1] if self._n else -1
-        seq = np.concatenate(([prev], pos))
-        if np.any(np.diff(seq) <= 0) or pos[0] < 0:
+        if pos[0] <= prev or np.any(pos[1:] <= pos[:-1]) or pos[0] < 0:
             raise ArgumentError("positions must be strictly increasing and non-negative")
         n0, n1 = self._n, self._n + kp32.shape[0]
         self._grow(n1)
-        self._keys_pre[n0:n1] = kp32
+        rope_apply(kp32, pos, self.rope, table, out=self._keys_post64[n0:n1])
         self._positions[n0:n1] = pos
-        self._keys_post64[n0:n1] = rope_apply(kp32, table or rope_table(pos, self.rope))
         self._values64[n0:n1] = va32
         self._n = n1
-
-    @property
-    def keys_pre(self) -> np.ndarray:
-        return self._keys_pre[: self._n]
 
     @property
     def positions(self) -> np.ndarray:
@@ -269,7 +264,8 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCache
     """The one causal-score kernel: scaled post-rotation scores of (B, d)
     queries at `positions` against the cache rows up to the largest of them,
     one product for all rows.  An entry whose cache position lies after its
-    row's own position is -inf, so softmax gives it weight exactly 0."""
+    row's own position is -inf, so softmax gives it weight exactly 0; cache
+    positions are sorted, so those entries are each row's tail."""
     pos = np.asarray(positions, np.int64)
     if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, cache.rope.head_dim):
         raise ArgumentError("queries must be (B, head_dim), one position per row")
@@ -280,7 +276,8 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCache
     n = cache.visible_count(int(pos.max()))
     q_rot = rope_rotate_many(queries_pre, pos, cache.rope)
     scores = (q_rot @ cache.keys_post64[:n].T) * scale
-    scores[cache.positions[:n][None, :] > pos[:, None]] = -np.inf
+    for row, visible in zip(scores, np.searchsorted(cache.positions[:n], pos, "right")):
+        row[visible:] = -np.inf
     return scores
 
 
@@ -631,7 +628,8 @@ def build_cache(workload: Workload, layer: int, kv_head: int) -> KVCacheHead:
 def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: int,
                        table: RopeTable | None = None) -> KVCacheHead:
     """Bulk-load the first n_tokens of one KV head's stream; `table`, if given,
-    is rope_table(0..n_tokens-1) shared by a caller that builds several heads."""
+    is rope_table(0..n_tokens-1) shared by a caller that builds several heads,
+    and without it each rotation block computes its own cos/sin rows."""
     if not (0 <= layer < workload.geometry.n_layers):
         raise ArgumentError(f"layer {layer} out of range")
     if not (0 <= kv_head < workload.geometry.n_kv_heads):

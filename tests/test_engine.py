@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from test_workload import SMALL_SPEC, small_geometry
 
+import headsparse.rope as rope_module
 import headsparse.workload as workload_module
 from headsparse.calibration import partition_heads
 from headsparse.engine import (
     DecodeTrace,
+    FullCaches,
     attention_mass_report,
     compute_sparsity,
     local_head_decode,
@@ -42,15 +44,26 @@ from headsparse.workload import (
 
 
 def random_cache(rng, n, d=32):
+    """A cache of n random rows at positions 0..n-1, and its float32
+    pre-rotation keys (the cache keeps only their rotations)."""
+    keys = rng.normal(size=(n, d)).astype(np.float32)
     cache = KVCacheHead(RopeParams(d), capacity=n)
-    cache.extend(rng.normal(size=(n, d)), rng.normal(size=(n, d)), np.arange(n))
-    return cache
+    cache.extend(keys, rng.normal(size=(n, d)), np.arange(n))
+    return cache, keys
 
 
-def sub_cache(cache, active):
-    """Rebuild a cache containing only the active tokens, original positions."""
+def projected(projector, keys_pre):
+    """A ProjectedKeyCache extended with the rows of a cache."""
+    pkc = ProjectedKeyCache(projector)
+    pkc.extend(keys_pre)
+    return pkc
+
+
+def sub_cache(cache, keys_pre, active):
+    """Rebuild a cache containing only the active tokens, original positions;
+    keys_pre are the pre-rotation rows the cache was filled with."""
     sub = KVCacheHead(cache.rope, capacity=max(active.size, 1))
-    sub.extend(cache.keys_pre[active], cache.values64[active], cache.positions[active])
+    sub.extend(keys_pre[active], cache.values64[active], cache.positions[active])
     return sub
 
 
@@ -104,35 +117,35 @@ class TestLocalMask:
 class TestLocalDecode:
     def test_covered_prefix_equals_dense(self):
         rng = np.random.default_rng(0)
-        cache = random_cache(rng, 7)
+        cache, _ = random_cache(rng, 7)
         q = rng.normal(size=32)
         out = local_head_decode(q, 6, cache, window=4, n_sinks=4)
         np.testing.assert_allclose(out, dense_attention(q, 6, cache).output, atol=1e-5)
 
     def test_self_only_returns_own_value(self):
         rng = np.random.default_rng(1)
-        cache = random_cache(rng, 12)
+        cache, _ = random_cache(rng, 12)
         out = local_head_decode(rng.normal(size=32), 11, cache, 1, 0)
         np.testing.assert_allclose(out, cache.values64[11], atol=1e-12)
 
     def test_matches_sub_cache_oracle(self):
         rng = np.random.default_rng(2)
-        cache = random_cache(rng, 100)
+        cache, keys = random_cache(rng, 100)
         q = rng.normal(size=32)
         out = local_head_decode(q, 99, cache, window=4, n_sinks=4)
         active = local_active_indices(100, 4, 4)
         assert active.size == 8
-        oracle = dense_attention(q, 99, sub_cache(cache, active))
+        oracle = dense_attention(q, 99, sub_cache(cache, keys, active))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
     def test_partial_visibility(self):
         rng = np.random.default_rng(3)
-        cache = random_cache(rng, 100)
+        cache, keys = random_cache(rng, 100)
         q = rng.normal(size=32)
         out = local_head_decode(q, 40, cache, window=8, n_sinks=2)
         active = local_active_indices(41, 8, 2)
         assert active.max() == 40
-        oracle = dense_attention(q, 40, sub_cache(cache, active))
+        oracle = dense_attention(q, 40, sub_cache(cache, keys, active))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
 
@@ -156,7 +169,7 @@ class TestGroupedLocalDecode:
     def test_matches_per_head_restricted_attention(self, group, n, pos, window,
                                                    n_sinks):
         rng = np.random.default_rng(group * 1000 + n + pos)
-        cache = random_cache(rng, n)
+        cache, _ = random_cache(rng, n)
         queries = rng.normal(size=(group, 32)).astype(np.float32)
         outs = local_head_decode(queries, pos, cache, window, n_sinks)
         want = local_active_indices(pos + 1, window, n_sinks)
@@ -167,7 +180,7 @@ class TestGroupedLocalDecode:
 
     def test_vector_query_keeps_its_shape(self):
         rng = np.random.default_rng(12)
-        cache = random_cache(rng, 30)
+        cache, _ = random_cache(rng, 30)
         q = rng.normal(size=32)
         out = local_head_decode(q, 29, cache, 8, 4)
         block = local_head_decode(q[None, :], 29, cache, 8, 4)
@@ -178,18 +191,18 @@ class TestGroupedLocalDecode:
 class TestRetrievalDecode:
     def test_p_one_equals_dense(self):
         rng = np.random.default_rng(4)
-        cache = random_cache(rng, 300)
+        cache, keys = random_cache(rng, 300)
         proj = init_projector(8, 32, seed=0)
         q = rng.normal(size=32)
-        out, trace = retrieval_head_decode(q, 299, cache, ProjectedKeyCache(proj), p=1.0)
+        out, trace = retrieval_head_decode(q, 299, cache, projected(proj, keys), p=1.0)
         assert trace.tokens_selected == 300
         np.testing.assert_allclose(out, dense_attention(q, 299, cache).output, atol=1e-5)
 
     def test_single_token_cache(self):
         rng = np.random.default_rng(5)
-        cache = random_cache(rng, 1)
+        cache, keys = random_cache(rng, 1)
         out, trace = retrieval_head_decode(
-            rng.normal(size=32), 0, cache, ProjectedKeyCache(init_projector(8, 32, 0)), p=0.9
+            rng.normal(size=32), 0, cache, projected(init_projector(8, 32, 0), keys), p=0.9
         )
         np.testing.assert_allclose(out, cache.values64[0], atol=1e-12)
         assert trace.tokens_selected == 1
@@ -197,15 +210,15 @@ class TestRetrievalDecode:
     @pytest.mark.parametrize("mode", ["exact", "histogram"])
     def test_restricted_softmax_oracle_4k(self, mode):
         rng = np.random.default_rng(6)
-        cache = random_cache(rng, 4096)
+        cache, keys = random_cache(rng, 4096)
         proj = init_projector(8, 32, seed=1)
         q = rng.normal(size=32)
         out, trace = retrieval_head_decode(
-            q, 4095, cache, ProjectedKeyCache(proj), p=0.9, mode=mode
+            q, 4095, cache, projected(proj, keys), p=0.9, mode=mode
         )
         assert 0 < trace.tokens_selected < 4096
         assert trace.covered_projected_mass >= 0.9
-        oracle = dense_attention(q, 4095, sub_cache(cache, trace.active_set))
+        oracle = dense_attention(q, 4095, sub_cache(cache, keys, trace.active_set))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
     def test_histogram_runs_match_gather(self, monkeypatch):
@@ -213,8 +226,8 @@ class TestRetrievalDecode:
         the selection, and the gathered-rows output within 1e-15."""
         monkeypatch.setattr(workload_module, "DENSE_SHARE", 1.0)  # always gather
         rng = np.random.default_rng(9)
-        cache = random_cache(rng, 4096)
-        pkc = ProjectedKeyCache(init_projector(8, 32, seed=2))
+        cache, keys = random_cache(rng, 4096)
+        pkc = projected(init_projector(8, 32, seed=2), keys)
         n_runs = []
         for pos in (4095, 3000, 1500):
             for p in (0.5, 0.9):
@@ -242,10 +255,10 @@ class TestRetrievalDecode:
 
         monkeypatch.setattr(eng, "restricted_attention", spy)
         rng = np.random.default_rng(10)
-        cache = random_cache(rng, 2000)
+        cache, keys = random_cache(rng, 2000)
         local_head_decode(rng.normal(size=(3, 32)), 1999, cache, 64, 4)
         assert seen == [68]
-        pkc = ProjectedKeyCache(init_projector(8, 32, seed=3))
+        pkc = projected(init_projector(8, 32, seed=3), keys)
         for mode in ("exact", "histogram", "top_k"):
             _, trace = retrieval_head_decode(rng.normal(size=32), 1999, cache, pkc,
                                              0.9, mode, top_k=50)
@@ -254,10 +267,10 @@ class TestRetrievalDecode:
 
     def test_unknown_mode(self):
         rng = np.random.default_rng(8)
-        cache = random_cache(rng, 10)
+        cache, keys = random_cache(rng, 10)
         with pytest.raises(ArgumentError):
             retrieval_head_decode(
-                rng.normal(size=32), 9, cache, ProjectedKeyCache(init_projector(4, 32, 0)),
+                rng.normal(size=32), 9, cache, projected(init_projector(4, 32, 0), keys),
                 0.9, "sorted",
             )
 
@@ -320,10 +333,73 @@ class TestSharedRopeTable:
                 wl.keys_pre[0, g], np.arange(L), SMALL_GEO.rope))
             assert np.array_equal(cache.values64, wl.values[0, g].astype(np.float64))
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_rotation_blocks_match_per_call_rotation(self, monkeypatch, block):
+        """With ROPE_BLOCK at 1, 7 and 64 rows, at lengths that are no
+        multiple of it, every build writes the keys of one per-call turn:
+        extend with and without the caller's table, build_cache, prefill
+        with a bounded group (gapped positions) and FullCaches builds."""
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", block)
+        geo = ModelGeometry(n_layers=1, n_q_heads=4, n_kv_heads=2, head_dim=64,
+                            rope_base=1.0e6, window=200, n_sinks=4)
+        L, n = 461, 333
+        wl = random_workload(geo, L, seed=block)
+        keys, vals = wl.keys_pre[0], wl.values[0]
+        pos = np.sort(np.random.default_rng(block).choice(10**6, n, replace=False))
+        for table in (rope_table(pos, geo.rope), None):
+            cache = KVCacheHead(geo.rope, capacity=8)
+            cache.extend(keys[0, :n], vals[0, :n], pos, table)
+            assert np.array_equal(cache.keys_post64, per_call_rotation(keys[0, :n], pos, geo.rope))
+        full = FullCaches(wl, {})
+        for g in range(geo.n_kv_heads):
+            want = per_call_rotation(keys[g], np.arange(L), geo.rope)
+            assert np.array_equal(build_cache(wl, 0, g).keys_post64, want)
+            assert np.array_equal(full[0, g].keys_post64, want)
+        caches = prefill(wl, geo, n_tokens=n, bounded={(0, 1)})
+        keep = np.r_[0:4, n - 200:n]
+        assert np.array_equal(caches[0, 1].positions, keep)
+        assert np.array_equal(caches[0, 1].keys_post64,
+                              per_call_rotation(keys[1, keep], keep, geo.rope))
+        assert np.array_equal(caches[0, 0].keys_post64,
+                              per_call_rotation(keys[0, :n], np.arange(n), geo.rope))
+
     def test_table_must_match_positions(self):
         table = rope_table(np.arange(65), SMALL_GEO.rope)
         with pytest.raises(ArgumentError):
             build_cache_prefix(SMALL_WORKLOAD, 0, 0, 64, table)
+
+
+class TestProjectedKeysFeed:
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_scores_keep_the_lazy_projection_bits(self, monkeypatch, mode):
+        """Each retrieval step of run_workload scores with the bits of the
+        former lazy sync: at each scores call, the cache rows not yet
+        projected went through one product, read from the pre-rotation keys
+        the cache kept (here the workload's, which it copied)."""
+        import headsparse.indexer as indexer_module
+
+        part = small_partition()
+        projs = small_projectors(part, SMALL_GEO)
+        heads = {id(proj): h for (_, h), proj in projs.items()}
+        projected: dict[int, list] = {}
+        original = indexer_module.ProjectedKeyCache.scores
+
+        def lazy_reference(pkc, cache, query_pre, query_position):
+            got = original(pkc, cache, query_pre, query_position)
+            keys = SMALL_WORKLOAD.keys_pre[0, heads[id(pkc.projector)] // SMALL_GEO.group_size]
+            rows = projected.setdefault(id(pkc), [])
+            done = sum(len(r) for r in rows)
+            rows.append(keys[done:len(cache)].astype(np.float64) @ pkc.projector.w_k.T)
+            u = pkc.projector.w_q @ np.asarray(query_pre, np.float64)
+            want = np.concatenate(rows)[: cache.visible_count(query_position)] @ u
+            assert np.array_equal(got, want)
+            return got
+
+        monkeypatch.setattr(indexer_module.ProjectedKeyCache, "scores", lazy_reference)
+        res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, mode=mode)
+        steps = SMALL_WORKLOAD.seq_len - SMALL_WORKLOAD.prefill_len
+        assert sum(map(len, projected.values())) == steps * len(part.retrieval_set)
+        assert len(res.traces) == steps * SMALL_GEO.n_q_heads
 
 
 class TestPrefill:
@@ -431,7 +507,7 @@ class TestMemorySparsityReference:
 class TestAttentionMassReport:
     def test_full_set_is_one(self):
         rng = np.random.default_rng(9)
-        cache = random_cache(rng, 50)
+        cache, _ = random_cache(rng, 50)
         q = rng.normal(size=32)
         row = dense_attention(q, 49, cache)
         tr = make_trace(0, 0, 49, np.arange(50))
@@ -439,7 +515,7 @@ class TestAttentionMassReport:
 
     def test_subset_mass(self):
         rng = np.random.default_rng(10)
-        cache = random_cache(rng, 50)
+        cache, _ = random_cache(rng, 50)
         row = dense_attention(rng.normal(size=32), 49, cache)
         tr = make_trace(0, 0, 49, np.array([0, 7, 49]))
         expect = row.weights[[0, 7, 49]].sum()
@@ -447,7 +523,7 @@ class TestAttentionMassReport:
 
     def test_position_mismatch(self):
         rng = np.random.default_rng(11)
-        cache = random_cache(rng, 50)
+        cache, _ = random_cache(rng, 50)
         row = dense_attention(rng.normal(size=32), 40, cache)
         with pytest.raises(ArgumentError):
             attention_mass_report(make_trace(0, 0, 49, [0]), row)
@@ -478,11 +554,12 @@ class TestRunWorkload:
         _, _, res = run
         caches = res.caches
         for t in res.traces[:: max(len(res.traces) // 40, 1)]:
-            cache = caches[(t.layer, qhead_to_kvhead(SMALL_GEO, t.q_head))]
+            kv = qhead_to_kvhead(SMALL_GEO, t.q_head)
+            cache = caches[(t.layer, kv)]
             oracle = dense_attention(
                 SMALL_WORKLOAD.queries[t.layer, t.q_head, t.position],
                 t.position,
-                sub_cache(cache, t.active_set),
+                sub_cache(cache, SMALL_WORKLOAD.keys_pre[t.layer, kv], t.active_set),
                 SMALL_GEO.scale,
             )
             np.testing.assert_allclose(t.output, oracle.output, atol=1e-6)
@@ -591,7 +668,7 @@ def full_cache_reference(wl, geo, partition):
 
 
 def cache_arrays(cache):
-    return cache.positions, cache.keys_pre, cache.keys_post64, cache.values64
+    return cache.positions, cache.keys_post64, cache.values64
 
 
 class TestBoundedCaches:
@@ -637,7 +714,7 @@ class TestBoundedCaches:
         keep = np.r_[0:s, P - w:P]
         assert np.array_equal(caches[0, 2].positions, keep)
         full = prefill(wl, geo)
-        for name in ("keys_pre", "keys_post64", "values64"):
+        for name in ("keys_post64", "values64"):
             assert np.array_equal(getattr(caches[0, 2], name), getattr(full[0, 2], name)[keep])
         assert len(caches[0, 1]) == P
 
@@ -741,15 +818,16 @@ class TestRunMemory:
     @pytest.mark.parametrize("mode", ["histogram", "exact"])
     def test_peak_below_three_and_a_half_caches(self, mode):
         """At 16K, run_workload's traced peak stays below 3.5 full caches of
-        n * (20 d + 8) bytes: the retrieval groups' full caches, bounded ones
-        for the rest, the prefill's cos/sin table and one rotation's
-        temporaries (every group's full cache came to 5.0)."""
+        n * (16 d + 8) bytes: the retrieval groups' full caches, bounded ones
+        for the rest, the prefill's cos/sin table and one rotation block's
+        temporaries (measured 2.9; caches that kept their pre-rotation keys
+        and turned every key at once came to 4.0)."""
         geo = default_workload_geometry()
         w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0, geo)
         part = partition_heads([float(h in (2, 9)) for h in range(geo.n_q_heads)],
                                2 / geo.n_q_heads)
         projs = small_projectors(part, geo)
-        cache_bytes = w.seq_len * (20 * geo.head_dim + 8)
+        cache_bytes = w.seq_len * (16 * geo.head_dim + 8)
         tracemalloc.start()
         try:
             run_workload(w, geo, [part], projs, mode=mode)

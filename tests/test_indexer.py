@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from headsparse.errors import ArgumentError, NumericError
+import headsparse.rope as rope_module
+from headsparse.errors import ArgumentError, InternalError, NumericError
 from headsparse.indexer import (
     ProjectedKeyCache,
     Projector,
@@ -33,9 +34,10 @@ from headsparse.workload import (
 )
 
 
-def projected_scores(query_pre, cache, projector, query_position):
+def projected_scores(query_pre, cache, keys_pre, projector, query_position):
     """Projected relevance scores for every token visible at query_position,
-    recomputed from the whole cache; the reference for ProjectedKeyCache."""
+    recomputed from all the pre-rotation rows the cache was filled with; the
+    reference for ProjectedKeyCache."""
     q = np.asarray(query_pre, np.float64)
     if q.shape != (projector.head_dim,):
         raise ArgumentError(
@@ -45,7 +47,7 @@ def projected_scores(query_pre, cache, projector, query_position):
         raise ArgumentError("cache head_dim does not match projector")
     rows = visible_rows(cache, query_position)
     u = projector.w_q @ q
-    proj_keys = cache.keys_pre[rows].astype(np.float64) @ projector.w_k.T
+    proj_keys = np.asarray(keys_pre, np.float32)[rows].astype(np.float64) @ projector.w_k.T
     return proj_keys @ u
 
 
@@ -58,9 +60,11 @@ def index_recall(selected, reference_top):
 
 
 def fill_cache(rng, d=16, n=32):
+    """A cache of n random rows and the float32 keys it was filled with."""
+    keys = rng.normal(size=(n, d)).astype(np.float32)
     cache = KVCacheHead(RopeParams(d))
-    cache.extend(rng.normal(size=(n, d)), rng.normal(size=(n, d)), np.arange(n))
-    return cache
+    cache.extend(keys, rng.normal(size=(n, d)), np.arange(n))
+    return cache, keys
 
 
 def teacher_dataset(teacher, queries):
@@ -85,59 +89,120 @@ RECALL_CONFIG = Stage1Config(steps=1500, max_lr=3e-3, rows_per_step=32)
 class TestProjectedScores:
     def test_identity_projection_gives_raw_dots(self):
         rng = np.random.default_rng(0)
-        cache = fill_cache(rng)
+        cache, keys = fill_cache(rng)
         proj = Projector(np.eye(16), np.eye(16))
         q = rng.normal(size=16)
-        got = projected_scores(q, cache, proj, query_position=20)
-        expect = cache.keys_pre[:21].astype(float) @ q
+        got = projected_scores(q, cache, keys, proj, query_position=20)
+        expect = keys[:21].astype(float) @ q
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
     def test_null_projection(self):
         rng = np.random.default_rng(1)
-        cache = fill_cache(rng)
+        cache, keys = fill_cache(rng)
         proj = Projector(np.zeros((4, 16)), np.ones((4, 16)))
-        got = projected_scores(rng.normal(size=16), cache, proj, query_position=5)
+        got = projected_scores(rng.normal(size=16), cache, keys, proj, query_position=5)
         np.testing.assert_array_equal(got, np.zeros(6))
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(2)
-        cache = fill_cache(rng, n=32)
+        cache, keys = fill_cache(rng, n=32)
         proj = Projector(rng.normal(size=(8, 16)), rng.normal(size=(8, 16)))
         q = rng.normal(size=16)
-        got = projected_scores(q, cache, proj, query_position=31)
+        got = projected_scores(q, cache, keys, proj, query_position=31)
         for n in range(32):
             s = 0.0
             for i in range(8):
-                s += float(proj.w_q[i] @ q) * float(proj.w_k[i] @ cache.keys_pre[n].astype(float))
+                s += float(proj.w_q[i] @ q) * float(proj.w_k[i] @ keys[n].astype(float))
             assert got[n] == pytest.approx(s, abs=1e-6)
 
     def test_causal_mask(self):
         rng = np.random.default_rng(3)
-        cache = fill_cache(rng)
+        cache, keys = fill_cache(rng)
         proj = init_projector(4, 16, seed=0)
-        assert projected_scores(rng.normal(size=16), cache, proj, query_position=7).size == 8
+        assert projected_scores(rng.normal(size=16), cache, keys, proj, query_position=7).size == 8
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
-        cache = fill_cache(rng)
+        cache, keys = fill_cache(rng)
         proj = init_projector(4, 8, seed=0)
         with pytest.raises(ArgumentError):
-            projected_scores(rng.normal(size=16), cache, proj, query_position=3)
+            projected_scores(rng.normal(size=16), cache, keys, proj, query_position=3)
 
     def test_projected_key_cache_matches(self):
         rng = np.random.default_rng(6)
-        cache = fill_cache(rng, n=20)
+        cache, keys = fill_cache(rng, n=20)
         proj = init_projector(8, 16, seed=2)
         pkc = ProjectedKeyCache(proj, capacity=4)
+        pkc.extend(keys)
         q = rng.normal(size=16)
         np.testing.assert_allclose(
-            pkc.scores(cache, q, 12), projected_scores(q, cache, proj, 12), atol=1e-12
+            pkc.scores(cache, q, 12), projected_scores(q, cache, keys, proj, 12), atol=1e-12
         )
         # grow the cache and re-score: incremental projection must agree
-        cache.extend(rng.normal(size=(9, 16)), rng.normal(size=(9, 16)), np.arange(20, 29))
+        more = rng.normal(size=(9, 16))
+        cache.extend(more, rng.normal(size=(9, 16)), np.arange(20, 29))
+        pkc.extend(more)
+        keys = np.concatenate([keys, more.astype(np.float32)])
         np.testing.assert_allclose(
-            pkc.scores(cache, q, 28), projected_scores(q, cache, proj, 28), atol=1e-12
+            pkc.scores(cache, q, 28), projected_scores(q, cache, keys, proj, 28), atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [4096, 4097, 8969, 12_388])
+    def test_blocks_keep_the_bits_of_one_product(self, n):
+        """Projected ROPE_BLOCK rows at a time, in near-equal blocks, the
+        keys score with the bits of the one product `keys @ w_k.T` over all
+        of them, as when the cache's whole prompt was projected at once."""
+        rng = np.random.default_rng(n)
+        keys = (rng.normal(size=(n, 64)) * 12).astype(np.float32)
+        proj = init_projector(16, 64, seed=n)
+        pkc = ProjectedKeyCache(proj)
+        pkc.extend(keys)
+        cache = KVCacheHead(RopeParams(64), capacity=n)
+        cache.extend(keys, keys, np.arange(n))
+        q = rng.normal(size=64)
+        want = (keys.astype(np.float64) @ proj.w_k.T) @ (proj.w_q @ q)
+        assert np.array_equal(pkc.scores(cache, q, n - 1), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_edges_feed_every_row_once(self, monkeypatch, block):
+        """With ROPE_BLOCK at 1, 7 and 64, a prompt at a length no multiple of
+        it and then single appends give the rows of the reference projection
+        in order, each once (equal up to the rounding of shorter products)."""
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        keys = (rng.normal(size=(333, 16)) * 12).astype(np.float32)
+        proj = init_projector(8, 16, seed=block)
+        cache = KVCacheHead(RopeParams(16), capacity=4)
+        pkc = ProjectedKeyCache(proj, capacity=4)
+        cache.extend(keys[:300], keys[:300], np.arange(300))
+        pkc.extend(keys[:300])
+        for t in range(300, 333):
+            cache.append(keys[t], keys[t], t)
+            pkc.extend(keys[t : t + 1])
+        for t in (0, 150, 299, 332):
+            q = rng.normal(size=16)
+            want = projected_scores(q, cache, keys, proj, t)
+            got = pkc.scores(cache, q, t)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_scores_out_of_step_with_the_cache_raise(self):
+        rng = np.random.default_rng(8)
+        cache, keys = fill_cache(rng, n=20)
+        pkc = ProjectedKeyCache(init_projector(4, 16, seed=0))
+        q = rng.normal(size=16)
+        with pytest.raises(InternalError):
+            pkc.scores(cache, q, 5)
+        pkc.extend(keys[:19])
+        with pytest.raises(InternalError):
+            pkc.scores(cache, q, 19)
+        pkc.extend(keys[19:])
+        assert pkc.scores(cache, q, 19).shape == (20,)
+        pkc.extend(keys[:1])
+        with pytest.raises(InternalError):
+            pkc.scores(cache, q, 19)
+        with pytest.raises(ArgumentError):
+            pkc.extend(keys[0])
 
 
 class TestRecallMetric:
@@ -326,7 +391,7 @@ class TestStage1Dataset:
         cache = build_cache(w, 0, q_head // geo.group_size)
         n = int(ds.positions.max()) + 1
         assert ds.attn.shape == (48, n) and ds.keys_pre.shape == (n, geo.head_dim)
-        np.testing.assert_array_equal(ds.keys_pre, cache.keys_pre[:n])
+        np.testing.assert_array_equal(ds.keys_pre, w.keys_pre[0, q_head // geo.group_size, :n])
         for u, t, row in zip(ds.queries, ds.positions, ds.attn):
             want = softmax(dense_row_scores(u, t, cache, geo.scale))
             assert np.abs(row[: t + 1] - want).max() <= 1e-12

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import headsparse.rope as rope_module
 from headsparse.errors import ArgumentError
 from headsparse.rope import (
     RopeParams,
-    RopeTable,
+    _turn,
     pair_coefficients,
     rope_apply,
     rope_rotate,
@@ -125,26 +126,49 @@ class TestTable:
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(40, 64))
         pos = np.arange(40) * 37
-        assert np.array_equal(rope_apply(mat, rope_table(pos, params64)),
+        assert np.array_equal(rope_apply(mat, pos, params64, rope_table(pos, params64)),
                               rope_rotate_many(mat, pos, params64))
 
     def test_apply_keeps_float32_as_rounded_float64_turn(self, params64):
         rng = np.random.default_rng(6)
         mat = (rng.normal(size=(40, 64)) * 12).astype(np.float32)
-        table = rope_table(np.arange(40), params64)
-        got = rope_apply(mat, table)
+        pos = np.arange(40)
+        table = rope_table(pos, params64)
+        got = rope_apply(mat, pos, params64, table)
         assert got.dtype == np.float32
-        want = rope_apply(mat.astype(np.float64), table).astype(np.float32)
+        want = rope_apply(mat.astype(np.float64), pos, params64, table).astype(np.float32)
         assert np.array_equal(got, want)
+        wide = rope_apply(mat, pos, params64, out=np.full((40, 64), np.nan))
+        assert np.array_equal(wide, want.astype(np.float64))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("n", [1, 63, 130])
+    def test_blocks_match_one_turn(self, params64, monkeypatch, block, n):
+        """Block by block, with or without the caller's table, rope_apply
+        writes what one turn of the whole matrix by one table gives."""
+        rng = np.random.default_rng(block * n)
+        mat = (rng.normal(size=(n, 64)) * 12).astype(np.float32)
+        pos = np.sort(rng.choice(200_000, size=n, replace=False))
+        table = rope_table(pos, params64)
+        want = _turn(mat, table.cos, table.sin).astype(np.float64)
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", block)
+        for shared in (table, None):
+            out = np.full((n, 64), np.nan)
+            assert rope_apply(mat, pos, params64, shared, out) is out
+            assert np.array_equal(out, want)
 
     def test_apply_rejects_mismatched_table(self, params64):
         table = rope_table(np.arange(5), params64)
         with pytest.raises(ArgumentError):
-            rope_apply(np.zeros((4, 64)), table)
+            rope_apply(np.zeros((4, 64)), np.arange(4), params64, table)
         with pytest.raises(ArgumentError):
-            rope_apply(np.zeros((5, 32)), table)
+            rope_apply(np.zeros((5, 32)), np.arange(5), params64, table)
         with pytest.raises(ArgumentError):
-            rope_apply(np.zeros(64), RopeTable(table.cos[0], table.sin[0]))
+            rope_apply(np.zeros(64), np.arange(1), params64)
+        with pytest.raises(ArgumentError):
+            rope_apply(np.zeros((5, 64)), np.arange(4), params64)
+        with pytest.raises(ArgumentError):
+            rope_apply(np.zeros((5, 64)), np.arange(5), params64, out=np.zeros((4, 64)))
 
     def test_bad_positions_rejected(self, params64):
         for bad in ([-1, 2], [0.5], [[1, 2]]):

@@ -21,6 +21,7 @@ from headsparse.workload import (
     KVCacheHead,
     ModelGeometry,
     Workload,
+    WorkloadAnnotations,
     WorkloadSpec,
     attend,
     build_cache,
@@ -36,8 +37,9 @@ from headsparse.workload import (
 )
 
 
-def naive_attention(query_pre, qpos, cache, scale):
-    """Reference: explicit per-token loops, no vectorized shortcuts."""
+def naive_attention(query_pre, qpos, cache, keys_pre, scale):
+    """Reference: explicit per-token loops, no vectorized shortcuts; keys_pre
+    are the rows the cache was filled with, which it does not keep."""
     params = cache.rope
     scores, vals = [], []
     for t in range(len(cache)):
@@ -45,7 +47,7 @@ def naive_attention(query_pre, qpos, cache, scale):
         if pos > qpos:
             continue
         qr = rope_rotate(np.asarray(query_pre, float), qpos, params)
-        kr = rope_rotate(cache.keys_pre[t].astype(float), pos, params)
+        kr = rope_rotate(np.float32(keys_pre[t]).astype(float), pos, params)
         scores.append(float(qr @ kr) * scale)
         vals.append(cache.values64[t])
     ex = [math.exp(s - max(scores)) for s in scores]
@@ -105,13 +107,12 @@ class TestKVCacheHead:
         rng = np.random.default_rng(0)
         rope = RopeParams(16)
         cache = KVCacheHead(rope, capacity=2)
+        keys = rng.normal(size=(40, 16)).astype(np.float32)
         for t in range(40):
-            cache.append(rng.normal(size=16), rng.normal(size=16), t * 3)
+            cache.append(keys[t], rng.normal(size=16), t * 3)
         assert len(cache) == 40
         for t in range(40):
-            expect = rope_rotate(
-                cache.keys_pre[t].astype(float), int(cache.positions[t]), rope
-            )
+            expect = rope_rotate(keys[t].astype(float), int(cache.positions[t]), rope)
             np.testing.assert_allclose(cache.keys_post64[t], expect, atol=1e-6)
 
     def test_mirrors_match_canonical_storage(self):
@@ -138,12 +139,12 @@ class TestKVCacheHead:
 
 def reference_buffers(rope, keys_pre, values, positions):
     """The cache buffers as the batch-only store wrote them, casting through
-    float64: (keys_pre, positions, keys_post64, values64)."""
+    float64: (positions, keys_post64, values64)."""
     kp = np.asarray(keys_pre, np.float64)
     kp32 = kp.astype(np.float32)
     post = rope_rotate_many(kp32.astype(np.float64), positions, rope).astype(np.float32)
     values64 = np.asarray(values, np.float64).astype(np.float32).astype(np.float64)
-    return kp32, np.asarray(positions, np.int64), post.astype(np.float64), values64
+    return np.asarray(positions, np.int64), post.astype(np.float64), values64
 
 
 class TestCacheWritesBitIdentical:
@@ -152,7 +153,7 @@ class TestCacheWritesBitIdentical:
 
     @staticmethod
     def buffers(cache):
-        return cache.keys_pre, cache.positions, cache.keys_post64, cache.values64
+        return cache.positions, cache.keys_post64, cache.values64
 
     @staticmethod
     def assert_identical(got, want):
@@ -257,6 +258,23 @@ class TestCausalScores:
             n = want.size
             assert np.abs(row[:n] - want).max() <= 1e-12 * np.abs(want).max()
             assert np.all(np.isneginf(row[n:])) and np.all(cache.positions[n : row.size] > t)
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_tail_slices_equal_the_boolean_mask(self, d):
+        """Each row's -inf tail is what the (B, n) mask of cache position >
+        row position marks, on a cache with gaps between its positions."""
+        rng = np.random.default_rng(50 + d)
+        positions = np.r_[0:4, 90:95, np.sort(rng.choice(np.arange(200, 5000), 300, False))]
+        cache = KVCacheHead(RopeParams(d, 1.0e6), capacity=len(positions))
+        cache.extend(rng.normal(size=(len(positions), d)) * 12,
+                     rng.normal(size=(len(positions), d)), positions)
+        rows = np.r_[0, 3, 50, 92, 150, rng.integers(0, positions[-1] + 1, size=40),
+                     positions[-1]]
+        queries = rng.normal(size=(len(rows), d))
+        n = cache.visible_count(int(rows.max()))
+        want = (rope_rotate_many(queries, rows, cache.rope) @ cache.keys_post64[:n].T) * 0.125
+        want[cache.positions[:n][None, :] > rows[:, None]] = -np.inf
+        assert np.array_equal(causal_scores(queries, rows, cache, 0.125), want)
 
     def test_positions_the_cache_does_not_reach_rejected(self):
         rng = np.random.default_rng(9)
@@ -375,11 +393,12 @@ class TestDenseAttention:
     def test_matches_naive_reimplementation(self):
         rng = np.random.default_rng(3)
         cache = KVCacheHead(RopeParams(16))
-        cache.extend(rng.normal(size=(64, 16)), rng.normal(size=(64, 16)), np.arange(64))
+        keys = rng.normal(size=(64, 16))
+        cache.extend(keys, rng.normal(size=(64, 16)), np.arange(64))
         for qpos in (0, 17, 63):
             q = rng.normal(size=16)
             row = dense_attention(q, qpos, cache)
-            w_ref, out_ref = naive_attention(q, qpos, cache, 0.25)
+            w_ref, out_ref = naive_attention(q, qpos, cache, keys, 0.25)
             assert len(row.weights) == qpos + 1
             np.testing.assert_allclose(row.weights, w_ref, atol=1e-5)
             np.testing.assert_allclose(row.output, out_ref, atol=1e-5)
@@ -424,15 +443,37 @@ def small_geometry(**kw):
 SMALL_SPEC = small_spec(planted_retrieval_heads=(1, 6), probe_head=1)
 
 
+def owned_bytes(cache):
+    return sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray))
+
+
 class TestCacheFootprint:
     def test_build_cache_owns_no_extra_copies(self):
-        # per token: float32 pre-rotation key (4d), int64 position (8),
-        # float64 rotated key and value (8d each)
+        # per token: int64 position (8), float64 rotated key and value (8d each)
         w = gen_synthetic_workload(SMALL_SPEC, 0, small_geometry())
         cache = build_cache(w, 0, 1)
         n, d = w.seq_len, w.geometry.head_dim
-        owned = sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray))
-        assert owned == n * (20 * d + 8)
+        assert owned_bytes(cache) == n * (16 * d + 8)
+
+    def test_build_allocates_its_buffers_and_a_few_mib(self):
+        """build_cache of a 65,536-row head allocates its 1,032 bytes per row
+        and a few MiB of rotation blocks; a full-length cos/sin table (32
+        MiB here) or turn temporary (16 MiB or more) would not fit."""
+        n, d = 65_536, 64
+        geo = ModelGeometry(n_q_heads=1, n_kv_heads=1, head_dim=d)
+        rng = np.random.default_rng(0)
+        keys, values = rng.standard_normal((2, 1, 1, n, d), np.float32)
+        ann = WorkloadAnnotations((), (), (0,), (1,), ())
+        w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0,
+                     np.zeros((1, 1, n, d), np.float32), keys, values, ann)
+        tracemalloc.start()
+        try:
+            cache = build_cache(w, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert owned_bytes(cache) == n * 1032
+        assert peak - n * 1032 < 8 * 2**20, f"{(peak - n * 1032) / 2**20:.1f} MiB over"
 
 
 class TestGenerator:
