@@ -12,7 +12,7 @@ Subcommands
     run            sparse-decode a workload and emit decode_trace.csv,
                    sparsity_report.json, head_token_counts.csv,
                    mass_sweep.csv
-    bench          per-step decode latency, dense oracle vs both sparse
+    bench          per-step decode latency, dense decode vs both sparse
                    selector modes (bench.csv, bench_meta.json)
     report         print a digest of whatever artifacts the output
                    directory holds

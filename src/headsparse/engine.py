@@ -18,6 +18,13 @@ The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
 post-rotation scores that the dense oracle runs. Sparsity shows up only in
 which tokens participate, not in how they are weighed.
+
+Precision: the KV caches store float32, and decode's score and value
+products read them in float32, which halves the bytes those bandwidth-bound
+products read; the softmax between them runs in float64.  Selection stays
+float64 end to end (the projected keys, their scores, the top-p walk and
+the histogram), so the sets and both sparsities do not depend on the cache
+type.  The oracle (dense_attention, covered_true_mass) stays float64.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ from .workload import (
     KVCacheHead,
     ModelGeometry,
     Workload,
-    dense_attention,
+    attend,
     dense_row_scores,
+    visible_rows,
 )
 
 TRACE_HEADER = ["layer", "head", "position", "tokens_selected",
@@ -178,12 +179,14 @@ class BenchRow:
 def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
                  warmup: int = 5, p: float = 0.9, head_dim: int = 64,
                  r: int = 16, block_size: int = 64) -> list[BenchRow]:
-    """Wall-clock per decode step against static synthetic caches: the dense
-    oracle row versus sparse decode in both selector modes. A few high-gain
-    key spans give the score vectors the block-level concentration selective
-    decode exploits; the dense row's cost is structure-blind either way.
-    Warmup calls are discarded; the projected-key cache is filled before
-    timing starts, since at steady state projection work is incremental."""
+    """Wall-clock per decode step against static synthetic caches: dense
+    decode, the decode kernel over every visible row, versus sparse decode
+    in both selector modes, all through the same float32 kernel. A few
+    high-gain key spans give the score vectors the block-level concentration
+    selective decode exploits; the dense step's cost is structure-blind
+    either way. Warmup calls are discarded; the projected-key cache is
+    filled before timing starts, since at steady state projection work is
+    incremental."""
     if n_steps < 1:
         raise ArgumentError("need at least one measured iteration")
     if warmup < 0:
@@ -204,7 +207,7 @@ def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
         pos = L - 1
 
         def dense_step(q):
-            dense_attention(q, pos, cache)
+            attend(q, pos, cache, visible_rows(cache, pos))
 
         def exact_step(q):
             retrieval_head_decode(q, pos, cache, pkc, p, "exact")

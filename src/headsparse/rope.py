@@ -59,7 +59,8 @@ class RopeTable(NamedTuple):
     sin: np.ndarray
 
 
-# Rows per block of rope_apply and of ProjectedKeyCache.extend: a block's
+# Rows per block of rope_apply, of ProjectedKeyCache.extend and of the
+# float64 oracle's widened keys and values (workload._widened_blocks): a block's
 # cos/sin and turn temporaries take a few MiB at head_dim 64, against
 # 64 MiB for one table over a 128K stream.  A 128K build_cache took
 # 0.25-0.38 s at 1,024 rows, 0.26-0.28 s at 4,096 and 0.29 s at 16,384

@@ -22,7 +22,6 @@ heads a causal long-range target that local heads cannot see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import accumulate
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
 from .record import Record
-from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many
+from .rope import ROPE_BLOCK, RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many
 from .seeding import derive_rng
 
 
@@ -92,13 +91,13 @@ def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
 class KVCacheHead:
     """Append-only per-KV-head store; rows are token positions in full caches only.
 
-    Keeps the positions and float64 copies of the rotated keys and the
-    values, all that attention reads.  Both float64 buffers are rounded
-    through float32 first, so they hold exactly what float32 storage would
-    while score and output reductions accumulate in double precision without
-    a recast on every decode step.  The pre-rotation keys are not kept: the
-    indexer's ProjectedKeyCache is extended with the same rows by whoever
-    appends them here.
+    Keeps the positions and the float32 rotated keys and values, all that
+    attention reads: 8 + 8 * head_dim bytes a row (520 at head_dim 64).
+    Keys turn in float64 and are rounded to float32 once, as they land.
+    Decode's `attend` reads the float32 rows as they are; the float64
+    oracle (causal_scores, dense_attention) widens them a block at a time.
+    The pre-rotation keys are not kept: the indexer's ProjectedKeyCache is
+    extended with the same rows by whoever appends them here.
     """
 
     def __init__(self, rope: RopeParams, capacity: int = 256):
@@ -106,8 +105,8 @@ class KVCacheHead:
         d = rope.head_dim
         self._n = 0
         self._positions = np.empty(capacity, np.int64)
-        self._keys_post64 = np.empty((capacity, d), np.float64)
-        self._values64 = np.empty((capacity, d), np.float64)
+        self._keys_post = np.empty((capacity, d), np.float32)
+        self._values = np.empty((capacity, d), np.float32)
 
     def __len__(self) -> int:
         return self._n
@@ -117,7 +116,7 @@ class KVCacheHead:
         if need <= cap:
             return
         new = max(need, cap * 2)
-        for name in ("_positions", "_keys_post64", "_values64"):
+        for name in ("_positions", "_keys_post", "_values"):
             old = getattr(self, name)
             buf = np.empty((new, *old.shape[1:]), old.dtype)
             buf[: self._n] = old[: self._n]
@@ -126,8 +125,8 @@ class KVCacheHead:
     def append(self, key_pre: np.ndarray, value: np.ndarray, position: int) -> None:
         """One token: extend's checks and rounding, written straight into
         row n without going through the batch form."""
-        kp = np.asarray(key_pre, np.float64).astype(np.float32)
-        va = np.asarray(value, np.float64).astype(np.float32)
+        kp = np.asarray(key_pre, np.float32)
+        va = np.asarray(value, np.float32)
         if kp.shape != (self.rope.head_dim,) or va.shape != kp.shape:
             raise ArgumentError("keys/values must be (n, head_dim) and match")
         position = int(position)
@@ -136,16 +135,16 @@ class KVCacheHead:
         n = self._n
         self._grow(n + 1)
         self._positions[n] = position
-        self._keys_post64[n] = rope_rotate(kp, position, self.rope).astype(np.float32)
-        self._values64[n] = va
+        self._keys_post[n] = rope_rotate(kp, position, self.rope)
+        self._values[n] = va
         self._n = n + 1
 
     def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray,
                table: RopeTable | None = None) -> None:
         """Batch append.  Keys and values are rounded to float32 once; the keys
-        turn in float64 block by block (rope_apply) and land in the float64
-        buffer rounded to float32.  `table` is rope_table(positions), when the
-        caller already holds it."""
+        turn in float64 block by block (rope_apply) and land rounded to
+        float32.  `table` is rope_table(positions), when the caller already
+        holds it."""
         kp32 = np.asarray(keys_pre, np.float32)
         va32 = np.asarray(values, np.float32)
         pos = np.asarray(positions, np.int64)
@@ -160,9 +159,9 @@ class KVCacheHead:
             raise ArgumentError("positions must be strictly increasing and non-negative")
         n0, n1 = self._n, self._n + kp32.shape[0]
         self._grow(n1)
-        rope_apply(kp32, pos, self.rope, table, out=self._keys_post64[n0:n1])
+        rope_apply(kp32, pos, self.rope, table, out=self._keys_post[n0:n1])
         self._positions[n0:n1] = pos
-        self._values64[n0:n1] = va32
+        self._values[n0:n1] = va32
         self._n = n1
 
     @property
@@ -170,12 +169,16 @@ class KVCacheHead:
         return self._positions[: self._n]
 
     @property
-    def keys_post64(self) -> np.ndarray:
-        return self._keys_post64[: self._n]
+    def keys_post(self) -> np.ndarray:
+        return self._keys_post[: self._n]
 
     @property
-    def values64(self) -> np.ndarray:
-        return self._values64[: self._n]
+    def values(self) -> np.ndarray:
+        return self._values[: self._n]
+
+    # The name readers of the former float64 buffer use: the same float32
+    # rows, never a widened copy.
+    values64 = values
 
     def visible_count(self, query_position: int) -> int:
         """Tokens with position <= query_position (positions are sorted)."""
@@ -208,6 +211,30 @@ def _dense_span(rows) -> int:
     return span
 
 
+# Softmax weights below this are dropped before the float32 value product.
+# Weights under float32's smallest normal (about e^-87), and products of
+# small weights with small values, are subnormal, and float32 products over
+# them run about 15 times slower: four heads' values over 512 rows took
+# 244 us with 323 of their 2,064 weights subnormal and 16 us with those
+# dropped (2-core x86, one BLAS thread).  Dropping them moves an output by
+# less than rows * 2^-64 * max|value|.
+WEIGHT_FLOOR = 2.0 ** -64
+
+
+def _weights32(weights: np.ndarray) -> np.ndarray:
+    """weights rounded to float32 for the value product, those below
+    WEIGHT_FLOOR set to 0."""
+    w32 = weights.astype(np.float32)
+    w32[w32 < WEIGHT_FLOOR] = 0.0
+    return w32
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (G, k) @ b (k, m) as G one-row products (one gemv each), so every
+    row of the result has the bits it has when its row is multiplied alone."""
+    return (a[:, None, :] @ b)[:, 0]
+
+
 def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
            rows: slice | np.ndarray | tuple, scale: float | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
@@ -219,24 +246,36 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     one set, so a union of spans needs no gathered copy.  An index array
     denser than DENSE_SHARE of its span scores the whole span in one
     product and takes the softmax of the set's scores; its weights, zero
-    off the set, meet the span's values in one dense product, equal to the
-    gathered sum up to rounding.  A sparser array is gathered.  Returns
-    (weights, output), the weights in the order of `rows`."""
+    off the set, meet the span's values in one dense product.  A sparser
+    array is gathered.  Returns float64 (weights, output), the weights in
+    the order of `rows`.
+
+    The products read the float32 cache as it is stored: the query turns
+    in float64 and is rounded to float32, each query row scores as its own
+    product, and the float64 softmax's weights are rounded to float32 for
+    the value product.  Both products are bandwidth-bound, so float32 halves
+    what they read; one float64 operand against float32 rows would fall off
+    BLAS.  Against the float64 oracle on the same set the output moves by
+    at most a few 1e-7 on the generated workloads."""
     if scale is None:
         scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q_rot = np.atleast_2d(rope_rotate(queries_pre, query_position, cache.rope))
+    q32 = np.atleast_2d(rope_rotate(queries_pre, query_position, cache.rope)).astype(np.float32)
+    keys, values = cache.keys_post, cache.values
     if span := _dense_span(rows):
-        weights = softmax((q_rot @ cache.keys_post64[:span].T)[:, rows] * scale)
-        dense = np.zeros((len(q_rot), span))
-        dense[:, rows] = weights
-        out = dense @ cache.values64[:span]
+        scores = _row_products(q32, keys[:span].T)[:, rows]
+        weights = softmax(np.multiply(scores, scale, dtype=np.float64))
+        dense = np.zeros((len(q32), span), np.float32)
+        dense[:, rows] = _weights32(weights)
+        out = _row_products(dense, values[:span]).astype(np.float64)
     else:
         rows = rows if isinstance(rows, tuple) else (rows,)
-        blocks = [(q_rot @ cache.keys_post64[r].T) * scale for r in rows]
-        weights = softmax(np.concatenate(blocks, axis=1))
+        blocks = [_row_products(q32, keys[r].T) for r in rows]
+        weights = softmax(np.multiply(np.concatenate(blocks, axis=1), scale, dtype=np.float64))
+        w32 = _weights32(weights)
+        out = np.zeros((len(q32), keys.shape[1]))
         edges = [0, *accumulate(b.shape[1] for b in blocks)]
-        out = reduce(np.add, (weights[:, a:b] @ cache.values64[r]
-                              for r, a, b in zip(rows, edges, edges[1:])))
+        for r, a, b in zip(rows, edges, edges[1:]):
+            out += _row_products(w32[:, a:b], values[r])
     lead = np.shape(queries_pre)[:-1]
     return weights.reshape(*lead, -1), out.reshape(*lead, -1)
 
@@ -251,21 +290,58 @@ def visible_rows(cache: KVCacheHead, query_position: int) -> slice:
     return slice(0, n)
 
 
+def _widened_blocks(rows: np.ndarray):
+    """(start, a block of rows widened to float64) over the whole of rows.
+    Blocks start at multiples of ROPE_BLOCK and the last one takes the
+    remainder, so none is narrower than ROPE_BLOCK unless all rows are: a
+    product over each block then keeps the bits of one float64 product over
+    all rows.  Near-equal widths such as 4,095, or a narrow tail block
+    (which OpenBLAS multiplies with another kernel), do not."""
+    n = len(rows)
+    edges = [*range(0, max(n - ROPE_BLOCK, 0) + 1, ROPE_BLOCK), n]
+    for a, b in zip(edges, edges[1:]):
+        yield a, rows[a:b].astype(np.float64)
+
+
+def _oracle_scores(q_rot: np.ndarray, cache: KVCacheHead, n: int, scale: float) -> np.ndarray:
+    """Scaled float64 scores of rotated (B, d) queries against the first n
+    cache rows, the keys widened one block at a time."""
+    scores = np.empty((len(q_rot), n))
+    for a, keys in _widened_blocks(cache.keys_post[:n]):
+        scores[:, a : a + len(keys)] = q_rot @ keys.T
+    scores *= scale
+    return scores
+
+
 def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                     scale: float | None = None) -> AttentionRow:
-    """Exact causal attention row against every visible cached token."""
-    rows = visible_rows(cache, query_position)
-    weights, output = attend(query_pre, query_position, cache, rows, scale)
+    """Exact causal attention row against every visible cached token: the
+    float64 oracle.  Scores and the value sum run in float64 over rows
+    widened one block at a time, so its weights keep the bits of the
+    float64 products over the whole row on any cache, including one whose
+    positions are not 0..n-1.  It is not a decode path: decode attends
+    through `attend` in float32, and the oracle checks it."""
+    if scale is None:
+        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+    n = visible_rows(cache, query_position).stop
+    q_rot = rope_rotate(query_pre, query_position, cache.rope)[None]
+    weights = softmax(_oracle_scores(q_rot, cache, n, scale))[0]
+    output = sum(weights[a : a + len(v)] @ v for a, v in _widened_blocks(cache.values[:n]))
     return AttentionRow(int(query_position), weights, output)
 
 
 def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCacheHead,
                   scale: float | None = None) -> np.ndarray:
     """The one causal-score kernel: scaled post-rotation scores of (B, d)
-    queries at `positions` against the cache rows up to the largest of them,
-    one product for all rows.  An entry whose cache position lies after its
-    row's own position is -inf, so softmax gives it weight exactly 0; cache
-    positions are sorted, so those entries are each row's tail."""
+    queries at `positions` against the cache rows up to the largest of them.
+    An entry whose cache position lies after its row's own position is
+    -inf, so softmax gives it weight exactly 0; cache positions are sorted,
+    so those entries are each row's tail.
+
+    It stays float64, bit for bit the float64 product over all rows (the
+    float32 keys widen one aligned block at a time), so calibration's head
+    scores and stage-1's attention rows, and the files written from them,
+    do not depend on the cache's storage type."""
     pos = np.asarray(positions, np.int64)
     if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, cache.rope.head_dim):
         raise ArgumentError("queries must be (B, head_dim), one position per row")
@@ -274,8 +350,7 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCache
     if scale is None:
         scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
     n = cache.visible_count(int(pos.max()))
-    q_rot = rope_rotate_many(queries_pre, pos, cache.rope)
-    scores = (q_rot @ cache.keys_post64[:n].T) * scale
+    scores = _oracle_scores(rope_rotate_many(queries_pre, pos, cache.rope), cache, n, scale)
     for row, visible in zip(scores, np.searchsorted(cache.positions[:n], pos, "right")):
         row[visible:] = -np.inf
     return scores
