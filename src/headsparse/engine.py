@@ -1,14 +1,17 @@
 """Sparse attention engine: prefill that builds the KV caches, sink+window
 attention for local heads, and per-step top-p decode over projected scores.
 
-A decode step visits each (layer, kv_head) once.  The local query heads of that
-group decode together over the local_spans of the cache (sinks and window);
-each retrieval head selects its own set and attends over it.  Local heads and
-the histogram route's merged block runs read contiguous slices of the cache,
-and a group with no retrieval head keeps only its local rows (a bounded cache).
-Exact and top-k sets are index arrays: a dense one attends as one dense row
-over its span, and a sparse one is gathered.  Every head goes through
-restricted_attention and so through workload.attend, the one attention kernel.
+A decode step visits each layer once.  Every local query head of the layer
+decodes in one call over the layer's LocalWindow, which holds each KV
+group's sinks and trailing rows, stacked; the retrieval heads' rows ride
+along so the batch stays rectangular, and their outputs are dropped.  Each
+retrieval head then selects its own set over its group's full cache and
+attends over it; only groups with a retrieval head keep a full cache
+during decode.  Local heads and the histogram route's merged block runs
+read contiguous slices of their rows.  Exact and top-k sets are index
+arrays: a dense one attends as one dense row over its span, and a sparse
+one is gathered.  Every head goes through restricted_attention and so
+through workload.attend, the one attention kernel.
 A retrieval head ranks tokens by its ProjectedKeyCache, which the decode
 loop extends with the pre-rotation keys of the rows its KV cache holds (the
 prompt and the first token at the first step, then one token a step), so
@@ -24,7 +27,8 @@ products read them in float32, which halves the bytes those bandwidth-bound
 products read; the softmax between them runs in float64.  Selection stays
 float64 end to end (the projected keys, their scores, the top-p walk and
 the histogram), so the sets and both sparsities do not depend on the cache
-type.  The oracle (dense_attention, covered_true_mass) stays float64.
+type.  The oracle (dense_attention, covered_true_mass) stays float64; its
+one-row products keep their bits only at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
-from .rope import rope_table
+from .rope import rope_apply, rope_rotate, rope_table
 from .selection import (
     ActiveSet,
     SelectionResult,
@@ -109,7 +113,8 @@ class SparsityReport:
 
 
 class FullCaches(dict):
-    """(layer, kv_head) -> full-stream cache, built once on first read for a bounded group."""
+    """(layer, kv_head) -> full-stream cache, built once on first read for a
+    group that decoded without one (it has no retrieval head)."""
 
     def __init__(self, workload: Workload, caches: Mapping):
         super().__init__(caches)
@@ -141,6 +146,76 @@ def local_spans(n_visible: int, window: int, n_sinks: int) -> tuple[slice, ...]:
     return slice(0, n_sinks), slice(tail_start, n_visible)
 
 
+class LocalWindow:
+    """One layer's local rows for every KV group: its first n_sinks tokens
+    and at least its last `window`, in token order, as float32 rotated keys
+    and values of shape (n_kv_heads, rows, head_dim) over one positions
+    vector.  attend reads it as a cache that stacks the KV groups, so
+    local_head_decode runs every local head of the layer in one call.
+
+    The rows are a prefix of the stream's sinks and a run of consecutive
+    tokens that ends at the last append and holds more than `window`
+    tokens once the two are apart, so local_spans over the rows are the
+    local rule's spans over the stream.  They live in a buffer of
+    n_sinks + 2 * window rows; an append to a full buffer first moves its
+    last `window` rows down behind the sinks, once per `window` appends.
+    Each row has the bits of the same token's row in a full cache."""
+
+    def __init__(self, workload: Workload, layer: int, n_tokens: int, window: int,
+                 n_sinks: int):
+        """The local rows of the first n_tokens of `layer`'s streams."""
+        keep = np.r_[local_spans(n_tokens, window, n_sinks)]
+        keys_pre, values = workload.keys_pre[layer], workload.values[layer]
+        n_groups, n, d = len(keys_pre), len(keep), keys_pre.shape[-1]
+        capacity = n_sinks + 2 * window
+        self.rope, self.window, self.n_sinks = workload.geometry.rope, window, n_sinks
+        self._positions = np.empty(capacity, np.int64)
+        self._keys_post = np.empty((n_groups, capacity, d), np.float32)
+        self._values = np.empty((n_groups, capacity, d), np.float32)
+        self._positions[:n] = keep
+        table = rope_table(keep, self.rope)
+        for g in range(n_groups):
+            rope_apply(keys_pre[g, keep], keep, self.rope, table, out=self._keys_post[g, :n])
+        self._values[:, :n] = values[:, keep]
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, keys_pre: np.ndarray, values: np.ndarray, position: int) -> None:
+        """The next token of every group: keys_pre and values are
+        (n_kv_heads, head_dim), and the keys turn at `position` in one
+        elementwise rope_rotate, as a KVCacheHead turns one group's."""
+        n = self._n
+        if position != self._positions[n - 1] + 1:
+            raise ArgumentError(f"position {position} does not follow "
+                                f"{self._positions[n - 1]}")
+        if n == len(self._positions):
+            tail, n = slice(n - self.window, n), self.n_sinks + self.window
+            self._positions[self.n_sinks:n] = self._positions[tail]
+            self._keys_post[:, self.n_sinks:n] = self._keys_post[:, tail]
+            self._values[:, self.n_sinks:n] = self._values[:, tail]
+        self._positions[n] = position
+        self._keys_post[:, n] = rope_rotate(np.asarray(keys_pre, np.float32), position,
+                                            self.rope)
+        self._values[:, n] = values
+        self._n = n + 1
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._positions[: self._n]
+
+    @property
+    def keys_post(self) -> np.ndarray:
+        return self._keys_post[:, : self._n]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values[:, : self._n]
+
+    visible_count = KVCacheHead.visible_count
+
+
 def restricted_attention(query_pre: np.ndarray, query_position: int,
                          cache: KVCacheHead, active: np.ndarray | SelectionResult,
                          scale: float | None = None) -> np.ndarray:
@@ -159,11 +234,15 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
                       cache: KVCacheHead, window: int, n_sinks: int,
                       scale: float | None = None) -> np.ndarray:
     """Sink+window attention for one decode step of the query heads that
-    share `cache`: queries_pre is (d,) or (G, d), and the outputs keep its
-    leading shape.
+    share `cache`: queries_pre is (d,) or (G, d) against a KVCacheHead, and
+    (K, G, d) against a LocalWindow of K KV groups, which decodes every
+    group's heads in one call.  The outputs keep the queries' shape.
 
-    The local_spans are attended as contiguous slices of the cache, so no
-    row is gathered."""
+    The local_spans of the cache's visible rows are attended as contiguous
+    slices, so no row is gathered.  Over a full cache they are the local
+    rule's spans; over a LocalWindow's rows they are the same tokens, so
+    each output row has the bits of its group's heads decoded over a full
+    cache."""
     spans = local_spans(visible_rows(cache, query_position).stop, window, n_sinks)
     sel = SelectionResult(spans, 1.0)
     return restricted_attention(queries_pre, query_position, cache, sel, scale)
@@ -209,24 +288,23 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
 
 
 def prefill(workload: Workload, geometry: ModelGeometry, n_tokens: int | None = None,
-            bounded: Collection[tuple[int, int]] = ()) -> dict[tuple[int, int], KVCacheHead]:
-    """Build the (layer, kv_head) KV caches over the first n_tokens of the
-    workload, the whole prompt region by default; a group in `bounded` keeps
-    only the local_spans of those.  One cos/sin table turns all, freed on return."""
+            groups: Collection[tuple[int, int]] | None = None
+            ) -> dict[tuple[int, int], KVCacheHead]:
+    """Build the full (layer, kv_head) KV caches over the first n_tokens of
+    the workload, the whole prompt region by default, for the given
+    `groups`, every group by default.  One cos/sin table turns all, freed
+    on return.  run_workload builds them only for the groups that have a
+    retrieval head; the local heads read each layer's LocalWindow."""
     if n_tokens is None:
         n_tokens = workload.prefill_len
+    if groups is None:
+        groups = [(layer, g) for layer in range(geometry.n_layers)
+                  for g in range(geometry.n_kv_heads)]
+    if not groups:
+        return {}
     table = rope_table(np.arange(n_tokens), workload.geometry.rope)
-    caches = {
-        (layer, g): build_cache_prefix(workload, layer, g, n_tokens, table)
-        for layer in range(geometry.n_layers)
-        for g in range(geometry.n_kv_heads) if (layer, g) not in bounded
-    }
-    keep = np.r_[local_spans(n_tokens, geometry.window, geometry.n_sinks)]
-    for layer, g in sorted(bounded):
-        cache = caches[layer, g] = KVCacheHead(workload.geometry.rope)  # grows on append
-        cache.extend(workload.keys_pre[layer, g, keep], workload.values[layer, g, keep],
-                     keep, type(table)(*(a[keep] for a in table)))
-    return caches
+    return {(layer, g): build_cache_prefix(workload, layer, g, n_tokens, table)
+            for layer, g in sorted(groups)}
 
 
 def compute_sparsity(traces: Sequence[DecodeTrace]) -> float:
@@ -293,12 +371,12 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                  *, p: float | None = None, mode: str = "exact",
                  top_k: int | None = None,
                  oracle: bool = False) -> RunResult:
-    """Prefill the prompt region, then decode the remaining positions one KV
-    group at a time: the new token's KV is appended first, then the group's
-    local heads decode together and its retrieval heads one by one; traces
-    come out in (position, layer, q_head) order.  With oracle=True, each
-    trace also gets the dense-attention mass of its active set (one dense
-    row per step over RunResult.caches, so markedly slower)."""
+    """Prefill the prompt region, then decode the remaining positions one
+    layer at a time: the new token's KV is appended first, then the layer's
+    local heads decode together over its LocalWindow and its retrieval heads
+    one by one; traces come out in (position, layer, q_head) order.  With
+    oracle=True, each trace also gets the dense-attention mass of its active
+    set (one dense row per step over RunResult.caches, so markedly slower)."""
     if p is None:
         p = geometry.top_p
     if len(partitions) != geometry.n_layers:
@@ -322,53 +400,52 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
         for layer in range(geometry.n_layers)
         for h in partitions[layer].retrieval_set
     }
-    # (layer, kv_head, its query heads, the local ones among them)
-    groups = []
-    for layer in range(geometry.n_layers):
-        for g in range(geometry.n_kv_heads):
-            heads = range(g * geometry.group_size, (g + 1) * geometry.group_size)
-            local = [h for h in heads if not partitions[layer].is_retrieval(h)]
-            groups.append((layer, g, heads, local))
-    bounded = {(layer, g) for layer, g, heads, local in groups if len(local) == len(heads)}
-    live = prefill(workload, geometry, bounded=bounded)
-    caches = FullCaches(workload, {k: c for k, c in live.items() if k not in bounded})
+    gs = geometry.group_size
+    full = {(layer, h // gs) for layer, h in pkcs}
+    live = prefill(workload, geometry, groups=full)
+    caches = FullCaches(workload, live)
+    windows = {layer: LocalWindow(workload, layer, workload.prefill_len,
+                                  geometry.window, geometry.n_sinks)
+               for layer, part in enumerate(partitions) if part.local_set}
     traces: list[DecodeTrace] = []
     for t in range(workload.prefill_len, workload.seq_len):
         # the new token's KV lands before any head consumes the position,
         # so every query sees its own entry (self-attention at decode)
         for (layer, g), cache in live.items():
             cache.append(workload.keys_pre[layer, g, t], workload.values[layer, g, t], t)
+        for layer, window in windows.items():
+            window.append(workload.keys_pre[layer, :, t], workload.values[layer, :, t], t)
         # each head's projected keys catch up with its cache: the prompt and
         # this token at the first step, one token after that
         for (layer, h), pkc in pkcs.items():
             pkc.extend(workload.keys_pre[layer, qhead_to_kvhead(geometry, h), len(pkc):t + 1])
-        for layer, g, heads, local in groups:
-            cache = live[(layer, g)]
+        spans = local_spans(t + 1, geometry.window, geometry.n_sinks)
+        n_spans = set_size(spans)
+        for layer, part in enumerate(partitions):
             queries = workload.queries[layer, :, t]
-            entries: dict[int, DecodeTrace] = {}
-            if local:
+            if layer in windows:
+                # every head of the layer, so the batch stays rectangular;
+                # the retrieval heads' rows are dropped
                 outs = local_head_decode(
-                    queries[local], t, cache, geometry.window, geometry.n_sinks,
-                    scale=geometry.scale,
-                )
-                spans = local_spans(t + 1, geometry.window, geometry.n_sinks)
-                for h, out in zip(local, outs):
-                    entries[h] = DecodeTrace(
-                        layer=layer, q_head=h, position=t, role=ROLE_LOCAL,
-                        tokens_selected=set_size(spans),
-                        covered_projected_mass=1.0, output=out, active_set=spans,
-                    )
-            for h in heads:
-                if h not in entries:
-                    _, entries[h] = retrieval_head_decode(
-                        queries[h], t, cache, pkcs[(layer, h)], p, mode,
+                    queries.reshape(geometry.n_kv_heads, gs, -1), t, windows[layer],
+                    geometry.window, geometry.n_sinks, scale=geometry.scale,
+                ).reshape(geometry.n_q_heads, -1)
+            for h in range(geometry.n_q_heads):
+                if part.is_retrieval(h):
+                    _, entry = retrieval_head_decode(
+                        queries[h], t, live[layer, h // gs], pkcs[(layer, h)], p, mode,
                         block_size=geometry.block_size, top_k=top_k,
                         scale=geometry.scale, layer=layer, q_head=h,
                     )
-            for h in heads:
-                entry = entries[h]
+                else:
+                    entry = DecodeTrace(
+                        layer=layer, q_head=h, position=t, role=ROLE_LOCAL,
+                        tokens_selected=n_spans,
+                        covered_projected_mass=1.0, output=outs[h], active_set=spans,
+                    )
                 if oracle:
-                    row = dense_attention(queries[h], t, caches[layer, g], geometry.scale)
+                    row = dense_attention(queries[h], t, caches[layer, h // gs],
+                                          geometry.scale)
                     entry.covered_true_mass = attention_mass_report(entry, row)
                 traces.append(entry)
     return RunResult(traces, sparsity_report(traces, geometry), caches)

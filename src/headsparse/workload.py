@@ -230,9 +230,10 @@ def _weights32(weights: np.ndarray) -> np.ndarray:
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (G, k) @ b (k, m) as G one-row products (one gemv each), so every
-    row of the result has the bits it has when its row is multiplied alone."""
-    return (a[:, None, :] @ b)[:, 0]
+    """a (K, G, k) @ b (K, k, m) as K * G one-row products (one gemv each),
+    so every row of the result has the bits it has when its row is
+    multiplied alone."""
+    return (a[:, :, None, :] @ b[:, None])[:, :, 0]
 
 
 def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
@@ -241,7 +242,11 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     """The one attention kernel: exact softmax over the scaled post-rotation
     scores of the cache `rows`, then the weighted sum of their values.
 
-    queries_pre is (d,) or (G, d), and the results keep its leading shape.
+    queries_pre is (d,) or (G, d) against a KVCacheHead, and the results
+    keep its leading shape.  A cache whose keys_post is (K, n, d) stacks K
+    KV groups over one positions vector (the engine's LocalWindow); it takes
+    (K, G, d) queries, each group's against its own rows, and with the
+    same bits as that group's rows attended alone.
     `rows` is a slice, an index array, or a tuple of disjoint ones scored as
     one set, so a union of spans needs no gathered copy.  An index array
     denser than DENSE_SHARE of its span scores the whole span in one
@@ -259,23 +264,27 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     at most a few 1e-7 on the generated workloads."""
     if scale is None:
         scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
-    q32 = np.atleast_2d(rope_rotate(queries_pre, query_position, cache.rope)).astype(np.float32)
     keys, values = cache.keys_post, cache.values
+    if keys.ndim == 2:  # one KV group
+        keys, values = keys[None], values[None]
+    d = keys.shape[-1]
+    q32 = rope_rotate(np.reshape(queries_pre, (-1, d)), query_position, cache.rope)
+    q32 = q32.astype(np.float32).reshape(len(keys), -1, d)
     if span := _dense_span(rows):
-        scores = _row_products(q32, keys[:span].T)[:, rows]
+        scores = _row_products(q32, keys[:, :span].swapaxes(1, 2))[..., rows]
         weights = softmax(np.multiply(scores, scale, dtype=np.float64))
-        dense = np.zeros((len(q32), span), np.float32)
-        dense[:, rows] = _weights32(weights)
-        out = _row_products(dense, values[:span]).astype(np.float64)
+        dense = np.zeros((*q32.shape[:2], span), np.float32)
+        dense[..., rows] = _weights32(weights)
+        out = _row_products(dense, values[:, :span]).astype(np.float64)
     else:
         rows = rows if isinstance(rows, tuple) else (rows,)
-        blocks = [_row_products(q32, keys[r].T) for r in rows]
-        weights = softmax(np.multiply(np.concatenate(blocks, axis=1), scale, dtype=np.float64))
+        blocks = [_row_products(q32, keys[:, r].swapaxes(1, 2)) for r in rows]
+        weights = softmax(np.multiply(np.concatenate(blocks, axis=-1), scale, dtype=np.float64))
         w32 = _weights32(weights)
-        out = np.zeros((len(q32), keys.shape[1]))
-        edges = [0, *accumulate(b.shape[1] for b in blocks)]
+        out = np.zeros(q32.shape)
+        edges = [0, *accumulate(b.shape[-1] for b in blocks)]
         for r, a, b in zip(rows, edges, edges[1:]):
-            out += _row_products(w32[:, a:b], values[r])
+            out += _row_products(w32[..., a:b], values[:, r])
     lead = np.shape(queries_pre)[:-1]
     return weights.reshape(*lead, -1), out.reshape(*lead, -1)
 
@@ -319,7 +328,10 @@ def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHe
     float64 oracle.  Scores and the value sum run in float64 over rows
     widened one block at a time, so its weights keep the bits of the
     float64 products over the whole row on any cache, including one whose
-    positions are not 0..n-1.  It is not a decode path: decode attends
+    positions are not 0..n-1.  That holds at a fixed BLAS thread count: the
+    one-row score and value products are gemv calls, which multi-threaded
+    OpenBLAS splits by thread count, so the same row can move by a bit
+    between thread counts.  It is not a decode path: decode attends
     through `attend` in float32, and the oracle checks it."""
     if scale is None:
         scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
@@ -341,7 +353,9 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCache
     It stays float64, bit for bit the float64 product over all rows (the
     float32 keys widen one aligned block at a time), so calibration's head
     scores and stage-1's attention rows, and the files written from them,
-    do not depend on the cache's storage type."""
+    do not depend on the cache's storage type.  A one-row call (one gemv,
+    as dense_row_scores makes) keeps its bits only at a fixed BLAS thread
+    count, since multi-threaded OpenBLAS splits a gemv by thread count."""
     pos = np.asarray(positions, np.int64)
     if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, cache.rope.head_dim):
         raise ArgumentError("queries must be (B, head_dim), one position per row")

@@ -13,6 +13,7 @@ from headsparse.calibration import partition_heads
 from headsparse.engine import (
     DecodeTrace,
     FullCaches,
+    LocalWindow,
     attention_mass_report,
     compute_sparsity,
     local_head_decode,
@@ -353,8 +354,8 @@ class TestSharedRopeTable:
     def test_rotation_blocks_match_per_call_rotation(self, monkeypatch, block):
         """With ROPE_BLOCK at 1, 7 and 64 rows, at lengths that are no
         multiple of it, every build writes the keys of one per-call turn:
-        extend with and without the caller's table, build_cache, prefill
-        with a bounded group (gapped positions) and FullCaches builds."""
+        extend with and without the caller's table, build_cache, prefill,
+        a LocalWindow (gapped positions) and FullCaches builds."""
         monkeypatch.setattr(rope_module, "ROPE_BLOCK", block)
         geo = ModelGeometry(n_layers=1, n_q_heads=4, n_kv_heads=2, head_dim=64,
                             rope_base=1.0e6, window=200, n_sinks=4)
@@ -371,11 +372,14 @@ class TestSharedRopeTable:
             want = per_call_rotation(keys[g], np.arange(L), geo.rope)
             assert np.array_equal(build_cache(wl, 0, g).keys_post, want)
             assert np.array_equal(full[0, g].keys_post, want)
-        caches = prefill(wl, geo, n_tokens=n, bounded={(0, 1)})
+        caches = prefill(wl, geo, n_tokens=n, groups={(0, 0)})
+        window = LocalWindow(wl, 0, n, geo.window, geo.n_sinks)
         keep = np.r_[0:4, n - 200:n]
-        assert np.array_equal(caches[0, 1].positions, keep)
-        assert np.array_equal(caches[0, 1].keys_post,
-                              per_call_rotation(keys[1, keep], keep, geo.rope))
+        assert sorted(caches) == [(0, 0)]
+        assert np.array_equal(window.positions, keep)
+        for g in range(geo.n_kv_heads):
+            assert np.array_equal(window.keys_post[g],
+                                  per_call_rotation(keys[g, keep], keep, geo.rope))
         assert np.array_equal(caches[0, 0].keys_post,
                               per_call_rotation(keys[0, :n], np.arange(n), geo.rope))
 
@@ -660,10 +664,12 @@ class TestSparsityReportAssembly:
 
 
 def full_cache_reference(wl, geo, partition):
-    """Decode as every group did before bounded caches: prefill each group's
-    whole prompt, append each decode token, and run local_head_decode over
-    the full cache.  Returns the full caches, {(q_head, t): (output,
-    indices)} for the local heads and {(q_head, t): dense weights} for all."""
+    """Decode as every group did before local windows: prefill each group's
+    whole prompt, append each decode token, and run local_head_decode one
+    group at a time over the full cache.  Returns the full caches,
+    {(layer, q_head, t): (output, indices)} for the local heads and
+    {(layer, q_head, t): dense weights} for all; every layer uses
+    `partition`."""
     caches = prefill(wl, geo)
     local, dense = {}, {}
     for t in range(wl.prefill_len, wl.seq_len):
@@ -672,14 +678,14 @@ def full_cache_reference(wl, geo, partition):
         for (layer, g), cache in caches.items():
             heads = range(g * geo.group_size, (g + 1) * geo.group_size)
             for h in heads:
-                dense[h, t] = dense_attention(wl.queries[layer, h, t], t, cache,
-                                              geo.scale).weights
+                dense[layer, h, t] = dense_attention(wl.queries[layer, h, t], t, cache,
+                                                     geo.scale).weights
             loc = [h for h in heads if not partition.is_retrieval(h)]
             if loc:
                 outs = local_head_decode(wl.queries[layer, loc, t], t, cache,
                                          geo.window, geo.n_sinks, geo.scale)
                 active = local_active_indices(t + 1, geo.window, geo.n_sinks)
-                local.update({(h, t): (out, active) for h, out in zip(loc, outs)})
+                local.update({(layer, h, t): (out, active) for h, out in zip(loc, outs)})
     return caches, local, dense
 
 
@@ -707,7 +713,7 @@ class TestBoundedCaches:
         n_local = 0
         for t in res.traces:
             if t.role == "local":
-                out, active = local[t.q_head, t.position]
+                out, active = local[t.layer, t.q_head, t.position]
                 assert np.array_equal(t.output, out)
                 assert np.array_equal(t.active_set, active)
                 n_local += 1
@@ -725,13 +731,16 @@ class TestBoundedCaches:
 
     def test_bounded_cache_rows(self):
         geo, wl = SMALL_GEO, SMALL_WORKLOAD
-        caches = prefill(wl, geo, bounded={(0, 2)})
+        window = LocalWindow(wl, 0, wl.prefill_len, geo.window, geo.n_sinks)
+        caches = prefill(wl, geo, groups={(0, 1)})
         P, w, s = wl.prefill_len, geo.window, geo.n_sinks
         keep = np.r_[0:s, P - w:P]
-        assert np.array_equal(caches[0, 2].positions, keep)
+        assert np.array_equal(window.positions, keep)
         full = prefill(wl, geo)
         for name in ("keys_post", "values"):
-            assert np.array_equal(getattr(caches[0, 2], name), getattr(full[0, 2], name)[keep])
+            for g in range(geo.n_kv_heads):
+                assert np.array_equal(getattr(window, name)[g], getattr(full[0, g], name)[keep])
+        assert sorted(caches) == [(0, 1)]
         assert len(caches[0, 1]) == P
 
     @pytest.mark.parametrize("mode", ["exact", "histogram"])
@@ -741,8 +750,87 @@ class TestBoundedCaches:
                            small_projectors(part, SMALL_GEO), p=0.9, mode=mode, oracle=True)
         _, _, dense = full_cache_reference(SMALL_WORKLOAD, SMALL_GEO, part)
         for t in res.traces:
-            want = float(dense[t.q_head, t.position][t.active_set].sum())
+            want = float(dense[t.layer, t.q_head, t.position][t.active_set].sum())
             assert t.covered_true_mass == want
+
+
+TWO_LAYER_GEO = small_geometry(n_layers=2)
+TWO_LAYER_WORKLOAD = gen_synthetic_workload(SMALL_SPEC, seed=12, geometry=TWO_LAYER_GEO)
+
+
+class TestLocalWindows:
+    """Each layer's local heads decode in one local_head_decode call over
+    its LocalWindow; outputs and sets stay == to decoding each group alone
+    over its full cache, also after the window moves down."""
+
+    P = SMALL_WORKLOAD.prefill_len  # 704, with 64 decode steps
+
+    # (window, n_sinks, retrieval heads, n_layers): windows that fill and
+    # move during decode (16 < 64 steps, and 1); no sinks; prompts whose
+    # P - window sits below, at and just past n_sinks; two layers; a group
+    # with no local head (heads 0 and 1) beside groups of only local heads
+    CASES = [(16, 4, (1, 6), 1), (1, 4, (1, 6), 1), (1, 0, (1, 6), 1),
+             (16, 0, (1, 6), 1), (P - 3, 4, (1, 6), 1), (P - 4, 4, (1, 6), 1),
+             (P - 5, 4, (1, 6), 1), (16, 4, (1, 6), 2), (16, 4, (0, 1, 6), 1),
+             (P - 4, 4, (0, 1, 6), 2)]
+
+    @pytest.mark.parametrize("window, n_sinks, planted, n_layers", CASES)
+    def test_equal_to_full_cache_reference(self, window, n_sinks, planted, n_layers):
+        wl = SMALL_WORKLOAD if n_layers == 1 else TWO_LAYER_WORKLOAD
+        geo = small_geometry(window=window, n_sinks=n_sinks, n_layers=n_layers)
+        part = small_partition(ratio=len(planted) / 8, planted=planted)
+        res = run_workload(wl, geo, [part] * n_layers, small_projectors(part, geo), p=0.9)
+        _, local, _ = full_cache_reference(wl, geo, part)
+        got = {(t.layer, t.q_head, t.position): t for t in res.traces if t.role == "local"}
+        assert got.keys() == local.keys()
+        for key, (out, active) in local.items():
+            assert np.array_equal(got[key].output, out)
+            assert np.array_equal(got[key].active_set, active)
+
+    @pytest.mark.parametrize("window, n_sinks", [(16, 4), (1, 4), (1, 0), (16, 0),
+                                                 (P - 3, 4), (P - 4, 4), (P - 5, 4)])
+    def test_rows_are_the_local_rows_of_full_caches(self, window, n_sinks):
+        """After every append, local_spans over the window's rows are the
+        stream's local_spans, and each row is the full cache's row."""
+        wl, geo = SMALL_WORKLOAD, small_geometry(window=window, n_sinks=n_sinks)
+        win = LocalWindow(wl, 0, self.P, window, n_sinks)
+        full = [build_cache(wl, 0, g) for g in range(geo.n_kv_heads)]
+        moves = 0
+        for t in range(self.P, wl.seq_len):
+            before = len(win)
+            win.append(wl.keys_pre[0, :, t], wl.values[0, :, t], t)
+            moves += len(win) <= before
+            rows = np.r_[local_spans(len(win), window, n_sinks)]
+            want = local_active_indices(t + 1, window, n_sinks)
+            assert np.array_equal(win.positions[rows], want)
+            assert len(win) <= n_sinks + 2 * window
+            for g, cache in enumerate(full):
+                assert np.array_equal(win.keys_post[g], cache.keys_post[win.positions])
+                assert np.array_equal(win.values[g], cache.values[win.positions])
+        assert moves == ((64 - 1) // window if window < 64 else 0)
+
+    def test_appends_follow_the_last_position(self):
+        win = LocalWindow(SMALL_WORKLOAD, 0, self.P, 16, 4)
+        keys, values = SMALL_WORKLOAD.keys_pre[0, :, 0], SMALL_WORKLOAD.values[0, :, 0]
+        for position in (self.P + 1, self.P - 1):
+            with pytest.raises(ArgumentError):
+                win.append(keys, values, position)
+
+    def test_stacked_rows_match_one_group_calls(self):
+        """A (K, G, d) query block over a window has, row for row, the bits
+        of each group's (G, d) block over a one-group cache of its rows."""
+        wl, geo = SMALL_WORKLOAD, small_geometry(window=16)
+        win = LocalWindow(wl, 0, self.P, 16, 4)
+        t = self.P
+        win.append(wl.keys_pre[0, :, t], wl.values[0, :, t], t)
+        queries = wl.queries[0, :, t].reshape(geo.n_kv_heads, geo.group_size, -1)
+        outs = local_head_decode(queries, t, win, 16, 4)
+        assert outs.shape == queries.shape
+        for g in range(geo.n_kv_heads):
+            one = KVCacheHead(geo.rope)
+            one.extend(wl.keys_pre[0, g, win.positions], wl.values[0, g, win.positions],
+                       win.positions)
+            assert np.array_equal(outs[g], local_head_decode(queries[g], t, one, 16, 4))
 
 
 def marked_memory_sparsity(traces, gqa_map):
