@@ -151,7 +151,7 @@ class ToyModel:
 
     @property
     def scale(self) -> float:
-        return 1.0 / float(np.sqrt(self.d))
+        return self.rope.scale
 
     def copy(self) -> "ToyModel":
         return ToyModel({k: v.copy() for k, v in self.params.items()}, self.rope)
@@ -235,17 +235,6 @@ def _sparse_forward(params: dict, tokens: np.ndarray, rope: RopeParams,
     for i, row in enumerate(mask):
         row[top_p_exact(sel[i, : i + 1], p).active_set] = True
     return _attention_forward(params, tokens, rope, scale, mask)
-
-
-def toy_logits_sparse(model: ToyModel, tokens: np.ndarray, p: float,
-                      projector: Projector | None = None) -> np.ndarray:
-    """Top-p attention per row, ranked by the frozen projector's pre-rotation
-    scores; p = 1.0 reproduces the dense forward exactly."""
-    if projector is None:
-        projector = model.frozen_projector()
-    return _sparse_forward(
-        model.params, tokens, model.rope, model.scale, p, projector
-    )["logits"]
 
 
 def _restricted_kl_batch(t_idx: np.ndarray, t_val: np.ndarray,

@@ -1,13 +1,14 @@
 """Sparse attention engine: prefill that builds the KV caches, sink+window
 attention for local heads, and per-step top-p decode over projected scores.
 
+Every KV cache is a workload.KVCacheHead under one of two capacity rules:
+a group with a retrieval head keeps its full cache, and each layer's
+LocalWindow stacks every KV group and keeps only sinks and a recent window.
 A decode step visits each layer once.  Every local query head of the layer
-decodes in one call over the layer's LocalWindow, which holds each KV
-group's sinks and trailing rows, stacked; the retrieval heads' rows ride
-along so the batch stays rectangular, and their outputs are dropped.  Each
-retrieval head then selects its own set over its group's full cache and
-attends over it; only groups with a retrieval head keep a full cache
-during decode.  Local heads and the histogram route's merged block runs
+decodes in one call over the layer's LocalWindow; the retrieval heads' rows
+ride along so the batch stays rectangular, and their outputs are dropped.
+Each retrieval head then selects its own set over its group's full cache
+and attends over it.  Local heads and the histogram route's merged block runs
 read contiguous slices of their rows.  Exact and top-k sets are index
 arrays: a dense one attends as one dense row over its span, and a sparse
 one is gathered.  Every head goes through restricted_attention and so
@@ -41,7 +42,7 @@ import numpy as np
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
-from .rope import rope_apply, rope_rotate, rope_table
+from .rope import rope_table
 from .selection import (
     ActiveSet,
     SelectionResult,
@@ -146,79 +147,48 @@ def local_spans(n_visible: int, window: int, n_sinks: int) -> tuple[slice, ...]:
     return slice(0, n_sinks), slice(tail_start, n_visible)
 
 
-class LocalWindow:
-    """One layer's local rows for every KV group: its first n_sinks tokens
-    and at least its last `window`, in token order, as float32 rotated keys
-    and values of shape (n_kv_heads, rows, head_dim) over one positions
-    vector.  attend reads it as a cache that stacks the KV groups, so
-    local_head_decode runs every local head of the layer in one call.
+class LocalWindow(KVCacheHead):
+    """One layer's local rows: a KVCacheHead stacking the layer's
+    n_kv_heads groups, holding the first n_sinks tokens and at least the
+    last `window`, in token order, so local_head_decode runs every local
+    head of the layer in one call.
 
     The rows are a prefix of the stream's sinks and a run of consecutive
     tokens that ends at the last append and holds more than `window`
     tokens once the two are apart, so local_spans over the rows are the
-    local rule's spans over the stream.  They live in a buffer of
-    n_sinks + 2 * window rows; an append to a full buffer first moves its
-    last `window` rows down behind the sinks, once per `window` appends.
-    Each row has the bits of the same token's row in a full cache."""
+    local rule's spans over the stream.  Where a full cache would grow, an
+    append to the full buffer of n_sinks + 2 * window rows first moves its
+    last `window` rows down behind the sinks.  Each row has the bits of the
+    same token's row in a full cache."""
 
     def __init__(self, workload: Workload, layer: int, n_tokens: int, window: int,
                  n_sinks: int):
         """The local rows of the first n_tokens of `layer`'s streams."""
-        keep = np.r_[local_spans(n_tokens, window, n_sinks)]
         keys_pre, values = workload.keys_pre[layer], workload.values[layer]
-        n_groups, n, d = len(keys_pre), len(keep), keys_pre.shape[-1]
-        capacity = n_sinks + 2 * window
-        self.rope, self.window, self.n_sinks = workload.geometry.rope, window, n_sinks
-        self._positions = np.empty(capacity, np.int64)
-        self._keys_post = np.empty((n_groups, capacity, d), np.float32)
-        self._values = np.empty((n_groups, capacity, d), np.float32)
-        self._positions[:n] = keep
-        table = rope_table(keep, self.rope)
-        for g in range(n_groups):
-            rope_apply(keys_pre[g, keep], keep, self.rope, table, out=self._keys_post[g, :n])
-        self._values[:, :n] = values[:, keep]
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
+        super().__init__(workload.geometry.rope, n_sinks + 2 * window, len(keys_pre))
+        self.window, self.n_sinks = window, n_sinks
+        keep = np.r_[local_spans(n_tokens, window, n_sinks)]
+        self.extend(keys_pre[:, keep], values[:, keep], keep, rope_table(keep, self.rope))
 
     def append(self, keys_pre: np.ndarray, values: np.ndarray, position: int) -> None:
         """The next token of every group: keys_pre and values are
-        (n_kv_heads, head_dim), and the keys turn at `position` in one
-        elementwise rope_rotate, as a KVCacheHead turns one group's."""
-        n = self._n
-        if position != self._positions[n - 1] + 1:
-            raise ArgumentError(f"position {position} does not follow "
-                                f"{self._positions[n - 1]}")
-        if n == len(self._positions):
-            tail, n = slice(n - self.window, n), self.n_sinks + self.window
+        (n_kv_heads, head_dim)."""
+        last = self._positions[self._n - 1]
+        if position != last + 1:
+            raise ArgumentError(f"position {position} does not follow {last}")
+        super().append(keys_pre, values, position)
+
+    def _grow(self, need: int) -> None:
+        if need > len(self._positions):
+            tail, n = slice(self._n - self.window, self._n), self.n_sinks + self.window
             self._positions[self.n_sinks:n] = self._positions[tail]
             self._keys_post[:, self.n_sinks:n] = self._keys_post[:, tail]
             self._values[:, self.n_sinks:n] = self._values[:, tail]
-        self._positions[n] = position
-        self._keys_post[:, n] = rope_rotate(np.asarray(keys_pre, np.float32), position,
-                                            self.rope)
-        self._values[:, n] = values
-        self._n = n + 1
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions[: self._n]
-
-    @property
-    def keys_post(self) -> np.ndarray:
-        return self._keys_post[:, : self._n]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values[:, : self._n]
-
-    visible_count = KVCacheHead.visible_count
+            self._n = n
 
 
 def restricted_attention(query_pre: np.ndarray, query_position: int,
-                         cache: KVCacheHead, active: np.ndarray | SelectionResult,
-                         scale: float | None = None) -> np.ndarray:
+                         cache: KVCacheHead, active: np.ndarray | SelectionResult) -> np.ndarray:
     """Attention output over the cache rows in `active`, an index array or a
     selection (read through its spans when it has them); the same exact
     softmax as dense attention on the sub-cache, up to rounding.  len(active)
@@ -227,16 +197,16 @@ def restricted_attention(query_pre: np.ndarray, query_position: int,
         raise InternalError("restricted attention over an empty set")
     if isinstance(active, SelectionResult):
         active = active.spans or active.active_set
-    return attend(query_pre, query_position, cache, active, scale)[1]
+    return attend(query_pre, query_position, cache, active)[1]
 
 
 def local_head_decode(queries_pre: np.ndarray, query_position: int,
-                      cache: KVCacheHead, window: int, n_sinks: int,
-                      scale: float | None = None) -> np.ndarray:
+                      cache: KVCacheHead, window: int, n_sinks: int) -> np.ndarray:
     """Sink+window attention for one decode step of the query heads that
-    share `cache`: queries_pre is (d,) or (G, d) against a KVCacheHead, and
-    (K, G, d) against a LocalWindow of K KV groups, which decodes every
-    group's heads in one call.  The outputs keep the queries' shape.
+    share `cache`: queries_pre is (d,) or (G, d) against a one-group cache,
+    and (K, G, d) against one that stacks K KV groups, such as a layer's
+    LocalWindow, which decodes every group's heads in one call.  The
+    outputs keep the queries' shape.
 
     The local_spans of the cache's visible rows are attended as contiguous
     slices, so no row is gathered.  Over a full cache they are the local
@@ -245,14 +215,13 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
     cache."""
     spans = local_spans(visible_rows(cache, query_position).stop, window, n_sinks)
     sel = SelectionResult(spans, 1.0)
-    return restricted_attention(queries_pre, query_position, cache, sel, scale)
+    return restricted_attention(queries_pre, query_position, cache, sel)
 
 
 def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
                           cache: KVCacheHead, pkc: ProjectedKeyCache, p: float,
                           mode: str = "exact", *, block_size: int = 64,
                           top_k: int | None = None,
-                          scale: float | None = None,
                           layer: int = 0, q_head: int = 0
                           ) -> tuple[np.ndarray, DecodeTrace]:
     """One retrieval-head decode step: rank the visible prefix by the
@@ -273,7 +242,7 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
         sel = top_k_static(proj, top_k)
     else:
         sel = histogram_threshold_scores(proj, block_size, p)
-    output = restricted_attention(query_pre, query_position, cache, sel, scale)
+    output = restricted_attention(query_pre, query_position, cache, sel)
     trace = DecodeTrace(
         layer=layer,
         q_head=q_head,
@@ -428,14 +397,14 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                 # the retrieval heads' rows are dropped
                 outs = local_head_decode(
                     queries.reshape(geometry.n_kv_heads, gs, -1), t, windows[layer],
-                    geometry.window, geometry.n_sinks, scale=geometry.scale,
+                    geometry.window, geometry.n_sinks,
                 ).reshape(geometry.n_q_heads, -1)
             for h in range(geometry.n_q_heads):
                 if part.is_retrieval(h):
                     _, entry = retrieval_head_decode(
                         queries[h], t, live[layer, h // gs], pkcs[(layer, h)], p, mode,
                         block_size=geometry.block_size, top_k=top_k,
-                        scale=geometry.scale, layer=layer, q_head=h,
+                        layer=layer, q_head=h,
                     )
                 else:
                     entry = DecodeTrace(

@@ -1,11 +1,10 @@
-"""Rotary position embedding: pairwise rotation, relative-offset scores,
-and the per-frequency decomposition used to reason about slow channels.
+"""Rotary position embedding: pairwise rotation and its inverse, and the
+attention scale.
 
 Layout is interleaved: frequency pair j (0-based) lives at vector indices
 (2j, 2j+1) and rotates by angle theta_j * position, with
 theta_j = base ** (-2j / head_dim).  Rotating q by m and k by n makes their
-dot product a function of the offset m - n alone, which the decomposition
-makes explicit frequency by frequency.
+dot product a function of the offset m - n alone.
 
 Every rotation goes through `_turn`.  `rope_apply` turns a matrix
 ROPE_BLOCK rows at a time straight into the caller's buffer, so a bulk
@@ -44,12 +43,10 @@ class RopeParams:
     def n_pairs(self) -> int:
         return self.head_dim // 2
 
-
-def _check_vec(v: np.ndarray, params: RopeParams, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (params.head_dim,):
-        raise ArgumentError(f"{name} must have length {params.head_dim}, got shape {arr.shape}")
-    return arr
+    @property
+    def scale(self) -> float:
+        """The attention scale 1 / sqrt(head_dim)."""
+        return 1.0 / float(np.sqrt(self.head_dim))
 
 
 class RopeTable(NamedTuple):
@@ -154,28 +151,3 @@ def rope_unrotate_many(mat: np.ndarray, positions: np.ndarray, params: RopeParam
     cos, sin = rope_table(positions, params)
     return rope_apply(np.asarray(mat, np.float64), positions, params, RopeTable(cos, -sin))
 
-
-def rope_score(q: np.ndarray, k: np.ndarray, m: int, n: int, params: RopeParams) -> float:
-    """dot(rotate(q, m), rotate(k, n)); depends only on m - n."""
-    qr = rope_rotate(q, m, params)
-    kr = rope_rotate(k, n, params)
-    return float(qr @ kr)
-
-
-def pair_coefficients(q: np.ndarray, k: np.ndarray, params: RopeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair bilinear coefficients (a, b) with
-    contribution_j(delta) = a_j cos(theta_j delta) + b_j sin(theta_j delta)."""
-    qa = _check_vec(q, params, "q")
-    ka = _check_vec(k, params, "k")
-    q1, q2 = qa[0::2], qa[1::2]
-    k1, k2 = ka[0::2], ka[1::2]
-    return q1 * k1 + q2 * k2, q1 * k2 - q2 * k1
-
-
-def score_decomposition(q: np.ndarray, k: np.ndarray, delta: int, params: RopeParams) -> np.ndarray:
-    """Per-frequency contributions at offset delta; sums to rope_score."""
-    if delta != int(delta):
-        raise ArgumentError(f"delta must be an integer, got {delta!r}")
-    a, b = pair_coefficients(q, k, params)
-    ang = params.thetas * int(delta)
-    return a * np.cos(ang) + b * np.sin(ang)

@@ -16,16 +16,17 @@ Both routes bin with one rule and cut with one scan (_bin_indices, _cut).
 
 The histogram route touches the block table only, never per-token values,
 and always includes the threshold bin whole, so its recomputed coverage
-can overshoot p but never undershoot it.  Block tables of block-aligned
-splits of a KV range concatenate (split_merge) into exactly the table of
-the unsplit range, so selection over the merged table is bit-identical.
+can overshoot p but never undershoot it.  Each block's pair depends on
+its own tokens only, so the tables of block-aligned splits of a KV range,
+shifted to their offsets and concatenated, are exactly the table of the
+unsplit range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,9 +167,8 @@ class BlockTable(NamedTuple):
     stops: np.ndarray
 
 
-def block_table(scores: np.ndarray, block_size: int, start: int = 0) -> BlockTable:
-    """Consecutive blocks of block_size tokens; `start` is the global index
-    of the first token (used when scoring one split of a KV range).
+def block_table(scores: np.ndarray, block_size: int) -> BlockTable:
+    """Consecutive blocks of block_size tokens from token 0.
 
     Full blocks reduce as rows of one reshaped matrix; the ragged tail is
     folded by lse_reduce, so every pair is bit-equal to lse_reduce of its
@@ -187,8 +187,7 @@ def block_table(scores: np.ndarray, block_size: int, start: int = 0) -> BlockTab
         tail = lse_reduce(s[n_full * block_size :])
         m, l = np.append(m, tail.m), np.append(l, tail.l)
     starts = np.arange(m.size, dtype=np.int64) * block_size
-    return BlockTable(m, l, start + starts,
-                      start + np.minimum(starts + block_size, s.size))
+    return BlockTable(m, l, starts, np.minimum(starts + block_size, s.size))
 
 
 def _bin_indices(m: np.ndarray, m_star: float) -> np.ndarray:
@@ -254,41 +253,3 @@ def histogram_threshold_scores(scores: np.ndarray, block_size: int,
     """Sort-free selection straight from a raw score vector."""
     return histogram_threshold(block_table(scores, block_size), p)
 
-
-def block_top_p_exact(table: BlockTable, p: float) -> int:
-    """Reference for the overshoot bound: number of blocks an exact
-    block-level walk (descending block max, ties to lower index) needs
-    before cumulative mass reaches p."""
-    if not (0 < p <= 1):
-        raise ArgumentError(f"p must lie in (0, 1], got {p}")
-    if table.m.size == 0:
-        raise ArgumentError("no blocks")
-    masses = table.l * np.exp(table.m - float(table.m.max()))
-    order = descending_order(table.m)
-    csum = np.cumsum(masses[order])  # sequential, as a running float sum
-    return min(int(np.searchsorted(csum, p * float(masses.sum()))) + 1, int(table.m.size))
-
-
-def split_merge(tables: Sequence[BlockTable]) -> BlockTable:
-    """Fuse per-split block tables into the whole-range table.
-
-    Splits must cover contiguous, ordered, non-overlapping ranges and be
-    block-aligned, so the result is identical to the block table computed
-    on the unsplit vector.
-    """
-    if len(tables) == 0:
-        raise ArgumentError("no splits to merge")
-    if any(t.m.size == 0 for t in tables):
-        raise ArgumentError("empty split")
-    merged = BlockTable._make(map(np.concatenate, zip(*tables)))
-    gaps = np.flatnonzero(merged.starts[1:] != merged.stops[:-1])
-    if gaps.size:
-        b = int(gaps[0])
-        raise ArgumentError(
-            f"splits overlap or leave a gap at token {merged.stops[b]} "
-            f"(got start {merged.starts[b + 1]})"
-        )
-    lengths = merged.stops - merged.starts
-    if np.any(lengths[:-1] != lengths[0]) or lengths[-1] > lengths[0]:
-        raise ArgumentError("split boundaries are not block-aligned")
-    return merged

@@ -1,5 +1,5 @@
-"""Model geometry, KV caches, the dense causal-attention oracle, and
-seeded synthetic workload generators.
+"""Model geometry, the KV cache, the one attention kernel, the dense
+causal-attention oracle, and the seeded synthetic workload generator.
 
 Real model activations are replaced by planted-structure streams.  Each KV
 head carries three orthogonal components inside its head_dim vector space:
@@ -29,7 +29,7 @@ import numpy as np
 
 from .container import load_container, save_container
 from .errors import ArgumentError
-from .numerics import descending_order, softmax
+from .numerics import softmax
 from .record import Record
 from .rope import ROPE_BLOCK, RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many
 from .seeding import derive_rng
@@ -78,7 +78,7 @@ class ModelGeometry(Record):
 
     @property
     def scale(self) -> float:
-        return 1.0 / float(np.sqrt(self.head_dim))
+        return self.rope.scale
 
 
 def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
@@ -98,70 +98,77 @@ class KVCacheHead:
     oracle (causal_scores, dense_attention) widens them a block at a time.
     The pre-rotation keys are not kept: the indexer's ProjectedKeyCache is
     extended with the same rows by whoever appends them here.
+
+    With `groups`, the cache stacks that many KV groups over one positions
+    vector: keys_post and values are (groups, n, head_dim), and append and
+    extend take each group's rows at once.  Every row has the bits it has
+    in a one-group cache fed the same rows.
     """
 
-    def __init__(self, rope: RopeParams, capacity: int = 256):
+    def __init__(self, rope: RopeParams, capacity: int = 256, groups: int | None = None):
         self.rope = rope
-        d = rope.head_dim
+        self._lead = () if groups is None else (groups,)
         self._n = 0
         self._positions = np.empty(capacity, np.int64)
-        self._keys_post = np.empty((capacity, d), np.float32)
-        self._values = np.empty((capacity, d), np.float32)
+        self._keys_post = np.empty((*self._lead, capacity, rope.head_dim), np.float32)
+        self._values = np.empty_like(self._keys_post)
 
     def __len__(self) -> int:
         return self._n
 
     def _grow(self, need: int) -> None:
-        cap = self._positions.shape[0]
-        if need <= cap:
-            return
-        new = max(need, cap * 2)
-        for name in ("_positions", "_keys_post", "_values"):
-            old = getattr(self, name)
-            buf = np.empty((new, *old.shape[1:]), old.dtype)
-            buf[: self._n] = old[: self._n]
-            setattr(self, name, buf)
+        """Make room for `need` rows, doubling the buffers when they are full."""
+        cap = len(self._positions)
+        if need > cap:
+            n, new = self._n, max(need, cap * 2)
+            old = self.positions, self.keys_post, self.values
+            self._positions = np.empty(new, np.int64)
+            self._keys_post = np.empty((*self._lead, new, self.rope.head_dim), np.float32)
+            self._values = np.empty_like(self._keys_post)
+            self._positions[:n], self._keys_post[..., :n, :], self._values[..., :n, :] = old
 
     def append(self, key_pre: np.ndarray, value: np.ndarray, position: int) -> None:
         """One token: extend's checks and rounding, written straight into
-        row n without going through the batch form."""
+        row n without going through the batch form.  A stacked cache takes
+        (groups, head_dim) rows, turned at `position` by one rope_rotate."""
         kp = np.asarray(key_pre, np.float32)
         va = np.asarray(value, np.float32)
-        if kp.shape != (self.rope.head_dim,) or va.shape != kp.shape:
-            raise ArgumentError("keys/values must be (n, head_dim) and match")
+        row = (*self._lead, self.rope.head_dim)
+        if kp.shape != row or va.shape != row:
+            raise ArgumentError(f"key and value must be {row}")
         position = int(position)
         if position < 0 or (self._n and position <= self._positions[self._n - 1]):
             raise ArgumentError("positions must be strictly increasing and non-negative")
+        self._grow(self._n + 1)
         n = self._n
-        self._grow(n + 1)
         self._positions[n] = position
-        self._keys_post[n] = rope_rotate(kp, position, self.rope)
-        self._values[n] = va
+        self._keys_post[..., n, :] = rope_rotate(kp, position, self.rope)
+        self._values[..., n, :] = va
         self._n = n + 1
 
     def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray,
                table: RopeTable | None = None) -> None:
-        """Batch append.  Keys and values are rounded to float32 once; the keys
-        turn in float64 block by block (rope_apply) and land rounded to
-        float32.  `table` is rope_table(positions), when the caller already
-        holds it."""
+        """Batch append of (n, head_dim) rows, (groups, n, head_dim) if stacked.
+        Keys and values are rounded to float32 once; each group's keys turn in
+        float64 block by block (rope_apply) and land rounded to float32.
+        `table` is rope_table(positions), when the caller already holds it."""
         kp32 = np.asarray(keys_pre, np.float32)
         va32 = np.asarray(values, np.float32)
         pos = np.asarray(positions, np.int64)
-        if kp32.ndim != 2 or kp32.shape[1] != self.rope.head_dim or kp32.shape != va32.shape:
-            raise ArgumentError("keys/values must be (n, head_dim) and match")
-        if pos.shape != (kp32.shape[0],):
-            raise ArgumentError("positions length must match key count")
-        if kp32.shape[0] == 0:
+        rows = (*self._lead, pos.size, self.rope.head_dim)
+        if pos.ndim != 1 or kp32.shape != rows or va32.shape != rows:
+            raise ArgumentError(f"keys and values must be {rows}, one row per position")
+        if pos.size == 0:
             return
         prev = self._positions[self._n - 1] if self._n else -1
         if pos[0] <= prev or np.any(pos[1:] <= pos[:-1]) or pos[0] < 0:
             raise ArgumentError("positions must be strictly increasing and non-negative")
-        n0, n1 = self._n, self._n + kp32.shape[0]
-        self._grow(n1)
-        rope_apply(kp32, pos, self.rope, table, out=self._keys_post[n0:n1])
+        self._grow(self._n + pos.size)
+        n0, n1 = self._n, self._n + pos.size
+        for g in np.ndindex(kp32.shape[:-2]):
+            rope_apply(kp32[g], pos, self.rope, table, out=self._keys_post[g][n0:n1])
         self._positions[n0:n1] = pos
-        self._values[n0:n1] = va32
+        self._values[..., n0:n1, :] = va32
         self._n = n1
 
     @property
@@ -170,11 +177,11 @@ class KVCacheHead:
 
     @property
     def keys_post(self) -> np.ndarray:
-        return self._keys_post[: self._n]
+        return self._keys_post[..., : self._n, :]
 
     @property
     def values(self) -> np.ndarray:
-        return self._values[: self._n]
+        return self._values[..., : self._n, :]
 
     # The name readers of the former float64 buffer use: the same float32
     # rows, never a widened copy.
@@ -237,16 +244,15 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
-           rows: slice | np.ndarray | tuple, scale: float | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """The one attention kernel: exact softmax over the scaled post-rotation
-    scores of the cache `rows`, then the weighted sum of their values.
+           rows: slice | np.ndarray | tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The one attention kernel: exact softmax over the post-rotation scores
+    of the cache `rows`, scaled by cache.rope.scale, then the weighted sum
+    of their values.
 
     queries_pre is (d,) or (G, d) against a KVCacheHead, and the results
-    keep its leading shape.  A cache whose keys_post is (K, n, d) stacks K
-    KV groups over one positions vector (the engine's LocalWindow); it takes
-    (K, G, d) queries, each group's against its own rows, and with the
-    same bits as that group's rows attended alone.
+    keep its leading shape.  A cache that stacks K KV groups (keys_post of
+    shape (K, n, d)) takes (K, G, d) queries, each group's against its own
+    rows, and with the same bits as that group's rows attended alone.
     `rows` is a slice, an index array, or a tuple of disjoint ones scored as
     one set, so a union of spans needs no gathered copy.  An index array
     denser than DENSE_SHARE of its span scores the whole span in one
@@ -262,8 +268,7 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     what they read; one float64 operand against float32 rows would fall off
     BLAS.  Against the float64 oracle on the same set the output moves by
     at most a few 1e-7 on the generated workloads."""
-    if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+    scale = cache.rope.scale
     keys, values = cache.keys_post, cache.values
     if keys.ndim == 2:  # one KV group
         keys, values = keys[None], values[None]
@@ -334,7 +339,7 @@ def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHe
     between thread counts.  It is not a decode path: decode attends
     through `attend` in float32, and the oracle checks it."""
     if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+        scale = cache.rope.scale
     n = visible_rows(cache, query_position).stop
     q_rot = rope_rotate(query_pre, query_position, cache.rope)[None]
     weights = softmax(_oracle_scores(q_rot, cache, n, scale))[0]
@@ -362,7 +367,7 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCache
     if len(cache) == 0 or not cache.positions[0] <= pos.min() <= pos.max() <= cache.positions[-1]:
         raise ArgumentError("cache must reach each row's position and hold a token before it")
     if scale is None:
-        scale = 1.0 / float(np.sqrt(cache.rope.head_dim))
+        scale = cache.rope.scale
     n = cache.visible_count(int(pos.max()))
     scores = _oracle_scores(rope_rotate_many(queries_pre, pos, cache.rope), cache, n, scale)
     for row, visible in zip(scores, np.searchsorted(cache.positions[:n], pos, "right")):
@@ -734,44 +739,3 @@ def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: i
     )
     return cache
 
-
-# ---------------------------------------------------------------------------
-# Planted low-rank bilinear teacher (indexer training surrogate)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RankTeacher:
-    """Teacher whose attention comes from a planted rank-`rank` bilinear
-    form on pre-rotation features: s(q, k) = (A q) . (B k)."""
-
-    a: np.ndarray          # (rank, head_dim)
-    b: np.ndarray          # (rank, head_dim)
-    keys_pre: np.ndarray   # (n_keys, head_dim)
-    queries: np.ndarray    # (n_queries, head_dim)
-
-    def scores(self, query: np.ndarray) -> np.ndarray:
-        return (self.a @ np.asarray(query, np.float64)) @ (self.b @ self.keys_pre.T)
-
-    def attention_row(self, query: np.ndarray) -> np.ndarray:
-        return softmax(self.scores(query))
-
-    def top_tokens(self, query: np.ndarray, budget: int) -> set[int]:
-        s = self.scores(query)
-        return set(int(i) for i in descending_order(s)[:budget])
-
-
-def gen_rank_teacher(seed: int, n_keys: int = 512, head_dim: int = 64,
-                     rank: int = 8, n_queries: int = 256,
-                     score_std: float = 3.0) -> RankTeacher:
-    """Planted teacher family; score_std sets the spread of teacher scores
-    so rows are concentrated but not degenerate."""
-    if rank < 1 or n_keys < 1 or n_queries < 1:
-        raise ArgumentError("rank, n_keys, n_queries must be positive")
-    rng = derive_rng(seed, "rank-teacher")
-    sigma = np.sqrt(score_std / (np.sqrt(rank) * head_dim))
-    a = rng.normal(size=(rank, head_dim)) * sigma
-    b = rng.normal(size=(rank, head_dim)) * sigma
-    keys = rng.normal(size=(n_keys, head_dim))
-    queries = rng.normal(size=(n_queries, head_dim))
-    return RankTeacher(a, b, keys, queries)

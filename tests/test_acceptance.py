@@ -14,6 +14,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from helpers import (
+    block_top_p_exact,
+    gen_rank_teacher,
+    rope_score,
+    score_decomposition,
+    split_merge,
+    split_table,
+)
 from test_engine import sub_cache
 from test_indexer import RECALL_CONFIG, batch_loss, heldout_recall, random_instance, teacher_dataset
 
@@ -38,15 +46,13 @@ from headsparse.engine import (
 from headsparse.indexer import init_projector, projector_grad, train_projector
 from headsparse.optim import smooth_trace
 from headsparse.reports import bench_decode
-from headsparse.rope import RopeParams, rope_score, score_decomposition
+from headsparse.rope import RopeParams
 from headsparse.selection import (
     BIN_WIDTH,
     HIST_RANGE,
     N_BINS,
     block_table,
-    block_top_p_exact,
     histogram_threshold,
-    split_merge,
     top_k_static,
     top_p_exact,
 )
@@ -56,7 +62,6 @@ from headsparse.workload import (
     default_workload_geometry,
     dense_attention,
     dense_row_scores,
-    gen_rank_teacher,
     gen_synthetic_workload,
     qhead_to_kvhead,
 )
@@ -223,7 +228,7 @@ def test_criterion_04_split_merge_equivalence(capsys):
             )
             bounds = [0] + [int(c) * bs for c in cuts] + [n]
             merged = split_merge([
-                block_table(s[a:b], bs, start=a)
+                split_table(s[a:b], bs, a)
                 for a, b in zip(bounds, bounds[1:])
             ])
             direct = block_table(s, bs)

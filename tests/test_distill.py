@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import toy_logits_sparse
 
 from headsparse import distill as distill_module
 from headsparse.distill import (
@@ -18,7 +19,6 @@ from headsparse.distill import (
     gen_toy_corpus,
     make_toy_model,
     toy_logits_dense,
-    toy_logits_sparse,
     toy_self_distill,
 )
 from headsparse.errors import ArgumentError

@@ -266,9 +266,9 @@ class TestRetrievalDecode:
         seen = []
         original = eng.restricted_attention
 
-        def spy(query_pre, query_position, cache, active, scale=None):
+        def spy(query_pre, query_position, cache, active):
             seen.append(len(active))
-            return original(query_pre, query_position, cache, active, scale)
+            return original(query_pre, query_position, cache, active)
 
         monkeypatch.setattr(eng, "restricted_attention", spy)
         rng = np.random.default_rng(10)
@@ -683,7 +683,7 @@ def full_cache_reference(wl, geo, partition):
             loc = [h for h in heads if not partition.is_retrieval(h)]
             if loc:
                 outs = local_head_decode(wl.queries[layer, loc, t], t, cache,
-                                         geo.window, geo.n_sinks, geo.scale)
+                                         geo.window, geo.n_sinks)
                 active = local_active_indices(t + 1, geo.window, geo.n_sinks)
                 local.update({(layer, h, t): (out, active) for h, out in zip(loc, outs)})
     return caches, local, dense

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import gen_rank_teacher
 
 import headsparse.rope as rope_module
 from headsparse.errors import ArgumentError, InternalError, NumericError
@@ -28,7 +29,6 @@ from headsparse.workload import (
     build_cache,
     default_workload_geometry,
     dense_row_scores,
-    gen_rank_teacher,
     gen_synthetic_workload,
     visible_rows,
 )

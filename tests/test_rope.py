@@ -5,19 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from helpers import pair_coefficients, rope_score, score_decomposition
 
 import headsparse.rope as rope_module
 from headsparse.errors import ArgumentError
 from headsparse.rope import (
     RopeParams,
     _turn,
-    pair_coefficients,
     rope_apply,
     rope_rotate,
     rope_rotate_many,
-    rope_score,
     rope_table,
-    score_decomposition,
 )
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import block_top_p_exact, split_merge, split_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,8 @@ from headsparse.selection import (
     SelectionResult,
     _bin_indices,
     block_table,
-    block_top_p_exact,
     histogram_threshold,
     histogram_threshold_scores,
-    split_merge,
     top_k_static,
     top_p_exact,
 )
@@ -138,7 +137,7 @@ class TestBlockPartition:
         assert float(np.sum(t.l * np.exp(t.m - m))) == pytest.approx(whole.l, rel=1e-10)
 
     def test_start_offsets(self):
-        t = block_table(np.zeros(10), 4, start=100)
+        t = split_table(np.zeros(10), 4, 100)
         assert t.starts.tolist() == [100, 104, 108]
         assert t.stops.tolist() == [104, 108, 110]
 
@@ -239,8 +238,8 @@ class TestSplitMerge:
 
     def test_two_splits_match_unsplit(self):
         s = np.random.default_rng(10).normal(size=256)
-        left = block_table(s[:128], 64, start=0)
-        right = block_table(s[128:], 64, start=128)
+        left = split_table(s[:128], 64, 0)
+        right = split_table(s[128:], 64, 128)
         merged = split_merge([left, right])
         assert tables_equal(merged, block_table(s, 64))
 
@@ -249,8 +248,8 @@ class TestSplitMerge:
         s = rng.normal(size=500) * 4
         cut = 192
         merged = split_merge([
-            block_table(s[:cut], 64, start=0),
-            block_table(s[cut:], 64, start=cut),
+            split_table(s[:cut], 64, 0),
+            split_table(s[cut:], 64, cut),
         ])
         direct = block_table(s, 64)
         a = histogram_threshold(merged, 0.9)
@@ -274,7 +273,7 @@ class TestSplitMerge:
                                       size=min(3, n_blocks - 1), replace=False))
             bounds = [0] + [int(c) * bs for c in cuts] + [n]
             merged = split_merge([
-                block_table(s[a:b], bs, start=base + a)
+                split_table(s[a:b], bs, base + a)
                 for a, b in zip(bounds, bounds[1:])
             ])
             for p in (0.3, 0.9, 0.99, 1.0):
@@ -286,22 +285,22 @@ class TestSplitMerge:
 
     def test_gap_rejected(self):
         s = np.zeros(256)
-        left = block_table(s[:64], 64, start=0)
-        right = block_table(s[128:], 64, start=128)
+        left = split_table(s[:64], 64, 0)
+        right = split_table(s[128:], 64, 128)
         with pytest.raises(ArgumentError, match="gap at token 64"):
             split_merge([left, right])
 
     def test_overlap_rejected(self):
         s = np.zeros(256)
-        left = block_table(s[:128], 64, start=0)
-        right = block_table(s[64:], 64, start=64)
+        left = split_table(s[:128], 64, 0)
+        right = split_table(s[64:], 64, 64)
         with pytest.raises(ArgumentError, match="overlap"):
             split_merge([left, right])
 
     def test_unaligned_rejected(self):
         s = np.zeros(200)
-        left = block_table(s[:100], 64, start=0)   # 64 + 36: not aligned
-        right = block_table(s[100:], 64, start=100)
+        left = split_table(s[:100], 64, 0)   # 64 + 36: not aligned
+        right = split_table(s[100:], 64, 100)
         with pytest.raises(ArgumentError, match="block-aligned"):
             split_merge([left, right])
 
@@ -574,7 +573,7 @@ class TestMergedRuns:
         rng = np.random.default_rng(82)
         for n, bs in ((613, 64), (100, 8), (5, 4)):
             s = rng.normal(size=n) * 6
-            blocks = block_table(s, bs, start=1000)
+            blocks = split_table(s, bs, 1000)
             res = histogram_threshold(blocks, 0.9)
             self.check(res, blocks.starts, blocks.stops)
             assert res.spans == tuple(

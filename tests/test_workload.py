@@ -10,12 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import gen_rank_teacher
 
 import headsparse.workload as workload_module
 from headsparse.container import save_container
 from headsparse.errors import ArgumentError
 from headsparse.numerics import softmax
-from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many
+from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many, rope_table
 from headsparse.workload import (
     AttentionRow,
     KVCacheHead,
@@ -30,7 +31,6 @@ from headsparse.workload import (
     default_workload_geometry,
     dense_attention,
     dense_row_scores,
-    gen_rank_teacher,
     gen_synthetic_workload,
     local_band,
     qhead_to_kvhead,
@@ -159,7 +159,7 @@ class TestKVCacheHead:
         for shape in ((64,), (3, 64)):
             q = rng.normal(size=shape)
             for name, rows in forms.items():
-                w, out = attend(q, 299, cache, rows, 0.125)
+                w, out = attend(q, 299, cache, rows)
                 assert w.dtype == out.dtype == np.float64, name
                 w_ref, out_ref = oracle_on_rows(q, 299, cache, rows, 0.125)
                 assert w.shape == w_ref.shape and out.shape == shape
@@ -242,6 +242,64 @@ class TestCacheWritesBitIdentical:
         assert len(cache) == 1
 
 
+class TestStackedCache:
+    """A KVCacheHead with `groups` stacks K KV groups over one positions
+    vector; each group's rows have the bits of a one-group cache fed the
+    same rows, through extend, append and the growth of the buffers."""
+
+    K = 3
+
+    @pytest.mark.parametrize("shared_table", [False, True])
+    def test_rows_equal_one_group_caches(self, shared_table):
+        rng = np.random.default_rng(23)
+        rope = RopeParams(64, 1.0e6)
+        keys = (rng.normal(size=(self.K, 90, 64)) * 12).astype(np.float32)
+        vals = rng.normal(size=(self.K, 90, 64)) * 0.125
+        pos = np.arange(90) * 3 + 1
+        table = rope_table(pos[:10], rope) if shared_table else None
+        # capacity 8: the extend grows the buffers, and so do appends 17, 33 and 65
+        stacked = KVCacheHead(rope, capacity=8, groups=self.K)
+        singles = [KVCacheHead(rope, capacity=8) for _ in range(self.K)]
+        stacked.extend(keys[:, :10], vals[:, :10], pos[:10], table)
+        for g, one in enumerate(singles):
+            one.extend(keys[g, :10], vals[g, :10], pos[:10])
+        for t in range(10, 90):
+            stacked.append(keys[:, t], vals[:, t], pos[t])
+            for g, one in enumerate(singles):
+                one.append(keys[g, t], vals[g, t], pos[t])
+        assert len(stacked) == 90
+        assert stacked.keys_post.shape == stacked.values.shape == (self.K, 90, 64)
+        assert stacked.keys_post.dtype == stacked.values.dtype == np.float32
+        assert np.array_equal(stacked.positions, pos)
+        for g, one in enumerate(singles):
+            assert np.array_equal(stacked.keys_post[g], one.keys_post)
+            assert np.array_equal(stacked.values[g], one.values)
+        assert stacked.visible_count(pos[40]) == singles[0].visible_count(pos[40]) == 41
+
+    def test_shape_checks(self):
+        rope = RopeParams(8)
+        stacked, plain = KVCacheHead(rope, groups=self.K), KVCacheHead(rope)
+        one_group, k_groups = np.zeros((5, 8)), np.zeros((self.K, 5, 8))
+        with pytest.raises(ArgumentError):
+            stacked.extend(one_group, one_group, np.arange(5))
+        with pytest.raises(ArgumentError):
+            stacked.extend(k_groups[1:], k_groups[1:], np.arange(5))
+        with pytest.raises(ArgumentError):
+            stacked.extend(k_groups, k_groups, np.arange(4))
+        with pytest.raises(ArgumentError):
+            plain.extend(k_groups, k_groups, np.arange(5))
+        with pytest.raises(ArgumentError):
+            stacked.append(one_group[0], one_group[0], 0)
+        with pytest.raises(ArgumentError):
+            stacked.append(k_groups[:, 0], one_group[0], 0)
+        with pytest.raises(ArgumentError):
+            plain.append(k_groups[:, 0], k_groups[:, 0], 0)
+        assert len(stacked) == len(plain) == 0
+        stacked.extend(k_groups, k_groups, np.arange(5))
+        stacked.append(k_groups[:, 0], k_groups[:, 0], 5)
+        assert len(stacked) == 6
+
+
 class TestScoresRotation:
     @pytest.mark.parametrize("group", [None, 1, 4])
     def test_shared_angles_match_row_rotation(self, group):
@@ -256,7 +314,7 @@ class TestScoresRotation:
         q2 = np.atleast_2d(q.astype(np.float64))
         for pos in (0, 1, 49, 123_457):
             rows = (slice(0, 20), np.array([3, 30, 41]))
-            got, _ = attend(q, pos, cache, rows, 0.125)
+            got, _ = attend(q, pos, cache, rows)
             q32 = rope_rotate_many(q2, np.full(len(q2), pos), cache.rope).astype(np.float32)
             want = np.concatenate([[q @ cache.keys_post[r].T for q in q32] for r in rows], 1)
             assert np.array_equal(np.atleast_2d(got), softmax(want.astype(np.float64) * 0.125))
@@ -397,8 +455,8 @@ class TestAttendRowForms:
         rows = np.sort(rng.choice(end - 1, size=max(int(share * end), 1) - 1, replace=False))
         rows = np.append(rows, end - 1)
         q = rng.normal(size=(group, 64))
-        w_g, out_g = self.forced(monkeypatch, 1.0, q, 3999, cache, rows, 0.125)
-        w_d, out_d = self.forced(monkeypatch, 0.0, q, 3999, cache, rows, 0.125)
+        w_g, out_g = self.forced(monkeypatch, 1.0, q, 3999, cache, rows)
+        w_d, out_d = self.forced(monkeypatch, 0.0, q, 3999, cache, rows)
         w_ref, out_ref = oracle_on_rows(q, 3999, cache, rows, 0.125)
         assert w_d.shape == w_g.shape == (group, rows.size)
         for w, out in ((w_g, out_g), (w_d, out_d)):
@@ -411,7 +469,7 @@ class TestAttendRowForms:
         cache = gapped_cache(rng, 64, 300)
         q = rng.normal(size=64).astype(np.float32)
         for pos in (0, 1, 150, 299):
-            w, out = attend(q, pos, cache, np.arange(pos + 1), 0.125)
+            w, out = attend(q, pos, cache, np.arange(pos + 1))
             row = dense_attention(q, pos, cache, 0.125)
             w_ref, out_ref = oracle_on_rows(q, pos, cache, slice(0, pos + 1), 0.125)
             assert np.array_equal(row.weights, w_ref)
@@ -430,8 +488,8 @@ class TestAttendRowForms:
         assert at == workload_module.DENSE_SHARE * span
         for size, share in ((at, 1.0), (at + 1, 0.0)):
             rows = np.append(np.sort(rng.choice(span - 1, size - 1, replace=False)), span - 1)
-            got = attend(q, 399, cache, rows, 0.125)
-            want = self.forced(monkeypatch, share, q, 399, cache, rows, 0.125)
+            got = attend(q, 399, cache, rows)
+            want = self.forced(monkeypatch, share, q, 399, cache, rows)
             monkeypatch.undo()
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -440,7 +498,7 @@ class TestAttendRowForms:
         cache = self.cache(rng, 100)
         q = rng.normal(size=64)
         rows = rng.permutation(100)
-        w, out = self.forced(monkeypatch, 0.0, q, 99, cache, rows, 0.125)
+        w, out = self.forced(monkeypatch, 0.0, q, 99, cache, rows)
         w_ref, out_ref = oracle_on_rows(q, 99, cache, slice(0, 100), 0.125)
         np.testing.assert_allclose(w, w_ref[rows], rtol=0, atol=1e-7)
         np.testing.assert_allclose(out, out_ref, rtol=0, atol=1e-7)
