@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -137,23 +137,11 @@ def _head_scores(workload: Workload) -> np.ndarray:
     ])
 
 
-def calibrate(workloads: Workload | Iterable[Workload],
-              ratio: float | None = None) -> list[HeadPartition]:
-    """Score every (layer, head) and partition per layer.
-
-    Accepts one workload (the normal single-sequence mode) or several, in
-    which case per-head scores are averaged before partitioning.
-    """
-    wls = [workloads] if isinstance(workloads, Workload) else list(workloads)
-    if not wls:
-        raise ArgumentError("no workloads to calibrate on")
-    geo = wls[0].geometry
-    if ratio is None:
-        ratio = geo.retrieval_ratio
-    if any(w.geometry != geo for w in wls):
-        raise ArgumentError("all calibration workloads must share a geometry")
-    scores = sum(_head_scores(w) for w in wls)
-    return [partition_heads(s / len(wls), ratio) for s in scores]
+def calibrate(workload: Workload) -> list[HeadPartition]:
+    """Score every (layer, head) of one workload and partition each layer
+    at its geometry's retrieval_ratio."""
+    ratio = workload.geometry.retrieval_ratio
+    return [partition_heads(s, ratio) for s in _head_scores(workload)]
 
 
 PARTITION_HEADER = ["layer", "head", "score", "role"]

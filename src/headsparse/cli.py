@@ -57,7 +57,7 @@ from .distill import (
     make_toy_model,
     toy_self_distill,
 )
-from .engine import run_workload
+from .engine import MODES, run_workload
 from .errors import ArgumentError, ConfigError, InternalError, NumericError
 from .indexer import Projector, Stage1Config, build_stage1_dataset, train_projector
 from .numerics import descending_order
@@ -92,7 +92,6 @@ from .workload import (
 
 ENV_OUT = "HEADSPARSE_OUT"
 DEFAULT_OUT = "headsparse-out"
-MODES = ("exact", "histogram", "top_k")
 WORKLOAD_STEM = "workload"
 
 
@@ -249,8 +248,7 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
     geo = cfg.geometry
     workload = _pipeline_workload(cfg, out)
     result = run_workload(
-        workload, geo, partitions, projectors,
-        p=geo.top_p, mode=cfg.mode, top_k=cfg.top_k,
+        workload, geo, partitions, projectors, mode=cfg.mode, top_k=cfg.top_k,
         oracle=bool(getattr(args, "oracle", False)),
     )
     write_decode_trace(out / "decode_trace.csv", result.traces)
@@ -261,7 +259,7 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
     sweep_head = ret_heads[0] if ret_heads else 0
     positions = np.linspace(workload.prefill_len, workload.seq_len - 1, 6,
                             dtype=int).tolist()
-    sweep = mass_budget_sweep(workload, geo, 0, sweep_head,
+    sweep = mass_budget_sweep(workload, 0, sweep_head,
                               result.caches[(0, qhead_to_kvhead(geo, sweep_head))],
                               positions, budgets=[8, 64, 512], p=geo.top_p)
     write_csv(out / "mass_sweep.csv", SWEEP_HEADER, sweep)
@@ -345,6 +343,9 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         floor = min(r["projected_mass"] for r in rows)
         print(f"decode trace: {len(rows)} rows, mean selected {np.mean(sizes):.1f}, "
               f"mass floor {floor:.4f}")
+        true = [r["true_mass"] for r in rows if r["true_mass"] is not None]
+        if true:
+            print(f"true mass floor {min(true):.4g} over {len(true)} rows")
     counts = out / "head_token_counts.csv"
     if counts.exists():
         found += 1

@@ -1,9 +1,10 @@
 """Sparse attention engine: prefill that builds the KV caches, sink+window
 attention for local heads, and per-step top-p decode over projected scores.
 
-Every KV cache is a workload.KVCacheHead under one of two capacity rules:
-a group with a retrieval head keeps its full cache, and each layer's
-LocalWindow stacks every KV group and keeps only sinks and a recent window.
+Every KV cache is a workload.KVCacheHead, allocated once under one of two
+capacity rules: a group with a retrieval head keeps its full cache, sized
+for the whole stream, and each layer's LocalWindow stacks every KV group
+and keeps only sinks and a recent window in n_sinks + 2 * window rows.
 A decode step visits each layer once.  Every local query head of the layer
 decodes in one call over the layer's LocalWindow; the retrieval heads' rows
 ride along so the batch stays rectangular, and their outputs are dropped.
@@ -28,8 +29,9 @@ products read them in float32, which halves the bytes those bandwidth-bound
 products read; the softmax between them runs in float64.  Selection stays
 float64 end to end (the projected keys, their scores, the top-p walk and
 the histogram), so the sets and both sparsities do not depend on the cache
-type.  The oracle (dense_attention, covered_true_mass) stays float64; its
-one-row products keep their bits only at a fixed BLAS thread count.
+type.  The oracle (covered_true_mass, the softmax of dense_row_scores)
+stays float64; its one-row products keep their bits only at a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 from .calibration import HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
+from .numerics import softmax
 from .rope import rope_table
 from .selection import (
     ActiveSet,
@@ -52,20 +55,20 @@ from .selection import (
     top_p_exact,
 )
 from .workload import (
-    AttentionRow,
     KVCacheHead,
     ModelGeometry,
     Workload,
     attend,
     build_cache,
     build_cache_prefix,
-    dense_attention,
+    dense_row_scores,
     qhead_to_kvhead,
     visible_rows,
 )
 
 ROLE_RETRIEVAL = "retrieval"
 ROLE_LOCAL = "local"
+MODES = ("exact", "histogram", "top_k")
 
 
 @dataclass
@@ -218,61 +221,62 @@ def local_head_decode(queries_pre: np.ndarray, query_position: int,
     return restricted_attention(queries_pre, query_position, cache, sel)
 
 
+def _check_mode(mode: str, top_k: int | None) -> None:
+    """A selection mode retrieval_head_decode can run: one of MODES, and
+    top_k mode with a budget of at least one token."""
+    if mode not in MODES:
+        raise ArgumentError(f"unknown selection mode {mode!r}")
+    if mode == "top_k" and (top_k is None or top_k < 1):
+        raise ArgumentError(f"top_k mode needs a budget of at least 1, got {top_k}")
+
+
 def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
                           cache: KVCacheHead, pkc: ProjectedKeyCache, p: float,
                           mode: str = "exact", *, block_size: int = 64,
                           top_k: int | None = None,
-                          layer: int = 0, q_head: int = 0
-                          ) -> tuple[np.ndarray, DecodeTrace]:
+                          layer: int = 0, q_head: int = 0) -> DecodeTrace:
     """One retrieval-head decode step: rank the visible prefix by the
     projected pre-rotation scores of `pkc` (the head's projected keys,
     extended with the rows of this cache), select by the requested mode,
     then attend exactly over the selected set (over its merged runs in
-    histogram mode). The static
-    top_k baseline ignores p and offers no coverage floor; that gap is what
-    it exists to demonstrate."""
-    if mode not in ("exact", "histogram", "top_k"):
-        raise ArgumentError(f"unknown selection mode {mode!r}")
+    histogram mode); the output is the trace's.  The static top_k baseline
+    ignores p and offers no coverage floor; that gap is what it exists to
+    demonstrate."""
+    _check_mode(mode, top_k)
     proj = pkc.scores(cache, query_pre, query_position)
     if mode == "exact":
         sel: SelectionResult = top_p_exact(proj, p)
     elif mode == "top_k":
-        if top_k is None:
-            raise ArgumentError("top_k mode needs a budget")
         sel = top_k_static(proj, top_k)
     else:
         sel = histogram_threshold_scores(proj, block_size, p)
-    output = restricted_attention(query_pre, query_position, cache, sel)
-    trace = DecodeTrace(
+    return DecodeTrace(
         layer=layer,
         q_head=q_head,
         position=int(query_position),
         role=ROLE_RETRIEVAL,
         tokens_selected=sel.size,
         covered_projected_mass=sel.covered_mass,
-        output=output,
+        output=restricted_attention(query_pre, query_position, cache, sel),
         active_set=sel.spans or sel.active_set,
     )
-    return output, trace
 
 
-def prefill(workload: Workload, geometry: ModelGeometry, n_tokens: int | None = None,
-            groups: Collection[tuple[int, int]] | None = None
+def prefill(workload: Workload, groups: Collection[tuple[int, int]] | None = None
             ) -> dict[tuple[int, int], KVCacheHead]:
-    """Build the full (layer, kv_head) KV caches over the first n_tokens of
-    the workload, the whole prompt region by default, for the given
-    `groups`, every group by default.  One cos/sin table turns all, freed
-    on return.  run_workload builds them only for the groups that have a
-    retrieval head; the local heads read each layer's LocalWindow."""
-    if n_tokens is None:
-        n_tokens = workload.prefill_len
+    """Build the full (layer, kv_head) KV caches over the workload's prompt
+    region for the given `groups`, every group by default, each sized for
+    the whole stream.  One cos/sin table turns all, freed on return.
+    run_workload builds them only for the groups that have a retrieval
+    head; the local heads read each layer's LocalWindow."""
+    geo, n = workload.geometry, workload.prefill_len
     if groups is None:
-        groups = [(layer, g) for layer in range(geometry.n_layers)
-                  for g in range(geometry.n_kv_heads)]
+        groups = [(layer, g) for layer in range(geo.n_layers)
+                  for g in range(geo.n_kv_heads)]
     if not groups:
         return {}
-    table = rope_table(np.arange(n_tokens), workload.geometry.rope)
-    return {(layer, g): build_cache_prefix(workload, layer, g, n_tokens, table)
+    table = rope_table(np.arange(n), geo.rope)
+    return {(layer, g): build_cache_prefix(workload, layer, g, n, table)
             for layer, g in sorted(groups)}
 
 
@@ -307,16 +311,17 @@ def memory_sparsity(traces: Sequence[DecodeTrace],
     return 1.0 - float(np.mean(fracs))
 
 
-def attention_mass_report(trace: DecodeTrace, dense_row: AttentionRow) -> float:
-    """Dense-row attention mass captured by the trace's active set."""
-    if trace.position != dense_row.query_position:
+def attention_mass_report(trace: DecodeTrace, weights: np.ndarray) -> float:
+    """Dense attention mass captured by the trace's active set; `weights`
+    is the dense weight row over the position + 1 tokens the step sees."""
+    if weights.size != trace.position + 1:
         raise ArgumentError(
-            f"trace at position {trace.position} vs dense row at "
-            f"{dense_row.query_position}"
+            f"trace at position {trace.position} vs a weight row over "
+            f"{weights.size} tokens"
         )
-    if trace.active_set.size and trace.active_set.max() >= dense_row.weights.size:
-        raise ArgumentError("active set exceeds the dense row")
-    return float(dense_row.weights[trace.active_set].sum())
+    if trace.active_set.size and trace.active_set.max() >= weights.size:
+        raise ArgumentError("active set exceeds the weight row")
+    return float(weights[trace.active_set].sum())
 
 
 def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry
@@ -337,17 +342,16 @@ def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry
 def run_workload(workload: Workload, geometry: ModelGeometry,
                  partitions: Sequence[HeadPartition],
                  projectors: Mapping[tuple[int, int], Projector],
-                 *, p: float | None = None, mode: str = "exact",
-                 top_k: int | None = None,
+                 *, mode: str = "exact", top_k: int | None = None,
                  oracle: bool = False) -> RunResult:
     """Prefill the prompt region, then decode the remaining positions one
     layer at a time: the new token's KV is appended first, then the layer's
     local heads decode together over its LocalWindow and its retrieval heads
-    one by one; traces come out in (position, layer, q_head) order.  With
-    oracle=True, each trace also gets the dense-attention mass of its active
-    set (one dense row per step over RunResult.caches, so markedly slower)."""
-    if p is None:
-        p = geometry.top_p
+    one by one at geometry.top_p; traces come out in (position, layer,
+    q_head) order.  With oracle=True, each trace also gets the dense-attention
+    mass of its active set: one float64 weight row per head-step over
+    RunResult.caches, scores and softmax only, so markedly slower."""
+    _check_mode(mode, top_k)
     if len(partitions) != geometry.n_layers:
         raise ArgumentError(f"{len(partitions)} head partitions for "
                             f"{geometry.n_layers} layers; one per layer required")
@@ -371,7 +375,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
     }
     gs = geometry.group_size
     full = {(layer, h // gs) for layer, h in pkcs}
-    live = prefill(workload, geometry, groups=full)
+    live = prefill(workload, full)
     caches = FullCaches(workload, live)
     windows = {layer: LocalWindow(workload, layer, workload.prefill_len,
                                   geometry.window, geometry.n_sinks)
@@ -401,8 +405,9 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                 ).reshape(geometry.n_q_heads, -1)
             for h in range(geometry.n_q_heads):
                 if part.is_retrieval(h):
-                    _, entry = retrieval_head_decode(
-                        queries[h], t, live[layer, h // gs], pkcs[(layer, h)], p, mode,
+                    entry = retrieval_head_decode(
+                        queries[h], t, live[layer, h // gs], pkcs[(layer, h)],
+                        geometry.top_p, mode,
                         block_size=geometry.block_size, top_k=top_k,
                         layer=layer, q_head=h,
                     )
@@ -413,8 +418,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                         covered_projected_mass=1.0, output=outs[h], active_set=spans,
                     )
                 if oracle:
-                    row = dense_attention(queries[h], t, caches[layer, h // gs],
-                                          geometry.scale)
-                    entry.covered_true_mass = attention_mass_report(entry, row)
+                    weights = softmax(dense_row_scores(queries[h], t, caches[layer, h // gs]))
+                    entry.covered_true_mass = attention_mass_report(entry, weights)
                 traces.append(entry)
     return RunResult(traces, sparsity_report(traces, geometry), caches)

@@ -87,12 +87,13 @@ def init_projector(r: int, head_dim: int, seed: int, label: str = "projector-ini
 
 
 class ProjectedKeyCache:
-    """The projected pre-rotation keys of one retrieval head's KV cache.
-    Whoever appends rows to the cache extends this with the same rows, so
-    each decode step projects only its new key and the cache need not keep
-    the pre-rotation keys."""
+    """The projected pre-rotation keys of one retrieval head's KV cache,
+    `capacity` rows allocated once, like the cache's own.  Whoever appends
+    rows to the cache extends this with the same rows, so each decode step
+    projects only its new key and the cache need not keep the pre-rotation
+    keys."""
 
-    def __init__(self, projector: Projector, capacity: int = 256):
+    def __init__(self, projector: Projector, capacity: int):
         self.projector = projector
         self._u = np.empty((capacity, projector.r), np.float64)
         self._n = 0
@@ -107,10 +108,8 @@ class ProjectedKeyCache:
         if keys.ndim != 2 or keys.shape[1] != self.projector.head_dim:
             raise ArgumentError(f"keys must be (m, {self.projector.head_dim}), got {keys.shape}")
         n0, n1 = self._n, self._n + len(keys)
-        if n1 > self._u.shape[0]:
-            new = np.empty((max(n1, 2 * self._u.shape[0]), self.projector.r), np.float64)
-            new[:n0] = self._u[:n0]
-            self._u = new
+        if n1 > len(self._u):
+            raise InternalError(f"{n1} projected keys for a capacity of {len(self._u)}")
         for rows in row_blocks(len(keys)):
             fresh = keys[rows].astype(np.float32).astype(np.float64)
             self._u[n0 + rows.start : n0 + rows.stop] = fresh @ self.projector.w_k.T

@@ -23,7 +23,6 @@ from .seeding import derive_rng
 from .selection import top_k_static, top_p_exact
 from .workload import (
     KVCacheHead,
-    ModelGeometry,
     Workload,
     attend,
     dense_row_scores,
@@ -130,9 +129,9 @@ def head_token_count_rows(traces: Sequence[DecodeTrace]) -> list[list]:
     return rows
 
 
-def mass_budget_sweep(workload: Workload, geometry: ModelGeometry, layer: int,
-                      q_head: int, cache: KVCacheHead, positions: Sequence[int],
-                      budgets: Sequence[int], p: float) -> list[list]:
+def mass_budget_sweep(workload: Workload, layer: int, q_head: int, cache: KVCacheHead,
+                      positions: Sequence[int], budgets: Sequence[int], p: float
+                      ) -> list[list]:
     """Dense-row oracle sweep: attention mass captured by static top-k
     budgets versus top-p at the same positions. Selection runs on the true
     scores, so this measures the budget tradeoff itself, not indexer error.
@@ -143,8 +142,7 @@ def mass_budget_sweep(workload: Workload, geometry: ModelGeometry, layer: int,
         raise ArgumentError(f"cache does not reach position {max(positions)}")
     masses: dict[tuple[str, int | float], list[tuple[float, int]]] = {}
     for t in positions:
-        scores = dense_row_scores(workload.queries[layer, q_head, t], t, cache,
-                                  geometry.scale)
+        scores = dense_row_scores(workload.queries[layer, q_head, t], t, cache)
         weights = softmax(scores)
         for k in budgets:
             sel = top_k_static(scores, k)

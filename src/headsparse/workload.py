@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import load_container, save_container
-from .errors import ArgumentError
+from .errors import ArgumentError, InternalError
 from .numerics import softmax
 from .record import Record
 from .rope import ROPE_BLOCK, RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many
@@ -89,7 +89,9 @@ def qhead_to_kvhead(geometry: ModelGeometry, q_head: int) -> int:
 
 
 class KVCacheHead:
-    """Append-only per-KV-head store; rows are token positions in full caches only.
+    """Append-only per-KV-head store of `capacity` rows, allocated once (a
+    row past it raises InternalError); rows are token positions in full
+    caches only.
 
     Keeps the positions and the float32 rotated keys and values, all that
     attention reads: 8 + 8 * head_dim bytes a row (520 at head_dim 64).
@@ -105,7 +107,7 @@ class KVCacheHead:
     in a one-group cache fed the same rows.
     """
 
-    def __init__(self, rope: RopeParams, capacity: int = 256, groups: int | None = None):
+    def __init__(self, rope: RopeParams, capacity: int, groups: int | None = None):
         self.rope = rope
         self._lead = () if groups is None else (groups,)
         self._n = 0
@@ -117,15 +119,9 @@ class KVCacheHead:
         return self._n
 
     def _grow(self, need: int) -> None:
-        """Make room for `need` rows, doubling the buffers when they are full."""
-        cap = len(self._positions)
-        if need > cap:
-            n, new = self._n, max(need, cap * 2)
-            old = self.positions, self.keys_post, self.values
-            self._positions = np.empty(new, np.int64)
-            self._keys_post = np.empty((*self._lead, new, self.rope.head_dim), np.float32)
-            self._values = np.empty_like(self._keys_post)
-            self._positions[:n], self._keys_post[..., :n, :], self._values[..., :n, :] = old
+        """Check that `need` rows fit; LocalWindow moves its rows instead."""
+        if need > len(self._positions):
+            raise InternalError(f"{need} rows for a cache of {len(self._positions)}")
 
     def append(self, key_pre: np.ndarray, value: np.ndarray, position: int) -> None:
         """One token: extend's checks and rounding, written straight into

@@ -8,6 +8,7 @@ every engine run the earlier gates performed (plus one of its own, so it
 also stands alone).
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -138,7 +139,8 @@ def test_criterion_01_dense_degeneration(capsys):
             w = gen_synthetic_workload(
                 WorkloadSpec(decode_len=decode, **kw), 300 + i, geo
             )
-            run = all_retrieval_run(w, geo, seed=i, p=1.0, mode="exact")
+            run = all_retrieval_run(w, dataclasses.replace(geo, top_p=1.0), seed=i,
+                                    mode="exact")
             REPORTS.append(run.report)
             oracle = {
                 g: build_cache(w, 0, g) for g in range(geo.n_kv_heads)
@@ -171,7 +173,7 @@ def test_criterion_02_restricted_softmax_exactness(capsys):
     with gate(capsys, 2, "outputs match dense on the active sub-cache", 120):
         traces = []
         for mode in ("exact", "histogram"):
-            run = run_workload(w, geo, [part], projs, p=0.9, mode=mode)
+            run = run_workload(w, geo, [part], projs, mode=mode)
             REPORTS.append(run.report)
             traces.extend(
                 (t, run.caches[(0, qhead_to_kvhead(geo, t.q_head))])
@@ -363,7 +365,7 @@ def test_criterion_10_sparsity_metric_coupling(capsys):
             (0, h): init_projector(geo.low_dim, geo.head_dim, h)
             for h in part.retrieval_set
         }
-        run = run_workload(w, geo, [part], projs, p=0.9, mode="exact")
+        run = run_workload(w, geo, [part], projs, mode="exact")
         REPORTS.append(run.report)
         assert len(REPORTS) >= 1
         for report in REPORTS:

@@ -1,13 +1,13 @@
 """Calibration tests: the needle layout, the retrieval score, and the
 head partition, plus an end-to-end planted-workload check."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from headsparse.calibration import (
-    HeadPartition,
     NeedleLayout,
     calibrate,
     group_retrieval_scores,
@@ -28,6 +28,12 @@ from headsparse.workload import (
 )
 
 from test_workload import SMALL_SPEC, small_geometry
+
+
+def with_ratio(workload, ratio):
+    """The same streams under a geometry whose retrieval_ratio is `ratio`."""
+    geo = dataclasses.replace(workload.geometry, retrieval_ratio=ratio)
+    return dataclasses.replace(workload, geometry=geo)
 
 
 def uniform_rows(layout):
@@ -139,7 +145,7 @@ class TestWorkloadCalibration:
             assert len(parts) == 1
             # round(0.15 * 8) = 1: only the strongest planted head fits, so
             # widen the ratio to the planted count for this check.
-            part = calibrate(w, ratio=2 / 8)[0]
+            part = calibrate(with_ratio(w, 2 / 8))[0]
             assert set(part.retrieval_set) == set(
                 w.annotations.planted_retrieval_heads
             )
@@ -154,11 +160,6 @@ class TestWorkloadCalibration:
         ]
         assert min(planted_scores) > 0.8
         assert max(other_scores) < 0.2
-
-    def test_multi_workload_average(self):
-        ws = [gen_synthetic_workload(SMALL_SPEC, s, small_geometry()) for s in (3, 4)]
-        parts = calibrate(ws, ratio=0.25)
-        assert isinstance(parts[0], HeadPartition)
 
     def test_head_score_uses_annotations(self):
         w = gen_synthetic_workload(SMALL_SPEC, 8, small_geometry())
@@ -185,9 +186,8 @@ def reference_scores(workload):
     return out
 
 
-def reference_calibrate(workloads, ratio):
-    scores = sum(reference_scores(w) for w in workloads) / len(workloads)
-    return [partition_heads(s, ratio) for s in scores]
+def reference_calibrate(workload, ratio):
+    return [partition_heads(s, ratio) for s in reference_scores(workload)]
 
 
 def assert_matches_reference(got, want):
@@ -211,19 +211,13 @@ class TestBatchedScores:
         for seed in (0, 1):
             w = gen_synthetic_workload(SMALL_SPEC, seed, geo)
             ratio = geo.retrieval_ratio
-            assert_matches_reference(calibrate(w), reference_calibrate([w], ratio))
-
-    def test_list_of_workloads(self):
-        geo = small_geometry(n_layers=2, n_kv_heads=2)
-        ws = [gen_synthetic_workload(SMALL_SPEC, s, geo) for s in (3, 4, 5)]
-        assert_matches_reference(calibrate(ws, ratio=0.25),
-                                 reference_calibrate(ws, 0.25))
+            assert_matches_reference(calibrate(w), reference_calibrate(w, ratio))
 
     @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0])
     def test_ratio_override(self, ratio):
         w = gen_synthetic_workload(SMALL_SPEC, 6, small_geometry(n_kv_heads=8))
-        assert_matches_reference(calibrate(w, ratio=ratio),
-                                 reference_calibrate([w], ratio))
+        assert_matches_reference(calibrate(with_ratio(w, ratio)),
+                                 reference_calibrate(w, ratio))
 
     def test_group_scores_per_head(self):
         geo = small_geometry(n_kv_heads=2)
@@ -260,7 +254,7 @@ def test_calibrate_holds_one_cache_at_a_time():
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         w = gen_synthetic_workload(SMALL_SPEC, 2, small_geometry())
-        parts = calibrate(w, ratio=0.25)
+        parts = calibrate(with_ratio(w, 0.25))
         path = tmp_path / "partition.csv"
         save_partitions(path, parts)
         back = load_partitions(path, ratio=0.25)

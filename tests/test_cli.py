@@ -439,6 +439,20 @@ class TestReportAndDispatch:
         mib = (8 + 4 + 4) * 768 * 64 * 4 / 2**20
         assert f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB" in printed
 
+    def test_report_prints_true_mass_floor(self, tmp_path, capsys):
+        """The floor line appears when the trace carries --oracle masses."""
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, out)
+        header = "layer,head,position,tokens_selected,projected_mass,true_mass\n"
+        trace = out / "decode_trace.csv"
+        trace.write_text(header + "0,0,100,5,0.95,0.5\n0,1,100,7,0.92,0.0125\n")
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert "true mass floor 0.0125 over 2 rows" in capsys.readouterr().out
+        trace.write_text(header + "0,0,100,5,0.95,\n")
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert "true mass floor" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("name, text", [
         ("decode_trace.csv",
          "layer,head,position,tokens_selected,projected_mass,true_mass\n"),

@@ -1,6 +1,7 @@
 """Engine tests: restricted-softmax consistency against sub-cache oracles,
 sink+window masks, sparsity accounting, and the full decode loop."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -55,7 +56,7 @@ def random_cache(rng, n, d=32):
 
 def projected(projector, keys_pre):
     """A ProjectedKeyCache extended with the rows of a cache."""
-    pkc = ProjectedKeyCache(projector)
+    pkc = ProjectedKeyCache(projector, capacity=len(keys_pre))
     pkc.extend(keys_pre)
     return pkc
 
@@ -208,17 +209,18 @@ class TestRetrievalDecode:
         cache, keys = random_cache(rng, 300)
         proj = init_projector(8, 32, seed=0)
         q = rng.normal(size=32)
-        out, trace = retrieval_head_decode(q, 299, cache, projected(proj, keys), p=1.0)
+        trace = retrieval_head_decode(q, 299, cache, projected(proj, keys), p=1.0)
         assert trace.tokens_selected == 300
-        np.testing.assert_allclose(out, dense_attention(q, 299, cache).output, atol=1e-5)
+        np.testing.assert_allclose(trace.output, dense_attention(q, 299, cache).output,
+                                   atol=1e-5)
 
     def test_single_token_cache(self):
         rng = np.random.default_rng(5)
         cache, keys = random_cache(rng, 1)
-        out, trace = retrieval_head_decode(
+        trace = retrieval_head_decode(
             rng.normal(size=32), 0, cache, projected(init_projector(8, 32, 0), keys), p=0.9
         )
-        np.testing.assert_allclose(out, cache.values[0], atol=1e-12)
+        np.testing.assert_allclose(trace.output, cache.values[0], atol=1e-12)
         assert trace.tokens_selected == 1
 
     @pytest.mark.parametrize("mode", ["exact", "histogram"])
@@ -227,13 +229,13 @@ class TestRetrievalDecode:
         cache, keys = random_cache(rng, 4096)
         proj = init_projector(8, 32, seed=1)
         q = rng.normal(size=32)
-        out, trace = retrieval_head_decode(
+        trace = retrieval_head_decode(
             q, 4095, cache, projected(proj, keys), p=0.9, mode=mode
         )
         assert 0 < trace.tokens_selected < 4096
         assert trace.covered_projected_mass >= 0.9
         oracle = dense_attention(q, 4095, sub_cache(cache, keys, trace.active_set))
-        np.testing.assert_allclose(out, oracle.output, atol=1e-6)
+        np.testing.assert_allclose(trace.output, oracle.output, atol=1e-6)
 
     def test_histogram_runs_match_gather(self, monkeypatch):
         """Histogram mode attends over the merged runs: the same active set as
@@ -247,12 +249,12 @@ class TestRetrievalDecode:
         for pos in (4095, 3000, 1500):
             for p in (0.5, 0.9):
                 q = rng.normal(size=32) * 3
-                out, trace = retrieval_head_decode(q, pos, cache, pkc, p, "histogram")
+                trace = retrieval_head_decode(q, pos, cache, pkc, p, "histogram")
                 sel = histogram_threshold_scores(pkc.scores(cache, q, pos), 64, p)
                 assert np.array_equal(trace.active_set, sel.active_set)
                 gathered = restricted_attention(q, pos, cache, sel.active_set)
                 _, ref = oracle_on_rows(q, pos, cache, sel.active_set, 1 / np.sqrt(32))
-                assert np.abs(out - ref).max() <= 1e-6
+                assert np.abs(trace.output - ref).max() <= 1e-6
                 assert np.abs(gathered - ref).max() <= 1e-6
                 n_runs.append(len(sel.spans))
         assert max(n_runs) > 1
@@ -277,8 +279,8 @@ class TestRetrievalDecode:
         assert seen == [68]
         pkc = projected(init_projector(8, 32, seed=3), keys)
         for mode in ("exact", "histogram", "top_k"):
-            _, trace = retrieval_head_decode(rng.normal(size=32), 1999, cache, pkc,
-                                             0.9, mode, top_k=50)
+            trace = retrieval_head_decode(rng.normal(size=32), 1999, cache, pkc,
+                                          0.9, mode, top_k=50)
             assert seen[-1] == trace.tokens_selected
         assert len(seen) == 4
 
@@ -305,7 +307,7 @@ def per_call_rotation(keys_pre, positions, rope):
     return out.astype(np.float32)
 
 
-def random_workload(geometry, seq_len, seed):
+def random_workload(geometry, seq_len, seed, decode_len=1):
     """Random streams in a Workload shell; prefill reads only the keys,
     values and geometry."""
     rng = np.random.default_rng(seed)
@@ -315,7 +317,7 @@ def random_workload(geometry, seq_len, seed):
     queries = np.zeros((geometry.n_layers, geometry.n_q_heads, seq_len,
                         geometry.head_dim), np.float32)
     ann = WorkloadAnnotations((), (), (0,), (1,), ())
-    return Workload(geometry, WorkloadSpec(seq_len=seq_len, decode_len=1),
+    return Workload(geometry, WorkloadSpec(seq_len=seq_len, decode_len=decode_len),
                     seed, queries, keys, values, ann)
 
 
@@ -329,8 +331,8 @@ class TestSharedRopeTable:
         geo = ModelGeometry(n_layers=2, n_q_heads=4, n_kv_heads=2,
                             head_dim=head_dim, rope_base=base)
         L, n = 700, 517
-        wl = random_workload(geo, L, seed=head_dim)
-        caches = prefill(wl, geo, n_tokens=n)
+        wl = random_workload(geo, L, seed=head_dim, decode_len=L - n)
+        caches = prefill(wl)
         for (layer, g), cache in caches.items():
             for t in range(n, L):
                 cache.append(wl.keys_pre[layer, g, t], wl.values[layer, g, t], t)
@@ -360,11 +362,11 @@ class TestSharedRopeTable:
         geo = ModelGeometry(n_layers=1, n_q_heads=4, n_kv_heads=2, head_dim=64,
                             rope_base=1.0e6, window=200, n_sinks=4)
         L, n = 461, 333
-        wl = random_workload(geo, L, seed=block)
+        wl = random_workload(geo, L, seed=block, decode_len=L - n)
         keys, vals = wl.keys_pre[0], wl.values[0]
         pos = np.sort(np.random.default_rng(block).choice(10**6, n, replace=False))
         for table in (rope_table(pos, geo.rope), None):
-            cache = KVCacheHead(geo.rope, capacity=8)
+            cache = KVCacheHead(geo.rope, capacity=n)
             cache.extend(keys[0, :n], vals[0, :n], pos, table)
             assert np.array_equal(cache.keys_post, per_call_rotation(keys[0, :n], pos, geo.rope))
         full = FullCaches(wl, {})
@@ -372,7 +374,7 @@ class TestSharedRopeTable:
             want = per_call_rotation(keys[g], np.arange(L), geo.rope)
             assert np.array_equal(build_cache(wl, 0, g).keys_post, want)
             assert np.array_equal(full[0, g].keys_post, want)
-        caches = prefill(wl, geo, n_tokens=n, groups={(0, 0)})
+        caches = prefill(wl, groups={(0, 0)})
         window = LocalWindow(wl, 0, n, geo.window, geo.n_sinks)
         keep = np.r_[0:4, n - 200:n]
         assert sorted(caches) == [(0, 0)]
@@ -416,7 +418,7 @@ class TestProjectedKeysFeed:
             return got
 
         monkeypatch.setattr(indexer_module.ProjectedKeyCache, "scores", lazy_reference)
-        res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, mode=mode)
+        res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, mode=mode)
         steps = SMALL_WORKLOAD.seq_len - SMALL_WORKLOAD.prefill_len
         assert sum(map(len, projected.values())) == steps * len(part.retrieval_set)
         assert len(res.traces) == steps * SMALL_GEO.n_q_heads
@@ -424,9 +426,9 @@ class TestProjectedKeysFeed:
 
 class TestPrefill:
     def test_cache_only_mode(self):
-        caches = prefill(SMALL_WORKLOAD, SMALL_GEO, n_tokens=64)
+        caches = prefill(SMALL_WORKLOAD)
         assert sorted(caches) == [(0, g) for g in range(SMALL_GEO.n_kv_heads)]
-        assert all(len(c) == 64 for c in caches.values())
+        assert all(len(c) == SMALL_WORKLOAD.prefill_len for c in caches.values())
 
     def test_partition_count_checked(self):
         part = small_partition()
@@ -531,7 +533,7 @@ class TestAttentionMassReport:
         q = rng.normal(size=32)
         row = dense_attention(q, 49, cache)
         tr = make_trace(0, 0, 49, np.arange(50))
-        assert attention_mass_report(tr, row) == pytest.approx(1.0)
+        assert attention_mass_report(tr, row.weights) == pytest.approx(1.0)
 
     def test_subset_mass(self):
         rng = np.random.default_rng(10)
@@ -539,21 +541,21 @@ class TestAttentionMassReport:
         row = dense_attention(rng.normal(size=32), 49, cache)
         tr = make_trace(0, 0, 49, np.array([0, 7, 49]))
         expect = row.weights[[0, 7, 49]].sum()
-        assert attention_mass_report(tr, row) == pytest.approx(float(expect))
+        assert attention_mass_report(tr, row.weights) == pytest.approx(float(expect))
 
     def test_position_mismatch(self):
         rng = np.random.default_rng(11)
         cache, _ = random_cache(rng, 50)
         row = dense_attention(rng.normal(size=32), 40, cache)
         with pytest.raises(ArgumentError):
-            attention_mass_report(make_trace(0, 0, 49, [0]), row)
+            attention_mass_report(make_trace(0, 0, 49, [0]), row.weights)
 
 
 @pytest.fixture(scope="module")
 def run():
     part = small_partition()
     projs = small_projectors(part, SMALL_GEO)
-    return part, projs, run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9)
+    return part, projs, run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs)
 
 
 class TestRunWorkload:
@@ -597,7 +599,7 @@ class TestRunWorkload:
 
     def test_deterministic(self, run):
         part, projs, res = run
-        res2 = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9)
+        res2 = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs)
         assert len(res.traces) == len(res2.traces)
         for a, b in zip(res.traces[::97], res2.traces[::97]):
             np.testing.assert_array_equal(a.active_set, b.active_set)
@@ -607,7 +609,7 @@ class TestRunWorkload:
         part = small_partition()
         projs = small_projectors(part, SMALL_GEO)
         res = run_workload(
-            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, mode="histogram"
+            SMALL_WORKLOAD, SMALL_GEO, [part], projs, mode="histogram"
         )
         for t in res.traces:
             assert t.covered_projected_mass >= 0.9 - 1e-12
@@ -617,7 +619,7 @@ class TestRunWorkload:
         part = small_partition()
         projs = small_projectors(part, SMALL_GEO)
         res = run_workload(
-            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, oracle=True
+            SMALL_WORKLOAD, SMALL_GEO, [part], projs, oracle=True
         )
         assert all(t.covered_true_mass is not None for t in res.traces)
         for t in res.traces:
@@ -631,15 +633,31 @@ class TestRunWorkload:
         with pytest.raises(ArgumentError):
             run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], {})
 
+    @pytest.mark.parametrize("mode, top_k", [("bogus", None), ("top_k", None), ("top_k", 0)])
+    @pytest.mark.parametrize("planted", [(), (1, 6)])
+    def test_bad_mode_before_any_cache(self, monkeypatch, mode, top_k, planted):
+        """An unknown mode, or top_k mode without a positive budget, is
+        refused before prefill, also when no head would ever select."""
+        import headsparse.engine as eng
+
+        def no_cache(*args, **kwargs):
+            raise AssertionError("a cache was built")
+
+        monkeypatch.setattr(eng, "prefill", no_cache)
+        monkeypatch.setattr(eng, "LocalWindow", no_cache)
+        part = small_partition(ratio=max(len(planted), 0.1) / 8, planted=planted)
+        projs = small_projectors(part, SMALL_GEO)
+        with pytest.raises(ArgumentError):
+            run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, mode=mode, top_k=top_k)
+
 
 class TestDenseDegeneration:
     def test_full_ratio_full_p(self):
         part = partition_heads([1.0] * SMALL_GEO.n_q_heads, 1.0)
         assert len(part.local_set) == 0
         projs = small_projectors(part, SMALL_GEO)
-        res = run_workload(
-            SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=1.0
-        )
+        geo = dataclasses.replace(SMALL_GEO, top_p=1.0)
+        res = run_workload(SMALL_WORKLOAD, geo, [part], projs)
         for t in res.traces:
             cache = res.caches[(t.layer, qhead_to_kvhead(SMALL_GEO, t.q_head))]
             assert t.tokens_selected == t.position + 1
@@ -670,7 +688,7 @@ def full_cache_reference(wl, geo, partition):
     {(layer, q_head, t): (output, indices)} for the local heads and
     {(layer, q_head, t): dense weights} for all; every layer uses
     `partition`."""
-    caches = prefill(wl, geo)
+    caches = prefill(wl)
     local, dense = {}, {}
     for t in range(wl.prefill_len, wl.seq_len):
         for (layer, g), cache in caches.items():
@@ -708,7 +726,7 @@ class TestBoundedCaches:
     def test_equal_to_full_cache_reference(self, window, planted):
         geo = small_geometry(window=window)
         part = small_partition(ratio=len(planted) / 8, planted=planted)
-        res = run_workload(SMALL_WORKLOAD, geo, [part], small_projectors(part, geo), p=0.9)
+        res = run_workload(SMALL_WORKLOAD, geo, [part], small_projectors(part, geo))
         full, local, _ = full_cache_reference(SMALL_WORKLOAD, geo, part)
         n_local = 0
         for t in res.traces:
@@ -732,11 +750,11 @@ class TestBoundedCaches:
     def test_bounded_cache_rows(self):
         geo, wl = SMALL_GEO, SMALL_WORKLOAD
         window = LocalWindow(wl, 0, wl.prefill_len, geo.window, geo.n_sinks)
-        caches = prefill(wl, geo, groups={(0, 1)})
+        caches = prefill(wl, groups={(0, 1)})
         P, w, s = wl.prefill_len, geo.window, geo.n_sinks
         keep = np.r_[0:s, P - w:P]
         assert np.array_equal(window.positions, keep)
-        full = prefill(wl, geo)
+        full = prefill(wl)
         for name in ("keys_post", "values"):
             for g in range(geo.n_kv_heads):
                 assert np.array_equal(getattr(window, name)[g], getattr(full[0, g], name)[keep])
@@ -747,7 +765,7 @@ class TestBoundedCaches:
     def test_oracle_masses_equal_full_cache_reference(self, mode):
         part = small_partition()
         res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part],
-                           small_projectors(part, SMALL_GEO), p=0.9, mode=mode, oracle=True)
+                           small_projectors(part, SMALL_GEO), mode=mode, oracle=True)
         _, _, dense = full_cache_reference(SMALL_WORKLOAD, SMALL_GEO, part)
         for t in res.traces:
             want = float(dense[t.layer, t.q_head, t.position][t.active_set].sum())
@@ -779,7 +797,7 @@ class TestLocalWindows:
         wl = SMALL_WORKLOAD if n_layers == 1 else TWO_LAYER_WORKLOAD
         geo = small_geometry(window=window, n_sinks=n_sinks, n_layers=n_layers)
         part = small_partition(ratio=len(planted) / 8, planted=planted)
-        res = run_workload(wl, geo, [part] * n_layers, small_projectors(part, geo), p=0.9)
+        res = run_workload(wl, geo, [part] * n_layers, small_projectors(part, geo))
         _, local, _ = full_cache_reference(wl, geo, part)
         got = {(t.layer, t.q_head, t.position): t for t in res.traces if t.role == "local"}
         assert got.keys() == local.keys()
@@ -827,7 +845,7 @@ class TestLocalWindows:
         outs = local_head_decode(queries, t, win, 16, 4)
         assert outs.shape == queries.shape
         for g in range(geo.n_kv_heads):
-            one = KVCacheHead(geo.rope)
+            one = KVCacheHead(geo.rope, capacity=len(win))
             one.extend(wl.keys_pre[0, g, win.positions], wl.values[0, g, win.positions],
                        win.positions)
             assert np.array_equal(outs[g], local_head_decode(queries[g], t, one, 16, 4))
@@ -911,7 +929,7 @@ class TestSpanTraces:
         part = small_partition()
         projs = small_projectors(part, SMALL_GEO)
         for mode in ("histogram", "exact"):
-            res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, p=0.9, mode=mode)
+            res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], projs, mode=mode)
             for t in res.traces:
                 arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
                 spans_only = mode == "histogram" or t.role == "local"

@@ -59,10 +59,11 @@ def index_recall(selected, reference_top):
     return len(set(selected) & ref) / len(ref)
 
 
-def fill_cache(rng, d=16, n=32):
-    """A cache of n random rows and the float32 keys it was filled with."""
+def fill_cache(rng, d=16, n=32, capacity=None):
+    """A cache of n random rows, with room for `capacity` (n by default),
+    and the float32 keys it was filled with."""
     keys = rng.normal(size=(n, d)).astype(np.float32)
-    cache = KVCacheHead(RopeParams(d))
+    cache = KVCacheHead(RopeParams(d), capacity or n)
     cache.extend(keys, rng.normal(size=(n, d)), np.arange(n))
     return cache, keys
 
@@ -130,9 +131,9 @@ class TestProjectedScores:
 
     def test_projected_key_cache_matches(self):
         rng = np.random.default_rng(6)
-        cache, keys = fill_cache(rng, n=20)
+        cache, keys = fill_cache(rng, n=20, capacity=29)
         proj = init_projector(8, 16, seed=2)
-        pkc = ProjectedKeyCache(proj, capacity=4)
+        pkc = ProjectedKeyCache(proj, capacity=29)
         pkc.extend(keys)
         q = rng.normal(size=16)
         np.testing.assert_allclose(
@@ -155,7 +156,7 @@ class TestProjectedScores:
         rng = np.random.default_rng(n)
         keys = (rng.normal(size=(n, 64)) * 12).astype(np.float32)
         proj = init_projector(16, 64, seed=n)
-        pkc = ProjectedKeyCache(proj)
+        pkc = ProjectedKeyCache(proj, capacity=n)
         pkc.extend(keys)
         cache = KVCacheHead(RopeParams(64), capacity=n)
         cache.extend(keys, keys, np.arange(n))
@@ -172,8 +173,8 @@ class TestProjectedScores:
         rng = np.random.default_rng(block)
         keys = (rng.normal(size=(333, 16)) * 12).astype(np.float32)
         proj = init_projector(8, 16, seed=block)
-        cache = KVCacheHead(RopeParams(16), capacity=4)
-        pkc = ProjectedKeyCache(proj, capacity=4)
+        cache = KVCacheHead(RopeParams(16), capacity=333)
+        pkc = ProjectedKeyCache(proj, capacity=333)
         cache.extend(keys[:300], keys[:300], np.arange(300))
         pkc.extend(keys[:300])
         for t in range(300, 333):
@@ -189,7 +190,7 @@ class TestProjectedScores:
     def test_scores_out_of_step_with_the_cache_raise(self):
         rng = np.random.default_rng(8)
         cache, keys = fill_cache(rng, n=20)
-        pkc = ProjectedKeyCache(init_projector(4, 16, seed=0))
+        pkc = ProjectedKeyCache(init_projector(4, 16, seed=0), capacity=21)
         q = rng.normal(size=16)
         with pytest.raises(InternalError):
             pkc.scores(cache, q, 5)
@@ -203,6 +204,21 @@ class TestProjectedScores:
             pkc.scores(cache, q, 19)
         with pytest.raises(ArgumentError):
             pkc.extend(keys[0])
+
+    def test_extend_past_capacity(self):
+        """Sized once like the cache it follows: one row past capacity is a
+        broken invariant, and nothing is projected."""
+        rng = np.random.default_rng(9)
+        _, keys = fill_cache(rng, n=6)
+        pkc = ProjectedKeyCache(init_projector(4, 16, seed=0), capacity=5)
+        pkc.extend(keys[:4])
+        with pytest.raises(InternalError):
+            pkc.extend(keys[4:6])
+        assert len(pkc) == 4
+        pkc.extend(keys[4:5])
+        with pytest.raises(InternalError):
+            pkc.extend(keys[5:6])
+        assert len(pkc) == 5
 
 
 class TestRecallMetric:

@@ -121,8 +121,7 @@ def sweep_rows():
     wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
     positions = [700, 720, 740, 760]
     cache = build_cache(wl, 0, qhead_to_kvhead(SMALL_GEO, 1))
-    return mass_budget_sweep(wl, SMALL_GEO, 0, 1, cache, positions,
-                             budgets=[8, 32, 128], p=0.9)
+    return mass_budget_sweep(wl, 0, 1, cache, positions, budgets=[8, 32, 128], p=0.9)
 
 
 class TestMassBudgetSweep:
@@ -145,7 +144,7 @@ class TestMassBudgetSweep:
     def test_rejects_empty_positions(self):
         wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
         with pytest.raises(ArgumentError):
-            mass_budget_sweep(wl, SMALL_GEO, 0, 1, build_cache(wl, 0, 0), [], [8], 0.9)
+            mass_budget_sweep(wl, 0, 1, build_cache(wl, 0, 0), [], [8], 0.9)
 
 
 class TestBench:

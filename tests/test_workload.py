@@ -14,7 +14,7 @@ from helpers import gen_rank_teacher
 
 import headsparse.workload as workload_module
 from headsparse.container import save_container
-from headsparse.errors import ArgumentError
+from headsparse.errors import ArgumentError, InternalError
 from headsparse.numerics import softmax
 from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many, rope_table
 from headsparse.workload import (
@@ -118,7 +118,7 @@ class TestKVCacheHead:
     def test_append_rotation_invariant(self):
         rng = np.random.default_rng(0)
         rope = RopeParams(16)
-        cache = KVCacheHead(rope, capacity=2)
+        cache = KVCacheHead(rope, capacity=40)
         keys = rng.normal(size=(40, 16)).astype(np.float32)
         for t in range(40):
             cache.append(keys[t], rng.normal(size=16), t * 3)
@@ -130,7 +130,7 @@ class TestKVCacheHead:
 
     def test_mirrors_match_canonical_storage(self):
         rng = np.random.default_rng(1)
-        cache = KVCacheHead(RopeParams(8))
+        cache = KVCacheHead(RopeParams(8), capacity=7)
         keys, vals = rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
         cache.extend(keys, vals, np.arange(7))
         # float32 buffers: the values rounded once, the keys turned in
@@ -166,17 +166,40 @@ class TestKVCacheHead:
                 assert np.abs(out - out_ref).max() <= 1e-6, name
 
     def test_positions_must_increase(self):
-        cache = KVCacheHead(RopeParams(4))
+        cache = KVCacheHead(RopeParams(4), capacity=2)
         cache.append(np.zeros(4), np.zeros(4), 5)
         with pytest.raises(ArgumentError):
             cache.append(np.zeros(4), np.zeros(4), 5)
 
     def test_visible_count(self):
-        cache = KVCacheHead(RopeParams(4))
+        cache = KVCacheHead(RopeParams(4), capacity=3)
         cache.extend(np.zeros((3, 4)), np.zeros((3, 4)), np.array([0, 4, 9]))
         assert cache.visible_count(0) == 1
         assert cache.visible_count(8) == 2
         assert cache.visible_count(100) == 3
+
+    @pytest.mark.parametrize("groups", [None, 3])
+    def test_append_past_capacity(self, groups):
+        """A store is sized once: the row after the last one it has room
+        for is a broken invariant, and nothing is written."""
+        row = (groups, 4) if groups else (4,)
+        cache = KVCacheHead(RopeParams(4), capacity=3, groups=groups)
+        for t in range(3):
+            cache.append(np.ones(row), np.ones(row), t)
+        with pytest.raises(InternalError):
+            cache.append(np.ones(row), np.ones(row), 3)
+        assert len(cache) == 3 and cache.positions[-1] == 2
+
+    @pytest.mark.parametrize("groups", [None, 3])
+    def test_extend_past_capacity(self, groups):
+        lead = (groups,) if groups else ()
+        cache = KVCacheHead(RopeParams(4), capacity=5, groups=groups)
+        cache.extend(np.ones((*lead, 3, 4)), np.ones((*lead, 3, 4)), np.arange(3))
+        with pytest.raises(InternalError):
+            cache.extend(np.ones((*lead, 3, 4)), np.ones((*lead, 3, 4)), np.arange(3, 6))
+        assert len(cache) == 3
+        cache.extend(np.ones((*lead, 2, 4)), np.ones((*lead, 2, 4)), np.arange(3, 5))
+        assert len(cache) == 5
 
 
 def reference_buffers(rope, keys_pre, values, positions):
@@ -210,7 +233,7 @@ class TestCacheWritesBitIdentical:
         keys = (rng.normal(size=(300, 64)) * 12).astype(dtype)
         vals = (rng.normal(size=(300, 64)) * 0.125).astype(dtype)
         pos = np.arange(300) * 7 + 3
-        cache = KVCacheHead(rope, capacity=16)
+        cache = KVCacheHead(rope, capacity=300)
         cache.extend(keys[:100], vals[:100], pos[:100])
         cache.extend(keys[100:], vals[100:], pos[100:])
         self.assert_identical(self.buffers(cache), reference_buffers(rope, keys, vals, pos))
@@ -222,14 +245,14 @@ class TestCacheWritesBitIdentical:
         keys = (rng.normal(size=(80, 64)) * 12).astype(dtype)
         vals = (rng.normal(size=(80, 64)) * 0.125).astype(dtype)
         pos = np.arange(80) * 1000 + 5
-        cache = KVCacheHead(rope, capacity=2)
+        cache = KVCacheHead(rope, capacity=80)
         cache.extend(keys[:10], vals[:10], pos[:10])
         for k, v, t in zip(keys[10:], vals[10:], pos[10:]):
             cache.append(k, v, t)
         self.assert_identical(self.buffers(cache), reference_buffers(rope, keys, vals, pos))
 
     def test_append_validation(self):
-        cache = KVCacheHead(RopeParams(4))
+        cache = KVCacheHead(RopeParams(4), capacity=1)
         with pytest.raises(ArgumentError):
             cache.append(np.zeros(4), np.zeros(4), -1)
         with pytest.raises(ArgumentError):
@@ -245,7 +268,7 @@ class TestCacheWritesBitIdentical:
 class TestStackedCache:
     """A KVCacheHead with `groups` stacks K KV groups over one positions
     vector; each group's rows have the bits of a one-group cache fed the
-    same rows, through extend, append and the growth of the buffers."""
+    same rows, through extend and append."""
 
     K = 3
 
@@ -257,9 +280,8 @@ class TestStackedCache:
         vals = rng.normal(size=(self.K, 90, 64)) * 0.125
         pos = np.arange(90) * 3 + 1
         table = rope_table(pos[:10], rope) if shared_table else None
-        # capacity 8: the extend grows the buffers, and so do appends 17, 33 and 65
-        stacked = KVCacheHead(rope, capacity=8, groups=self.K)
-        singles = [KVCacheHead(rope, capacity=8) for _ in range(self.K)]
+        stacked = KVCacheHead(rope, capacity=90, groups=self.K)
+        singles = [KVCacheHead(rope, capacity=90) for _ in range(self.K)]
         stacked.extend(keys[:, :10], vals[:, :10], pos[:10], table)
         for g, one in enumerate(singles):
             one.extend(keys[g, :10], vals[g, :10], pos[:10])
@@ -278,7 +300,7 @@ class TestStackedCache:
 
     def test_shape_checks(self):
         rope = RopeParams(8)
-        stacked, plain = KVCacheHead(rope, groups=self.K), KVCacheHead(rope)
+        stacked, plain = KVCacheHead(rope, 6, groups=self.K), KVCacheHead(rope, 6)
         one_group, k_groups = np.zeros((5, 8)), np.zeros((self.K, 5, 8))
         with pytest.raises(ArgumentError):
             stacked.extend(one_group, one_group, np.arange(5))
@@ -417,12 +439,12 @@ class TestCausalScores:
             causal_scores(q, [3], cache)
         with pytest.raises(ArgumentError):
             causal_scores(q[:, :4], [3, 4], cache)
-        late = KVCacheHead(RopeParams(8))
+        late = KVCacheHead(RopeParams(8), capacity=1)
         late.append(np.zeros(8), np.zeros(8), 10)
         with pytest.raises(ArgumentError):
             causal_scores(q, [5, 12], late)
         with pytest.raises(ArgumentError):
-            causal_scores(q, [5, 12], KVCacheHead(RopeParams(8)))
+            causal_scores(q, [5, 12], KVCacheHead(RopeParams(8), capacity=1))
 
 
 class TestAttendRowForms:
@@ -506,7 +528,7 @@ class TestAttendRowForms:
 
 class TestDenseAttention:
     def test_single_token(self):
-        cache = KVCacheHead(RopeParams(4))
+        cache = KVCacheHead(RopeParams(4), capacity=1)
         v = np.array([1.0, 2.0, 3.0, 4.0])
         cache.append(np.ones(4), v, 0)
         row = dense_attention(np.ones(4), 0, cache)
@@ -515,7 +537,7 @@ class TestDenseAttention:
 
     def test_identical_keys_uniform_weights(self):
         rng = np.random.default_rng(2)
-        cache = KVCacheHead(RopeParams(8))
+        cache = KVCacheHead(RopeParams(8), capacity=5)
         key = rng.normal(size=8)
         vals = rng.normal(size=(5, 8))
         # All at position 0..4 with the same pre-RoPE key would rotate apart;
@@ -527,7 +549,7 @@ class TestDenseAttention:
 
     def test_matches_naive_reimplementation(self):
         rng = np.random.default_rng(3)
-        cache = KVCacheHead(RopeParams(16))
+        cache = KVCacheHead(RopeParams(16), capacity=64)
         keys = rng.normal(size=(64, 16))
         cache.extend(keys, rng.normal(size=(64, 16)), np.arange(64))
         for qpos in (0, 17, 63):
@@ -540,27 +562,29 @@ class TestDenseAttention:
 
     def test_causality_and_normalization(self):
         rng = np.random.default_rng(4)
-        cache = KVCacheHead(RopeParams(8))
+        cache = KVCacheHead(RopeParams(8), capacity=30)
         cache.extend(rng.normal(size=(30, 8)), rng.normal(size=(30, 8)), np.arange(30))
         row = dense_attention(rng.normal(size=8), 11, cache)
         assert len(row.weights) == 12  # nothing beyond the query position
         assert row.weights.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_no_visible_token(self):
-        cache = KVCacheHead(RopeParams(4))
+        cache = KVCacheHead(RopeParams(4), capacity=1)
         cache.append(np.zeros(4), np.zeros(4), 10)
         with pytest.raises(ArgumentError):
             dense_attention(np.zeros(4), 5, cache)
 
     def test_scores_consistent_with_row(self):
         rng = np.random.default_rng(5)
-        cache = KVCacheHead(RopeParams(8))
+        cache = KVCacheHead(RopeParams(8), capacity=12)
         cache.extend(rng.normal(size=(12, 8)), rng.normal(size=(12, 8)), np.arange(12))
         q = rng.normal(size=8)
         s = dense_row_scores(q, 9, cache)
         row = dense_attention(q, 9, cache)
         np.testing.assert_allclose(np.exp(s - s.max()) / np.exp(s - s.max()).sum(),
                                    row.weights, atol=1e-12)
+        # the --oracle pass takes its weights this way, without the value sum
+        assert np.array_equal(softmax(s), row.weights)
 
 
 def small_spec(**kw):
