@@ -57,7 +57,7 @@ from .distill import (
     make_toy_model,
     toy_self_distill,
 )
-from .engine import MODES, run_workload
+from .engine import MODES, ROLE_LOCAL, ROLE_RETRIEVAL, run_workload
 from .errors import ArgumentError, ConfigError, InternalError, NumericError
 from .indexer import Projector, Stage1Config, build_stage1_dataset, train_projector
 from .numerics import descending_order
@@ -343,9 +343,11 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         floor = min(r["projected_mass"] for r in rows)
         print(f"decode trace: {len(rows)} rows, mean selected {np.mean(sizes):.1f}, "
               f"mass floor {floor:.4f}")
-        true = [r["true_mass"] for r in rows if r["true_mass"] is not None]
-        if true:
-            print(f"true mass floor {min(true):.4g} over {len(true)} rows")
+        for role in (ROLE_RETRIEVAL, ROLE_LOCAL):
+            true = [r["true_mass"] for r in rows
+                    if r["role"] == role and r["true_mass"] is not None]
+            if true:
+                print(f"true mass floor {role} {min(true):.4g} over {len(true)} rows")
     counts = out / "head_token_counts.csv"
     if counts.exists():
         found += 1

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DecodeTrace, SparsityReport, retrieval_head_decode
+from .engine import (
+    ROLE_LOCAL,
+    ROLE_RETRIEVAL,
+    DecodeTrace,
+    SparsityReport,
+    retrieval_head_decode,
+)
 from .errors import ArgumentError
 from .indexer import ProjectedKeyCache, init_projector
 from .numerics import softmax
@@ -29,7 +35,7 @@ from .workload import (
     visible_rows,
 )
 
-TRACE_HEADER = ["layer", "head", "position", "tokens_selected",
+TRACE_HEADER = ["layer", "head", "role", "position", "tokens_selected",
                 "projected_mass", "true_mass"]
 SCORE_HEADER = ["layer", "head", "score"]
 LOSS_HEADER = ["step", "loss"]
@@ -65,7 +71,7 @@ def write_decode_trace(path: str | Path, traces: Sequence[DecodeTrace]) -> None:
     rows = []
     for t in traces:
         true_mass = "" if t.covered_true_mass is None else repr(t.covered_true_mass)
-        rows.append([t.layer, t.q_head, t.position, t.tokens_selected,
+        rows.append([t.layer, t.q_head, t.role, t.position, t.tokens_selected,
                      repr(t.covered_projected_mass), true_mass])
     write_csv(path, TRACE_HEADER, rows)
 
@@ -74,10 +80,13 @@ def read_decode_trace(path: str | Path) -> list[dict]:
     out = []
     for i, r in enumerate(read_csv(path, TRACE_HEADER), start=2):
         try:
+            if r[2] not in (ROLE_RETRIEVAL, ROLE_LOCAL):
+                raise ValueError(f"unknown role {r[2]!r}")
             out.append({
-                "layer": int(r[0]), "head": int(r[1]), "position": int(r[2]),
-                "tokens_selected": int(r[3]), "projected_mass": float(r[4]),
-                "true_mass": None if r[5] == "" else float(r[5]),
+                "layer": int(r[0]), "head": int(r[1]), "role": r[2],
+                "position": int(r[3]), "tokens_selected": int(r[4]),
+                "projected_mass": float(r[5]),
+                "true_mass": None if r[6] == "" else float(r[6]),
             })
         except (ValueError, IndexError) as e:
             raise ArgumentError(f"{path} line {i}: malformed row {r}: {e}") from e

@@ -21,6 +21,7 @@ heads a causal long-range target that local heads cannot see.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
@@ -414,6 +415,19 @@ VALUE_SCALE = 0.125
 # took 5.5-6.2 s at 1,024 or 4,096 rows and 6.5-6.8 s at 16,384 or 65,536
 # (2 runs each, seed 0, one BLAS thread, 2-core x86 host, numpy 2.4).
 ROW_BLOCK = 4096
+# Most threads that draw the generator's streams at once, never more than
+# the CPUs this process may run on.  numpy releases the GIL while it fills a
+# block with normals: two streams on two threads drew 7.5-8.5 ns a normal,
+# one after the other 13-17 ns (2-core x86 host, numpy 2.4).  Each thread
+# adds its stream's temporaries to the peak: at 16K the traced peak was the
+# workload plus 2.63 float64 (L, d) arrays with one thread, 2.86 with two,
+# 3.24-3.25 with three and 3.37-3.51 with four, and the generator tests hold
+# it under 3, so more threads on a larger host would not pass.
+GEN_WORKERS = 2
+
+
+def _gen_workers() -> int:
+    return min(GEN_WORKERS, len(os.sched_getaffinity(0)))
 
 
 @dataclass(frozen=True)
@@ -585,6 +599,12 @@ def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                            geometry: ModelGeometry | None = None) -> Workload:
     """Deterministic planted-structure workload; see the module docstring."""
+    # Imported here, not with the module: they load logging, and every CLI
+    # start imports this module; a cli-32k set-up (one `--help` start) took
+    # 0.37 -> 0.46 s with them at the top (medians of 10 runs).
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
     geo = geometry if geometry is not None else default_workload_geometry()
     if geo.head_dim < 16:
         raise ArgumentError("generator needs head_dim >= 16 for its sub-bands")
@@ -629,76 +649,125 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     embs = np.concatenate([bg_embs, needle_embs])
     key_amp = np.repeat([BG_KEY_SCALE, NEEDLE_KEY_SCALE], [N_CONTENT, nl])[:, None]
     needle = np.r_[pre : pre + nl, post : post + nl]
-
-    # Noise is drawn and finished one row block at a time in `buf` (the bits
-    # and rng state of one normal(size=(L, d)) * s draw), then stored as f32.
-    buf = np.empty((min(ROW_BLOCK, L), d))
-    blocks = [(a, min(a + ROW_BLOCK, L)) for a in range(0, L, ROW_BLOCK)]
-
-    def noise(rng: np.random.Generator, a: int, b: int, scale: float) -> np.ndarray:
-        return np.multiply(rng.standard_normal(out=buf[: b - a]), scale, out=buf[: b - a])
-
     supports = [(np.asarray(p.support), PROBE_KEY_SCALE * probe_emb[p.kind]) for p in probes]
     planted_local = tuple(
         h for h in range(geo.n_q_heads) if h not in spec.planted_retrieval_heads
     )
-    for layer in range(geo.n_layers):
-        rngs = [derive_rng(seed, f"workload-L{layer}-kv{g}") for g in range(geo.n_kv_heads)]
-        walks = _unit_walks(rngs, L, loc_dim, rho)
-        ids = []
-        for g, rng_kv in enumerate(rngs):
-            # Content id of each position: a background draw, or a needle slot.
-            ids.append(rng_kv.integers(0, N_CONTENT, size=L))
-            ids[g][needle] = N_CONTENT + np.tile(np.arange(nl), 2)
-            for a, b in blocks:
-                k = noise(rng_kv, a, b, NOISE_SCALE)
-                k[:, loc] += LOCAL_KEY_GAIN * walks[a:b, g]
-                k[: max(geo.n_sinks - a, 0), loc] += SINK_KEY_GAIN * sink_dir
-                # Induction keys: position j carries token j-1's content.
-                prev = ids[g][max(a, 1) - 1 : b - 1]
-                k[b - a - prev.size :, con] += key_amp[prev] * embs[prev]
-                for rows, vec in supports:
-                    k[rows[(rows >= a) & (rows < b)] - a, con] += vec
-                keys[layer, g, a:b] = k
-            for a, b in blocks:
-                values[layer, g, a:b] = noise(rng_kv, a, b, VALUE_SCALE)
+    retrieval = sorted(set(spec.planted_retrieval_heads))
 
-        for h in planted_local:
-            rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
-            g = qhead_to_kvhead(geo, h)
-            for a, b in blocks:
-                q = noise(rng_h, a, b, NOISE_SCALE)
-                q[:, loc] += LOCAL_QUERY_GAIN * walks[a:b, g]
-                q[:, loc] += SINK_QUERY_GAIN * sink_dir
-                queries[layer, h, a:b] = q
-        # Retrieval heads read no walk; freed first, the walks are never
-        # resident next to the rows those heads store.
-        del walks
+    # Each stream is one task on a pool of _gen_workers() threads.  A task
+    # draws and finishes its noise one row block at a time in a row buffer
+    # (the bits and rng state of one normal(size=(L, d)) * s draw) and
+    # stores it as f32, so every array has the bytes of the one-thread form.
+    # This thread allocates the buffers, one per worker, and lends each to
+    # one task at a time; so too a retrieval head's content band.  Memory
+    # freed on a worker stays in that thread's heap: row buffers the tasks
+    # allocated themselves left 4 MiB more resident after an 8K or 32K
+    # workload, and worker-made bands raised decode-8k-exact's peak from
+    # 131.8 to 133.4 MiB (128.5 with no pool).
+    blocks = [(a, min(a + ROW_BLOCK, L)) for a in range(0, L, ROW_BLOCK)]
+    workers = _gen_workers()
 
-        for h in sorted(set(spec.planted_retrieval_heads)):
-            rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
-            h_ids = ids[qhead_to_kvhead(geo, h)]
-            # The seek draws follow the noise in the stream, so only the
-            # content band stays f64 until its seek rows are added.
-            content = np.empty((L, con_dim))
-            for a, b in blocks:
-                q = noise(rng_h, a, b, NOISE_SCALE)
-                content[a:b] = q[:, con]
-                queries[layer, h, a:b] = q
-            # Background positions go looking for the successor of a
-            # random earlier token with probability bg_seek_prob.
-            seek = rng_h.random(L) < BG_SEEK_PROB
-            targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
-            seek[:2] = False
-            for a, b in blocks:
-                rows = a + np.flatnonzero(seek[a:b])
-                content[rows] += RETRIEVAL_QUERY_GAIN * embs[h_ids[targets[rows] - 1]]
-            # Needle rows always seek their own slot's content.
-            content[needle] = RETRIEVAL_QUERY_GAIN * embs[h_ids[needle]]
-            for p in probes:
-                if p.head == h:
-                    content[p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
-            queries[layer, h, :, con] = content
+    def lender(shape: tuple[int, ...], n: int) -> queue.SimpleQueue:
+        store = queue.SimpleQueue()
+        for _ in range(n):
+            store.put(np.empty(shape))
+        return store
+
+    row_bufs = lender((min(ROW_BLOCK, L), d), workers)
+
+    def noise(buf: np.ndarray, rng: np.random.Generator, a: int, b: int,
+              scale: float) -> np.ndarray:
+        return np.multiply(rng.standard_normal(out=buf[: b - a]), scale, out=buf[: b - a])
+
+    def kv_group(buf, layer, g, rng_kv, walk, ids):
+        # Content id of each position: a background draw, or a needle slot.
+        ids[g] = g_ids = rng_kv.integers(0, N_CONTENT, size=L)
+        g_ids[needle] = N_CONTENT + np.tile(np.arange(nl), 2)
+        for a, b in blocks:
+            k = noise(buf, rng_kv, a, b, NOISE_SCALE)
+            k[:, loc] += LOCAL_KEY_GAIN * walk[a:b]
+            k[: max(geo.n_sinks - a, 0), loc] += SINK_KEY_GAIN * sink_dir
+            # Induction keys: position j carries token j-1's content.
+            prev = g_ids[max(a, 1) - 1 : b - 1]
+            k[b - a - prev.size :, con] += key_amp[prev] * embs[prev]
+            for rows, vec in supports:
+                k[rows[(rows >= a) & (rows < b)] - a, con] += vec
+            keys[layer, g, a:b] = k
+        for a, b in blocks:
+            values[layer, g, a:b] = noise(buf, rng_kv, a, b, VALUE_SCALE)
+
+    def local_head(buf, layer, h, walk):
+        rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
+        for a, b in blocks:
+            q = noise(buf, rng_h, a, b, NOISE_SCALE)
+            q[:, loc] += LOCAL_QUERY_GAIN * walk[a:b]
+            q[:, loc] += SINK_QUERY_GAIN * sink_dir
+            queries[layer, h, a:b] = q
+
+    def retrieval_head(buf, content, layer, h, h_ids):
+        rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
+        # The seek draws follow the noise in the stream, so only the
+        # content band stays f64 until its seek rows are added.
+        for a, b in blocks:
+            q = noise(buf, rng_h, a, b, NOISE_SCALE)
+            content[a:b] = q[:, con]
+            queries[layer, h, a:b] = q
+        # Background positions go looking for the successor of a
+        # random earlier token with probability bg_seek_prob.
+        seek = rng_h.random(L) < BG_SEEK_PROB
+        targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
+        seek[:2] = False
+        for a, b in blocks:
+            rows = a + np.flatnonzero(seek[a:b])
+            content[rows] += RETRIEVAL_QUERY_GAIN * embs[h_ids[targets[rows] - 1]]
+        # Needle rows always seek their own slot's content.
+        content[needle] = RETRIEVAL_QUERY_GAIN * embs[h_ids[needle]]
+        for p in probes:
+            if p.head == h:
+                content[p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
+        queries[layer, h, :, con] = content
+
+    def lent(stores, task, *args):
+        """task(*bufs, *args), one buffer borrowed from each store for the
+        call; returned even when the task raises, so no later task waits."""
+        bufs = [store.get() for store in stores]
+        try:
+            task(*bufs, *args)
+        finally:
+            for store, buf in zip(stores, bufs):
+                store.put(buf)
+
+    def run_all(pool, stores, calls) -> None:
+        """Run every (task, *args) on the pool and wait for each; a task's
+        exception is raised here as it was (the pool's exit waits for the
+        tasks still running)."""
+        for f in [pool.submit(lent, stores, *call) for call in calls]:
+            f.result()
+
+    with ThreadPoolExecutor(workers) as pool:
+        for layer in range(geo.n_layers):
+            # Phases: this thread steps the walks, whose recurrence is
+            # serial; the pool writes each KV group's ids, keys and values
+            # and each local head's queries; the walks are freed; the pool
+            # writes each retrieval head's queries from the finished ids.
+            rngs = [derive_rng(seed, f"workload-L{layer}-kv{g}") for g in range(geo.n_kv_heads)]
+            walks = _unit_walks(rngs, L, loc_dim, rho)
+            ids: list[np.ndarray | None] = [None] * geo.n_kv_heads
+            run_all(pool, [row_bufs],
+                    [*((kv_group, layer, g, rng, walks[:, g], ids)
+                       for g, rng in enumerate(rngs)),
+                     *((local_head, layer, h, walks[:, qhead_to_kvhead(geo, h)])
+                       for h in planted_local)])
+            # Retrieval heads read no walk; freed first, the walks are never
+            # resident next to the content bands those heads keep, nor the
+            # bands next to the next layer's walks.
+            del walks
+            bands = lender((L, con_dim), min(workers, len(retrieval)))
+            run_all(pool, [row_bufs, bands],
+                    [(retrieval_head, layer, h, ids[qhead_to_kvhead(geo, h)])
+                     for h in retrieval])
+            del bands
 
     ann = WorkloadAnnotations(
         planted_retrieval_heads=tuple(sorted(spec.planted_retrieval_heads)),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import headsparse.cli as cli
+import headsparse.workload as workload_module
 from headsparse.cli import (
     DEFAULT_OUT,
     ENV_OUT,
@@ -440,25 +441,42 @@ class TestReportAndDispatch:
         assert f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB" in printed
 
     def test_report_prints_true_mass_floor(self, tmp_path, capsys):
-        """The floor line appears when the trace carries --oracle masses."""
+        """A floor line per role appears when the trace carries --oracle
+        masses of that role's rows."""
         out = tmp_path / "out"
         out.mkdir()
         cfg = write_config(tmp_path, out)
-        header = "layer,head,position,tokens_selected,projected_mass,true_mass\n"
+        header = "layer,head,role,position,tokens_selected,projected_mass,true_mass\n"
         trace = out / "decode_trace.csv"
-        trace.write_text(header + "0,0,100,5,0.95,0.5\n0,1,100,7,0.92,0.0125\n")
+        trace.write_text(header + "0,0,local,100,5,0.95,0.5\n"
+                         "0,1,retrieval,100,7,0.92,0.0125\n"
+                         "0,1,retrieval,101,9,0.93,0.25\n"
+                         "0,2,local,100,5,0.96,0.75\n")
         assert main(["report", "--config", str(cfg)]) == 0
-        assert "true mass floor 0.0125 over 2 rows" in capsys.readouterr().out
-        trace.write_text(header + "0,0,100,5,0.95,\n")
+        printed = capsys.readouterr().out
+        assert "true mass floor retrieval 0.0125 over 2 rows" in printed
+        assert "true mass floor local 0.5 over 2 rows" in printed
+        trace.write_text(header + "0,0,local,100,5,0.95,\n0,1,retrieval,100,7,0.92,0.25\n")
+        assert main(["report", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out
+        assert "true mass floor retrieval 0.25 over 1 rows" in printed
+        assert "true mass floor local" not in printed
+        trace.write_text(header + "0,0,local,100,5,0.95,\n")
         assert main(["report", "--config", str(cfg)]) == 0
         assert "true mass floor" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("name, text", [
         ("decode_trace.csv",
-         "layer,head,position,tokens_selected,projected_mass,true_mass\n"),
+         "layer,head,role,position,tokens_selected,projected_mass,true_mass\n"),
+        ("decode_trace.csv",
+         "layer,head,role,position,tokens_selected,projected_mass,true_mass\n"
+         "0,x,local,100,5,0.95,\n"),
+        ("decode_trace.csv",
+         "layer,head,role,position,tokens_selected,projected_mass,true_mass\n"
+         "0,1,global,100,5,0.95,\n"),
         ("decode_trace.csv",
          "layer,head,position,tokens_selected,projected_mass,true_mass\n"
-         "0,x,100,5,0.95,\n"),
+         "0,1,100,5,0.95,\n"),
         ("sparsity_report.json",
          '{"compute_sparsity": 0.5, "per_head_active": [[1.0]]}\n'),
         ("sparsity_report.json", '{"compute_sparsity": 0.5, '
@@ -469,7 +487,8 @@ class TestReportAndDispatch:
         ("distill_summary.json", '{"steps": 5}\n'),
         ("bench.csv", "length,mode,median_ms,p95_ms\n4096,dense,abc,1\n"),
         ("bench.csv", "length,mode,median_ms,p95_ms\n4096,dense\n"),
-    ], ids=["header-only-trace", "non-numeric-trace", "report-missing-key",
+    ], ids=["header-only-trace", "non-numeric-trace", "unknown-role-trace",
+            "roleless-trace", "report-missing-key",
             "report-non-numeric", "report-out-of-range", "summary-not-json",
             "summary-missing-keys", "bench-non-numeric", "bench-short-row"])
     def test_bad_artifact_exits_2(self, tmp_path, name, text):
@@ -485,6 +504,20 @@ class TestReportAndDispatch:
         monkeypatch.setitem(cli._COMMANDS, "report", boom)
         cfg = write_config(tmp_path, tmp_path / "out")
         assert main(["report", "--config", str(cfg)]) == 3
+
+    def test_generator_task_error_exits_3(self, monkeypatch, tmp_path):
+        """An InternalError raised on one of the generator's pool threads
+        reaches main as it would from the calling thread."""
+        derive_rng = workload_module.derive_rng
+
+        def failing(seed, name):
+            if name == "workload-L0-q6":
+                raise InternalError("synthetic failure")
+            return derive_rng(seed, name)
+
+        monkeypatch.setattr(workload_module, "derive_rng", failing)
+        cfg = write_config(tmp_path, tmp_path / "out")
+        assert main(["calibrate", "--config", str(cfg)]) == 3
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

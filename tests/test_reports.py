@@ -73,6 +73,7 @@ class TestDecodeTraceFile:
         assert back[1]["true_mass"] is None
         assert back[1]["tokens_selected"] == 12
         assert [r["position"] for r in back] == [40, 41]
+        assert [r["role"] for r in back] == ["retrieval", "local"]
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -6,6 +6,8 @@ kept inside this file, so the production path never validates itself.
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -942,10 +944,11 @@ def assert_matches_per_layer_form(seed, **spec_kw):
 
 
 class TestGenerationOneGroupAtATime:
-    """Generation steps a layer's walks together, writes each KV group's
-    keys and values, then the local and last the retrieval query heads,
-    drawing and finishing all noise one row block at a time; the streams
-    stay byte-equal to the per-layer form."""
+    """Generation steps a layer's walks together, then writes each KV
+    group's keys and values and each local query head on a thread pool, and
+    last the retrieval query heads, drawing and finishing all noise one row
+    block at a time; the streams stay byte-equal to the per-layer form at
+    every pool size."""
 
     @pytest.mark.parametrize("seq_len", [768, 2048])
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -975,13 +978,66 @@ class TestGenerationOneGroupAtATime:
         monkeypatch.setattr(workload_module, "ROW_BLOCK", row_block)
         assert_matches_per_layer_form(3, **layout)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("row_block", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("layout", [
+        dict(seq_len=770),
+        dict(seq_len=768, include_probes=False, post_start=768 - 16),
+        dict(seq_len=771, pre_start=0),
+    ])
+    def test_every_pool_size_matches_per_layer_form(self, monkeypatch, workers,
+                                                    row_block, layout):
+        """The pool forced to one worker and to two, whatever the host's
+        CPUs, at the block layouts above and at whole-stream blocks."""
+        monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
+        monkeypatch.setattr(workload_module, "ROW_BLOCK", row_block)
+        assert_matches_per_layer_form(3, **layout)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        """Eight workers lent eight buffers, switching threads every
+        microsecond: a buffer lent to two tasks at once, or a task reading
+        content ids before their group's task wrote them, moves bytes."""
+        monkeypatch.setattr(workload_module, "_gen_workers", lambda: 8)
+        monkeypatch.setattr(workload_module, "ROW_BLOCK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_matches_per_layer_form(0, seq_len=770)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("label", ["workload-L1-q3", "workload-L1-q1"],
+                             ids=["local-head", "retrieval-head"])
+    def test_task_error_is_raised_as_it_was(self, monkeypatch, workers, label):
+        """An exception inside one stream's task leaves the generator as the
+        same object, after every pool thread has ended; the tasks queued
+        behind it (local heads 4-7, retrieval head 6) still get buffers."""
+        error = InternalError(f"no stream for {label}")
+        derive_rng = workload_module.derive_rng
+
+        def failing(seed, name):
+            if name == label:
+                raise error
+            return derive_rng(seed, name)
+
+        monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
+        monkeypatch.setattr(workload_module, "derive_rng", failing)
+        threads = threading.active_count()
+        with pytest.raises(InternalError) as caught:
+            gen_synthetic_workload(SMALL_SPEC, 3, small_geometry(n_layers=2))
+        assert caught.value is error
+        assert threading.active_count() == threads
+
     def test_peak_is_workload_plus_three_head_arrays(self):
         """At 16K the traced peak stays below the workload plus three
-        float64 (L, d) arrays: a layer's four walks are two of them; the
-        row-block buffer with its temporaries and the layer's content ids,
-        then, once the walks are freed, a retrieval head's (L, 16) content
-        band and seek draws fit in the third (the per-layer form held 5.7,
-        one KV group at a time 2.15, this form 2.56)."""
+        float64 (L, d) arrays: a layer's four walks are two of them; each
+        worker's row buffer with its temporaries and the layer's content
+        ids, then, once the walks are freed, each worker's retrieval head's
+        (L, 16) content band and seek draws fit in the third (the per-layer
+        form held 5.7, one KV group at a time 2.15, the serial form 2.56;
+        the pool held 2.63 with one worker and 2.86 with two, the most
+        workers it starts)."""
         spec = WorkloadSpec(seq_len=16384, decode_len=64)
         geo = default_workload_geometry()
         tracemalloc.start()
