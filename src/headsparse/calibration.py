@@ -14,13 +14,13 @@ query heads are scored in one `workload.causal_scores` call, weights only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .container import read_csv, write_csv
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
 from .rope import rope_table
@@ -145,37 +145,32 @@ def calibrate(workload: Workload) -> list[HeadPartition]:
 
 
 PARTITION_HEADER = ["layer", "head", "score", "role"]
+ROLE_RETRIEVAL = "retrieval"
+ROLE_LOCAL = "local"
+
+
+def parse_role(field: str) -> str:
+    """A head role read from a CSV field; any other value is a ValueError."""
+    if field not in (ROLE_RETRIEVAL, ROLE_LOCAL):
+        raise ValueError(f"unknown role {field!r}")
+    return field
 
 
 def save_partitions(path: str | Path, partitions: Sequence[HeadPartition]) -> None:
-    """Persist per-layer partitions as a small CSV."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(PARTITION_HEADER)
-        for layer, part in enumerate(partitions):
-            for head, score in enumerate(part.scores):
-                role = "retrieval" if part.is_retrieval(head) else "local"
-                # repr round-trips float64 exactly through the CSV.
-                writer.writerow([layer, head, repr(score), role])
+    """Persist per-layer partitions as a small CSV; repr keeps each score exact."""
+    write_csv(path, PARTITION_HEADER, [
+        [layer, head, repr(score), ROLE_RETRIEVAL if part.is_retrieval(head) else ROLE_LOCAL]
+        for layer, part in enumerate(partitions)
+        for head, score in enumerate(part.scores)])
 
 
 def load_partitions(path: str | Path, ratio: float) -> list[HeadPartition]:
     """Rebuild partitions from the CSV; the split is recomputed from scores
     and cross-checked against the stored roles."""
     rows: dict[int, dict[int, tuple[float, str]]] = {}
-    try:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != PARTITION_HEADER:
-                raise ArgumentError(f"unexpected partition header in {path}")
-            for rec in reader:
-                try:
-                    rows.setdefault(int(rec["layer"]), {})[int(rec["head"])] = (
-                        float(rec["score"]), rec["role"])
-                except (TypeError, ValueError) as e:
-                    raise ArgumentError(f"bad row {reader.line_num} in {path}: {e}") from e
-    except OSError as e:
-        raise ArgumentError(f"cannot read partition file {path}: {e}") from e
+    for layer, head, score, role in read_csv(path, PARTITION_HEADER,
+                                             (int, int, float, parse_role)):
+        rows.setdefault(layer, {})[head] = (score, role)
     if not rows:
         raise ArgumentError(f"partition file {path} is empty")
     if sorted(rows) != list(range(len(rows))):
@@ -188,7 +183,7 @@ def load_partitions(path: str | Path, ratio: float) -> list[HeadPartition]:
                 f"{path}: layer {layer} heads are not 0..{len(by_head) - 1}")
         scores = [by_head[h][0] for h in range(len(by_head))]
         part = partition_heads(scores, ratio)
-        stored_ret = {h for h, (_, role) in by_head.items() if role == "retrieval"}
+        stored_ret = {h for h, (_, role) in by_head.items() if role == ROLE_RETRIEVAL}
         if stored_ret != set(part.retrieval_set):
             raise ArgumentError(
                 f"stored roles in {path} disagree with ratio {ratio} at layer {layer}"

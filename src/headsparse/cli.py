@@ -33,15 +33,15 @@ say) they generate it again; both routes give the same arrays bit for bit.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
-timings aside.  Exit codes: 0 success, 2 usage or configuration error,
-3 violated internal invariant.
+timings aside.  Exit codes: 0 success; 2 usage or configuration error,
+an unreadable or malformed artifact or config file, or an output directory
+that cannot be written; 3 violated internal invariant.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -50,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import calibrate, load_partitions, save_partitions
+from .container import read_csv, read_json, write_csv, write_json
 from .distill import (
     Stage2Config,
     build_teacher_cache,
@@ -64,20 +65,20 @@ from .numerics import descending_order
 from .optim import smooth_trace
 from .record import Record
 from .reports import (
+    HEAD_COUNT_COLUMNS,
     HEAD_COUNT_HEADER,
     LOSS_HEADER,
     SCORE_HEADER,
+    SWEEP_COLUMNS,
     SWEEP_HEADER,
     bench_decode,
     bench_metadata,
     head_token_count_rows,
     mass_budget_sweep,
     read_bench,
-    read_csv,
     read_decode_trace,
     read_sparsity_report,
     write_bench,
-    write_csv,
     write_decode_trace,
     write_sparsity_report,
 )
@@ -85,7 +86,6 @@ from .workload import (
     ModelGeometry,
     Workload,
     WorkloadSpec,
-    default_workload_geometry,
     gen_synthetic_workload,
     qhead_to_kvhead,
 )
@@ -99,7 +99,7 @@ WORKLOAD_STEM = "workload"
 class RunConfig(Record):
     """Everything a subcommand needs, validated up front."""
 
-    geometry: ModelGeometry = field(default_factory=default_workload_geometry)
+    geometry: ModelGeometry = field(default_factory=ModelGeometry)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     mode: str = "exact"
     top_k: int | None = None
@@ -137,8 +137,8 @@ class DistillSummary(Record):
 def _read_record(cls: type[Record], path: Path):
     """Decode one JSON file into a record; failures name the file."""
     try:
-        return cls.from_dict(json.loads(path.read_text()))
-    except (OSError, json.JSONDecodeError, ConfigError) as e:
+        return cls.from_dict(read_json(path))
+    except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
@@ -164,10 +164,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
+    """The output directory, made if absent, with config_used.json in it."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
-    (out / "config_used.json").write_text(payload + "\n")
+    write_json(out / "config_used.json", cfg.to_dict(), sort_keys=True)
     return out
 
 
@@ -292,8 +291,7 @@ def cmd_distill_toy(cfg: RunConfig, args: argparse.Namespace) -> None:
         final_smoothed=last,
         ratio=last / first if first > 0 else 0.0,
     )
-    payload = json.dumps(summary.to_dict(), indent=2)
-    (out / "distill_summary.json").write_text(payload + "\n")
+    write_json(out / "distill_summary.json", summary.to_dict())
     print(f"distilled {len(trace)} steps: smoothed loss "
           f"{summary.initial_smoothed:.5f} -> {summary.final_smoothed:.5f}")
 
@@ -305,37 +303,38 @@ def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
                         p=geo.top_p, head_dim=geo.head_dim, r=geo.low_dim,
                         block_size=geo.block_size)
     write_bench(out / "bench.csv", rows)
-    meta = json.dumps(bench_metadata(cfg.seed), indent=2, sort_keys=True)
-    (out / "bench_meta.json").write_text(meta + "\n")
+    write_json(out / "bench_meta.json", bench_metadata(cfg.seed), sort_keys=True)
     for r in rows:
         print(f"L={r.length:>7d} {r.mode:<17s} median {r.median_ms:8.3f} ms  "
               f"p95 {r.p95_ms:8.3f} ms")
 
 
+# every file report reads, in the order it prints them
+REPORTED = ("workload.json", "partition.csv", "sparsity_report.json", "decode_trace.csv",
+            "head_token_counts.csv", "mass_sweep.csv", "bench.csv", "distill_summary.json")
+
+
 def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = Path(cfg.output_dir)
-    found = 0
+    if not any((out / name).exists() for name in REPORTED):
+        raise ConfigError(f"no artifacts found in {out}")
     stem = out / WORKLOAD_STEM
     if stem.with_suffix(".json").exists():
-        found += 1
         wl = Workload.load(stem)
         mib = sum(a.nbytes for a in (wl.queries, wl.keys_pre, wl.values)) / 2**20
         print(f"workload: seq_len {wl.seq_len}, seed {wl.seed}, payload {mib:.1f} MiB")
     partition = out / "partition.csv"
     if partition.exists():
-        found += 1
         for layer, part in enumerate(load_partitions(partition,
                                                      cfg.geometry.retrieval_ratio)):
             print(f"partition layer {layer}: retrieval {sorted(part.retrieval_set)}")
     sparsity = out / "sparsity_report.json"
     if sparsity.exists():
-        found += 1
         rep = read_sparsity_report(sparsity)
         print(f"compute sparsity {rep.compute_sparsity:.4f}, "
               f"memory sparsity {rep.memory_sparsity:.4f}")
     trace_file = out / "decode_trace.csv"
     if trace_file.exists():
-        found += 1
         rows = read_decode_trace(trace_file)
         if not rows:
             raise ArgumentError(f"{trace_file} holds no trace rows")
@@ -348,31 +347,23 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
                     if r["role"] == role and r["true_mass"] is not None]
             if true:
                 print(f"true mass floor {role} {min(true):.4g} over {len(true)} rows")
-    counts = out / "head_token_counts.csv"
-    if counts.exists():
-        found += 1
-        print("per-head token counts:")
-        for row in read_csv(counts, HEAD_COUNT_HEADER):
-            print("  " + " ".join(row))
-    sweep = out / "mass_sweep.csv"
-    if sweep.exists():
-        found += 1
-        print("mass vs budget:")
-        for row in read_csv(sweep, SWEEP_HEADER):
-            print("  " + " ".join(row))
+    for name, title, header, columns in (
+            ("head_token_counts.csv", "per-head token counts:", HEAD_COUNT_HEADER,
+             HEAD_COUNT_COLUMNS),
+            ("mass_sweep.csv", "mass vs budget:", SWEEP_HEADER, SWEEP_COLUMNS)):
+        if (out / name).exists():
+            print(title)
+            for row in read_csv(out / name, header, columns):
+                print("  " + " ".join(map(str, row)))
     bench = out / "bench.csv"
     if bench.exists():
-        found += 1
         for r in read_bench(bench):
             print(f"bench L={r.length} {r.mode}: median {r.median_ms:.3f} ms")
     summary = out / "distill_summary.json"
     if summary.exists():
-        found += 1
         data = _read_record(DistillSummary, summary)
         print(f"distill: smoothed {data.initial_smoothed:.5f} -> "
               f"{data.final_smoothed:.5f} over {data.steps} steps")
-    if found == 0:
-        raise ConfigError(f"no artifacts found in {out}")
 
 
 _COMMANDS = {

@@ -116,9 +116,7 @@ class TeacherCache:
 
     @staticmethod
     def load(stem: str | Path) -> "TeacherCache":
-        tensors, meta = load_container(stem)
-        if meta.get("kind") != "teacher-cache":
-            raise ArgumentError(f"not a teacher cache: kind={meta.get('kind')!r}")
+        tensors, _ = load_container(stem, "teacher-cache", ("indices", "values"))
         return TeacherCache(tensors["indices"], tensors["values"])
 
 

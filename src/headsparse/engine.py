@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import HeadPartition
+from .calibration import ROLE_LOCAL, ROLE_RETRIEVAL, HeadPartition
 from .errors import ArgumentError, InternalError
 from .indexer import ProjectedKeyCache, Projector
 from .numerics import softmax
@@ -66,8 +66,6 @@ from .workload import (
     visible_rows,
 )
 
-ROLE_RETRIEVAL = "retrieval"
-ROLE_LOCAL = "local"
 MODES = ("exact", "histogram", "top_k")
 
 

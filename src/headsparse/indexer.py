@@ -62,11 +62,7 @@ class Projector:
 
     @staticmethod
     def load(stem: str | Path) -> tuple["Projector", dict]:
-        tensors, meta = load_container(stem)
-        if meta.get("kind") != "projector":
-            raise ArgumentError(f"{stem} does not hold a projector")
-        if not {"w_q", "w_k"} <= tensors.keys():
-            raise ArgumentError(f"{stem} lacks tensor w_q or w_k")
+        tensors, meta = load_container(stem, "projector", ("w_q", "w_k"))
         proj = Projector(tensors["w_q"], tensors["w_k"])
         if proj.r != meta.get("r"):
             raise ArgumentError(f"{stem}: manifest r disagrees with tensor shape")

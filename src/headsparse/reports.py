@@ -1,11 +1,10 @@
-"""Artifact emission and measurement: CSV/JSON writers with fixed headers,
-their loaders (every file round-trips), the attention-mass-vs-budget sweep,
+"""Artifact emission and measurement: the fixed headers and column converters
+of the CSV artifacts, their writers and loaders (every file round-trips, and
+all go through headsparse.container), the attention-mass-vs-budget sweep,
 and the decode latency bench."""
 
 from __future__ import annotations
 
-import csv
-import json
 import platform
 import time
 from collections.abc import Sequence
@@ -14,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .calibration import parse_role
+from .container import read_csv, read_json, write_csv, write_json
 from .engine import (
-    ROLE_LOCAL,
-    ROLE_RETRIEVAL,
     DecodeTrace,
     SparsityReport,
     retrieval_head_decode,
@@ -45,68 +44,45 @@ SWEEP_HEADER = ["selector", "budget", "mean_mass", "mean_tokens"]
 BENCH_HEADER = ["length", "mode", "median_ms", "p95_ms"]
 
 
-def write_csv(path: str | Path, header: Sequence[str],
-              rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _optional_float(field: str) -> float | None:
+    return None if field == "" else float(field)
 
 
-def read_csv(path: str | Path, expect_header: Sequence[str] | None = None
-             ) -> list[list[str]]:
+def _int_or_float(field: str) -> int | float:
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as e:
-        raise ArgumentError(f"cannot read {path}: {e}") from e
-    if not rows:
-        raise ArgumentError(f"{path} is empty")
-    if expect_header is not None and rows[0] != list(expect_header):
-        raise ArgumentError(f"{path} header {rows[0]} != {list(expect_header)}")
-    return rows[1:]
+        return int(field)
+    except ValueError:
+        return float(field)
+
+
+# one converter per column of the files `read_csv` loads back
+TRACE_COLUMNS = (int, int, parse_role, int, int, float, _optional_float)
+HEAD_COUNT_COLUMNS = (int, int, parse_role, int, float, int, int, int)
+SWEEP_COLUMNS = (str, _int_or_float, float, float)
+BENCH_COLUMNS = (int, str, float, float)
 
 
 def write_decode_trace(path: str | Path, traces: Sequence[DecodeTrace]) -> None:
-    rows = []
-    for t in traces:
-        true_mass = "" if t.covered_true_mass is None else repr(t.covered_true_mass)
-        rows.append([t.layer, t.q_head, t.role, t.position, t.tokens_selected,
-                     repr(t.covered_projected_mass), true_mass])
-    write_csv(path, TRACE_HEADER, rows)
+    write_csv(path, TRACE_HEADER, [
+        [t.layer, t.q_head, t.role, t.position, t.tokens_selected,
+         repr(t.covered_projected_mass),
+         "" if t.covered_true_mass is None else repr(t.covered_true_mass)]
+        for t in traces])
 
 
 def read_decode_trace(path: str | Path) -> list[dict]:
-    out = []
-    for i, r in enumerate(read_csv(path, TRACE_HEADER), start=2):
-        try:
-            if r[2] not in (ROLE_RETRIEVAL, ROLE_LOCAL):
-                raise ValueError(f"unknown role {r[2]!r}")
-            out.append({
-                "layer": int(r[0]), "head": int(r[1]), "role": r[2],
-                "position": int(r[3]), "tokens_selected": int(r[4]),
-                "projected_mass": float(r[5]),
-                "true_mass": None if r[6] == "" else float(r[6]),
-            })
-        except (ValueError, IndexError) as e:
-            raise ArgumentError(f"{path} line {i}: malformed row {r}: {e}") from e
-    return out
+    return [dict(zip(TRACE_HEADER, r))
+            for r in read_csv(path, TRACE_HEADER, TRACE_COLUMNS)]
 
 
 def write_sparsity_report(path: str | Path, report: SparsityReport) -> None:
-    payload = {
-        "compute_sparsity": report.compute_sparsity,
-        "memory_sparsity": report.memory_sparsity,
-        "per_head_active": report.per_head_active.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"compute_sparsity": report.compute_sparsity,
+                      "memory_sparsity": report.memory_sparsity,
+                      "per_head_active": report.per_head_active.tolist()})
 
 
 def read_sparsity_report(path: str | Path) -> SparsityReport:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ArgumentError(f"cannot read sparsity report {path}: {e}") from e
+    payload = read_json(path)
     try:
         values = {name: float(payload[name])
                   for name in ("compute_sparsity", "memory_sparsity")}
@@ -252,10 +228,4 @@ def write_bench(path: str | Path, rows: Sequence[BenchRow]) -> None:
 
 
 def read_bench(path: str | Path) -> list[BenchRow]:
-    out = []
-    for i, r in enumerate(read_csv(path, BENCH_HEADER), start=2):
-        try:
-            out.append(BenchRow(int(r[0]), r[1], float(r[2]), float(r[3])))
-        except (ValueError, IndexError) as e:
-            raise ArgumentError(f"{path} line {i}: malformed row {r}: {e}") from e
-    return out
+    return [BenchRow(*r) for r in read_csv(path, BENCH_HEADER, BENCH_COLUMNS)]

@@ -38,15 +38,15 @@ from .seeding import derive_rng
 
 @dataclass(frozen=True)
 class ModelGeometry(Record):
-    """Shared shape/configuration record; field defaults follow the
-    reference operating point of the method."""
+    """Shared shape/configuration record.  Its field defaults, the desk-scale
+    geometry the generator was tuned against, fill every key a config omits."""
 
     n_layers: int = 1
     n_q_heads: int = 16
     n_kv_heads: int = 4
     head_dim: int = 64
-    rope_base: float = 10000.0
-    window: int = 8192
+    rope_base: float = 1.0e6
+    window: int = 512
     n_sinks: int = 4
     retrieval_ratio: float = 0.15
     low_dim: int = 16
@@ -502,9 +502,7 @@ class Workload:
         """Read a saved workload back, its tensors mapped from the payload.
         Missing meta keys or tensors, or a tensor whose shape disagrees with
         the recorded geometry and spec, raise ArgumentError."""
-        tensors, meta = load_container(stem)
-        if meta.get("kind") != "workload":
-            raise ArgumentError(f"{stem} does not hold a workload")
+        tensors, meta = load_container(stem, "workload", ("queries", "keys_pre", "values"))
         missing = [k for k in ("seed", "geometry", "spec", "annotations") if k not in meta]
         if missing:
             raise ArgumentError(f"{stem}.json: workload meta lacks {missing}")
@@ -517,9 +515,7 @@ class Workload:
         shapes = {"queries": (geo.n_layers, geo.n_q_heads, spec.seq_len, geo.head_dim),
                   "keys_pre": kv_shape, "values": kv_shape}
         for name, want in shapes.items():
-            got = tensors.get(name)
-            if got is None:
-                raise ArgumentError(f"{stem}: workload lacks tensor {name!r}")
+            got = tensors[name]
             if got.shape != want or got.dtype != np.float32:
                 raise ArgumentError(f"{stem}: tensor {name!r} is {got.dtype}{got.shape}, "
                                     f"expected float32{want}")
@@ -528,13 +524,8 @@ class Workload:
 
 
 def default_workload_geometry(**overrides) -> ModelGeometry:
-    """Desk-scale geometry the generator was tuned against."""
-    base = dict(
-        n_layers=1, n_q_heads=16, n_kv_heads=4, head_dim=64,
-        rope_base=1.0e6, window=512, n_sinks=4,
-    )
-    base.update(overrides)
-    return ModelGeometry(**base)
+    """ModelGeometry's desk-scale defaults with `overrides` applied."""
+    return ModelGeometry(**overrides)
 
 
 def _resolve_layout(spec: WorkloadSpec, geometry: ModelGeometry) -> tuple[int, int, list[int]]:

@@ -1,6 +1,7 @@
 """CLI tests: config parsing and precedence, exit codes, per-subcommand
 artifacts, and cross-mode run behavior."""
 
+import dataclasses
 import json
 import shutil
 
@@ -20,11 +21,16 @@ from headsparse.cli import (
 from headsparse.errors import ConfigError, InternalError
 from headsparse.indexer import init_projector
 from headsparse.reports import read_bench, read_decode_trace, read_sparsity_report
-from headsparse.workload import Workload, default_workload_geometry, gen_synthetic_workload
+from headsparse.workload import (
+    ModelGeometry,
+    Workload,
+    default_workload_geometry,
+    gen_synthetic_workload,
+)
 
 BASE = {
     "geometry": {"n_q_heads": 8, "n_kv_heads": 4, "window": 192,
-                 "rope_base": 1.0e6, "retrieval_ratio": 0.25},
+                 "retrieval_ratio": 0.25},
     "workload": {"seq_len": 768, "decode_len": 64, "diffuse_support": 200,
                  "planted_retrieval_heads": [1, 6], "probe_head": 1},
     "stage1": {"steps": 30, "warmup_steps": 5, "rows_per_step": 8},
@@ -57,6 +63,20 @@ def artifacts(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def full_artifacts(artifacts, tmp_path_factory):
+    """`artifacts` plus what run, distill-toy and bench write: a directory
+    holding every file report reads."""
+    root = tmp_path_factory.mktemp("cli-full")
+    out = root / "art"
+    shutil.copytree(artifacts, out)
+    cfg = write_config(root, out)
+    for argv in (["run"], ["distill-toy"],
+                 ["bench", "--lengths", "256", "--bench-steps", "2"]):
+        assert main([*argv, "--config", str(cfg)]) == 0
+    return out
+
+
 def clone_artifacts(artifacts, tmp_path):
     out = tmp_path / "art"
     shutil.copytree(artifacts, out)
@@ -69,6 +89,22 @@ class TestConfigParsing:
         assert cfg.mode == "exact"
         assert cfg.seed == 0
         assert cfg.geometry == default_workload_geometry()
+
+    # one non-default value for every geometry field
+    GEOMETRY_VALUES = {"n_layers": 2, "n_q_heads": 8, "n_kv_heads": 2, "head_dim": 32,
+                       "rope_base": 1.0e4, "window": 48, "n_sinks": 0,
+                       "retrieval_ratio": 0.25, "low_dim": 8, "top_p": 0.95,
+                       "block_size": 32}
+
+    def test_geometry_values_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(ModelGeometry) if f.init}
+        assert set(self.GEOMETRY_VALUES) == fields
+
+    @pytest.mark.parametrize("key", sorted(GEOMETRY_VALUES))
+    def test_one_key_geometry_section_keeps_the_other_defaults(self, key):
+        value = self.GEOMETRY_VALUES[key]
+        cfg = RunConfig.from_dict({"geometry": {key: value}})
+        assert cfg.geometry == dataclasses.replace(RunConfig().geometry, **{key: value})
 
     def test_round_trip(self):
         cfg = RunConfig.from_dict(BASE)
@@ -249,7 +285,7 @@ class TestRun:
         cfg = write_config(tmp_path, out, geometry={"head_dim": 128})
         assert main(["run", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("edit", ["non_numeric_score", "missing_head_row"])
+    @pytest.mark.parametrize("edit", ["non_numeric_score", "unknown_role", "missing_head_row"])
     def test_bad_partition_rows_exit_2(self, artifacts, tmp_path, edit):
         out = clone_artifacts(artifacts, tmp_path)
         path = out / "partition.csv"
@@ -257,6 +293,8 @@ class TestRun:
         assert lines[4].startswith("0,3,")
         if edit == "non_numeric_score":
             lines[4] = "0,3,high,local"
+        elif edit == "unknown_role":
+            lines[4] = lines[4].replace(",local", ",global")
         else:
             del lines[4]
         path.write_text("\n".join(lines) + "\n")
@@ -523,3 +561,48 @@ class TestReportAndDispatch:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# a quoted field over the csv module's 131,072-character limit
+OVERSIZED_ROW = '"' + "x" * 200_000 + '"\r\n'
+
+
+class TestCorruptFiles:
+    """A file that cannot be decoded or parsed, or an --out that names a
+    file, exits 2 with one line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("command, name, corruption", [
+        ("report", "config.json", "bad_bytes"),
+        ("run", "partition.csv", "bad_bytes"),
+        ("run", "projector-L0H1.json", "bad_bytes"),
+        ("report", "workload.json", "bad_bytes"),
+        ("report", "sparsity_report.json", "bad_bytes"),
+        ("report", "decode_trace.csv", "bad_bytes"),
+        ("report", "head_token_counts.csv", "bad_bytes"),
+        ("report", "mass_sweep.csv", "bad_bytes"),
+        ("report", "bench.csv", "bad_bytes"),
+        ("report", "distill_summary.json", "bad_bytes"),
+        ("run", "partition.csv", "oversized_field"),
+        ("report", "decode_trace.csv", "oversized_field"),
+        ("report", "bench.csv", "oversized_field"),
+        ("distill-toy", "afile", "out_is_a_file"),
+    ])
+    def test_exits_2_naming_the_file(self, full_artifacts, tmp_path, capsys,
+                                     command, name, corruption):
+        out = clone_artifacts(full_artifacts, tmp_path)
+        cfg = write_config(tmp_path, out)
+        argv = [command, "--config", str(cfg)]
+        path = tmp_path / name if name in ("config.json", "afile") else out / name
+        if corruption == "bad_bytes":
+            path.write_bytes(b"\xff" + path.read_bytes())
+        elif corruption == "oversized_field":
+            with open(path, "a", newline="") as fh:
+                fh.write(OVERSIZED_ROW)
+        else:
+            path.write_text("not a directory\n")
+            argv += ["--out", str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err

@@ -1,11 +1,18 @@
-"""Round-trip and format checks for the tensor container."""
+"""Round-trip and format checks for the tensor container, and the CSV and
+JSON reader's rejection of files it cannot decode or parse."""
 
 import json
 
 import numpy as np
 import pytest
 
-from headsparse.container import load_container, save_container
+from headsparse.container import (
+    load_container,
+    read_csv,
+    read_json,
+    save_container,
+    write_csv,
+)
 from headsparse.errors import ArgumentError
 
 
@@ -60,6 +67,16 @@ def test_missing_file_is_argument_error(tmp_path):
         load_container(tmp_path / "absent")
 
 
+def test_kind_and_tensor_names_checked(tmp_path):
+    save_container(tmp_path / "t", {"a": np.zeros(2, np.float32)}, {"kind": "blob"})
+    tensors, _ = load_container(tmp_path / "t", "blob", ("a",))
+    assert list(tensors) == ["a"]
+    with pytest.raises(ArgumentError, match="does not hold a projector"):
+        load_container(tmp_path / "t", "projector")
+    with pytest.raises(ArgumentError, match=r"lacks tensors \['b'\]"):
+        load_container(tmp_path / "t", "blob", ("a", "b"))
+
+
 def test_truncated_payload_detected(tmp_path):
     save_container(tmp_path / "t", {"x": np.zeros(8, np.float32)})
     raw = (tmp_path / "t.bin").read_bytes()
@@ -92,4 +109,48 @@ def test_malformed_manifest_is_argument_error(tmp_path, edit):
     MANIFEST_EDITS[edit](manifest)
     path.write_text(json.dumps(manifest))
     with pytest.raises(ArgumentError):
+        load_container(tmp_path / "t")
+
+
+CSV_HEADER = ["n", "x"]
+BAD_CSV = {
+    "bad_bytes": (b"\xff" + b"n,x\r\n1,0.5\r\n", "cannot read"),
+    "oversized_field": (b'n,x\r\n1,"' + b"y" * 200_000 + b'"\r\n', "field larger"),
+    "short_row": (b"n,x\r\n1,0.5\r\n2\r\n", "line 3: 1 fields, expected 2"),
+    "non_numeric_field": (b"n,x\r\n1,0.5\r\nthree,0.5\r\n", "line 3: malformed row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSV))
+def test_read_csv_rejects_malformed_file(tmp_path, case):
+    content, message = BAD_CSV[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(ArgumentError, match=message) as info:
+        read_csv(path, CSV_HEADER, (int, float))
+    assert str(path) in str(info.value)
+
+
+def test_read_csv_converts_each_column(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, CSV_HEADER, [[1, 0.5], [2, 0.25]])
+    assert read_csv(path, CSV_HEADER, (int, float)) == [[1, 0.5], [2, 0.25]]
+    assert read_csv(path, CSV_HEADER) == [["1", "0.5"], ["2", "0.25"]]
+
+
+@pytest.mark.parametrize("content", [b'\xff{"k": 1}', b'{"k": ', b"[" * 100_000],
+                         ids=["bad_bytes", "truncated", "nested_too_deep"])
+def test_read_json_rejects_malformed_file(tmp_path, content):
+    path = tmp_path / "t.json"
+    path.write_bytes(content)
+    with pytest.raises(ArgumentError, match="cannot read") as info:
+        read_json(path)
+    assert str(path) in str(info.value)
+
+
+def test_manifest_with_bad_bytes_is_argument_error(tmp_path):
+    save_container(tmp_path / "t", {"x": np.zeros(2, np.float32)})
+    path = tmp_path / "t.json"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(ArgumentError, match="t.json"):
         load_container(tmp_path / "t")

@@ -50,13 +50,13 @@ class TestCsvPlumbing:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArgumentError):
-            read_csv(tmp_path / "absent.csv")
+            read_csv(tmp_path / "absent.csv", ["a", "b"])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(ArgumentError):
-            read_csv(path)
+        with pytest.raises(ArgumentError, match="is empty"):
+            read_csv(path, ["a", "b"])
 
 
 class TestDecodeTraceFile:

@@ -75,7 +75,8 @@ def oracle_on_rows(queries_pre, qpos, cache, rows, scale):
 class TestGeometry:
     def test_defaults(self):
         g = ModelGeometry()
-        assert g.window == 8192 and g.n_sinks == 4
+        assert g == default_workload_geometry()
+        assert g.rope_base == 1.0e6 and g.window == 512 and g.n_sinks == 4
         assert g.retrieval_ratio == 0.15 and g.low_dim == 16
         assert g.top_p == 0.9 and g.block_size == 64
         assert g.scale == pytest.approx(1 / 8)
