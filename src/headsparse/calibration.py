@@ -170,7 +170,9 @@ def load_partitions(path: str | Path, ratio: float) -> list[HeadPartition]:
     rows: dict[int, dict[int, tuple[float, str]]] = {}
     for layer, head, score, role in read_csv(path, PARTITION_HEADER,
                                              (int, int, float, parse_role)):
-        rows.setdefault(layer, {})[head] = (score, role)
+        if head in rows.setdefault(layer, {}):
+            raise ArgumentError(f"{path}: layer {layer} head {head} appears twice")
+        rows[layer][head] = (score, role)
     if not rows:
         raise ArgumentError(f"partition file {path} is empty")
     if sorted(rows) != list(range(len(rows))):

@@ -58,7 +58,7 @@ from .distill import (
     make_toy_model,
     toy_self_distill,
 )
-from .engine import MODES, ROLE_LOCAL, ROLE_RETRIEVAL, run_workload
+from .engine import MODES, ROLE_LOCAL, ROLE_RETRIEVAL, check_mode, run_workload
 from .errors import ArgumentError, ConfigError, InternalError, NumericError
 from .indexer import Projector, Stage1Config, build_stage1_dataset, train_projector
 from .numerics import descending_order
@@ -111,12 +111,7 @@ class RunConfig(Record):
     bench_steps: int = 30
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown selector mode {self.mode!r}")
-        if self.mode == "top_k" and self.top_k is None:
-            raise ConfigError("top_k mode needs a top_k budget")
-        if self.top_k is not None and self.top_k < 1:
-            raise ConfigError(f"top_k budget must be >= 1, got {self.top_k}")
+        check_mode(self.mode, self.top_k)
         if not self.bench_lengths or min(self.bench_lengths) < 1:
             raise ConfigError("bench_lengths must be a non-empty list of positive ints")
         if self.bench_steps < 1:

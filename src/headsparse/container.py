@@ -109,34 +109,28 @@ def save_container(stem: str | Path, tensors: Mapping[str, np.ndarray],
     Each tensor streams to the payload in turn, so no copy of the whole
     payload is held.  Both files are written under temporary names and
     renamed into place, payload first and manifest last: arrays mapped
-    from an earlier container of the same stem keep reading its bytes."""
+    from an earlier container of the same stem keep reading its bytes.  An
+    OSError on the way raises ArgumentError naming the file."""
     stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
     bin_path, json_path = stem.with_suffix(".bin"), stem.with_suffix(".json")
     bin_tmp, json_tmp = (p.with_name(p.name + ".tmp") for p in (bin_path, json_path))
     entries = []
     offset = 0
-    with open(bin_tmp, "wb") as f:
-        for name, arr in tensors.items():
-            a = _canon(np.asarray(arr))
-            a.tofile(f)
-            entries.append({
-                "name": name,
-                "dtype": str(a.dtype.str),
-                "shape": list(a.shape),
-                "offset": offset,
-                "nbytes": a.nbytes,
-            })
-            offset += a.nbytes
-    manifest = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "meta": dict(meta) if meta else {},
-        "tensors": entries,
-    }
-    write_json(json_tmp, manifest)
-    os.replace(bin_tmp, bin_path)
-    os.replace(json_tmp, json_path)
+    try:
+        stem.parent.mkdir(parents=True, exist_ok=True)
+        with open(bin_tmp, "wb") as f:
+            for name, arr in tensors.items():
+                a = _canon(np.asarray(arr))
+                a.tofile(f)
+                entries.append({"name": name, "dtype": a.dtype.str, "shape": list(a.shape),
+                                "offset": offset, "nbytes": a.nbytes})
+                offset += a.nbytes
+        write_json(json_tmp, {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                              "meta": dict(meta) if meta else {}, "tensors": entries})
+        os.replace(bin_tmp, bin_path)
+        os.replace(json_tmp, json_path)
+    except OSError as e:
+        raise ArgumentError(f"cannot write {stem}: {e}") from e
 
 
 def _map_payload(path: Path) -> mmap.mmap | bytearray:

@@ -99,7 +99,7 @@ class ProjectedKeyCache:
 
     def extend(self, keys_pre: np.ndarray) -> None:
         """Project (m, head_dim) new key rows, rounded to float32 as the
-        cache stores them, one ROPE_BLOCK of rows at a time."""
+        cache stores them, one row_blocks block at a time."""
         keys = np.asarray(keys_pre)
         if keys.ndim != 2 or keys.shape[1] != self.projector.head_dim:
             raise ArgumentError(f"keys must be (m, {self.projector.head_dim}), got {keys.shape}")

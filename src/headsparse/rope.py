@@ -6,8 +6,8 @@ Layout is interleaved: frequency pair j (0-based) lives at vector indices
 theta_j = base ** (-2j / head_dim).  Rotating q by m and k by n makes their
 dot product a function of the offset m - n alone.
 
-Every rotation goes through `_turn`.  `rope_apply` turns a matrix
-ROPE_BLOCK rows at a time straight into the caller's buffer, so a bulk
+Every rotation goes through `_turn`.  `rope_apply` turns a matrix one
+row_blocks block at a time straight into the caller's buffer, so a bulk
 build holds no full-length temporary.  Each block takes its cos/sin rows
 from a `RopeTable` that a caller turning several KV heads at the same
 positions computes once and shares, or else computes them for itself.
@@ -56,25 +56,27 @@ class RopeTable(NamedTuple):
     sin: np.ndarray
 
 
-# Rows per block of rope_apply, of ProjectedKeyCache.extend and of the
-# float64 oracle's widened keys and values (workload._widened_blocks): a block's
-# cos/sin and turn temporaries take a few MiB at head_dim 64, against
-# 64 MiB for one table over a 128K stream.  A 128K build_cache took
-# 0.25-0.38 s at 1,024 rows, 0.26-0.28 s at 4,096 and 0.29 s at 16,384
+# Rows per block of every blocked loop (row_blocks): rope_apply,
+# ProjectedKeyCache.extend, the float64 oracle's widened keys and values,
+# attend's value sums and the generator's noise draws.  A block's cos/sin
+# and turn temporaries take a few MiB at head_dim 64, against 64 MiB for
+# one table over a 128K stream.  A 128K build_cache took 0.25-0.38 s at
+# 1,024 rows, 0.26-0.28 s at 4,096 and 0.29 s at 16,384; a 128K workload
+# took 5.5-6.2 s at 1,024 or 4,096 rows and 6.5-6.8 s at 16,384 or 65,536
 # (2 runs each, seed 0, one BLAS thread, 2-core x86 host, numpy 2.4).
 ROPE_BLOCK = 4096
 
 
 def row_blocks(n: int) -> list[slice]:
-    """ceil(n / ROPE_BLOCK) consecutive slices over rows 0..n-1, of lengths
-    that differ by at most one row.  No block is left short, because a
-    product over a few rows can round differently from the same rows in a
-    taller one (OpenBLAS takes a small-matrix kernel below about 100 rows of
-    a 64 x 16 projection), so blocked projections of n > ROPE_BLOCK rows
-    keep the bits of one product over all of them."""
-    k = -(-n // ROPE_BLOCK)
-    edges = [i * n // k for i in range(k + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    """The one block rule: consecutive slices over rows 0..n-1 that start at
+    multiples of ROPE_BLOCK, the last taking the remainder, so none is
+    shorter than ROPE_BLOCK unless all n rows are (no slices for n = 0).
+    A product over a few rows can round differently from the same rows in
+    a taller one (OpenBLAS takes a small-matrix kernel below about 100 rows
+    of a 64 x 16 projection), so blocked projections keep the bits of one
+    product over all n rows."""
+    starts = list(range(0, max(n - ROPE_BLOCK, 0) + 1, ROPE_BLOCK)) if n else []
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def _turn(arr: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -100,7 +102,7 @@ def rope_table(positions: np.ndarray, params: RopeParams) -> RopeTable:
 def rope_apply(mat: np.ndarray, positions: np.ndarray, params: RopeParams,
                table: RopeTable | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate row i of mat, (n, head_dim), by its angle at positions[i], one
-    ROPE_BLOCK of rows at a time.  A block's cos/sin are the same rows of
+    row_blocks block at a time.  A block's cos/sin are the same rows of
     `table`, rope_table(positions) held by a caller that turns several
     matrices at these positions, or else rope_table of the block's own
     positions.  Each block turns in float64, is rounded to mat's dtype and

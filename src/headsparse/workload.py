@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError, InternalError
 from .numerics import softmax
 from .record import Record
-from .rope import ROPE_BLOCK, RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many
+from .rope import RopeParams, RopeTable, rope_apply, rope_rotate, rope_rotate_many, row_blocks
 from .seeding import derive_rng
 
 
@@ -251,20 +250,22 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     shape (K, n, d)) takes (K, G, d) queries, each group's against its own
     rows, and with the same bits as that group's rows attended alone.
     `rows` is a slice, an index array, or a tuple of disjoint ones scored as
-    one set, so a union of spans needs no gathered copy.  An index array
-    denser than DENSE_SHARE of its span scores the whole span in one
-    product and takes the softmax of the set's scores; its weights, zero
-    off the set, meet the span's values in one dense product.  A sparser
-    array is gathered.  Returns float64 (weights, output), the weights in
-    the order of `rows`.
+    one set, so a union of spans needs no gathered copy.  Each is one part,
+    read in place or gathered; an index array denser than DENSE_SHARE of
+    its span is instead one part over the whole span, whose scores are
+    taken at the set and whose weights are zero off it.  Returns float64
+    (weights, output), the weights in the order of `rows`.
 
     The products read the float32 cache as it is stored: the query turns
     in float64 and is rounded to float32, each query row scores as its own
     product, and the float64 softmax's weights are rounded to float32 for
-    the value product.  Both products are bandwidth-bound, so float32 halves
-    what they read; one float64 operand against float32 rows would fall off
-    BLAS.  Against the float64 oracle on the same set the output moves by
-    at most a few 1e-7 on the generated workloads."""
+    the value product.  That product runs over each part's row_blocks, and
+    the float32 block sums add up in float64, so no float32 sum runs over
+    more than 2 * ROPE_BLOCK - 1 rows.  Both products are bandwidth-bound,
+    so float32 halves what they read; one float64 operand against float32
+    rows would fall off BLAS.  Against the float64 oracle on the same set
+    the output moves by at most a few 1e-7 (see engine), also over a
+    131,072-row span."""
     scale = cache.rope.scale
     keys, values = cache.keys_post, cache.values
     if keys.ndim == 2:  # one KV group
@@ -272,21 +273,21 @@ def attend(queries_pre: np.ndarray, query_position: int, cache: KVCacheHead,
     d = keys.shape[-1]
     q32 = rope_rotate(np.reshape(queries_pre, (-1, d)), query_position, cache.rope)
     q32 = q32.astype(np.float32).reshape(len(keys), -1, d)
-    if span := _dense_span(rows):
-        scores = _row_products(q32, keys[:, :span].swapaxes(1, 2))[..., rows]
-        weights = softmax(np.multiply(scores, scale, dtype=np.float64))
-        dense = np.zeros((*q32.shape[:2], span), np.float32)
-        dense[..., rows] = _weights32(weights)
-        out = _row_products(dense, values[:, :span]).astype(np.float64)
-    else:
-        rows = rows if isinstance(rows, tuple) else (rows,)
-        blocks = [_row_products(q32, keys[:, r].swapaxes(1, 2)) for r in rows]
-        weights = softmax(np.multiply(np.concatenate(blocks, axis=-1), scale, dtype=np.float64))
-        w32 = _weights32(weights)
-        out = np.zeros(q32.shape)
-        edges = [0, *accumulate(b.shape[-1] for b in blocks)]
-        for r, a, b in zip(rows, edges, edges[1:]):
-            out += _row_products(w32[..., a:b], values[:, r])
+    span = _dense_span(rows)
+    parts = (slice(0, span),) if span else rows if isinstance(rows, tuple) else (rows,)
+    scores = np.concatenate([_row_products(q32, keys[:, r].swapaxes(1, 2)) for r in parts], -1)
+    weights = softmax(np.multiply(scores[..., rows] if span else scores, scale, dtype=np.float64))
+    w32 = _weights32(weights)
+    if span:  # the set's weights in place over the span, zero off it
+        w32, on_set = np.zeros((*w32.shape[:-1], span), np.float32), w32
+        w32[..., rows] = on_set
+    out = np.zeros(q32.shape)
+    a = 0
+    for r in parts:
+        v = values[:, r]
+        for b in row_blocks(v.shape[1]):
+            out += _row_products(w32[..., a + b.start : a + b.stop], v[:, b])
+        a += v.shape[1]
     lead = np.shape(queries_pre)[:-1]
     return weights.reshape(*lead, -1), out.reshape(*lead, -1)
 
@@ -302,16 +303,11 @@ def visible_rows(cache: KVCacheHead, query_position: int) -> slice:
 
 
 def _widened_blocks(rows: np.ndarray):
-    """(start, a block of rows widened to float64) over the whole of rows.
-    Blocks start at multiples of ROPE_BLOCK and the last one takes the
-    remainder, so none is narrower than ROPE_BLOCK unless all rows are: a
-    product over each block then keeps the bits of one float64 product over
-    all rows.  Near-equal widths such as 4,095, or a narrow tail block
-    (which OpenBLAS multiplies with another kernel), do not."""
-    n = len(rows)
-    edges = [*range(0, max(n - ROPE_BLOCK, 0) + 1, ROPE_BLOCK), n]
-    for a, b in zip(edges, edges[1:]):
-        yield a, rows[a:b].astype(np.float64)
+    """(start, a block of rows widened to float64) over the whole of rows,
+    one row_blocks block each, so a product over each block keeps the bits
+    of one float64 product over all rows."""
+    for r in row_blocks(len(rows)):
+        yield r.start, rows[r].astype(np.float64)
 
 
 def _oracle_scores(q_rot: np.ndarray, cache: KVCacheHead, n: int, scale: float) -> np.ndarray:
@@ -411,10 +407,6 @@ SINK_KEY_GAIN = 8.0
 SINK_QUERY_GAIN = 2.0
 NOISE_SCALE = 0.1
 VALUE_SCALE = 0.125
-# Rows the generator draws and finishes per noise block.  A 128K workload
-# took 5.5-6.2 s at 1,024 or 4,096 rows and 6.5-6.8 s at 16,384 or 65,536
-# (2 runs each, seed 0, one BLAS thread, 2-core x86 host, numpy 2.4).
-ROW_BLOCK = 4096
 # Most threads that draw the generator's streams at once, never more than
 # the CPUs this process may run on.  numpy releases the GIL while it fills a
 # block with normals: two streams on two threads drew 7.5-8.5 ns a normal,
@@ -560,15 +552,15 @@ def _unit_walks(rngs: list[np.random.Generator], n_steps: int, dim: int, rho: fl
     """Unit-norm correlated walks, one per rng: corr(w_t, w_s) ~ rho^|t-s|.
     Returns (n_steps, len(rngs), dim); walk g is [:, g].
 
-    Each rng draws its n_steps + 1 noise rows in row blocks, which leaves it
+    Each rng draws its n_steps + 1 noise rows in row_blocks, which leaves it
     where one draw per step would and yields the same rows; each step then
     updates every walk's row in place.  A step is drift * noise + rho * w
     divided by sqrt(w . w), the dot a stacked matmul: the roundings of the
     per-step form with np.linalg.norm, so each walk is bit-identical to it."""
     walk = np.empty((n_steps + 1, len(rngs), dim))
     for g, rng in enumerate(rngs):
-        for a in range(0, n_steps + 1, ROW_BLOCK):
-            walk[a : a + ROW_BLOCK, g] = rng.normal(size=(min(ROW_BLOCK, n_steps + 1 - a), dim))
+        for r in row_blocks(n_steps + 1):
+            walk[r, g] = rng.normal(size=(r.stop - r.start, dim))
     walk[1:] *= np.sqrt(max(1.0 - rho * rho, 0.0))
     # Step t's rows as (G, 1, dim) and (G, dim, 1) views: row @ col is each
     # walk's (1, 1) dot.
@@ -647,8 +639,8 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     retrieval = sorted(set(spec.planted_retrieval_heads))
 
     # Each stream is one task on a pool of _gen_workers() threads.  A task
-    # draws and finishes its noise one row block at a time in a row buffer
-    # (the bits and rng state of one normal(size=(L, d)) * s draw) and
+    # draws and finishes its noise one row_blocks block at a time in a row
+    # buffer (the bits and rng state of one normal(size=(L, d)) * s draw) and
     # stores it as f32, so every array has the bytes of the one-thread form.
     # This thread allocates the buffers, one per worker, and lends each to
     # one task at a time; so too a retrieval head's content band.  Memory
@@ -656,7 +648,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     # allocated themselves left 4 MiB more resident after an 8K or 32K
     # workload, and worker-made bands raised decode-8k-exact's peak from
     # 131.8 to 133.4 MiB (128.5 with no pool).
-    blocks = [(a, min(a + ROW_BLOCK, L)) for a in range(0, L, ROW_BLOCK)]
+    blocks = [(r.start, r.stop) for r in row_blocks(L)]
     workers = _gen_workers()
 
     def lender(shape: tuple[int, ...], n: int) -> queue.SimpleQueue:
@@ -665,7 +657,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             store.put(np.empty(shape))
         return store
 
-    row_bufs = lender((min(ROW_BLOCK, L), d), workers)
+    row_bufs = lender((blocks[-1][1] - blocks[-1][0], d), workers)  # the longest
 
     def noise(buf: np.ndarray, rng: np.random.Generator, a: int, b: int,
               scale: float) -> np.ndarray:

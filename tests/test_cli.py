@@ -285,8 +285,9 @@ class TestRun:
         cfg = write_config(tmp_path, out, geometry={"head_dim": 128})
         assert main(["run", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("edit", ["non_numeric_score", "unknown_role", "missing_head_row"])
-    def test_bad_partition_rows_exit_2(self, artifacts, tmp_path, edit):
+    @pytest.mark.parametrize("edit", ["non_numeric_score", "unknown_role", "missing_head_row",
+                                      "duplicate_head_row"])
+    def test_bad_partition_rows_exit_2(self, artifacts, tmp_path, capsys, edit):
         out = clone_artifacts(artifacts, tmp_path)
         path = out / "partition.csv"
         lines = path.read_text().splitlines()
@@ -295,11 +296,15 @@ class TestRun:
             lines[4] = "0,3,high,local"
         elif edit == "unknown_role":
             lines[4] = lines[4].replace(",local", ",global")
-        else:
+        elif edit == "missing_head_row":
             del lines[4]
+        else:  # a copied row, which would otherwise load as one head
+            lines.append(lines[4])
         path.write_text("\n".join(lines) + "\n")
         cfg = write_config(tmp_path, out)
+        capsys.readouterr()
         assert main(["run", "--config", str(cfg)]) == 2
+        assert "partition.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["shape", "no_tensors", "renamed_tensor"])
     def test_malformed_projector_manifest_exits_2(self, artifacts, tmp_path, edit):
@@ -329,6 +334,12 @@ class TestRun:
         out = clone_artifacts(artifacts, tmp_path)
         cfg = write_config(tmp_path, out)
         assert main(["run", "--config", str(cfg), "--mode", "top_k"]) == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "histogram", "top_k"])
+    def test_budget_below_one_exits_2_under_any_mode(self, artifacts, tmp_path, mode):
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out)
+        assert main(["run", "--config", str(cfg), "--mode", mode, "--top-k", "0"]) == 2
 
     def test_p_one_matches_local_savings_closed_form(self, artifacts, tmp_path):
         # At p = 1.0 retrieval heads cover every visible token, so the only
@@ -556,6 +567,20 @@ class TestReportAndDispatch:
         monkeypatch.setattr(workload_module, "derive_rng", failing)
         cfg = write_config(tmp_path, tmp_path / "out")
         assert main(["calibrate", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("name", ["workload.bin.tmp", "workload.json.tmp",
+                                      "workload.bin", "workload.json"])
+    def test_unwritable_container_exits_2_naming_the_file(self, tmp_path, capsys, name):
+        """A directory where the workload's payload or manifest is written,
+        or renamed into place, ends calibrate with exit 2 naming it."""
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, out)
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert "Traceback" not in err
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

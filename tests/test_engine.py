@@ -633,11 +633,13 @@ class TestRunWorkload:
         with pytest.raises(ArgumentError):
             run_workload(SMALL_WORKLOAD, SMALL_GEO, [part], {})
 
-    @pytest.mark.parametrize("mode, top_k", [("bogus", None), ("top_k", None), ("top_k", 0)])
+    @pytest.mark.parametrize("mode, top_k", [("bogus", None), ("top_k", None), ("top_k", 0),
+                                             ("exact", 0), ("histogram", -1)])
     @pytest.mark.parametrize("planted", [(), (1, 6)])
     def test_bad_mode_before_any_cache(self, monkeypatch, mode, top_k, planted):
-        """An unknown mode, or top_k mode without a positive budget, is
-        refused before prefill, also when no head would ever select."""
+        """An unknown mode, top_k mode without a budget, or a budget below
+        one token under any mode, is refused before prefill, also when no
+        head would ever select."""
         import headsparse.engine as eng
 
         def no_cache(*args, **kwargs):

@@ -150,9 +150,10 @@ class TestProjectedScores:
 
     @pytest.mark.parametrize("n", [4096, 4097, 8969, 12_388])
     def test_blocks_keep_the_bits_of_one_product(self, n):
-        """Projected ROPE_BLOCK rows at a time, in near-equal blocks, the
-        keys score with the bits of the one product `keys @ w_k.T` over all
-        of them, as when the cache's whole prompt was projected at once."""
+        """Projected one row_blocks block at a time, the last block taking
+        the remainder, the keys score with the bits of the one product
+        `keys @ w_k.T` over all of them, as when the cache's whole prompt
+        was projected at once."""
         rng = np.random.default_rng(n)
         keys = (rng.normal(size=(n, 64)) * 12).astype(np.float32)
         proj = init_projector(16, 64, seed=n)

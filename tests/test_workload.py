@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from helpers import gen_rank_teacher
 
+import headsparse.rope as rope_module
 import headsparse.workload as workload_module
 from headsparse.container import save_container
 from headsparse.errors import ArgumentError, InternalError
@@ -406,13 +407,13 @@ class TestCausalScores:
 
     @pytest.mark.parametrize("n", [5000, 9000, 3 * 4096 + 1])
     def test_blocks_are_bit_identical_to_one_float64_product(self, n):
-        """The keys widen in ROPE_BLOCK-aligned blocks; at lengths that are
-        no multiple of it (one with a one-row remainder), the scores of a
-        batch equal one float64 product over all widened keys, at heights
-        up to calibration's and stage 1's.  One row is one gemv, which a
-        multi-threaded OpenBLAS splits by its thread count, so it is held
-        to the product's last bit instead."""
-        assert workload_module.ROPE_BLOCK == 4096
+        """The keys widen one row_blocks block at a time; at lengths that
+        are no multiple of ROPE_BLOCK (one with a one-row remainder), the
+        scores of a batch equal one float64 product over all widened keys,
+        at heights up to calibration's and stage 1's.  One row is one gemv,
+        which a multi-threaded OpenBLAS splits by its thread count, so it is
+        held to the product's last bit instead."""
+        assert rope_module.ROPE_BLOCK == 4096
         rng = np.random.default_rng(n)
         cache = gapped_cache(rng, 64, n, base=1.0e6)
         keys = cache.keys_post.astype(np.float64)
@@ -527,6 +528,30 @@ class TestAttendRowForms:
         w_ref, out_ref = oracle_on_rows(q, 99, cache, slice(0, 100), 0.125)
         np.testing.assert_allclose(w, w_ref[rows], rtol=0, atol=1e-7)
         np.testing.assert_allclose(out, out_ref, rtol=0, atol=1e-7)
+
+    def test_131k_rows_within_1e6_of_float64(self):
+        """Over a 131,072-row cache with near-uniform weights and values
+        of mean 0.5, every form sums its values block by block into float64
+        and stays within 1e-6 of the float64 oracle on the same rows: a
+        dense index array, one span, two long runs and a gathered array of
+        more than ROPE_BLOCK rows.  One float32 sum over the whole span
+        reads about 4e-6 here."""
+        n = 131_072
+        rng = np.random.default_rng(23)
+        cache = KVCacheHead(RopeParams(64), capacity=n)
+        cache.extend(rng.standard_normal((n, 64), np.float32) * np.float32(0.05),
+                     rng.standard_normal((n, 64), np.float32) * np.float32(0.125)
+                     + np.float32(0.5), np.arange(n))
+        q = rng.normal(size=64) * 0.5
+        gathered = np.arange(0, n, 8)
+        assert gathered.size > rope_module.ROPE_BLOCK
+        assert not workload_module._dense_span(gathered)
+        forms = {"dense": np.arange(n), "span": (slice(0, n),),
+                 "two runs": (slice(0, 60_000), slice(61_000, n)), "gathered": gathered}
+        for name, rows in forms.items():
+            _, out = attend(q, n - 1, cache, rows)
+            _, out_ref = oracle_on_rows(q, n - 1, cache, rows, 0.125)
+            assert np.abs(out - out_ref).max() <= 1e-6, name
 
 
 class TestDenseAttention:
@@ -975,8 +1000,8 @@ class TestGenerationOneGroupAtATime:
     def test_block_boundaries_match_per_layer_form(self, monkeypatch, row_block, layout):
         """Blocks far smaller than the streams put boundaries inside the
         sinks, the needles, a needle and the key after it, the probe
-        supports, and leave a partial last block."""
-        monkeypatch.setattr(workload_module, "ROW_BLOCK", row_block)
+        supports, and leave a last block that takes the remainder."""
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
         assert_matches_per_layer_form(3, **layout)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -991,7 +1016,7 @@ class TestGenerationOneGroupAtATime:
         """The pool forced to one worker and to two, whatever the host's
         CPUs, at the block layouts above and at whole-stream blocks."""
         monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
-        monkeypatch.setattr(workload_module, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
         assert_matches_per_layer_form(3, **layout)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
@@ -999,7 +1024,7 @@ class TestGenerationOneGroupAtATime:
         microsecond: a buffer lent to two tasks at once, or a task reading
         content ids before their group's task wrote them, moves bytes."""
         monkeypatch.setattr(workload_module, "_gen_workers", lambda: 8)
-        monkeypatch.setattr(workload_module, "ROW_BLOCK", 7)
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
