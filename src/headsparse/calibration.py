@@ -116,8 +116,9 @@ def group_retrieval_scores(workload: Workload, layer: int, kv_head: int,
     post = np.asarray(layout.n_post)
     heads = slice(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
     queries = workload.queries[layer, heads][:, post].reshape(-1, geo.head_dim)
-    scores = causal_scores(queries, np.tile(post, geo.group_size), cache, geo.scale)
-    rows = softmax(scores).reshape(geo.group_size, len(post), -1)
+    rows = causal_scores(queries, np.tile(post, geo.group_size), cache, geo.scale)
+    softmax(rows, out=rows)
+    rows = rows.reshape(geo.group_size, len(post), -1)
     return [retrieval_score(dict(zip(layout.n_post, w)), layout) for w in rows]
 
 

@@ -26,10 +26,11 @@ config file, the HEADSPARSE_OUT environment variable (output directory
 only), built-in default.  Every command writes the fully resolved config
 it ran under to config_used.json.
 
-The workload is generated once per pipeline: calibrate saves it, and
-train-indexer and run map the saved file when its seed, geometry and
-workload spec equal the resolved config's.  Otherwise (a --seed override,
-say) they generate it again; both routes give the same arrays bit for bit.
+The workload is generated once per pipeline: calibrate streams it to
+workload.json/.bin as it generates it, and train-indexer and run map the
+saved file when its seed, geometry and workload spec equal the resolved
+config's.  Otherwise (a --seed override, say) they generate it again in
+memory; both routes give the same arrays bit for bit.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
@@ -185,9 +186,10 @@ def _pipeline_workload(cfg: RunConfig, out: Path) -> Workload:
 
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = _ensure_out(cfg)
-    gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry).save(out / WORKLOAD_STEM)
-    # scored on the mapped copy, so the generated arrays are already freed
-    partitions = calibrate(Workload.load(out / WORKLOAD_STEM))
+    # streamed to the payload file as it is generated, and scored on the
+    # mapped file, so no stage holds the whole workload
+    workload = gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry, out / WORKLOAD_STEM)
+    partitions = calibrate(workload)
     save_partitions(out / "partition.csv", partitions)
     rows = []
     for layer, part in enumerate(partitions):
@@ -211,6 +213,7 @@ def cmd_train_indexer(cfg: RunConfig, args: argparse.Namespace) -> None:
                 dataset, cfg.stage1, cfg.seed, r=geo.low_dim,
                 head_dim=geo.head_dim, label=f"stage1-L{layer}H{h}",
             )
+            del dataset  # released before the next head's is built
             projector.save(out / f"projector-L{layer}H{h}", layer, h)
             write_csv(out / f"stage1-loss-L{layer}H{h}.csv", LOSS_HEADER,
                       [[step, repr(v)] for step, v in enumerate(trace)])

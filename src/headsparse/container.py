@@ -10,13 +10,19 @@ concatenation of the tensors in directory order.  Only <f4 and <i4
 payloads are allowed, which keeps every artifact readable from any
 language with a hex dump and makes round-trips bit-exact by construction.
 
-Saving streams each tensor to the payload and renames both files into
-place, manifest last.  Loading maps the payload copy-on-write, so a reader
-pays only for the pages it touches and never holds a second copy.
+One writer, ContainerWriter, lays every container out: the tensor
+directory is fixed when it opens, blocks of rows land at their offsets with
+os.pwrite (from any thread, in any order), and commit renames both files
+into place, payload first and manifest last.  save_container writes whole
+tensors through it; the workload generator streams each finished row block
+through it, so no copy of a whole workload is held.  Loading maps the
+payload copy-on-write, so a reader pays only for the pages it touches and
+never holds a second copy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -27,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, InternalError
 
 FORMAT_NAME = "headsparse-tensors"
 FORMAT_VERSION = 1
@@ -91,46 +97,124 @@ def read_json(path: str | Path) -> Any:
         raise ArgumentError(f"cannot read {path}: {e}") from e
 
 
-def _canon(arr: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(arr)
-    if a.dtype.kind == "f":
-        return a.astype("<f4", copy=False)
-    if a.dtype.kind in "iu":
-        if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int32).max:
+def _canon_dtype(arr: np.ndarray) -> str:
+    """The payload dtype of an array: <f4 for floats, <i4 for integers."""
+    if arr.dtype.kind == "f":
+        return "<f4"
+    if arr.dtype.kind in "iu":
+        if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int32).max:
             raise ArgumentError("unsigned tensor exceeds int32 range")
-        return a.astype("<i4", copy=False)
+        return "<i4"
     raise ArgumentError(f"unsupported tensor dtype {arr.dtype}")
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError in the block into an ArgumentError naming `path`."""
+    try:
+        yield
+    except OSError as e:
+        raise ArgumentError(f"cannot write {path}: {e}") from e
+
+
+class ContainerWriter:
+    """Writes the container `stem` whose tensors `layout` lists, in payload
+    order, as name -> (dtype, shape).  Offsets follow that order with no
+    gaps.  The payload is written under a temporary name at its full size;
+    `write` puts blocks of rows at their offsets, and `commit` writes the
+    manifest under a temporary name and renames both into place, payload
+    first and manifest last, so arrays mapped from an earlier container of
+    the same stem keep reading its bytes.  Leaving the `with` block without
+    a commit removes the temporary files.  An OSError raises ArgumentError
+    naming the file."""
+
+    def __init__(self, stem: str | Path, layout: Mapping[str, tuple[str, Sequence[int]]]):
+        self.stem = Path(stem)
+        self._bin, self._json = self.stem.with_suffix(".bin"), self.stem.with_suffix(".json")
+        self._bin_tmp, self._json_tmp = (p.with_name(p.name + ".tmp")
+                                         for p in (self._bin, self._json))
+        self._entries: dict[str, dict[str, Any]] = {}
+        offset = 0
+        for name, (dtype, shape) in layout.items():
+            dt = _DTYPES[np.dtype(dtype).str]
+            nbytes = math.prod(shape) * dt.itemsize
+            self._entries[name] = {"name": name, "dtype": dt.str, "shape": list(shape),
+                                   "offset": offset, "nbytes": nbytes}
+            offset += nbytes
+        self._fd: int | None = None
+        try:
+            with _writing(self._bin_tmp):
+                self.stem.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self._bin_tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                os.ftruncate(self._fd, offset)
+        except ArgumentError:
+            self._discard()
+            raise
+
+    def __enter__(self) -> "ContainerWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._discard()
+
+    def _discard(self) -> None:
+        """Close the payload and remove what a commit did not rename."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+        for path in (self._bin_tmp, self._json_tmp):
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+    def write(self, name: str, at: tuple[int, ...], block: np.ndarray) -> None:
+        """Write `block` into tensor `name` from index `at`, one index per
+        leading axis: the block's rows run along axis len(at) - 1 from
+        at[-1], each spanning the axes after it, so at = (0,) with the
+        whole tensor writes all of it.  The block is cast to the tensor's
+        dtype."""
+        entry = self._entries[name]
+        shape, k = entry["shape"], len(at)
+        a = np.ascontiguousarray(block, entry["dtype"])
+        if not (1 <= k <= len(shape) and list(a.shape[1:]) == shape[k:]
+                and all(0 <= i < n for i, n in zip(at[:-1], shape))
+                and 0 <= at[-1] <= shape[k - 1] - len(a)):
+            raise InternalError(f"a {a.shape} block at {at} does not fit tensor "
+                                f"{name} of shape {shape}")
+        flat = 0
+        for i, n in zip(at, shape):
+            flat = flat * n + i
+        start = entry["offset"] + flat * math.prod(shape[k:]) * a.itemsize
+        view = memoryview(a.reshape(-1).view(np.uint8))
+        with _writing(self._bin_tmp):
+            while view:
+                n = os.pwrite(self._fd, view, start)
+                view, start = view[n:], start + n
+
+    def commit(self, meta: Mapping[str, Any] | None = None) -> None:
+        """Write the manifest and rename payload, then manifest, into place."""
+        fd, self._fd = self._fd, None
+        with _writing(self._bin_tmp):
+            os.close(fd)
+        write_json(self._json_tmp, {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                                    "meta": dict(meta) if meta else {},
+                                    "tensors": list(self._entries.values())})
+        for tmp, path in ((self._bin_tmp, self._bin), (self._json_tmp, self._json)):
+            with _writing(path):
+                os.replace(tmp, path)
 
 
 def save_container(stem: str | Path, tensors: Mapping[str, np.ndarray],
                    meta: Mapping[str, Any] | None = None) -> None:
-    """Write stem.json + stem.bin.  Tensor order follows the mapping order.
-
-    Each tensor streams to the payload in turn, so no copy of the whole
-    payload is held.  Both files are written under temporary names and
-    renamed into place, payload first and manifest last: arrays mapped
-    from an earlier container of the same stem keep reading its bytes.  An
-    OSError on the way raises ArgumentError naming the file."""
-    stem = Path(stem)
-    bin_path, json_path = stem.with_suffix(".bin"), stem.with_suffix(".json")
-    bin_tmp, json_tmp = (p.with_name(p.name + ".tmp") for p in (bin_path, json_path))
-    entries = []
-    offset = 0
-    try:
-        stem.parent.mkdir(parents=True, exist_ok=True)
-        with open(bin_tmp, "wb") as f:
-            for name, arr in tensors.items():
-                a = _canon(np.asarray(arr))
-                a.tofile(f)
-                entries.append({"name": name, "dtype": a.dtype.str, "shape": list(a.shape),
-                                "offset": offset, "nbytes": a.nbytes})
-                offset += a.nbytes
-        write_json(json_tmp, {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-                              "meta": dict(meta) if meta else {}, "tensors": entries})
-        os.replace(bin_tmp, bin_path)
-        os.replace(json_tmp, json_path)
-    except OSError as e:
-        raise ArgumentError(f"cannot write {stem}: {e}") from e
+    """Write stem.json + stem.bin through ContainerWriter.  Tensor order
+    follows the mapping order; each tensor is cast and written in turn, so
+    no copy of the whole payload is held."""
+    arrays = {name: np.atleast_1d(arr) for name, arr in tensors.items()}
+    layout = {name: (_canon_dtype(a), a.shape) for name, a in arrays.items()}
+    with ContainerWriter(stem, layout) as writer:
+        for name, a in arrays.items():
+            writer.write(name, (0,), a)
+        writer.commit(meta)
 
 
 def _map_payload(path: Path) -> mmap.mmap | bytearray:

@@ -154,7 +154,9 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     g = qhead_to_kvhead(geometry, q_head)
     cache = build_cache_prefix(workload, layer, g, n)
     queries = workload.queries[layer, q_head, positions]
-    attn = softmax(causal_scores(queries, positions, cache, geometry.scale))
+    attn = causal_scores(queries, positions, cache, geometry.scale)
+    del cache  # freed before the float64 keys are made
+    softmax(attn, out=attn)
     return Stage1Dataset(workload.keys_pre[layer, g, :n].astype(np.float64),
                          queries, positions, attn)
 

@@ -43,23 +43,25 @@ def descending_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(neg, kind="stable")
 
 
-def _shifted(scores: np.ndarray) -> np.ndarray:
-    """Scores minus their row maximum, in float64.  A -inf score is a masked
-    entry; NaN, +inf or a row with no finite score make the row maximum
-    non-finite and raise NumericError."""
+def _shifted(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scores minus their row maximum, in float64, written to `out` if
+    given.  A -inf score is a masked entry; NaN, +inf or a row with no
+    finite score make the row maximum non-finite and raise NumericError."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ArgumentError("softmax of an empty score vector is undefined")
     top = arr.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise NumericError("scores contains non-finite values")
-    return arr - top
+    return np.subtract(arr, top, out=out)
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Shift-stable softmax along the last axis, computed in float64; a -inf
-    score gets weight exactly 0."""
-    ex = _shifted(scores)
+    score gets weight exactly 0.  `out`, a float64 array of the scores'
+    shape, takes the weights; out=scores normalises the rows in place, with
+    the bits of the returned copy."""
+    ex = _shifted(scores, out)
     np.exp(ex, out=ex)
     ex /= ex.sum(axis=-1, keepdims=True)
     return ex

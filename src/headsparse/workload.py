@@ -21,13 +21,14 @@ heads a causal long-range target that local heads cannot see.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .container import load_container, save_container
+from .container import ContainerWriter, load_container
 from .errors import ArgumentError, InternalError
 from .numerics import softmax
 from .record import Record
@@ -476,19 +477,6 @@ class Workload:
     def prefill_len(self) -> int:
         return self.seq_len - self.spec.decode_len
 
-    def save(self, stem: str | Path) -> None:
-        save_container(
-            stem,
-            {"queries": self.queries, "keys_pre": self.keys_pre, "values": self.values},
-            meta={
-                "kind": "workload",
-                "seed": self.seed,
-                "geometry": self.geometry.to_dict(),
-                "spec": self.spec.to_dict(),
-                "annotations": self.annotations.to_dict(),
-            },
-        )
-
     @staticmethod
     def load(stem: str | Path) -> "Workload":
         """Read a saved workload back, its tensors mapped from the payload.
@@ -580,8 +568,16 @@ def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
-                           geometry: ModelGeometry | None = None) -> Workload:
-    """Deterministic planted-structure workload; see the module docstring."""
+                           geometry: ModelGeometry | None = None,
+                           stem: str | Path | None = None) -> Workload:
+    """Deterministic planted-structure workload; see the module docstring.
+
+    Without `stem` the streams fill arrays held in memory.  With it, each
+    finished row block is written to the container stem.json/.bin as it is
+    made (a ContainerWriter, renamed into place once every stream is in),
+    and the workload returned maps that file (Workload.load); the file has
+    the bytes the arrays would hold.  A failure leaves no new file in
+    place."""
     # Imported here, not with the module: they load logging, and every CLI
     # start imports this module; a cli-32k set-up (one `--help` start) took
     # 0.37 -> 0.46 s with them at the top (medians of 10 runs).
@@ -623,10 +619,6 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     sink_dir = np.zeros(loc_dim)
     sink_dir[0] = 1.0  # fixed direction inside the locality band
 
-    queries = np.zeros((geo.n_layers, geo.n_q_heads, L, d), np.float32)
-    keys = np.zeros((geo.n_layers, geo.n_kv_heads, L, d), np.float32)
-    values = np.zeros((geo.n_layers, geo.n_kv_heads, L, d), np.float32)
-
     # One content table: ids below N_CONTENT name background contents, id
     # N_CONTENT + i needle slot i; key_amp is each id's induction-key gain.
     embs = np.concatenate([bg_embs, needle_embs])
@@ -637,24 +629,49 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
         h for h in range(geo.n_q_heads) if h not in spec.planted_retrieval_heads
     )
     retrieval = sorted(set(spec.planted_retrieval_heads))
+    ann = WorkloadAnnotations(
+        planted_retrieval_heads=tuple(sorted(spec.planted_retrieval_heads)),
+        planted_local_heads=planted_local,
+        n_pre=tuple(range(pre, pre + nl)),
+        n_post=tuple(range(post, post + nl)),
+        probes=tuple(probes),
+    )
+
+    # Every stream is handed over a block of rows at a time: put(name,
+    # (layer, head, first row), rows) writes the rows where they belong.
+    kv_shape = (geo.n_layers, geo.n_kv_heads, L, d)
+    shapes = {"queries": (geo.n_layers, geo.n_q_heads, L, d),
+              "keys_pre": kv_shape, "values": kv_shape}
+    if stem is None:
+        arrays = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+
+        def put(name: str, at: tuple[int, int, int], rows: np.ndarray) -> None:
+            layer, head, a = at
+            arrays[name][layer, head, a : a + len(rows)] = rows
+
+        sink = contextlib.nullcontext()
+    else:
+        sink = ContainerWriter(stem, {name: ("<f4", shape) for name, shape in shapes.items()})
+        put = sink.write
 
     # Each stream is one task on a pool of _gen_workers() threads.  A task
     # draws and finishes its noise one row_blocks block at a time in a row
     # buffer (the bits and rng state of one normal(size=(L, d)) * s draw) and
-    # stores it as f32, so every array has the bytes of the one-thread form.
-    # This thread allocates the buffers, one per worker, and lends each to
-    # one task at a time; so too a retrieval head's content band.  Memory
-    # freed on a worker stays in that thread's heap: row buffers the tasks
-    # allocated themselves left 4 MiB more resident after an 8K or 32K
-    # workload, and worker-made bands raised decode-8k-exact's peak from
-    # 131.8 to 133.4 MiB (128.5 with no pool).
+    # hands each finished block to `put`, which stores it as f32, so every
+    # stream has the bytes of the one-thread form.  This thread allocates
+    # the buffers, one per worker, and lends each to one task at a time; so
+    # too a retrieval head's content band and f32 rows.  Memory freed on a
+    # worker stays in that thread's heap: row buffers the tasks allocated
+    # themselves left 4 MiB more resident after an 8K or 32K workload, and
+    # worker-made bands raised decode-8k-exact's peak from 131.8 to 133.4
+    # MiB (128.5 with no pool).
     blocks = [(r.start, r.stop) for r in row_blocks(L)]
     workers = _gen_workers()
 
-    def lender(shape: tuple[int, ...], n: int) -> queue.SimpleQueue:
+    def lender(shape: tuple[int, ...], n: int, dtype=np.float64) -> queue.SimpleQueue:
         store = queue.SimpleQueue()
         for _ in range(n):
-            store.put(np.empty(shape))
+            store.put(np.empty(shape, dtype))
         return store
 
     row_bufs = lender((blocks[-1][1] - blocks[-1][0], d), workers)  # the longest
@@ -676,9 +693,9 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             k[b - a - prev.size :, con] += key_amp[prev] * embs[prev]
             for rows, vec in supports:
                 k[rows[(rows >= a) & (rows < b)] - a, con] += vec
-            keys[layer, g, a:b] = k
+            put("keys_pre", (layer, g, a), k)
         for a, b in blocks:
-            values[layer, g, a:b] = noise(buf, rng_kv, a, b, VALUE_SCALE)
+            put("values", (layer, g, a), noise(buf, rng_kv, a, b, VALUE_SCALE))
 
     def local_head(buf, layer, h, walk):
         rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
@@ -686,16 +703,17 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             q = noise(buf, rng_h, a, b, NOISE_SCALE)
             q[:, loc] += LOCAL_QUERY_GAIN * walk[a:b]
             q[:, loc] += SINK_QUERY_GAIN * sink_dir
-            queries[layer, h, a:b] = q
+            put("queries", (layer, h, a), q)
 
-    def retrieval_head(buf, content, layer, h, h_ids):
+    def retrieval_head(buf, content, rows32, layer, h, h_ids):
         rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
         # The seek draws follow the noise in the stream, so only the
-        # content band stays f64 until its seek rows are added.
+        # content band stays f64 until its seek rows are added; the rows
+        # wait in f32 and are handed over once the band lands in them.
         for a, b in blocks:
             q = noise(buf, rng_h, a, b, NOISE_SCALE)
             content[a:b] = q[:, con]
-            queries[layer, h, a:b] = q
+            rows32[a:b] = q
         # Background positions go looking for the successor of a
         # random earlier token with probability bg_seek_prob.
         seek = rng_h.random(L) < BG_SEEK_PROB
@@ -709,7 +727,8 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
         for p in probes:
             if p.head == h:
                 content[p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
-        queries[layer, h, :, con] = content
+        rows32[:, con] = content
+        put("queries", (layer, h, 0), rows32)
 
     def lent(stores, task, *args):
         """task(*bufs, *args), one buffer borrowed from each store for the
@@ -728,7 +747,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
         for f in [pool.submit(lent, stores, *call) for call in calls]:
             f.result()
 
-    with ThreadPoolExecutor(workers) as pool:
+    with sink, ThreadPoolExecutor(workers) as pool:
         for layer in range(geo.n_layers):
             # Phases: this thread steps the walks, whose recurrence is
             # serial; the pool writes each KV group's ids, keys and values
@@ -743,23 +762,21 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                      *((local_head, layer, h, walks[:, qhead_to_kvhead(geo, h)])
                        for h in planted_local)])
             # Retrieval heads read no walk; freed first, the walks are never
-            # resident next to the content bands those heads keep, nor the
-            # bands next to the next layer's walks.
+            # resident next to the content bands and rows those heads keep,
+            # nor those next to the next layer's walks.
             del walks
-            bands = lender((L, con_dim), min(workers, len(retrieval)))
-            run_all(pool, [row_bufs, bands],
+            n_bands = min(workers, len(retrieval))
+            bands, head_rows = lender((L, con_dim), n_bands), lender((L, d), n_bands, np.float32)
+            run_all(pool, [row_bufs, bands, head_rows],
                     [(retrieval_head, layer, h, ids[qhead_to_kvhead(geo, h)])
                      for h in retrieval])
-            del bands
-
-    ann = WorkloadAnnotations(
-        planted_retrieval_heads=tuple(sorted(spec.planted_retrieval_heads)),
-        planted_local_heads=planted_local,
-        n_pre=tuple(range(pre, pre + nl)),
-        n_post=tuple(range(post, post + nl)),
-        probes=tuple(probes),
-    )
-    return Workload(geo, spec, int(seed), queries, keys, values, ann)
+            del bands, head_rows
+        if stem is None:
+            return Workload(geo, spec, int(seed), arrays["queries"], arrays["keys_pre"],
+                            arrays["values"], ann)
+        sink.commit({"kind": "workload", "seed": int(seed), "geometry": geo.to_dict(),
+                     "spec": spec.to_dict(), "annotations": ann.to_dict()})
+    return Workload.load(stem)
 
 
 def build_cache(workload: Workload, layer: int, kv_head: int) -> KVCacheHead:

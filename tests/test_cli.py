@@ -4,12 +4,14 @@ artifacts, and cross-mode run behavior."""
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import headsparse.cli as cli
 import headsparse.workload as workload_module
+from headsparse.calibration import load_partitions
 from headsparse.cli import (
     DEFAULT_OUT,
     ENV_OUT,
@@ -19,7 +21,7 @@ from headsparse.cli import (
     resolve_config,
 )
 from headsparse.errors import ConfigError, InternalError
-from headsparse.indexer import init_projector
+from headsparse.indexer import build_stage1_dataset, init_projector
 from headsparse.reports import read_bench, read_decode_trace, read_sparsity_report
 from headsparse.workload import (
     ModelGeometry,
@@ -442,6 +444,56 @@ class TestSavedWorkload:
         assert main(["run", "--config", str(cfg)]) == 2
 
 
+class TestStageMemory:
+    """tracemalloc peaks of whole subcommands at 16K tokens on the default
+    geometry (a 96 MiB workload payload).  Pages mapped from workload.bin are
+    not traced, so these count what each stage allocates itself."""
+
+    @pytest.fixture(scope="class")
+    def calibrated(self, tmp_path_factory):
+        """(config path, output directory, calibrate's traced peak)."""
+        root = tmp_path_factory.mktemp("cli-16k")
+        cfg = root / "config.json"
+        cfg.write_text(json.dumps({
+            "workload": {"seq_len": 16384, "decode_len": 64},
+            "stage1": {"steps": 3, "warmup_steps": 1, "rows_per_step": 4},
+            "output_dir": str(root / "out")}))
+        tracemalloc.start()
+        try:
+            assert main(["calibrate", "--config", str(cfg)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return cfg, root / "out", peak
+
+    def test_calibrate_stays_below_the_workload_payload(self, calibrated):
+        """Generation streams each finished row block to workload.bin and
+        calibration scores the mapped file, so no whole workload is held
+        (the in-memory form peaked at 1.25 payloads)."""
+        _, out, peak = calibrated
+        payload = (out / "workload.bin").stat().st_size
+        assert peak < payload, f"{peak / 2**20:.1f} MiB, payload {payload / 2**20:.0f} MiB"
+
+    def test_train_indexer_holds_one_stage1_dataset_at_a_time(self, calibrated):
+        """Each head's stage-1 dataset is released before the next is built
+        (keeping it while building the next peaked at 2.66 datasets)."""
+        cfg, out, _ = calibrated
+        tracemalloc.start()
+        try:
+            assert main(["train-indexer", "--config", str(cfg)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        workload = Workload.load(out / "workload")
+        (part,) = load_partitions(out / "partition.csv", workload.geometry.retrieval_ratio)
+        sizes = []
+        for h in part.retrieval_set:
+            ds = build_stage1_dataset(workload, workload.geometry, 0, h, 0)
+            sizes.append(sum(a.nbytes for a in (ds.keys_pre, ds.queries, ds.positions, ds.attn)))
+        assert len(sizes) == 2
+        assert peak < 2 * max(sizes), f"{peak / max(sizes):.2f} datasets"
+
+
 class TestDistillToy:
     def test_artifacts_and_determinism(self, tmp_path):
         traces = []
@@ -565,8 +617,11 @@ class TestReportAndDispatch:
             return derive_rng(seed, name)
 
         monkeypatch.setattr(workload_module, "derive_rng", failing)
-        cfg = write_config(tmp_path, tmp_path / "out")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, out)
         assert main(["calibrate", "--config", str(cfg)]) == 3
+        # the streamed payload and its manifest were never renamed into place
+        assert sorted(p.name for p in out.iterdir()) == ["config_used.json"]
 
     @pytest.mark.parametrize("name", ["workload.bin.tmp", "workload.json.tmp",
                                       "workload.bin", "workload.json"])

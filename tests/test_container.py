@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from headsparse.container import (
+    ContainerWriter,
     load_container,
     read_csv,
     read_json,
     save_container,
     write_csv,
 )
-from headsparse.errors import ArgumentError
+from headsparse.errors import ArgumentError, InternalError
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -83,6 +84,54 @@ def test_truncated_payload_detected(tmp_path):
     (tmp_path / "t.bin").write_bytes(raw[:-4])
     with pytest.raises(ArgumentError):
         load_container(tmp_path / "t")
+
+
+def test_writer_row_blocks_in_any_order_match_save_container(tmp_path):
+    """Row blocks written from two threads, last block first, give the
+    bytes save_container writes for the whole tensors."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(1)
+    tensors = {"a": rng.normal(size=(2, 3, 10, 4)), "b": np.arange(6, dtype=np.int32)}
+    save_container(tmp_path / "whole", tensors, {"k": 1})
+    layout = {"a": ("<f4", (2, 3, 10, 4)), "b": ("<i4", (6,))}
+    blocks = [(i, j, r) for i in range(2) for j in range(3) for r in (0, 3, 6)][::-1]
+    with ContainerWriter(tmp_path / "blocks", layout) as writer:
+        with ThreadPoolExecutor(2) as pool:
+            for f in [pool.submit(writer.write, "a", (i, j, r),
+                                  tensors["a"][i, j, r : r + (3 if r < 6 else 4)])
+                      for i, j, r in blocks]:
+                f.result()
+        writer.write("b", (0,), tensors["b"])
+        writer.commit({"k": 1})
+    for suffix in (".bin", ".json"):
+        assert ((tmp_path / f"blocks{suffix}").read_bytes()
+                == (tmp_path / f"whole{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("at, shape", [((0, 0, 8), (3, 4)), ((2, 0, 0), (1, 4)),
+                                       ((0, 0, 0), (1, 5)), ((0,), (3, 3, 10, 4)),
+                                       ((), (2, 3, 10, 4))])
+def test_writer_rejects_a_block_outside_its_tensor(tmp_path, at, shape):
+    with ContainerWriter(tmp_path / "t", {"a": ("<f4", (2, 3, 10, 4))}) as writer:
+        with pytest.raises(InternalError, match="does not fit"):
+            writer.write("a", at, np.zeros(shape, np.float32))
+
+
+def test_writer_without_commit_leaves_the_earlier_container(tmp_path):
+    save_container(tmp_path / "t", {"a": np.ones(4, np.float32)}, {"k": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(InternalError, match="stream failed"):
+        with ContainerWriter(tmp_path / "t", {"a": ("<f4", (4,))}) as writer:
+            writer.write("a", (0,), np.zeros(4))
+            raise InternalError("stream failed")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_writer_open_failure_names_the_file(tmp_path):
+    (tmp_path / "t.bin.tmp").mkdir()
+    with pytest.raises(ArgumentError, match="t.bin.tmp"):
+        ContainerWriter(tmp_path / "t", {"a": ("<f4", (4,))})
 
 
 def test_unsupported_dtype_rejected(tmp_path):

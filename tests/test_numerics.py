@@ -67,6 +67,17 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             softmax(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
 
+    def test_in_place_rows_have_the_bits_of_the_copy(self):
+        """out=scores normalises the rows where they are, as calibration
+        and the stage-1 dataset do, with the bits of the returned copy."""
+        rng = np.random.default_rng(5)
+        scores = rng.normal(scale=30.0, size=(64, 3000))
+        scores[np.arange(3000)[None, :] > rng.integers(0, 3000, size=(64, 1))] = -np.inf
+        want = softmax(scores)
+        got = softmax(scores, out=scores)
+        assert got is scores
+        assert got.tobytes() == want.tobytes()
+
 
 class TestLse:
     def test_singleton(self):

@@ -767,19 +767,19 @@ class TestGenerator:
 
     def test_save_load_round_trip(self, tmp_path):
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
-        w.save(tmp_path / "wl")
-        back = Workload.load(tmp_path / "wl")
-        np.testing.assert_array_equal(back.queries, w.queries)
-        np.testing.assert_array_equal(back.keys_pre, w.keys_pre)
-        np.testing.assert_array_equal(back.values, w.values)
-        assert back.annotations == w.annotations
-        assert back.geometry == w.geometry
-        assert back.spec == w.spec
-        assert back.seed == 7
+        streamed = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry(), tmp_path / "wl")
+        for back in (streamed, Workload.load(tmp_path / "wl")):
+            np.testing.assert_array_equal(back.queries, w.queries)
+            np.testing.assert_array_equal(back.keys_pre, w.keys_pre)
+            np.testing.assert_array_equal(back.values, w.values)
+            assert back.annotations == w.annotations
+            assert back.geometry == w.geometry
+            assert back.spec == w.spec
+            assert back.seed == 7
 
     @pytest.mark.parametrize("meta_key", ["seed", "geometry", "spec", "annotations"])
     def test_load_rejects_meta_without_key(self, tmp_path, meta_key):
-        gen_synthetic_workload(SMALL_SPEC, 7, small_geometry()).save(tmp_path / "wl")
+        gen_synthetic_workload(SMALL_SPEC, 7, small_geometry(), tmp_path / "wl")
         path = tmp_path / "wl.json"
         manifest = json.loads(path.read_text())
         del manifest["meta"][meta_key]
@@ -1018,6 +1018,35 @@ class TestGenerationOneGroupAtATime:
         monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
         monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
         assert_matches_per_layer_form(3, **layout)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("row_block", [7, 4096])
+    @pytest.mark.parametrize("layout", [
+        dict(seq_len=770),
+        dict(seq_len=768, include_probes=False, post_start=768 - 16),
+        dict(seq_len=771, pre_start=0),
+    ])
+    def test_streamed_file_matches_in_memory_arrays(self, monkeypatch, tmp_path, workers,
+                                                    row_block, layout):
+        """Each row block written to the payload file as it is finished
+        gives the file that save_container writes for the in-memory arrays
+        with the workload's meta: the same payload bytes and manifest."""
+        monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
+        monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
+        geo = small_geometry(n_layers=2)
+        spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **layout)
+        w = gen_synthetic_workload(spec, 3, geo)
+        save_container(tmp_path / "held",
+                       {"queries": w.queries, "keys_pre": w.keys_pre, "values": w.values},
+                       {"kind": "workload", "seed": 3, "geometry": geo.to_dict(),
+                        "spec": spec.to_dict(), "annotations": w.annotations.to_dict()})
+        streamed = gen_synthetic_workload(spec, 3, geo, tmp_path / "streamed")
+        for suffix in (".bin", ".json"):
+            held, written = (tmp_path / f"{stem}{suffix}" for stem in ("held", "streamed"))
+            assert written.read_bytes() == held.read_bytes(), suffix
+        assert streamed.annotations == w.annotations
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "held.bin", "held.json", "streamed.bin", "streamed.json"]
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         """Eight workers lent eight buffers, switching threads every
