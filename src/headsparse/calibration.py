@@ -6,44 +6,26 @@ early copy are retrieval heads, everything else is local.  The per-head
 score is the mean attention mass the late-span rows place on the early
 span; the top `ratio` share of heads by that score forms the retrieval set.
 
-Calibration here always runs on caches whose positions are 0..L-1, so a
-token's cache slot equals its position.  Each KV head's cache is built
-from the workload's one cos/sin table, and the late-span rows of all its
-query heads are scored in one `workload.causal_scores` call, weights only.
+Calibration is array code and builds no KV cache.  Each KV group's keys of
+tokens 0..L-1 are turned by rope_apply with the workload's one cos/sin
+table, and the late-span rows of all its query heads are scored against
+them in one `workload.causal_scores` call, weights only; no value row is
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .container import read_csv, write_csv
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
-from .rope import rope_table
-from .workload import KVCacheHead, Workload, build_cache_prefix, causal_scores
-
-
-@dataclass(frozen=True)
-class NeedleLayout:
-    """Index sets of the early and late copies of the planted span."""
-
-    n_pre: tuple[int, ...]
-    n_post: tuple[int, ...]
-    total_len: int
-
-    def __post_init__(self):
-        if not self.n_pre or not self.n_post:
-            raise ArgumentError("needle index sets must be non-empty")
-        if set(self.n_pre) & set(self.n_post):
-            raise ArgumentError("needle index sets must be disjoint")
-        if max(self.n_pre) >= min(self.n_post):
-            raise ArgumentError("early span must precede late span")
-        if min(self.n_pre) < 0 or max(self.n_post) >= self.total_len:
-            raise ArgumentError("needle indices out of range")
+from .rope import rope_apply, rope_table
+from .workload import Workload, causal_scores
 
 
 @dataclass(frozen=True)
@@ -61,24 +43,6 @@ class HeadPartition:
     @property
     def n_heads(self) -> int:
         return len(self.scores)
-
-
-def retrieval_score(weights: Mapping[int, np.ndarray], layout: NeedleLayout) -> float:
-    """Mean late-row attention mass on the early span; `weights` maps a
-    late position to its attention row over positions 0, 1, ..."""
-    pre = np.asarray(layout.n_pre)
-    total = 0.0
-    for t in layout.n_post:
-        row = weights.get(t)
-        if row is None:
-            raise ArgumentError(f"attention row for position {t} missing")
-        if len(row) <= max(layout.n_pre):
-            raise ArgumentError(f"row at {t} does not cover the early span")
-        total += float(np.sum(np.asarray(row, np.float64)[pre]))
-    score = total / len(layout.n_post)
-    # Rows are probability vectors, so the mean mass cannot leave [0, 1];
-    # clip only float dust.
-    return float(min(max(score, 0.0), 1.0))
 
 
 def retrieval_set_size(n_heads: int, ratio: float) -> int:
@@ -106,32 +70,37 @@ def partition_heads(scores: Sequence[float], ratio: float) -> HeadPartition:
 
 
 def group_retrieval_scores(workload: Workload, layer: int, kv_head: int,
-                           cache: KVCacheHead) -> list[float]:
-    """R of each query head that shares `kv_head`, whose cache holds
-    positions 0..L-1.  The group's late-span rows go through causal_scores
-    as one batch, so each row's softmax gives the entries after its own
-    position weight 0."""
+                           keys_post: np.ndarray) -> list[float]:
+    """R of each query head that shares `kv_head`; keys_post holds the
+    group's rotated keys of tokens 0, 1, ... through the late span.  The
+    group's late-span rows go through causal_scores as one batch and are
+    normalised in place, so each row's entries after its own position weigh
+    0.  Each row's early-span mass is one np.sum, and a head's masses add
+    up in row order."""
     geo, ann = workload.geometry, workload.annotations
-    layout = NeedleLayout(ann.n_pre, ann.n_post, workload.seq_len)
-    post = np.asarray(layout.n_post)
+    post = np.asarray(ann.n_post)
     heads = slice(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
     queries = workload.queries[layer, heads][:, post].reshape(-1, geo.head_dim)
-    rows = causal_scores(queries, np.tile(post, geo.group_size), cache, geo.scale)
+    rows = causal_scores(queries, np.tile(post, geo.group_size), keys_post, geo.rope, geo.scale)
     softmax(rows, out=rows)
-    rows = rows.reshape(geo.group_size, len(post), -1)
-    return [retrieval_score(dict(zip(layout.n_post, w)), layout) for w in rows]
+    masses = np.array([np.sum(row) for row in rows[:, list(ann.n_pre)]])
+    totals = np.cumsum(masses.reshape(geo.group_size, len(post)), axis=1)[:, -1]
+    # Rows are probability vectors, so the mean mass cannot leave [0, 1];
+    # clip only float dust.
+    return [float(min(max(t / len(post), 0.0), 1.0)) for t in totals]
 
 
 def _head_scores(workload: Workload) -> np.ndarray:
-    """(n_layers, n_q_heads) retrieval scores of one workload.  Its caches
-    are built from one cos/sin table, one at a time: each is an argument
-    only, so none outlives the scoring of its group."""
+    """(n_layers, n_q_heads) retrieval scores of one workload.  One cos/sin
+    table turns every KV group's keys, one group at a time: each group's
+    rotated keys are an argument only, so none outlives its scoring."""
     geo, n = workload.geometry, workload.seq_len
-    table = rope_table(np.arange(n), geo.rope)
+    positions = np.arange(n)
+    table = rope_table(positions, geo.rope)
     return np.array([
         np.concatenate([
-            group_retrieval_scores(
-                workload, layer, g, build_cache_prefix(workload, layer, g, n, table))
+            group_retrieval_scores(workload, layer, g, rope_apply(
+                workload.keys_pre[layer, g], positions, geo.rope, table))
             for g in range(geo.n_kv_heads)
         ])
         for layer in range(geo.n_layers)

@@ -28,9 +28,11 @@ it ran under to config_used.json.
 
 The workload is generated once per pipeline: calibrate streams it to
 workload.json/.bin as it generates it, and train-indexer and run map the
-saved file when its seed, geometry and workload spec equal the resolved
-config's.  Otherwise (a --seed override, say) they generate it again in
-memory; both routes give the same arrays bit for bit.
+saved file when its seed, workload spec and the geometry fields the
+generator reads (workload.GENERATOR_FIELDS) equal the resolved config's;
+the other geometry fields are the run's own.  Otherwise (a --seed
+override, say) they generate it again in memory; both routes give the same
+arrays bit for bit.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
@@ -84,6 +86,7 @@ from .reports import (
     write_sparsity_report,
 )
 from .workload import (
+    GENERATOR_FIELDS,
     ModelGeometry,
     Workload,
     WorkloadSpec,
@@ -174,13 +177,17 @@ def _load_partition_file(cfg: RunConfig, out: Path):
 
 
 def _pipeline_workload(cfg: RunConfig, out: Path) -> Workload:
-    """The workload calibrate saved in `out` when it was generated from this
-    config's seed, geometry and spec; otherwise a freshly generated one."""
+    """The workload calibrate saved in `out`, under this config's geometry,
+    when its seed, spec and the geometry fields the generator reads equal
+    this config's; otherwise a freshly generated one.  A run that changes a
+    decode-time field alone (top_p, say) maps the file."""
     stem = out / WORKLOAD_STEM
     if stem.with_suffix(".json").exists():
         saved = Workload.load(stem)
-        if (saved.seed, saved.geometry, saved.spec) == (cfg.seed, cfg.geometry, cfg.workload):
-            return saved
+        if (saved.seed, saved.spec) == (cfg.seed, cfg.workload) and all(
+                getattr(saved.geometry, f) == getattr(cfg.geometry, f)
+                for f in GENERATOR_FIELDS):
+            return dataclasses.replace(saved, geometry=cfg.geometry)
     return gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
 
 

@@ -300,6 +300,8 @@ class Stage2Config(Record):
             raise ArgumentError("steps and warmup_steps must be positive")
         if self.max_lr < 0 or self.weight_decay < 0 or self.clip_norm <= 0:
             raise ArgumentError("max_lr/weight_decay/clip_norm out of range")
+        if self.schedule not in ("cosine", "constant"):
+            raise ArgumentError(f"unknown schedule {self.schedule!r}")
         if not (0 < self.top_p <= 1):
             raise ArgumentError("top_p must lie in (0, 1]")
 

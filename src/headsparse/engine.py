@@ -37,7 +37,8 @@ float64 end to end (the projected keys, their scores, the top-p walk and
 the histogram), so the sets and both sparsities do not depend on the cache
 type.  The oracle (covered_true_mass, the softmax of dense_row_scores)
 stays float64; its one-row products keep their bits only at a fixed BLAS
-thread count.
+thread count.  Calibration and stage 1 score the same float32 rotated keys
+in float64 (workload.causal_scores), turned by rope_apply without a cache.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ from .errors import ArgumentError, InternalError
 from .numerics import softmax, softmax_kl
 from .optim import AdamW, make_schedule
 from .record import Record
-from .rope import row_blocks
+from .rope import rope_apply, row_blocks
 from .seeding import derive_rng
-from .workload import (KVCacheHead, build_cache_prefix, causal_scores, qhead_to_kvhead,
-                       visible_rows)
+from .workload import KVCacheHead, causal_scores, qhead_to_kvhead, visible_rows
 
 
 @dataclass
@@ -137,7 +136,8 @@ class Stage1Dataset:
 def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
                          n_rows: int = 128) -> Stage1Dataset:
     """Supervision rows for one head from a workload's dense attention,
-    scored by causal_scores in one batch against one cache.
+    scored by causal_scores in one batch against the head's keys turned by
+    rope_apply; no cache is built and no value row is read.
 
     Positions start at 4 * block_size: on shorter prefixes any selector is
     trivially near-perfect and the rows carry no long-range signal.
@@ -151,14 +151,13 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     rng = derive_rng(seed, f"stage1-data-L{layer}H{q_head}")
     positions = np.sort(rng.choice(span, size=min(n_rows, span.size), replace=False))
     n = int(positions[-1]) + 1
-    g = qhead_to_kvhead(geometry, q_head)
-    cache = build_cache_prefix(workload, layer, g, n)
+    keys = workload.keys_pre[layer, qhead_to_kvhead(geometry, q_head), :n]
     queries = workload.queries[layer, q_head, positions]
-    attn = causal_scores(queries, positions, cache, geometry.scale)
-    del cache  # freed before the float64 keys are made
+    # the rotated keys are an argument only, freed before the float64 keys are made
+    attn = causal_scores(queries, positions, rope_apply(keys, np.arange(n), geometry.rope),
+                         geometry.rope, geometry.scale)
     softmax(attn, out=attn)
-    return Stage1Dataset(workload.keys_pre[layer, g, :n].astype(np.float64),
-                         queries, positions, attn)
+    return Stage1Dataset(keys.astype(np.float64), queries, positions, attn)
 
 
 def projector_grad(batch: Stage1Dataset, projector: Projector

@@ -120,11 +120,10 @@ def mass_budget_sweep(workload: Workload, layer: int, q_head: int, cache: KVCach
     """Dense-row oracle sweep: attention mass captured by static top-k
     budgets versus top-p at the same positions. Selection runs on the true
     scores, so this measures the budget tradeoff itself, not indexer error.
-    `cache` is the head's KV cache over positions 0..max(positions) at least."""
+    `cache` is the head's KV cache over positions 0..max(positions) at least;
+    dense_row_scores rejects any other."""
     if not positions:
         raise ArgumentError("no positions to sweep")
-    if cache.visible_count(max(positions)) <= max(positions):
-        raise ArgumentError(f"cache does not reach position {max(positions)}")
     masses: dict[tuple[str, int | float], list[tuple[float, int]]] = {}
     for t in positions:
         scores = dense_row_scores(workload.queries[layer, q_head, t], t, cache)

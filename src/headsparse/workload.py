@@ -98,7 +98,9 @@ class KVCacheHead:
     attention reads: 8 + 8 * head_dim bytes a row (520 at head_dim 64).
     Keys turn in float64 and are rounded to float32 once, as they land.
     Decode's `attend` reads the float32 rows as they are; the float64
-    oracle (causal_scores, dense_attention) widens them a block at a time.
+    oracle (dense_row_scores, dense_attention) widens them a block at a
+    time.  Caches belong to decode: calibration and stage 1 score keys
+    that rope_apply turns by the same rule, with no cache and no values.
     The pre-rotation keys are not kept: the indexer's ProjectedKeyCache is
     extended with the same rows by whoever appends them here.
 
@@ -311,12 +313,12 @@ def _widened_blocks(rows: np.ndarray):
         yield r.start, rows[r].astype(np.float64)
 
 
-def _oracle_scores(q_rot: np.ndarray, cache: KVCacheHead, n: int, scale: float) -> np.ndarray:
-    """Scaled float64 scores of rotated (B, d) queries against the first n
-    cache rows, the keys widened one block at a time."""
-    scores = np.empty((len(q_rot), n))
-    for a, keys in _widened_blocks(cache.keys_post[:n]):
-        scores[:, a : a + len(keys)] = q_rot @ keys.T
+def _oracle_scores(q_rot: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
+    """Scaled float64 scores of rotated (B, d) queries against every row of
+    the rotated keys, widened one block at a time."""
+    scores = np.empty((len(q_rot), len(keys)))
+    for a, block in _widened_blocks(keys):
+        scores[:, a : a + len(block)] = q_rot @ block.T
     scores *= scale
     return scores
 
@@ -336,44 +338,49 @@ def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHe
         scale = cache.rope.scale
     n = visible_rows(cache, query_position).stop
     q_rot = rope_rotate(query_pre, query_position, cache.rope)[None]
-    weights = softmax(_oracle_scores(q_rot, cache, n, scale))[0]
+    weights = softmax(_oracle_scores(q_rot, cache.keys_post[:n], scale))[0]
     output = sum(weights[a : a + len(v)] @ v for a, v in _widened_blocks(cache.values[:n]))
     return AttentionRow(int(query_position), weights, output)
 
 
-def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, cache: KVCacheHead,
-                  scale: float | None = None) -> np.ndarray:
+def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, keys_post: np.ndarray,
+                  rope: RopeParams, scale: float | None = None) -> np.ndarray:
     """The one causal-score kernel: scaled post-rotation scores of (B, d)
-    queries at `positions` against the cache rows up to the largest of them.
-    An entry whose cache position lies after its row's own position is
-    -inf, so softmax gives it weight exactly 0; cache positions are sorted,
-    so those entries are each row's tail.
+    queries at `positions` against keys_post, the rotated keys of tokens
+    0, 1, ... (row j is token j), up to the largest position.  Row i's
+    entries past positions[i] are -inf, so softmax gives them weight
+    exactly 0.  `scale` defaults to rope.scale.
 
     It stays float64, bit for bit the float64 product over all rows (the
     float32 keys widen one aligned block at a time), so calibration's head
     scores and stage-1's attention rows, and the files written from them,
-    do not depend on the cache's storage type.  A one-row call (one gemv,
+    do not depend on the keys' storage type.  A one-row call (one gemv,
     as dense_row_scores makes) keeps its bits only at a fixed BLAS thread
     count, since multi-threaded OpenBLAS splits a gemv by thread count."""
     pos = np.asarray(positions, np.int64)
-    if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, cache.rope.head_dim):
+    if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, rope.head_dim):
         raise ArgumentError("queries must be (B, head_dim), one position per row")
-    if len(cache) == 0 or not cache.positions[0] <= pos.min() <= pos.max() <= cache.positions[-1]:
-        raise ArgumentError("cache must reach each row's position and hold a token before it")
+    if np.ndim(keys_post) != 2 or np.shape(keys_post)[1] != rope.head_dim:
+        raise ArgumentError(f"keys must be (n, {rope.head_dim}), got {np.shape(keys_post)}")
+    if not 0 <= pos.min() <= pos.max() < len(keys_post):
+        raise ArgumentError(f"positions must lie in [0, {len(keys_post)}), the keys' rows")
     if scale is None:
-        scale = cache.rope.scale
-    n = cache.visible_count(int(pos.max()))
-    scores = _oracle_scores(rope_rotate_many(queries_pre, pos, cache.rope), cache, n, scale)
-    for row, visible in zip(scores, np.searchsorted(cache.positions[:n], pos, "right")):
-        row[visible:] = -np.inf
+        scale = rope.scale
+    n = int(pos.max()) + 1
+    scores = _oracle_scores(rope_rotate_many(queries_pre, pos, rope), keys_post[:n], scale)
+    for row, p in zip(scores, pos):
+        row[p + 1 :] = -np.inf
     return scores
 
 
 def dense_row_scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                      scale: float | None = None) -> np.ndarray:
     """The scaled post-rotation scores behind dense_attention's softmax:
-    causal_scores for one row."""
-    return causal_scores(np.asarray(query_pre)[None], [query_position], cache, scale)[0]
+    causal_scores for one row, on a cache whose positions are 0..n-1."""
+    if len(cache) == 0 or cache.positions[-1] != len(cache) - 1:
+        raise ArgumentError("the cache must hold positions 0..n-1")
+    return causal_scores(np.asarray(query_pre)[None], [query_position], cache.keys_post,
+                         cache.rope, scale)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +487,9 @@ class Workload:
     @staticmethod
     def load(stem: str | Path) -> "Workload":
         """Read a saved workload back, its tensors mapped from the payload.
-        Missing meta keys or tensors, or a tensor whose shape disagrees with
-        the recorded geometry and spec, raise ArgumentError."""
+        Missing meta keys or tensors, needle spans that are empty, overlap,
+        come out of order or leave the stream, or a tensor whose shape
+        disagrees with the recorded geometry and spec, raise ArgumentError."""
         tensors, meta = load_container(stem, "workload", ("queries", "keys_pre", "values"))
         missing = [k for k in ("seed", "geometry", "spec", "annotations") if k not in meta]
         if missing:
@@ -491,6 +499,13 @@ class Workload:
         geo = ModelGeometry.from_dict(meta["geometry"])
         spec = WorkloadSpec.from_dict(meta["spec"])
         annotations = WorkloadAnnotations.from_dict(meta["annotations"])
+        pre, post = annotations.n_pre, annotations.n_post
+        # calibration indexes its score rows with these spans
+        if not (pre and post and 0 <= min(pre) and max(pre) < min(post)
+                and max(post) < spec.seq_len):
+            raise ArgumentError(f"{stem}.json: needle spans {pre} and {post} must be "
+                                f"non-empty, disjoint and early before late in "
+                                f"0..{spec.seq_len - 1}")
         kv_shape = (geo.n_layers, geo.n_kv_heads, spec.seq_len, geo.head_dim)
         shapes = {"queries": (geo.n_layers, geo.n_q_heads, spec.seq_len, geo.head_dim),
                   "keys_pre": kv_shape, "values": kv_shape}
@@ -565,6 +580,11 @@ def _unit_walks(rngs: list[np.random.Generator], n_steps: int, dim: int, rho: fl
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     m = rng.normal(size=(n, dim))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+# The geometry fields gen_synthetic_workload reads: geometries equal on
+# these give the same streams, bit for bit, whatever their other fields.
+GENERATOR_FIELDS = ("n_layers", "n_q_heads", "n_kv_heads", "head_dim", "window", "n_sinks")
 
 
 def gen_synthetic_workload(spec: WorkloadSpec, seed: int,

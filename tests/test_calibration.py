@@ -1,5 +1,5 @@
-"""Calibration tests: the needle layout, the retrieval score, and the
-head partition, plus an end-to-end planted-workload check."""
+"""Calibration tests: the retrieval score on hand-built streams and on the
+planted workload, the head partition, and their persistence."""
 
 import dataclasses
 import tracemalloc
@@ -8,21 +8,22 @@ import numpy as np
 import pytest
 
 from headsparse.calibration import (
-    NeedleLayout,
     calibrate,
     group_retrieval_scores,
     load_partitions,
     partition_heads,
-    retrieval_score,
     save_partitions,
 )
 from headsparse.errors import ArgumentError
+from headsparse.indexer import build_stage1_dataset
+from headsparse.numerics import softmax
+from headsparse.rope import rope_apply, rope_rotate
 from headsparse.workload import (
+    ModelGeometry,
+    Workload,
+    WorkloadAnnotations,
     WorkloadSpec,
-    build_cache,
-    build_cache_prefix,
     default_workload_geometry,
-    dense_attention,
     gen_synthetic_workload,
     qhead_to_kvhead,
 )
@@ -36,59 +37,61 @@ def with_ratio(workload, ratio):
     return dataclasses.replace(workload, geometry=geo)
 
 
-def uniform_rows(layout):
-    """Causal uniform attention at the late-span positions."""
-    return {t: np.full(t + 1, 1.0 / (t + 1)) for t in layout.n_post}
+def rotated_keys(workload, layer, g):
+    """One KV group's keys of tokens 0..L-1 turned by rope_apply, as
+    calibration scores them."""
+    return rope_apply(workload.keys_pre[layer, g], np.arange(workload.seq_len),
+                      workload.geometry.rope)
 
 
-class TestBuildSequence:
-    """The layout of a calibration sequence's two needle copies."""
+def one_head_scores(n_pre, n_post, keys, query=(0, 0, 0, 0)):
+    """group_retrieval_scores of a one-head stream of len(keys) tokens at
+    head_dim 4 whose late rows all carry `query`.  At rope_base 1e12 the
+    second pair turns 1e-6 rad a token, so a query and key carried there
+    score their plain dot product; the first pair is left at 0."""
+    keys = np.asarray(keys, np.float32)
+    n = len(keys)
+    geo = ModelGeometry(n_q_heads=1, n_kv_heads=1, head_dim=4, low_dim=1, rope_base=1e12)
+    queries = np.zeros((1, 1, n, 4), np.float32)
+    queries[0, 0, list(n_post)] = query
+    ann = WorkloadAnnotations((), (0,), tuple(n_pre), tuple(n_post), ())
+    w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0, queries,
+                 keys[None, None], None, ann)
+    return group_retrieval_scores(w, 0, 0, rope_apply(keys, np.arange(n), geo.rope))[0]
 
-    def test_layout_invariants_enforced(self):
-        with pytest.raises(ArgumentError):
-            NeedleLayout(n_pre=(0, 5), n_post=(5, 6), total_len=10)
-        with pytest.raises(ArgumentError):
-            NeedleLayout(n_pre=(6,), n_post=(2,), total_len=10)
-        with pytest.raises(ArgumentError):
-            NeedleLayout(n_pre=(0,), n_post=(10,), total_len=10)
+
+def spike_keys(n, rows, gain=100.0):
+    """Keys that are 0 except for `gain` on the second pair's first dim at `rows`."""
+    keys = np.zeros((n, 4))
+    keys[list(rows), 2] = gain
+    return keys
 
 
 class TestRetrievalScore:
+    """The score of one head from its late rows, on hand-built streams."""
+
     def test_full_mass_gives_one(self):
-        layout = NeedleLayout((0, 1), (6, 7), 8)
-        rows = {}
-        for t in layout.n_post:
-            w = np.zeros(t + 1)
-            w[[0, 1]] = 0.5
-            rows[t] = w
-        assert retrieval_score(rows, layout) == 1.0
+        score = one_head_scores((0, 1), (6, 7), spike_keys(8, (0, 1)), (0, 0, 100, 0))
+        assert score == pytest.approx(1.0, abs=1e-15) and score <= 1.0
 
     def test_uniform_causal_hand_value(self):
-        layout = NeedleLayout((0, 1), (6, 7), 8)
-        got = retrieval_score(uniform_rows(layout), layout)
+        # zero queries attend uniformly over the t + 1 visible tokens
+        got = one_head_scores((0, 1), (6, 7), np.ones((8, 4)))
         assert got == pytest.approx((2 / 7 + 2 / 8) / 2, abs=1e-12)
         assert got == pytest.approx(0.2679, abs=5e-5)
 
     def test_zero_mass(self):
-        layout = NeedleLayout((0,), (5,), 8)
-        w = np.zeros(6)
-        w[4] = 1.0
-        assert retrieval_score({5: w}, layout) == 0.0
+        assert one_head_scores((0,), (5,), spike_keys(8, (4,)), (0, 0, 100, 0)) == 0.0
 
-    def test_missing_row_rejected(self):
-        layout = NeedleLayout((0,), (5, 6), 8)
-        w = np.full(6, 1 / 6)
-        with pytest.raises(ArgumentError):
-            retrieval_score({5: w}, layout)
+    def test_future_tokens_carry_no_mass(self):
+        # the late row at 5 cannot see the spike at 6, so it stays uniform
+        got = one_head_scores((0,), (5,), spike_keys(8, (6,)), (0, 0, 100, 0))
+        assert got == pytest.approx(1 / 6, abs=1e-15)
 
     def test_monotone_under_mass_transfer(self):
-        layout = NeedleLayout((0, 1), (6,), 8)
-        w = np.full(7, 1 / 7)
-        base = retrieval_score({6: w}, layout)
-        w2 = w.copy()
-        w2[1] += w2[5]
-        w2[5] = 0.0
-        moved = retrieval_score({6: w2}, layout)
+        query = (0, 0, 1, 0)
+        base = one_head_scores((0, 1), (6,), spike_keys(8, (5,), 1.0), query)
+        moved = one_head_scores((0, 1), (6,), spike_keys(8, (1,), 1.0), query)
         assert moved > base
 
 
@@ -165,24 +168,28 @@ class TestWorkloadCalibration:
         w = gen_synthetic_workload(SMALL_SPEC, 8, small_geometry())
         h = w.annotations.planted_retrieval_heads[0]
         g = qhead_to_kvhead(w.geometry, h)
-        scores = group_retrieval_scores(w, 0, g, build_cache(w, 0, g))
+        scores = group_retrieval_scores(w, 0, g, rotated_keys(w, 0, g))
         assert scores[h - g * w.geometry.group_size] > 0.8
 
 
 def reference_scores(workload):
-    """The per-row form: one dense_attention row per late position and
-    query head, reduced by retrieval_score; (n_layers, n_q_heads)."""
-    geo = workload.geometry
-    ann = workload.annotations
-    layout = NeedleLayout(ann.n_pre, ann.n_post, workload.seq_len)
+    """The per-row form over arrays: one float64 attention row per late
+    position and query head, from the rotated query and the widened keys
+    of tokens 0..t, and the mean of its early-span masses;
+    (n_layers, n_q_heads)."""
+    geo, ann = workload.geometry, workload.annotations
     out = np.zeros((geo.n_layers, geo.n_q_heads))
     for layer in range(geo.n_layers):
-        caches = [build_cache(workload, layer, g) for g in range(geo.n_kv_heads)]
+        keys = [rotated_keys(workload, layer, g).astype(np.float64)
+                for g in range(geo.n_kv_heads)]
         for h in range(geo.n_q_heads):
-            cache = caches[qhead_to_kvhead(geo, h)]
-            rows = {t: dense_attention(workload.queries[layer, h, t], t, cache).weights
-                    for t in layout.n_post}
-            out[layer, h] = retrieval_score(rows, layout)
+            k = keys[qhead_to_kvhead(geo, h)]
+            masses = []
+            for t in ann.n_post:
+                q = rope_rotate(workload.queries[layer, h, t], t, geo.rope)
+                weights = softmax(k[: t + 1] @ q * geo.scale)
+                masses.append(weights[list(ann.n_pre)].sum())
+            out[layer, h] = np.mean(masses)
     return out
 
 
@@ -201,8 +208,8 @@ def assert_matches_reference(got, want):
 
 
 class TestBatchedScores:
-    """calibrate's one masked product per KV head against the per-row
-    dense_attention form it replaced."""
+    """calibrate's one masked product per KV group against the per-row
+    form."""
 
     @pytest.mark.parametrize("n_layers, n_kv_heads", [(1, 4), (2, 8), (2, 2)])
     def test_matches_per_row_form(self, n_layers, n_kv_heads):
@@ -224,21 +231,35 @@ class TestBatchedScores:
         w = gen_synthetic_workload(SMALL_SPEC, 7, geo)
         want = reference_scores(w)[0]
         for g in range(geo.n_kv_heads):
-            got = group_retrieval_scores(w, 0, g, build_cache(w, 0, g))
+            got = group_retrieval_scores(w, 0, g, rotated_keys(w, 0, g))
             heads = slice(g * geo.group_size, (g + 1) * geo.group_size)
             np.testing.assert_allclose(got, want[heads], rtol=1e-12, atol=0)
 
-    def test_cache_must_reach_late_span(self):
+    def test_keys_must_reach_late_span(self):
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
-        short = build_cache_prefix(w, 0, 0, max(w.annotations.n_post))
+        short = rotated_keys(w, 0, 0)[: max(w.annotations.n_post)]
         with pytest.raises(ArgumentError):
             group_retrieval_scores(w, 0, 0, short)
 
 
+def test_offline_stages_never_read_values():
+    """Calibration and stage 1 score rotated keys without a cache, so a
+    workload without values gives what the full workload gives."""
+    w = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry())
+    no_values = dataclasses.replace(w, values=None)
+    assert calibrate(no_values) == calibrate(w)
+    for h in w.annotations.planted_retrieval_heads:
+        got = build_stage1_dataset(no_values, w.geometry, 0, h, seed=3, n_rows=32)
+        want = build_stage1_dataset(w, w.geometry, 0, h, seed=3, n_rows=32)
+        for name in ("keys_pre", "queries", "positions", "attn"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_calibrate_holds_one_cache_at_a_time():
     """Traced peak of calibrate on a 16K workload stays below 3.5 caches of
-    n * (16 d + 8) bytes: one cache at a time, plus its cos/sin table and
-    the group's score rows (measured 2.5)."""
+    n * (16 d + 8) bytes, the unit a KV cache of the stream takes.  It
+    builds no cache: one KV group's rotated keys at a time, the shared
+    cos/sin table and the group's score rows (measured 1.75)."""
     w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0,
                                default_workload_geometry())
     cache_bytes = w.seq_len * (16 * w.geometry.head_dim + 8)

@@ -444,6 +444,49 @@ class TestSavedWorkload:
         assert main(["run", "--config", str(cfg)]) == 2
 
 
+    @pytest.mark.parametrize("n_pre, n_post", [
+        ((0, 5), (5, 6)), ((6,), (2,)), ((0,), (768,)), ((-1, 0), (700,)),
+        ((), (700,)), ((8,), ()),
+    ], ids=["overlapping", "late-first", "past-the-end", "negative", "no-early",
+            "no-late"])
+    def test_bad_needle_spans_exit_2(self, artifacts, tmp_path, capsys, n_pre, n_post):
+        """The needle spans enter from workload.json, and calibration indexes
+        score rows with them: spans that are empty, overlap, come out of
+        order or leave the stream end any command that loads the file."""
+        out = clone_artifacts(artifacts, tmp_path)
+        path = out / "workload.json"
+        manifest = json.loads(path.read_text())
+        manifest["meta"]["annotations"].update(n_pre=list(n_pre), n_post=list(n_post))
+        path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path, out)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workload.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [("top_p", 0.8), ("rope_base", 1.0e4),
+                                              ("block_size", 32)])
+    def test_decode_geometry_change_maps_the_saved_workload(self, artifacts, tmp_path,
+                                                            monkeypatch, field, value):
+        """A run that changes a geometry field the generator does not read
+        maps calibrate's file under the run's geometry, never calls the
+        generator, and writes what the regenerated route writes."""
+        with_file = clone_artifacts(artifacts, tmp_path)
+        without = tmp_path / "without"
+        shutil.copytree(artifacts, without)
+        drop_workload(without)
+        cfg = write_config(tmp_path, with_file, geometry={field: value})
+        assert main(["run", "--config", str(cfg), "--out", str(without)]) == 0
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("the workload was generated again")
+
+        monkeypatch.setattr(cli, "gen_synthetic_workload", no_generation)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert read_artifacts(with_file, RUN_ARTIFACTS) == read_artifacts(without, RUN_ARTIFACTS)
+
+
 class TestStageMemory:
     """tracemalloc peaks of whole subcommands at 16K tokens on the default
     geometry (a 96 MiB workload payload).  Pages mapped from workload.bin are
@@ -506,6 +549,15 @@ class TestDistillToy:
             assert (out / "distill_summary.json").exists()
             traces.append((out / "distill_loss.csv").read_bytes())
         assert traces[0] == traces[1]
+
+
+    def test_bad_schedule_exits_2_before_any_work(self, tmp_path):
+        """stage2.schedule is checked with the config, so a bad one ends the
+        command before the teacher cache is built or saved."""
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, out, stage2={"schedule": "bogus"})
+        assert main(["distill-toy", "--config", str(cfg)]) == 2
+        assert not out.exists() or sorted(p.name for p in out.iterdir()) == ["config_used.json"]
 
 
 class TestBench:

@@ -25,7 +25,8 @@ from headsparse.reports import (
     write_decode_trace,
     write_sparsity_report,
 )
-from headsparse.workload import build_cache, gen_synthetic_workload, qhead_to_kvhead
+from headsparse.workload import (build_cache, build_cache_prefix, gen_synthetic_workload,
+                                 qhead_to_kvhead)
 
 SMALL_GEO = small_geometry()
 
@@ -146,6 +147,12 @@ class TestMassBudgetSweep:
         wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
         with pytest.raises(ArgumentError):
             mass_budget_sweep(wl, 0, 1, build_cache(wl, 0, 0), [], [8], 0.9)
+
+    def test_rejects_a_cache_short_of_the_positions(self):
+        wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
+        short = build_cache_prefix(wl, 0, 0, 700)
+        with pytest.raises(ArgumentError):
+            mass_budget_sweep(wl, 0, 1, short, [650, 720], [8], 0.9)
 
 
 class TestBench:

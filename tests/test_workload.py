@@ -4,6 +4,7 @@ The dense oracle is cross-checked against a literal two-loop reimplementation
 kept inside this file, so the production path never validates itself.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ from headsparse.errors import ArgumentError, InternalError
 from headsparse.numerics import softmax
 from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many, rope_table
 from headsparse.workload import (
+    GENERATOR_FIELDS,
     AttentionRow,
     KVCacheHead,
     ModelGeometry,
@@ -353,57 +355,55 @@ def gapped_cache(rng, d, n, base=1.0e4, step=1):
     return cache
 
 
-def parent_row_scores(q, t, cache, scale):
-    """The one-row scoring that dense_row_scores did before causal_scores:
-    one rotation angle vector, one (1, d) @ (d, n) float64 product over the
-    widened keys."""
-    n = cache.visible_count(t)
-    keys = cache.keys_post[:n].astype(np.float64)
-    return ((np.atleast_2d(rope_rotate(q, t, cache.rope)) @ keys.T) * scale)[0]
+def one_row_scores(q, t, keys_post, rope, scale):
+    """Row scoring: one rotation angle vector, one (1, d) @ (d, t + 1)
+    float64 product over the widened keys of tokens 0..t."""
+    keys = keys_post[: t + 1].astype(np.float64)
+    return ((np.atleast_2d(rope_rotate(q, t, rope)) @ keys.T) * scale)[0]
 
 
 class TestCausalScores:
+    """causal_scores over the rotated keys of tokens 0..n-1, given as an
+    array; the cache's keys_post is such an array when its positions are
+    0..n-1, as gapped_cache's are at step 1."""
+
     @pytest.mark.parametrize("d,base", [(16, 1.0e4), (64, 1.0e4), (64, 1.0e6), (128, 1.0e6)])
     def test_one_row_is_bit_identical_to_row_scoring(self, d, base):
         rng = np.random.default_rng(d)
         cache = gapped_cache(rng, d, 300, base)
         for t in rng.integers(0, 300, size=50):
             q = rng.normal(size=d).astype(np.float32)
-            want = parent_row_scores(q, int(t), cache, 0.125)
-            assert np.array_equal(causal_scores(q[None], [t], cache, 0.125)[0], want)
+            want = one_row_scores(q, int(t), cache.keys_post, cache.rope, 0.125)
+            got = causal_scores(q[None], [t], cache.keys_post, cache.rope, 0.125)[0]
+            assert np.array_equal(got, want)
             assert np.array_equal(dense_row_scores(q, int(t), cache, 0.125), want)
 
-    @pytest.mark.parametrize("step", [1, 3])
-    def test_rows_match_row_scoring_and_mask_the_future(self, step):
-        rng = np.random.default_rng(40 + step)
-        cache = gapped_cache(rng, 32, 400, step=step)
-        positions = rng.integers(0, 400 * step - step + 1, size=64)
-        queries = rng.normal(size=(64, 32))
-        got = causal_scores(queries, positions, cache)
-        assert got.shape == (64, cache.visible_count(int(positions.max())))
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_rows_match_row_scoring_and_mask_the_future(self, d):
+        rng = np.random.default_rng(40 + d)
+        cache = gapped_cache(rng, d, 400)
+        positions = rng.integers(0, 400, size=64)
+        queries = rng.normal(size=(64, d))
+        got = causal_scores(queries, positions, cache.keys_post, cache.rope)
+        assert got.shape == (64, positions.max() + 1)
         for q, t, row in zip(queries, positions, got):
-            want = parent_row_scores(q, int(t), cache, 1 / math.sqrt(32))
-            n = want.size
-            assert np.abs(row[:n] - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.all(np.isneginf(row[n:])) and np.all(cache.positions[n : row.size] > t)
+            want = one_row_scores(q, int(t), cache.keys_post, cache.rope, 1 / math.sqrt(d))
+            assert np.abs(row[: t + 1] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.all(np.isneginf(row[t + 1 :]))
 
     @pytest.mark.parametrize("d", [16, 64])
     def test_tail_slices_equal_the_boolean_mask(self, d):
-        """Each row's -inf tail is what the (B, n) mask of cache position >
-        row position marks, on a cache with gaps between its positions."""
+        """Each row's -inf tail is what the (B, n) mask of key index > row
+        position marks, with rows at the first and last keys and repeats."""
         rng = np.random.default_rng(50 + d)
-        positions = np.r_[0:4, 90:95, np.sort(rng.choice(np.arange(200, 5000), 300, False))]
-        cache = KVCacheHead(RopeParams(d, 1.0e6), capacity=len(positions))
-        cache.extend(rng.normal(size=(len(positions), d)) * 12,
-                     rng.normal(size=(len(positions), d)), positions)
-        rows = np.r_[0, 3, 50, 92, 150, rng.integers(0, positions[-1] + 1, size=40),
-                     positions[-1]]
+        n = 5000
+        keys_post = rng.normal(size=(n, d)).astype(np.float32) * 12
+        rope = RopeParams(d, 1.0e6)
+        rows = np.r_[0, 3, 50, 92, 92, 150, rng.integers(0, n, size=40), n - 1]
         queries = rng.normal(size=(len(rows), d))
-        n = cache.visible_count(int(rows.max()))
-        keys = cache.keys_post[:n].astype(np.float64)
-        want = (rope_rotate_many(queries, rows, cache.rope) @ keys.T) * 0.125
-        want[cache.positions[:n][None, :] > rows[:, None]] = -np.inf
-        assert np.array_equal(causal_scores(queries, rows, cache, 0.125), want)
+        want = (rope_rotate_many(queries, rows, rope) @ keys_post.astype(np.float64).T) * 0.125
+        want[np.arange(n)[None, :] > rows[:, None]] = -np.inf
+        assert np.array_equal(causal_scores(queries, rows, keys_post, rope, 0.125), want)
 
     @pytest.mark.parametrize("n", [5000, 9000, 3 * 4096 + 1])
     def test_blocks_are_bit_identical_to_one_float64_product(self, n):
@@ -423,7 +423,7 @@ class TestCausalScores:
             queries = rng.normal(size=(b, 64)) * 3
             want = (rope_rotate_many(queries, positions, cache.rope) @ keys.T) * 0.125
             want[np.arange(n)[None, :] > positions[:, None]] = -np.inf
-            got = causal_scores(queries, positions, cache, 0.125)
+            got = causal_scores(queries, positions, cache.keys_post, cache.rope, 0.125)
             if b > 1:
                 assert np.array_equal(got, want)
             else:
@@ -431,24 +431,35 @@ class TestCausalScores:
                 row = dense_attention(queries[0], n - 1, cache, 0.125)
                 np.testing.assert_allclose(row.weights, softmax(want[0]), rtol=1e-13, atol=0)
 
-    def test_positions_the_cache_does_not_reach_rejected(self):
+    def test_positions_the_keys_do_not_reach_rejected(self):
         rng = np.random.default_rng(9)
         cache = gapped_cache(rng, 8, 20)
+        keys, rope = cache.keys_post, cache.rope
         q = rng.normal(size=(2, 8))
-        causal_scores(q, [0, 19], cache)
-        for bad in ([3, 20], [25, 1]):
+        causal_scores(q, [0, 19], keys, rope)
+        for bad in ([3, 20], [25, 1], [-1, 3]):
             with pytest.raises(ArgumentError):
-                causal_scores(q, bad, cache)
+                causal_scores(q, bad, keys, rope)
         with pytest.raises(ArgumentError):
-            causal_scores(q, [3], cache)
+            causal_scores(q, [3], keys, rope)
         with pytest.raises(ArgumentError):
-            causal_scores(q[:, :4], [3, 4], cache)
+            causal_scores(q[:, :4], [3, 4], keys, rope)
+        for bad_keys in (keys[:, :4], keys[:0], keys[None]):
+            with pytest.raises(ArgumentError):
+                causal_scores(q, [0, 1], bad_keys, rope)
+
+    def test_row_scores_need_a_cache_over_positions_from_zero(self):
+        """dense_row_scores adapts a cache to causal_scores only when its
+        positions are 0..n-1, the keys' row indices."""
+        rng = np.random.default_rng(10)
+        q = rng.normal(size=8)
+        assert dense_row_scores(q, 19, gapped_cache(rng, 8, 20)).shape == (20,)
         late = KVCacheHead(RopeParams(8), capacity=1)
         late.append(np.zeros(8), np.zeros(8), 10)
-        with pytest.raises(ArgumentError):
-            causal_scores(q, [5, 12], late)
-        with pytest.raises(ArgumentError):
-            causal_scores(q, [5, 12], KVCacheHead(RopeParams(8), capacity=1))
+        for cache in (gapped_cache(rng, 8, 20, step=3), late,
+                      KVCacheHead(RopeParams(8), capacity=1)):
+            with pytest.raises(ArgumentError):
+                dense_row_scores(q, 0, cache)
 
 
 class TestAttendRowForms:
@@ -671,6 +682,23 @@ class TestGenerator:
         np.testing.assert_array_equal(a.keys_pre, b.keys_pre)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.annotations == b.annotations
+
+    def test_only_generator_fields_change_the_streams(self):
+        """The generator reads only GENERATOR_FIELDS of its geometry, so a
+        change to any other field (one each) leaves every stream byte for
+        byte as it was; a new field must be listed one way or the other."""
+        geo = small_geometry()
+        others = {"rope_base": 1.0e4, "retrieval_ratio": 0.5, "low_dim": 8,
+                  "top_p": 0.5, "block_size": 16}
+        init = {f.name for f in dataclasses.fields(ModelGeometry) if f.init}
+        assert set(others) == init - set(GENERATOR_FIELDS)
+        base = gen_synthetic_workload(SMALL_SPEC, 4, geo)
+        for name, value in others.items():
+            assert getattr(geo, name) != value
+            w = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, **{name: value}))
+            for arr in ("queries", "keys_pre", "values"):
+                assert getattr(w, arr).tobytes() == getattr(base, arr).tobytes(), (name, arr)
+            assert w.annotations == base.annotations
 
     def test_seed_changes_streams(self):
         a = gen_synthetic_workload(SMALL_SPEC, 11, small_geometry())
