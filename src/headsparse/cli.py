@@ -81,6 +81,7 @@ from .reports import (
     read_bench,
     read_decode_trace,
     read_sparsity_report,
+    record_true_masses,
     write_bench,
     write_decode_trace,
     write_sparsity_report,
@@ -91,7 +92,6 @@ from .workload import (
     Workload,
     WorkloadSpec,
     gen_synthetic_workload,
-    qhead_to_kvhead,
 )
 
 ENV_OUT = "HEADSPARSE_OUT"
@@ -251,30 +251,30 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
     projectors = _load_projectors(cfg, out, partitions)
     geo = cfg.geometry
     workload = _pipeline_workload(cfg, out)
-    result = run_workload(
-        workload, geo, partitions, projectors, mode=cfg.mode, top_k=cfg.top_k,
-        oracle=bool(getattr(args, "oracle", False)),
-    )
-    write_decode_trace(out / "decode_trace.csv", result.traces)
-    write_sparsity_report(out / "sparsity_report.json", result.report)
-    write_csv(out / "head_token_counts.csv", HEAD_COUNT_HEADER,
-              head_token_count_rows(result.traces))
-    ret_heads = sorted(partitions[0].retrieval_set)
-    sweep_head = ret_heads[0] if ret_heads else 0
+    result = run_workload(workload, geo, partitions, projectors, mode=cfg.mode,
+                          top_k=cfg.top_k)
+    traces, report = result.traces, result.report
+    del result  # frees the decode caches before the oracle turns any keys
+    if getattr(args, "oracle", False):
+        record_true_masses(workload, traces)
+    write_decode_trace(out / "decode_trace.csv", traces)
+    write_sparsity_report(out / "sparsity_report.json", report)
+    write_csv(out / "head_token_counts.csv", HEAD_COUNT_HEADER, head_token_count_rows(traces))
+    sweep_head = min(partitions[0].retrieval_set, default=0)
     positions = np.linspace(workload.prefill_len, workload.seq_len - 1, 6,
                             dtype=int).tolist()
-    sweep = mass_budget_sweep(workload, 0, sweep_head,
-                              result.caches[(0, qhead_to_kvhead(geo, sweep_head))],
-                              positions, budgets=[8, 64, 512], p=geo.top_p)
+    sweep = mass_budget_sweep(workload, 0, sweep_head, positions,
+                              budgets=[8, 64, 512], p=geo.top_p)
     write_csv(out / "mass_sweep.csv", SWEEP_HEADER, sweep)
-    print(f"decoded {len(result.traces)} head-steps in mode {cfg.mode!r}")
-    print(f"compute sparsity {result.report.compute_sparsity:.4f}, "
-          f"memory sparsity {result.report.memory_sparsity:.4f}")
+    print(f"decoded {len(traces)} head-steps in mode {cfg.mode!r}")
+    print(f"compute sparsity {report.compute_sparsity:.4f}, "
+          f"memory sparsity {report.memory_sparsity:.4f}")
 
 
 def _smoothed_ends(trace: list[float], window: int = 20) -> tuple[float, float]:
-    """Mean loss over the trace's first and last full windows."""
-    w = min(window, len(trace))
+    """Mean loss over the trace's first and last full windows, of at most
+    half the trace and at least one step each: disjoint from two steps on."""
+    w = max(min(window, len(trace) // 2), 1)
     sm = smooth_trace(np.array(trace), w)
     return float(sm[w - 1]), float(sm[-1])
 

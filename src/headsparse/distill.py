@@ -19,7 +19,7 @@ from .container import load_container, save_container
 from .errors import ArgumentError
 from .indexer import Projector
 from .numerics import descending_order, softmax, softmax_kl
-from .optim import AdamW, make_schedule
+from .optim import SCHEDULES, AdamW, make_schedule
 from .record import Record
 from .rope import RopeParams, rope_rotate_many, rope_unrotate_many
 from .seeding import derive_rng
@@ -300,7 +300,7 @@ class Stage2Config(Record):
             raise ArgumentError("steps and warmup_steps must be positive")
         if self.max_lr < 0 or self.weight_decay < 0 or self.clip_norm <= 0:
             raise ArgumentError("max_lr/weight_decay/clip_norm out of range")
-        if self.schedule not in ("cosine", "constant"):
+        if self.schedule not in SCHEDULES:
             raise ArgumentError(f"unknown schedule {self.schedule!r}")
         if not (0 < self.top_p <= 1):
             raise ArgumentError("top_p must lie in (0, 1]")

@@ -32,13 +32,12 @@ the same set, the worst output error over every retrieval head-step of one
 request (seed 0, the benchmark's set-up, one BLAS thread) read 1.3e-7 at 8K
 exact, 6.2e-8 at 32K exact and 1.0e-7 at 128K histogram; 5.3e-7 at 128K
 exact with projectors trained 1,200 steps, whose sets reach 116K tokens
-(2.5e-6 as one float32 sum a span).  Selection stays
-float64 end to end (the projected keys, their scores, the top-p walk and
-the histogram), so the sets and both sparsities do not depend on the cache
-type.  The oracle (covered_true_mass, the softmax of dense_row_scores)
-stays float64; its one-row products keep their bits only at a fixed BLAS
-thread count.  Calibration and stage 1 score the same float32 rotated keys
-in float64 (workload.causal_scores), turned by rope_apply without a cache.
+(2.5e-6 as one float32 sum a span).  Selection stays float64 end to end
+(the projected keys, their scores, the top-p walk and the histogram), so
+the sets and both sparsities do not depend on the cache type.  The engine
+only decodes: the float64 oracle (reports.oracle_rows) runs afterwards on
+the workload's arrays, as calibration and stage 1 do, and scores the same
+float32 rotated keys (workload.causal_scores) without a cache.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import numpy as np
 from .calibration import ROLE_LOCAL, ROLE_RETRIEVAL, HeadPartition
 from .errors import ArgumentError, ConfigError, InternalError
 from .indexer import ProjectedKeyCache, Projector
-from .numerics import softmax
 from .rope import rope_table
 from .selection import (
     ActiveSet,
@@ -68,7 +66,6 @@ from .workload import (
     attend,
     build_cache,
     build_cache_prefix,
-    dense_row_scores,
     qhead_to_kvhead,
     visible_rows,
 )
@@ -84,7 +81,8 @@ class DecodeTrace:
     the scores it ranked by); local heads select by rule rather than by score,
     so their coverage of that rule is complete and recorded as 1.0.
     covered_true_mass is the dense-attention mass of the same set and stays
-    None unless an oracle pass fills it in.  active_set: see ActiveSet.
+    None unless the oracle (reports.record_true_masses) fills it in.
+    active_set: see ActiveSet.
     """
 
     layer: int
@@ -99,9 +97,7 @@ class DecodeTrace:
 
     def __post_init__(self):
         if not (0.0 <= self.covered_projected_mass <= 1.0 + 1e-9):
-            raise InternalError(
-                f"projected mass {self.covered_projected_mass} outside [0, 1]"
-            )
+            raise InternalError(f"projected mass {self.covered_projected_mass} outside [0, 1]")
         if self.tokens_selected != set_size(self._active_set):
             raise InternalError("tokens_selected disagrees with the active set")
         if self.tokens_selected > self.position + 1:
@@ -123,7 +119,8 @@ class SparsityReport:
 
 class FullCaches(dict):
     """(layer, kv_head) -> full-stream cache, built once on first read for a
-    group that decoded without one (it has no retrieval head)."""
+    group that decoded without one (it has no retrieval head).  perfbench's
+    output check and the tests are its only readers."""
 
     def __init__(self, workload: Workload, caches: Mapping):
         super().__init__(caches)
@@ -138,7 +135,9 @@ class FullCaches(dict):
 class RunResult:
     traces: list[DecodeTrace]
     report: SparsityReport
-    caches: dict[tuple[int, int], KVCacheHead] = field(repr=False, default_factory=dict)
+    # the decode caches, and any other group's full cache built on access;
+    # perfbench's output check and the tests are their only readers
+    caches: FullCaches = field(repr=False)
 
 
 def local_spans(n_visible: int, window: int, n_sinks: int) -> tuple[slice, ...]:
@@ -259,15 +258,10 @@ def retrieval_head_decode(query_pre: np.ndarray, query_position: int,
     else:
         sel = histogram_threshold_scores(proj, block_size, p)
     return DecodeTrace(
-        layer=layer,
-        q_head=q_head,
-        position=int(query_position),
-        role=ROLE_RETRIEVAL,
-        tokens_selected=sel.size,
-        covered_projected_mass=sel.covered_mass,
+        layer=layer, q_head=q_head, position=int(query_position), role=ROLE_RETRIEVAL,
+        tokens_selected=sel.size, covered_projected_mass=sel.covered_mass,
         output=restricted_attention(query_pre, query_position, cache, sel),
-        active_set=sel.spans or sel.active_set,
-    )
+        active_set=sel.spans or sel.active_set)
 
 
 def prefill(workload: Workload, groups: Collection[tuple[int, int]] | None = None
@@ -319,19 +313,6 @@ def memory_sparsity(traces: Sequence[DecodeTrace],
     return 1.0 - float(np.mean(fracs))
 
 
-def attention_mass_report(trace: DecodeTrace, weights: np.ndarray) -> float:
-    """Dense attention mass captured by the trace's active set; `weights`
-    is the dense weight row over the position + 1 tokens the step sees."""
-    if weights.size != trace.position + 1:
-        raise ArgumentError(
-            f"trace at position {trace.position} vs a weight row over "
-            f"{weights.size} tokens"
-        )
-    if trace.active_set.size and trace.active_set.max() >= weights.size:
-        raise ArgumentError("active set exceeds the weight row")
-    return float(weights[trace.active_set].sum())
-
-
 def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry
                     ) -> SparsityReport:
     per_head: dict[tuple[int, int], list[int]] = {}
@@ -350,15 +331,13 @@ def sparsity_report(traces: Sequence[DecodeTrace], geometry: ModelGeometry
 def run_workload(workload: Workload, geometry: ModelGeometry,
                  partitions: Sequence[HeadPartition],
                  projectors: Mapping[tuple[int, int], Projector],
-                 *, mode: str = "exact", top_k: int | None = None,
-                 oracle: bool = False) -> RunResult:
+                 *, mode: str = "exact", top_k: int | None = None) -> RunResult:
     """Prefill the prompt region, then decode the remaining positions one
     layer at a time: the new token's KV is appended first, then the layer's
     local heads decode together over its LocalWindow and its retrieval heads
     one by one at geometry.top_p; traces come out in (position, layer,
-    q_head) order.  With oracle=True, each trace also gets the dense-attention
-    mass of its active set: one float64 weight row per head-step over
-    RunResult.caches, scores and softmax only, so markedly slower."""
+    q_head) order.  Decode reads no oracle: reports.record_true_masses
+    fills the traces' true masses afterwards from the workload's arrays."""
     check_mode(mode, top_k)
     if len(partitions) != geometry.n_layers:
         raise ArgumentError(f"{len(partitions)} head partitions for "
@@ -384,7 +363,6 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
     gs = geometry.group_size
     full = {(layer, h // gs) for layer, h in pkcs}
     live = prefill(workload, full)
-    caches = FullCaches(workload, live)
     windows = {layer: LocalWindow(workload, layer, workload.prefill_len,
                                   geometry.window, geometry.n_sinks)
                for layer, part in enumerate(partitions) if part.local_set}
@@ -425,8 +403,5 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
                         tokens_selected=n_spans,
                         covered_projected_mass=1.0, output=outs[h], active_set=spans,
                     )
-                if oracle:
-                    weights = softmax(dense_row_scores(queries[h], t, caches[layer, h // gs]))
-                    entry.covered_true_mass = attention_mass_report(entry, weights)
                 traces.append(entry)
-    return RunResult(traces, sparsity_report(traces, geometry), caches)
+    return RunResult(traces, sparsity_report(traces, geometry), FullCaches(workload, live))

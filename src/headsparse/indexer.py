@@ -19,7 +19,7 @@ import numpy as np
 from .container import load_container, save_container
 from .errors import ArgumentError, InternalError
 from .numerics import softmax, softmax_kl
-from .optim import AdamW, make_schedule
+from .optim import SCHEDULES, AdamW, make_schedule
 from .record import Record
 from .rope import rope_apply, row_blocks
 from .seeding import derive_rng
@@ -201,7 +201,7 @@ class Stage1Config(Record):
             raise ArgumentError("learning rate and weight decay must be >= 0")
         if self.warmup_steps < 0 or self.steps < 1 or self.rows_per_step < 1:
             raise ArgumentError("steps and row counts must be positive")
-        if self.schedule not in ("cosine", "constant"):
+        if self.schedule not in SCHEDULES:
             raise ArgumentError(f"unknown schedule {self.schedule!r}")
         if self.max_grad_norm <= 0:
             raise ArgumentError("max_grad_norm must be positive")

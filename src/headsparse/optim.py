@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ArgumentError
 
 LrSchedule = Callable[[int], float]
+SCHEDULES = ("cosine", "constant")  # the names make_schedule takes
 
 
 def warmup_cosine(max_lr: float, warmup_steps: int, total_steps: int) -> LrSchedule:
@@ -47,12 +48,12 @@ def warmup_constant(max_lr: float, warmup_steps: int) -> LrSchedule:
 def make_schedule(name: str, max_lr: float, warmup_steps: int, total_steps: int) -> LrSchedule:
     """A run's schedule; a warmup longer than the run ends at its last step,
     so every run reaches max_lr."""
+    if name not in SCHEDULES:
+        raise ArgumentError(f"unknown schedule {name!r}")
     warmup_steps = min(warmup_steps, total_steps)
     if name == "cosine":
         return warmup_cosine(max_lr, warmup_steps, total_steps)
-    if name == "constant":
-        return warmup_constant(max_lr, warmup_steps)
-    raise ArgumentError(f"unknown schedule {name!r}")
+    return warmup_constant(max_lr, warmup_steps)
 
 
 def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float

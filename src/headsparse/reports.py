@@ -1,13 +1,13 @@
 """Artifact emission and measurement: the fixed headers and column converters
 of the CSV artifacts, their writers and loaders (every file round-trips, and
-all go through headsparse.container), the attention-mass-vs-budget sweep,
-and the decode latency bench."""
+all go through headsparse.container), the float64 oracle's true masses,
+the attention-mass-vs-budget sweep, and the decode latency bench."""
 
 from __future__ import annotations
 
 import platform
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,14 +23,15 @@ from .engine import (
 from .errors import ArgumentError
 from .indexer import ProjectedKeyCache, init_projector
 from .numerics import softmax
-from .rope import RopeParams
+from .rope import RopeParams, rope_apply
 from .seeding import derive_rng
 from .selection import top_k_static, top_p_exact
 from .workload import (
     KVCacheHead,
     Workload,
     attend,
-    dense_row_scores,
+    causal_scores,
+    qhead_to_kvhead,
     visible_rows,
 )
 
@@ -101,46 +102,77 @@ def head_token_count_rows(traces: Sequence[DecodeTrace]) -> list[list]:
     for t in traces:
         groups.setdefault((t.layer, t.q_head), []).append(t)
     rows = []
-    for (layer, head) in sorted(groups):
-        entries = groups[(layer, head)]
+    for (layer, head), entries in sorted(groups.items()):
         sizes = np.array([t.tokens_selected for t in entries])
-        rows.append([
-            layer, head, entries[0].role, sizes.size,
-            round(float(sizes.mean()), 3),
-            int(np.percentile(sizes, 50)),
-            int(np.percentile(sizes, 95)),
-            int(sizes.max()),
-        ])
+        rows.append([layer, head, entries[0].role, sizes.size, round(float(sizes.mean()), 3),
+                     int(np.percentile(sizes, 50)), int(np.percentile(sizes, 95)),
+                     int(sizes.max())])
     return rows
 
 
-def mass_budget_sweep(workload: Workload, layer: int, q_head: int, cache: KVCacheHead,
+# Head-step rows per causal_scores call of the oracle; a call widens every
+# key block to float64 once for all its rows.  A 128K histogram request's
+# 2,048 rows took 11.7 ms a row one a call, 3.0 at 8, 2.3 at 16, 1.8 at 32
+# and 1.7 at 64 (seed 0, one BLAS thread, 2-core x86); 32 rows of scores
+# take 32 MiB at 128K.
+ORACLE_ROWS = 32
+
+
+def oracle_rows(workload: Workload, steps: Sequence[tuple[int, int, int]]
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """The float64 oracle: (i, the scaled post-rotation scores of head-step
+    steps[i] = (layer, q_head, position) over its position + 1 tokens), one
+    (layer, KV group) at a time and by position within it.  Each group's keys
+    turn once by rope_apply, with no cache and no value row, and its rows go
+    through causal_scores ORACLE_ROWS at a time: a gemm, so a row can differ
+    from dense_row_scores's one-row gemv in its last bits."""
+    geo, groups = workload.geometry, {}
+    for i, (layer, h, t) in enumerate(steps):
+        if not (0 <= layer < geo.n_layers and 0 <= t < workload.seq_len):
+            raise ArgumentError(f"head-step {steps[i]} lies outside the workload")
+        groups.setdefault((layer, qhead_to_kvhead(geo, h)), []).append(i)
+    for (layer, g), rows in sorted(groups.items()):
+        rows.sort(key=lambda i: steps[i][2])
+        n = steps[rows[-1]][2] + 1
+        keys = rope_apply(workload.keys_pre[layer, g, :n], np.arange(n), geo.rope)
+        for a in range(0, len(rows), ORACLE_ROWS):
+            batch = rows[a : a + ORACLE_ROWS]
+            _, heads, positions = np.array([steps[i] for i in batch]).T
+            scores = causal_scores(workload.queries[layer, heads, positions], positions,
+                                   keys, geo.rope)
+            yield from ((i, row[: t + 1]) for i, t, row in zip(batch, positions, scores))
+
+
+def record_true_masses(workload: Workload, traces: Sequence[DecodeTrace]) -> None:
+    """Set each trace's covered_true_mass: the oracle's softmax weight on
+    its active set, weights only, with no value product."""
+    for i, scores in oracle_rows(workload, [(t.layer, t.q_head, t.position) for t in traces]):
+        t, active = traces[i], traces[i].active_set
+        if active.size and not 0 <= active.min() <= active.max() <= t.position:
+            raise ArgumentError(f"active set reaches past position {t.position}")
+        t.covered_true_mass = float(softmax(scores)[active].sum())
+
+
+def mass_budget_sweep(workload: Workload, layer: int, q_head: int,
                       positions: Sequence[int], budgets: Sequence[int], p: float
                       ) -> list[list]:
     """Dense-row oracle sweep: attention mass captured by static top-k
     budgets versus top-p at the same positions. Selection runs on the true
-    scores, so this measures the budget tradeoff itself, not indexer error.
-    `cache` is the head's KV cache over positions 0..max(positions) at least;
-    dense_row_scores rejects any other."""
+    scores (oracle_rows), so this measures the budget tradeoff itself, not
+    indexer error."""
     if not positions:
         raise ArgumentError("no positions to sweep")
+    scored = dict(oracle_rows(workload, [(layer, q_head, t) for t in positions]))
     masses: dict[tuple[str, int | float], list[tuple[float, int]]] = {}
-    for t in positions:
-        scores = dense_row_scores(workload.queries[layer, q_head, t], t, cache)
+    for i in range(len(positions)):
+        scores = scored.pop(i)
         weights = softmax(scores)
-        for k in budgets:
-            sel = top_k_static(scores, k)
-            masses.setdefault(("top_k", k), []).append(
-                (float(weights[sel.active_set].sum()), sel.size))
-        sel = top_p_exact(scores, p)
-        masses.setdefault(("top_p", p), []).append(
-            (float(weights[sel.active_set].sum()), sel.size))
-    rows = []
-    for (selector, budget), vals in masses.items():
-        mean_mass = float(np.mean([v[0] for v in vals]))
-        mean_tokens = float(np.mean([v[1] for v in vals]))
-        rows.append([selector, budget, round(mean_mass, 6), round(mean_tokens, 2)])
-    return rows
+        for key, sel in [*((("top_k", k), top_k_static(scores, k)) for k in budgets),
+                         (("top_p", p), top_p_exact(scores, p))]:
+            masses.setdefault(key, []).append((float(weights[sel.active_set].sum()), sel.size))
+    return [[selector, budget, round(float(np.mean([m for m, _ in vals])), 6),
+             round(float(np.mean([n for _, n in vals])), 2)]
+            for (selector, budget), vals in masses.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +220,11 @@ def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
         queries = rng.normal(size=(warmup + n_steps, head_dim))
         pos = L - 1
 
-        def dense_step(q):
-            attend(q, pos, cache, visible_rows(cache, pos))
-
-        def exact_step(q):
-            retrieval_head_decode(q, pos, cache, pkc, p, "exact")
-
-        def hist_step(q):
-            retrieval_head_decode(q, pos, cache, pkc, p, "histogram",
-                                  block_size=block_size)
-
-        for mode, fn in zip(BENCH_MODES, (dense_step, exact_step, hist_step)):
+        steps = (lambda q: attend(q, pos, cache, visible_rows(cache, pos)),
+                 lambda q: retrieval_head_decode(q, pos, cache, pkc, p, "exact"),
+                 lambda q: retrieval_head_decode(q, pos, cache, pkc, p, "histogram",
+                                                 block_size=block_size))
+        for mode, fn in zip(BENCH_MODES, steps):
             times = []
             for i, q in enumerate(queries):
                 t0 = time.perf_counter()

@@ -97,10 +97,9 @@ class KVCacheHead:
     Keeps the positions and the float32 rotated keys and values, all that
     attention reads: 8 + 8 * head_dim bytes a row (520 at head_dim 64).
     Keys turn in float64 and are rounded to float32 once, as they land.
-    Decode's `attend` reads the float32 rows as they are; the float64
-    oracle (dense_row_scores, dense_attention) widens them a block at a
-    time.  Caches belong to decode: calibration and stage 1 score keys
-    that rope_apply turns by the same rule, with no cache and no values.
+    Decode's `attend` reads the float32 rows as they are.  Caches belong
+    to decode: calibration, stage 1 and the float64 oracle score keys that
+    rope_apply turns by the same rule, with no cache and no values.
     The pre-rotation keys are not kept: the indexer's ProjectedKeyCache is
     extended with the same rows by whoever appends them here.
 
@@ -182,8 +181,8 @@ class KVCacheHead:
     def values(self) -> np.ndarray:
         return self._values[..., : self._n, :]
 
-    # The name readers of the former float64 buffer use: the same float32
-    # rows, never a widened copy.
+    # The former float64 buffer's name, for its only readers (perfbench's
+    # output check and the tests): the same float32 rows, never widened.
     values64 = values
 
     def visible_count(self, query_position: int) -> int:
@@ -325,15 +324,12 @@ def _oracle_scores(q_rot: np.ndarray, keys: np.ndarray, scale: float) -> np.ndar
 
 def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                     scale: float | None = None) -> AttentionRow:
-    """Exact causal attention row against every visible cached token: the
-    float64 oracle.  Scores and the value sum run in float64 over rows
-    widened one block at a time, so its weights keep the bits of the
-    float64 products over the whole row on any cache, including one whose
-    positions are not 0..n-1.  That holds at a fixed BLAS thread count: the
-    one-row score and value products are gemv calls, which multi-threaded
-    OpenBLAS splits by thread count, so the same row can move by a bit
-    between thread counts.  It is not a decode path: decode attends
-    through `attend` in float32, and the oracle checks it."""
+    """Exact causal attention row against every visible cached token, in
+    float64: the tests' reference, which no program path calls.  Scores and
+    the value sum run over rows widened one block at a time, so its weights
+    keep the bits of the float64 products over the whole row on any cache,
+    including one whose positions are not 0..n-1, at a fixed BLAS thread
+    count (its one-row products are gemv calls; see causal_scores)."""
     if scale is None:
         scale = cache.rope.scale
     n = visible_rows(cache, query_position).stop
@@ -353,8 +349,8 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, keys_post: np.
 
     It stays float64, bit for bit the float64 product over all rows (the
     float32 keys widen one aligned block at a time), so calibration's head
-    scores and stage-1's attention rows, and the files written from them,
-    do not depend on the keys' storage type.  A one-row call (one gemv,
+    scores, stage-1's attention rows and the oracle's true masses, and the
+    files written from them, do not depend on the keys' storage type.  A one-row call (one gemv,
     as dense_row_scores makes) keeps its bits only at a fixed BLAS thread
     count, since multi-threaded OpenBLAS splits a gemv by thread count."""
     pos = np.asarray(positions, np.int64)
@@ -376,7 +372,8 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, keys_post: np.
 def dense_row_scores(query_pre: np.ndarray, query_position: int, cache: KVCacheHead,
                      scale: float | None = None) -> np.ndarray:
     """The scaled post-rotation scores behind dense_attention's softmax:
-    causal_scores for one row, on a cache whose positions are 0..n-1."""
+    causal_scores for one row, on a cache whose positions are 0..n-1, for
+    its only readers, perfbench's output check and the tests."""
     if len(cache) == 0 or cache.positions[-1] != len(cache) - 1:
         raise ArgumentError("the cache must hold positions 0..n-1")
     return causal_scores(np.asarray(query_pre)[None], [query_position], cache.keys_post,

@@ -22,7 +22,12 @@ from headsparse.cli import (
 )
 from headsparse.errors import ConfigError, InternalError
 from headsparse.indexer import build_stage1_dataset, init_projector
-from headsparse.reports import read_bench, read_decode_trace, read_sparsity_report
+from headsparse.reports import (
+    TRACE_HEADER,
+    read_bench,
+    read_decode_trace,
+    read_sparsity_report,
+)
 from headsparse.workload import (
     ModelGeometry,
     Workload,
@@ -225,6 +230,27 @@ class TestTrainIndexer:
             assert (artifacts / f"projector-L0H{head}.bin").exists()
             assert (artifacts / f"stage1-loss-L0H{head}.csv").exists()
 
+    def test_twenty_steps_print_two_different_ends(self, artifacts, tmp_path, capsys):
+        """Each smoothed end averages at most half the trace, so a 20-step
+        run's first and last windows are disjoint."""
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out, stage1={"steps": 20})
+        capsys.readouterr()
+        assert main(["train-indexer", "--config", str(cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "smoothed" in line]
+        assert len(lines) == 2
+        for line in lines:
+            first, last = line.split("smoothed loss ")[1].split(" -> ")
+            assert first != last
+
+    @pytest.mark.parametrize("steps, window", [(1, 1), (3, 1), (20, 10), (39, 19),
+                                               (40, 20), (600, 20)])
+    def test_smoothed_ends_windows(self, steps, window):
+        trace = list(np.linspace(2.0, 1.0, steps))
+        first, last = cli._smoothed_ends(trace)
+        assert first == pytest.approx(np.mean(trace[:window]))
+        assert last == pytest.approx(np.mean(trace[-window:]))
+
 
 class TestRun:
     def test_missing_projectors_exits_2(self, artifacts, tmp_path):
@@ -252,6 +278,25 @@ class TestRun:
         assert (out / "head_token_counts.csv").exists()
         assert (out / "mass_sweep.csv").exists()
         assert json.loads((out / "config_used.json").read_text())["seed"] == 11
+
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_oracle_changes_only_the_true_mass_column(self, artifacts, tmp_path, mode):
+        """--oracle fills every trace row's true mass after decode and
+        leaves every other column and file as a plain run writes them."""
+        written = {}
+        for flags in ([], ["--oracle"]):
+            out = clone_artifacts(artifacts, tmp_path / f"run{len(flags)}")
+            cfg = write_config(tmp_path / f"run{len(flags)}", out)
+            assert main(["run", "--config", str(cfg), "--mode", mode, *flags]) == 0
+            rows = read_decode_trace(out / "decode_trace.csv")
+            written[len(flags)] = ([[r[c] for c in TRACE_HEADER[:6]] for r in rows],
+                                   read_artifacts(out, RUN_ARTIFACTS[1:]))
+            masses = [r["true_mass"] for r in rows]
+            if flags:
+                assert all(0.0 <= m <= 1.0 + 1e-12 for m in masses)
+            else:
+                assert masses == [None] * len(rows)
+        assert written[0] == written[1]
 
     def test_histogram_run_keeps_mass_floor(self, artifacts, tmp_path):
         out = clone_artifacts(artifacts, tmp_path)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from headsparse.distill import Stage2Config
 from headsparse.errors import ArgumentError
+from headsparse.indexer import Stage1Config
 from headsparse.optim import (
+    SCHEDULES,
     AdamW,
     clip_global_norm,
     make_schedule,
@@ -39,6 +42,14 @@ class TestSchedules:
         assert make_schedule("constant", 1.0, 0, 10)(10) == 1.0
         with pytest.raises(ArgumentError):
             make_schedule("linear", 1.0, 0, 10)
+
+    @pytest.mark.parametrize("config", [Stage1Config, Stage2Config])
+    def test_configs_take_the_names_make_schedule_takes(self, config):
+        for name in SCHEDULES:
+            assert config(schedule=name).schedule == name
+            make_schedule(name, 1.0, 0, 10)
+        with pytest.raises(ArgumentError, match="unknown schedule 'linear'"):
+            config(schedule="linear")
 
     @pytest.mark.parametrize("name", ["cosine", "constant"])
     @pytest.mark.parametrize("warmup", [5, 100, 200])

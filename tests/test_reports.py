@@ -1,15 +1,21 @@
-"""Report tests: CSV/JSON round-trips, per-head summaries, the mass-vs-budget
-sweep, and the decode bench harness."""
+"""Report tests: CSV/JSON round-trips, per-head summaries, the float64
+oracle's true masses, the mass-vs-budget sweep, and the decode bench
+harness."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from test_engine import SMALL_WORKLOAD, small_partition, small_projectors
 from test_workload import SMALL_SPEC, small_geometry
 
-from headsparse.engine import DecodeTrace, SparsityReport
+from headsparse.engine import DecodeTrace, SparsityReport, run_workload
 from headsparse.errors import ArgumentError
+from headsparse.numerics import softmax
 from headsparse.reports import (
     BENCH_HEADER,
     BENCH_MODES,
+    ORACLE_ROWS,
     TRACE_HEADER,
     BenchRow,
     bench_decode,
@@ -20,12 +26,13 @@ from headsparse.reports import (
     read_csv,
     read_decode_trace,
     read_sparsity_report,
+    record_true_masses,
     write_bench,
     write_csv,
     write_decode_trace,
     write_sparsity_report,
 )
-from headsparse.workload import (build_cache, build_cache_prefix, gen_synthetic_workload,
+from headsparse.workload import (build_cache, dense_row_scores, gen_synthetic_workload,
                                  qhead_to_kvhead)
 
 SMALL_GEO = small_geometry()
@@ -118,12 +125,72 @@ class TestHeadTokenCounts:
         assert ids == [(0, 1), (0, 2), (1, 0)]
 
 
+def reference_mass(wl, trace):
+    """The one-row oracle: the softmax of dense_row_scores over the group's
+    full cache, summed over the trace's active set."""
+    cache = build_cache(wl, trace.layer, qhead_to_kvhead(wl.geometry, trace.q_head))
+    q = wl.queries[trace.layer, trace.q_head, trace.position]
+    return float(softmax(dense_row_scores(q, trace.position, cache))[trace.active_set].sum())
+
+
+def oracle_trace(position, active, q_head=1):
+    return DecodeTrace(0, q_head, position, "retrieval", len(active), 1.0, np.zeros(4),
+                       np.asarray(active))
+
+
+class TestTrueMasses:
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_batches_match_the_one_row_oracle(self, mode):
+        """Every head-step of a decode run, of both roles, within 1e-12 of
+        the one-row oracle; each KV group's rows span at least three
+        ORACLE_ROWS batches."""
+        wl = SMALL_WORKLOAD
+        part = small_partition()
+        res = run_workload(wl, wl.geometry, [part], small_projectors(part, wl.geometry),
+                           mode=mode)
+        assert (wl.seq_len - wl.prefill_len) * wl.geometry.group_size > 2 * ORACLE_ROWS
+        record_true_masses(wl, res.traces)
+        assert {t.role for t in res.traces} == {"retrieval", "local"}
+        for t in res.traces:
+            assert abs(t.covered_true_mass - reference_mass(wl, t)) <= 1e-12
+
+    def test_full_set_is_one(self):
+        traces = [oracle_trace(749, np.arange(750))]
+        record_true_masses(SMALL_WORKLOAD, traces)
+        assert traces[0].covered_true_mass == pytest.approx(1.0)
+
+    def test_subset_mass(self):
+        traces = [oracle_trace(749, [0, 7, 749]), oracle_trace(700, [3, 650], q_head=4)]
+        record_true_masses(SMALL_WORKLOAD, traces)
+        for t in traces:
+            assert abs(t.covered_true_mass - reference_mass(SMALL_WORKLOAD, t)) <= 1e-12
+
+    def test_set_past_the_position_rejected(self):
+        """A set that reaches past its step's position + 1 tokens raises,
+        also where the batch's row is longer (its head shares a batch with
+        a later position), so nothing past the step's row is read."""
+        for late in ([0, 750], [-1, 3]):
+            traces = [oracle_trace(749, late), oracle_trace(760, [0])]
+            with pytest.raises(ArgumentError):
+                record_true_masses(SMALL_WORKLOAD, traces)
+
+    def test_reads_no_values(self):
+        """The oracle scores rotated keys without a cache, so a workload
+        without values gives what the full workload gives."""
+        part = small_partition()
+        traces = run_workload(SMALL_WORKLOAD, SMALL_WORKLOAD.geometry, [part],
+                              small_projectors(part, SMALL_WORKLOAD.geometry)).traces
+        record_true_masses(SMALL_WORKLOAD, traces)
+        want = [t.covered_true_mass for t in traces]
+        record_true_masses(dataclasses.replace(SMALL_WORKLOAD, values=None), traces)
+        assert [t.covered_true_mass for t in traces] == want
+
+
 @pytest.fixture(scope="module")
 def sweep_rows():
     wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
     positions = [700, 720, 740, 760]
-    cache = build_cache(wl, 0, qhead_to_kvhead(SMALL_GEO, 1))
-    return mass_budget_sweep(wl, 0, 1, cache, positions, budgets=[8, 32, 128], p=0.9)
+    return mass_budget_sweep(wl, 0, 1, positions, budgets=[8, 32, 128], p=0.9)
 
 
 class TestMassBudgetSweep:
@@ -146,13 +213,13 @@ class TestMassBudgetSweep:
     def test_rejects_empty_positions(self):
         wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
         with pytest.raises(ArgumentError):
-            mass_budget_sweep(wl, 0, 1, build_cache(wl, 0, 0), [], [8], 0.9)
+            mass_budget_sweep(wl, 0, 1, [], [8], 0.9)
 
-    def test_rejects_a_cache_short_of_the_positions(self):
+    @pytest.mark.parametrize("layer, position", [(0, 768), (0, -1), (1, 700)])
+    def test_rejects_a_position_past_the_stream(self, layer, position):
         wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
-        short = build_cache_prefix(wl, 0, 0, 700)
         with pytest.raises(ArgumentError):
-            mass_budget_sweep(wl, 0, 1, short, [650, 720], [8], 0.9)
+            mass_budget_sweep(wl, layer, 1, [650, position], [8], 0.9)
 
 
 class TestBench:
