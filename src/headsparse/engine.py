@@ -2,9 +2,13 @@
 attention for local heads, and per-step top-p decode over projected scores.
 
 Every KV cache is a workload.KVCacheHead, allocated once under one of two
-capacity rules: a group with a retrieval head keeps its full cache, sized
-for the whole stream, and each layer's LocalWindow stacks every KV group
-and keeps only sinks and a recent window in n_sinks + 2 * window rows.
+capacity rules.  A group with a retrieval head keeps its full cache, sized
+for the whole stream: a stream cache (build_cache_prefix) that owns its
+rotated float32 keys and positions, 8 + 4 * head_dim bytes a row, and reads
+the workload's value rows in place, never writing them.  Each layer's
+LocalWindow stacks every KV group and keeps only sinks and a recent window,
+with its own copies of their rows, in n_sinks + 2 * window rows or the
+stream's length if that is less.
 A decode step visits each layer once.  Every local query head of the layer
 decodes in one call over the layer's LocalWindow; the retrieval heads' rows
 ride along so the batch stays rectangular, and their outputs are dropped.
@@ -17,7 +21,7 @@ through workload.attend, the one attention kernel.
 A retrieval head ranks tokens by its ProjectedKeyCache, which the decode
 loop extends with the pre-rotation keys of the rows its KV cache holds (the
 prompt and the first token at the first step, then one token a step), so
-the caches keep only rotated keys, values and positions.
+the caches keep only rotated keys, positions and (in the windows) values.
 
 The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
@@ -119,7 +123,8 @@ class SparsityReport:
 
 class FullCaches(dict):
     """(layer, kv_head) -> full-stream cache, built once on first read for a
-    group that decoded without one (it has no retrieval head).  perfbench's
+    group that decoded without one (it has no retrieval head); like the
+    decode caches, it reads the workload's value rows in place.  perfbench's
     output check and the tests are its only readers."""
 
     def __init__(self, workload: Workload, caches: Mapping):
@@ -163,16 +168,20 @@ class LocalWindow(KVCacheHead):
     The rows are a prefix of the stream's sinks and a run of consecutive
     tokens that ends at the last append and holds more than `window`
     tokens once the two are apart, so local_spans over the rows are the
-    local rule's spans over the stream.  Where a full cache would grow, an
-    append to the full buffer of n_sinks + 2 * window rows first moves its
-    last `window` rows down behind the sinks.  Each row has the bits of the
-    same token's row in a full cache."""
+    local rule's spans over the stream.  The buffer holds n_sinks + 2 *
+    window rows, or the whole stream if that is shorter (a window as long
+    as the stream keeps every row, and no row moves); where a full cache
+    would grow, an append to a full buffer first moves its last `window`
+    rows down behind the sinks.  The rows are the window's own copies, as
+    they move.  Each row has the bits of the same token's row in a full
+    cache."""
 
     def __init__(self, workload: Workload, layer: int, n_tokens: int, window: int,
                  n_sinks: int):
         """The local rows of the first n_tokens of `layer`'s streams."""
         keys_pre, values = workload.keys_pre[layer], workload.values[layer]
-        super().__init__(workload.geometry.rope, n_sinks + 2 * window, len(keys_pre))
+        capacity = min(n_sinks + 2 * window, workload.seq_len)
+        super().__init__(workload.geometry.rope, capacity, len(keys_pre))
         self.window, self.n_sinks = window, n_sinks
         keep = np.r_[local_spans(n_tokens, window, n_sinks)]
         self.extend(keys_pre[:, keep], values[:, keep], keep, rope_table(keep, self.rope))

@@ -94,14 +94,26 @@ class KVCacheHead:
     row past it raises InternalError); rows are token positions in full
     caches only.
 
-    Keeps the positions and the float32 rotated keys and values, all that
-    attention reads: 8 + 8 * head_dim bytes a row (520 at head_dim 64).
-    Keys turn in float64 and are rounded to float32 once, as they land.
-    Decode's `attend` reads the float32 rows as they are.  Caches belong
-    to decode: calibration, stage 1 and the float64 oracle score keys that
-    rope_apply turns by the same rule, with no cache and no values.
-    The pre-rotation keys are not kept: the indexer's ProjectedKeyCache is
-    extended with the same rows by whoever appends them here.
+    Keeps the positions, the float32 rotated keys and the values, all that
+    attention reads.  Keys turn in float64 and are rounded to float32 once,
+    as they land.  Decode's `attend` reads the float32 rows as they are.
+    Caches belong to decode: calibration, stage 1 and the float64 oracle
+    score keys that rope_apply turns by the same rule, with no cache and no
+    values.  The pre-rotation keys are not kept: the indexer's
+    ProjectedKeyCache is extended with the same rows by whoever appends
+    them here.
+
+    The values are stored one of two ways, fixed at construction.  By
+    default the cache owns float32 copies of the rows it is given: 8 +
+    8 * head_dim bytes a row (520 at head_dim 64).  Given `values`, the
+    float32 value rows of a whole stream (such as workload.values[layer,
+    g], `capacity` rows), the cache reads them in place through a read-only
+    view and never writes them (a mapped workload is a copy-on-write map,
+    so a write would copy its pages); it owns 8 + 4 * head_dim bytes a row
+    (264).  Row i of such a stream cache is token i: positions continue
+    0, 1, ..., and append and extend take values only to check them.  None
+    stands for the stream's own rows, and any other rows raise
+    ArgumentError, so the cache never attends over values it was not given.
 
     With `groups`, the cache stacks that many KV groups over one positions
     vector: keys_post and values are (groups, n, head_dim), and append and
@@ -109,13 +121,22 @@ class KVCacheHead:
     in a one-group cache fed the same rows.
     """
 
-    def __init__(self, rope: RopeParams, capacity: int, groups: int | None = None):
+    def __init__(self, rope: RopeParams, capacity: int, groups: int | None = None,
+                 values: np.ndarray | None = None):
         self.rope = rope
         self._lead = () if groups is None else (groups,)
         self._n = 0
         self._positions = np.empty(capacity, np.int64)
         self._keys_post = np.empty((*self._lead, capacity, rope.head_dim), np.float32)
-        self._values = np.empty_like(self._keys_post)
+        self._stream = values is not None
+        if values is None:
+            self._values = np.empty_like(self._keys_post)
+            return
+        if values.shape != self._keys_post.shape or values.dtype != np.float32:
+            raise ArgumentError(f"stream values must be float32{self._keys_post.shape}, "
+                                f"got {values.dtype}{values.shape}")
+        self._values = values.view()
+        self._values.flags.writeable = False
 
     def __len__(self) -> int:
         return self._n
@@ -125,48 +146,72 @@ class KVCacheHead:
         if need > len(self._positions):
             raise InternalError(f"{need} rows for a cache of {len(self._positions)}")
 
-    def append(self, key_pre: np.ndarray, value: np.ndarray, position: int) -> None:
+    def _value_rows(self, values, shape: tuple[int, ...]) -> np.ndarray | None:
+        """values as float32 rows of `shape`; None only for a stream cache."""
+        if values is None and self._stream:
+            return None
+        rows = np.asarray(values, np.float32)
+        if rows.shape != shape:
+            raise ArgumentError(f"keys and values must be {shape}")
+        return rows
+
+    def _check_stream(self, pos: np.ndarray, values: np.ndarray | None) -> None:
+        """On a stream cache, positions `pos` must be its next rows' tokens
+        and `values`, if given, the stream's rows there."""
+        n0, n1 = self._n, self._n + pos.size
+        if pos[0] != n0 or pos[-1] != n1 - 1 or (
+                values is not None and not np.array_equal(values, self._values[..., n0:n1, :])):
+            raise ArgumentError(f"a stream cache's next rows are tokens {n0}..{n1 - 1} "
+                                f"with the stream's values")
+
+    def append(self, key_pre: np.ndarray, value: np.ndarray | None, position: int) -> None:
         """One token: extend's checks and rounding, written straight into
         row n without going through the batch form.  A stacked cache takes
         (groups, head_dim) rows, turned at `position` by one rope_rotate."""
-        kp = np.asarray(key_pre, np.float32)
-        va = np.asarray(value, np.float32)
         row = (*self._lead, self.rope.head_dim)
-        if kp.shape != row or va.shape != row:
+        kp = np.asarray(key_pre, np.float32)
+        va = self._value_rows(value, row)
+        if kp.shape != row:
             raise ArgumentError(f"key and value must be {row}")
         position = int(position)
         if position < 0 or (self._n and position <= self._positions[self._n - 1]):
             raise ArgumentError("positions must be strictly increasing and non-negative")
+        if self._stream:
+            self._check_stream(np.array([position]), None if va is None else va[..., None, :])
         self._grow(self._n + 1)
         n = self._n
         self._positions[n] = position
         self._keys_post[..., n, :] = rope_rotate(kp, position, self.rope)
-        self._values[..., n, :] = va
+        if not self._stream:
+            self._values[..., n, :] = va
         self._n = n + 1
 
-    def extend(self, keys_pre: np.ndarray, values: np.ndarray, positions: np.ndarray,
+    def extend(self, keys_pre: np.ndarray, values: np.ndarray | None, positions: np.ndarray,
                table: RopeTable | None = None) -> None:
         """Batch append of (n, head_dim) rows, (groups, n, head_dim) if stacked.
         Keys and values are rounded to float32 once; each group's keys turn in
         float64 block by block (rope_apply) and land rounded to float32.
         `table` is rope_table(positions), when the caller already holds it."""
         kp32 = np.asarray(keys_pre, np.float32)
-        va32 = np.asarray(values, np.float32)
         pos = np.asarray(positions, np.int64)
         rows = (*self._lead, pos.size, self.rope.head_dim)
-        if pos.ndim != 1 or kp32.shape != rows or va32.shape != rows:
+        va32 = self._value_rows(values, rows)
+        if pos.ndim != 1 or kp32.shape != rows:
             raise ArgumentError(f"keys and values must be {rows}, one row per position")
         if pos.size == 0:
             return
         prev = self._positions[self._n - 1] if self._n else -1
         if pos[0] <= prev or np.any(pos[1:] <= pos[:-1]) or pos[0] < 0:
             raise ArgumentError("positions must be strictly increasing and non-negative")
+        if self._stream:
+            self._check_stream(pos, va32)
         self._grow(self._n + pos.size)
         n0, n1 = self._n, self._n + pos.size
         for g in np.ndindex(kp32.shape[:-2]):
             rope_apply(kp32[g], pos, self.rope, table, out=self._keys_post[g][n0:n1])
         self._positions[n0:n1] = pos
-        self._values[..., n0:n1, :] = va32
+        if not self._stream:
+            self._values[..., n0:n1, :] = va32
         self._n = n1
 
     @property
@@ -803,8 +848,11 @@ def build_cache(workload: Workload, layer: int, kv_head: int) -> KVCacheHead:
 
 def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: int,
                        table: RopeTable | None = None) -> KVCacheHead:
-    """Bulk-load the first n_tokens of one KV head's stream; `table`, if given,
-    is rope_table(0..n_tokens-1) shared by a caller that builds several heads,
+    """Bulk-load the first n_tokens of one KV head's stream into a stream
+    cache sized for the whole stream: it turns and keeps the keys, and
+    reads the values in place from workload.values[layer, kv_head], so
+    appends take the stream's later rows.  `table`, if given, is
+    rope_table(0..n_tokens-1) shared by a caller that builds several heads,
     and without it each rotation block computes its own cos/sin rows."""
     if not (0 <= layer < workload.geometry.n_layers):
         raise ArgumentError(f"layer {layer} out of range")
@@ -812,12 +860,7 @@ def build_cache_prefix(workload: Workload, layer: int, kv_head: int, n_tokens: i
         raise ArgumentError(f"kv_head {kv_head} out of range")
     if not (0 < n_tokens <= workload.seq_len):
         raise ArgumentError("n_tokens out of range")
-    cache = KVCacheHead(workload.geometry.rope, capacity=workload.seq_len)
-    cache.extend(
-        workload.keys_pre[layer, kv_head, :n_tokens],
-        workload.values[layer, kv_head, :n_tokens],
-        np.arange(n_tokens),
-        table,
-    )
+    cache = KVCacheHead(workload.geometry.rope, capacity=workload.seq_len,
+                        values=workload.values[layer, kv_head])
+    cache.extend(workload.keys_pre[layer, kv_head, :n_tokens], None, np.arange(n_tokens), table)
     return cache
-

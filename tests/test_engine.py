@@ -766,10 +766,13 @@ class TestLocalWindows:
     # move during decode (16 < 64 steps, and 1); no sinks; prompts whose
     # P - window sits below, at and just past n_sinks; two layers; a group
     # with no local head (heads 0 and 1) beside groups of only local heads
+    # Windows as long as the stream and longer (a dense request) keep every
+    # row and never move.
+    L = SMALL_WORKLOAD.seq_len
     CASES = [(16, 4, (1, 6), 1), (1, 4, (1, 6), 1), (1, 0, (1, 6), 1),
              (16, 0, (1, 6), 1), (P - 3, 4, (1, 6), 1), (P - 4, 4, (1, 6), 1),
              (P - 5, 4, (1, 6), 1), (16, 4, (1, 6), 2), (16, 4, (0, 1, 6), 1),
-             (P - 4, 4, (0, 1, 6), 2)]
+             (P - 4, 4, (0, 1, 6), 2), (L, 4, (1, 6), 1), (10**6, 4, (0, 1, 6), 2)]
 
     @pytest.mark.parametrize("window, n_sinks, planted, n_layers", CASES)
     def test_equal_to_full_cache_reference(self, window, n_sinks, planted, n_layers):
@@ -805,6 +808,18 @@ class TestLocalWindows:
                 assert np.array_equal(win.keys_post[g], cache.keys_post[win.positions])
                 assert np.array_equal(win.values[g], cache.values[win.positions])
         assert moves == ((64 - 1) // window if window < 64 else 0)
+
+    @pytest.mark.parametrize("window", [L // 2 - 2, L // 2, L, 10**6])
+    def test_capacity_is_at_most_the_stream(self, window):
+        """n_sinks + 2 * window rows, capped at the stream's length; a
+        window as long as the stream holds every row it will be given."""
+        win = LocalWindow(SMALL_WORKLOAD, 0, self.P, window, 4)
+        assert len(win._positions) == min(4 + 2 * window, self.L)
+        assert win._values.shape[1] == len(win._positions)
+        for t in range(self.P, self.L):
+            win.append(SMALL_WORKLOAD.keys_pre[0, :, t], SMALL_WORKLOAD.values[0, :, t], t)
+        rows = np.r_[local_spans(len(win), window, 4)]
+        assert np.array_equal(win.positions[rows], local_active_indices(self.L, window, 4))
 
     def test_appends_follow_the_last_position(self):
         win = LocalWindow(SMALL_WORKLOAD, 0, self.P, 16, 4)
@@ -913,6 +928,77 @@ class TestSpanTraces:
                 arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
                 spans_only = mode == "histogram" or t.role == "local"
                 assert len(arrays) == (1 if spans_only else 2)
+
+
+def read_only(wl):
+    """The workload with read-only copies of its streams."""
+    arrays = {name: getattr(wl, name).copy() for name in ("queries", "keys_pre", "values")}
+    for a in arrays.values():
+        a.flags.writeable = False
+    return dataclasses.replace(wl, **arrays)
+
+
+class TestStreamCaches:
+    """Full-stream caches (prefill's retrieval groups and FullCaches) keep
+    their own keys and positions and read the workload's value rows in
+    place; no decode path writes into the workload."""
+
+    def test_caches_share_the_workload_values(self):
+        part = small_partition()
+        res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part],
+                           small_projectors(part, SMALL_GEO))
+        live = dict(res.caches)
+        assert sorted(live) == [(0, 0), (0, 3)]
+        for g in range(SMALL_GEO.n_kv_heads):
+            cache = res.caches[0, g]
+            assert np.shares_memory(cache.values, SMALL_WORKLOAD.values[0, g])
+            assert np.array_equal(cache.values, SMALL_WORKLOAD.values[0, g])
+            assert len(cache) == SMALL_WORKLOAD.seq_len
+        for (layer, g), cache in prefill(SMALL_WORKLOAD).items():
+            assert np.shares_memory(cache.values, SMALL_WORKLOAD.values[layer, g])
+
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_read_only_workload_gives_the_same_traces(self, mode):
+        geo = small_geometry(n_layers=2, window=16)
+        part = small_partition()
+        projs = small_projectors(part, geo)
+        want = run_workload(TWO_LAYER_WORKLOAD, geo, [part] * 2, projs, mode=mode)
+        got = run_workload(read_only(TWO_LAYER_WORKLOAD), geo, [part] * 2, projs, mode=mode)
+        assert len(got.traces) == len(want.traces)
+        for a, b in zip(got.traces, want.traces):
+            assert (a.layer, a.q_head, a.position, a.role, a.tokens_selected) == \
+                (b.layer, b.q_head, b.position, b.role, b.tokens_selected)
+            assert a.covered_projected_mass == b.covered_projected_mass
+            assert np.array_equal(a.output, b.output)
+            assert np.array_equal(a.active_set, b.active_set)
+        assert got.report.compute_sparsity == want.report.compute_sparsity
+        assert got.report.memory_sparsity == want.report.memory_sparsity
+
+    def test_a_differing_row_is_refused(self):
+        cache = prefill(SMALL_WORKLOAD, {(0, 1)})[0, 1]
+        t = SMALL_WORKLOAD.prefill_len
+        with pytest.raises(ArgumentError):
+            cache.append(SMALL_WORKLOAD.keys_pre[0, 1, t], SMALL_WORKLOAD.values[0, 1, t + 1], t)
+        assert len(cache) == t
+        cache.append(SMALL_WORKLOAD.keys_pre[0, 1, t], SMALL_WORKLOAD.values[0, 1, t], t)
+        assert len(cache) == t + 1
+
+    def test_prefill_holds_no_value_bytes(self):
+        """At 16K, what prefill leaves allocated is each cache's positions
+        and float32 keys, 8 + 4 * head_dim bytes a row: a copy of a group's
+        values (4 MiB here) would not fit."""
+        geo = default_workload_geometry()
+        w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0, geo)
+        groups = {(0, 0), (0, 2)}
+        tracemalloc.start()
+        try:
+            caches = prefill(w, groups)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        owned = len(groups) * w.seq_len * (8 + 4 * geo.head_dim)
+        assert sorted(caches) == sorted(groups)
+        assert owned <= held < owned + 2**20, f"{(held - owned) / 2**20:.2f} MiB over"
 
 
 class TestRunMemory:

@@ -31,6 +31,7 @@ from headsparse.workload import (
     WorkloadSpec,
     attend,
     build_cache,
+    build_cache_prefix,
     causal_scores,
     content_band,
     default_workload_geometry,
@@ -642,21 +643,27 @@ SMALL_SPEC = small_spec(planted_retrieval_heads=(1, 6), probe_head=1)
 
 
 def owned_bytes(cache):
-    return sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray))
+    """Bytes of the arrays the cache allocated itself, not views it reads."""
+    return sum(v.nbytes for v in vars(cache).values()
+               if isinstance(v, np.ndarray) and v.flags.owndata)
 
 
 class TestCacheFootprint:
     def test_build_cache_owns_no_extra_copies(self):
-        # per token: int64 position (8), float32 rotated key and value (4d each)
+        # per token: int64 position (8) and float32 rotated key (4d); the
+        # values are the workload's rows, read in place
         w = gen_synthetic_workload(SMALL_SPEC, 0, small_geometry())
         cache = build_cache(w, 0, 1)
         n, d = w.seq_len, w.geometry.head_dim
-        assert owned_bytes(cache) == n * (8 * d + 8)
+        assert owned_bytes(cache) == n * (4 * d + 8)
+        assert np.shares_memory(cache.values, w.values[0, 1])
+        assert not np.shares_memory(cache.values, w.values[0, 0])
 
     def test_build_allocates_its_buffers_and_a_few_mib(self):
-        """build_cache of a 65,536-row head allocates its 520 bytes per row
-        and a few MiB of rotation blocks; a full-length cos/sin table (32
-        MiB here) or turn temporary (16 MiB or more) would not fit."""
+        """build_cache of a 65,536-row head allocates its 264 bytes per row
+        and a few MiB of rotation blocks; a copy of its values (16 MiB
+        here), a full-length cos/sin table (32 MiB) or turn temporary (16
+        MiB or more) would not fit."""
         n, d = 65_536, 64
         geo = ModelGeometry(n_q_heads=1, n_kv_heads=1, head_dim=d)
         rng = np.random.default_rng(0)
@@ -670,8 +677,102 @@ class TestCacheFootprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert owned_bytes(cache) == n * 520
-        assert peak - n * 520 < 8 * 2**20, f"{(peak - n * 520) / 2**20:.1f} MiB over"
+        assert owned_bytes(cache) == n * 264
+        assert peak - n * 264 < 8 * 2**20, f"{(peak - n * 264) / 2**20:.1f} MiB over"
+
+
+class TestStreamCache:
+    """A cache given a stream's value rows reads them in place: it owns its
+    keys and positions, writes no value, and refuses rows that are not the
+    stream's own."""
+
+    n, d = 12, 8
+
+    def stream(self, seed=0):
+        rng = np.random.default_rng(seed)
+        keys = rng.normal(size=(self.n, self.d)).astype(np.float32)
+        return keys, rng.normal(size=(self.n, self.d)).astype(np.float32)
+
+    def test_reads_the_stream_in_place(self):
+        keys, values = self.stream()
+        before = values.copy()
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, values=values)
+        cache.extend(keys[:5], None, np.arange(5))
+        cache.extend(keys[5:7], values[5:7].astype(np.float64), np.arange(5, 7))
+        cache.append(keys[7], None, 7)
+        cache.append(keys[8], values[8], 8)
+        owned = KVCacheHead(RopeParams(self.d), capacity=self.n)
+        owned.extend(keys[:9], values[:9], np.arange(9))
+        for name in ("positions", "keys_post", "values"):
+            assert np.array_equal(getattr(cache, name), getattr(owned, name)), name
+        assert np.shares_memory(cache.values, values)
+        assert owned_bytes(cache) == self.n * (4 * self.d + 8)
+        assert not cache.values.flags.writeable and values.flags.writeable
+        assert np.array_equal(values, before)
+
+    def test_stacked_groups(self):
+        keys, values = self.stream()
+        keys, values = keys.reshape(2, 6, self.d), values.reshape(2, 6, self.d)
+        cache = KVCacheHead(RopeParams(self.d), capacity=6, groups=2, values=values)
+        cache.extend(keys[:, :3], values[:, :3], np.arange(3))
+        cache.append(keys[:, 3], None, 3)
+        assert np.array_equal(cache.values, values[:, :4])
+        with pytest.raises(ArgumentError):
+            cache.append(keys[:, 4], values[:, 5], 4)
+
+    @pytest.mark.parametrize("how", ["append", "extend"])
+    def test_refuses_other_values(self, how):
+        keys, values = self.stream()
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, values=values)
+        cache.extend(keys[:4], None, np.arange(4))
+        other = values.copy()
+        other[5, 3] += 1.0
+        with pytest.raises(ArgumentError):
+            if how == "append":
+                cache.append(keys[4], other[5], 4)
+            else:
+                cache.extend(keys[4:6], other[4:6], np.arange(4, 6))
+        assert len(cache) == 4
+
+    @pytest.mark.parametrize("positions", [[5], [4, 6], [3, 4]])
+    def test_rows_are_tokens(self, positions):
+        """Row i is token i: a gap, or a position already held, is refused."""
+        keys, values = self.stream()
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, values=values)
+        cache.extend(keys[:4], None, np.arange(4))
+        with pytest.raises(ArgumentError):
+            cache.extend(keys[positions], None, np.array(positions))
+        if len(positions) == 1:
+            with pytest.raises(ArgumentError):
+                cache.append(keys[positions[0]], None, positions[0])
+        assert len(cache) == 4
+
+    def test_stream_must_fit_the_cache(self):
+        keys, values = self.stream()
+        for bad in (values.astype(np.float64), values[:-1], values[:, :-2]):
+            with pytest.raises(ArgumentError):
+                KVCacheHead(RopeParams(self.d), capacity=self.n, values=bad)
+
+    def test_an_owned_cache_needs_values(self):
+        keys, _ = self.stream()
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n)
+        with pytest.raises(ArgumentError):
+            cache.append(keys[0], None, 0)
+        with pytest.raises(ArgumentError):
+            cache.extend(keys[:2], None, np.arange(2))
+        assert len(cache) == 0
+
+    def test_reads_a_mapped_workload(self, tmp_path):
+        """A cache over a mapped workload reads the payload's rows, and
+        decoding over it leaves the map's pages as they were."""
+        w = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry(), stem=tmp_path / "w")
+        cache = build_cache_prefix(w, 0, 2, w.prefill_len)
+        for t in range(w.prefill_len, w.seq_len):
+            cache.append(w.keys_pre[0, 2, t], w.values[0, 2, t], t)
+        assert np.shares_memory(cache.values, w.values)
+        held = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry())
+        assert np.array_equal(cache.values, held.values[0, 2])
+        assert w.values.tobytes() == held.values.tobytes()
 
 
 class TestGenerator:
