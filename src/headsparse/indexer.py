@@ -5,8 +5,12 @@ a pair of r x d projections of the un-rotated query/key features suffices
 to rank tokens.  The projections are trained to pull the softmax of the
 projected scores toward the head's true attention row (forward KL), with
 the backbone activations treated as frozen constants.  Stage-1 data is one
-key matrix plus per-row queries, positions and attention rows, and a
-training step scores its rows in one masked product.
+key matrix plus per-row queries and positions, and ragged attention rows:
+row i holds only its positions[i] + 1 causal weights, all rows back to back
+in one flat array.  The rows are built STAGE1_CHUNK position-sorted rows at
+a time, each chunk scored and normalised at full length, and a training
+step sorts its rows by position and scores them as two prefix blocks, so
+neither pays for the masked tail past a row's position.
 """
 
 from __future__ import annotations
@@ -121,23 +125,60 @@ class ProjectedKeyCache:
         return self._u[rows] @ u
 
 
+# Attention rows per causal_scores call in build_stage1_dataset.  A chunk of
+# 8, 16 or 32 rows scored at full length keeps the bits of one batch over
+# all rows at 8K and 32K (seed 0, one BLAS thread); one row is a gemv and
+# rounds differently, so a short last chunk joins the one before it
+# (row_blocks).
+STAGE1_CHUNK = 16
+
+
 @dataclass(frozen=True)
 class Stage1Dataset:
-    """One head's supervision rows as matrices: row i is the pre-rotation
-    query queries[i] at key index positions[i], and attn[i] is the head's
-    exact attention over keys_pre[: positions[i] + 1], exactly 0 past it."""
+    """One head's supervision rows: row i is the pre-rotation query
+    queries[i] at key index positions[i], and its attention row is the
+    head's exact attention over keys_pre[: positions[i] + 1], held as
+    attn[offsets[i] : offsets[i + 1]].  The rows lie back to back in one
+    flat array, each exactly positions[i] + 1 weights long; a flat array of
+    any other length raises ArgumentError."""
 
     keys_pre: np.ndarray   # (n, head_dim), float64
     queries: np.ndarray    # (B, head_dim)
     positions: np.ndarray  # (B,)
-    attn: np.ndarray       # (B, n)
+    attn: np.ndarray       # (sum(positions + 1),), float64
+
+    def __post_init__(self):
+        if np.ndim(self.attn) != 1 or len(self.attn) != self.offsets[-1]:
+            raise ArgumentError(f"attention rows of shape {np.shape(self.attn)} for rows "
+                                f"of positions[i] + 1 = {self.offsets[-1]} weights in all")
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """(B + 1,) row starts in attn, then its length."""
+        return _row_offsets(self.positions)
+
+    def take(self, idx: np.ndarray) -> "Stage1Dataset":
+        """Rows idx, in that order, over the same keys; their attention rows
+        are copied into a new flat array."""
+        idx = np.asarray(idx, np.int64)
+        src, dst = self.offsets, _row_offsets(self.positions[idx])
+        attn = np.empty(dst[-1])
+        for i, a, b in zip(idx, dst[:-1], dst[1:]):
+            attn[a:b] = self.attn[src[i] : src[i] + b - a]
+        return Stage1Dataset(self.keys_pre, self.queries[idx], self.positions[idx], attn)
+
+
+def _row_offsets(positions: np.ndarray) -> np.ndarray:
+    """Starts of rows of positions[i] + 1 weights laid back to back, then
+    their total."""
+    return np.concatenate([[0], np.cumsum(np.asarray(positions, np.int64) + 1)])
 
 
 def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
                          n_rows: int = 128) -> Stage1Dataset:
     """Supervision rows for one head from a workload's dense attention,
-    scored by causal_scores in one batch against the head's keys turned by
-    rope_apply; no cache is built and no value row is read.
+    scored by causal_scores against the head's keys turned by rope_apply;
+    no cache is built and no value row is read.
 
     Positions start at 4 * block_size: on shorter prefixes any selector is
     trivially near-perfect and the rows carry no long-range signal.
@@ -154,10 +195,30 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     keys = workload.keys_pre[layer, qhead_to_kvhead(geometry, q_head), :n]
     queries = workload.queries[layer, q_head, positions]
     # the rotated keys are an argument only, freed before the float64 keys are made
-    attn = causal_scores(queries, positions, rope_apply(keys, np.arange(n), geometry.rope),
-                         geometry.rope, geometry.scale)
-    softmax(attn, out=attn)
+    attn = _attention_rows(queries, positions, rope_apply(keys, np.arange(n), geometry.rope),
+                           geometry)
     return Stage1Dataset(keys.astype(np.float64), queries, positions, attn)
+
+
+def _attention_rows(queries: np.ndarray, positions: np.ndarray, keys_post: np.ndarray,
+                    geometry) -> np.ndarray:
+    """The flat causal attention rows of position-sorted queries over all
+    of keys_post, STAGE1_CHUNK rows at a time: each chunk is scored against
+    every key and normalised at full length, as one batch over all rows
+    would be (a softmax over only a row's prefix regroups numpy's pairwise
+    sums), and each row keeps its first position + 1 weights.  One score
+    buffer, as tall as the last and tallest chunk, serves every chunk."""
+    offsets = _row_offsets(positions)
+    attn = np.empty(offsets[-1])
+    chunks = row_blocks(len(positions), STAGE1_CHUNK)
+    buffer = np.empty((chunks[-1].stop - chunks[-1].start, len(keys_post)))
+    for rows in chunks:
+        scores = causal_scores(queries[rows], positions[rows], keys_post, geometry.rope,
+                               geometry.scale, out=buffer[: rows.stop - rows.start])
+        softmax(scores, out=scores)
+        for i, row in enumerate(scores, rows.start):
+            attn[offsets[i] : offsets[i + 1]] = row[: offsets[i + 1] - offsets[i]]
+    return attn
 
 
 def projector_grad(batch: Stage1Dataset, projector: Projector
@@ -168,20 +229,38 @@ def projector_grad(batch: Stage1Dataset, projector: Projector
     row's position, and residuals R = softmax(S) - P over the B rows:
     dL/dW_q = W_k (R K)^T U / B and dL/dW_k = A^T (R K) / B.  The loss is
     softmax_kl of the same scores, so it is the function descended.
+
+    The rows are sorted by position and scored as two prefix blocks, the
+    split taken where the fewest entries are scored: a block scores keys
+    up to its last row's position, each row's tail past its own position
+    is sliced to -inf, and P is the block's flat rows, zero past them.
     """
     (n_keys, d), pos = batch.keys_pre.shape, batch.positions
     if len(pos) == 0 or batch.queries.shape != (len(pos), d) or d != projector.head_dim \
-            or batch.attn.shape != (len(pos), n_keys) or pos.max() >= n_keys:
-        raise ArgumentError("batch needs (B, d) queries, (B, n) rows, (n, d) keys, positions < n")
-    n = int(pos.max()) + 1
-    keys = batch.keys_pre[:n]
-    a = batch.queries @ projector.w_q.T                      # (B, r)
-    scores = (a @ projector.w_k) @ keys.T                    # (B, n)
-    scores[np.arange(n)[None, :] > pos[:, None]] = -np.inf
-    p = batch.attn[:, :n]
-    kl, q = softmax_kl(p, scores)
-    rk = (q - p) @ keys / len(pos)                           # (B, head_dim)
-    return projector.w_k @ rk.T @ batch.queries, a.T @ rk, float(kl.mean())
+            or pos.max() >= n_keys:
+        raise ArgumentError("batch needs (B, d) queries, (n, d) keys, positions < n")
+    order = np.argsort(pos, kind="stable")
+    width, start = pos[order] + 1, batch.offsets[order]
+    # the first block takes h rows, h = len(pos) leaving one block; of the
+    # splits that score the fewest entries the last, so equal widths stay one
+    h = np.arange(1, len(pos) + 1)
+    split = len(pos) - int(np.argmin((h * width + (len(pos) - h) * width[-1])[::-1]))
+    queries = batch.queries[order]
+    a = queries @ projector.w_q.T                            # (B, r)
+    aw = a @ projector.w_k                                   # (B, head_dim)
+    rk, kl = np.empty((len(pos), d)), np.empty(len(pos))
+    for rows in (slice(0, split), slice(split, len(pos))):
+        if rows.start == rows.stop:
+            continue
+        keys = batch.keys_pre[: width[rows.stop - 1]]
+        scores = aw[rows] @ keys.T                           # (block, m)
+        p = np.zeros_like(scores)
+        for s_row, p_row, w, at in zip(scores, p, width[rows], start[rows]):
+            s_row[w:] = -np.inf
+            p_row[:w] = batch.attn[at : at + w]
+        kl[rows], q = softmax_kl(p, scores)
+        rk[rows] = (q - p) @ keys / len(pos)
+    return projector.w_k @ rk.T @ queries, a.T @ rk, float(kl.mean())
 
 
 @dataclass(frozen=True)
@@ -230,9 +309,7 @@ def train_projector(dataset: Stage1Dataset, config: Stage1Config, seed: int,
     for _ in range(config.steps):
         take = min(config.rows_per_step, n)
         idx = rng.choice(n, size=take, replace=False)
-        batch = Stage1Dataset(dataset.keys_pre, dataset.queries[idx],
-                              dataset.positions[idx], dataset.attn[idx])
-        g_wq, g_wk, loss = projector_grad(batch, proj)
+        g_wq, g_wk, loss = projector_grad(dataset.take(idx), proj)
         opt.step({"w_q": g_wq, "w_k": g_wk})
         trace.append(loss)
     return proj, trace

@@ -67,15 +67,17 @@ class RopeTable(NamedTuple):
 ROPE_BLOCK = 4096
 
 
-def row_blocks(n: int) -> list[slice]:
+def row_blocks(n: int, size: int | None = None) -> list[slice]:
     """The one block rule: consecutive slices over rows 0..n-1 that start at
-    multiples of ROPE_BLOCK, the last taking the remainder, so none is
-    shorter than ROPE_BLOCK unless all n rows are (no slices for n = 0).
-    A product over a few rows can round differently from the same rows in
-    a taller one (OpenBLAS takes a small-matrix kernel below about 100 rows
-    of a 64 x 16 projection), so blocked projections keep the bits of one
+    multiples of `size` (ROPE_BLOCK by default), the last taking the
+    remainder, so none is shorter than `size` unless all n rows are (no
+    slices for n = 0).  A product over a few rows can round differently
+    from the same rows in a taller one (OpenBLAS takes a small-matrix
+    kernel below about 100 rows of a 64 x 16 projection, and a one-row
+    product is a gemv), so blocked projections keep the bits of one
     product over all n rows."""
-    starts = list(range(0, max(n - ROPE_BLOCK, 0) + 1, ROPE_BLOCK)) if n else []
+    size = ROPE_BLOCK if size is None else size
+    starts = list(range(0, max(n - size, 0) + 1, size)) if n else []
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 

@@ -357,10 +357,12 @@ def _widened_blocks(rows: np.ndarray):
         yield r.start, rows[r].astype(np.float64)
 
 
-def _oracle_scores(q_rot: np.ndarray, keys: np.ndarray, scale: float) -> np.ndarray:
+def _oracle_scores(q_rot: np.ndarray, keys: np.ndarray, scale: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Scaled float64 scores of rotated (B, d) queries against every row of
-    the rotated keys, widened one block at a time."""
-    scores = np.empty((len(q_rot), len(keys)))
+    the rotated keys, widened one block at a time, written to `out` if
+    given."""
+    scores = np.empty((len(q_rot), len(keys))) if out is None else out
     for a, block in _widened_blocks(keys):
         scores[:, a : a + len(block)] = q_rot @ block.T
     scores *= scale
@@ -385,19 +387,22 @@ def dense_attention(query_pre: np.ndarray, query_position: int, cache: KVCacheHe
 
 
 def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, keys_post: np.ndarray,
-                  rope: RopeParams, scale: float | None = None) -> np.ndarray:
+                  rope: RopeParams, scale: float | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The one causal-score kernel: scaled post-rotation scores of (B, d)
     queries at `positions` against keys_post, the rotated keys of tokens
-    0, 1, ... (row j is token j), up to the largest position.  Row i's
-    entries past positions[i] are -inf, so softmax gives them weight
-    exactly 0.  `scale` defaults to rope.scale.
+    0, 1, ... (row j is token j), up to the largest position, or against
+    the first m keys into `out`, a (B, m) float64 array that reaches every
+    position.  Row i's entries past positions[i] are -inf, so softmax gives
+    them weight exactly 0.  `scale` defaults to rope.scale.
 
     It stays float64, bit for bit the float64 product over all rows (the
     float32 keys widen one aligned block at a time), so calibration's head
     scores, stage-1's attention rows and the oracle's true masses, and the
-    files written from them, do not depend on the keys' storage type.  A one-row call (one gemv,
-    as dense_row_scores makes) keeps its bits only at a fixed BLAS thread
-    count, since multi-threaded OpenBLAS splits a gemv by thread count."""
+    files written from them, do not depend on the keys' storage type.  A
+    one-row call (one gemv, as dense_row_scores makes) keeps its bits only
+    at a fixed BLAS thread count, since multi-threaded OpenBLAS splits a
+    gemv by thread count."""
     pos = np.asarray(positions, np.int64)
     if pos.ndim != 1 or pos.size == 0 or np.shape(queries_pre) != (pos.size, rope.head_dim):
         raise ArgumentError("queries must be (B, head_dim), one position per row")
@@ -405,10 +410,13 @@ def causal_scores(queries_pre: np.ndarray, positions: np.ndarray, keys_post: np.
         raise ArgumentError(f"keys must be (n, {rope.head_dim}), got {np.shape(keys_post)}")
     if not 0 <= pos.min() <= pos.max() < len(keys_post):
         raise ArgumentError(f"positions must lie in [0, {len(keys_post)}), the keys' rows")
+    n = int(pos.max()) + 1 if out is None else out.shape[-1]
+    if out is not None and (out.shape != (pos.size, n) or not pos.max() < n <= len(keys_post)):
+        raise ArgumentError(f"output of shape {out.shape} for {pos.size} rows "
+                            f"reaching position {pos.max()} of {len(keys_post)} keys")
     if scale is None:
         scale = rope.scale
-    n = int(pos.max()) + 1
-    scores = _oracle_scores(rope_rotate_many(queries_pre, pos, rope), keys_post[:n], scale)
+    scores = _oracle_scores(rope_rotate_many(queries_pre, pos, rope), keys_post[:n], scale, out)
     for row, p in zip(scores, pos):
         row[p + 1 :] = -np.inf
     return scores

@@ -3,14 +3,16 @@ gradients against finite differences and the per-row reference, the
 batched stage-1 dataset, and training on the planted low-rank teacher."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import gen_rank_teacher
 
 import headsparse.rope as rope_module
-from headsparse.errors import ArgumentError, InternalError, NumericError
+from headsparse.errors import ArgumentError, InternalError
 from headsparse.indexer import (
+    STAGE1_CHUNK,
     ProjectedKeyCache,
     Projector,
     Stage1Config,
@@ -21,12 +23,13 @@ from headsparse.indexer import (
     train_projector,
 )
 from headsparse.numerics import softmax, softmax_kl
-from headsparse.rope import RopeParams
+from headsparse.rope import RopeParams, rope_apply
 from headsparse.selection import top_k_static, top_p_exact
 from headsparse.workload import (
     KVCacheHead,
     WorkloadSpec,
     build_cache,
+    causal_scores,
     default_workload_geometry,
     dense_row_scores,
     gen_synthetic_workload,
@@ -68,11 +71,26 @@ def fill_cache(rng, d=16, n=32, capacity=None):
     return cache, keys
 
 
+def ragged(rows, positions):
+    """(B, n) rows that are zero past each row's position, as the flat
+    array Stage1Dataset holds: row i's first positions[i] + 1 entries."""
+    return np.concatenate([row[: t + 1] for row, t in zip(rows, positions)])
+
+
+def dense_rows(ds):
+    """The dataset's attention rows as a (B, n) matrix, zero past each
+    row's position."""
+    rows = np.zeros((len(ds.positions), len(ds.keys_pre)))
+    for row, t, a in zip(rows, ds.positions, ds.offsets):
+        row[: t + 1] = ds.attn[a : a + t + 1]
+    return rows
+
+
 def teacher_dataset(teacher, queries):
     """Shared-key form: every row sees all of the teacher's keys."""
     rows = np.stack([teacher.attention_row(q) for q in queries])
     last = np.full(len(queries), len(teacher.keys_pre) - 1)
-    return Stage1Dataset(teacher.keys_pre, np.asarray(queries), last, rows)
+    return Stage1Dataset(teacher.keys_pre, np.asarray(queries), last, rows.ravel())
 
 
 def heldout_recall(proj, teacher, queries, budget=64):
@@ -270,19 +288,21 @@ def random_instance(rng, n=24, d=12, r=5, n_rows=3, gain=0.25):
     raw = rng.normal(size=(n_rows, n)) * 2
     raw[np.arange(n)[None, :] > positions[:, None]] = -np.inf
     keys = rng.normal(size=(n, d))
-    return proj, Stage1Dataset(keys, rng.normal(size=(n_rows, d)), positions, softmax(raw))
+    return proj, Stage1Dataset(keys, rng.normal(size=(n_rows, d)), positions,
+                               ragged(softmax(raw), positions))
 
 
-def take(ds, idx):
-    return Stage1Dataset(ds.keys_pre, ds.queries[idx], ds.positions[idx], ds.attn[idx])
+def row_triples(ds):
+    """(query, position, attention row) of each dataset row."""
+    return zip(ds.queries, ds.positions, np.split(ds.attn, ds.offsets[1:-1]))
 
 
 def batch_loss(proj, ds):
     """Mean row KL, scored one row at a time over each row's own prefix."""
     total = 0.0
-    for u, t, p in zip(ds.queries, ds.positions, ds.attn):
+    for u, t, p in row_triples(ds):
         s = (proj.w_q @ u) @ (proj.w_k @ ds.keys_pre[: t + 1].T)
-        total += projector_loss(p[: t + 1], s)
+        total += projector_loss(p, s)
     return total / len(ds.positions)
 
 
@@ -290,13 +310,29 @@ def per_row_grad(ds, proj):
     """The per-row loop that the batched projector_grad replaced; the
     reference the batch gradient is held to."""
     g_wq, g_wk = np.zeros_like(proj.w_q), np.zeros_like(proj.w_k)
-    for u, t, p in zip(ds.queries, ds.positions, ds.attn):
+    for u, t, p in row_triples(ds):
         keys = np.asarray(ds.keys_pre[: t + 1], np.float64)
         a = proj.w_q @ u
-        kt_rho = keys.T @ (softmax((keys @ proj.w_k.T) @ a) - p[: t + 1])
+        kt_rho = keys.T @ (softmax((keys @ proj.w_k.T) @ a) - p)
         g_wq += np.outer(proj.w_k @ kt_rho, u)
         g_wk += np.outer(a, kt_rho)
     return g_wq / len(ds.positions), g_wk / len(ds.positions)
+
+
+def masked_grad(batch, projector):
+    """projector_grad's earlier one-product form, the reference its prefix
+    blocks are held to: every row scored against keys up to the batch's
+    largest position, the tails masked by one (B, n) boolean mask."""
+    pos = batch.positions
+    n = int(pos.max()) + 1
+    keys = batch.keys_pre[:n]
+    a = batch.queries @ projector.w_q.T
+    scores = (a @ projector.w_k) @ keys.T
+    scores[np.arange(n)[None, :] > pos[:, None]] = -np.inf
+    p = dense_rows(batch)[:, :n]
+    kl, q = softmax_kl(p, scores)
+    rk = (q - p) @ keys / len(pos)
+    return projector.w_k @ rk.T @ batch.queries, a.T @ rk, float(kl.mean())
 
 
 def assert_grads_close(got, want, rtol=1e-12):
@@ -310,7 +346,8 @@ class TestProjectorGrad:
         proj, ds = random_instance(rng)
         s = (ds.queries @ proj.w_q.T) @ (proj.w_k @ ds.keys_pre.T)
         s[np.arange(24)[None, :] > ds.positions[:, None]] = -np.inf
-        at_optimum = Stage1Dataset(ds.keys_pre, ds.queries, ds.positions, softmax(s))
+        at_optimum = Stage1Dataset(ds.keys_pre, ds.queries, ds.positions,
+                                   ragged(softmax(s), ds.positions))
         g_wq, g_wk, loss = projector_grad(at_optimum, proj)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.abs(g_wq).max() <= 1e-6
@@ -374,20 +411,48 @@ class TestProjectorGrad:
             proj = init_projector(16, 64, seed)
             assert_grads_close(projector_grad(ds, proj)[:2], per_row_grad(ds, proj))
 
-    def test_mass_past_position_rejected(self):
+    @pytest.mark.parametrize("case", ["drawn", "one row", "one position", "duplicated",
+                                      "unsorted", "first and last keys"])
+    def test_prefix_blocks_match_the_masked_form(self, case):
+        """Sorted by position and scored as two prefix blocks, a batch gives
+        the one-product masked form's gradients and loss to 1e-12."""
+        rng = np.random.default_rng(200)
+        proj, ds = random_instance(rng, n=300, d=16, r=8, n_rows=24, gain=0.5)
+        if case in ("one position", "first and last keys"):
+            positions = np.full(24, 211) if case == "one position" else np.array([299, 0, 150])
+            rows = softmax(rng.normal(size=(len(positions), 300)))
+            ds = Stage1Dataset(ds.keys_pre, ds.queries[: len(positions)], positions,
+                               ragged(rows, positions))
+        by_position = np.argsort(ds.positions, kind="stable")
+        idx = {"drawn": rng.choice(24, size=16, replace=False),
+               "one row": by_position[-1:],
+               "duplicated": np.tile(by_position[:6], 3),
+               "unsorted": by_position[::-1]}.get(case, by_position)
+        batch = ds.take(idx)
+        assert case != "unsorted" or np.any(np.diff(batch.positions) < 0)
+        g_wq, g_wk, loss = projector_grad(batch, proj)
+        want = masked_grad(batch, proj)
+        assert_grads_close((g_wq, g_wk), want[:2])
+        assert abs(loss - want[2]) <= 1e-12 * abs(want[2])
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_row_length_must_be_position_plus_one(self, extra):
+        """A dataset is built from rows of exactly position + 1 weights; one
+        row a weight longer or shorter is rejected at construction."""
         rng = np.random.default_rng(13)
-        proj, ds = random_instance(rng)
-        leaky = ds.attn.copy()
-        row = int(np.argmin(ds.positions))
-        leaky[row] = softmax(np.zeros(24))
-        with pytest.raises(NumericError):
-            projector_grad(Stage1Dataset(ds.keys_pre, ds.queries, ds.positions, leaky), proj)
+        _, ds = random_instance(rng)
+        rows = np.split(ds.attn, ds.offsets[1:-1])
+        rows[1] = softmax(np.zeros(len(rows[1]) + extra))
+        with pytest.raises(ArgumentError):
+            Stage1Dataset(ds.keys_pre, ds.queries, ds.positions, np.concatenate(rows))
+        with pytest.raises(ArgumentError):
+            Stage1Dataset(ds.keys_pre, ds.queries, ds.positions, dense_rows(ds))
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(9)
         proj, ds = random_instance(rng)
         g1 = projector_grad(ds, proj)
-        g2 = projector_grad(take(ds, np.tile(np.arange(3), 2)), proj)
+        g2 = projector_grad(ds.take(np.tile(np.arange(3), 2)), proj)
         np.testing.assert_allclose(g1[0], g2[0], atol=1e-12)
         np.testing.assert_allclose(g1[1], g2[1], atol=1e-12)
 
@@ -395,7 +460,19 @@ class TestProjectorGrad:
         rng = np.random.default_rng(10)
         proj, ds = random_instance(rng)
         with pytest.raises(ArgumentError):
-            projector_grad(take(ds, np.array([], int)), proj)
+            projector_grad(ds.take(np.array([], int)), proj)
+
+
+def stage1_workload(seq_len):
+    return gen_synthetic_workload(WorkloadSpec(seq_len=seq_len, decode_len=16,
+                                               diffuse_support=200), 0,
+                                  default_workload_geometry())
+
+
+@pytest.fixture(scope="module", params=[1024, 9000])
+def short_or_two_block_workload(request):
+    """9,000 keys are two ROPE_BLOCK blocks, the last taking the remainder."""
+    return stage1_workload(request.param)
 
 
 class TestStage1Dataset:
@@ -407,12 +484,47 @@ class TestStage1Dataset:
         ds = build_stage1_dataset(w, geo, 0, q_head, seed=3, n_rows=48)
         cache = build_cache(w, 0, q_head // geo.group_size)
         n = int(ds.positions.max()) + 1
-        assert ds.attn.shape == (48, n) and ds.keys_pre.shape == (n, geo.head_dim)
+        assert ds.attn.shape == (np.sum(ds.positions + 1),)
+        assert ds.keys_pre.shape == (n, geo.head_dim)
         np.testing.assert_array_equal(ds.keys_pre, w.keys_pre[0, q_head // geo.group_size, :n])
-        for u, t, row in zip(ds.queries, ds.positions, ds.attn):
+        for u, t, row in row_triples(ds):
             want = softmax(dense_row_scores(u, t, cache, geo.scale))
-            assert np.abs(row[: t + 1] - want).max() <= 1e-12
-            assert np.all(row[t + 1 :] == 0)
+            assert row.shape == want.shape and np.abs(row - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_rows", [1, 5, 17, 48, 128])
+    def test_chunked_rows_equal_one_batch(self, short_or_two_block_workload, n_rows):
+        """Scored STAGE1_CHUNK rows at a time (a short last chunk joined to
+        the one before it), each row keeps the bits of one causal_scores
+        batch over all rows, normalised at full length."""
+        w = short_or_two_block_workload
+        geo = w.geometry
+        ds = build_stage1_dataset(w, geo, 0, 2, seed=n_rows, n_rows=n_rows)
+        n = len(ds.keys_pre)
+        assert len(ds.positions) == n_rows and (n > 4096) == (w.seq_len > 4096)
+        keys_post = rope_apply(w.keys_pre[0, 0, :n], np.arange(n), geo.rope)
+        want = softmax(causal_scores(ds.queries, ds.positions, keys_post, geo.rope, geo.scale))
+        assert np.array_equal(ds.attn, ragged(want, ds.positions))
+        assert np.array_equal(dense_rows(ds), want)
+
+    def test_build_holds_its_rows_one_score_chunk_and_the_rotated_keys(self):
+        """The traced peak of building a 16K dataset is at most the bytes
+        it keeps, one (STAGE1_CHUNK, n) score chunk (128 rows make 8 equal
+        chunks) and the float32 rotated keys.  The slack: causal_scores's
+        widened key block and its product (6.3 MB here) are live while the
+        rows are scored, before the float64 keys it keeps (8.4 MB) are
+        made.  The peak reads 0.92 of the bound; building all rows in one
+        (B, n) batch, as before the rows were ragged, read 1.43."""
+        w = stage1_workload(16_384)
+        tracemalloc.start()
+        try:
+            ds = build_stage1_dataset(w, w.geometry, 0, 2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(ds.keys_pre)
+        kept = sum(a.nbytes for a in (ds.keys_pre, ds.queries, ds.positions, ds.attn))
+        bound = kept + STAGE1_CHUNK * n * 8 + n * w.geometry.head_dim * 4
+        assert n > 16_000 and peak <= bound, f"{peak / bound:.3f} of the bound"
 
     def test_positions_sorted_distinct_and_past_floor(self):
         geo = default_workload_geometry()

@@ -16,6 +16,7 @@ from headsparse.rope import (
     rope_rotate,
     rope_rotate_many,
     rope_table,
+    row_blocks,
 )
 
 
@@ -232,3 +233,19 @@ class TestDecomposition:
             c0 = score_decomposition(q, k, delta, params64)[last]
             c1 = score_decomposition(q, k, delta + 1, params64)[last]
             assert abs(c1 - c0) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("size", [None, 1, 16])
+def test_row_blocks_cover_the_rows_with_no_short_last_block(monkeypatch, size):
+    """Blocks start at multiples of the size (ROPE_BLOCK, read at the call,
+    by default), tile 0..n-1 in order, and a remainder joins the last
+    block, so only a run shorter than the size makes a short block."""
+    monkeypatch.setattr(rope_module, "ROPE_BLOCK", 7)
+    step = 7 if size is None else size
+    for n in (0, 1, step - 1, step, step + 1, 2 * step - 1, 2 * step, 5 * step + 3):
+        blocks = row_blocks(n, size)
+        assert [b.start for b in blocks] == list(range(0, len(blocks) * step, step))
+        assert (blocks[-1].stop if blocks else 0) == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(step <= b.stop - b.start < 2 * step for b in blocks if n >= step)
+        assert len(blocks) == (0 if n == 0 else max(n // step, 1))

@@ -432,6 +432,27 @@ class TestCausalScores:
                 row = dense_attention(queries[0], n - 1, cache, 0.125)
                 np.testing.assert_allclose(row.weights, softmax(want[0]), rtol=1e-13, atol=0)
 
+    def test_out_scores_against_its_width_of_keys(self):
+        """Into an (B, m) `out`, the rows score against the first m keys,
+        with the bits of a product over them and -inf past each position;
+        an `out` of another height, or narrower than the positions or wider
+        than the keys, is rejected."""
+        rng = np.random.default_rng(11)
+        n, rope = 300, RopeParams(16)
+        keys_post = rng.normal(size=(n, 16)).astype(np.float32)
+        queries, positions = rng.normal(size=(4, 16)), np.array([5, 120, 40, 199])
+        out = np.empty((4, 250))
+        got = causal_scores(queries, positions, keys_post, rope, 0.125, out=out)
+        assert got is out
+        want = (rope_rotate_many(queries, positions, rope)
+                @ keys_post[:250].astype(np.float64).T) * 0.125
+        want[np.arange(250)[None, :] > positions[:, None]] = -np.inf
+        assert np.array_equal(got, want)
+        for bad in (np.empty((3, 250)), np.empty((4, 199)), np.empty((4, n + 1)),
+                    np.empty(250)):
+            with pytest.raises(ArgumentError):
+                causal_scores(queries, positions, keys_post, rope, out=bad)
+
     def test_positions_the_keys_do_not_reach_rejected(self):
         rng = np.random.default_rng(9)
         cache = gapped_cache(rng, 8, 20)
