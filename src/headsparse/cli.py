@@ -31,8 +31,9 @@ workload.json/.bin as it generates it, and train-indexer and run map the
 saved file when its seed, workload spec and the geometry fields the
 generator reads (workload.GENERATOR_FIELDS) equal the resolved config's;
 the other geometry fields are the run's own.  Otherwise (a --seed
-override, say) they generate it again in memory; both routes give the same
-arrays bit for bit.
+override, say) they generate it again into a temporary container under
+$TMPDIR, mapped and removed at once; both routes give the same arrays bit
+for bit.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench

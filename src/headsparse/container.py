@@ -15,7 +15,8 @@ directory is fixed when it opens, blocks of rows land at their offsets with
 os.pwrite (from any thread, in any order), and commit renames both files
 into place, payload first and manifest last.  save_container writes whole
 tensors through it; the workload generator streams each finished row block
-through it, so no copy of a whole workload is held.  Loading maps the
+through it, into a temporary container when its caller names none, so no
+copy of a whole workload is held.  Loading maps the
 payload copy-on-write, so a reader pays only for the pages it touches and
 never holds a second copy.
 """

@@ -21,7 +21,6 @@ heads a causal long-range target that local heads cannot see.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -469,10 +468,11 @@ VALUE_SCALE = 0.125
 # the CPUs this process may run on.  numpy releases the GIL while it fills a
 # block with normals: two streams on two threads drew 7.5-8.5 ns a normal,
 # one after the other 13-17 ns (2-core x86 host, numpy 2.4).  Each thread
-# adds its stream's temporaries to the peak: at 16K the traced peak was the
-# workload plus 2.63 float64 (L, d) arrays with one thread, 2.86 with two,
-# 3.24-3.25 with three and 3.37-3.51 with four, and the generator tests hold
-# it under 3, so more threads on a larger host would not pass.
+# adds its stream's temporaries to the peak: at 16K the traced peak (the
+# payload is written to its file and mapped, so not traced) was 2.63 float64
+# (L, d) arrays with one thread, 2.86 with two, 3.23-3.40 with three and
+# 3.49-3.61 with four, and the generator tests hold it under 3, so more
+# threads on a larger host would not pass.
 GEN_WORKERS = 2
 
 
@@ -642,17 +642,35 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                            stem: str | Path | None = None) -> Workload:
     """Deterministic planted-structure workload; see the module docstring.
 
-    Without `stem` the streams fill arrays held in memory.  With it, each
-    finished row block is written to the container stem.json/.bin as it is
-    made (a ContainerWriter, renamed into place once every stream is in),
-    and the workload returned maps that file (Workload.load); the file has
-    the bytes the arrays would hold.  A failure leaves no new file in
-    place."""
-    # Imported here, not with the module: they load logging, and every CLI
-    # start imports this module; a cli-32k set-up (one `--help` start) took
-    # 0.37 -> 0.46 s with them at the top (medians of 10 runs).
+    Each finished row block is written to the container stem.json/.bin as
+    it is made (a ContainerWriter, renamed into place once every stream is
+    in), and the workload returned maps that file (Workload.load), so rows
+    no caller reads never become resident.  Without `stem` the container
+    is written in a fresh directory under $TMPDIR (tempfile.gettempdir())
+    that is removed before the return; the map outlives the unlinked file.
+    That directory needs the payload's size free: 768 MiB at 128K tokens of
+    the default geometry.  The mapped bytes stay out of the process's
+    anonymous memory, not out of the page cache, which cgroup accounting
+    charges; on a disk-backed $TMPDIR the kernel can reclaim those pages,
+    on a tmpfs it cannot.  A failure leaves no new file in place, and a
+    temporary directory that cannot be made or written raises
+    ArgumentError."""
+    # Imported here, not with the module: the pool's modules load logging,
+    # and every CLI start imports this module; a cli-32k set-up (one
+    # `--help` start) took 0.37 -> 0.46 s with them at the top (medians of
+    # 10 runs).
     import queue
+    import tempfile
     from concurrent.futures import ThreadPoolExecutor
+
+    if stem is None:
+        try:
+            scratch = tempfile.TemporaryDirectory()
+        except OSError as e:
+            raise ArgumentError(f"cannot make a temporary directory for the workload: "
+                                f"{e}") from e
+        with scratch as tmp:
+            return gen_synthetic_workload(spec, seed, geometry, Path(tmp) / "workload")
 
     geo = geometry if geometry is not None else default_workload_geometry()
     if geo.head_dim < 16:
@@ -707,28 +725,19 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
         probes=tuple(probes),
     )
 
-    # Every stream is handed over a block of rows at a time: put(name,
-    # (layer, head, first row), rows) writes the rows where they belong.
+    # Every stream is handed over a block of rows at a time:
+    # sink.write(name, (layer, head, first row), rows) writes the rows where
+    # they belong in the payload.
     kv_shape = (geo.n_layers, geo.n_kv_heads, L, d)
     shapes = {"queries": (geo.n_layers, geo.n_q_heads, L, d),
               "keys_pre": kv_shape, "values": kv_shape}
-    if stem is None:
-        arrays = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
-
-        def put(name: str, at: tuple[int, int, int], rows: np.ndarray) -> None:
-            layer, head, a = at
-            arrays[name][layer, head, a : a + len(rows)] = rows
-
-        sink = contextlib.nullcontext()
-    else:
-        sink = ContainerWriter(stem, {name: ("<f4", shape) for name, shape in shapes.items()})
-        put = sink.write
+    sink = ContainerWriter(stem, {name: ("<f4", shape) for name, shape in shapes.items()})
 
     # Each stream is one task on a pool of _gen_workers() threads.  A task
     # draws and finishes its noise one row_blocks block at a time in a row
     # buffer (the bits and rng state of one normal(size=(L, d)) * s draw) and
-    # hands each finished block to `put`, which stores it as f32, so every
-    # stream has the bytes of the one-thread form.  This thread allocates
+    # hands each finished block to sink.write, which stores it as f32, so
+    # every stream has the bytes of the one-thread form.  This thread allocates
     # the buffers, one per worker, and lends each to one task at a time; so
     # too a retrieval head's content band and f32 rows.  Memory freed on a
     # worker stays in that thread's heap: row buffers the tasks allocated
@@ -763,9 +772,9 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             k[b - a - prev.size :, con] += key_amp[prev] * embs[prev]
             for rows, vec in supports:
                 k[rows[(rows >= a) & (rows < b)] - a, con] += vec
-            put("keys_pre", (layer, g, a), k)
+            sink.write("keys_pre", (layer, g, a), k)
         for a, b in blocks:
-            put("values", (layer, g, a), noise(buf, rng_kv, a, b, VALUE_SCALE))
+            sink.write("values", (layer, g, a), noise(buf, rng_kv, a, b, VALUE_SCALE))
 
     def local_head(buf, layer, h, walk):
         rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
@@ -773,7 +782,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             q = noise(buf, rng_h, a, b, NOISE_SCALE)
             q[:, loc] += LOCAL_QUERY_GAIN * walk[a:b]
             q[:, loc] += SINK_QUERY_GAIN * sink_dir
-            put("queries", (layer, h, a), q)
+            sink.write("queries", (layer, h, a), q)
 
     def retrieval_head(buf, content, rows32, layer, h, h_ids):
         rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
@@ -798,7 +807,7 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             if p.head == h:
                 content[p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
         rows32[:, con] = content
-        put("queries", (layer, h, 0), rows32)
+        sink.write("queries", (layer, h, 0), rows32)
 
     def lent(stores, task, *args):
         """task(*bufs, *args), one buffer borrowed from each store for the
@@ -841,9 +850,6 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                     [(retrieval_head, layer, h, ids[qhead_to_kvhead(geo, h)])
                      for h in retrieval])
             del bands, head_rows
-        if stem is None:
-            return Workload(geo, spec, int(seed), arrays["queries"], arrays["keys_pre"],
-                            arrays["values"], ann)
         sink.commit({"kind": "workload", "seed": int(seed), "geometry": geo.to_dict(),
                      "spec": spec.to_dict(), "annotations": ann.to_dict()})
     return Workload.load(stem)

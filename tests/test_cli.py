@@ -4,6 +4,7 @@ artifacts, and cross-mode run behavior."""
 import dataclasses
 import json
 import shutil
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -732,6 +733,24 @@ class TestReportAndDispatch:
         assert main(["calibrate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_unusable_temp_dir_exits_2_naming_it(self, artifacts, tmp_path, monkeypatch,
+                                                 capsys, kind):
+        """A run whose seed is not calibrate's generates its workload again,
+        through a temporary directory: a temp directory that is missing or
+        is a file ends the run with exit 2 naming it."""
+        out = clone_artifacts(artifacts, tmp_path)
+        scratch = tmp_path / "tmp"
+        if kind == "file":
+            scratch.write_text("")
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        cfg = write_config(tmp_path, out)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(scratch) in err
         assert "Traceback" not in err
 
     def test_no_subcommand_is_usage_error(self):
