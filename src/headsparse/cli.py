@@ -12,28 +12,29 @@ Subcommands
     run            sparse-decode a workload and emit decode_trace.csv,
                    sparsity_report.json, head_token_counts.csv,
                    mass_sweep.csv
-    bench          per-step decode latency, dense decode vs both sparse
+    bench          whole-request latency on the pipeline's workload,
+                   partition and projectors, dense decode vs both sparse
                    selector modes (bench.csv, bench_meta.json)
     report         print a digest of whatever artifacts the output
                    directory holds
 
 Configuration is one JSON file (--config) whose sections mirror the
 records: geometry, workload, stage1, stage2, plus scalar keys mode,
-top_k, seed, output_dir, bench_lengths, bench_steps.  Unknown keys are
-rejected at every level and every value is type-checked against its
-field (headsparse.record).  Precedence, highest first: command-line flag,
-config file, the HEADSPARSE_OUT environment variable (output directory
-only), built-in default.  Every command writes the fully resolved config
-it ran under to config_used.json.
+top_k, seed, output_dir and bench_steps (timed requests per bench mode).
+Unknown keys are rejected at every level and every value is type-checked
+against its field (headsparse.record).  Precedence, highest first:
+command-line flag, config file, the HEADSPARSE_OUT environment variable
+(output directory only), built-in default.  Every command writes the fully
+resolved config it ran under to config_used.json.
 
 The workload is generated once per pipeline: calibrate streams it to
-workload.json/.bin as it generates it, and train-indexer and run map the
-saved file when its seed, workload spec and the geometry fields the
-generator reads (workload.GENERATOR_FIELDS) equal the resolved config's;
-the other geometry fields are the run's own.  Otherwise (a --seed
-override, say) they generate it again into a temporary container under
-$TMPDIR, mapped and removed at once; both routes give the same arrays bit
-for bit.
+workload.json/.bin as it generates it, and train-indexer, run and bench
+map the saved file when its seed, workload spec and the geometry fields
+the generator reads (workload.GENERATOR_FIELDS) equal the resolved
+config's; the other geometry fields are the run's own.  Otherwise (a
+--seed override, say) they generate it again into a temporary container
+under $TMPDIR, mapped and removed at once; both routes give the same
+arrays bit for bit.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
@@ -75,8 +76,8 @@ from .reports import (
     SCORE_HEADER,
     SWEEP_COLUMNS,
     SWEEP_HEADER,
-    bench_decode,
     bench_metadata,
+    bench_requests,
     head_token_count_rows,
     mass_budget_sweep,
     read_bench,
@@ -112,13 +113,10 @@ class RunConfig(Record):
     stage2: Stage2Config = field(default_factory=Stage2Config)
     seed: int = 0
     output_dir: str | None = None
-    bench_lengths: tuple[int, ...] = (4096, 32768)
-    bench_steps: int = 30
+    bench_steps: int = 3
 
     def __post_init__(self):
         check_mode(self.mode, self.top_k)
-        if not self.bench_lengths or min(self.bench_lengths) < 1:
-            raise ConfigError("bench_lengths must be a non-empty list of positive ints")
         if self.bench_steps < 1:
             raise ConfigError("bench_steps must be >= 1")
 
@@ -151,12 +149,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
-    lengths = getattr(args, "lengths", None)
-    if lengths:
-        try:
-            updates["bench_lengths"] = tuple(int(v) for v in lengths.split(","))
-        except ValueError as e:
-            raise ConfigError(f"--lengths: {e}") from e
     out = getattr(args, "out", None) or cfg.output_dir \
         or os.environ.get(ENV_OUT) or DEFAULT_OUT
     updates["output_dir"] = str(out)
@@ -304,12 +296,13 @@ def cmd_distill_toy(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def cmd_bench(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = _ensure_out(cfg)
-    geo = cfg.geometry
-    rows = bench_decode(cfg.bench_lengths, cfg.seed, n_steps=cfg.bench_steps,
-                        p=geo.top_p, head_dim=geo.head_dim, r=geo.low_dim,
-                        block_size=geo.block_size)
+    partitions = _load_partition_file(cfg, out)
+    projectors = _load_projectors(cfg, out, partitions)
+    workload = _pipeline_workload(cfg, out)
+    rows = bench_requests(workload, cfg.geometry, partitions, projectors, cfg.bench_steps)
     write_bench(out / "bench.csv", rows)
-    write_json(out / "bench_meta.json", bench_metadata(cfg.seed), sort_keys=True)
+    write_json(out / "bench_meta.json",
+               bench_metadata(cfg.seed, workload.seq_len, cfg.bench_steps), sort_keys=True)
     for r in rows:
         print(f"L={r.length:>7d} {r.mode:<17s} median {r.median_ms:8.3f} ms  "
               f"p95 {r.p95_ms:8.3f} ms")
@@ -363,8 +356,12 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
                 print("  " + " ".join(map(str, row)))
     bench = out / "bench.csv"
     if bench.exists():
-        for r in read_bench(bench):
-            print(f"bench L={r.length} {r.mode}: median {r.median_ms:.3f} ms")
+        rows = read_bench(bench)
+        dense = {r.length: r.median_ms for r in rows if r.mode == "dense"}
+        for r in rows:
+            share = "" if r.mode == "dense" or r.length not in dense else \
+                f" ({r.median_ms / dense[r.length]:.3f} of dense)"
+            print(f"bench L={r.length} {r.mode}: median {r.median_ms:.3f} ms{share}")
     summary = out / "distill_summary.json"
     if summary.exists():
         data = _read_record(DistillSummary, summary)
@@ -402,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oracle", action="store_true",
                            help="also record dense-attention mass per trace row")
         if name == "bench":
-            p.add_argument("--lengths", help="comma-separated cache lengths")
             p.add_argument("--bench-steps", dest="bench_steps", type=int,
-                           help="measured iterations per mode")
+                           help="timed requests per mode")
     return parser
 
 

@@ -1,39 +1,30 @@
 """Artifact emission and measurement: the fixed headers and column converters
 of the CSV artifacts, their writers and loaders (every file round-trips, and
 all go through headsparse.container), the float64 oracle's true masses,
-the attention-mass-vs-budget sweep, and the decode latency bench."""
+the attention-mass-vs-budget sweep, and the request latency bench: whole
+engine.run_workload requests on the pipeline's workload, dense (every head
+local over its whole visible prefix) against both sparse selector modes."""
 
 from __future__ import annotations
 
+import os
 import platform
 import time
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import parse_role
+from .calibration import HeadPartition, parse_role
 from .container import read_csv, read_json, write_csv, write_json
-from .engine import (
-    DecodeTrace,
-    SparsityReport,
-    retrieval_head_decode,
-)
+from .engine import DecodeTrace, RunResult, SparsityReport, run_workload
 from .errors import ArgumentError
-from .indexer import ProjectedKeyCache, init_projector
+from .indexer import Projector
 from .numerics import softmax
-from .rope import RopeParams, rope_apply
-from .seeding import derive_rng
+from .rope import rope_apply
 from .selection import top_k_static, top_p_exact
-from .workload import (
-    KVCacheHead,
-    Workload,
-    attend,
-    causal_scores,
-    qhead_to_kvhead,
-    visible_rows,
-)
+from .workload import ModelGeometry, Workload, causal_scores, qhead_to_kvhead
 
 TRACE_HEADER = ["layer", "head", "role", "position", "tokens_selected",
                 "projected_mass", "true_mass"]
@@ -176,10 +167,12 @@ def mass_budget_sweep(workload: Workload, layer: int, q_head: int,
 
 
 # ---------------------------------------------------------------------------
-# Decode latency bench
+# Request latency bench
 # ---------------------------------------------------------------------------
 
 BENCH_MODES = ("dense", "sparse_exact", "sparse_histogram")
+# the BLAS thread pins bench_meta.json records, null where unset
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -190,56 +183,51 @@ class BenchRow:
     p95_ms: float
 
 
-def bench_decode(lengths: Sequence[int], seed: int, *, n_steps: int = 30,
-                 warmup: int = 5, p: float = 0.9, head_dim: int = 64,
-                 r: int = 16, block_size: int = 64) -> list[BenchRow]:
-    """Wall-clock per decode step against static synthetic caches: dense
-    decode, the decode kernel over every visible row, versus sparse decode
-    in both selector modes, all through the same float32 kernel. A few
-    high-gain key spans give the score vectors the block-level concentration
-    selective decode exploits; the dense step's cost is structure-blind
-    either way. Warmup calls are discarded; the projected-key cache is
-    filled before timing starts, since at steady state projection work is
-    incremental."""
-    if n_steps < 1:
-        raise ArgumentError("need at least one measured iteration")
-    if warmup < 0:
-        raise ArgumentError("warmup must be >= 0")
-    rows = []
-    for L in lengths:
-        rng = derive_rng(seed, f"bench-{L}")
-        keys = rng.normal(size=(L, head_dim))
-        gain = np.full(L, 0.25)
-        for s0 in rng.integers(0, max(1, L - block_size), size=8):
-            gain[s0 : s0 + block_size] = 1.5
-        keys = (keys * gain[:, None]).astype(np.float32)
-        cache = KVCacheHead(RopeParams(head_dim), capacity=L)
-        cache.extend(keys, rng.normal(size=(L, head_dim)).astype(np.float32), np.arange(L))
-        pkc = ProjectedKeyCache(init_projector(r, head_dim, seed), capacity=L)
-        pkc.extend(keys)
-        queries = rng.normal(size=(warmup + n_steps, head_dim))
-        pos = L - 1
+def bench_request(workload: Workload, geometry: ModelGeometry,
+                  partitions: Sequence[HeadPartition],
+                  projectors: Mapping[tuple[int, int], Projector], mode: str) -> RunResult:
+    """One whole run_workload request of a BENCH_MODES entry.  The sparse
+    modes decode the pipeline's partition and projectors in exact or
+    histogram mode.  Dense marks every head local with window = seq_len, so
+    each head attends over its whole visible prefix as one local_spans slice
+    through the same kernel, with no projector."""
+    if mode == "dense":
+        dense = [HeadPartition(p.scores, (), tuple(range(p.n_heads)), p.ratio)
+                 for p in partitions]
+        return run_workload(workload, replace(geometry, window=workload.seq_len),
+                            dense, {})
+    return run_workload(workload, geometry, partitions, projectors,
+                        mode=mode.removeprefix("sparse_"))
 
-        steps = (lambda q: attend(q, pos, cache, visible_rows(cache, pos)),
-                 lambda q: retrieval_head_decode(q, pos, cache, pkc, p, "exact"),
-                 lambda q: retrieval_head_decode(q, pos, cache, pkc, p, "histogram",
-                                                 block_size=block_size))
-        for mode, fn in zip(BENCH_MODES, steps):
-            times = []
-            for i, q in enumerate(queries):
-                t0 = time.perf_counter()
-                fn(q)
-                dt = time.perf_counter() - t0
-                if i >= warmup:
-                    times.append(dt * 1e3)
-            rows.append(BenchRow(L, mode, float(np.median(times)),
-                                 float(np.percentile(times, 95))))
+
+def bench_requests(workload: Workload, geometry: ModelGeometry,
+                   partitions: Sequence[HeadPartition],
+                   projectors: Mapping[tuple[int, int], Projector],
+                   n_requests: int) -> list[BenchRow]:
+    """Wall-clock per whole request, n_requests of each BENCH_MODES entry
+    in turn, with no warm-up round: a first 32K dense request took no
+    longer than the later ones."""
+    if n_requests < 1:
+        raise ArgumentError("need at least one timed request")
+    rows = []
+    for mode in BENCH_MODES:
+        times = []
+        for _ in range(n_requests):
+            t0 = time.perf_counter()
+            bench_request(workload, geometry, partitions, projectors, mode)
+            times.append((time.perf_counter() - t0) * 1e3)
+        rows.append(BenchRow(workload.seq_len, mode, float(np.median(times)),
+                             float(np.percentile(times, 95))))
     return rows
 
 
-def bench_metadata(seed: int) -> dict:
+def bench_metadata(seed: int, seq_len: int, n_requests: int) -> dict:
     return {
         "seed": seed,
+        "seq_len": seq_len,
+        "requests_per_mode": n_requests,
+        "cpus": len(os.sched_getaffinity(0)),
+        **{name: os.environ.get(name) for name in BLAS_ENV},
         "machine": platform.machine(),
         "platform": platform.platform(),
         "python": platform.python_version(),

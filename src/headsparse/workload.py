@@ -646,15 +646,16 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     it is made (a ContainerWriter, renamed into place once every stream is
     in), and the workload returned maps that file (Workload.load), so rows
     no caller reads never become resident.  Without `stem` the container
-    is written in a fresh directory under $TMPDIR (tempfile.gettempdir())
-    that is removed before the return; the map outlives the unlinked file.
-    That directory needs the payload's size free: 768 MiB at 128K tokens of
-    the default geometry.  The mapped bytes stay out of the process's
-    anonymous memory, not out of the page cache, which cgroup accounting
-    charges; on a disk-backed $TMPDIR the kernel can reclaim those pages,
-    on a tmpfs it cannot.  A failure leaves no new file in place, and a
-    temporary directory that cannot be made or written raises
-    ArgumentError."""
+    is written in a fresh directory, removed before the return (the map
+    outlives the unlinked file), under tempfile.tempdir if set, else under
+    $TMPDIR as given (gettempdir() would skip one it cannot use), else
+    under gettempdir().  That directory needs the payload's size free:
+    768 MiB at 128K tokens of the default geometry.  The mapped bytes stay
+    out of the process's anonymous memory, not out of the page cache, which
+    cgroup accounting charges; on a disk-backed $TMPDIR the kernel can
+    reclaim those pages, on a tmpfs it cannot.  A failure leaves no new
+    file in place, and a temporary directory that cannot be made or
+    written raises ArgumentError."""
     # Imported here, not with the module: the pool's modules load logging,
     # and every CLI start imports this module; a cli-32k set-up (one
     # `--help` start) took 0.37 -> 0.46 s with them at the top (medians of
@@ -665,7 +666,8 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
 
     if stem is None:
         try:
-            scratch = tempfile.TemporaryDirectory()
+            scratch = tempfile.TemporaryDirectory(
+                dir=tempfile.tempdir or os.environ.get("TMPDIR") or None)
         except OSError as e:
             raise ArgumentError(f"cannot make a temporary directory for the workload: "
                                 f"{e}") from e

@@ -79,8 +79,7 @@ def full_artifacts(artifacts, tmp_path_factory):
     out = root / "art"
     shutil.copytree(artifacts, out)
     cfg = write_config(root, out)
-    for argv in (["run"], ["distill-toy"],
-                 ["bench", "--lengths", "256", "--bench-steps", "2"]):
+    for argv in (["run"], ["distill-toy"], ["bench", "--bench-steps", "2"]):
         assert main([*argv, "--config", str(cfg)]) == 0
     return out
 
@@ -141,12 +140,6 @@ class TestConfigParsing:
     def test_seed_must_be_int(self):
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"seed": "eleven"})
-
-    def test_bench_lengths_validated(self):
-        with pytest.raises(ConfigError, match="bench_lengths"):
-            RunConfig.from_dict({"bench_lengths": []})
-        with pytest.raises(ConfigError, match="bench_lengths"):
-            RunConfig.from_dict({"bench_lengths": [0]})
 
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -607,20 +600,34 @@ class TestDistillToy:
 
 
 class TestBench:
-    def test_csv_and_metadata(self, tmp_path):
-        cfg = write_config(tmp_path, tmp_path / "out")
-        code = main(["bench", "--config", str(cfg), "--lengths", "256",
-                     "--bench-steps", "3"])
-        assert code == 0
-        rows = read_bench(tmp_path / "out" / "bench.csv")
-        assert [r.mode for r in rows] == ["dense", "sparse_exact",
-                                         "sparse_histogram"]
-        meta = json.loads((tmp_path / "out" / "bench_meta.json").read_text())
-        assert meta["seed"] == 11
+    def test_csv_and_metadata(self, artifacts, tmp_path):
+        """bench times requests on the saved workload, partition and
+        projectors: one row a mode at the workload's length."""
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out)
+        assert main(["bench", "--config", str(cfg), "--bench-steps", "2"]) == 0
+        rows = read_bench(out / "bench.csv")
+        assert [(r.length, r.mode) for r in rows] == [
+            (768, "dense"), (768, "sparse_exact"), (768, "sparse_histogram")]
+        meta = json.loads((out / "bench_meta.json").read_text())
+        assert (meta["seed"], meta["seq_len"], meta["requests_per_mode"]) == (11, 768, 2)
         assert meta["numpy"] == np.__version__
 
-    def test_zero_steps_exits_2(self, tmp_path):
+    def test_missing_partition_exits_2_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "out")
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "partition.csv" in capsys.readouterr().err
+
+    def test_bench_lengths_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tmp_path / "out", bench_lengths=[4096])
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_zero_steps_exits_2(self, artifacts, tmp_path):
+        out = clone_artifacts(artifacts, tmp_path)
+        cfg = write_config(tmp_path, out)
         assert main(["bench", "--config", str(cfg), "--bench-steps", "0"]) == 2
 
 
@@ -638,6 +645,24 @@ class TestReportAndDispatch:
         assert "partition layer 0" in printed
         mib = (8 + 4 + 4) * 768 * 64 * 4 / 2**20
         assert f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB" in printed
+
+    def test_report_prints_bench_shares_of_dense(self, tmp_path, capsys):
+        """Each sparse bench row prints its median as a fraction of the
+        dense median at the same length; a length without a dense row
+        prints none."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "bench.csv").write_text("length,mode,median_ms,p95_ms\n"
+                                       "4096,dense,10.0,11.0\n4096,sparse_exact,2.5,3.0\n"
+                                       "4096,sparse_histogram,2.0,2.0\n8192,sparse_exact,4.0,4.0\n")
+        cfg = write_config(tmp_path, out)
+        assert main(["report", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if line.startswith("bench")] == [
+            "bench L=4096 dense: median 10.000 ms",
+            "bench L=4096 sparse_exact: median 2.500 ms (0.250 of dense)",
+            "bench L=4096 sparse_histogram: median 2.000 ms (0.200 of dense)",
+            "bench L=8192 sparse_exact: median 4.000 ms"]
 
     def test_report_prints_true_mass_floor(self, tmp_path, capsys):
         """A floor line per role appears when the trace carries --oracle
@@ -752,6 +777,21 @@ class TestReportAndDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(scratch) in err
         assert "Traceback" not in err
+
+    def test_unusable_tmpdir_variable_exits_2_naming_it(self, artifacts, tmp_path,
+                                                         monkeypatch, capsys):
+        """A $TMPDIR that is a regular file ends a regenerating run with exit
+        2 naming it, rather than falling back to another directory."""
+        out = clone_artifacts(artifacts, tmp_path)
+        scratch = tmp_path / "tmpfile"
+        scratch.write_text("")
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        cfg = write_config(tmp_path, out)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(scratch) in err
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

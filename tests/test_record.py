@@ -27,7 +27,6 @@ REMOVED_WORKLOAD_KEYS = (
 REJECTED = [
     ({"geometry": {"window": 100.5}}, "geometry.window"),
     ({"mode": "top_k", "top_k": 2.5}, "top_k"),
-    ({"bench_lengths": [1.7]}, r"bench_lengths\[0\]"),
     ({"seed": True}, "seed"),
     ({"geometry": {"top_p": "0.9"}}, "geometry.top_p"),
     ({"workload": {"planted_retrieval_heads": 5}}, "workload.planted_retrieval_heads"),
@@ -98,7 +97,7 @@ RECORDS = [
                  weight_decay=0.5, clip_norm=3.0, top_p=0.5),
     RunConfig(workload=WorkloadSpec(seq_len=900), mode="top_k", top_k=5,
               stage1=Stage1Config(steps=3), stage2=Stage2Config(steps=4),
-              seed=9, output_dir="x", bench_lengths=(8, 16), bench_steps=2),
+              seed=9, output_dir="x", bench_steps=2),
     DistillSummary(steps=5, top_p=0.9, initial_smoothed=1.5,
                    final_smoothed=0.5, ratio=1 / 3),
 ]
@@ -113,7 +112,6 @@ def test_round_trip_through_json(record):
 def test_to_dict_writes_fields_in_order_with_lists():
     d = RunConfig().to_dict()
     assert list(d) == [f.name for f in dataclasses.fields(RunConfig)]
-    assert d["bench_lengths"] == [4096, 32768]
     assert d["workload"]["planted_retrieval_heads"] == [2, 9]
     assert "rope" not in d["geometry"]
     assert ANNOTATIONS.to_dict()["probes"][0] == {

@@ -1,14 +1,15 @@
 """Report tests: CSV/JSON round-trips, per-head summaries, the float64
-oracle's true masses, the mass-vs-budget sweep, and the decode bench
-harness."""
+oracle's true masses, the mass-vs-budget sweep, and the request bench."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 from test_engine import SMALL_WORKLOAD, small_partition, small_projectors
 from test_workload import SMALL_SPEC, small_geometry
 
+from headsparse.calibration import calibrate
 from headsparse.engine import DecodeTrace, SparsityReport, run_workload
 from headsparse.errors import ArgumentError
 from headsparse.numerics import softmax
@@ -18,8 +19,9 @@ from headsparse.reports import (
     ORACLE_ROWS,
     TRACE_HEADER,
     BenchRow,
-    bench_decode,
     bench_metadata,
+    bench_request,
+    bench_requests,
     head_token_count_rows,
     mass_budget_sweep,
     read_bench,
@@ -223,20 +225,36 @@ class TestMassBudgetSweep:
 
 
 class TestBench:
-    def test_rejects_zero_iterations(self):
-        with pytest.raises(ArgumentError):
-            bench_decode([256], seed=0, n_steps=0)
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        """SMALL_WORKLOAD's calibrated partition and untrained projectors."""
+        partitions = calibrate(SMALL_WORKLOAD)
+        return (SMALL_WORKLOAD, SMALL_GEO, partitions,
+                small_projectors(partitions[0], SMALL_GEO))
 
-    def test_rejects_negative_warmup(self):
+    def test_rejects_zero_requests(self, pipeline):
         with pytest.raises(ArgumentError):
-            bench_decode([256], seed=0, warmup=-1)
+            bench_requests(*pipeline, 0)
 
-    def test_small_run_shape(self):
-        rows = bench_decode([256], seed=3, n_steps=3, warmup=1)
+    def test_small_run_shape(self, pipeline):
+        rows = bench_requests(*pipeline, 3)
         assert [r.mode for r in rows] == list(BENCH_MODES)
         for r in rows:
-            assert r.length == 256
+            assert r.length == SMALL_WORKLOAD.seq_len
             assert 0 < r.median_ms <= r.p95_ms
+
+    def test_dense_request_attends_every_visible_token(self, pipeline):
+        traces = bench_request(*pipeline, "dense").traces
+        assert len(traces) == SMALL_SPEC.decode_len * SMALL_GEO.n_layers * SMALL_GEO.n_q_heads
+        assert {t.role for t in traces} == {"local"}
+        assert all(t.tokens_selected == t.position + 1 for t in traces)
+
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_sparse_requests_are_plain_runs(self, pipeline, mode):
+        got = bench_request(*pipeline, f"sparse_{mode}").traces
+        want = run_workload(*pipeline, mode=mode).traces
+        assert [(t.q_head, t.position, t.tokens_selected) for t in got] == \
+            [(t.q_head, t.position, t.tokens_selected) for t in want]
 
     def test_file_round_trip(self, tmp_path):
         rows = [BenchRow(1024, "dense", 0.123456789, 0.2),
@@ -247,8 +265,12 @@ class TestBench:
         assert back == rows
         assert read_csv(path, BENCH_HEADER)
 
-    def test_metadata_fields(self):
-        meta = bench_metadata(17)
-        assert meta["seed"] == 17
+    def test_metadata_fields(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        meta = bench_metadata(17, 768, 3)
+        assert (meta["seed"], meta["seq_len"], meta["requests_per_mode"]) == (17, 768, 3)
+        assert meta["cpus"] == len(os.sched_getaffinity(0)) >= 1
+        assert (meta["OPENBLAS_NUM_THREADS"], meta["OMP_NUM_THREADS"]) == ("1", None)
         for key in ("machine", "platform", "python", "numpy"):
             assert isinstance(meta[key], str) and meta[key]
