@@ -6,11 +6,11 @@ early copy are retrieval heads, everything else is local.  The per-head
 score is the mean attention mass the late-span rows place on the early
 span; the top `ratio` share of heads by that score forms the retrieval set.
 
-Calibration is array code and builds no KV cache.  Each KV group's keys of
-tokens 0..L-1 are turned by rope_apply with the workload's one cos/sin
-table, and the late-span rows of all its query heads are scored against
-them in one `workload.causal_scores` call, weights only; no value row is
-read.
+Calibration is array code and builds no KV cache.  The late-span rows of
+all the query heads of a KV group are scored against the group's rotated
+keys, read in place from the workload's keys_post, in one
+`workload.causal_scores` call, weights only; no key is turned and no value
+row is read.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .container import read_csv, write_csv
 from .errors import ArgumentError
 from .numerics import descending_order, softmax
-from .rope import rope_apply, rope_table
 from .workload import Workload, causal_scores
 
 
@@ -69,19 +68,18 @@ def partition_heads(scores: Sequence[float], ratio: float) -> HeadPartition:
     )
 
 
-def group_retrieval_scores(workload: Workload, layer: int, kv_head: int,
-                           keys_post: np.ndarray) -> list[float]:
-    """R of each query head that shares `kv_head`; keys_post holds the
-    group's rotated keys of tokens 0, 1, ... through the late span.  The
-    group's late-span rows go through causal_scores as one batch and are
-    normalised in place, so each row's entries after its own position weigh
-    0.  Each row's early-span mass is one np.sum, and a head's masses add
+def group_retrieval_scores(workload: Workload, layer: int, kv_head: int) -> list[float]:
+    """R of each query head that shares `kv_head`, against the group's
+    rotated keys in workload.keys_post.  The group's late-span rows go
+    through causal_scores as one batch and are normalised in place, so
+    each row's entries after its own position weigh 0.  Each row's early-span mass is one np.sum, and a head's masses add
     up in row order."""
     geo, ann = workload.geometry, workload.annotations
     post = np.asarray(ann.n_post)
     heads = slice(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
     queries = workload.queries[layer, heads][:, post].reshape(-1, geo.head_dim)
-    rows = causal_scores(queries, np.tile(post, geo.group_size), keys_post, geo.rope, geo.scale)
+    rows = causal_scores(queries, np.tile(post, geo.group_size),
+                         workload.keys_post[layer, kv_head], geo.rope, geo.scale)
     softmax(rows, out=rows)
     masses = np.array([np.sum(row) for row in rows[:, list(ann.n_pre)]])
     totals = np.cumsum(masses.reshape(geo.group_size, len(post)), axis=1)[:, -1]
@@ -91,18 +89,12 @@ def group_retrieval_scores(workload: Workload, layer: int, kv_head: int,
 
 
 def _head_scores(workload: Workload) -> np.ndarray:
-    """(n_layers, n_q_heads) retrieval scores of one workload.  One cos/sin
-    table turns every KV group's keys, one group at a time: each group's
-    rotated keys are an argument only, so none outlives its scoring."""
-    geo, n = workload.geometry, workload.seq_len
-    positions = np.arange(n)
-    table = rope_table(positions, geo.rope)
+    """(n_layers, n_q_heads) retrieval scores of one workload, one KV
+    group at a time."""
+    geo = workload.geometry
     return np.array([
-        np.concatenate([
-            group_retrieval_scores(workload, layer, g, rope_apply(
-                workload.keys_pre[layer, g], positions, geo.rope, table))
-            for g in range(geo.n_kv_heads)
-        ])
+        np.concatenate([group_retrieval_scores(workload, layer, g)
+                        for g in range(geo.n_kv_heads)])
         for layer in range(geo.n_layers)
     ])
 

@@ -32,9 +32,11 @@ workload.json/.bin as it generates it, and train-indexer, run and bench
 map the saved file when its seed, workload spec and the geometry fields
 the generator reads (workload.GENERATOR_FIELDS) equal the resolved
 config's; the other geometry fields are the run's own.  Otherwise (a
---seed override, say) they generate it again into a temporary container
-under $TMPDIR, mapped and removed at once; both routes give the same
-arrays bit for bit.
+--seed or a geometry.rope_base override, say) they generate it again into
+a temporary container under $TMPDIR, mapped and removed at once; both
+routes give the same arrays bit for bit.  A saved workload without the
+post-rotation keys (written before they were stored) exits 2, asking for
+calibrate to be run again.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
@@ -247,7 +249,7 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> None:
     result = run_workload(workload, geo, partitions, projectors, mode=cfg.mode,
                           top_k=cfg.top_k)
     traces, report = result.traces, result.report
-    del result  # frees the decode caches before the oracle turns any keys
+    del result  # frees the decode caches before the oracle scores any rows
     if getattr(args, "oracle", False):
         record_true_masses(workload, traces)
     write_decode_trace(out / "decode_trace.csv", traces)
@@ -320,7 +322,8 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     stem = out / WORKLOAD_STEM
     if stem.with_suffix(".json").exists():
         wl = Workload.load(stem)
-        mib = sum(a.nbytes for a in (wl.queries, wl.keys_pre, wl.values)) / 2**20
+        tensors = read_json(stem.with_suffix(".json"))["tensors"]
+        mib = sum(entry["nbytes"] for entry in tensors) / 2**20
         print(f"workload: seq_len {wl.seq_len}, seed {wl.seed}, payload {mib:.1f} MiB")
     partition = out / "partition.csv"
     if partition.exists():

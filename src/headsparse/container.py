@@ -12,8 +12,9 @@ language with a hex dump and makes round-trips bit-exact by construction.
 
 One writer, ContainerWriter, lays every container out: the tensor
 directory is fixed when it opens, blocks of rows land at their offsets with
-os.pwrite (from any thread, in any order), and commit renames both files
-into place, payload first and manifest last.  save_container writes whole
+os.pwrite (from any thread, in any order) and can be read back before the
+commit, and commit renames both files into place, payload first and
+manifest last.  save_container writes whole
 tensors through it; the workload generator streams each finished row block
 through it, into a temporary container when its caller names none, so no
 copy of a whole workload is held.  Loading maps the
@@ -122,7 +123,8 @@ class ContainerWriter:
     """Writes the container `stem` whose tensors `layout` lists, in payload
     order, as name -> (dtype, shape).  Offsets follow that order with no
     gaps.  The payload is written under a temporary name at its full size;
-    `write` puts blocks of rows at their offsets, and `commit` writes the
+    `write` puts blocks of rows at their offsets, `read` gets written rows
+    back, and `commit` writes the
     manifest under a temporary name and renames both into place, payload
     first and manifest last, so arrays mapped from an earlier container of
     the same stem keep reading its bytes.  Leaving the `with` block without
@@ -146,7 +148,7 @@ class ContainerWriter:
         try:
             with _writing(self._bin_tmp):
                 self.stem.parent.mkdir(parents=True, exist_ok=True)
-                self._fd = os.open(self._bin_tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                self._fd = os.open(self._bin_tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
                 os.ftruncate(self._fd, offset)
         except ArgumentError:
             self._discard()
@@ -168,15 +170,11 @@ class ContainerWriter:
             with contextlib.suppress(OSError):
                 path.unlink()
 
-    def write(self, name: str, at: tuple[int, ...], block: np.ndarray) -> None:
-        """Write `block` into tensor `name` from index `at`, one index per
-        leading axis: the block's rows run along axis len(at) - 1 from
-        at[-1], each spanning the axes after it, so at = (0,) with the
-        whole tensor writes all of it.  The block is cast to the tensor's
-        dtype."""
+    def _transfer(self, name: str, at: tuple[int, ...], a: np.ndarray, move) -> None:
+        """Move the bytes of `a`, a block of tensor `name`'s dtype placed
+        as `write` places it, with move(fd, view, offset) -> bytes moved."""
         entry = self._entries[name]
         shape, k = entry["shape"], len(at)
-        a = np.ascontiguousarray(block, entry["dtype"])
         if not (1 <= k <= len(shape) and list(a.shape[1:]) == shape[k:]
                 and all(0 <= i < n for i, n in zip(at[:-1], shape))
                 and 0 <= at[-1] <= shape[k - 1] - len(a)):
@@ -189,8 +187,28 @@ class ContainerWriter:
         view = memoryview(a.reshape(-1).view(np.uint8))
         with _writing(self._bin_tmp):
             while view:
-                n = os.pwrite(self._fd, view, start)
+                n = move(self._fd, view, start)
+                if n == 0:
+                    raise InternalError(f"{self._bin_tmp} ends before tensor {name}'s rows")
                 view, start = view[n:], start + n
+
+    def write(self, name: str, at: tuple[int, ...], block: np.ndarray) -> None:
+        """Write `block` into tensor `name` from index `at`, one index per
+        leading axis: the block's rows run along axis len(at) - 1 from
+        at[-1], each spanning the axes after it, so at = (0,) with the
+        whole tensor writes all of it.  The block is cast to the tensor's
+        dtype."""
+        a = np.ascontiguousarray(block, self._entries[name]["dtype"])
+        self._transfer(name, at, a, os.pwrite)
+
+    def read(self, name: str, at: tuple[int, ...], n_rows: int) -> np.ndarray:
+        """The n_rows rows of tensor `name` from index `at` (placed as
+        `write` places a block), as written there: a new array of the
+        tensor's dtype."""
+        entry = self._entries[name]
+        a = np.empty((n_rows, *entry["shape"][len(at):]), entry["dtype"])
+        self._transfer(name, at, a, lambda fd, view, start: os.preadv(fd, [view], start))
+        return a
 
     def commit(self, meta: Mapping[str, Any] | None = None) -> None:
         """Write the manifest and rename payload, then manifest, into place."""

@@ -3,12 +3,13 @@ attention for local heads, and per-step top-p decode over projected scores.
 
 Every KV cache is a workload.KVCacheHead, allocated once under one of two
 capacity rules.  A group with a retrieval head keeps its full cache, sized
-for the whole stream: a stream cache (build_cache_prefix) that owns its
-rotated float32 keys and positions, 8 + 4 * head_dim bytes a row, and reads
-the workload's value rows in place, never writing them.  Each layer's
-LocalWindow stacks every KV group and keeps only sinks and a recent window,
-with its own copies of their rows, in n_sinks + 2 * window rows or the
-stream's length if that is less.
+for the whole stream: a stream cache (build_cache_prefix) that reads the
+workload's post-rotation keys and values in place, never writing them, and
+owns only its positions, 8 bytes a row.  Each layer's LocalWindow stacks
+every KV group and keeps only sinks and a recent window, with its own
+copies of their rotated keys and values, in n_sinks + 2 * window rows or
+the stream's length if that is less.  No cache turns a key: the workload
+carries each key turned once, and only queries turn, in workload.attend.
 A decode step visits each layer once.  Every local query head of the layer
 decodes in one call over the layer's LocalWindow; the retrieval heads' rows
 ride along so the batch stays rectangular, and their outputs are dropped.
@@ -21,7 +22,7 @@ through workload.attend, the one attention kernel.
 A retrieval head ranks tokens by its ProjectedKeyCache, which the decode
 loop extends with the pre-rotation keys of the rows its KV cache holds (the
 prompt and the first token at the first step, then one token a step), so
-the caches keep only rotated keys, positions and (in the windows) values.
+no cache keeps pre-rotation keys.
 
 The decode path never renormalizes approximately: whatever active set the
 selector produces, the output is the same exact softmax over true scaled
@@ -41,7 +42,8 @@ exact with projectors trained 1,200 steps, whose sets reach 116K tokens
 the sets and both sparsities do not depend on the cache type.  The engine
 only decodes: the float64 oracle (reports.oracle_rows) runs afterwards on
 the workload's arrays, as calibration and stage 1 do, and scores the same
-float32 rotated keys (workload.causal_scores) without a cache.
+float32 rotated keys, workload.keys_post, through workload.causal_scores
+without a cache.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import numpy as np
 from .calibration import ROLE_LOCAL, ROLE_RETRIEVAL, HeadPartition
 from .errors import ArgumentError, ConfigError, InternalError
 from .indexer import ProjectedKeyCache, Projector
-from .rope import rope_table
 from .selection import (
     ActiveSet,
     SelectionResult,
@@ -124,8 +125,9 @@ class SparsityReport:
 class FullCaches(dict):
     """(layer, kv_head) -> full-stream cache, built once on first read for a
     group that decoded without one (it has no retrieval head); like the
-    decode caches, it reads the workload's value rows in place.  perfbench's
-    output check and the tests are its only readers."""
+    decode caches, it reads the workload's keys_post and values in place and
+    owns only its positions.  perfbench's output check and the tests are
+    its only readers."""
 
     def __init__(self, workload: Workload, caches: Mapping):
         super().__init__(caches)
@@ -172,27 +174,27 @@ class LocalWindow(KVCacheHead):
     window rows, or the whole stream if that is shorter (a window as long
     as the stream keeps every row, and no row moves); where a full cache
     would grow, an append to a full buffer first moves its last `window`
-    rows down behind the sinks.  The rows are the window's own copies, as
-    they move.  Each row has the bits of the same token's row in a full
-    cache."""
+    rows down behind the sinks.  The rows are the window's own copies of
+    the workload's keys_post and values, as they move, so each row has the
+    bits of the same token's row in a full cache."""
 
     def __init__(self, workload: Workload, layer: int, n_tokens: int, window: int,
                  n_sinks: int):
         """The local rows of the first n_tokens of `layer`'s streams."""
-        keys_pre, values = workload.keys_pre[layer], workload.values[layer]
+        keys, values = workload.keys_post[layer], workload.values[layer]
         capacity = min(n_sinks + 2 * window, workload.seq_len)
-        super().__init__(workload.geometry.rope, capacity, len(keys_pre))
+        super().__init__(workload.geometry.rope, capacity, len(keys))
         self.window, self.n_sinks = window, n_sinks
         keep = np.r_[local_spans(n_tokens, window, n_sinks)]
-        self.extend(keys_pre[:, keep], values[:, keep], keep, rope_table(keep, self.rope))
+        self.extend(keys[:, keep], values[:, keep], keep)
 
-    def append(self, keys_pre: np.ndarray, values: np.ndarray, position: int) -> None:
-        """The next token of every group: keys_pre and values are
+    def append(self, keys_post: np.ndarray, values: np.ndarray, position: int) -> None:
+        """The next token of every group: keys_post and values are
         (n_kv_heads, head_dim)."""
         last = self._positions[self._n - 1]
         if position != last + 1:
             raise ArgumentError(f"position {position} does not follow {last}")
-        super().append(keys_pre, values, position)
+        super().append(keys_post, values, position)
 
     def _grow(self, need: int) -> None:
         if need > len(self._positions):
@@ -277,17 +279,15 @@ def prefill(workload: Workload, groups: Collection[tuple[int, int]] | None = Non
             ) -> dict[tuple[int, int], KVCacheHead]:
     """Build the full (layer, kv_head) KV caches over the workload's prompt
     region for the given `groups`, every group by default, each sized for
-    the whole stream.  One cos/sin table turns all, freed on return.
-    run_workload builds them only for the groups that have a retrieval
-    head; the local heads read each layer's LocalWindow."""
+    the whole stream: stream caches over the workload's rows, which own
+    only their positions.  run_workload builds them only for the groups
+    that have a retrieval head; the local heads read each layer's
+    LocalWindow."""
     geo, n = workload.geometry, workload.prefill_len
     if groups is None:
         groups = [(layer, g) for layer in range(geo.n_layers)
                   for g in range(geo.n_kv_heads)]
-    if not groups:
-        return {}
-    table = rope_table(np.arange(n), geo.rope)
-    return {(layer, g): build_cache_prefix(workload, layer, g, n, table)
+    return {(layer, g): build_cache_prefix(workload, layer, g, n)
             for layer, g in sorted(groups)}
 
 
@@ -380,9 +380,9 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
         # the new token's KV lands before any head consumes the position,
         # so every query sees its own entry (self-attention at decode)
         for (layer, g), cache in live.items():
-            cache.append(workload.keys_pre[layer, g, t], workload.values[layer, g, t], t)
+            cache.append(workload.keys_post[layer, g, t], workload.values[layer, g, t], t)
         for layer, window in windows.items():
-            window.append(workload.keys_pre[layer, :, t], workload.values[layer, :, t], t)
+            window.append(workload.keys_post[layer, :, t], workload.values[layer, :, t], t)
         # each head's projected keys catch up with its cache: the prompt and
         # this token at the first step, one token after that
         for (layer, h), pkc in pkcs.items():

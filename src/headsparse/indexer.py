@@ -25,7 +25,7 @@ from .errors import ArgumentError, InternalError
 from .numerics import softmax, softmax_kl
 from .optim import SCHEDULES, AdamW, make_schedule
 from .record import Record
-from .rope import rope_apply, row_blocks
+from .rope import row_blocks
 from .seeding import derive_rng
 from .workload import KVCacheHead, causal_scores, qhead_to_kvhead, visible_rows
 
@@ -102,7 +102,8 @@ class ProjectedKeyCache:
 
     def extend(self, keys_pre: np.ndarray) -> None:
         """Project (m, head_dim) new key rows, rounded to float32 as the
-        cache stores them, one row_blocks block at a time."""
+        cache stores them, one row_blocks block at a time, straight into
+        the buffer: one block widened to float64 is the only temporary."""
         keys = np.asarray(keys_pre)
         if keys.ndim != 2 or keys.shape[1] != self.projector.head_dim:
             raise ArgumentError(f"keys must be (m, {self.projector.head_dim}), got {keys.shape}")
@@ -110,8 +111,8 @@ class ProjectedKeyCache:
         if n1 > len(self._u):
             raise InternalError(f"{n1} projected keys for a capacity of {len(self._u)}")
         for rows in row_blocks(len(keys)):
-            fresh = keys[rows].astype(np.float32).astype(np.float64)
-            self._u[n0 + rows.start : n0 + rows.stop] = fresh @ self.projector.w_k.T
+            np.matmul(np.asarray(keys[rows], np.float32).astype(np.float64),
+                      self.projector.w_k.T, out=self._u[n0 + rows.start : n0 + rows.stop])
         self._n = n1
 
     def scores(self, cache: KVCacheHead, query_pre: np.ndarray, query_position: int
@@ -177,8 +178,9 @@ def _row_offsets(positions: np.ndarray) -> np.ndarray:
 def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
                          n_rows: int = 128) -> Stage1Dataset:
     """Supervision rows for one head from a workload's dense attention,
-    scored by causal_scores against the head's keys turned by rope_apply;
-    no cache is built and no value row is read.
+    scored by causal_scores against the head's rotated keys, read in place
+    from workload.keys_post; no cache is built, no key is turned and no
+    value row is read.
 
     Positions start at 4 * block_size: on shorter prefixes any selector is
     trivially near-perfect and the rows carry no long-range signal.
@@ -192,12 +194,11 @@ def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
     rng = derive_rng(seed, f"stage1-data-L{layer}H{q_head}")
     positions = np.sort(rng.choice(span, size=min(n_rows, span.size), replace=False))
     n = int(positions[-1]) + 1
-    keys = workload.keys_pre[layer, qhead_to_kvhead(geometry, q_head), :n]
+    g = qhead_to_kvhead(geometry, q_head)
     queries = workload.queries[layer, q_head, positions]
-    # the rotated keys are an argument only, freed before the float64 keys are made
-    attn = _attention_rows(queries, positions, rope_apply(keys, np.arange(n), geometry.rope),
-                           geometry)
-    return Stage1Dataset(keys.astype(np.float64), queries, positions, attn)
+    attn = _attention_rows(queries, positions, workload.keys_post[layer, g, :n], geometry)
+    return Stage1Dataset(workload.keys_pre[layer, g, :n].astype(np.float64), queries,
+                         positions, attn)
 
 
 def _attention_rows(queries: np.ndarray, positions: np.ndarray, keys_post: np.ndarray,

@@ -22,7 +22,6 @@ from .engine import DecodeTrace, RunResult, SparsityReport, run_workload
 from .errors import ArgumentError
 from .indexer import Projector
 from .numerics import softmax
-from .rope import rope_apply
 from .selection import top_k_static, top_p_exact
 from .workload import ModelGeometry, Workload, causal_scores, qhead_to_kvhead
 
@@ -113,10 +112,11 @@ def oracle_rows(workload: Workload, steps: Sequence[tuple[int, int, int]]
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """The float64 oracle: (i, the scaled post-rotation scores of head-step
     steps[i] = (layer, q_head, position) over its position + 1 tokens), one
-    (layer, KV group) at a time and by position within it.  Each group's keys
-    turn once by rope_apply, with no cache and no value row, and its rows go
-    through causal_scores ORACLE_ROWS at a time: a gemm, so a row can differ
-    from dense_row_scores's one-row gemv in its last bits."""
+    (layer, KV group) at a time and by position within it.  Each group's
+    rows are scored against its rotated keys, read in place from
+    workload.keys_post, with no cache and no value row, through
+    causal_scores ORACLE_ROWS at a time: a gemm, so a row can differ from
+    dense_row_scores's one-row gemv in its last bits."""
     geo, groups = workload.geometry, {}
     for i, (layer, h, t) in enumerate(steps):
         if not (0 <= layer < geo.n_layers and 0 <= t < workload.seq_len):
@@ -124,8 +124,7 @@ def oracle_rows(workload: Workload, steps: Sequence[tuple[int, int, int]]
         groups.setdefault((layer, qhead_to_kvhead(geo, h)), []).append(i)
     for (layer, g), rows in sorted(groups.items()):
         rows.sort(key=lambda i: steps[i][2])
-        n = steps[rows[-1]][2] + 1
-        keys = rope_apply(workload.keys_pre[layer, g, :n], np.arange(n), geo.rope)
+        keys = workload.keys_post[layer, g, : steps[rows[-1]][2] + 1]
         for a in range(0, len(rows), ORACLE_ROWS):
             batch = rows[a : a + ORACLE_ROWS]
             _, heads, positions = np.array([steps[i] for i in batch]).T

@@ -8,9 +8,11 @@ dot product a function of the offset m - n alone.
 
 Every rotation goes through `_turn`.  `rope_apply` turns a matrix one
 row_blocks block at a time straight into the caller's buffer, so a bulk
-build holds no full-length temporary.  Each block takes its cos/sin rows
+turn holds no full-length temporary.  Each block takes its cos/sin rows
 from a `RopeTable` that a caller turning several KV heads at the same
-positions computes once and shares, or else computes them for itself.
+positions computes once and shares (the workload generator, for a layer's
+KV groups), or else computes them for itself.  Keys turn once, in the
+generator, into the workload's keys_post; downstream only queries turn.
 """
 
 from __future__ import annotations
@@ -58,12 +60,13 @@ class RopeTable(NamedTuple):
 
 # Rows per block of every blocked loop (row_blocks): rope_apply,
 # ProjectedKeyCache.extend, the float64 oracle's widened keys and values,
-# attend's value sums and the generator's noise draws.  A block's cos/sin
-# and turn temporaries take a few MiB at head_dim 64, against 64 MiB for
-# one table over a 128K stream.  A 128K build_cache took 0.25-0.38 s at
-# 1,024 rows, 0.26-0.28 s at 4,096 and 0.29 s at 16,384; a 128K workload
-# took 5.5-6.2 s at 1,024 or 4,096 rows and 6.5-6.8 s at 16,384 or 65,536
-# (2 runs each, seed 0, one BLAS thread, 2-core x86 host, numpy 2.4).
+# attend's value sums and the generator's noise draws and key turns.  A
+# block's cos/sin and turn temporaries take a few MiB at head_dim 64,
+# against 64 MiB for one table over a 128K stream.  When caches turned
+# their keys, a 128K build_cache took 0.25-0.38 s at 1,024 rows, 0.26-0.28
+# s at 4,096 and 0.29 s at 16,384; a 128K workload took 5.5-6.2 s at 1,024
+# or 4,096 rows and 6.5-6.8 s at 16,384 or 65,536 (2 runs each, seed 0,
+# one BLAS thread, 2-core x86 host, numpy 2.4).
 ROPE_BLOCK = 4096
 
 

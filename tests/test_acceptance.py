@@ -190,7 +190,7 @@ def test_criterion_02_restricted_softmax_exactness(capsys):
         for t, cache in traces:
             row = dense_attention(
                 w.queries[0, t.q_head, t.position], t.position,
-                sub_cache(cache, w.keys_pre[0, qhead_to_kvhead(geo, t.q_head)], t.active_set),
+                sub_cache(cache, t.active_set),
                 geo.scale,
             )
             worst = max(worst, float(np.abs(t.output - row.output).max()))

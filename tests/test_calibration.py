@@ -38,8 +38,8 @@ def with_ratio(workload, ratio):
 
 
 def rotated_keys(workload, layer, g):
-    """One KV group's keys of tokens 0..L-1 turned by rope_apply, as
-    calibration scores them."""
+    """One KV group's keys of tokens 0..L-1 turned by rope_apply, as the
+    generator turns keys_post."""
     return rope_apply(workload.keys_pre[layer, g], np.arange(workload.seq_len),
                       workload.geometry.rope)
 
@@ -55,9 +55,9 @@ def one_head_scores(n_pre, n_post, keys, query=(0, 0, 0, 0)):
     queries = np.zeros((1, 1, n, 4), np.float32)
     queries[0, 0, list(n_post)] = query
     ann = WorkloadAnnotations((), (0,), tuple(n_pre), tuple(n_post), ())
-    w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0, queries,
-                 keys[None, None], None, ann)
-    return group_retrieval_scores(w, 0, 0, rope_apply(keys, np.arange(n), geo.rope))[0]
+    w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0, queries, None,
+                 rope_apply(keys, np.arange(n), geo.rope)[None, None], None, ann)
+    return group_retrieval_scores(w, 0, 0)[0]
 
 
 def spike_keys(n, rows, gain=100.0):
@@ -168,7 +168,7 @@ class TestWorkloadCalibration:
         w = gen_synthetic_workload(SMALL_SPEC, 8, small_geometry())
         h = w.annotations.planted_retrieval_heads[0]
         g = qhead_to_kvhead(w.geometry, h)
-        scores = group_retrieval_scores(w, 0, g, rotated_keys(w, 0, g))
+        scores = group_retrieval_scores(w, 0, g)
         assert scores[h - g * w.geometry.group_size] > 0.8
 
 
@@ -231,23 +231,24 @@ class TestBatchedScores:
         w = gen_synthetic_workload(SMALL_SPEC, 7, geo)
         want = reference_scores(w)[0]
         for g in range(geo.n_kv_heads):
-            got = group_retrieval_scores(w, 0, g, rotated_keys(w, 0, g))
+            got = group_retrieval_scores(w, 0, g)
             heads = slice(g * geo.group_size, (g + 1) * geo.group_size)
             np.testing.assert_allclose(got, want[heads], rtol=1e-12, atol=0)
 
     def test_keys_must_reach_late_span(self):
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
-        short = rotated_keys(w, 0, 0)[: max(w.annotations.n_post)]
+        short = dataclasses.replace(w, keys_post=w.keys_post[..., : max(w.annotations.n_post), :])
         with pytest.raises(ArgumentError):
-            group_retrieval_scores(w, 0, 0, short)
+            group_retrieval_scores(short, 0, 0)
 
 
 def test_offline_stages_never_read_values():
-    """Calibration and stage 1 score rotated keys without a cache, so a
-    workload without values gives what the full workload gives."""
+    """Calibration and stage 1 score the workload's rotated keys without a
+    cache, so a workload without values gives what the full workload gives,
+    and calibration reads no pre-rotation key either."""
     w = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry())
     no_values = dataclasses.replace(w, values=None)
-    assert calibrate(no_values) == calibrate(w)
+    assert calibrate(dataclasses.replace(no_values, keys_pre=None)) == calibrate(w)
     for h in w.annotations.planted_retrieval_heads:
         got = build_stage1_dataset(no_values, w.geometry, 0, h, seed=3, n_rows=32)
         want = build_stage1_dataset(w, w.geometry, 0, h, seed=3, n_rows=32)
@@ -258,8 +259,9 @@ def test_offline_stages_never_read_values():
 def test_calibrate_holds_one_cache_at_a_time():
     """Traced peak of calibrate on a 16K workload stays below 3.5 caches of
     n * (16 d + 8) bytes, the unit a KV cache of the stream takes.  It
-    builds no cache: one KV group's rotated keys at a time, the shared
-    cos/sin table and the group's score rows (measured 1.75)."""
+    builds no cache and turns no key: the group's score rows over the
+    workload's rotated keys (measured 1.00; 1.75 when calibration turned
+    each group's keys with a shared cos/sin table)."""
     w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0,
                                default_workload_geometry())
     cache_bytes = w.seq_len * (16 * w.geometry.head_dim + 8)

@@ -30,6 +30,7 @@ from headsparse.reports import (
     read_sparsity_report,
 )
 from headsparse.workload import (
+    PAYLOAD,
     ModelGeometry,
     Workload,
     default_workload_geometry,
@@ -421,7 +422,7 @@ class TestSavedWorkload:
         cfg = RunConfig.from_dict(BASE)
         fresh = gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
         assert (saved.seed, saved.geometry, saved.spec) == (11, cfg.geometry, cfg.workload)
-        for name in ("queries", "keys_pre", "values"):
+        for name in PAYLOAD:
             assert getattr(saved, name).tobytes() == getattr(fresh, name).tobytes()
         assert saved.annotations == fresh.annotations
 
@@ -482,6 +483,26 @@ class TestSavedWorkload:
         cfg = write_config(tmp_path, out)
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("edit", ["no keys_post", "misshapen keys_post"])
+    def test_workload_without_turned_keys_exits_2(self, artifacts, tmp_path, capsys, edit):
+        """A workload.json from before keys_post was stored, or with a
+        keys_post of the wrong shape, ends run with exit 2 and a message
+        that names the file and asks for calibrate again."""
+        out = clone_artifacts(artifacts, tmp_path)
+        path = out / "workload.json"
+        manifest = json.loads(path.read_text())
+        (entry,) = [e for e in manifest["tensors"] if e["name"] == "keys_post"]
+        if edit == "no keys_post":
+            manifest["tensors"].remove(entry)
+        else:
+            entry["shape"][2], entry["shape"][3] = entry["shape"][3], entry["shape"][2]
+        path.write_text(json.dumps(manifest))
+        cfg = write_config(tmp_path, out)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "keys_post" in err
+        assert "run calibrate again" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n_pre, n_post", [
         ((0, 5), (5, 6)), ((6,), (2,)), ((0,), (768,)), ((-1, 0), (700,)),
@@ -504,8 +525,7 @@ class TestSavedWorkload:
         assert err.startswith("error:") and "workload.json" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value", [("top_p", 0.8), ("rope_base", 1.0e4),
-                                              ("block_size", 32)])
+    @pytest.mark.parametrize("field, value", [("top_p", 0.8), ("block_size", 32)])
     def test_decode_geometry_change_maps_the_saved_workload(self, artifacts, tmp_path,
                                                             monkeypatch, field, value):
         """A run that changes a geometry field the generator does not read
@@ -525,10 +545,40 @@ class TestSavedWorkload:
         assert main(["run", "--config", str(cfg)]) == 0
         assert read_artifacts(with_file, RUN_ARTIFACTS) == read_artifacts(without, RUN_ARTIFACTS)
 
+    def test_rope_base_override_regenerates(self, artifacts, tmp_path, monkeypatch):
+        """keys_post is turned at the generator's rope_base, so a run at
+        another base generates the workload again instead of mapping
+        calibrate's file, leaves the file as it was, and writes what a run
+        over a workload calibrate wrote at that base writes (same partition
+        and projectors)."""
+        with_file = clone_artifacts(artifacts, tmp_path)
+        saved = (with_file / "workload.bin").read_bytes()
+        fresh = tmp_path / "fresh"
+        cfg = write_config(tmp_path, with_file, geometry={"rope_base": 1.0e4})
+        assert main(["calibrate", "--config", str(cfg), "--out", str(fresh)]) == 0
+        for path in artifacts.iterdir():
+            if path.name.startswith(("partition", "projector")):
+                shutil.copy(path, fresh / path.name)
+        assert Workload.load(fresh / "workload").geometry.rope_base == 1.0e4
+        assert main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
+
+        generated = []
+        generate = cli.gen_synthetic_workload
+
+        def counted(*args, **kwargs):
+            generated.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_synthetic_workload", counted)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert len(generated) == 1
+        assert (with_file / "workload.bin").read_bytes() == saved
+        assert read_artifacts(with_file, RUN_ARTIFACTS) == read_artifacts(fresh, RUN_ARTIFACTS)
+
 
 class TestStageMemory:
     """tracemalloc peaks of whole subcommands at 16K tokens on the default
-    geometry (a 96 MiB workload payload).  Pages mapped from workload.bin are
+    geometry (a 112 MiB workload payload).  Pages mapped from workload.bin are
     not traced, so these count what each stage allocates itself."""
 
     @pytest.fixture(scope="class")
@@ -551,9 +601,12 @@ class TestStageMemory:
     def test_calibrate_stays_below_the_workload_payload(self, calibrated):
         """Generation streams each finished row block to workload.bin and
         calibration scores the mapped file, so no whole workload is held
-        (the in-memory form peaked at 1.25 payloads)."""
+        (the in-memory form peaked at 1.25 payloads).  The bound is the
+        bytes of queries, keys_pre and values, the payload before keys_post
+        joined it, so the larger file loosens nothing."""
         _, out, peak = calibrated
-        payload = (out / "workload.bin").stat().st_size
+        wl = Workload.load(out / "workload")
+        payload = sum(a.nbytes for a in (wl.queries, wl.keys_pre, wl.values))
         assert peak < payload, f"{peak / 2**20:.1f} MiB, payload {payload / 2**20:.0f} MiB"
 
     def test_train_indexer_holds_one_stage1_dataset_at_a_time(self, calibrated):
@@ -643,7 +696,9 @@ class TestReportAndDispatch:
         assert main(["report", "--config", str(cfg)]) == 0
         printed = capsys.readouterr().out
         assert "partition layer 0" in printed
-        mib = (8 + 4 + 4) * 768 * 64 * 4 / 2**20
+        # every tensor of the manifest, keys_post among them: the whole file
+        mib = (artifacts / "workload.bin").stat().st_size / 2**20
+        assert mib == (8 + 4 + 4 + 4) * 768 * 64 * 4 / 2**20
         assert f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB" in printed
 
     def test_report_prints_bench_shares_of_dense(self, tmp_path, capsys):

@@ -109,6 +109,23 @@ def test_writer_row_blocks_in_any_order_match_save_container(tmp_path):
                 == (tmp_path / f"whole{suffix}").read_bytes())
 
 
+def test_writer_reads_back_what_it_wrote(tmp_path):
+    """Before the commit, `read` returns the rows a write put at the same
+    index, as the tensor's dtype, and rows never written as zeros; a block
+    outside the tensor is refused as a write's is."""
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(2, 3, 10, 4))
+    with ContainerWriter(tmp_path / "t", {"a": ("<f4", a.shape), "b": ("<i4", (6,))}) as writer:
+        writer.write("a", (1, 2, 3), a[1, 2, 3:9])
+        writer.write("b", (0,), np.arange(6))
+        got = writer.read("a", (1, 2, 3), 6)
+        assert got.dtype == np.float32 and np.array_equal(got, a[1, 2, 3:9].astype(np.float32))
+        assert np.array_equal(writer.read("a", (0, 0, 0), 10), np.zeros((10, 4), np.float32))
+        assert np.array_equal(writer.read("b", (2,), 3), [2, 3, 4])
+        with pytest.raises(InternalError, match="does not fit"):
+            writer.read("a", (1, 2, 8), 3)
+
+
 @pytest.mark.parametrize("at, shape", [((0, 0, 8), (3, 4)), ((2, 0, 0), (1, 4)),
                                        ((0, 0, 0), (1, 5)), ((0,), (3, 3, 10, 4)),
                                        ((), (2, 3, 10, 4))])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from test_workload import SMALL_SPEC, oracle_on_rows, small_geometry
 
-import headsparse.rope as rope_module
 import headsparse.workload as workload_module
 from headsparse.calibration import partition_heads
 from headsparse.engine import (
@@ -28,16 +27,16 @@ from headsparse.engine import (
 from headsparse.errors import ArgumentError, InternalError
 from headsparse.indexer import ProjectedKeyCache, init_projector
 from headsparse.reports import record_true_masses
-from headsparse.rope import RopeParams, rope_table
+from headsparse.rope import ROPE_BLOCK, RopeParams, rope_apply
 from headsparse.selection import histogram_threshold_scores
 from headsparse.workload import (
+    PAYLOAD,
     KVCacheHead,
     ModelGeometry,
     Workload,
     WorkloadAnnotations,
     WorkloadSpec,
     build_cache,
-    build_cache_prefix,
     default_workload_geometry,
     dense_attention,
     gen_synthetic_workload,
@@ -50,7 +49,8 @@ def random_cache(rng, n, d=32):
     pre-rotation keys (the cache keeps only their rotations)."""
     keys = rng.normal(size=(n, d)).astype(np.float32)
     cache = KVCacheHead(RopeParams(d), capacity=n)
-    cache.extend(keys, rng.normal(size=(n, d)), np.arange(n))
+    cache.extend(rope_apply(keys, np.arange(n), cache.rope), rng.normal(size=(n, d)),
+                 np.arange(n))
     return cache, keys
 
 
@@ -61,11 +61,10 @@ def projected(projector, keys_pre):
     return pkc
 
 
-def sub_cache(cache, keys_pre, active):
-    """Rebuild a cache containing only the active tokens, original positions;
-    keys_pre are the pre-rotation rows the cache was filled with."""
+def sub_cache(cache, active):
+    """Rebuild a cache containing only the active tokens, original positions."""
     sub = KVCacheHead(cache.rope, capacity=max(active.size, 1))
-    sub.extend(keys_pre[active], cache.values[active], cache.positions[active])
+    sub.extend(cache.keys_post[active], cache.values[active], cache.positions[active])
     return sub
 
 
@@ -137,7 +136,7 @@ class TestLocalDecode:
         out = local_head_decode(q, 99, cache, window=4, n_sinks=4)
         active = local_active_indices(100, 4, 4)
         assert active.size == 8
-        oracle = dense_attention(q, 99, sub_cache(cache, keys, active))
+        oracle = dense_attention(q, 99, sub_cache(cache, active))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
     def test_partial_visibility(self):
@@ -147,7 +146,7 @@ class TestLocalDecode:
         out = local_head_decode(q, 40, cache, window=8, n_sinks=2)
         active = local_active_indices(41, 8, 2)
         assert active.max() == 40
-        oracle = dense_attention(q, 40, sub_cache(cache, keys, active))
+        oracle = dense_attention(q, 40, sub_cache(cache, active))
         np.testing.assert_allclose(out, oracle.output, atol=1e-6)
 
 
@@ -234,7 +233,7 @@ class TestRetrievalDecode:
         )
         assert 0 < trace.tokens_selected < 4096
         assert trace.covered_projected_mass >= 0.9
-        oracle = dense_attention(q, 4095, sub_cache(cache, keys, trace.active_set))
+        oracle = dense_attention(q, 4095, sub_cache(cache, trace.active_set))
         np.testing.assert_allclose(trace.output, oracle.output, atol=1e-6)
 
     def test_histogram_runs_match_gather(self, monkeypatch):
@@ -308,8 +307,8 @@ def per_call_rotation(keys_pre, positions, rope):
 
 
 def random_workload(geometry, seq_len, seed, decode_len=1):
-    """Random streams in a Workload shell; prefill reads only the keys,
-    values and geometry."""
+    """Random streams in a Workload shell, keys_post the per-call turns of
+    keys_pre; prefill reads only the turned keys, values and geometry."""
     rng = np.random.default_rng(seed)
     shape = (geometry.n_layers, geometry.n_kv_heads, seq_len, geometry.head_dim)
     keys = (rng.normal(size=shape) * 12).astype(np.float32)
@@ -317,13 +316,16 @@ def random_workload(geometry, seq_len, seed, decode_len=1):
     queries = np.zeros((geometry.n_layers, geometry.n_q_heads, seq_len,
                         geometry.head_dim), np.float32)
     ann = WorkloadAnnotations((), (), (0,), (1,), ())
+    turned = np.stack([[per_call_rotation(k, np.arange(seq_len), geometry.rope) for k in layer]
+                       for layer in keys])
     return Workload(geometry, WorkloadSpec(seq_len=seq_len, decode_len=decode_len),
-                    seed, queries, keys, values, ann)
+                    seed, queries, keys, turned, values, ann)
 
 
-class TestSharedRopeTable:
-    """prefill and calibrate turn every KV head's keys by one cos/sin table;
-    the caches stay == to per-call rotation, also after appends."""
+class TestCachesReadTheTurnedKeys:
+    """No cache turns a key: prefill, build_cache, FullCaches and appends
+    hold the workload's keys_post rows, read in place, and a LocalWindow
+    holds copies of its rows."""
 
     @pytest.mark.parametrize("head_dim", [16, 64, 128])
     @pytest.mark.parametrize("base", [1.0e4, 1.0e6])
@@ -335,60 +337,32 @@ class TestSharedRopeTable:
         caches = prefill(wl)
         for (layer, g), cache in caches.items():
             for t in range(n, L):
-                cache.append(wl.keys_pre[layer, g, t], wl.values[layer, g, t], t)
-            keys, vals = wl.keys_pre[layer, g], wl.values[layer, g]
+                cache.append(wl.keys_post[layer, g, t], wl.values[layer, g, t], t)
             assert np.array_equal(cache.positions, np.arange(L))
             assert np.array_equal(cache.keys_post,
-                                  per_call_rotation(keys, np.arange(L), geo.rope))
-            assert np.array_equal(cache.values, vals)
+                                  per_call_rotation(wl.keys_pre[layer, g], np.arange(L), geo.rope))
+            assert np.shares_memory(cache.keys_post, wl.keys_post[layer, g])
+            assert np.array_equal(cache.values, wl.values[layer, g])
 
-    def test_calibration_build_matches(self):
-        wl, L = SMALL_WORKLOAD, SMALL_WORKLOAD.seq_len
-        table = rope_table(np.arange(L), SMALL_GEO.rope)
-        for g in range(SMALL_GEO.n_kv_heads):
-            cache = build_cache_prefix(wl, 0, g, L, table)
-            assert np.array_equal(cache.positions, np.arange(L))
-            assert np.array_equal(cache.keys_post, per_call_rotation(
-                wl.keys_pre[0, g], np.arange(L), SMALL_GEO.rope))
-            assert np.array_equal(cache.values, wl.values[0, g])
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_rotation_blocks_match_per_call_rotation(self, monkeypatch, block):
-        """With ROPE_BLOCK at 1, 7 and 64 rows, at lengths that are no
-        multiple of it, every build writes the keys of one per-call turn:
-        extend with and without the caller's table, build_cache, prefill,
-        a LocalWindow (gapped positions) and FullCaches builds."""
-        monkeypatch.setattr(rope_module, "ROPE_BLOCK", block)
+    def test_every_build_reads_the_workload_rows(self):
+        """build_cache, FullCaches builds, prefill and a LocalWindow
+        (gapped positions) hold the rows of keys_post."""
         geo = ModelGeometry(n_layers=1, n_q_heads=4, n_kv_heads=2, head_dim=64,
                             rope_base=1.0e6, window=200, n_sinks=4)
         L, n = 461, 333
-        wl = random_workload(geo, L, seed=block, decode_len=L - n)
-        keys, vals = wl.keys_pre[0], wl.values[0]
-        pos = np.sort(np.random.default_rng(block).choice(10**6, n, replace=False))
-        for table in (rope_table(pos, geo.rope), None):
-            cache = KVCacheHead(geo.rope, capacity=n)
-            cache.extend(keys[0, :n], vals[0, :n], pos, table)
-            assert np.array_equal(cache.keys_post, per_call_rotation(keys[0, :n], pos, geo.rope))
+        wl = random_workload(geo, L, seed=7, decode_len=L - n)
         full = FullCaches(wl, {})
         for g in range(geo.n_kv_heads):
-            want = per_call_rotation(keys[g], np.arange(L), geo.rope)
-            assert np.array_equal(build_cache(wl, 0, g).keys_post, want)
-            assert np.array_equal(full[0, g].keys_post, want)
+            assert np.array_equal(build_cache(wl, 0, g).keys_post, wl.keys_post[0, g])
+            assert np.array_equal(full[0, g].keys_post, wl.keys_post[0, g])
         caches = prefill(wl, groups={(0, 0)})
         window = LocalWindow(wl, 0, n, geo.window, geo.n_sinks)
         keep = np.r_[0:4, n - 200:n]
         assert sorted(caches) == [(0, 0)]
         assert np.array_equal(window.positions, keep)
-        for g in range(geo.n_kv_heads):
-            assert np.array_equal(window.keys_post[g],
-                                  per_call_rotation(keys[g, keep], keep, geo.rope))
-        assert np.array_equal(caches[0, 0].keys_post,
-                              per_call_rotation(keys[0, :n], np.arange(n), geo.rope))
-
-    def test_table_must_match_positions(self):
-        table = rope_table(np.arange(65), SMALL_GEO.rope)
-        with pytest.raises(ArgumentError):
-            build_cache_prefix(SMALL_WORKLOAD, 0, 0, 64, table)
+        assert np.array_equal(window.keys_post, wl.keys_post[0][:, keep])
+        assert not np.shares_memory(window.keys_post, wl.keys_post)
+        assert np.array_equal(caches[0, 0].keys_post, wl.keys_post[0, 0, :n])
 
 
 class TestProjectedKeysFeed:
@@ -556,7 +530,7 @@ class TestRunWorkload:
             oracle = dense_attention(
                 SMALL_WORKLOAD.queries[t.layer, t.q_head, t.position],
                 t.position,
-                sub_cache(cache, SMALL_WORKLOAD.keys_pre[t.layer, kv], t.active_set),
+                sub_cache(cache, t.active_set),
                 SMALL_GEO.scale,
             )
             np.testing.assert_allclose(t.output, oracle.output, atol=1e-6)
@@ -668,7 +642,7 @@ def full_cache_reference(wl, geo, partition):
     local, dense = {}, {}
     for t in range(wl.prefill_len, wl.seq_len):
         for (layer, g), cache in caches.items():
-            cache.append(wl.keys_pre[layer, g, t], wl.values[layer, g, t], t)
+            cache.append(wl.keys_post[layer, g, t], wl.values[layer, g, t], t)
         for (layer, g), cache in caches.items():
             heads = range(g * geo.group_size, (g + 1) * geo.group_size)
             for h in heads:
@@ -798,7 +772,7 @@ class TestLocalWindows:
         moves = 0
         for t in range(self.P, wl.seq_len):
             before = len(win)
-            win.append(wl.keys_pre[0, :, t], wl.values[0, :, t], t)
+            win.append(wl.keys_post[0, :, t], wl.values[0, :, t], t)
             moves += len(win) <= before
             rows = np.r_[local_spans(len(win), window, n_sinks)]
             want = local_active_indices(t + 1, window, n_sinks)
@@ -817,13 +791,13 @@ class TestLocalWindows:
         assert len(win._positions) == min(4 + 2 * window, self.L)
         assert win._values.shape[1] == len(win._positions)
         for t in range(self.P, self.L):
-            win.append(SMALL_WORKLOAD.keys_pre[0, :, t], SMALL_WORKLOAD.values[0, :, t], t)
+            win.append(SMALL_WORKLOAD.keys_post[0, :, t], SMALL_WORKLOAD.values[0, :, t], t)
         rows = np.r_[local_spans(len(win), window, 4)]
         assert np.array_equal(win.positions[rows], local_active_indices(self.L, window, 4))
 
     def test_appends_follow_the_last_position(self):
         win = LocalWindow(SMALL_WORKLOAD, 0, self.P, 16, 4)
-        keys, values = SMALL_WORKLOAD.keys_pre[0, :, 0], SMALL_WORKLOAD.values[0, :, 0]
+        keys, values = SMALL_WORKLOAD.keys_post[0, :, 0], SMALL_WORKLOAD.values[0, :, 0]
         for position in (self.P + 1, self.P - 1):
             with pytest.raises(ArgumentError):
                 win.append(keys, values, position)
@@ -834,13 +808,13 @@ class TestLocalWindows:
         wl, geo = SMALL_WORKLOAD, small_geometry(window=16)
         win = LocalWindow(wl, 0, self.P, 16, 4)
         t = self.P
-        win.append(wl.keys_pre[0, :, t], wl.values[0, :, t], t)
+        win.append(wl.keys_post[0, :, t], wl.values[0, :, t], t)
         queries = wl.queries[0, :, t].reshape(geo.n_kv_heads, geo.group_size, -1)
         outs = local_head_decode(queries, t, win, 16, 4)
         assert outs.shape == queries.shape
         for g in range(geo.n_kv_heads):
             one = KVCacheHead(geo.rope, capacity=len(win))
-            one.extend(wl.keys_pre[0, g, win.positions], wl.values[0, g, win.positions],
+            one.extend(wl.keys_post[0, g, win.positions], wl.values[0, g, win.positions],
                        win.positions)
             assert np.array_equal(outs[g], local_head_decode(queries[g], t, one, 16, 4))
 
@@ -932,7 +906,7 @@ class TestSpanTraces:
 
 def read_only(wl):
     """The workload with read-only copies of its streams."""
-    arrays = {name: getattr(wl, name).copy() for name in ("queries", "keys_pre", "values")}
+    arrays = {name: getattr(wl, name).copy() for name in PAYLOAD}
     for a in arrays.values():
         a.flags.writeable = False
     return dataclasses.replace(wl, **arrays)
@@ -940,22 +914,25 @@ def read_only(wl):
 
 class TestStreamCaches:
     """Full-stream caches (prefill's retrieval groups and FullCaches) keep
-    their own keys and positions and read the workload's value rows in
+    their own positions and read the workload's keys_post and value rows in
     place; no decode path writes into the workload."""
 
-    def test_caches_share_the_workload_values(self):
+    def test_caches_share_the_workload_rows(self):
+        """Decode's caches, FullCaches builds and prefill's caches own no
+        key or value bytes."""
         part = small_partition()
         res = run_workload(SMALL_WORKLOAD, SMALL_GEO, [part],
                            small_projectors(part, SMALL_GEO))
-        live = dict(res.caches)
-        assert sorted(live) == [(0, 0), (0, 3)]
-        for g in range(SMALL_GEO.n_kv_heads):
-            cache = res.caches[0, g]
-            assert np.shares_memory(cache.values, SMALL_WORKLOAD.values[0, g])
-            assert np.array_equal(cache.values, SMALL_WORKLOAD.values[0, g])
-            assert len(cache) == SMALL_WORKLOAD.seq_len
-        for (layer, g), cache in prefill(SMALL_WORKLOAD).items():
-            assert np.shares_memory(cache.values, SMALL_WORKLOAD.values[layer, g])
+        assert sorted(dict(res.caches)) == [(0, 0), (0, 3)]
+        groups = [(0, g) for g in range(SMALL_GEO.n_kv_heads)]
+        for key, cache in [*((key, res.caches[key]) for key in groups),
+                           *prefill(SMALL_WORKLOAD).items()]:
+            for name in ("keys_post", "values"):
+                rows = getattr(SMALL_WORKLOAD, name)[key]
+                assert not getattr(cache, f"_{name}").flags.owndata, (key, name)
+                assert np.shares_memory(getattr(cache, name), rows)
+                assert np.array_equal(getattr(cache, name), rows[: len(cache)])
+        assert all(len(res.caches[key]) == SMALL_WORKLOAD.seq_len for key in groups)
 
     @pytest.mark.parametrize("mode", ["exact", "histogram"])
     def test_read_only_workload_gives_the_same_traces(self, mode):
@@ -977,16 +954,19 @@ class TestStreamCaches:
     def test_a_differing_row_is_refused(self):
         cache = prefill(SMALL_WORKLOAD, {(0, 1)})[0, 1]
         t = SMALL_WORKLOAD.prefill_len
-        with pytest.raises(ArgumentError):
-            cache.append(SMALL_WORKLOAD.keys_pre[0, 1, t], SMALL_WORKLOAD.values[0, 1, t + 1], t)
+        keys, values = SMALL_WORKLOAD.keys_post[0, 1], SMALL_WORKLOAD.values[0, 1]
+        for key, value in ((keys[t], values[t + 1]), (keys[t + 1], values[t]),
+                           (SMALL_WORKLOAD.keys_pre[0, 1, t], values[t])):
+            with pytest.raises(ArgumentError):
+                cache.append(key, value, t)
         assert len(cache) == t
-        cache.append(SMALL_WORKLOAD.keys_pre[0, 1, t], SMALL_WORKLOAD.values[0, 1, t], t)
+        cache.append(keys[t], values[t], t)
         assert len(cache) == t + 1
 
-    def test_prefill_holds_no_value_bytes(self):
-        """At 16K, what prefill leaves allocated is each cache's positions
-        and float32 keys, 8 + 4 * head_dim bytes a row: a copy of a group's
-        values (4 MiB here) would not fit."""
+    def test_prefill_holds_only_positions(self):
+        """At 16K, what prefill leaves allocated is each cache's positions,
+        8 bytes a row: a turned copy of a group's keys (4 MiB here) or a
+        cos/sin table (4 MiB) would not fit."""
         geo = default_workload_geometry()
         w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0, geo)
         groups = {(0, 0), (0, 2)}
@@ -996,7 +976,7 @@ class TestStreamCaches:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        owned = len(groups) * w.seq_len * (8 + 4 * geo.head_dim)
+        owned = len(groups) * w.seq_len * 8
         assert sorted(caches) == sorted(groups)
         assert owned <= held < owned + 2**20, f"{(held - owned) / 2**20:.2f} MiB over"
 
@@ -1005,11 +985,10 @@ class TestRunMemory:
     @pytest.mark.parametrize("mode", ["histogram", "exact"])
     def test_peak_below_three_and_a_half_caches(self, mode):
         """At 16K, run_workload's traced peak stays below 3.5 full caches of
-        n * (16 d + 8) bytes, the size of a float64 cache: the retrieval
-        groups' full float32 caches, bounded ones for the rest, the
-        prefill's cos/sin table and one rotation block's temporaries
-        (measured 1.95; float64 caches came to 2.9, and float64 caches that
-        kept their pre-rotation keys and turned every key at once to 4.0)."""
+        n * (16 d + 8) bytes, the size of a float64 cache (measured 0.62;
+        caches that owned their turned keys, with prefill's cos/sin table,
+        came to 1.95, float64 caches to 2.9, and float64 caches that kept
+        their pre-rotation keys and turned every key at once to 4.0)."""
         geo = default_workload_geometry()
         w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0, geo)
         part = partition_heads([float(h in (2, 9)) for h in range(geo.n_q_heads)],
@@ -1023,3 +1002,32 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * cache_bytes, f"peak {peak / cache_bytes:.2f} caches"
+
+    @pytest.mark.parametrize("mode", ["histogram", "exact"])
+    def test_peak_is_what_decode_owns(self, mode):
+        """At 16K, run_workload's traced peak stays below what decode owns:
+        the projected-key caches, the LocalWindow, the traces and one n-row
+        float64 score vector, plus the one temporary of projecting the
+        prompt, a row block widened to float64 (2 * ROPE_BLOCK rows at
+        most).  The stream caches read the workload's turned keys: their
+        own turned copies (4 MiB a group here) or a cos/sin table (4 MiB)
+        would not fit."""
+        geo = default_workload_geometry()
+        w = gen_synthetic_workload(WorkloadSpec(seq_len=16384, decode_len=64), 0, geo)
+        part = partition_heads([float(h in (2, 9)) for h in range(geo.n_q_heads)],
+                               2 / geo.n_q_heads)
+        projs = small_projectors(part, geo)
+        tracemalloc.start()
+        try:
+            res = run_workload(w, geo, [part], projs, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, d = w.seq_len, geo.head_dim
+        projected = len(projs) * n * geo.low_dim * 8
+        rows = min(geo.n_sinks + 2 * geo.window, n)
+        window = rows * (8 + 2 * 4 * d * geo.n_kv_heads)
+        traces = sum(v.nbytes for t in res.traces for v in vars(t).values()
+                     if isinstance(v, np.ndarray))
+        bound = projected + window + traces + 8 * n + 2 * ROPE_BLOCK * d * 8
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

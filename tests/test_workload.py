@@ -25,9 +25,10 @@ import headsparse.workload as workload_module
 from headsparse.container import save_container
 from headsparse.errors import ArgumentError, InternalError
 from headsparse.numerics import softmax
-from headsparse.rope import RopeParams, rope_rotate, rope_rotate_many, rope_table
+from headsparse.rope import ROPE_BLOCK, RopeParams, rope_apply, rope_rotate, rope_rotate_many
 from headsparse.workload import (
     GENERATOR_FIELDS,
+    PAYLOAD,
     AttentionRow,
     KVCacheHead,
     ModelGeometry,
@@ -50,7 +51,7 @@ from headsparse.workload import (
 
 def naive_attention(query_pre, qpos, cache, keys_pre, scale):
     """Reference: explicit per-token loops, no vectorized shortcuts; keys_pre
-    are the rows the cache was filled with, which it does not keep."""
+    are the rows whose turns the cache was filled with."""
     params = cache.rope
     scores, vals = [], []
     for t in range(len(cache)):
@@ -59,7 +60,7 @@ def naive_attention(query_pre, qpos, cache, keys_pre, scale):
             continue
         qr = rope_rotate(np.asarray(query_pre, float), qpos, params)
         kr = rope_rotate(np.float32(keys_pre[t]).astype(float), pos, params)
-        scores.append(float(qr @ kr) * scale)
+        scores.append(float(qr @ kr.astype(np.float32)) * scale)
         vals.append(cache.values[t].astype(float))
     ex = [math.exp(s - max(scores)) for s in scores]
     w = [e / sum(ex) for e in ex]
@@ -67,6 +68,19 @@ def naive_attention(query_pre, qpos, cache, keys_pre, scale):
     for wi, vi in zip(w, vals):
         out += wi * vi
     return np.array(w), out
+
+
+def turned(keys, rope):
+    """Reference keys_post: each float32 row of keys (..., n, d) turned in
+    float64 at its own position 0..n-1 by one full-length angle table,
+    rounded to float32."""
+    k = np.asarray(keys, np.float32).astype(np.float64)
+    ang = np.arange(k.shape[-2])[:, None] * rope.thetas[None, :]
+    c, s = np.cos(ang), np.sin(ang)
+    out = np.empty_like(k)
+    out[..., 0::2] = k[..., 0::2] * c - k[..., 1::2] * s
+    out[..., 1::2] = k[..., 0::2] * s + k[..., 1::2] * c
+    return out.astype(np.float32)
 
 
 def oracle_on_rows(queries_pre, qpos, cache, rows, scale):
@@ -127,30 +141,27 @@ class TestQheadToKvhead:
 
 
 class TestKVCacheHead:
-    def test_append_rotation_invariant(self):
+    def test_append_stores_keys_as_given(self):
+        """A cache turns no key: append stores each row it is given,
+        rounded to float32, whatever its position."""
         rng = np.random.default_rng(0)
-        rope = RopeParams(16)
-        cache = KVCacheHead(rope, capacity=40)
-        keys = rng.normal(size=(40, 16)).astype(np.float32)
+        cache = KVCacheHead(RopeParams(16), capacity=40)
+        keys = rng.normal(size=(40, 16))
         for t in range(40):
             cache.append(keys[t], rng.normal(size=16), t * 3)
         assert len(cache) == 40
         assert cache.keys_post.dtype == np.float32
-        for t in range(40):
-            expect = rope_rotate(keys[t].astype(float), int(cache.positions[t]), rope)
-            assert np.array_equal(cache.keys_post[t], expect.astype(np.float32))
+        assert np.array_equal(cache.keys_post, keys.astype(np.float32))
 
     def test_mirrors_match_canonical_storage(self):
         rng = np.random.default_rng(1)
         cache = KVCacheHead(RopeParams(8), capacity=7)
         keys, vals = rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
         cache.extend(keys, vals, np.arange(7))
-        # float32 buffers: the values rounded once, the keys turned in
-        # float64 from their float32 rounding and rounded once more
+        # float32 buffers: keys and values each rounded once, as given
         assert cache.keys_post.dtype == cache.values.dtype == np.float32
         assert np.array_equal(cache.values, vals.astype(np.float32))
-        turned = rope_rotate_many(keys.astype(np.float32), np.arange(7), cache.rope)
-        assert np.array_equal(cache.keys_post, turned.astype(np.float32))
+        assert np.array_equal(cache.keys_post, keys.astype(np.float32))
         # the former name reads the same float32 rows, not a widened copy
         assert cache.values64.dtype == np.float32
         assert np.shares_memory(cache.values64, cache.values)
@@ -214,14 +225,12 @@ class TestKVCacheHead:
         assert len(cache) == 5
 
 
-def reference_buffers(rope, keys_pre, values, positions):
+def reference_buffers(keys, values, positions):
     """The cache buffers as the batch-only store wrote them, casting through
     float64: (positions, keys_post, values), both float32."""
-    kp = np.asarray(keys_pre, np.float64)
-    kp32 = kp.astype(np.float32)
-    post = rope_rotate_many(kp32.astype(np.float64), positions, rope).astype(np.float32)
+    keys32 = np.asarray(keys, np.float64).astype(np.float32)
     values32 = np.asarray(values, np.float64).astype(np.float32)
-    return np.asarray(positions, np.int64), post, values32
+    return np.asarray(positions, np.int64), keys32, values32
 
 
 class TestCacheWritesBitIdentical:
@@ -248,7 +257,7 @@ class TestCacheWritesBitIdentical:
         cache = KVCacheHead(rope, capacity=300)
         cache.extend(keys[:100], vals[:100], pos[:100])
         cache.extend(keys[100:], vals[100:], pos[100:])
-        self.assert_identical(self.buffers(cache), reference_buffers(rope, keys, vals, pos))
+        self.assert_identical(self.buffers(cache), reference_buffers(keys, vals, pos))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_append(self, dtype):
@@ -261,7 +270,7 @@ class TestCacheWritesBitIdentical:
         cache.extend(keys[:10], vals[:10], pos[:10])
         for k, v, t in zip(keys[10:], vals[10:], pos[10:]):
             cache.append(k, v, t)
-        self.assert_identical(self.buffers(cache), reference_buffers(rope, keys, vals, pos))
+        self.assert_identical(self.buffers(cache), reference_buffers(keys, vals, pos))
 
     def test_append_validation(self):
         cache = KVCacheHead(RopeParams(4), capacity=1)
@@ -284,17 +293,15 @@ class TestStackedCache:
 
     K = 3
 
-    @pytest.mark.parametrize("shared_table", [False, True])
-    def test_rows_equal_one_group_caches(self, shared_table):
+    def test_rows_equal_one_group_caches(self):
         rng = np.random.default_rng(23)
         rope = RopeParams(64, 1.0e6)
         keys = (rng.normal(size=(self.K, 90, 64)) * 12).astype(np.float32)
         vals = rng.normal(size=(self.K, 90, 64)) * 0.125
         pos = np.arange(90) * 3 + 1
-        table = rope_table(pos[:10], rope) if shared_table else None
         stacked = KVCacheHead(rope, capacity=90, groups=self.K)
         singles = [KVCacheHead(rope, capacity=90) for _ in range(self.K)]
-        stacked.extend(keys[:, :10], vals[:, :10], pos[:10], table)
+        stacked.extend(keys[:, :10], vals[:, :10], pos[:10])
         for g, one in enumerate(singles):
             one.extend(keys[g, :10], vals[g, :10], pos[:10])
         for t in range(10, 90):
@@ -617,7 +624,7 @@ class TestDenseAttention:
         rng = np.random.default_rng(3)
         cache = KVCacheHead(RopeParams(16), capacity=64)
         keys = rng.normal(size=(64, 16))
-        cache.extend(keys, rng.normal(size=(64, 16)), np.arange(64))
+        cache.extend(turned(keys, cache.rope), rng.normal(size=(64, 16)), np.arange(64))
         for qpos in (0, 17, 63):
             q = rng.normal(size=16)
             row = dense_attention(q, qpos, cache)
@@ -676,41 +683,42 @@ def owned_bytes(cache):
 
 class TestCacheFootprint:
     def test_build_cache_owns_no_extra_copies(self):
-        # per token: int64 position (8) and float32 rotated key (4d); the
-        # values are the workload's rows, read in place
+        # per token: an int64 position (8); the keys and values are the
+        # workload's rows, read in place
         w = gen_synthetic_workload(SMALL_SPEC, 0, small_geometry())
         cache = build_cache(w, 0, 1)
-        n, d = w.seq_len, w.geometry.head_dim
-        assert owned_bytes(cache) == n * (4 * d + 8)
+        assert owned_bytes(cache) == w.seq_len * 8
+        assert not cache._keys_post.flags.owndata and not cache._values.flags.owndata
+        assert np.shares_memory(cache.keys_post, w.keys_post[0, 1])
         assert np.shares_memory(cache.values, w.values[0, 1])
+        assert not np.shares_memory(cache.keys_post, w.keys_post[0, 0])
         assert not np.shares_memory(cache.values, w.values[0, 0])
 
-    def test_build_allocates_its_buffers_and_a_few_mib(self):
-        """build_cache of a 65,536-row head allocates its 264 bytes per row
-        and a few MiB of rotation blocks; a copy of its values (16 MiB
-        here), a full-length cos/sin table (32 MiB) or turn temporary (16
-        MiB or more) would not fit."""
+    def test_build_allocates_only_its_positions(self):
+        """build_cache of a 65,536-row head allocates its 8 bytes per row
+        and a few KiB; a turned copy of its keys (16 MiB here) or one
+        rotation block's cos/sin (2 MiB) would not fit."""
         n, d = 65_536, 64
         geo = ModelGeometry(n_q_heads=1, n_kv_heads=1, head_dim=d)
         rng = np.random.default_rng(0)
         keys, values = rng.standard_normal((2, 1, 1, n, d), np.float32)
         ann = WorkloadAnnotations((), (), (0,), (1,), ())
         w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0,
-                     np.zeros((1, 1, n, d), np.float32), keys, values, ann)
+                     np.zeros((1, 1, n, d), np.float32), keys, keys, values, ann)
         tracemalloc.start()
         try:
             cache = build_cache(w, 0, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert owned_bytes(cache) == n * 264
-        assert peak - n * 264 < 8 * 2**20, f"{(peak - n * 264) / 2**20:.1f} MiB over"
+        assert owned_bytes(cache) == n * 8
+        assert peak - n * 8 < 2**20, f"{(peak - n * 8) / 2**20:.1f} MiB over"
 
 
 class TestStreamCache:
-    """A cache given a stream's value rows reads them in place: it owns its
-    keys and positions, writes no value, and refuses rows that are not the
-    stream's own."""
+    """A cache given a stream's key and value rows reads them in place: it
+    owns only its positions, writes no row, and refuses rows that are not
+    the stream's own."""
 
     n, d = 12, 8
 
@@ -721,71 +729,79 @@ class TestStreamCache:
 
     def test_reads_the_stream_in_place(self):
         keys, values = self.stream()
-        before = values.copy()
-        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, values=values)
-        cache.extend(keys[:5], None, np.arange(5))
-        cache.extend(keys[5:7], values[5:7].astype(np.float64), np.arange(5, 7))
-        cache.append(keys[7], None, 7)
+        before = keys.copy(), values.copy()
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, stream=(keys, values))
+        cache.extend(None, None, np.arange(5))
+        cache.extend(keys[5:7].astype(np.float64), values[5:7].astype(np.float64),
+                     np.arange(5, 7))
+        cache.append(None, None, 7)
         cache.append(keys[8], values[8], 8)
         owned = KVCacheHead(RopeParams(self.d), capacity=self.n)
         owned.extend(keys[:9], values[:9], np.arange(9))
         for name in ("positions", "keys_post", "values"):
             assert np.array_equal(getattr(cache, name), getattr(owned, name)), name
+        assert np.shares_memory(cache.keys_post, keys)
         assert np.shares_memory(cache.values, values)
-        assert owned_bytes(cache) == self.n * (4 * self.d + 8)
-        assert not cache.values.flags.writeable and values.flags.writeable
-        assert np.array_equal(values, before)
+        assert owned_bytes(cache) == self.n * 8
+        for mine, given in ((cache.keys_post, keys), (cache.values, values)):
+            assert not mine.flags.writeable and given.flags.writeable
+        assert np.array_equal(keys, before[0]) and np.array_equal(values, before[1])
 
     def test_stacked_groups(self):
-        keys, values = self.stream()
-        keys, values = keys.reshape(2, 6, self.d), values.reshape(2, 6, self.d)
-        cache = KVCacheHead(RopeParams(self.d), capacity=6, groups=2, values=values)
+        keys, values = (a.reshape(2, 6, self.d) for a in self.stream())
+        cache = KVCacheHead(RopeParams(self.d), capacity=6, groups=2, stream=(keys, values))
         cache.extend(keys[:, :3], values[:, :3], np.arange(3))
-        cache.append(keys[:, 3], None, 3)
+        cache.append(None, None, 3)
+        assert np.array_equal(cache.keys_post, keys[:, :4])
         assert np.array_equal(cache.values, values[:, :4])
-        with pytest.raises(ArgumentError):
-            cache.append(keys[:, 4], values[:, 5], 4)
+        for key, value in ((keys[:, 4], values[:, 5]), (keys[:, 5], values[:, 4])):
+            with pytest.raises(ArgumentError):
+                cache.append(key, value, 4)
 
     @pytest.mark.parametrize("how", ["append", "extend"])
-    def test_refuses_other_values(self, how):
-        keys, values = self.stream()
-        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, values=values)
-        cache.extend(keys[:4], None, np.arange(4))
-        other = values.copy()
-        other[5, 3] += 1.0
+    @pytest.mark.parametrize("which", [0, 1], ids=["keys", "values"])
+    def test_refuses_other_rows(self, how, which):
+        rows = self.stream()
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, stream=rows)
+        cache.extend(None, None, np.arange(4))
+        other = [a.copy() for a in rows]
+        other[which][4, 3] += 1.0
         with pytest.raises(ArgumentError):
             if how == "append":
-                cache.append(keys[4], other[5], 4)
+                cache.append(other[0][4], other[1][4], 4)
             else:
-                cache.extend(keys[4:6], other[4:6], np.arange(4, 6))
+                cache.extend(other[0][4:6], other[1][4:6], np.arange(4, 6))
         assert len(cache) == 4
 
     @pytest.mark.parametrize("positions", [[5], [4, 6], [3, 4]])
     def test_rows_are_tokens(self, positions):
         """Row i is token i: a gap, or a position already held, is refused."""
-        keys, values = self.stream()
-        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, values=values)
-        cache.extend(keys[:4], None, np.arange(4))
+        cache = KVCacheHead(RopeParams(self.d), capacity=self.n, stream=self.stream())
+        cache.extend(None, None, np.arange(4))
         with pytest.raises(ArgumentError):
-            cache.extend(keys[positions], None, np.array(positions))
+            cache.extend(None, None, np.array(positions))
         if len(positions) == 1:
             with pytest.raises(ArgumentError):
-                cache.append(keys[positions[0]], None, positions[0])
+                cache.append(None, None, positions[0])
         assert len(cache) == 4
 
     def test_stream_must_fit_the_cache(self):
         keys, values = self.stream()
         for bad in (values.astype(np.float64), values[:-1], values[:, :-2]):
-            with pytest.raises(ArgumentError):
-                KVCacheHead(RopeParams(self.d), capacity=self.n, values=bad)
+            for stream in ((keys, bad), (bad, values)):
+                with pytest.raises(ArgumentError):
+                    KVCacheHead(RopeParams(self.d), capacity=self.n, stream=stream)
 
-    def test_an_owned_cache_needs_values(self):
-        keys, _ = self.stream()
+    def test_an_owned_cache_needs_keys_and_values(self):
+        keys, values = self.stream()
         cache = KVCacheHead(RopeParams(self.d), capacity=self.n)
-        with pytest.raises(ArgumentError):
-            cache.append(keys[0], None, 0)
-        with pytest.raises(ArgumentError):
-            cache.extend(keys[:2], None, np.arange(2))
+        for key, value in ((keys, None), (None, values)):
+            with pytest.raises(ArgumentError):
+                cache.append(None if key is None else key[0],
+                             None if value is None else value[0], 0)
+            with pytest.raises(ArgumentError):
+                cache.extend(None if key is None else key[:2],
+                             None if value is None else value[:2], np.arange(2))
         assert len(cache) == 0
 
     def test_reads_a_mapped_workload(self, tmp_path):
@@ -794,11 +810,14 @@ class TestStreamCache:
         w = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry(), stem=tmp_path / "w")
         cache = build_cache_prefix(w, 0, 2, w.prefill_len)
         for t in range(w.prefill_len, w.seq_len):
-            cache.append(w.keys_pre[0, 2, t], w.values[0, 2, t], t)
+            cache.append(w.keys_post[0, 2, t], w.values[0, 2, t], t)
+        assert np.shares_memory(cache.keys_post, w.keys_post)
         assert np.shares_memory(cache.values, w.values)
         held = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry())
+        assert np.array_equal(cache.keys_post, held.keys_post[0, 2])
         assert np.array_equal(cache.values, held.values[0, 2])
-        assert w.values.tobytes() == held.values.tobytes()
+        for name in ("keys_post", "values"):
+            assert getattr(w, name).tobytes() == getattr(held, name).tobytes()
 
 
 class TestGenerator:
@@ -815,17 +834,28 @@ class TestGenerator:
         change to any other field (one each) leaves every stream byte for
         byte as it was; a new field must be listed one way or the other."""
         geo = small_geometry()
-        others = {"rope_base": 1.0e4, "retrieval_ratio": 0.5, "low_dim": 8,
-                  "top_p": 0.5, "block_size": 16}
+        others = {"retrieval_ratio": 0.5, "low_dim": 8, "top_p": 0.5, "block_size": 16}
         init = {f.name for f in dataclasses.fields(ModelGeometry) if f.init}
         assert set(others) == init - set(GENERATOR_FIELDS)
         base = gen_synthetic_workload(SMALL_SPEC, 4, geo)
         for name, value in others.items():
             assert getattr(geo, name) != value
             w = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, **{name: value}))
-            for arr in ("queries", "keys_pre", "values"):
+            for arr in PAYLOAD:
                 assert getattr(w, arr).tobytes() == getattr(base, arr).tobytes(), (name, arr)
             assert w.annotations == base.annotations
+
+    def test_rope_base_changes_the_turned_keys_only(self):
+        """rope_base is a generator field since keys_post is turned at it:
+        another base changes keys_post, to the turns at that base, and
+        leaves queries, keys_pre and values byte for byte as they were."""
+        geo = small_geometry()
+        base = gen_synthetic_workload(SMALL_SPEC, 4, geo)
+        other = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, rope_base=1.0e4))
+        for arr in ("queries", "keys_pre", "values"):
+            assert getattr(other, arr).tobytes() == getattr(base, arr).tobytes(), arr
+        assert other.keys_post.tobytes() != base.keys_post.tobytes()
+        assert np.array_equal(other.keys_post, turned(other.keys_pre, RopeParams(64, 1.0e4)))
 
     def test_seed_changes_streams(self):
         a = gen_synthetic_workload(SMALL_SPEC, 11, small_geometry())
@@ -924,9 +954,8 @@ class TestGenerator:
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
         streamed = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry(), tmp_path / "wl")
         for back in (streamed, Workload.load(tmp_path / "wl")):
-            np.testing.assert_array_equal(back.queries, w.queries)
-            np.testing.assert_array_equal(back.keys_pre, w.keys_pre)
-            np.testing.assert_array_equal(back.values, w.values)
+            for name in PAYLOAD:
+                np.testing.assert_array_equal(getattr(back, name), getattr(w, name))
             assert back.annotations == w.annotations
             assert back.geometry == w.geometry
             assert back.spec == w.spec
@@ -942,21 +971,26 @@ class TestGenerator:
         with pytest.raises(ArgumentError, match=meta_key):
             Workload.load(tmp_path / "wl")
 
-    @pytest.mark.parametrize("tensor", ["queries", "keys_pre", "values"])
+    @pytest.mark.parametrize("tensor", PAYLOAD)
     def test_load_rejects_missing_or_misshapen_tensor(self, tmp_path, tensor):
+        """A container without one of the tensors, such as one written
+        before keys_post was stored, or with one of the wrong shape raises
+        ArgumentError naming the file and asking for calibrate again."""
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
-        arrays = {"queries": w.queries, "keys_pre": w.keys_pre, "values": w.values}
+        arrays = {name: getattr(w, name) for name in PAYLOAD}
         meta = {"kind": "workload", "seed": 7, "geometry": w.geometry.to_dict(),
                 "spec": w.spec.to_dict(), "annotations": w.annotations.to_dict()}
         absent = {k: v for k, v in arrays.items() if k != tensor}
         save_container(tmp_path / "absent", absent, meta)
-        with pytest.raises(ArgumentError, match=tensor):
-            Workload.load(tmp_path / "absent")
         # same element count, wrong layout: passes the container's checks
         arrays[tensor] = arrays[tensor].swapaxes(2, 3)
         save_container(tmp_path / "swapped", arrays, meta)
-        with pytest.raises(ArgumentError, match=tensor):
-            Workload.load(tmp_path / "swapped")
+        for stem in ("absent", "swapped"):
+            with pytest.raises(ArgumentError) as caught:
+                Workload.load(tmp_path / stem)
+            message = str(caught.value)
+            assert repr(tensor) in message and str(tmp_path / f"{stem}.json") in message
+            assert "run calibrate again" in message
 
     def test_bands_are_disjoint(self):
         lb, cb = local_band(64), content_band(64)
@@ -1025,7 +1059,7 @@ class TestUnitWalkBitIdentity:
         got = gen_synthetic_workload(spec, 3, small_geometry())
         monkeypatch.setattr(workload_module, "_unit_walks", per_step_unit_walks)
         want = gen_synthetic_workload(spec, 3, small_geometry())
-        for name in ("queries", "keys_pre", "values"):
+        for name in PAYLOAD:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.annotations == want.annotations
 
@@ -1034,7 +1068,8 @@ def per_layer_generation(spec, seed, geo):
     """Reference: the generator's stream loop in its per-layer form, every
     KV head of a layer first (per-step walks and content ids kept in
     lists), then every query head, each stream's noise one whole
-    normal(size=(L, d)) * scale.  Returns (queries, keys_pre, values)."""
+    normal(size=(L, d)) * scale.  Returns (queries, keys_pre, keys_post,
+    values), keys_post turned by one full-length angle table."""
     wm = workload_module
     pre, post, probe_positions = wm._resolve_layout(spec, geo)
     L, d, nl = spec.seq_len, geo.head_dim, wm.NEEDLE_LEN
@@ -1111,15 +1146,14 @@ def per_layer_generation(spec, seed, geo):
                 q[:, loc] += wm.LOCAL_QUERY_GAIN * walks[g]
                 q[:, loc] += wm.SINK_QUERY_GAIN * sink_dir
             queries[layer, h] = q
-    return queries, keys, values
+    return queries, keys, turned(keys, geo.rope), values
 
 
 def assert_matches_per_layer_form(seed, **spec_kw):
     geo = small_geometry(n_layers=2)
     spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **spec_kw)
     got = gen_synthetic_workload(spec, seed, geo)
-    for name, want in zip(("queries", "keys_pre", "values"),
-                          per_layer_generation(spec, seed, geo)):
+    for name, want in zip(PAYLOAD, per_layer_generation(spec, seed, geo)):
         arr = getattr(got, name)
         assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
 
@@ -1193,8 +1227,7 @@ class TestGenerationOneGroupAtATime:
         spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **layout)
         streamed = gen_synthetic_workload(spec, 3, geo, tmp_path / "streamed")
         save_container(tmp_path / "held",
-                       dict(zip(("queries", "keys_pre", "values"),
-                                per_layer_generation(spec, 3, geo))),
+                       dict(zip(PAYLOAD, per_layer_generation(spec, 3, geo))),
                        {"kind": "workload", "seed": 3, "geometry": geo.to_dict(),
                         "spec": spec.to_dict(), "annotations": streamed.annotations.to_dict()})
         for suffix in (".bin", ".json"):
@@ -1210,7 +1243,7 @@ class TestGenerationOneGroupAtATime:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         w = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry())
         assert list(tmp_path.iterdir()) == []
-        for name in ("queries", "keys_pre", "values"):
+        for name in PAYLOAD:
             arr = base = getattr(w, name)
             while isinstance(base, (np.ndarray, memoryview)):
                 base = base.obj if isinstance(base, memoryview) else base.base
@@ -1300,6 +1333,33 @@ class TestGenerationOneGroupAtATime:
             tracemalloc.stop()
         head = w.seq_len * geo.head_dim * 8
         assert peak < 3 * head, f"{peak / head:.2f} head arrays"
+
+
+class TestTurnedKeys:
+    """keys_post is each float32 key row turned by rope_apply's rule: at
+    9,000 tokens, drawn in two ROPE_BLOCK blocks (4,096 rows, then 4,904)
+    and turned in eight TURN_BLOCK blocks (the last 1,832 rows), with one
+    or two generator workers and two layers."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_to_rope_apply_and_rope_rotate(self, monkeypatch, workers):
+        monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
+        geo = default_workload_geometry(n_layers=2)
+        w = gen_synthetic_workload(WorkloadSpec(seq_len=9000), 0, geo)
+        assert 9000 // ROPE_BLOCK == 2 and 9000 % ROPE_BLOCK
+        assert 9000 // workload_module.TURN_BLOCK == 8
+        assert w.keys_post.dtype == np.float32
+        positions = np.arange(w.seq_len)
+        for layer in range(geo.n_layers):
+            for g in range(geo.n_kv_heads):
+                keys32 = np.asarray(w.keys_pre[layer, g], np.float32)
+                assert np.array_equal(w.keys_post[layer, g],
+                                      rope_apply(keys32, positions, geo.rope)), (layer, g)
+        rng = np.random.default_rng(0)
+        for t in rng.choice(np.arange(w.prefill_len, w.seq_len), 16, replace=False):
+            for layer in range(geo.n_layers):
+                want = rope_rotate(w.keys_pre[layer, :, t], int(t), geo.rope)
+                assert np.array_equal(w.keys_post[layer, :, t], want.astype(np.float32)), t
 
 
 class TestRankTeacher:
