@@ -7,10 +7,10 @@ score is the mean attention mass the late-span rows place on the early
 span; the top `ratio` share of heads by that score forms the retrieval set.
 
 Calibration is array code and builds no KV cache.  The late-span rows of
-all the query heads of a KV group are scored against the group's rotated
-keys, read in place from the workload's keys_post, in one
-`workload.causal_scores` call, weights only; no key is turned and no value
-row is read.
+all the query heads of a KV group, among the query rows the workload
+keeps, are scored against the group's rotated keys, read in place from the
+workload's keys_post, in one `workload.causal_scores` call, weights only;
+no key is turned and no value row is read.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def group_retrieval_scores(workload: Workload, layer: int, kv_head: int) -> list
     up in row order."""
     geo, ann = workload.geometry, workload.annotations
     post = np.asarray(ann.n_post)
-    heads = slice(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
-    queries = workload.queries[layer, heads][:, post].reshape(-1, geo.head_dim)
+    heads = np.arange(kv_head * geo.group_size, (kv_head + 1) * geo.group_size)
+    queries = workload.queries[layer, heads[:, None], post].reshape(-1, geo.head_dim)
     rows = causal_scores(queries, np.tile(post, geo.group_size),
                          workload.keys_post[layer, kv_head], geo.rope, geo.scale)
     softmax(rows, out=rows)

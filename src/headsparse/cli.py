@@ -32,11 +32,13 @@ workload.json/.bin as it generates it, and train-indexer, run and bench
 map the saved file when its seed, workload spec and the geometry fields
 the generator reads (workload.GENERATOR_FIELDS) equal the resolved
 config's; the other geometry fields are the run's own.  Otherwise (a
---seed or a geometry.rope_base override, say) they generate it again into
-a temporary container under $TMPDIR, mapped and removed at once; both
-routes give the same arrays bit for bit.  A saved workload without the
-post-rotation keys (written before they were stored) exits 2, asking for
-calibrate to be run again.
+--seed, a geometry.rope_base or a geometry.block_size override, say) they
+generate it again into a temporary container under $TMPDIR, mapped and
+removed at once; both routes give the same arrays bit for bit.  The file
+keeps only the query rows a stage reads, the stage-1 rows among them,
+which are drawn for the seed and block_size.  A saved workload of an
+older layout (without the post-rotation keys, or with full-length
+queries) exits 2, asking for calibrate to be run again.
 
 All randomness flows from the single seed; module-level streams split off
 it by label, so each command is deterministic given (config, seed), bench
@@ -324,7 +326,8 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         wl = Workload.load(stem)
         tensors = read_json(stem.with_suffix(".json"))["tensors"]
         mib = sum(entry["nbytes"] for entry in tensors) / 2**20
-        print(f"workload: seq_len {wl.seq_len}, seed {wl.seed}, payload {mib:.1f} MiB")
+        print(f"workload: seq_len {wl.seq_len}, seed {wl.seed}, payload {mib:.1f} MiB, "
+              f"{wl.queries.positions.shape[2]} query rows kept a head")
     partition = out / "partition.csv"
     if partition.exists():
         for layer, part in enumerate(load_partitions(partition,

@@ -10,7 +10,9 @@ every KV group and keeps only sinks and a recent window, with its own
 copies of their rotated keys and values, in n_sinks + 2 * window rows or
 the stream's length if that is less.  No cache turns a key: the workload
 carries each key turned once, and only queries turn, in workload.attend.
-A decode step visits each layer once.  Every local query head of the layer
+A decode step visits each layer once.  The decode query rows of every
+head, read once from those the workload keeps (workload.QueryRows), are
+indexed by step.  Every local query head of the layer
 decodes in one call over the layer's LocalWindow; the retrieval heads' rows
 ride along so the batch stays rectangular, and their outputs are dropped.
 Each retrieval head then selects its own set over its group's full cache
@@ -375,8 +377,13 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
     windows = {layer: LocalWindow(workload, layer, workload.prefill_len,
                                   geometry.window, geometry.n_sinks)
                for layer, part in enumerate(partitions) if part.local_set}
+    # each layer's decode query rows, (decode steps, n_q_heads, head_dim),
+    # read from the workload once rather than looked up at every step
+    steps = np.arange(workload.prefill_len, workload.seq_len)
+    step_queries = [workload.queries[layer, np.arange(geometry.n_q_heads), steps[:, None]]
+                    for layer in range(geometry.n_layers)]
     traces: list[DecodeTrace] = []
-    for t in range(workload.prefill_len, workload.seq_len):
+    for i, t in enumerate(steps.tolist()):
         # the new token's KV lands before any head consumes the position,
         # so every query sees its own entry (self-attention at decode)
         for (layer, g), cache in live.items():
@@ -390,7 +397,7 @@ def run_workload(workload: Workload, geometry: ModelGeometry,
         spans = local_spans(t + 1, geometry.window, geometry.n_sinks)
         n_spans = set_size(spans)
         for layer, part in enumerate(partitions):
-            queries = workload.queries[layer, :, t]
+            queries = step_queries[layer][i]
             if layer in windows:
                 # every head of the layer, so the batch stays rectangular;
                 # the retrieval heads' rows are dropped

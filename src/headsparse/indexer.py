@@ -5,7 +5,9 @@ a pair of r x d projections of the un-rotated query/key features suffices
 to rank tokens.  The projections are trained to pull the softmax of the
 projected scores toward the head's true attention row (forward KL), with
 the backbone activations treated as frozen constants.  Stage-1 data is one
-key matrix plus per-row queries and positions, and ragged attention rows:
+key matrix plus the head's stage-1 query rows, which the workload keeps
+(drawn for its seed and block_size when it is generated), their positions,
+and ragged attention rows:
 row i holds only its positions[i] + 1 causal weights, all rows back to back
 in one flat array.  The rows are built STAGE1_CHUNK position-sorted rows at
 a time, each chunk scored and normalised at full length, and a training
@@ -175,24 +177,28 @@ def _row_offsets(positions: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.asarray(positions, np.int64) + 1)])
 
 
-def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int,
-                         n_rows: int = 128) -> Stage1Dataset:
+def build_stage1_dataset(workload, geometry, layer: int, q_head: int, seed: int
+                         ) -> Stage1Dataset:
     """Supervision rows for one head from a workload's dense attention,
     scored by causal_scores against the head's rotated keys, read in place
     from workload.keys_post; no cache is built, no key is turned and no
     value row is read.
 
-    Positions start at 4 * block_size: on shorter prefixes any selector is
-    trivially near-perfect and the rows carry no long-range signal.
+    The rows are the head's stage-1 rows the workload kept when it was
+    generated (workload.stage1_positions): STAGE1_ROWS positions, or every
+    one if fewer, from 4 * block_size on; on shorter prefixes any selector
+    is trivially near-perfect and the rows carry no long-range signal.
+    They are drawn for the workload's seed and block_size, so another seed
+    or block_size raises ArgumentError.
     """
+    if (seed, geometry.block_size) != (workload.seed, workload.geometry.block_size):
+        raise ArgumentError(f"the workload keeps stage-1 rows for seed {workload.seed} at "
+                            f"block_size {workload.geometry.block_size}, not seed {seed} "
+                            f"at block_size {geometry.block_size}")
     floor = 4 * geometry.block_size
     if workload.seq_len <= floor:
         raise ArgumentError(f"workload length {workload.seq_len} leaves no positions >= {floor}")
-    if n_rows < 1:
-        raise ArgumentError("n_rows must be positive")
-    span = np.arange(floor, workload.seq_len)
-    rng = derive_rng(seed, f"stage1-data-L{layer}H{q_head}")
-    positions = np.sort(rng.choice(span, size=min(n_rows, span.size), replace=False))
+    positions = workload.stage1_positions(layer, q_head)
     n = int(positions[-1]) + 1
     g = qhead_to_kvhead(geometry, q_head)
     queries = workload.queries[layer, q_head, positions]

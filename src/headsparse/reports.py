@@ -116,7 +116,9 @@ def oracle_rows(workload: Workload, steps: Sequence[tuple[int, int, int]]
     rows are scored against its rotated keys, read in place from
     workload.keys_post, with no cache and no value row, through
     causal_scores ORACLE_ROWS at a time: a gemm, so a row can differ from
-    dense_row_scores's one-row gemv in its last bits."""
+    dense_row_scores's one-row gemv in its last bits.  A head-step whose
+    query row the workload did not keep (workload.QueryRows) raises
+    ArgumentError."""
     geo, groups = workload.geometry, {}
     for i, (layer, h, t) in enumerate(steps):
         if not (0 <= layer < geo.n_layers and 0 <= t < workload.seq_len):

@@ -20,7 +20,10 @@ heads a causal long-range target that local heads cannot see.
 
 The generator also writes each key turned at its own position (keys_post),
 as a model writes its post-rotation keys into its KV cache once; every
-later stage reads those rows, and only queries turn downstream.
+later stage reads those rows, and only queries turn downstream.  A query is
+read only at its own step and never cached, so the workload keeps only the
+query rows some stage reads (QueryRows): each head's decode span,
+post-needle span, probes and stage-1 rows.
 """
 
 from __future__ import annotations
@@ -525,17 +528,67 @@ class WorkloadAnnotations(Record):
     probes: tuple[ProbeAnnotation, ...]
 
 
+class QueryRows:
+    """The query rows a workload keeps.  A query is read only at its own
+    positions, never cached, and the stages read few of them: each head's
+    decode span, its post-needle span, the probes and its stage-1 rows
+    (kept_query_positions).  rows[layer, h, k] is the float32 pre-rotation
+    query of (layer, h) at token positions[layer, h, k].
+
+    Indexed as the full (n_layers, n_q_heads, seq_len, head_dim) array
+    was, queries[layer, heads, positions]: layer an int, heads an int, an
+    int array or a slice, positions an int or an int array.  heads (a slice
+    as its index array) and positions broadcast against each other as
+    numpy's index arrays do, and each pair gives its (head_dim,) row, in a
+    new array.  A position the workload did not keep, or an index outside
+    it, raises ArgumentError, never another row."""
+
+    def __init__(self, rows: np.ndarray, positions: np.ndarray, seq_len: int):
+        self.rows, self.positions, self.seq_len = rows, positions, seq_len
+        n_layers, n_heads, _ = positions.shape
+        keys = self._key(np.arange(n_layers)[:, None, None], np.arange(n_heads)[:, None],
+                         positions).ravel()
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+
+    def _key(self, layer, head, position) -> np.ndarray:
+        """One int64 key a row, ordered by layer, head, then position."""
+        n_heads = self.positions.shape[1]
+        return ((np.asarray(layer, np.int64) * n_heads + head) * self.seq_len
+                + np.asarray(position, np.int64))
+
+    def __getitem__(self, index) -> np.ndarray:
+        layer, heads, positions = index
+        n_layers, n_heads, _ = self.positions.shape
+        if isinstance(heads, slice):
+            heads = np.arange(n_heads)[heads]
+        for name, a, n in (("layer", layer, n_layers), ("head", heads, n_heads),
+                           ("position", positions, self.seq_len)):
+            a = np.asarray(a)
+            if a.dtype.kind not in "iu" or (a.size and not 0 <= a.min() <= a.max() < n):
+                raise ArgumentError(f"query {name} index {a.tolist()} outside [0, {n})")
+        key = self._key(layer, heads, positions)
+        at = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
+        missing = self._keys[at] != key
+        if np.any(missing):
+            lost = np.broadcast_to(positions, key.shape)[missing]
+            raise ArgumentError(f"the workload keeps no query row at positions "
+                                f"{np.unique(lost).tolist()} of those heads")
+        return self.rows.reshape(-1, self.rows.shape[-1])[self._order[at]]
+
+
 @dataclass
 class Workload:
-    """Generated streams, all float32: queries per (layer, q_head) and keys
-    and values per (layer, kv_head), pre-rotation, plus each key turned at
-    its position (keys_post, what a model writes into its KV cache), and
-    ground-truth notes.  Only queries still turn downstream."""
+    """Generated streams, all float32: keys and values per (layer,
+    kv_head), pre-rotation, plus each key turned at its position (keys_post,
+    what a model writes into its KV cache), the query rows the stages read
+    (QueryRows), and ground-truth notes.  Only queries still turn
+    downstream."""
 
     geometry: ModelGeometry
     spec: WorkloadSpec
     seed: int
-    queries: np.ndarray    # (n_layers, n_q_heads, seq_len, head_dim)
+    queries: QueryRows     # read as (n_layers, n_q_heads, seq_len, head_dim)
     keys_pre: np.ndarray   # (n_layers, n_kv_heads, seq_len, head_dim)
     keys_post: np.ndarray  # keys_pre's shape, row j turned at position j
     values: np.ndarray     # (n_layers, n_kv_heads, seq_len, head_dim)
@@ -543,19 +596,27 @@ class Workload:
 
     @property
     def seq_len(self) -> int:
-        return self.queries.shape[2]
+        return self.spec.seq_len
 
     @property
     def prefill_len(self) -> int:
         return self.seq_len - self.spec.decode_len
 
+    def stage1_positions(self, layer: int, q_head: int) -> np.ndarray:
+        """The positions of (layer, q_head)'s stage-1 rows, sorted: the last
+        of its kept rows (kept_query_positions)."""
+        n = _stage1_span(self.geometry.block_size, self.seq_len)[1]
+        kept = self.queries.positions[layer, q_head]
+        return np.asarray(kept[len(kept) - n :], np.int64)
+
     @staticmethod
     def load(stem: str | Path) -> "Workload":
         """Read a saved workload back, its tensors mapped from the payload.
         Missing meta keys, needle spans that are empty, overlap, come out of
-        order or leave the stream, or a missing tensor or one whose shape
-        disagrees with the recorded geometry and spec (such as a container
-        written before keys_post was stored) raise ArgumentError."""
+        order or leave the stream, a missing tensor or one whose shape
+        disagrees with the recorded geometry and spec, or kept query
+        positions other than those of its seed, spec and geometry (such as
+        a container written with full-length queries) raise ArgumentError."""
         tensors, meta = load_container(stem, "workload")
         missing = [k for k in ("seed", "geometry", "spec", "annotations") if k not in meta]
         if missing:
@@ -572,24 +633,71 @@ class Workload:
             raise ArgumentError(f"{stem}.json: needle spans {pre} and {post} must be "
                                 f"non-empty, disjoint and early before late in "
                                 f"0..{spec.seq_len - 1}")
-        for name, want in _payload_shapes(geo, spec.seq_len).items():
+        positions = kept_query_positions(spec, geo, meta["seed"])
+        for name, (dtype, want) in _payload_layout(geo, spec.seq_len,
+                                                   positions.shape[2]).items():
             got = tensors.get(name)
-            if got is None or got.shape != want or got.dtype != np.float32:
+            if got is None or got.shape != want or got.dtype != np.dtype(dtype):
                 found = "missing" if got is None else f"{got.dtype}{got.shape}"
                 raise ArgumentError(f"{stem}.json: tensor {name!r} is {found}, expected "
-                                    f"float32{want}; run calibrate again to rewrite it")
-        return Workload(geo, spec, meta["seed"], *(tensors[name] for name in PAYLOAD),
+                                    f"{np.dtype(dtype)}{want}; run calibrate again to "
+                                    f"rewrite it")
+        if not np.array_equal(tensors["query_positions"], positions):
+            raise ArgumentError(f"{stem}.json: the kept query positions are not those of its "
+                                f"seed, spec and geometry; run calibrate again to rewrite it")
+        return Workload(geo, spec, meta["seed"],
+                        QueryRows(tensors["queries"], tensors["query_positions"], spec.seq_len),
+                        tensors["keys_pre"], tensors["keys_post"], tensors["values"],
                         annotations)
 
 
-# The payload's tensors, in file order, each float32 of _payload_shapes.
-PAYLOAD = ("queries", "keys_pre", "keys_post", "values")
+# The payload's tensors, in file order, each of _payload_layout's dtype and
+# shape: the kept query rows and their positions, then the KV streams.
+PAYLOAD = ("queries", "query_positions", "keys_pre", "keys_post", "values")
 
 
-def _payload_shapes(geo: ModelGeometry, seq_len: int) -> dict[str, tuple[int, ...]]:
-    kv_shape = (geo.n_layers, geo.n_kv_heads, seq_len, geo.head_dim)
-    return {"queries": (geo.n_layers, geo.n_q_heads, seq_len, geo.head_dim),
-            "keys_pre": kv_shape, "keys_post": kv_shape, "values": kv_shape}
+def _payload_layout(geo: ModelGeometry, seq_len: int, n_kept: int
+                    ) -> dict[str, tuple[str, tuple[int, ...]]]:
+    kv = ("<f4", (geo.n_layers, geo.n_kv_heads, seq_len, geo.head_dim))
+    return {"queries": ("<f4", (geo.n_layers, geo.n_q_heads, n_kept, geo.head_dim)),
+            "query_positions": ("<i4", (geo.n_layers, geo.n_q_heads, n_kept)),
+            "keys_pre": kv, "keys_post": kv, "values": kv}
+
+
+# Stage-1 rows a head (indexer.build_stage1_dataset).
+STAGE1_ROWS = 128
+
+
+def _stage1_span(block_size: int, seq_len: int) -> tuple[np.ndarray, int]:
+    """The positions stage-1 rows are drawn from, [4 * block_size, seq_len),
+    and how many are drawn."""
+    span = np.arange(4 * block_size, seq_len)
+    return span, min(STAGE1_ROWS, span.size)
+
+
+def _draw_stage1_positions(seed: int, block_size: int, seq_len: int, layer: int,
+                           q_head: int) -> np.ndarray:
+    """One head's stage-1 positions: distinct positions of _stage1_span
+    drawn by the head's own stream, sorted; none if the span is empty."""
+    span, n = _stage1_span(block_size, seq_len)
+    rng = derive_rng(seed, f"stage1-data-L{layer}H{q_head}")
+    return np.sort(rng.choice(span, size=n, replace=False))
+
+
+def kept_query_positions(spec: WorkloadSpec, geometry: ModelGeometry, seed: int) -> np.ndarray:
+    """(n_layers, n_q_heads, K) positions of the query rows a workload
+    keeps: for each head, the positions every head shares, sorted (the
+    decode span, the post-needle span and the probes), then the head's
+    stage-1 positions.  A position in both is kept twice, so K is the same
+    for every head."""
+    _, post, probe_positions = _resolve_layout(spec, geometry)
+    L = spec.seq_len
+    shared = np.unique(np.r_[L - spec.decode_len : L, post : post + NEEDLE_LEN,
+                             probe_positions].astype(np.int64))
+    return np.array([[np.concatenate([shared, _draw_stage1_positions(seed, geometry.block_size,
+                                                                      L, layer, h)])
+                      for h in range(geometry.n_q_heads)]
+                     for layer in range(geometry.n_layers)], np.int64)
 
 
 def default_workload_geometry(**overrides) -> ModelGeometry:
@@ -659,7 +767,7 @@ def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 # The geometry fields gen_synthetic_workload reads: geometries equal on
 # these give the same streams, bit for bit, whatever their other fields.
 GENERATOR_FIELDS = ("n_layers", "n_q_heads", "n_kv_heads", "head_dim", "rope_base", "window",
-                    "n_sinks")
+                    "n_sinks", "block_size")
 
 
 def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
@@ -667,7 +775,10 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                            stem: str | Path | None = None) -> Workload:
     """Deterministic planted-structure workload; see the module docstring.
     keys_post holds each float32 key row turned by rope_apply at its
-    position under the geometry's rope_base.
+    position under the geometry's rope_base.  Every query stream is drawn
+    whole, so each rng stream advances as it would for full-length
+    queries, but only the rows of kept_query_positions are finished and
+    written, with the bytes they would have there.
 
     Each finished row block is written to the container stem.json/.bin as
     it is made (a ContainerWriter, renamed into place once every stream is
@@ -677,10 +788,10 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     outlives the unlinked file), under tempfile.tempdir if set, else under
     $TMPDIR as given (gettempdir() would skip one it cannot use), else
     under gettempdir().  That directory needs the payload's size free:
-    896 MiB at 128K tokens of the default geometry.  The mapped bytes stay
-    out of the process's anonymous memory, not out of the page cache, which
-    cgroup accounting charges; on a disk-backed $TMPDIR the kernel can
-    reclaim those pages, on a tmpfs it cannot.  A failure leaves no new
+    97 MiB at 32K tokens of the default geometry, 385 MiB at 128K.  The
+    mapped bytes stay out of the process's anonymous memory, not out of the
+    page cache, which cgroup accounting charges; on a disk-backed $TMPDIR
+    the kernel can reclaim those pages, on a tmpfs it cannot.  A failure leaves no new
     file in place, and a temporary directory that cannot be made or
     written raises ArgumentError."""
     # Imported here, not with the module: the pool's modules load logging,
@@ -757,30 +868,32 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     # Every stream is handed over a block of rows at a time:
     # sink.write(name, (layer, head, first row), rows) writes the rows where
     # they belong in the payload.
-    sink = ContainerWriter(stem, {name: ("<f4", shape)
-                                  for name, shape in _payload_shapes(geo, L).items()})
+    kept = kept_query_positions(spec, geo, seed)
+    sink = ContainerWriter(stem, _payload_layout(geo, L, kept.shape[2]))
+    sink.write("query_positions", (0,), kept)
 
     # Each stream is one task on a pool of _gen_workers() threads.  A task
-    # draws and finishes its noise one row_blocks block at a time in a row
-    # buffer (the bits and rng state of one normal(size=(L, d)) * s draw) and
-    # hands each finished block to sink.write, which stores it as f32, so
-    # every stream has the bytes of the one-thread form.  This thread allocates
-    # the buffers, one per worker, and lends each to one task at a time; so
-    # too a retrieval head's content band and f32 rows.  Memory freed on a
-    # worker stays in that thread's heap: row buffers the tasks allocated
-    # themselves left 4 MiB more resident after an 8K or 32K workload, and
-    # worker-made bands raised decode-8k-exact's peak from 131.8 to 133.4
-    # MiB (128.5 with no pool).
+    # draws its noise one row_blocks block at a time in a row buffer (the
+    # bits and rng state of one normal(size=(L, d)) * s draw).  A KV task
+    # finishes each block and hands it to sink.write, which stores it as
+    # f32, so every stream has the bytes of the one-thread form; a query
+    # task copies only its kept rows out of each block into a (K, d) buffer,
+    # finishes those and writes them at once.  This thread allocates the
+    # buffers, one of each per worker, and lends each to one task at a time.
+    # Memory freed on a worker stays in that thread's heap: row buffers the
+    # tasks allocated themselves left 4 MiB more resident after an 8K or 32K
+    # workload.
     blocks = [(r.start, r.stop) for r in row_blocks(L)]
     workers = _gen_workers()
 
-    def lender(shape: tuple[int, ...], n: int, dtype=np.float64) -> queue.SimpleQueue:
+    def lender(shape: tuple[int, ...], n: int) -> queue.SimpleQueue:
         store = queue.SimpleQueue()
         for _ in range(n):
-            store.put(np.empty(shape, dtype))
+            store.put(np.empty(shape))
         return store
 
     row_bufs = lender((blocks[-1][1] - blocks[-1][0], d), workers)  # the longest
+    kept_bufs = lender((kept.shape[2], d), workers)
 
     def noise(buf: np.ndarray, rng: np.random.Generator, a: int, b: int,
               scale: float) -> np.ndarray:
@@ -814,38 +927,42 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                 keys = sink.read("keys_pre", (layer, g, a), b - a)
                 sink.write("keys_post", (layer, g, a), rope_apply(keys, pos, geo.rope, table))
 
-    def local_head(buf, layer, h, walk):
-        rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
+    def kept_noise(buf, q, rng_h, pos):
+        # every noise row of the stream drawn, the one at pos[k] copied to q[k]
+        order = np.argsort(pos, kind="stable")
+        at = pos[order]
         for a, b in blocks:
-            q = noise(buf, rng_h, a, b, NOISE_SCALE)
-            q[:, loc] += LOCAL_QUERY_GAIN * walk[a:b]
-            q[:, loc] += SINK_QUERY_GAIN * sink_dir
-            sink.write("queries", (layer, h, a), q)
+            rows = noise(buf, rng_h, a, b, NOISE_SCALE)
+            i, j = np.searchsorted(at, (a, b))
+            q[order[i:j]] = rows[at[i:j] - a]
 
-    def retrieval_head(buf, content, rows32, layer, h, h_ids):
+    def local_head(buf, q, layer, h, walk):
+        pos = kept[layer, h]
+        kept_noise(buf, q, derive_rng(seed, f"workload-L{layer}-q{h}"), pos)
+        q[:, loc] += LOCAL_QUERY_GAIN * walk[pos]
+        q[:, loc] += SINK_QUERY_GAIN * sink_dir
+        sink.write("queries", (layer, h, 0), q)
+
+    def retrieval_head(buf, q, layer, h, h_ids):
         rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
-        # The seek draws follow the noise in the stream, so only the
-        # content band stays f64 until its seek rows are added; the rows
-        # wait in f32 and are handed over once the band lands in them.
-        for a, b in blocks:
-            q = noise(buf, rng_h, a, b, NOISE_SCALE)
-            content[a:b] = q[:, con]
-            rows32[a:b] = q
+        pos = kept[layer, h]
+        kept_noise(buf, q, rng_h, pos)
+        content = q[:, con]
         # Background positions go looking for the successor of a
-        # random earlier token with probability bg_seek_prob.
+        # random earlier token with probability bg_seek_prob; the seek
+        # draws follow the noise in the stream.
         seek = rng_h.random(L) < BG_SEEK_PROB
         targets = rng_h.integers(1, np.maximum(np.arange(L), 1) + 1)
         seek[:2] = False
-        for a, b in blocks:
-            rows = a + np.flatnonzero(seek[a:b])
-            content[rows] += RETRIEVAL_QUERY_GAIN * embs[h_ids[targets[rows] - 1]]
+        rows = np.flatnonzero(seek[pos])
+        content[rows] += RETRIEVAL_QUERY_GAIN * embs[h_ids[targets[pos[rows]] - 1]]
         # Needle rows always seek their own slot's content.
-        content[needle] = RETRIEVAL_QUERY_GAIN * embs[h_ids[needle]]
+        rows = np.isin(pos, needle)
+        content[rows] = RETRIEVAL_QUERY_GAIN * embs[h_ids[pos[rows]]]
         for p in probes:
             if p.head == h:
-                content[p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
-        rows32[:, con] = content
-        sink.write("queries", (layer, h, 0), rows32)
+                content[pos == p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
+        sink.write("queries", (layer, h, 0), q)
 
     def lent(stores, task, *args):
         """task(*bufs, *args), one buffer borrowed from each store for the
@@ -857,11 +974,11 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             for store, buf in zip(stores, bufs):
                 store.put(buf)
 
-    def run_all(pool, stores, calls, meanwhile=lambda: None) -> None:
-        """Run every (task, *args) on the pool, and meanwhile() on this
-        thread, then wait for each task; a task's exception is raised here
-        as it was (the pool's exit waits for the tasks still running)."""
-        futures = [pool.submit(lent, stores, *call) for call in calls]
+    def run_all(pool, calls, meanwhile=lambda: None) -> None:
+        """Run every (stores, task, *args) on the pool, and meanwhile() on
+        this thread, then wait for each task; a task's exception is raised
+        here as it was (the pool's exit waits for the tasks still running)."""
+        futures = [pool.submit(lent, *call) for call in calls]
         meanwhile()
         for f in futures:
             f.result()
@@ -880,21 +997,18 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             rngs = [derive_rng(seed, f"workload-L{layer}-kv{g}") for g in range(geo.n_kv_heads)]
             walks = _unit_walks(rngs, L, loc_dim, rho)
             ids: list[np.ndarray | None] = [None] * geo.n_kv_heads
-            run_all(pool, [row_bufs],
-                    [*((kv_group, layer, g, rng, walks[:, g], ids)
-                       for g, rng in enumerate(rngs)),
-                     *((local_head, layer, h, walks[:, qhead_to_kvhead(geo, h)])
-                       for h in planted_local)])
+            run_all(pool, [*(([row_bufs], kv_group, layer, g, rng, walks[:, g], ids)
+                             for g, rng in enumerate(rngs)),
+                           *(([row_bufs, kept_bufs], local_head, layer, h,
+                              walks[:, qhead_to_kvhead(geo, h)])
+                             for h in planted_local)])
             # Retrieval heads read no walk; freed first, the walks are never
-            # resident next to the content bands and rows those heads keep,
-            # nor those next to the next layer's walks.
+            # resident next to their seek draws, nor next to the next
+            # layer's walks.
             del walks
-            n_bands = min(workers, len(retrieval))
-            bands, head_rows = lender((L, con_dim), n_bands), lender((L, d), n_bands, np.float32)
-            run_all(pool, [row_bufs, bands, head_rows],
-                    [(retrieval_head, layer, h, ids[qhead_to_kvhead(geo, h)])
-                     for h in retrieval], lambda: turn_keys(layer))
-            del bands, head_rows
+            run_all(pool, [([row_bufs, kept_bufs], retrieval_head, layer, h,
+                            ids[qhead_to_kvhead(geo, h)]) for h in retrieval],
+                    lambda: turn_keys(layer))
         sink.commit({"kind": "workload", "seed": int(seed), "geometry": geo.to_dict(),
                      "spec": spec.to_dict(), "annotations": ann.to_dict()})
     return Workload.load(stem)

@@ -28,7 +28,7 @@ from headsparse.workload import (
     qhead_to_kvhead,
 )
 
-from test_workload import SMALL_SPEC, small_geometry
+from test_workload import SMALL_SPEC, full_query_rows, small_geometry
 
 
 def with_ratio(workload, ratio):
@@ -55,7 +55,7 @@ def one_head_scores(n_pre, n_post, keys, query=(0, 0, 0, 0)):
     queries = np.zeros((1, 1, n, 4), np.float32)
     queries[0, 0, list(n_post)] = query
     ann = WorkloadAnnotations((), (0,), tuple(n_pre), tuple(n_post), ())
-    w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0, queries, None,
+    w = Workload(geo, WorkloadSpec(seq_len=n, decode_len=1), 0, full_query_rows(queries), None,
                  rope_apply(keys, np.arange(n), geo.rope)[None, None], None, ann)
     return group_retrieval_scores(w, 0, 0)[0]
 
@@ -250,8 +250,8 @@ def test_offline_stages_never_read_values():
     no_values = dataclasses.replace(w, values=None)
     assert calibrate(dataclasses.replace(no_values, keys_pre=None)) == calibrate(w)
     for h in w.annotations.planted_retrieval_heads:
-        got = build_stage1_dataset(no_values, w.geometry, 0, h, seed=3, n_rows=32)
-        want = build_stage1_dataset(w, w.geometry, 0, h, seed=3, n_rows=32)
+        got = build_stage1_dataset(no_values, w.geometry, 0, h, seed=3)
+        want = build_stage1_dataset(w, w.geometry, 0, h, seed=3)
         for name in ("keys_pre", "queries", "positions", "attn"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 

@@ -9,10 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_workload import payload_arrays, workload_meta
 
 import headsparse.cli as cli
 import headsparse.workload as workload_module
 from headsparse.calibration import load_partitions
+from headsparse.container import save_container
 from headsparse.cli import (
     DEFAULT_OUT,
     ENV_OUT,
@@ -30,7 +32,6 @@ from headsparse.reports import (
     read_sparsity_report,
 )
 from headsparse.workload import (
-    PAYLOAD,
     ModelGeometry,
     Workload,
     default_workload_geometry,
@@ -422,8 +423,8 @@ class TestSavedWorkload:
         cfg = RunConfig.from_dict(BASE)
         fresh = gen_synthetic_workload(cfg.workload, cfg.seed, cfg.geometry)
         assert (saved.seed, saved.geometry, saved.spec) == (11, cfg.geometry, cfg.workload)
-        for name in PAYLOAD:
-            assert getattr(saved, name).tobytes() == getattr(fresh, name).tobytes()
+        for name, arr in payload_arrays(saved).items():
+            assert arr.tobytes() == payload_arrays(fresh)[name].tobytes()
         assert saved.annotations == fresh.annotations
 
     def test_saved_and_regenerated_routes_agree(self, tmp_path):
@@ -504,6 +505,27 @@ class TestSavedWorkload:
         assert err.startswith("error:") and str(path) in err and "keys_post" in err
         assert "run calibrate again" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train-indexer", "run"])
+    def test_full_length_queries_exit_2(self, artifacts, tmp_path, capsys, command):
+        """A workload.json of the layout before only the kept query rows
+        were stored, full-length queries and no kept positions, ends
+        train-indexer and run with exit 2 and a message that names the file
+        and asks for calibrate again."""
+        out = clone_artifacts(artifacts, tmp_path)
+        saved = Workload.load(out / "workload")
+        full = np.zeros((1, 8, saved.seq_len, 64), np.float32)
+        save_container(tmp_path / "old", {"queries": full, "keys_pre": saved.keys_pre,
+                                          "keys_post": saved.keys_post, "values": saved.values},
+                       workload_meta(saved))
+        for suffix in (".json", ".bin"):
+            shutil.copy(tmp_path / f"old{suffix}", out / f"workload{suffix}")
+        cfg = write_config(tmp_path, out)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "workload.json") in err
+        assert "run calibrate again" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n_pre, n_post", [
         ((0, 5), (5, 6)), ((6,), (2,)), ((0,), (768,)), ((-1, 0), (700,)),
         ((), (700,)), ((8,), ()),
@@ -525,7 +547,7 @@ class TestSavedWorkload:
         assert err.startswith("error:") and "workload.json" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value", [("top_p", 0.8), ("block_size", 32)])
+    @pytest.mark.parametrize("field, value", [("top_p", 0.8)])
     def test_decode_geometry_change_maps_the_saved_workload(self, artifacts, tmp_path,
                                                             monkeypatch, field, value):
         """A run that changes a geometry field the generator does not read
@@ -576,6 +598,32 @@ class TestSavedWorkload:
         assert read_artifacts(with_file, RUN_ARTIFACTS) == read_artifacts(fresh, RUN_ARTIFACTS)
 
 
+    def test_block_size_override_regenerates(self, artifacts, tmp_path, monkeypatch):
+        """The stage-1 rows are drawn from 4 * block_size on, so
+        train-indexer and run at another block_size generate the workload
+        again into the temporary directory instead of mapping calibrate's
+        file, leave nothing there, and leave the file as it was."""
+        out = clone_artifacts(artifacts, tmp_path)
+        saved = (out / "workload.bin").read_bytes()
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        generated = []
+        generate = cli.gen_synthetic_workload
+
+        def counted(*args, **kwargs):
+            generated.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_synthetic_workload", counted)
+        cfg = write_config(tmp_path, out, geometry={"block_size": 32})
+        for command in ("train-indexer", "run"):
+            assert main([command, "--config", str(cfg)]) == 0
+        assert len(generated) == 2
+        assert list(scratch.iterdir()) == []
+        assert (out / "workload.bin").read_bytes() == saved
+
+
 class TestStageMemory:
     """tracemalloc peaks of whole subcommands at 16K tokens on the default
     geometry (a 112 MiB workload payload).  Pages mapped from workload.bin are
@@ -602,11 +650,13 @@ class TestStageMemory:
         """Generation streams each finished row block to workload.bin and
         calibration scores the mapped file, so no whole workload is held
         (the in-memory form peaked at 1.25 payloads).  The bound is the
-        bytes of queries, keys_pre and values, the payload before keys_post
-        joined it, so the larger file loosens nothing."""
+        bytes of the kept query rows and their positions, keys_pre and
+        values, the payload before keys_post joined it, so the larger file
+        loosens nothing."""
         _, out, peak = calibrated
         wl = Workload.load(out / "workload")
-        payload = sum(a.nbytes for a in (wl.queries, wl.keys_pre, wl.values))
+        payload = sum(a.nbytes for a in (wl.queries.rows, wl.queries.positions,
+                                         wl.keys_pre, wl.values))
         assert peak < payload, f"{peak / 2**20:.1f} MiB, payload {payload / 2**20:.0f} MiB"
 
     def test_train_indexer_holds_one_stage1_dataset_at_a_time(self, calibrated):
@@ -696,10 +746,14 @@ class TestReportAndDispatch:
         assert main(["report", "--config", str(cfg)]) == 0
         printed = capsys.readouterr().out
         assert "partition layer 0" in printed
-        # every tensor of the manifest, keys_post among them: the whole file
+        # every tensor of the manifest, keys_post among them: the whole file,
+        # the three KV streams and each head's 192 kept query rows (the 64
+        # decode rows, which hold the late needle and the probes, and 128
+        # stage-1 rows) with their positions
         mib = (artifacts / "workload.bin").stat().st_size / 2**20
-        assert mib == (8 + 4 + 4 + 4) * 768 * 64 * 4 / 2**20
-        assert f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB" in printed
+        assert mib == (3 * 4 * 768 * 64 * 4 + 8 * 192 * (64 + 1) * 4) / 2**20
+        assert (f"workload: seq_len 768, seed 11, payload {mib:.1f} MiB, "
+                f"192 query rows kept a head") in printed
 
     def test_report_prints_bench_shares_of_dense(self, tmp_path, capsys):
         """Each sparse bench row prints its median as a fraction of the

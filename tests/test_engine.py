@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_workload import SMALL_SPEC, oracle_on_rows, small_geometry
+from test_workload import SMALL_SPEC, full_query_rows, oracle_on_rows, small_geometry
 
 import headsparse.workload as workload_module
 from headsparse.calibration import partition_heads
@@ -30,9 +30,9 @@ from headsparse.reports import record_true_masses
 from headsparse.rope import ROPE_BLOCK, RopeParams, rope_apply
 from headsparse.selection import histogram_threshold_scores
 from headsparse.workload import (
-    PAYLOAD,
     KVCacheHead,
     ModelGeometry,
+    QueryRows,
     Workload,
     WorkloadAnnotations,
     WorkloadSpec,
@@ -313,8 +313,8 @@ def random_workload(geometry, seq_len, seed, decode_len=1):
     shape = (geometry.n_layers, geometry.n_kv_heads, seq_len, geometry.head_dim)
     keys = (rng.normal(size=shape) * 12).astype(np.float32)
     values = (rng.normal(size=shape) * 0.125).astype(np.float32)
-    queries = np.zeros((geometry.n_layers, geometry.n_q_heads, seq_len,
-                        geometry.head_dim), np.float32)
+    queries = full_query_rows(np.zeros((geometry.n_layers, geometry.n_q_heads, seq_len,
+                                        geometry.head_dim), np.float32))
     ann = WorkloadAnnotations((), (), (0,), (1,), ())
     turned = np.stack([[per_call_rotation(k, np.arange(seq_len), geometry.rope) for k in layer]
                        for layer in keys])
@@ -905,11 +905,16 @@ class TestSpanTraces:
 
 
 def read_only(wl):
-    """The workload with read-only copies of its streams."""
-    arrays = {name: getattr(wl, name).copy() for name in PAYLOAD}
-    for a in arrays.values():
+    """The workload with read-only copies of its streams and query rows."""
+    def frozen(a):
+        a = a.copy()
         a.flags.writeable = False
-    return dataclasses.replace(wl, **arrays)
+        return a
+
+    q = wl.queries
+    return dataclasses.replace(
+        wl, queries=QueryRows(frozen(q.rows), frozen(q.positions), q.seq_len),
+        **{name: frozen(getattr(wl, name)) for name in ("keys_pre", "keys_post", "values")})
 
 
 class TestStreamCaches:

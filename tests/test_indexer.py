@@ -2,6 +2,7 @@
 gradients against finite differences and the per-row reference, the
 batched stage-1 dataset, and training on the planted low-rank teacher."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ import pytest
 from helpers import gen_rank_teacher
 
 import headsparse.rope as rope_module
+import headsparse.workload as workload_module
 from headsparse.errors import ArgumentError, InternalError
 from headsparse.indexer import (
     STAGE1_CHUNK,
@@ -24,6 +26,7 @@ from headsparse.indexer import (
 )
 from headsparse.numerics import softmax, softmax_kl
 from headsparse.rope import RopeParams, rope_apply
+from headsparse.seeding import derive_rng
 from headsparse.selection import top_k_static, top_p_exact
 from headsparse.workload import (
     KVCacheHead,
@@ -463,16 +466,16 @@ class TestProjectorGrad:
             projector_grad(ds.take(np.array([], int)), proj)
 
 
-def stage1_workload(seq_len):
+def stage1_workload(seq_len, seed=0, **geometry):
     return gen_synthetic_workload(WorkloadSpec(seq_len=seq_len, decode_len=16,
-                                               diffuse_support=200), 0,
-                                  default_workload_geometry())
+                                               diffuse_support=200), seed,
+                                  default_workload_geometry(**geometry))
 
 
-@pytest.fixture(scope="module", params=[1024, 9000])
-def short_or_two_block_workload(request):
+@pytest.fixture(params=[1024, 9000])
+def short_or_two_block_length(request):
     """9,000 keys are two ROPE_BLOCK blocks, the last taking the remainder."""
-    return stage1_workload(request.param)
+    return request.param
 
 
 class TestStage1Dataset:
@@ -481,7 +484,7 @@ class TestStage1Dataset:
         geo = default_workload_geometry()
         w = gen_synthetic_workload(WorkloadSpec(seq_len=1024, decode_len=64,
                                                 diffuse_support=200), 3, geo)
-        ds = build_stage1_dataset(w, geo, 0, q_head, seed=3, n_rows=48)
+        ds = build_stage1_dataset(w, geo, 0, q_head, seed=3)
         cache = build_cache(w, 0, q_head // geo.group_size)
         n = int(ds.positions.max()) + 1
         assert ds.attn.shape == (np.sum(ds.positions + 1),)
@@ -492,13 +495,16 @@ class TestStage1Dataset:
             assert row.shape == want.shape and np.abs(row - want).max() <= 1e-12
 
     @pytest.mark.parametrize("n_rows", [1, 5, 17, 48, 128])
-    def test_chunked_rows_equal_one_batch(self, short_or_two_block_workload, n_rows):
+    def test_chunked_rows_equal_one_batch(self, monkeypatch, short_or_two_block_length,
+                                          n_rows):
         """Scored STAGE1_CHUNK rows at a time (a short last chunk joined to
         the one before it), each row keeps the bits of one causal_scores
-        batch over all rows, normalised at full length."""
-        w = short_or_two_block_workload
+        batch over all rows, normalised at full length; the workload keeps
+        n_rows stage-1 rows a head."""
+        monkeypatch.setattr(workload_module, "STAGE1_ROWS", n_rows)
+        w = stage1_workload(short_or_two_block_length, seed=n_rows)
         geo = w.geometry
-        ds = build_stage1_dataset(w, geo, 0, 2, seed=n_rows, n_rows=n_rows)
+        ds = build_stage1_dataset(w, geo, 0, 2, seed=n_rows)
         n = len(ds.keys_pre)
         assert len(ds.positions) == n_rows and (n > 4096) == (w.seq_len > 4096)
         keys_post = rope_apply(w.keys_pre[0, 0, :n], np.arange(n), geo.rope)
@@ -526,14 +532,46 @@ class TestStage1Dataset:
         bound = kept + STAGE1_CHUNK * n * 8 + n * w.geometry.head_dim * 4
         assert n > 16_000 and peak <= bound, f"{peak / bound:.3f} of the bound"
 
-    def test_positions_sorted_distinct_and_past_floor(self):
+    def test_positions_sorted_distinct_and_past_floor(self, monkeypatch):
+        """A workload that keeps more stage-1 rows a head than its span
+        holds keeps every position of the span."""
+        monkeypatch.setattr(workload_module, "STAGE1_ROWS", 600)
         geo = default_workload_geometry()
         w = gen_synthetic_workload(WorkloadSpec(seq_len=768, decode_len=64,
                                                 diffuse_support=200), 1, geo)
-        ds = build_stage1_dataset(w, geo, 0, 9, seed=1, n_rows=600)
+        ds = build_stage1_dataset(w, geo, 0, 9, seed=1)
         assert np.all(np.diff(ds.positions) > 0)
         assert ds.positions.min() >= 4 * geo.block_size
         assert len(ds.positions) == 768 - 4 * geo.block_size
+
+
+    def test_rows_are_the_positions_stage1_draws(self):
+        """The workload keeps each head's stage-1 rows at the positions its
+        own stream draws, STAGE1_ROWS of them from 4 * block_size on, and
+        the dataset reads them."""
+        w = stage1_workload(2048, seed=5)
+        geo = w.geometry
+        for h in (2, 9):
+            ds = build_stage1_dataset(w, geo, 0, h, seed=5)
+            rng = derive_rng(5, f"stage1-data-L0H{h}")
+            span = np.arange(4 * geo.block_size, w.seq_len)
+            want = np.sort(rng.choice(span, size=workload_module.STAGE1_ROWS, replace=False))
+            assert np.array_equal(ds.positions, want)
+            assert np.array_equal(ds.queries, w.queries[0, h, want])
+
+    @pytest.mark.parametrize("seed, block_size", [(6, 64), (5, 32)])
+    def test_other_seed_or_block_size_raises(self, seed, block_size):
+        """The kept stage-1 rows are drawn for the workload's seed and
+        block_size; a dataset asked for another raises ArgumentError."""
+        w = stage1_workload(2048, seed=5)
+        geo = dataclasses.replace(w.geometry, block_size=block_size)
+        with pytest.raises(ArgumentError, match="stage-1 rows"):
+            build_stage1_dataset(w, geo, 0, 2, seed=seed)
+
+    def test_too_short_for_the_floor_raises(self):
+        w = stage1_workload(512, block_size=128)
+        with pytest.raises(ArgumentError, match="leaves no positions"):
+            build_stage1_dataset(w, w.geometry, 0, 2, seed=0)
 
 
 class TestRankingInvariance:

@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 from test_engine import SMALL_WORKLOAD, small_partition, small_projectors
-from test_workload import SMALL_SPEC, small_geometry
+from test_workload import SMALL_SPEC, full_query_rows, per_layer_generation, small_geometry
 
 from headsparse.calibration import calibrate
 from headsparse.engine import DecodeTrace, SparsityReport, run_workload
 from headsparse.errors import ArgumentError
+from headsparse.indexer import build_stage1_dataset
 from headsparse.numerics import softmax
 from headsparse.reports import (
     BENCH_HEADER,
@@ -140,6 +141,37 @@ def oracle_trace(position, active, q_head=1):
                        np.asarray(active))
 
 
+def test_every_reader_runs_on_the_kept_rows():
+    """calibrate, build_stage1_dataset, run_workload, oracle_rows (through
+    record_true_masses), mass_budget_sweep and bench_requests read only the
+    query rows the workload keeps, and give what they give over the
+    per-layer form's full-length rows."""
+    w = gen_synthetic_workload(SMALL_SPEC, 11, SMALL_GEO)
+    queries = per_layer_generation(SMALL_SPEC, 11, SMALL_GEO)[0]
+    full = dataclasses.replace(w, queries=full_query_rows(queries))
+    assert w.queries.rows.shape[2] < w.seq_len
+    (part,) = calibrate(w)
+    assert calibrate(full) == [part]
+    for h in part.retrieval_set:
+        ds = build_stage1_dataset(w, SMALL_GEO, 0, h, 11)
+        assert ds.queries.tobytes() == queries[0, h, ds.positions].tobytes()
+    projs = small_projectors(part, SMALL_GEO)
+    sweeps = []
+    for wl in (w, full):
+        traces = run_workload(wl, SMALL_GEO, [part], projs).traces
+        record_true_masses(wl, traces)
+        positions = np.linspace(wl.prefill_len, wl.seq_len - 1, 6, dtype=int).tolist()
+        sweeps.append((traces, mass_budget_sweep(wl, 0, min(part.retrieval_set), positions,
+                                                 [8, 64], SMALL_GEO.top_p)))
+    (got, got_sweep), (want, want_sweep) = sweeps
+    assert got_sweep == want_sweep
+    for a, b in zip(got, want, strict=True):
+        assert a.covered_true_mass == b.covered_true_mass
+        assert np.array_equal(a.output, b.output)
+    rows = bench_requests(w, SMALL_GEO, [part], projs, 1)
+    assert [r.mode for r in rows] == list(BENCH_MODES)
+
+
 class TestTrueMasses:
     @pytest.mark.parametrize("mode", ["exact", "histogram"])
     def test_batches_match_the_one_row_oracle(self, mode):
@@ -162,7 +194,7 @@ class TestTrueMasses:
         assert traces[0].covered_true_mass == pytest.approx(1.0)
 
     def test_subset_mass(self):
-        traces = [oracle_trace(749, [0, 7, 749]), oracle_trace(700, [3, 650], q_head=4)]
+        traces = [oracle_trace(749, [0, 7, 749]), oracle_trace(704, [3, 650], q_head=4)]
         record_true_masses(SMALL_WORKLOAD, traces)
         for t in traces:
             assert abs(t.covered_true_mass - reference_mass(SMALL_WORKLOAD, t)) <= 1e-12
@@ -191,7 +223,7 @@ class TestTrueMasses:
 @pytest.fixture(scope="module")
 def sweep_rows():
     wl = gen_synthetic_workload(SMALL_SPEC, seed=11, geometry=SMALL_GEO)
-    positions = [700, 720, 740, 760]
+    positions = [704, 720, 740, 760]
     return mass_budget_sweep(wl, 0, 1, positions, budgets=[8, 32, 128], p=0.9)
 
 

@@ -32,6 +32,7 @@ from headsparse.workload import (
     AttentionRow,
     KVCacheHead,
     ModelGeometry,
+    QueryRows,
     Workload,
     WorkloadAnnotations,
     WorkloadSpec,
@@ -44,6 +45,7 @@ from headsparse.workload import (
     dense_attention,
     dense_row_scores,
     gen_synthetic_workload,
+    kept_query_positions,
     local_band,
     qhead_to_kvhead,
 )
@@ -675,6 +677,25 @@ def small_geometry(**kw):
 SMALL_SPEC = small_spec(planted_retrieval_heads=(1, 6), probe_head=1)
 
 
+def payload_arrays(w):
+    """A workload's payload tensors by PAYLOAD name."""
+    return dict(zip(PAYLOAD, (w.queries.rows, w.queries.positions, w.keys_pre, w.keys_post,
+                              w.values)))
+
+
+def kept_rows(queries, positions):
+    """The rows of full-length (n_layers, n_q_heads, L, d) queries at
+    (n_layers, n_q_heads, K) positions."""
+    n_layers, n_heads, _ = positions.shape
+    return queries[np.arange(n_layers)[:, None, None], np.arange(n_heads)[:, None], positions]
+
+
+def full_query_rows(queries):
+    """QueryRows that keep every row of full-length queries."""
+    n_layers, n_heads, n, _ = queries.shape
+    return QueryRows(queries, np.broadcast_to(np.arange(n), (n_layers, n_heads, n)), n)
+
+
 def owned_bytes(cache):
     """Bytes of the arrays the cache allocated itself, not views it reads."""
     return sum(v.nbytes for v in vars(cache).values()
@@ -824,9 +845,8 @@ class TestGenerator:
     def test_deterministic(self):
         a = gen_synthetic_workload(SMALL_SPEC, 11, small_geometry())
         b = gen_synthetic_workload(SMALL_SPEC, 11, small_geometry())
-        np.testing.assert_array_equal(a.queries, b.queries)
-        np.testing.assert_array_equal(a.keys_pre, b.keys_pre)
-        np.testing.assert_array_equal(a.values, b.values)
+        for name, arr in payload_arrays(a).items():
+            np.testing.assert_array_equal(arr, payload_arrays(b)[name])
         assert a.annotations == b.annotations
 
     def test_only_generator_fields_change_the_streams(self):
@@ -834,16 +854,32 @@ class TestGenerator:
         change to any other field (one each) leaves every stream byte for
         byte as it was; a new field must be listed one way or the other."""
         geo = small_geometry()
-        others = {"retrieval_ratio": 0.5, "low_dim": 8, "top_p": 0.5, "block_size": 16}
+        others = {"retrieval_ratio": 0.5, "low_dim": 8, "top_p": 0.5}
         init = {f.name for f in dataclasses.fields(ModelGeometry) if f.init}
         assert set(others) == init - set(GENERATOR_FIELDS)
-        base = gen_synthetic_workload(SMALL_SPEC, 4, geo)
+        base = payload_arrays(gen_synthetic_workload(SMALL_SPEC, 4, geo))
         for name, value in others.items():
             assert getattr(geo, name) != value
             w = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, **{name: value}))
-            for arr in PAYLOAD:
-                assert getattr(w, arr).tobytes() == getattr(base, arr).tobytes(), (name, arr)
-            assert w.annotations == base.annotations
+            for arr, want in base.items():
+                assert payload_arrays(w)[arr].tobytes() == want.tobytes(), (name, arr)
+
+    def test_block_size_moves_the_stage1_rows_only(self):
+        """block_size is a generator field since the stage-1 rows are drawn
+        from 4 * block_size on: another block_size keeps other query rows,
+        the same rows at the positions both keep, and the KV streams byte
+        for byte."""
+        geo = small_geometry()
+        base = gen_synthetic_workload(SMALL_SPEC, 4, geo)
+        other = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, block_size=16))
+        assert not np.array_equal(other.queries.positions, base.queries.positions)
+        assert other.queries.positions.min() < 4 * geo.block_size
+        for arr in ("keys_pre", "keys_post", "values"):
+            assert getattr(other, arr).tobytes() == getattr(base, arr).tobytes(), arr
+        h = 1
+        both = np.intersect1d(other.queries.positions[0, h], base.queries.positions[0, h])
+        assert both.size >= SMALL_SPEC.decode_len
+        assert np.array_equal(other.queries[0, h, both], base.queries[0, h, both])
 
     def test_rope_base_changes_the_turned_keys_only(self):
         """rope_base is a generator field since keys_post is turned at it:
@@ -852,15 +888,15 @@ class TestGenerator:
         geo = small_geometry()
         base = gen_synthetic_workload(SMALL_SPEC, 4, geo)
         other = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, rope_base=1.0e4))
-        for arr in ("queries", "keys_pre", "values"):
-            assert getattr(other, arr).tobytes() == getattr(base, arr).tobytes(), arr
+        for arr in ("queries", "query_positions", "keys_pre", "values"):
+            assert payload_arrays(other)[arr].tobytes() == payload_arrays(base)[arr].tobytes(), arr
         assert other.keys_post.tobytes() != base.keys_post.tobytes()
         assert np.array_equal(other.keys_post, turned(other.keys_pre, RopeParams(64, 1.0e4)))
 
     def test_seed_changes_streams(self):
         a = gen_synthetic_workload(SMALL_SPEC, 11, small_geometry())
         b = gen_synthetic_workload(SMALL_SPEC, 12, small_geometry())
-        assert not np.array_equal(a.queries, b.queries)
+        assert not np.array_equal(a.queries.rows, b.queries.rows)
 
     def test_annotation_layout(self):
         w = gen_synthetic_workload(SMALL_SPEC, 0, small_geometry())
@@ -926,7 +962,8 @@ class TestGenerator:
                 g = qhead_to_kvhead(geo, h)
                 cache = build_cache(w, 0, g)
                 fracs = []
-                for t in range(300, w.seq_len, 97):
+                kept = np.unique(w.queries.positions[0, h])
+                for t in kept[kept >= 300][::20]:
                     row = dense_attention(w.queries[0, h, t], t, cache)
                     keep = np.zeros(t + 1, bool)
                     keep[: geo.n_sinks] = True
@@ -954,8 +991,8 @@ class TestGenerator:
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
         streamed = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry(), tmp_path / "wl")
         for back in (streamed, Workload.load(tmp_path / "wl")):
-            for name in PAYLOAD:
-                np.testing.assert_array_equal(getattr(back, name), getattr(w, name))
+            for name, arr in payload_arrays(back).items():
+                np.testing.assert_array_equal(arr, payload_arrays(w)[name])
             assert back.annotations == w.annotations
             assert back.geometry == w.geometry
             assert back.spec == w.spec
@@ -977,14 +1014,12 @@ class TestGenerator:
         before keys_post was stored, or with one of the wrong shape raises
         ArgumentError naming the file and asking for calibrate again."""
         w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
-        arrays = {name: getattr(w, name) for name in PAYLOAD}
-        meta = {"kind": "workload", "seed": 7, "geometry": w.geometry.to_dict(),
-                "spec": w.spec.to_dict(), "annotations": w.annotations.to_dict()}
+        arrays = payload_arrays(w)
         absent = {k: v for k, v in arrays.items() if k != tensor}
-        save_container(tmp_path / "absent", absent, meta)
+        save_container(tmp_path / "absent", absent, workload_meta(w))
         # same element count, wrong layout: passes the container's checks
-        arrays[tensor] = arrays[tensor].swapaxes(2, 3)
-        save_container(tmp_path / "swapped", arrays, meta)
+        arrays[tensor] = arrays[tensor].swapaxes(1, 2)
+        save_container(tmp_path / "swapped", arrays, workload_meta(w))
         for stem in ("absent", "swapped"):
             with pytest.raises(ArgumentError) as caught:
                 Workload.load(tmp_path / stem)
@@ -992,10 +1027,61 @@ class TestGenerator:
             assert repr(tensor) in message and str(tmp_path / f"{stem}.json") in message
             assert "run calibrate again" in message
 
+    @pytest.mark.parametrize("layout", ["full-length", "no-positions", "other-positions"])
+    def test_load_rejects_an_old_query_layout(self, tmp_path, layout):
+        """A container whose queries are full length (the layout before
+        only kept rows were stored), that lacks the kept positions, or
+        whose positions are not those of its seed, spec and geometry raises
+        ArgumentError naming the file and asking for calibrate again."""
+        w = gen_synthetic_workload(SMALL_SPEC, 7, small_geometry())
+        arrays = payload_arrays(w)
+        if layout == "other-positions":
+            arrays["query_positions"] = kept_query_positions(SMALL_SPEC, w.geometry, 8)
+        else:
+            arrays["queries"] = np.zeros((1, 8, w.seq_len, 64), np.float32)
+            if layout == "no-positions":
+                del arrays["query_positions"]
+        save_container(tmp_path / "old", arrays, workload_meta(w))
+        with pytest.raises(ArgumentError) as caught:
+            Workload.load(tmp_path / "old")
+        message = str(caught.value)
+        assert str(tmp_path / "old.json") in message and "run calibrate again" in message
+
+    def test_queries_read_by_position(self):
+        """queries[layer, heads, positions] reads the kept rows in every
+        index form the stages use, and no other: a position the workload did
+        not keep, or an index past the workload, raises ArgumentError."""
+        spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, seq_len=900)
+        geo = small_geometry(n_layers=2)
+        w = gen_synthetic_workload(spec, 3, geo)
+        full = per_layer_generation(spec, 3, geo)[0]
+        t = w.seq_len - 5
+        assert np.array_equal(w.queries[1, 6, t], full[1, 6, t])
+        assert np.array_equal(w.queries[1, :, t], full[1, :, t])
+        stage1 = w.stage1_positions(0, 6)
+        assert len(stage1) == workload_module.STAGE1_ROWS
+        assert np.array_equal(w.queries[0, 6, stage1], full[0, 6, stage1])
+        heads, positions = np.array([0, 6, 6]), np.array([t, t - 1, stage1[0]])
+        assert np.array_equal(w.queries[0, heads, positions], full[0, heads, positions])
+        post = np.asarray(w.annotations.n_post)
+        assert np.array_equal(w.queries[0, np.arange(4, 8)[:, None], post], full[0, 4:8][:, post])
+        kept = set(w.queries.positions[0, 6].tolist())
+        hole = next(p for p in range(w.seq_len) if p not in kept)
+        for index in ((0, 6, hole), (0, 6, [t, hole]), (0, slice(None), hole), (0, 8, t),
+                      (2, 0, t), (0, 6, w.seq_len), (0, -1, t), (0, 6, float(t))):
+            with pytest.raises(ArgumentError):
+                w.queries[index]
+
     def test_bands_are_disjoint(self):
         lb, cb = local_band(64), content_band(64)
         assert lb.stop <= cb.start
         assert cb.stop == 64
+
+
+def workload_meta(w):
+    """The manifest meta the generator writes for `w`."""
+    return {"kind": "workload", "seed": w.seed, "geometry": w.geometry.to_dict(),
+            "spec": w.spec.to_dict(), "annotations": w.annotations.to_dict()}
 
 
 def per_step_unit_walk(rng, n_steps, dim, rho):
@@ -1059,8 +1145,8 @@ class TestUnitWalkBitIdentity:
         got = gen_synthetic_workload(spec, 3, small_geometry())
         monkeypatch.setattr(workload_module, "_unit_walks", per_step_unit_walks)
         want = gen_synthetic_workload(spec, 3, small_geometry())
-        for name in PAYLOAD:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name, arr in payload_arrays(got).items():
+            assert np.array_equal(arr, payload_arrays(want)[name]), name
         assert got.annotations == want.annotations
 
 
@@ -1149,12 +1235,22 @@ def per_layer_generation(spec, seed, geo):
     return queries, keys, turned(keys, geo.rope), values
 
 
-def assert_matches_per_layer_form(seed, **spec_kw):
-    geo = small_geometry(n_layers=2)
-    spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **spec_kw)
-    got = gen_synthetic_workload(spec, seed, geo)
-    for name, want in zip(PAYLOAD, per_layer_generation(spec, seed, geo)):
-        arr = getattr(got, name)
+def per_layer_payload(spec, seed, geo):
+    """per_layer_generation's streams as the payload stores them: the
+    query rows at kept_query_positions, those positions, and the KV
+    streams."""
+    queries, *kv = per_layer_generation(spec, seed, geo)
+    positions = kept_query_positions(spec, geo, seed)
+    return dict(zip(PAYLOAD, (kept_rows(queries, positions), positions.astype(np.int32), *kv)))
+
+
+def assert_matches_per_layer_form(seed, geo=None, spec=None, **spec_kw):
+    geo = small_geometry(n_layers=2) if geo is None else geo
+    if spec is None:
+        spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **spec_kw)
+    got = payload_arrays(gen_synthetic_workload(spec, seed, geo))
+    for name, want in per_layer_payload(spec, seed, geo).items():
+        arr = got[name]
         assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
 
 
@@ -1226,10 +1322,8 @@ class TestGenerationOneGroupAtATime:
         geo = small_geometry(n_layers=2)
         spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **layout)
         streamed = gen_synthetic_workload(spec, 3, geo, tmp_path / "streamed")
-        save_container(tmp_path / "held",
-                       dict(zip(PAYLOAD, per_layer_generation(spec, 3, geo))),
-                       {"kind": "workload", "seed": 3, "geometry": geo.to_dict(),
-                        "spec": spec.to_dict(), "annotations": streamed.annotations.to_dict()})
+        save_container(tmp_path / "held", per_layer_payload(spec, 3, geo),
+                       workload_meta(streamed))
         for suffix in (".bin", ".json"):
             held, written = (tmp_path / f"{stem}{suffix}" for stem in ("held", "streamed"))
             assert written.read_bytes() == held.read_bytes(), suffix
@@ -1243,8 +1337,8 @@ class TestGenerationOneGroupAtATime:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         w = gen_synthetic_workload(SMALL_SPEC, 3, small_geometry())
         assert list(tmp_path.iterdir()) == []
-        for name in PAYLOAD:
-            arr = base = getattr(w, name)
+        for name, arr in payload_arrays(w).items():
+            base = arr
             while isinstance(base, (np.ndarray, memoryview)):
                 base = base.obj if isinstance(base, memoryview) else base.base
             assert not arr.flags.owndata and isinstance(base, mmap.mmap), name
@@ -1271,6 +1365,16 @@ class TestGenerationOneGroupAtATime:
             [] if kind == "missing" else ["tmp"])
         if kind == "full":
             assert list(scratch.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_rows_at_9000_tokens_match_per_layer_form(self, monkeypatch, workers):
+        """At 9,000 tokens (two ROPE_BLOCK blocks, the last taking the
+        remainder) and two layers of the default geometry, the kept query
+        rows are the per-layer form's full-length rows at their positions,
+        byte for byte, and keys_pre, keys_post and values its streams."""
+        monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
+        assert_matches_per_layer_form(0, default_workload_geometry(n_layers=2),
+                                      WorkloadSpec(seq_len=9000))
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         """Eight workers lent eight buffers, switching threads every
@@ -1317,12 +1421,12 @@ class TestGenerationOneGroupAtATime:
         is not on the traced heap.  A layer's four walks are two of the
         arrays; each worker's row buffer with its temporaries (the f32 cast
         ContainerWriter.write makes of a block among them) and the layer's
-        content ids, then, once the walks are freed, each worker's retrieval
-        head's (L, 16) content band and seek draws fit in the third.  The
-        per-layer form held 5.7 beside the payload, one KV group at a time
-        2.15, the serial form 2.56; the pool holds 2.63 with one worker and
-        2.86 with two, the most workers it starts, so the slack is 0.14 of
-        an array (1.1 MiB)."""
+        content ids fit in the third.  Once the walks are freed, a
+        retrieval head holds only its seek draws and its (K, d) kept rows.
+        The per-layer form held 5.7 beside the payload, one KV group at a
+        time 2.15, the serial form 2.56; the pool holds 2.63 with one worker
+        and 2.84-2.88 with two, the most workers it starts (warm figures),
+        so the slack is about 0.12 of an array (1 MiB)."""
         spec = WorkloadSpec(seq_len=16384, decode_len=64)
         geo = default_workload_geometry()
         tracemalloc.start()
