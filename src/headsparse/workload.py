@@ -487,12 +487,14 @@ def _gen_workers() -> int:
     return min(GEN_WORKERS, len(os.sched_getaffinity(0)))
 
 
-# Rows per block of the generator's key turns, which add a block's cos/sin
-# table, rows and temporaries to the retrieval-head phase: at 16K its
-# traced peak read 3.05 float64 (L, d) arrays with 4,096-row turns, over
-# the generator tests' bound of 3, and 2.58 with 1,024 (warm figures).
-# Each row turns alone, so every block size gives the same bits.
-TURN_BLOCK = 1024
+# Rows per block of the generator's streams.  Each worker's row buffer
+# holds a block, and a block's temporaries (its f32 cast among them) and
+# the key turns' cos/sin table scale with it.  The first 16K generation in
+# a fresh process, two workers, traced a peak of 2.99-3.01 float64 (L, d)
+# arrays with 4,096-row blocks, at the generator tests' bound of 3, and
+# 2.44-2.46 with 1,024.  Each row is drawn, finished and turned alone, so
+# every block size gives the same bits.
+GEN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -535,13 +537,14 @@ class QueryRows:
     (kept_query_positions).  rows[layer, h, k] is the float32 pre-rotation
     query of (layer, h) at token positions[layer, h, k].
 
-    Indexed as the full (n_layers, n_q_heads, seq_len, head_dim) array
-    was, queries[layer, heads, positions]: layer an int, heads an int, an
-    int array or a slice, positions an int or an int array.  heads (a slice
-    as its index array) and positions broadcast against each other as
-    numpy's index arrays do, and each pair gives its (head_dim,) row, in a
-    new array.  A position the workload did not keep, or an index outside
-    it, raises ArgumentError, never another row."""
+    Read by position, queries[layer, heads, positions]: layer an int, heads
+    and positions each an int or an int array.  heads and positions
+    broadcast against each other as numpy's index arrays do, and each
+    pair gives its (head_dim,) row, in a new array; so every head at one
+    position is queries[layer, np.arange(n_q_heads), t] and a (H, P) block
+    is queries[layer, heads[:, None], positions].  A position the workload
+    did not keep, an index outside it, a slice, or heads and positions
+    that do not broadcast raise ArgumentError, never another row."""
 
     def __init__(self, rows: np.ndarray, positions: np.ndarray, seq_len: int):
         self.rows, self.positions, self.seq_len = rows, positions, seq_len
@@ -560,20 +563,24 @@ class QueryRows:
     def __getitem__(self, index) -> np.ndarray:
         layer, heads, positions = index
         n_layers, n_heads, _ = self.positions.shape
-        if isinstance(heads, slice):
-            heads = np.arange(n_heads)[heads]
         for name, a, n in (("layer", layer, n_layers), ("head", heads, n_heads),
                            ("position", positions, self.seq_len)):
             a = np.asarray(a)
-            if a.dtype.kind not in "iu" or (a.size and not 0 <= a.min() <= a.max() < n):
+            if a.dtype.kind not in "iu":
+                raise ArgumentError(f"query {name} index {index} must be an int or an "
+                                    f"int array")
+            if a.size and not 0 <= a.min() <= a.max() < n:
                 raise ArgumentError(f"query {name} index {a.tolist()} outside [0, {n})")
-        key = self._key(layer, heads, positions)
+        try:
+            key = self._key(layer, heads, positions)
+        except ValueError as e:
+            raise ArgumentError(f"query heads and positions do not broadcast: {e}") from e
         at = np.minimum(np.searchsorted(self._keys, key), len(self._keys) - 1)
         missing = self._keys[at] != key
         if np.any(missing):
             lost = np.broadcast_to(positions, key.shape)[missing]
             raise ArgumentError(f"the workload keeps no query row at positions "
-                                f"{np.unique(lost).tolist()} of those heads")
+                                f"{sorted(set(lost.tolist()))} of those heads")
         return self.rows.reshape(-1, self.rows.shape[-1])[self._order[at]]
 
 
@@ -692,8 +699,12 @@ def kept_query_positions(spec: WorkloadSpec, geometry: ModelGeometry, seed: int)
     for every head."""
     _, post, probe_positions = _resolve_layout(spec, geometry)
     L = spec.seq_len
-    shared = np.unique(np.r_[L - spec.decode_len : L, post : post + NEEDLE_LEN,
-                             probe_positions].astype(np.int64))
+    # a mask, not np.unique, which imports numpy.ma into the generator's
+    # traced peak on a first call (1 MiB, 0.12 of a float64 (L, d) array at 16K)
+    shared = np.zeros(L, bool)
+    shared[np.r_[L - spec.decode_len : L, post : post + NEEDLE_LEN,
+                 probe_positions].astype(np.int64)] = True
+    shared = np.flatnonzero(shared)
     return np.array([[np.concatenate([shared, _draw_stage1_positions(seed, geometry.block_size,
                                                                       L, layer, h)])
                       for h in range(geometry.n_q_heads)]
@@ -873,27 +884,24 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
     sink.write("query_positions", (0,), kept)
 
     # Each stream is one task on a pool of _gen_workers() threads.  A task
-    # draws its noise one row_blocks block at a time in a row buffer (the
-    # bits and rng state of one normal(size=(L, d)) * s draw).  A KV task
-    # finishes each block and hands it to sink.write, which stores it as
-    # f32, so every stream has the bytes of the one-thread form; a query
-    # task copies only its kept rows out of each block into a (K, d) buffer,
-    # finishes those and writes them at once.  This thread allocates the
-    # buffers, one of each per worker, and lends each to one task at a time.
-    # Memory freed on a worker stays in that thread's heap: row buffers the
-    # tasks allocated themselves left 4 MiB more resident after an 8K or 32K
-    # workload.
-    blocks = [(r.start, r.stop) for r in row_blocks(L)]
+    # draws its noise a block of rows at a time in a row buffer (the bits
+    # and rng state of one normal(size=(L, d)) * s draw, however it is
+    # blocked).  A KV task finishes each GEN_BLOCK block and hands it to
+    # sink.write, which stores it as f32, so every stream has the bytes of
+    # the one-thread form; a query task draws into the buffer's first rows,
+    # copies its K kept rows into the last K, finishes those there and
+    # writes them at once, so it holds no memory past its buffer.  This
+    # thread allocates the buffers, one per worker, and lends each to one
+    # task at a time.  Memory freed on a worker stays in that thread's heap:
+    # row buffers the tasks allocated themselves left 4 MiB more resident
+    # after an 8K or 32K workload.
+    blocks = [(r.start, r.stop) for r in row_blocks(L, GEN_BLOCK)]
+    n_kept = kept.shape[2]
     workers = _gen_workers()
-
-    def lender(shape: tuple[int, ...], n: int) -> queue.SimpleQueue:
-        store = queue.SimpleQueue()
-        for _ in range(n):
-            store.put(np.empty(shape))
-        return store
-
-    row_bufs = lender((blocks[-1][1] - blocks[-1][0], d), workers)  # the longest
-    kept_bufs = lender((kept.shape[2], d), workers)
+    row_bufs = queue.SimpleQueue()
+    for _ in range(workers):
+        # the longest block, and room for the kept rows past a draw block
+        row_bufs.put(np.empty((max(blocks[-1][1] - blocks[-1][0], 2 * n_kept), d)))
 
     def noise(buf: np.ndarray, rng: np.random.Generator, a: int, b: int,
               scale: float) -> np.ndarray:
@@ -917,36 +925,40 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             sink.write("values", (layer, g, a), noise(buf, rng_kv, a, b, VALUE_SCALE))
 
     def turn_keys(layer):
-        # Each TURN_BLOCK block of rows of every KV group of the layer, read
-        # back from the payload as float32 and turned by one cos/sin table.
-        for rows in row_blocks(L, TURN_BLOCK):
-            a, b = rows.start, rows.stop
+        # Each block of rows of every KV group of the layer, read back from
+        # the payload as float32 and turned by one cos/sin table.
+        for a, b in blocks:
             pos = np.arange(a, b)
             table = rope_table(pos, geo.rope)
             for g in range(geo.n_kv_heads):
                 keys = sink.read("keys_pre", (layer, g, a), b - a)
                 sink.write("keys_post", (layer, g, a), rope_apply(keys, pos, geo.rope, table))
 
-    def kept_noise(buf, q, rng_h, pos):
-        # every noise row of the stream drawn, the one at pos[k] copied to q[k]
+    def kept_noise(buf, rng_h, pos):
+        # Every noise row of the stream drawn in buf's first rows, the one
+        # at pos[k] copied to row k of the last n_kept rows, returned.
+        n = len(buf) - n_kept
+        q = buf[n:]
         order = np.argsort(pos, kind="stable")
         at = pos[order]
-        for a, b in blocks:
+        for a in range(0, L, n):
+            b = min(a + n, L)
             rows = noise(buf, rng_h, a, b, NOISE_SCALE)
             i, j = np.searchsorted(at, (a, b))
             q[order[i:j]] = rows[at[i:j] - a]
+        return q
 
-    def local_head(buf, q, layer, h, walk):
+    def local_head(buf, layer, h, walk):
         pos = kept[layer, h]
-        kept_noise(buf, q, derive_rng(seed, f"workload-L{layer}-q{h}"), pos)
+        q = kept_noise(buf, derive_rng(seed, f"workload-L{layer}-q{h}"), pos)
         q[:, loc] += LOCAL_QUERY_GAIN * walk[pos]
         q[:, loc] += SINK_QUERY_GAIN * sink_dir
         sink.write("queries", (layer, h, 0), q)
 
-    def retrieval_head(buf, q, layer, h, h_ids):
+    def retrieval_head(buf, layer, h, h_ids):
         rng_h = derive_rng(seed, f"workload-L{layer}-q{h}")
         pos = kept[layer, h]
-        kept_noise(buf, q, rng_h, pos)
+        q = kept_noise(buf, rng_h, pos)
         content = q[:, con]
         # Background positions go looking for the successor of a
         # random earlier token with probability bg_seek_prob; the seek
@@ -964,20 +976,19 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
                 content[pos == p.position] = RETRIEVAL_QUERY_GAIN * probe_emb[p.kind]
         sink.write("queries", (layer, h, 0), q)
 
-    def lent(stores, task, *args):
-        """task(*bufs, *args), one buffer borrowed from each store for the
-        call; returned even when the task raises, so no later task waits."""
-        bufs = [store.get() for store in stores]
+    def lent(task, *args):
+        """task(buf, *args), a row buffer borrowed for the call; returned
+        even when the task raises, so no later task waits."""
+        buf = row_bufs.get()
         try:
-            task(*bufs, *args)
+            task(buf, *args)
         finally:
-            for store, buf in zip(stores, bufs):
-                store.put(buf)
+            row_bufs.put(buf)
 
     def run_all(pool, calls, meanwhile=lambda: None) -> None:
-        """Run every (stores, task, *args) on the pool, and meanwhile() on
-        this thread, then wait for each task; a task's exception is raised
-        here as it was (the pool's exit waits for the tasks still running)."""
+        """Run every (task, *args) on the pool, and meanwhile() on this
+        thread, then wait for each task; a task's exception is raised here
+        as it was (the pool's exit waits for the tasks still running)."""
         futures = [pool.submit(lent, *call) for call in calls]
         meanwhile()
         for f in futures:
@@ -997,18 +1008,16 @@ def gen_synthetic_workload(spec: WorkloadSpec, seed: int,
             rngs = [derive_rng(seed, f"workload-L{layer}-kv{g}") for g in range(geo.n_kv_heads)]
             walks = _unit_walks(rngs, L, loc_dim, rho)
             ids: list[np.ndarray | None] = [None] * geo.n_kv_heads
-            run_all(pool, [*(([row_bufs], kv_group, layer, g, rng, walks[:, g], ids)
+            run_all(pool, [*((kv_group, layer, g, rng, walks[:, g], ids)
                              for g, rng in enumerate(rngs)),
-                           *(([row_bufs, kept_bufs], local_head, layer, h,
-                              walks[:, qhead_to_kvhead(geo, h)])
+                           *((local_head, layer, h, walks[:, qhead_to_kvhead(geo, h)])
                              for h in planted_local)])
             # Retrieval heads read no walk; freed first, the walks are never
             # resident next to their seek draws, nor next to the next
             # layer's walks.
             del walks
-            run_all(pool, [([row_bufs, kept_bufs], retrieval_head, layer, h,
-                            ids[qhead_to_kvhead(geo, h)]) for h in retrieval],
-                    lambda: turn_keys(layer))
+            run_all(pool, [(retrieval_head, layer, h, ids[qhead_to_kvhead(geo, h)])
+                            for h in retrieval], lambda: turn_keys(layer))
         sink.commit({"kind": "workload", "seed": int(seed), "geometry": geo.to_dict(),
                      "spec": spec.to_dict(), "annotations": ann.to_dict()})
     return Workload.load(stem)

@@ -809,7 +809,8 @@ class TestLocalWindows:
         win = LocalWindow(wl, 0, self.P, 16, 4)
         t = self.P
         win.append(wl.keys_post[0, :, t], wl.values[0, :, t], t)
-        queries = wl.queries[0, :, t].reshape(geo.n_kv_heads, geo.group_size, -1)
+        queries = wl.queries[0, np.arange(geo.n_q_heads), t].reshape(geo.n_kv_heads,
+                                                                     geo.group_size, -1)
         outs = local_head_decode(queries, t, win, 16, 4)
         assert outs.shape == queries.shape
         for g in range(geo.n_kv_heads):

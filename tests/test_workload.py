@@ -857,12 +857,14 @@ class TestGenerator:
         others = {"retrieval_ratio": 0.5, "low_dim": 8, "top_p": 0.5}
         init = {f.name for f in dataclasses.fields(ModelGeometry) if f.init}
         assert set(others) == init - set(GENERATOR_FIELDS)
-        base = payload_arrays(gen_synthetic_workload(SMALL_SPEC, 4, geo))
+        base_wl = gen_synthetic_workload(SMALL_SPEC, 4, geo)
+        base = payload_arrays(base_wl)
         for name, value in others.items():
             assert getattr(geo, name) != value
             w = gen_synthetic_workload(SMALL_SPEC, 4, dataclasses.replace(geo, **{name: value}))
             for arr, want in base.items():
                 assert payload_arrays(w)[arr].tobytes() == want.tobytes(), (name, arr)
+            assert w.annotations == base_wl.annotations
 
     def test_block_size_moves_the_stage1_rows_only(self):
         """block_size is a generator field since the stage-1 rows are drawn
@@ -1050,14 +1052,15 @@ class TestGenerator:
     def test_queries_read_by_position(self):
         """queries[layer, heads, positions] reads the kept rows in every
         index form the stages use, and no other: a position the workload did
-        not keep, or an index past the workload, raises ArgumentError."""
+        not keep, an index past the workload, a slice, or heads and
+        positions that do not broadcast raise ArgumentError."""
         spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, seq_len=900)
         geo = small_geometry(n_layers=2)
         w = gen_synthetic_workload(spec, 3, geo)
         full = per_layer_generation(spec, 3, geo)[0]
         t = w.seq_len - 5
         assert np.array_equal(w.queries[1, 6, t], full[1, 6, t])
-        assert np.array_equal(w.queries[1, :, t], full[1, :, t])
+        assert np.array_equal(w.queries[1, np.arange(8), t], full[1, :, t])
         stage1 = w.stage1_positions(0, 6)
         assert len(stage1) == workload_module.STAGE1_ROWS
         assert np.array_equal(w.queries[0, 6, stage1], full[0, 6, stage1])
@@ -1067,8 +1070,9 @@ class TestGenerator:
         assert np.array_equal(w.queries[0, np.arange(4, 8)[:, None], post], full[0, 4:8][:, post])
         kept = set(w.queries.positions[0, 6].tolist())
         hole = next(p for p in range(w.seq_len) if p not in kept)
-        for index in ((0, 6, hole), (0, 6, [t, hole]), (0, slice(None), hole), (0, 8, t),
-                      (2, 0, t), (0, 6, w.seq_len), (0, -1, t), (0, 6, float(t))):
+        for index in ((0, 6, hole), (0, 6, [t, hole]), (0, slice(None), t), (0, 8, t),
+                      (2, 0, t), (0, 6, w.seq_len), (0, -1, t), (0, 6, float(t)),
+                      (0, [0, 6], [t, t - 1, t - 2])):
             with pytest.raises(ArgumentError):
                 w.queries[index]
 
@@ -1287,6 +1291,7 @@ class TestGenerationOneGroupAtATime:
         sinks, the needles, a needle and the key after it, the probe
         supports, and leave a last block that takes the remainder."""
         monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
+        monkeypatch.setattr(workload_module, "GEN_BLOCK", row_block)
         assert_matches_per_layer_form(3, **layout)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1302,6 +1307,7 @@ class TestGenerationOneGroupAtATime:
         CPUs, at the block layouts above and at whole-stream blocks."""
         monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
         monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
+        monkeypatch.setattr(workload_module, "GEN_BLOCK", row_block)
         assert_matches_per_layer_form(3, **layout)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1319,6 +1325,7 @@ class TestGenerationOneGroupAtATime:
         manifest, and no other file."""
         monkeypatch.setattr(workload_module, "_gen_workers", lambda: workers)
         monkeypatch.setattr(rope_module, "ROPE_BLOCK", row_block)
+        monkeypatch.setattr(workload_module, "GEN_BLOCK", row_block)
         geo = small_geometry(n_layers=2)
         spec = small_spec(planted_retrieval_heads=(1, 6), probe_head=1, **layout)
         streamed = gen_synthetic_workload(spec, 3, geo, tmp_path / "streamed")
@@ -1368,7 +1375,7 @@ class TestGenerationOneGroupAtATime:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kept_rows_at_9000_tokens_match_per_layer_form(self, monkeypatch, workers):
-        """At 9,000 tokens (two ROPE_BLOCK blocks, the last taking the
+        """At 9,000 tokens (eight GEN_BLOCK blocks, the last taking the
         remainder) and two layers of the default geometry, the kept query
         rows are the per-layer form's full-length rows at their positions,
         byte for byte, and keys_pre, keys_post and values its streams."""
@@ -1382,6 +1389,7 @@ class TestGenerationOneGroupAtATime:
         content ids before their group's task wrote them, moves bytes."""
         monkeypatch.setattr(workload_module, "_gen_workers", lambda: 8)
         monkeypatch.setattr(rope_module, "ROPE_BLOCK", 7)
+        monkeypatch.setattr(workload_module, "GEN_BLOCK", 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1421,12 +1429,14 @@ class TestGenerationOneGroupAtATime:
         is not on the traced heap.  A layer's four walks are two of the
         arrays; each worker's row buffer with its temporaries (the f32 cast
         ContainerWriter.write makes of a block among them) and the layer's
-        content ids fit in the third.  Once the walks are freed, a
-        retrieval head holds only its seek draws and its (K, d) kept rows.
-        The per-layer form held 5.7 beside the payload, one KV group at a
-        time 2.15, the serial form 2.56; the pool holds 2.63 with one worker
-        and 2.84-2.88 with two, the most workers it starts (warm figures),
-        so the slack is about 0.12 of an array (1 MiB)."""
+        content ids fit in the third; a query head finishes its (K, d) kept
+        rows in its row buffer.  Once the walks are freed, a retrieval head
+        holds only its seek draws beside its buffer.  The per-layer form
+        held 5.7 beside the payload, one KV group at a time 2.15, the serial
+        form 2.56; with GEN_BLOCK (1,024-row) blocks the pool holds 2.20
+        with one worker and 2.29 with two, the most workers it starts (warm
+        figures), and 2.44-2.46 with two in a fresh interpreter, whose first
+        call also traces the pool's imports."""
         spec = WorkloadSpec(seq_len=16384, decode_len=64)
         geo = default_workload_geometry()
         tracemalloc.start()
@@ -1441,9 +1451,8 @@ class TestGenerationOneGroupAtATime:
 
 class TestTurnedKeys:
     """keys_post is each float32 key row turned by rope_apply's rule: at
-    9,000 tokens, drawn in two ROPE_BLOCK blocks (4,096 rows, then 4,904)
-    and turned in eight TURN_BLOCK blocks (the last 1,832 rows), with one
-    or two generator workers and two layers."""
+    9,000 tokens, drawn and turned in eight GEN_BLOCK blocks (the last
+    1,832 rows), with one or two generator workers and two layers."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equal_to_rope_apply_and_rope_rotate(self, monkeypatch, workers):
@@ -1451,7 +1460,7 @@ class TestTurnedKeys:
         geo = default_workload_geometry(n_layers=2)
         w = gen_synthetic_workload(WorkloadSpec(seq_len=9000), 0, geo)
         assert 9000 // ROPE_BLOCK == 2 and 9000 % ROPE_BLOCK
-        assert 9000 // workload_module.TURN_BLOCK == 8
+        assert 9000 // workload_module.GEN_BLOCK == 8
         assert w.keys_post.dtype == np.float32
         positions = np.arange(w.seq_len)
         for layer in range(geo.n_layers):
